@@ -436,16 +436,6 @@ def _parser() -> argparse.ArgumentParser:
         "coordinator's to skip redundant compiles)",
     )
     worker.add_argument(
-        "--chunk-factor",
-        type=float,
-        default=2.0,
-        help="self-scheduling divisor: chunk = remaining / "
-        "(workers * factor), clamped (default: 2.0)",
-    )
-    worker.add_argument(
-        "--min-chunk", type=int, default=1, help="smallest chunk claimed"
-    )
-    worker.add_argument(
         "--max-chunk", type=int, default=32, help="largest chunk claimed"
     )
     worker.add_argument(
@@ -694,8 +684,6 @@ def _worker_command(args: argparse.Namespace) -> int:
         args.coordinator,
         name=args.name,
         cache=args.cache,
-        chunk_factor=args.chunk_factor,
-        min_chunk=args.min_chunk,
         max_chunk=args.max_chunk,
         poll_interval=args.poll,
         idle_exit=args.idle_exit,

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..errors import DDGError
 from .edges import DepEdge, DepKind
 from .opcodes import LatencyModel, OpCode, is_useful, produces_value
@@ -36,10 +34,10 @@ EdgeKey = Tuple[int, int, DepKind, int]
 def _tarjan_sccs(adj: Dict[int, List[int]]) -> List[List[int]]:
     """Strongly connected components of *adj* (iterative Tarjan).
 
-    Pure-Python replacement for the networkx call on the MII hot path:
-    no graph-object conversion, no recursion.  Roots are visited in
-    *adj*'s iteration order, so the result is deterministic for the
-    sorted adjacency built by :meth:`DDG._adjacency`.
+    Pure Python on the MII hot path: no graph-object conversion, no
+    recursion.  Roots are visited in *adj*'s iteration order, so the
+    result is deterministic for the sorted adjacency built by
+    :meth:`DDG._adjacency`.
     """
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
@@ -436,14 +434,6 @@ class DDG:
     # ------------------------------------------------------------------
     # Structure analysis
     # ------------------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a networkx MultiDiGraph (edge data: kind, omega)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        graph.add_nodes_from(self._ops)
-        for edge in self.edges():
-            graph.add_edge(edge.src, edge.dst, kind=edge.kind, omega=edge.omega)
-        return graph
 
     def _adjacency(self, *, flow_only: bool = False) -> Dict[int, List[int]]:
         """Successor-id lists (sorted, deduplicated) for graph analyses."""

@@ -1,41 +1,30 @@
-"""Persistent job journal: ``wait=false`` submissions survive a restart.
+"""Persistent work journal: acknowledged work survives a restart.
 
-The daemon appends one JSONL record per job lifecycle transition —
-``submitted`` (carrying the original compile payload), ``started``,
-``retrying``, and the terminal ``done``/``failed``/``shed``/
-``quarantined`` — keyed by the batch-cache content hash.  Appends are
-flushed and fsync'd before the daemon acknowledges a submission, so a
-202 receipt means the job is durable: after a ``kill -9``,
-:meth:`JobJournal.replay` reconstructs every job's last known state and
-the daemon re-enqueues the interrupted ``wait=false`` ones.
+The work ledger (:mod:`repro.service.ledger`) appends one JSONL record
+per durable transition, in one family shared by a ``/compile`` (a
+one-entry group) and a sweep (a many-entry group):
 
-Record format — one JSON object per line::
+``submitted``
+    a group was admitted, fsync'd before the submission is acknowledged:
+    ``key`` is the group key (a compile's content hash, ``sweep:<id>``),
+    ``keys`` its entries' content hashes (omitted for a one-entry
+    group), ``payload`` what replay rebuilds it from, ``wait``/``priority``;
+``finished``
+    one lease completed: the entry keys it finished (``done``) and
+    failed (``failed``: key -> error);
+``requeued``
+    a lease was lost: each requeued key's requeue count (``requeues``,
+    so the budget survives a restart) and the keys quarantined
+    (``failed``);
+``closed``
+    a group ended unfinished (shed, orphaned, or rejected on replay).
 
-    {"v": 1, "seq": 7, "event": "submitted", "key": "<sha256>",
-     "wait": false, "payload": {...}, "sum": "<checksum>"}
-
-``sum`` is the first 16 hex chars of the SHA-256 over the canonical
-(sorted-keys) JSON of the record without its ``sum`` field.  Replay
-rejects any line whose checksum does not match (bit rot, interleaved
-garbage) and treats a final line without a newline as a torn write —
-the classic crash-mid-append shape — truncating it away on repair.
-Neither stops recovery: the journal degrades record by record.
-
-:meth:`compact` rewrites the file keeping one synthesized ``submitted``
-record per still-live job (terminal histories are dropped), atomically
-(tmp + fsync + rename), so the journal stays proportional to live work
-instead of growing forever.
-
-The sweep coordinator (:mod:`repro.service.sweep`) rides the same file
-with four ``sweep-*`` record types keyed ``sweep:<id>``:
-``sweep-submitted`` carries the sweep spec, ``sweep-progress`` records
-accumulate — each carries the job indices a completed chunk finished
-(``done``: index -> content-hash key) or permanently failed
-(``failed``: index -> error) and replay takes their union, unlike the
-rank-replacement job events — and ``sweep-done``/``sweep-failed`` are
-terminal.  Compaction keeps an open sweep as one synthesized
-``sweep-submitted`` plus (when it has progress) one merged
-``sweep-progress`` record, so recompaction stays byte-idempotent.
+Lines carry ``v`` (the schema version), ``seq`` and ``sum``, the first 16
+hex chars of the SHA-256 over the canonical record without ``sum``.
+Replay skips lines whose checksum fails and truncates a torn final line
+on repair; a valid record of another version raises
+:class:`~repro.errors.JournalError` naming it.  :meth:`JobJournal.compact`
+atomically rewrites the file down to the live groups.
 """
 
 from __future__ import annotations
@@ -47,38 +36,16 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import faults
 from ..errors import JournalError
 
-#: Journal record schema version.
-JOURNAL_VERSION = 1
+#: Journal record schema version (1 had per-path job and sweep families).
+JOURNAL_VERSION = 2
 
-#: Lifecycle events in rank order: replay keeps the furthest-progressed
-#: state it sees for a key, so out-of-order appends cannot regress it.
-EVENT_RANK = {
-    "submitted": 0,
-    "started": 1,
-    "retrying": 1,
-    "done": 2,
-    "failed": 2,
-    "shed": 2,
-    "quarantined": 2,
-    "sweep-submitted": 0,
-    "sweep-progress": 1,
-    "sweep-done": 2,
-    "sweep-failed": 2,
-}
-
-#: Events that describe a sweep ledger entry rather than a single job.
-SWEEP_EVENTS = frozenset(
-    event for event in EVENT_RANK if event.startswith("sweep-")
-)
-
-TERMINAL_EVENTS = frozenset(
-    event for event, rank in EVENT_RANK.items() if rank == 2
-)
+#: Every record type the ledger writes.
+EVENTS = ("submitted", "finished", "requeued", "closed")
 
 
 def _checksum(record: Dict[str, object]) -> str:
@@ -88,62 +55,81 @@ def _checksum(record: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _line(record: Dict[str, object]) -> bytes:
+    record["sum"] = _checksum(record)
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
 @dataclass
 class JournalEntry:
-    """One job's replayed state: its furthest-progressed transition."""
+    """One replayed group: what its ``submitted`` record carried."""
 
     key: str
-    event: str = "submitted"
+    keys: List[str]
+    payload: Optional[Dict[str, object]] = None
     wait: bool = True
     priority: str = "normal"
-    payload: Optional[Dict[str, object]] = None
-    crashes: int = 0
-    extra: Dict[str, object] = field(default_factory=dict)
-    #: Sweep-only accumulators: job index (as a string — JSON object
-    #: keys) -> content-hash key / error text.  Unlike the ranked
-    #: ``event``, these union across every ``sweep-progress`` record.
-    sweep_done: Dict[str, str] = field(default_factory=dict)
-    sweep_failed: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def terminal(self) -> bool:
-        return self.event in TERMINAL_EVENTS
+    closed: bool = False
+    #: Entry keys without an outcome yet.
+    open_keys: Set[str] = field(default_factory=set)
 
     @property
     def is_sweep(self) -> bool:
-        """Whether this entry is a sweep ledger entry, not a job."""
-        return self.event in SWEEP_EVENTS
+        return self.key.startswith("sweep:")
+
+    @property
+    def terminal(self) -> bool:
+        return self.closed or not self.open_keys
+
+
+@dataclass
+class JournalState:
+    """What one replay reconstructs: groups and entry outcomes."""
+
+    groups: Dict[str, JournalEntry] = field(default_factory=dict)
+    done: Set[str] = field(default_factory=set)
+    failed: Dict[str, str] = field(default_factory=dict)
+    requeues: Dict[str, int] = field(default_factory=dict)
+    #: entry key -> keys of the groups holding it.
+    holders: Dict[str, Set[str]] = field(default_factory=dict)
+
+    def live(self) -> List[JournalEntry]:
+        """The groups replay must rebuild, in key order."""
+        return sorted((g for g in self.groups.values() if not g.terminal), key=lambda g: g.key)
 
     def absorb(self, record: Dict[str, object]) -> None:
-        """Fold one valid record for this key into the entry."""
-        event = str(record.get("event"))
-        if record.get("payload") is not None:
-            self.payload = record["payload"]  # type: ignore[assignment]
-        if record.get("wait") is not None:
-            self.wait = bool(record["wait"])
-        if record.get("priority") is not None:
-            self.priority = str(record["priority"])
-        self.crashes = max(self.crashes, int(record.get("crashes", 0)))
-        if event in SWEEP_EVENTS:
-            done = record.get("done")
-            if isinstance(done, dict):
-                self.sweep_done.update(
-                    {str(k): str(v) for k, v in done.items()}
-                )
-            failed = record.get("failed")
-            if isinstance(failed, dict):
-                self.sweep_failed.update(
-                    {str(k): str(v) for k, v in failed.items()}
-                )
-        if EVENT_RANK.get(event, -1) >= EVENT_RANK.get(self.event, -1):
-            self.event = event
-            self.extra = {
-                name: value
-                for name, value in record.items()
-                if name not in ("v", "seq", "event", "key", "wait",
-                                "priority", "payload", "crashes", "sum",
-                                "done", "failed")
-            }
+        """Fold one valid record into the state."""
+        event, key = record["event"], str(record["key"])
+        if event == "submitted":
+            keys = [str(k) for k in record.get("keys") or [key]]
+            for entry_key in keys:  # a finished key submitted again runs afresh
+                if entry_key in self.done or entry_key in self.failed:
+                    self.done.discard(entry_key)
+                    self.failed.pop(entry_key, None)
+                    self.requeues.pop(entry_key, None)
+            self.groups[key] = JournalEntry(
+                key, keys, record.get("payload"), bool(record.get("wait", True)),
+                str(record.get("priority", "normal")), open_keys=set(keys),
+            )
+            for entry_key in keys:
+                self.holders.setdefault(entry_key, set()).add(key)
+        elif event == "closed":
+            if key in self.groups:
+                self.groups[key].closed = True
+        else:
+            for entry_key, count in (record.get("requeues") or {}).items():
+                self.requeues[entry_key] = max(self.requeues.get(entry_key, 0), int(count))
+            outcomes = [(k, None) for k in record.get("done") or ()]
+            outcomes += list((record.get("failed") or {}).items())
+            for entry_key, error in outcomes:
+                if error is None:
+                    self.failed.pop(entry_key, None)
+                    self.done.add(entry_key)
+                else:
+                    self.done.discard(entry_key)
+                    self.failed[entry_key] = str(error)
+                for group_key in self.holders.pop(entry_key, ()):
+                    self.groups[group_key].open_keys.discard(entry_key)
 
 
 @dataclass
@@ -157,17 +143,11 @@ class ReplayStats:
     terminal: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "records": self.records,
-            "corrupt_lines": self.corrupt_lines,
-            "torn_tail": self.torn_tail,
-            "live": self.live,
-            "terminal": self.terminal,
-        }
+        return dict(self.__dict__)
 
 
 class JobJournal:
-    """Append-only, fsync'd, checksummed JSONL journal of job states."""
+    """Append-only, fsync'd, checksummed JSONL journal of ledger records."""
 
     def __init__(self, path: os.PathLike, fsync: bool = True):
         self.path = Path(path).expanduser()
@@ -183,43 +163,22 @@ class JobJournal:
         self.torn_writes = 0
         self.compactions = 0
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-
     def append(self, event: str, key: str, **fields) -> Dict[str, object]:
-        """Durably append one lifecycle record and return it.
-
-        The record is flushed and fsync'd before this returns (unless
-        the journal was opened with ``fsync=False``), so callers may
-        acknowledge the transition to clients afterwards.
-        """
-        if event not in EVENT_RANK:
-            raise JournalError(
-                f"unknown journal event {event!r}; "
-                f"known: {', '.join(sorted(EVENT_RANK))}"
-            )
+        """Durably append one record (flushed and fsync'd) and return it."""
+        if event not in EVENTS:
+            raise JournalError(f"unknown journal event {event!r}; known: {', '.join(EVENTS)}")
         with self._lock:
             self._seq += 1
-            record: Dict[str, object] = {
-                "v": JOURNAL_VERSION,
-                "seq": self._seq,
-                "event": event,
-                "key": key,
-            }
-            for name, value in fields.items():
-                if value is not None:
-                    record[name] = value
-            record["sum"] = _checksum(record)
-            line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+            record: Dict[str, object] = {"v": JOURNAL_VERSION, "seq": self._seq,
+                                         "event": event, "key": key}
+            record.update((name, value) for name, value in fields.items() if value is not None)
+            line = _line(record)
             torn = faults.torn_write_size(len(line))
+            if torn is not None:  # a simulated crash mid-append
+                self.torn_writes += 1
+                line = line[:torn]
             try:
-                if torn is not None:
-                    # Simulated crash mid-append: persist only a prefix.
-                    self.torn_writes += 1
-                    self._handle.write(line[:torn])
-                else:
-                    self._handle.write(line)
+                self._handle.write(line)
                 self._handle.flush()
                 if self.fsync:
                     os.fsync(self._handle.fileno())
@@ -235,21 +194,12 @@ class JobJournal:
             except OSError:  # pragma: no cover - close on a dead fd
                 pass
 
-    # ------------------------------------------------------------------
-    # Replay / repair
-    # ------------------------------------------------------------------
+    def replay(self, repair: bool = False) -> Tuple[JournalState, ReplayStats]:
+        """Reconstruct the ledger's durable state from the journal file.
 
-    def replay(
-        self, repair: bool = False
-    ) -> Tuple[Dict[str, JournalEntry], ReplayStats]:
-        """Reconstruct per-key job state from the journal file.
-
-        Returns ``(entries, stats)`` where *entries* maps content-hash
-        key to the furthest-progressed :class:`JournalEntry`.  Corrupt
-        lines (bad JSON, bad checksum) are skipped and counted; a final
-        line without a trailing newline is a torn write.  With
-        ``repair=True`` the file is truncated back to its last intact
-        record before the journal continues appending.
+        With ``repair=True`` a torn tail is truncated away so appends
+        continue cleanly.  Raises :class:`JournalError` on a record of
+        another schema version.
         """
         with self._lock:
             self._handle.flush()
@@ -257,138 +207,85 @@ class JobJournal:
                 raw = self.path.read_bytes()
             except OSError as err:
                 raise JournalError(f"cannot read journal {self.path}: {err}")
-            entries: Dict[str, JournalEntry] = {}
-            stats = ReplayStats()
-            good_offset = 0
+            state, stats = JournalState(), ReplayStats()
             offset = 0
-            max_seq = 0
             for line in raw.splitlines(keepends=True):
-                offset += len(line)
                 if not line.endswith(b"\n"):
                     stats.torn_tail = True
                     break
+                offset += len(line)
                 record = self._decode(line)
                 if record is None:
                     stats.corrupt_lines += 1
-                    # The line is framed (newline-terminated) garbage:
-                    # keep scanning — later records are independent.
-                    good_offset = offset
                     continue
-                good_offset = offset
                 stats.records += 1
-                max_seq = max(max_seq, int(record.get("seq", 0)))
-                key = str(record.get("key"))
-                entry = entries.get(key)
-                if entry is None:
-                    entry = entries[key] = JournalEntry(key=key)
-                entry.absorb(record)
-            if repair and good_offset < len(raw):
+                self._seq = max(self._seq, int(record.get("seq", 0)))
+                state.absorb(record)
+            if repair and offset < len(raw):
                 try:
                     with open(self.path, "r+b") as handle:
-                        handle.truncate(good_offset)
+                        handle.truncate(offset)
                 except OSError as err:
-                    raise JournalError(
-                        f"cannot repair journal {self.path}: {err}"
-                    )
-            self._seq = max(self._seq, max_seq)
-            stats.live = sum(1 for e in entries.values() if not e.terminal)
-            stats.terminal = len(entries) - stats.live
-            return entries, stats
+                    raise JournalError(f"cannot repair journal {self.path}: {err}")
+            stats.live = len(state.live())
+            stats.terminal = len(state.groups) - stats.live
+            return state, stats
 
-    @staticmethod
-    def _decode(line: bytes) -> Optional[Dict[str, object]]:
+    def _decode(self, line: bytes) -> Optional[Dict[str, object]]:
         """One line -> record, or ``None`` when it fails validation."""
         try:
             record = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if not isinstance(record, dict):
+        if not isinstance(record, dict) or record.get("sum") != _checksum(record):
             return None
-        declared = record.get("sum")
-        if not isinstance(declared, str) or _checksum(record) != declared:
-            return None
-        if record.get("event") not in EVENT_RANK or "key" not in record:
+        if record.get("v") != JOURNAL_VERSION:
+            raise JournalError(
+                f"journal {self.path} holds a version {record.get('v')!r} record; this "
+                f"daemon reads version {JOURNAL_VERSION} only (let the old daemon drain, "
+                "or move the file aside)"
+            )
+        if record.get("event") not in EVENTS or "key" not in record:
             return None
         return record
 
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-
     def compact(self) -> Tuple[int, int]:
-        """Drop terminal histories; keep minimal records per live key.
+        """Rewrite the journal down to its live groups, atomically.
 
-        Rewrites the journal atomically, renumbered from ``seq=1``: a
-        synthesized ``submitted`` record per non-terminal job (payload,
-        lane and crash budget preserved); for a non-terminal *sweep*, a
-        synthesized ``sweep-submitted`` (spec payload) plus — when the
-        sweep has progress — one merged ``sweep-progress`` record, so
-        completed chunk indices stay durable across compactions.
-        Idempotent: compacting a compacted journal rewrites identical
-        content.  Returns ``(kept, dropped)`` key counts.
+        One ``submitted`` per live group, then one ``finished`` with the
+        outcomes of their entries and one ``requeued`` with their
+        requeue counts, renumbered from ``seq=1``.  Idempotent byte for
+        byte.  Returns ``(kept, dropped)`` group counts.
         """
-        entries, _ = self.replay(repair=True)
-        live = sorted(
-            (entry for entry in entries.values() if not entry.terminal),
-            key=lambda entry: entry.key,
-        )
+        state, _ = self.replay(repair=True)
+        live = state.live()
+        records: List[Dict[str, object]] = []
+        keys: Set[str] = set()
+        for group in live:
+            record = {"event": "submitted", "key": group.key, "payload": group.payload,
+                      "wait": group.wait, "priority": group.priority}
+            if group.keys != [group.key]:
+                record["keys"] = group.keys
+            records.append(record)
+            keys.update(group.keys)
+        done = sorted(keys & state.done)
+        failed = {key: state.failed[key] for key in sorted(keys & set(state.failed))}
+        requeues = {key: state.requeues[key] for key in sorted(keys & set(state.requeues))
+                    if key not in state.done and key not in state.failed}
+        if done or failed:
+            records.append({"event": "finished", "key": "compacted",
+                            "done": done or None, "failed": failed or None})
+        if requeues:
+            records.append({"event": "requeued", "key": "compacted", "requeues": requeues})
         with self._lock:
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), suffix=".journal.tmp"
-            )
+            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".journal.tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    seq = 0
-
-                    def _write(record: Dict[str, object]) -> None:
-                        record["sum"] = _checksum(record)
-                        handle.write(
-                            (json.dumps(record, sort_keys=True) + "\n").encode(
-                                "utf-8"
-                            )
-                        )
-
-                    for entry in live:
-                        seq += 1
-                        if entry.is_sweep:
-                            record: Dict[str, object] = {
-                                "v": JOURNAL_VERSION,
-                                "seq": seq,
-                                "event": "sweep-submitted",
-                                "key": entry.key,
-                            }
-                            if entry.payload is not None:
-                                record["payload"] = entry.payload
-                            _write(record)
-                            if entry.sweep_done or entry.sweep_failed:
-                                seq += 1
-                                progress: Dict[str, object] = {
-                                    "v": JOURNAL_VERSION,
-                                    "seq": seq,
-                                    "event": "sweep-progress",
-                                    "key": entry.key,
-                                }
-                                if entry.sweep_done:
-                                    progress["done"] = dict(entry.sweep_done)
-                                if entry.sweep_failed:
-                                    progress["failed"] = dict(
-                                        entry.sweep_failed
-                                    )
-                                _write(progress)
-                            continue
-                        record = {
-                            "v": JOURNAL_VERSION,
-                            "seq": seq,
-                            "event": "submitted",
-                            "key": entry.key,
-                            "wait": entry.wait,
-                            "priority": entry.priority,
-                        }
-                        if entry.payload is not None:
-                            record["payload"] = entry.payload
-                        if entry.crashes:
-                            record["crashes"] = entry.crashes
-                        _write(record)
+                    for seq, record in enumerate(records, start=1):
+                        handle.write(_line({
+                            "v": JOURNAL_VERSION, "seq": seq,
+                            **{k: v for k, v in record.items() if v is not None},
+                        }))
                     handle.flush()
                     if self.fsync:
                         os.fsync(handle.fileno())
@@ -401,33 +298,19 @@ class JobJournal:
                 raise
             try:
                 self._handle.close()
-            except OSError:  # pragma: no cover - close on a dead fd
-                pass
-            try:
                 self._handle = open(self.path, "ab")
             except OSError as err:
-                raise JournalError(
-                    f"cannot reopen compacted journal {self.path}: {err}"
-                )
-            self._seq = seq
+                raise JournalError(f"cannot reopen compacted journal {self.path}: {err}")
+            self._seq = len(records)
             self.compactions += 1
-        return len(live), len(entries) - len(live)
-
-    # ------------------------------------------------------------------
+        return len(live), len(state.groups) - len(live)
 
     def counters(self) -> Dict[str, object]:
-        return {
-            "path": str(self.path),
-            "appends": self.appends,
-            "compactions": self.compactions,
-            "torn_writes": self.torn_writes,
-        }
+        return {"path": str(self.path), "appends": self.appends,
+                "compactions": self.compactions, "torn_writes": self.torn_writes}
 
     def __enter__(self) -> "JobJournal":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<JobJournal {str(self.path)!r} seq={self._seq}>"

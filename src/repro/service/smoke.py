@@ -1,39 +1,25 @@
-"""CI smoke drivers for the compilation service.
+"""End-to-end smoke stories for the compilation service.
 
-``python -m repro.service.smoke --out metrics.json`` starts a real
-``repro serve`` daemon as a subprocess, drives a cold burst, a warm
-(LRU-served) burst and a concurrent identical burst through
-:class:`~repro.service.client.ServiceClient`, asserts the ``/metrics``
-counters tell the right story, SIGTERMs the daemon and checks it drains
-cleanly.  The collected metrics land in the ``--out`` JSON (uploaded as
-a CI artifact) so a failing run leaves evidence behind.
+``python -m repro.service.smoke --seed 0 --out smoke.json`` runs three
+stories against real ``repro serve`` / ``repro worker`` processes:
 
-``--chaos --seed N`` runs the fault-tolerance story instead, end to end
-against real processes:
+``serve``
+    cold, warm (LRU-served) and concurrent identical bursts, checked
+    against ``/metrics``, then a clean SIGTERM drain;
+``chaos``
+    a fault-armed daemon (a worker crash, connection resets, slow
+    compiles) must answer every request without draining; a second
+    daemon is SIGKILLed with ``wait=false`` jobs journaled, and a third
+    replays them to results bit-identical to local compiles;
+``dist``
+    a coordinator and two ``repro worker`` processes run one sweep; one
+    worker is SIGKILLed mid-chunk (its lease must expire and requeue),
+    then the coordinator is SIGKILLed and restarted on its journal, and
+    the sweep must finish bit-identical to local compiles.
 
-1. a daemon armed with deterministic faults (a worker crash, connection
-   resets, jittered slow compiles) serves a burst — every request must
-   still succeed, the pool must respawn rather than drain, and the
-   client must have retried transport errors;
-2. a second daemon takes ``wait=false`` submissions into a persistent
-   journal and is then killed with SIGKILL mid-compile;
-3. a third daemon on the same journal + cache replays the interrupted
-   jobs to completion; their results must be served from cache and be
-   bit-identical to local compiles of the same payloads.
-
-``--dist --seed N`` runs the distributed-sweep story (PR 10): a
-coordinator daemon plus two ``repro worker`` subprocesses execute one
-sweep under heartbeat leases; one worker is SIGKILLed mid-chunk, then
-the coordinator itself is SIGKILLed and restarted on the same journal +
-cache.  The sweep must still complete, at least one lease must have
-expired and been requeued, and every per-job fingerprint must be
-bit-identical to a local single-host compile of the same job space.
-
-All deadlines use ``time.monotonic()`` — wall-clock (``time.time()``)
-deadlines go wrong under NTP steps exactly when a long chaos run is in
-flight.
-
-Exit status 0 = every check passed.
+The ``--out`` JSON holds every check and the metrics of each story; each
+story's journal lands beside it as ``<out>-<story>-journal.jsonl``.
+Exit status 0 = every check of every story passed.
 """
 
 from __future__ import annotations
@@ -47,41 +33,37 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List
 
 from ..errors import ServiceError
 from .client import RetryPolicy, ServiceClient
 
+LADDER = {"search": "ladder"}
+
 #: (payload, label) pairs for the cold/warm bursts: small kernels across
 #: distinct machines so each is its own cache entry.
 BURST = [
-    ({"kernel": "fir_filter", "clusters": 4, "config": {"search": "ladder"}}, "fir/ring4"),
-    ({"kernel": "daxpy", "clusters": 2, "config": {"search": "ladder"}}, "daxpy/ring2"),
+    ({"kernel": "fir_filter", "clusters": 4, "config": LADDER}, "fir/ring4"),
+    ({"kernel": "daxpy", "clusters": 2, "config": LADDER}, "daxpy/ring2"),
     ({"kernel": "dot_product", "clusters": 4, "topology": "mesh",
-      "config": {"search": "ladder"}}, "dot/mesh4"),
+      "config": LADDER}, "dot/mesh4"),
     ({"kernel": "vector_add", "clusters": 2, "unclustered": True,
-      "config": {"search": "ladder"}}, "vadd/unclustered"),
+      "config": LADDER}, "vadd/unclustered"),
 ]
 
 #: Payload for the dedup burst (untouched by BURST so it starts cold).
-DEDUP_PAYLOAD = {
-    "kernel": "complex_multiply",
-    "clusters": 4,
-    "config": {"search": "ladder"},
-}
+DEDUP_PAYLOAD = {"kernel": "complex_multiply", "clusters": 4, "config": LADDER}
 DEDUP_FANOUT = 6
 
-#: Fault plan for the chaos burst phase: each worker process counts its
-#: own occurrences, so ``worker-crash:times=2`` means "a worker dies on
-#: its second compile" — with 2 workers and 4 serial compiles some
-#: worker must reach 2, guaranteeing at least one pool respawn, while
-#: respawned (fresh) workers always survive a retried job's first
-#: attempt.  ``conn-reset`` counts in the daemon process: its second
-#: response write is aborted, forcing a client transport retry.
+#: Fault plan for the chaos burst.  Each worker counts its own
+#: occurrences, so with 2 workers and 4 serial compiles some worker dies
+#: on its second compile (a respawn), while fresh workers survive the
+#: requeued job.  The daemon aborts its second response (a client retry).
 CHAOS_FAULTS = "worker-crash:times=2;conn-reset:times=2;slow-compile:rate=0.3:delay=0.05"
 
-#: Fault plan for the kill/restart phase: every compile sleeps long
-#: enough that SIGKILL reliably lands while the jobs are live.
+#: Every compile of the kill phase sleeps long enough that SIGKILL
+#: reliably lands while the jobs are live.
 KILL_PHASE_FAULTS = "slow-compile:every=1:delay=3"
 
 #: ``wait=false`` payloads for the kill/restart phase — disjoint from
@@ -91,63 +73,25 @@ RECOVERY_PAYLOADS = [
     ({"kernel": "daxpy", "clusters": 4, "wait": False}, "daxpy/ring4"),
 ]
 
+#: The dist sweep: short leases requeue a killed worker's chunk within
+#: seconds; the requeue budget outlasts the two injected kills.
+DIST_SPEC = {
+    "kernels": ["fir_filter", "daxpy", "vector_add", "dot_product"],
+    "clusters": [2, 4],
+    "topologies": ["ring"],
+    "config": LADDER,
+    "lease": 1.5,
+    "max_requeues": 8,
+    "label": "dist-smoke",
+}
+
+#: Every worker job sleeps 0.4s, so the SIGKILLs land while chunks are
+#: leased (and the heartbeat threads run).
+DIST_WORKER_FAULTS = "slow-worker:every=1:delay=0.4"
+
 
 class SmokeFailure(Exception):
     pass
-
-
-def _check(checks: List[Dict[str, object]], name: str, ok: bool, detail: str) -> None:
-    checks.append({"check": name, "ok": bool(ok), "detail": detail})
-    marker = "ok" if ok else "FAIL"
-    print(f"[smoke] {marker:<4} {name}: {detail}", flush=True)
-    if not ok:
-        raise SmokeFailure(f"{name}: {detail}")
-
-
-def _wait_for_port_file(path: str, timeout: float) -> str:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            with open(path) as handle:
-                text = handle.read().strip()
-            if text:
-                return text
-        time.sleep(0.1)
-    raise SmokeFailure(f"daemon never wrote {path}")
-
-
-def _start_daemon(
-    port_file: str,
-    workers: int,
-    extra: Optional[List[str]] = None,
-) -> subprocess.Popen:
-    # Each daemon gets its own session (= process group): its spawned
-    # pool workers inherit the stdout/stderr pipes, so killing only the
-    # daemon would leave orphans holding the pipes open and a later
-    # communicate() waiting for EOF forever.  _kill_hard() takes the
-    # whole group down instead.
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--workers", str(workers),
-            "--lru-capacity", "64",
-            "--port-file", port_file,
-            *(extra or []),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-
-
-def _kill_hard(proc: subprocess.Popen) -> None:
-    """SIGKILL the daemon *and* its pool workers (whole process group)."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (OSError, AttributeError):  # group already gone / no killpg
-        proc.kill()
-    proc.communicate()
 
 
 def _local_fingerprint(payload: Dict[str, object]) -> object:
@@ -158,482 +102,320 @@ def _local_fingerprint(payload: Dict[str, object]) -> object:
 
     body = {k: v for k, v in payload.items() if k != "wait"}
     report = Toolchain.default().compile(parse_compile_payload(body).request)
-    # The service ships fingerprints through JSON (tuples -> lists);
-    # normalize the local one the same way before comparing.
+    # The service ships fingerprints through JSON (tuples -> lists).
     return json.loads(json.dumps(schedule_fingerprint(report.result)))
 
 
-# ----------------------------------------------------------------------
-# Normal mode
-# ----------------------------------------------------------------------
+class Story:
+    """One story's processes, checks and artifact, on a fresh journal + cache."""
 
+    def __init__(self, name: str, args: argparse.Namespace):
+        self.name = name
+        self.args = args
+        self.checks: List[Dict[str, object]] = []
+        self.artifact: Dict[str, object] = {"checks": self.checks, "seed": args.seed}
+        self.tmp = tempfile.mkdtemp(prefix=f"repro-smoke-{name}-")
+        self.journal = os.path.join(self.tmp, "journal.jsonl")
+        self.cache = os.path.join(self.tmp, "cache")
+        self.procs: List[subprocess.Popen] = []
 
-def run_smoke(args: argparse.Namespace) -> int:
-    checks: List[Dict[str, object]] = []
-    artifact: Dict[str, object] = {"checks": checks}
-    tmp = tempfile.mkdtemp(prefix="repro-smoke-")
-    port_file = os.path.join(tmp, "port.txt")
-    final_metrics_path = os.path.join(tmp, "final_metrics.json")
-    proc = _start_daemon(
-        port_file, args.workers, ["--metrics-out", final_metrics_path]
-    )
-    try:
-        address = _wait_for_port_file(port_file, args.timeout)
-        client = ServiceClient(address, timeout=args.timeout)
-        _check(checks, "startup", client.healthz().get("status") == "ok",
-               f"daemon healthy at {address}")
+    def check(self, name: str, ok: bool, detail: str) -> None:
+        self.checks.append({"check": name, "ok": bool(ok), "detail": detail})
+        print(f"[smoke] {'ok' if ok else 'FAIL':<4} {self.name}/{name}: {detail}", flush=True)
+        if not ok:
+            raise SmokeFailure(f"{name}: {detail}")
 
-        # Cold burst: every payload compiles.
-        for payload, label in BURST:
-            result = client.compile(payload)
-            _check(
-                checks, f"cold:{label}",
-                result["served_from"] == "compile",
-                f"served_from={result['served_from']} "
-                f"ii={result['report']['ii']}",
-            )
-        cold = client.metrics()
-        _check(checks, "cold-compiles",
-               cold["compiles"]["started"] == len(BURST),
-               f"{cold['compiles']['started']} compiles for {len(BURST)} requests")
+    def spawn(self, args: List[str]) -> subprocess.Popen:
+        # Each process gets its own session (= process group): spawned
+        # pool workers inherit the pipes, so killing only the daemon
+        # would leave orphans holding them open; kill() takes the whole
+        # group down instead.
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *args], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        self.procs.append(proc)
+        return proc
 
-        # Warm burst: same payloads, zero new compiles, all memory hits.
-        for payload, label in BURST:
-            result = client.compile(payload)
-            _check(
-                checks, f"warm:{label}",
-                result["served_from"] == "memory",
-                f"served_from={result['served_from']}",
-            )
-        warm = client.metrics()
-        _check(checks, "warm-no-compiles",
-               warm["compiles"]["started"] == cold["compiles"]["started"],
-               "warm burst started no new compiles")
-        _check(checks, "warm-hit-ratio",
-               warm["cache"]["memory_hits"] >= len(BURST)
-               and warm["cache"]["hit_ratio"] >= 0.4,
-               f"memory_hits={warm['cache']['memory_hits']} "
-               f"hit_ratio={warm['cache']['hit_ratio']:.2f}")
+    def daemon(self, tag: str, workers: int, extra: List[str], port: int = 0) -> ServiceClient:
+        """Start ``repro serve`` and return a retrying client for it."""
+        port_file = os.path.join(self.tmp, f"{tag}.port")
+        self.spawn([
+            "serve", "--workers", str(workers), "--lru-capacity", "64",
+            "--port-file", port_file, "--port", str(port), *extra,
+        ])
+        address = wait_for(
+            lambda: os.path.exists(port_file) and Path(port_file).read_text().strip(),
+            self.args.timeout, f"the daemon to write {port_file}", 0.1,
+        )
+        return ServiceClient(address, policy=RetryPolicy(
+            max_attempts=5, connect_timeout=10.0,
+            read_timeout=self.args.timeout, jitter_seed=self.args.seed,
+        ))
 
-        # Dedup burst: identical concurrent requests coalesce onto one
-        # compile (stragglers that arrive after completion hit the LRU).
-        with ThreadPoolExecutor(max_workers=DEDUP_FANOUT) as pool:
-            results = list(
-                pool.map(
-                    lambda _: client.compile(dict(DEDUP_PAYLOAD)),
-                    range(DEDUP_FANOUT),
-                )
-            )
-        sources = sorted(r["served_from"] for r in results)
-        fingerprints = {json.dumps(r["fingerprint"]) for r in results}
-        after = client.metrics()
-        _check(checks, "dedup-one-compile",
-               after["compiles"]["started"] == cold["compiles"]["started"] + 1,
-               f"{DEDUP_FANOUT} identical requests -> "
-               f"{after['compiles']['started'] - cold['compiles']['started']} compile(s); "
-               f"sources={sources}")
-        _check(checks, "dedup-identical-results", len(fingerprints) == 1,
-               f"{len(fingerprints)} distinct fingerprint(s)")
+    def worker(self, address: str, name: str) -> subprocess.Popen:
+        return self.spawn([
+            "worker", "--coordinator", address, "--name", name,
+            "--poll", "0.1", "--idle-exit", "20", "--max-chunk", "2",
+            "--faults", DIST_WORKER_FAULTS, "--fault-seed", str(self.args.seed),
+        ])
 
-        latency = after["latency_ms"]
-        _check(checks, "latency-histogram",
-               latency["count"] >= 2 * len(BURST) + DEDUP_FANOUT - after["dedup"]["coalesced"]
-               and latency["p50_ms"] is not None,
-               f"count={latency['count']} p50={latency['p50_ms']}ms "
-               f"p99={latency['p99_ms']}ms")
-        artifact["live_metrics"] = after
-
-        # Graceful drain on SIGTERM.
+    def stop(self, proc: subprocess.Popen, label: str) -> str:
+        """SIGTERM *proc*, require a clean exit, return its stdout."""
         proc.send_signal(signal.SIGTERM)
-        out, err = proc.communicate(timeout=args.timeout)
-        _check(checks, "clean-shutdown", proc.returncode == 0,
-               f"exit={proc.returncode}")
-        _check(checks, "final-metrics-file",
-               os.path.exists(final_metrics_path),
-               final_metrics_path)
-        with open(final_metrics_path) as handle:
-            final = json.load(handle)
-        artifact["final_metrics"] = final
-        _check(checks, "drained-flag", final["draining"] is True,
-               "final snapshot carries draining=true")
-        artifact["daemon_stdout"] = out
-        artifact["daemon_stderr"] = err
-        status = 0
-    except (SmokeFailure, ServiceError, subprocess.TimeoutExpired) as err:
-        artifact["error"] = str(err)
-        status = 1
-    finally:
-        if proc.poll() is None:
-            _kill_hard(proc)
-    _write_artifact(args.out, artifact)
-    print(f"[smoke] {'PASS' if status == 0 else 'FAIL'}", flush=True)
-    return status
+        out, err = proc.communicate(timeout=self.args.timeout)
+        self.artifact[f"{label}_stderr"] = err
+        self.check(f"{label}-clean-drain", proc.returncode == 0, f"exit={proc.returncode}")
+        return out
+
+    @staticmethod
+    def kill(proc: subprocess.Popen) -> None:
+        """SIGKILL a process *and* its pool workers (whole process group)."""
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except (OSError, AttributeError):  # group already gone / no killpg
+            proc.kill()
+        proc.communicate()
+
+    def run(self, body) -> bool:
+        try:
+            body(self)
+            ok = True
+        except (SmokeFailure, ServiceError, subprocess.TimeoutExpired) as err:
+            self.artifact["error"] = str(err)
+            ok = False
+        finally:
+            for proc in self.procs:
+                if proc.poll() is None:
+                    self.kill(proc)
+        if os.path.exists(self.journal):
+            self.artifact["journal"] = Path(self.journal).read_text()
+        print(f"[smoke] {self.name} {'PASS' if ok else 'FAIL'}", flush=True)
+        return ok
+
+
+def wait_for(predicate, timeout: float, what: str, interval: float = 0.2):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(interval)
+    raise SmokeFailure(f"timed out waiting for {what}")
 
 
 # ----------------------------------------------------------------------
-# Chaos mode
+# The stories
 # ----------------------------------------------------------------------
 
 
-def run_chaos(args: argparse.Namespace) -> int:
-    checks: List[Dict[str, object]] = []
-    artifact: Dict[str, object] = {"checks": checks, "seed": args.seed}
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-")
-    journal = os.path.join(tmp, "journal.jsonl")
-    cache_dir = os.path.join(tmp, "cache")
-    procs: List[subprocess.Popen] = []
-
-    def daemon(name: str, extra: List[str]) -> ServiceClient:
-        port_file = os.path.join(tmp, f"{name}.port")
-        proc = _start_daemon(
-            port_file, args.workers,
-            ["--journal", journal, "--cache", cache_dir, *extra],
-        )
-        procs.append(proc)
-        address = _wait_for_port_file(port_file, args.timeout)
-        return ServiceClient(
-            address,
-            policy=RetryPolicy(
-                max_attempts=5,
-                connect_timeout=10.0,
-                read_timeout=args.timeout,
-                jitter_seed=args.seed,
-            ),
-        )
-
-    try:
-        # Phase 1 — fault-armed burst: a worker crash and connection
-        # resets, but every request still succeeds.
-        client = daemon(
-            "chaos",
-            ["--faults", CHAOS_FAULTS, "--fault-seed", str(args.seed)],
-        )
-        _check(checks, "chaos-startup",
-               client.healthz().get("status") == "ok", "fault-armed daemon up")
-        for payload, label in BURST:
-            result = client.compile(payload)
-            _check(checks, f"chaos:{label}",
-                   result.get("status") == "done" and "fingerprint" in result,
-                   f"served_from={result['served_from']}")
-        live = client.metrics()
-        supervisor = live["supervisor"]
-        _check(checks, "chaos-pool-respawned",
-               supervisor["pool_respawns"] >= 1
-               and supervisor["worker_crashes"] >= 1,
-               f"respawns={supervisor['pool_respawns']} "
-               f"crashes={supervisor['worker_crashes']}")
-        _check(checks, "chaos-no-drain", live["draining"] is False,
-               "daemon survived the crash without draining")
-        _check(checks, "chaos-client-retried",
-               client.retries["transport"] >= 1,
-               f"transport retries={client.retries['transport']}")
-        artifact["chaos_metrics"] = live
-        procs[-1].send_signal(signal.SIGTERM)
-        out, err = procs[-1].communicate(timeout=args.timeout)
-        _check(checks, "chaos-clean-drain", procs[-1].returncode == 0,
-               f"exit={procs[-1].returncode}")
-
-        # Phase 2 — journal durability: wait=false jobs acknowledged,
-        # then the daemon is SIGKILLed mid-compile.
-        client = daemon("victim", ["--faults", KILL_PHASE_FAULTS])
-        for payload, label in RECOVERY_PAYLOADS:
-            receipt = client.compile(dict(payload), wait=False)
-            _check(checks, f"submit:{label}", "job" in receipt,
-                   f"202 receipt job={receipt.get('job')}")
-        _kill_hard(procs[-1])
-        _check(checks, "hard-kill", True, "daemon killed with SIGKILL")
-
-        # Phase 3 — recovery: a fresh daemon on the same journal + cache
-        # replays the interrupted jobs to completion.
-        client = daemon("recovery", [])
-        recovered = client.metrics()["journal"]
-        _check(checks, "journal-replayed",
-               recovered is not None
-               and recovered["recovered_jobs"] == len(RECOVERY_PAYLOADS),
-               f"recovered_jobs={recovered and recovered['recovered_jobs']}")
-        deadline = time.monotonic() + args.timeout
-        while time.monotonic() < deadline:
-            snap = client.metrics()
-            done = snap["compiles"]["completed"] >= len(RECOVERY_PAYLOADS)
-            idle = snap["in_flight"] == 0 and snap["queue_depth"]["total"] == 0
-            if done and idle:
-                break
-            time.sleep(0.2)
-        else:
-            raise SmokeFailure("recovered jobs never finished")
-        for payload, label in RECOVERY_PAYLOADS:
-            body = {k: v for k, v in payload.items() if k != "wait"}
-            result = client.compile(body)
-            _check(checks, f"recovered:{label}",
-                   result["served_from"] in ("memory", "disk"),
-                   f"served_from={result['served_from']}")
-            _check(checks, f"bit-identical:{label}",
-                   result["fingerprint"] == _local_fingerprint(payload),
-                   "recovered result matches a local compile")
-        artifact["recovery_metrics"] = client.metrics()
-        procs[-1].send_signal(signal.SIGTERM)
-        procs[-1].communicate(timeout=args.timeout)
-        _check(checks, "recovery-clean-drain", procs[-1].returncode == 0,
-               f"exit={procs[-1].returncode}")
-        status = 0
-    except (SmokeFailure, ServiceError, subprocess.TimeoutExpired) as err:
-        artifact["error"] = str(err)
-        status = 1
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                _kill_hard(proc)
-    try:
-        with open(journal) as handle:
-            artifact["journal"] = handle.read()
-    except OSError:
-        artifact["journal"] = None
-    _write_artifact(args.out, artifact)
-    if args.out and artifact.get("journal"):
-        journal_out = os.path.splitext(args.out)[0] + "-journal.jsonl"
-        with open(journal_out, "w") as handle:
-            handle.write(artifact["journal"])
-        print(f"[smoke] wrote {journal_out}", flush=True)
-    print(f"[smoke] chaos {'PASS' if status == 0 else 'FAIL'}", flush=True)
-    return status
+def serve_story(story: Story) -> None:
+    final_path = os.path.join(story.tmp, "final_metrics.json")
+    client = story.daemon("serve", story.args.workers, ["--metrics-out", final_path])
+    story.check("startup", client.healthz().get("status") == "ok",
+                f"daemon healthy at {client.host}:{client.port}")
+    for payload, label in BURST:  # cold: every payload compiles
+        result = client.compile(payload)
+        story.check(f"cold:{label}", result["served_from"] == "compile",
+                    f"served_from={result['served_from']} ii={result['report']['ii']}")
+    cold = client.metrics()
+    story.check("cold-compiles", cold["compiles"]["started"] == len(BURST),
+                f"{cold['compiles']['started']} compiles for {len(BURST)} requests")
+    for payload, label in BURST:  # warm: all memory hits
+        result = client.compile(payload)
+        story.check(f"warm:{label}", result["served_from"] == "memory",
+                    f"served_from={result['served_from']}")
+    warm = client.metrics()
+    story.check("warm-no-compiles", warm["compiles"]["started"] == cold["compiles"]["started"],
+                "warm burst started no new compiles")
+    hits, ratio = warm["cache"]["memory_hits"], warm["cache"]["hit_ratio"]
+    story.check("warm-hit-ratio", hits >= len(BURST) and ratio >= 0.4,
+                f"memory_hits={hits} hit_ratio={ratio:.2f}")
+    # Identical concurrent requests attach to one entry and one compile
+    # (stragglers that arrive after completion hit the LRU).
+    with ThreadPoolExecutor(max_workers=DEDUP_FANOUT) as pool:
+        results = list(pool.map(lambda _: client.compile(dict(DEDUP_PAYLOAD)),
+                                range(DEDUP_FANOUT)))
+    after = client.metrics()
+    started = after["compiles"]["started"] - cold["compiles"]["started"]
+    story.check("dedup-one-compile", started == 1,
+                f"{DEDUP_FANOUT} identical requests -> {started} compile(s); "
+                f"sources={sorted(r['served_from'] for r in results)}")
+    fingerprints = {json.dumps(r["fingerprint"]) for r in results}
+    story.check("dedup-identical-results", len(fingerprints) == 1,
+                f"{len(fingerprints)} distinct fingerprint(s)")
+    latency = after["latency_ms"]
+    expected = 2 * len(BURST) + DEDUP_FANOUT - after["dedup"]["coalesced"]
+    story.check("latency-histogram", latency["count"] >= expected and latency["p50_ms"] is not None,
+                f"count={latency['count']} p50={latency['p50_ms']}ms p99={latency['p99_ms']}ms")
+    story.artifact["live_metrics"] = after
+    story.artifact["daemon_stdout"] = story.stop(story.procs[-1], "serve")
+    story.check("final-metrics-file", os.path.exists(final_path), final_path)
+    final = story.artifact["final_metrics"] = json.loads(Path(final_path).read_text())
+    story.check("drained-flag", final["draining"] is True, "final snapshot carries draining=true")
 
 
-# ----------------------------------------------------------------------
-# Distributed-sweep mode
-# ----------------------------------------------------------------------
+def chaos_story(story: Story) -> None:
+    workers = story.args.workers
+    journaled = ["--journal", story.journal, "--cache", story.cache]
+    # Phase 1 — fault-armed burst: every request still succeeds.
+    client = story.daemon("chaos", workers, [
+        *journaled, "--faults", CHAOS_FAULTS, "--fault-seed", str(story.args.seed),
+    ])
+    story.check("chaos-startup", client.healthz().get("status") == "ok", "fault-armed daemon up")
+    for payload, label in BURST:
+        result = client.compile(payload)
+        story.check(f"chaos:{label}", result.get("status") == "done" and "fingerprint" in result,
+                    f"served_from={result['served_from']}")
+    live = client.metrics()
+    pool = live["supervisor"]
+    story.check("chaos-pool-respawned", pool["pool_respawns"] >= 1 and pool["worker_crashes"] >= 1,
+                f"respawns={pool['pool_respawns']} crashes={pool['worker_crashes']}")
+    story.check("chaos-no-drain", live["draining"] is False,
+                "daemon survived the crash without draining")
+    story.check("chaos-client-retried", client.retries["transport"] >= 1,
+                f"transport retries={client.retries['transport']}")
+    story.artifact["chaos_metrics"] = live
+    story.stop(story.procs[-1], "chaos")
 
-#: The dist-smoke sweep: 8 jobs, short leases so a vanished worker's
-#: chunk requeues within seconds, generous requeue budget so the two
-#: injected kills never push a job into poison quarantine.
-DIST_SPEC = {
-    "kernels": ["fir_filter", "daxpy", "vector_add", "dot_product"],
-    "clusters": [2, 4],
-    "topologies": ["ring"],
-    "config": {"search": "ladder"},
-    "lease": 1.5,
-    "max_requeues": 8,
-    "label": "dist-smoke",
-}
+    # Phase 2 — journal durability: wait=false jobs acknowledged, then
+    # the daemon is SIGKILLed mid-compile.
+    client = story.daemon("victim", workers, [*journaled, "--faults", KILL_PHASE_FAULTS])
+    for payload, label in RECOVERY_PAYLOADS:
+        receipt = client.compile(dict(payload), wait=False)
+        story.check(f"submit:{label}", "job" in receipt, f"202 receipt job={receipt.get('job')}")
+    story.kill(story.procs[-1])
+    story.check("hard-kill", True, "daemon killed with SIGKILL")
 
-#: Every worker job sleeps 0.4s, so the SIGKILLs below reliably land
-#: while chunks are leased (and the heartbeat threads are exercised).
-DIST_WORKER_FAULTS = "slow-worker:every=1:delay=0.4"
+    # Phase 3 — recovery: a fresh daemon on the same journal + cache
+    # replays the interrupted jobs to completion.
+    client = story.daemon("recovery", workers, journaled)
+    recovered = (client.metrics()["journal"] or {}).get("recovered_jobs")
+    story.check("journal-replayed", recovered == len(RECOVERY_PAYLOADS),
+                f"recovered_jobs={recovered}")
+
+    def settled():
+        snap = client.metrics()
+        return (snap["compiles"]["completed"] >= len(RECOVERY_PAYLOADS)
+                and snap["in_flight"] == 0 and snap["queue_depth"]["total"] == 0)
+
+    wait_for(settled, story.args.timeout, "recovered jobs to finish")
+    for payload, label in RECOVERY_PAYLOADS:
+        result = client.compile({k: v for k, v in payload.items() if k != "wait"})
+        story.check(f"recovered:{label}", result["served_from"] in ("memory", "disk"),
+                    f"served_from={result['served_from']}")
+        story.check(f"bit-identical:{label}", result["fingerprint"] == _local_fingerprint(payload),
+                    "recovered result matches a local compile")
+    story.artifact["recovery_metrics"] = client.metrics()
+    story.stop(story.procs[-1], "recovery")
 
 
-def _start_worker(address: str, name: str, faults: str, seed: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--coordinator", address,
-            "--name", name,
-            "--poll", "0.1",
-            "--idle-exit", "20",
-            "--max-chunk", "2",
-            "--faults", faults,
-            "--fault-seed", str(seed),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
+def dist_story(story: Story) -> None:
+    journaled = ["--journal", story.journal, "--cache", story.cache]
+    spec = dict(DIST_SPEC, seed=story.args.seed)
+    client = story.daemon("coordinator", 0, journaled)
+    address = f"{client.host}:{client.port}"
+    story.check("dist-startup", client.healthz().get("status") == "ok", f"coordinator up at {address}")
+    status = client.submit_sweep(spec)
+    sweep_id = str(status["sweep"])
+    story.check("dist-submit", status["state"] == "open" and status["total"] == 8,
+                f"sweep {sweep_id}: {status['total']} jobs enumerated")
+    story.check("dist-idempotent-submit", client.submit_sweep(spec)["sweep"] == sweep_id,
+                "re-POST of the same spec returned the same sweep")
+    coordinator = story.procs[-1]
+    victim = story.worker(address, "victim")
+    survivor = story.worker(address, "survivor")
+
+    def victim_claims() -> int:
+        section = client.metrics().get("sweep") or {}
+        return int(section.get("workers", {}).get("victim", {}).get("claims", 0))
+
+    wait_for(victim_claims, story.args.timeout, "the victim to claim", 0.1)
+    story.check("dist-victim-engaged", True, "victim worker claimed a chunk")
+    story.kill(victim)
+    story.check("dist-worker-killed", True, "victim worker SIGKILLed mid-chunk")
+
+    # The victim's lease expires and the live coordinator requeues its
+    # chunk.  Observe that *before* killing the coordinator: the counters
+    # are in-memory, and after the restart the replay re-advertises the
+    # chunk without ever having seen its lease.
+    def expired():
+        section = client.metrics().get("sweep") or {}
+        return section if section.get("chunks", {}).get("lease_expiries", 0) else None
+
+    section = wait_for(expired, story.args.timeout, "the victim's lease to expire")
+    story.artifact["sweep_metrics_before_kill"] = section
+    story.check("dist-lease-recovered", section["chunks"]["requeued"] >= 1,
+                f"lease_expiries={section['chunks']['lease_expiries']} "
+                f"requeued={section['chunks']['requeued']}")
+
+    # SIGKILL the coordinator itself and restart it on the same journal,
+    # cache and port (the survivor keeps polling that port).
+    story.kill(coordinator)
+    client = story.daemon("restarted", 0, journaled, port=client.port)
+    story.check("dist-coordinator-restarted", client.healthz().get("status") == "ok",
+                f"coordinator SIGKILLed and restarted on port {client.port}")
+    recovered = client.sweep(sweep_id)
+    story.check("dist-sweep-recovered", recovered.get("recovered") is True,
+                f"journal replay brought the sweep back "
+                f"({recovered['done']}/{recovered['total']} done)")
+
+    # The surviving worker rides out the outage and drains the rest.
+    final = wait_for(
+        lambda: (lambda doc: doc if doc["state"] != "open" else None)(client.sweep(sweep_id)),
+        story.args.timeout, "the sweep to finish", 0.25,
     )
+    story.check("dist-sweep-completed",
+                final["state"] == "done" and final["done"] == final["total"],
+                f"state={final['state']} done={final['done']}/{final['total']}")
+    story.artifact["sweep_metrics"] = client.metrics()["sweep"]
+    from ..api import Toolchain
+    from .sweep import enumerate_sweep
+
+    by_index = {job["index"]: job for job in client.sweep(sweep_id, jobs=True)["jobs"]}
+    for index, payload in enumerate(enumerate_sweep(spec, Toolchain.default()).payloads):
+        story.check(f"dist-bit-identical:{index}",
+                    by_index[index]["fingerprint"] == _local_fingerprint(payload),
+                    f"{payload['kernel']}/ring{payload['clusters']} matches a local compile")
+    survivor.send_signal(signal.SIGTERM)
+    survivor.communicate(timeout=story.args.timeout)
+    story.artifact["daemon_stdout"] = story.stop(story.procs[-1], "dist")
 
 
-def run_dist(args: argparse.Namespace) -> int:
-    checks: List[Dict[str, object]] = []
-    artifact: Dict[str, object] = {"checks": checks, "seed": args.seed}
-    tmp = tempfile.mkdtemp(prefix="repro-dist-")
-    journal = os.path.join(tmp, "journal.jsonl")
-    cache_dir = os.path.join(tmp, "cache")
-    procs: List[subprocess.Popen] = []
-
-    def coordinator(name: str, port: int = 0) -> ServiceClient:
-        port_file = os.path.join(tmp, f"{name}.port")
-        proc = _start_daemon(
-            port_file, 0,
-            ["--journal", journal, "--cache", cache_dir,
-             "--port", str(port)],
-        )
-        procs.append(proc)
-        address = _wait_for_port_file(port_file, args.timeout)
-        return ServiceClient(
-            address,
-            policy=RetryPolicy(
-                max_attempts=5,
-                connect_timeout=10.0,
-                read_timeout=args.timeout,
-                jitter_seed=args.seed,
-            ),
-        )
-
-    def victim_claims(client: ServiceClient) -> int:
-        section = client.metrics().get("sweep")
-        if not section:
-            return 0
-        return int(section["workers"].get("victim", {}).get("claims", 0))
-
-    try:
-        client = coordinator("coordinator")
-        address = f"{client.host}:{client.port}"
-        _check(checks, "dist-startup",
-               client.healthz().get("status") == "ok",
-               f"coordinator up at {address}")
-        status_doc = client.submit_sweep(dict(DIST_SPEC, seed=args.seed))
-        sweep_id = str(status_doc["sweep"])
-        _check(checks, "dist-submit",
-               status_doc["state"] == "open" and status_doc["total"] == 8,
-               f"sweep {sweep_id}: {status_doc['total']} jobs enumerated")
-        _check(checks, "dist-idempotent-submit",
-               client.submit_sweep(dict(DIST_SPEC, seed=args.seed))["sweep"]
-               == sweep_id,
-               "re-POST of the same spec returned the same sweep")
-
-        victim = _start_worker(address, "victim", DIST_WORKER_FAULTS, args.seed)
-        survivor = _start_worker(address, "survivor", DIST_WORKER_FAULTS, args.seed)
-        procs += [victim, survivor]
-
-        # Wait for the victim to hold a lease, then SIGKILL it mid-chunk.
-        deadline = time.monotonic() + args.timeout
-        while time.monotonic() < deadline and victim_claims(client) == 0:
-            time.sleep(0.1)
-        _check(checks, "dist-victim-engaged", victim_claims(client) >= 1,
-               "victim worker claimed a chunk")
-        _kill_hard(victim)
-        _check(checks, "dist-worker-killed", True,
-               "victim worker SIGKILLed mid-chunk")
-
-        # The victim's lease expires without a heartbeat and the live
-        # coordinator requeues its chunk.  Observe that *before* killing
-        # the coordinator: the counters are in-memory, and after the
-        # restart the replay re-advertises the chunk without ever having
-        # seen its lease.
-        deadline = time.monotonic() + args.timeout
-        expiries = 0
-        while time.monotonic() < deadline and expiries == 0:
-            section = client.metrics().get("sweep") or {}
-            expiries = int(section.get("chunks", {}).get("lease_expiries", 0))
-            if expiries == 0:
-                time.sleep(0.2)
-        artifact["sweep_metrics_before_kill"] = section
-        _check(checks, "dist-lease-recovered",
-               expiries >= 1
-               and section["chunks"]["requeued"] >= 1,
-               f"lease_expiries={expiries} "
-               f"requeued={section['chunks']['requeued']}")
-
-        # Now SIGKILL the coordinator itself and restart it on the same
-        # journal + cache + port (the survivor keeps polling that port).
-        port = client.port
-        _kill_hard(procs[0])
-        client = coordinator("restarted", port=port)
-        _check(checks, "dist-coordinator-restarted",
-               client.healthz().get("status") == "ok",
-               f"coordinator SIGKILLed and restarted on port {port}")
-        recovered_doc = client.sweep(sweep_id)
-        _check(checks, "dist-sweep-recovered",
-               recovered_doc.get("recovered") is True,
-               f"journal replay brought the sweep back "
-               f"({recovered_doc['done']}/{recovered_doc['total']} done)")
-
-        # The surviving worker rides out the outage and drains the rest.
-        deadline = time.monotonic() + args.timeout
-        while time.monotonic() < deadline:
-            final = client.sweep(sweep_id)
-            if final["state"] != "open":
-                break
-            time.sleep(0.25)
-        _check(checks, "dist-sweep-completed",
-               final["state"] == "done" and final["done"] == final["total"],
-               f"state={final['state']} done={final['done']}/{final['total']}")
-
-        artifact["sweep_metrics"] = client.metrics()["sweep"]
-
-        # Bit-identity: every distributed fingerprint equals the local
-        # single-host compile of the same payload.
-        detail = client.sweep(sweep_id, jobs=True)
-        by_index = {job["index"]: job for job in detail["jobs"]}
-        from ..api import Toolchain
-        from .sweep import enumerate_sweep
-
-        plan = enumerate_sweep(dict(DIST_SPEC, seed=args.seed), Toolchain.default())
-        for index, payload in enumerate(plan.payloads):
-            _check(checks, f"dist-bit-identical:{index}",
-                   by_index[index]["fingerprint"] == _local_fingerprint(payload),
-                   f"{payload['kernel']}/ring{payload['clusters']} matches "
-                   f"a local compile")
-
-        survivor.send_signal(signal.SIGTERM)
-        survivor.communicate(timeout=args.timeout)
-        procs[-1].send_signal(signal.SIGTERM)
-        out, err = procs[-1].communicate(timeout=args.timeout)
-        _check(checks, "dist-clean-drain", procs[-1].returncode == 0,
-               f"coordinator exit={procs[-1].returncode}")
-        artifact["daemon_stdout"] = out
-        artifact["daemon_stderr"] = err
-        status = 0
-    except (SmokeFailure, ServiceError, subprocess.TimeoutExpired) as err:
-        artifact["error"] = str(err)
-        status = 1
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                _kill_hard(proc)
-    try:
-        with open(journal) as handle:
-            artifact["journal"] = handle.read()
-    except OSError:
-        artifact["journal"] = None
-    _write_artifact(args.out, artifact)
-    if args.out and artifact.get("journal"):
-        journal_out = os.path.splitext(args.out)[0] + "-journal.jsonl"
-        with open(journal_out, "w") as handle:
-            handle.write(artifact["journal"])
-        print(f"[smoke] wrote {journal_out}", flush=True)
-    print(f"[smoke] dist {'PASS' if status == 0 else 'FAIL'}", flush=True)
-    return status
+STORIES = {"serve": serve_story, "chaos": chaos_story, "dist": dist_story}
 
 
-def _write_artifact(out: Optional[str], artifact: Dict[str, object]) -> None:
-    if not out:
-        return
-    with open(out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"[smoke] wrote {out}", flush=True)
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"[smoke] wrote {path}", flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.service.smoke",
-        description="end-to-end smoke test of the repro serve daemon",
+        description="end-to-end smoke stories of the repro serve daemon",
     )
-    parser.add_argument(
-        "--out", type=str, default=None, help="write the metrics artifact here"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="daemon process-pool width"
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=120.0, help="per-step timeout (s)"
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="run the fault-injection / kill-restart story instead",
-    )
-    parser.add_argument(
-        "--dist", action="store_true",
-        help="run the distributed-sweep kill/restart story instead",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-plan and client-jitter seed for --chaos/--dist (default: 0)",
-    )
+    parser.add_argument("--out", type=str, default=None,
+                        help="write the checks + metrics artifact here")
+    parser.add_argument("--workers", type=int, default=2,
+                        help="daemon process-pool width")
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="per-step timeout (s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="fault-plan and client-jitter seed (default: 0)")
     args = parser.parse_args(argv)
-    if args.chaos:
-        return run_chaos(args)
-    if args.dist:
-        return run_dist(args)
-    return run_smoke(args)
+    artifact: Dict[str, object] = {}
+    passed = True
+    for name, body in STORIES.items():
+        story = Story(name, args)
+        passed = story.run(body) and passed
+        journal = story.artifact.pop("journal", None)
+        if args.out and journal:
+            _write(f"{os.path.splitext(args.out)[0]}-{name}-journal.jsonl", journal)
+        artifact[name] = story.artifact
+    if args.out:
+        _write(args.out, json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+    print(f"[smoke] {'PASS' if passed else 'FAIL'}", flush=True)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -1,184 +1,81 @@
-"""Distributed sweep coordination: self-scheduling chunks under leases.
+"""Distributed sweeps: many-entry ledger groups claimed in chunks.
 
 A **sweep** is one enumerated job space — explicit compile payloads or a
-(kernel, cluster-count, topology) cross product — executed by pull-based
-workers (:mod:`repro.service.worker`) against the resident daemon acting
-as coordinator.  Scheduling follows the distributed chunk-calculation
-self-scheduling model: the coordinator only *advertises* how much work
-remains and how many workers are active; each worker computes its own
-decreasing chunk size locally (:func:`chunk_size`) and claims that many
-jobs.  No per-worker state needs to live on the coordinator for the
-schedule to decay correctly — fast workers naturally come back sooner
-and absorb the tail.
+(kernel, cluster-count, topology) cross product — submitted as one
+:class:`Sweep` group of the work ledger (:mod:`repro.service.ledger`)
+and run by pull-based workers (:mod:`repro.service.worker`) under
+distributed chunk-calculation self-scheduling: the daemon only
+advertises the remaining work and the active workers, and each worker
+computes its own decreasing chunk (:func:`chunk_size`) and claims that
+many entries under one lease.
 
-Fault model (the distributed extension of PR 8's single-daemon story):
-
-* every granted chunk is tracked under a **lease** with a
-  seeded-deterministic jittered timeout; workers heartbeat while
-  computing and stragglers extend their lease;
-* a lease that expires (missed heartbeats: the worker vanished, was
-  SIGKILLed, or is wedged) **requeues** its unfinished jobs at the front
-  of the pending queue for the next claimer;
-* a job whose leases expire more than ``max_requeues`` times is
-  **quarantined** as poison — the distributed analogue of the
-  supervisor's poison-job verdict;
-* **duplicate completions** after a lease steal resolve idempotently
-  through the content-hash cache: the first durable result wins, and
-  since compilation is a deterministic pure function of the request the
-  loser's bits are identical anyway;
-* completions for unknown chunks (the coordinator restarted and forgot
-  the lease) are accepted as **orphan completions** — work is never
-  thrown away just because the ledger lost the lease.
-
-Durability rides the PR 8 journal: ``sweep-submitted`` (the spec),
-``sweep-progress`` (accumulating done/failed job indices, appended per
-completed chunk) and terminal ``sweep-done``/``sweep-failed`` records
-under the key ``sweep:<id>``.  After a coordinator ``kill -9``,
-:meth:`SweepCoordinator.recover` re-enumerates each open sweep from its
-spec and re-probes the content-hash cache: jobs whose results are
-durable come back ``done``, everything else is re-advertised.
-
-Result shipping uses the same representation as the disk cache: workers
-send each :class:`~repro.api.request.CompilationReport` as a
-base64-encoded pickle (the daemon is a localhost/trusted-network service
-— see ROADMAP's TLS/auth rung — and already trusts pickles in its shared
-cache directory).  The coordinator re-derives the schedule fingerprint
-from the unpickled report rather than trusting the worker's claim.
+Faults follow the ledger: an expired lease requeues its unfinished
+entries at the queue front, quarantining those past ``max_requeues``.
+A completion for a lease the ledger no longer holds is an **orphan**
+and still accepted; one for a finished entry is a **duplicate** (the
+first result wins; compilation is deterministic).  Workers ship reports
+as base64 pickles (the disk cache's form, on a trusted network); the
+coordinator recomputes each fingerprint and request content hash, and
+rejects a report whose hash is not its entry's key.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
 import pickle
 import random
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..api import CompilationReport, content_hash
-from ..errors import ReproError, ServiceError
+from ..errors import ServiceError
 from ..scheduling.fingerprint import schedule_fingerprint
 from .jobs import parse_compile_payload
+from .ledger import Entry, Group, Ledger, finished_record
 
-#: Default lease duration: long enough for a handful of ladder compiles,
-#: short enough that a vanished worker's chunk requeues within a test.
+#: Default lease: long enough for a handful of ladder compiles, short
+#: enough that a vanished worker's chunk requeues within a test.
 DEFAULT_LEASE_SECONDS = 10.0
 
-#: Lease expiries one job survives before it is quarantined as poison.
+#: Lost leases one sweep entry survives before it is quarantined.
 DEFAULT_MAX_REQUEUES = 3
 
-#: Relative lease jitter: deadline = lease * (1 + jitter * u), u from a
-#: sweep-seeded RNG — deterministic, but decorrelated across chunks so
-#: requeue storms do not synchronize.
+#: Lease jitter: a lease lasts ``lease * (1 + LEASE_JITTER * u)`` with
+#: ``u`` from a sweep-seeded RNG, so requeues do not synchronize.
 LEASE_JITTER = 0.25
 
-#: Hard bound on jobs per sweep (the 840-program verify matrix fits
-#: with plenty of headroom; anything bigger should be several sweeps).
+#: Hard bound on jobs per sweep (the 840-program verify matrix fits).
 MAX_SWEEP_JOBS = 4096
 
-#: Terminal sweeps kept around for status queries.
+#: Finished sweeps kept around for status queries.
 SWEEP_HISTORY = 16
 
-#: A worker is "active" while its last heartbeat/claim is younger than
-#: this many lease durations.
+#: A worker is active while it was seen within this many leases.
 STALE_WORKER_LEASES = 3.0
 
+#: Self-scheduling divisor: a chunk is the remaining work over
+#: ``workers * CHUNK_FACTOR``, so each worker takes about half its share.
+CHUNK_FACTOR = 2.0
 
-def chunk_size(
-    remaining: int,
-    workers: int,
-    factor: float = 2.0,
-    min_chunk: int = 1,
-    max_chunk: int = 32,
-) -> int:
-    """The self-scheduling chunk a worker should claim, computed locally.
-
-    Guided-self-scheduling shape: an even share of the remaining work
-    divided by ``workers * factor``, so early chunks are large (low
-    coordination overhead) and later chunks shrink toward ``min_chunk``
-    (good load balance on the irregular tail).  The coordinator never
-    computes this — it only advertises ``remaining`` and the active
-    worker count, exactly as in the distributed chunk-calculation
-    approach this module follows.
-    """
-    if remaining <= 0:
-        return 0
-    share = math.ceil(remaining / max(1.0, workers * factor))
-    return max(min_chunk, min(share, max_chunk, remaining))
-
-
-def _sweep_rng_seed(sweep_id: str, seed: int) -> int:
-    """A stable per-sweep RNG seed (sha256, not the salted ``hash()``)."""
-    digest = hashlib.sha256(f"{seed}:{sweep_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-# ----------------------------------------------------------------------
-# Sweep state
-# ----------------------------------------------------------------------
-
-#: Job states within a sweep; the last two are terminal.
+#: Per-index job states a sweep reports (quarantine counts as failed).
 SWEEP_JOB_STATES = ("pending", "leased", "done", "failed")
 
 
-class SweepJob:
-    """One (payload, content-hash key) cell of a sweep's job space."""
+def chunk_size(remaining: int, workers: int, max_chunk: int = 32) -> int:
+    """The self-scheduling chunk a worker should claim, computed locally.
 
-    __slots__ = (
-        "index", "payload", "key", "state", "requeues", "worker", "chunk",
-        "report", "fingerprint", "ii", "seconds", "served_from", "error",
-    )
-
-    def __init__(self, index: int, payload: Dict[str, object], key: str):
-        self.index = index
-        self.payload = payload
-        self.key = key
-        self.state = "pending"
-        self.requeues = 0
-        self.worker: Optional[str] = None
-        self.chunk: Optional[str] = None
-        self.report: Optional[CompilationReport] = None
-        self.fingerprint: Optional[object] = None
-        self.ii: Optional[int] = None
-        self.seconds: Optional[float] = None
-        self.served_from: Optional[str] = None
-        self.error: Optional[str] = None
-
-    def describe(self) -> Dict[str, object]:
-        info: Dict[str, object] = {
-            "index": self.index,
-            "key": self.key,
-            "state": self.state,
-        }
-        if self.requeues:
-            info["requeues"] = self.requeues
-        if self.worker is not None:
-            info["worker"] = self.worker
-        if self.state == "done":
-            info["fingerprint"] = self.fingerprint
-            info["ii"] = self.ii
-            info["served_from"] = self.served_from
-            if self.seconds is not None:
-                info["seconds"] = self.seconds
-        elif self.state == "failed":
-            info["error"] = self.error
-        return info
-
-
-@dataclass
-class Chunk:
-    """One granted lease over a set of job indices."""
-
-    id: str
-    worker: str
-    indices: Tuple[int, ...]
-    lease_seconds: float
-    deadline: float  # monotonic
-    heartbeats: int = 0
+    Guided self-scheduling: early chunks are large (low coordination
+    overhead), later ones shrink toward one entry (load balance on the
+    irregular tail).  The coordinator never computes this.
+    """
+    if remaining <= 0:
+        return 0
+    share = math.ceil(remaining / max(1.0, workers * CHUNK_FACTOR))
+    return max(1, min(share, max_chunk, remaining))
 
 
 @dataclass
@@ -193,123 +90,124 @@ class SweepPlan:
     seed: int
     payloads: List[Dict[str, object]]
     keys: List[str]
-    #: index -> report found durable in the disk cache at planning time.
-    prefilled: Dict[int, CompilationReport] = field(default_factory=dict)
+    #: key -> report found durable in the disk cache at planning time.
+    prefilled: Dict[str, CompilationReport] = field(default_factory=dict)
 
 
-class Sweep:
-    """One sweep's live ledger on the coordinator."""
+class Sweep(Group):
+    """One sweep: a many-entry ledger group plus its worker bookkeeping."""
 
     def __init__(self, plan: SweepPlan):
+        super().__init__(f"sweep:{plan.id}", budget=plan.max_requeues, payload=plan.spec)
         self.id = plan.id
-        self.spec = plan.spec
         self.label = plan.label
         self.lease_seconds = plan.lease_seconds
         self.max_requeues = plan.max_requeues
-        self.seed = plan.seed
-        self.state = "open"
-        self.recovered = False
-        self.jobs: List[SweepJob] = [
-            SweepJob(i, payload, key)
-            for i, (payload, key) in enumerate(zip(plan.payloads, plan.keys))
-        ]
-        self.pending: Deque[int] = deque()
-        self.chunks: Dict[str, Chunk] = {}
+        digest = hashlib.sha256(f"{plan.seed}:{plan.id}".encode("utf-8")).digest()
+        self.rng = random.Random(int.from_bytes(digest[:8], "big"))
         self.workers: Dict[str, Dict[str, object]] = {}
-        self._chunk_no = 0
-        self._rng = random.Random(_sweep_rng_seed(plan.id, plan.seed))
-        # Counters (rolled up into the /metrics "sweep" section).
-        self.chunks_granted = 0
-        self.chunks_completed = 0
-        self.chunks_requeued = 0
-        self.lease_expiries = 0
-        self.duplicate_results = 0
-        self.orphan_completions = 0
-        self.invalid_results = 0
-        self.cache_prefills = 0
-        for job in self.jobs:
-            report = plan.prefilled.get(job.index)
-            if report is not None:
-                self._prefill(job, report)
-            else:
-                self.pending.append(job.index)
-
-    def _prefill(self, job: SweepJob, report: CompilationReport) -> None:
-        job.state = "done"
-        job.report = report
-        job.fingerprint = schedule_fingerprint(report.result)
-        job.ii = report.result.ii
-        job.served_from = "cache"
-        self.cache_prefills += 1
-
-    # ------------------------------------------------------------------
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in ("done", "failed")
-
-    def job_states(self) -> Dict[str, int]:
-        counts = {state: 0 for state in SWEEP_JOB_STATES}
-        for job in self.jobs:
-            counts[job.state] += 1
-        return counts
-
-    def active_workers(self, now: float) -> int:
-        horizon = STALE_WORKER_LEASES * self.lease_seconds
-        return sum(
-            1
-            for info in self.workers.values()
-            if now - float(info["last_seen"]) <= horizon
+        self.counters = dict.fromkeys(
+            ("granted", "completed", "lease_expiries",
+             "duplicate", "orphan", "invalid", "cache_prefills"), 0
         )
 
+    @property
+    def state(self) -> str:
+        if not self.finished:
+            return "open"
+        states = self.job_states()
+        return "failed" if states["failed"] and not states["done"] else "done"
+
+    def job_states(self) -> Dict[str, int]:
+        counts = dict.fromkeys(SWEEP_JOB_STATES, 0)
+        for entry in self.entries:
+            counts["failed" if entry.state == "quarantined" else entry.state] += 1
+        return counts
+
+    @functools.cached_property
+    def index_of(self) -> Dict[str, int]:
+        """Entry key -> its first index in the job space."""
+        return {entry.key: i for i, entry in reversed(list(enumerate(self.entries)))}
+
+    def claimable(self, entry: Entry) -> bool:
+        return self in entry.groups
+
     def touch_worker(self, name: str, now: float) -> Dict[str, object]:
-        info = self.workers.get(name)
-        if info is None:
-            info = self.workers[name] = {
-                "last_seen": now,
-                "claims": 0,
-                "jobs_done": 0,
-                "lease_expiries": 0,
-            }
+        info = self.workers.setdefault(
+            name, {"last_seen": now, "claims": 0, "jobs_done": 0, "lease_expiries": 0}
+        )
         info["last_seen"] = now
         return info
 
-    def discard_pending(self, index: int) -> None:
-        """Drop *index* from the pending queue if it is queued there."""
-        try:
-            self.pending.remove(index)
-        except ValueError:
-            pass
+    def describe_job(self, index: int) -> Dict[str, object]:
+        entry = self.entries[index]
+        info: Dict[str, object] = {
+            "index": index,
+            "key": entry.key,
+            "state": "failed" if entry.state == "quarantined" else entry.state,
+        }
+        if entry.requeues:
+            info["requeues"] = entry.requeues
+        if entry.worker is not None:
+            info["worker"] = entry.worker
+        if entry.state == "done":
+            if entry.fingerprint is None:  # prefilled from the cache
+                entry.fingerprint = schedule_fingerprint(entry.report.result)
+                entry.ii = entry.report.result.ii
+            info.update(fingerprint=entry.fingerprint, ii=entry.ii, served_from=entry.served_from)
+            if entry.seconds is not None:
+                info["seconds"] = entry.seconds
+        elif entry.terminal:
+            info["error"] = entry.error
+        return info
+
+    def status(self, ledger: Ledger, include_jobs: bool = False) -> Dict[str, object]:
+        states = self.job_states()
+        horizon = STALE_WORKER_LEASES * self.lease_seconds
+        now = ledger.clock()
+        doc: Dict[str, object] = {
+            "sweep": self.id,
+            "state": self.state,
+            "total": len(self.entries),
+            **states,
+            # What a worker's local chunk math consumes.
+            "remaining": states["pending"],
+            "active_workers": sum(
+                now - float(info["last_seen"]) <= horizon for info in self.workers.values()
+            ),
+            "chunks_outstanding": sum(lease.group == self.id for lease in ledger.leases.values()),
+            "lease_seconds": self.lease_seconds,
+            "max_requeues": self.max_requeues,
+        }
+        if self.label is not None:
+            doc["label"] = self.label
+        if self.recovered:
+            doc["recovered"] = True
+        if include_jobs:
+            doc["jobs"] = [self.describe_job(i) for i in range(len(self.entries))]
+        return doc
 
 
 # ----------------------------------------------------------------------
-# Spec enumeration and worker-result decoding (run off the event loop)
+# Spec enumeration and result decoding (both run off the event loop)
 # ----------------------------------------------------------------------
 
 
-def enumerate_sweep(
-    spec: object,
-    toolchain,
-    disk_cache=None,
-) -> SweepPlan:
+def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
     """Validate a sweep spec into a :class:`SweepPlan`.
 
-    Blocking (payload parsing, content hashing and optional disk-cache
-    probing are CPU/IO work) — the daemon runs this in an executor.
-
     The sweep id is a content hash of the normalized spec, so
-    re-submitting an identical spec is idempotent: the coordinator
-    returns the existing sweep instead of forking a duplicate.
+    re-submitting an identical spec returns the existing sweep.  Keys
+    already durable in *disk_cache* come back prefilled, so a re-run
+    starts (partially) done; the memory LRU belongs to the event loop
+    and is not probed here.
     """
     if not isinstance(spec, dict):
         raise ServiceError("sweep spec must be a JSON object", status=400)
     payloads = _enumerate_payloads(spec)
-    if not payloads:
-        raise ServiceError("sweep spec enumerates zero jobs", status=400)
-    if len(payloads) > MAX_SWEEP_JOBS:
+    if not payloads or len(payloads) > MAX_SWEEP_JOBS:
         raise ServiceError(
-            f"sweep enumerates {len(payloads)} jobs; "
-            f"the per-sweep bound is {MAX_SWEEP_JOBS}",
+            f"sweep enumerates {len(payloads)} jobs; 1..{MAX_SWEEP_JOBS} allowed",
             status=400,
         )
     try:
@@ -317,730 +215,268 @@ def enumerate_sweep(
         max_requeues = int(spec.get("max_requeues", DEFAULT_MAX_REQUEUES))
         seed = int(spec.get("seed", 0))
     except (TypeError, ValueError):
-        raise ServiceError(
-            "'lease' must be a number, 'max_requeues'/'seed' integers",
-            status=400,
-        )
-    if lease_seconds <= 0:
-        raise ServiceError("'lease' must be > 0 seconds", status=400)
-    if max_requeues < 0:
-        raise ServiceError("'max_requeues' must be >= 0", status=400)
+        raise ServiceError("'lease' must be a number, 'max_requeues'/'seed' integers",
+                           status=400)
+    if lease_seconds <= 0 or max_requeues < 0:
+        raise ServiceError("'lease' must be > 0 seconds and 'max_requeues' >= 0", status=400)
     label = spec.get("label")
     label = str(label) if label is not None else None
-
-    keys = []
-    pipeline = toolchain.pass_names
-    for payload in payloads:
-        parsed = parse_compile_payload(payload)
-        keys.append(content_hash(parsed.request, pipeline=pipeline))
-    normalized = {
-        "jobs": payloads,
-        "lease": lease_seconds,
-        "max_requeues": max_requeues,
-        "seed": seed,
-        "label": label,
-    }
+    keys = [
+        content_hash(parse_compile_payload(payload).request, pipeline=toolchain.pass_names)
+        for payload in payloads
+    ]
+    normalized = {"jobs": payloads, "lease": lease_seconds, "max_requeues": max_requeues,
+                  "seed": seed, "label": label}
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
-    sweep_id = (
-        "sw-" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    )
-    prefilled: Dict[int, CompilationReport] = {}
-    if disk_cache is not None:
-        # Results merge through the content-hash cache, so a re-run of a
-        # sweep whose results are already durable starts (partially)
-        # done — the incremental-re-run property of the batch compiler,
-        # now distributed.  Only the disk tier is probed here: this runs
-        # on an executor thread and the memory LRU belongs to the loop.
-        for index, key in enumerate(keys):
-            report = disk_cache.get(key)
-            if report is not None:
-                prefilled[index] = report
+    prefilled: Dict[str, CompilationReport] = {}
+    for key in dict.fromkeys(keys) if disk_cache is not None else ():
+        report = disk_cache.get(key)
+        if report is not None:
+            prefilled[key] = report
+    if label is None:
+        del normalized["label"]
     return SweepPlan(
-        id=sweep_id,
-        spec={"jobs": payloads, "lease": lease_seconds,
-              "max_requeues": max_requeues, "seed": seed,
-              **({"label": label} if label is not None else {})},
-        label=label,
-        lease_seconds=lease_seconds,
-        max_requeues=max_requeues,
-        seed=seed,
-        payloads=payloads,
-        keys=keys,
+        id="sw-" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12],
+        spec=normalized, label=label, lease_seconds=lease_seconds,
+        max_requeues=max_requeues, seed=seed, payloads=payloads, keys=keys,
         prefilled=prefilled,
     )
+
+
+def _split(value: object, name: str) -> list:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part]
+    if not isinstance(value, list):
+        raise ServiceError(f"'{name}' must be a list or comma string", status=400)
+    return value
 
 
 def _enumerate_payloads(spec: Dict[str, object]) -> List[Dict[str, object]]:
     """The explicit job list of a spec (either form)."""
     jobs = spec.get("jobs")
     if jobs is not None:
-        if not isinstance(jobs, list) or not all(
-            isinstance(job, dict) for job in jobs
-        ):
-            raise ServiceError(
-                "'jobs' must be a list of compile payload objects", status=400
-            )
+        if not isinstance(jobs, list) or not all(isinstance(job, dict) for job in jobs):
+            raise ServiceError("'jobs' must be a list of compile payload objects", status=400)
         return [dict(job) for job in jobs]
-    kernels = spec.get("kernels")
-    if kernels is None:
+    if spec.get("kernels") is None:
         raise ServiceError(
-            "sweep spec needs 'jobs' (explicit payloads) or 'kernels' "
-            "(cross-product form)",
+            "sweep spec needs 'jobs' (explicit payloads) or 'kernels' (cross-product form)",
             status=400,
         )
-    if isinstance(kernels, str):
-        kernels = [part for part in kernels.split(",") if part]
-    if not isinstance(kernels, list):
-        raise ServiceError("'kernels' must be a list or comma string", status=400)
+    kernels = _split(spec["kernels"], "kernels")
+    topologies = _split(spec.get("topologies", ["ring"]), "topologies")
     clusters = spec.get("clusters", [4])
-    topologies = spec.get("topologies", ["ring"])
-    if not isinstance(clusters, list):
-        clusters = [clusters]
-    if isinstance(topologies, str):
-        topologies = [part for part in topologies.split(",") if part]
-    if not isinstance(topologies, list):
-        raise ServiceError("'topologies' must be a list or comma string", status=400)
+    clusters = clusters if isinstance(clusters, list) else [clusters]
+    try:
+        clusters = [int(count) for count in clusters]
+    except (TypeError, ValueError):
+        raise ServiceError(f"bad cluster count in sweep spec: {clusters!r}", status=400)
     shared = {
         name: spec[name]
         for name in ("config", "unroll", "scheduler", "kernel_args")
         if spec.get(name) is not None
     }
-    payloads = []
-    for kernel in kernels:
-        for topology in topologies:
-            for count in clusters:
-                try:
-                    count = int(count)
-                except (TypeError, ValueError):
-                    raise ServiceError(
-                        f"bad cluster count {count!r} in sweep spec", status=400
-                    )
-                payloads.append(
-                    {
-                        "kernel": str(kernel),
-                        "clusters": count,
-                        "topology": str(topology),
-                        **shared,
-                    }
-                )
-    return payloads
+    return [
+        {"kernel": str(kernel), "clusters": count, "topology": str(topology), **shared}
+        for kernel in kernels for topology in topologies for count in clusters
+    ]
 
 
 def encode_report(report: CompilationReport) -> str:
     """The wire form of one report (base64 pickle, see module doc)."""
-    return base64.b64encode(
-        pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+    return base64.b64encode(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
 
 
-def decode_worker_results(results: object) -> List[Dict[str, object]]:
-    """Validate/decode one completion's result list (executor-side).
+def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Dict[str, object]]:
+    """Validate and decode one completion's result list.
 
-    Each decoded entry carries either ``report_obj`` (the unpickled
-    report, with the fingerprint *recomputed* from its schedule — the
-    worker's claim is never trusted) or ``error`` (a deterministic
-    compile failure), or ``invalid`` when the entry cannot be used.
+    Each item carries either ``report_obj`` (the unpickled report, with
+    its fingerprint and its request's content hash under *pipeline*
+    recomputed), or ``error`` (a deterministic compile failure), or
+    ``invalid`` when it cannot be used.
     """
-    if not isinstance(results, list):
-        raise ServiceError("'results' must be a list", status=400)
-    if len(results) > MAX_SWEEP_JOBS:
-        raise ServiceError("'results' list implausibly long", status=400)
+    if not isinstance(results, list) or len(results) > MAX_SWEEP_JOBS:
+        raise ServiceError("'results' must be a list of at most one per job", status=400)
     decoded: List[Dict[str, object]] = []
     for entry in results:
         if not isinstance(entry, dict) or "index" not in entry:
-            raise ServiceError(
-                "each result needs at least an 'index'", status=400
-            )
+            raise ServiceError("each result needs at least an 'index'", status=400)
         try:
-            item: Dict[str, object] = {
-                "index": int(entry["index"]),
-                "key": str(entry.get("key", "")),
-            }
+            item: Dict[str, object] = {"index": int(entry["index"]),
+                                       "key": str(entry.get("key", ""))}
         except (TypeError, ValueError):
             raise ServiceError("result 'index' must be an integer", status=400)
+        decoded.append(item)
+        blob = entry.get("report")
         if entry.get("error") is not None:
             item["error"] = str(entry["error"])[:1000]
-            decoded.append(item)
-            continue
-        blob = entry.get("report")
-        if not isinstance(blob, str):
+        elif not isinstance(blob, str):
             item["invalid"] = "result carries neither 'error' nor 'report'"
-            decoded.append(item)
-            continue
-        try:
-            report = pickle.loads(base64.b64decode(blob.encode("ascii")))
-            if not isinstance(report, CompilationReport):
-                raise ServiceError("decoded object is not a CompilationReport")
-            item["report_obj"] = report
-            item["fingerprint"] = schedule_fingerprint(report.result)
-            item["ii"] = report.result.ii
-        except Exception as err:  # repro: lint-ignore[exception-discipline]: untrusted-bytes boundary - unpickling a worker-shipped report can raise nearly anything; a bad entry must requeue that one job, not fail the whole completion
-            item["invalid"] = f"undecodable report: {type(err).__name__}: {err}"
         else:
-            seconds = entry.get("seconds")
-            if isinstance(seconds, (int, float)):
-                item["seconds"] = round(float(seconds), 4)
-        decoded.append(item)
+            try:
+                report = pickle.loads(base64.b64decode(blob.encode("ascii")))
+                if not isinstance(report, CompilationReport):
+                    raise ServiceError("decoded object is not a CompilationReport")
+                item.update(
+                    report_obj=report,
+                    request_key=content_hash(report.request, pipeline=pipeline),
+                    fingerprint=schedule_fingerprint(report.result),
+                    ii=report.result.ii,
+                )
+            except Exception as err:  # repro: lint-ignore[exception-discipline]: untrusted-bytes boundary - unpickling a worker-shipped report can raise nearly anything; a bad entry must requeue that one job, not fail the whole completion
+                item["invalid"] = f"undecodable report: {type(err).__name__}: {err}"
+            else:
+                if isinstance(entry.get("seconds"), (int, float)):
+                    item["seconds"] = round(float(entry["seconds"]), 4)
     return decoded
 
 
 # ----------------------------------------------------------------------
-# The coordinator
+# Worker verbs: claim / heartbeat / complete, and lease expiry
 # ----------------------------------------------------------------------
 
 
-class SweepCoordinator:
-    """Sweep ledger + lease bookkeeping inside a :class:`CompileService`.
+def grant(ledger: Ledger, sweep: Sweep, worker: str, count: int) -> Dict[str, object]:
+    """Lease up to *count* of the sweep's pending entries to *worker*."""
+    info = sweep.touch_worker(worker, ledger.clock())
+    reply: Dict[str, object] = {"sweep": sweep.id, "state": sweep.state, "chunk": None,
+                                "jobs": []}
+    lease = None
+    if reply["state"] == "open":
+        # Seeded jitter: deterministic per (sweep, chunk) sequence, yet
+        # decorrelated across chunks.
+        seconds = sweep.lease_seconds * (1.0 + LEASE_JITTER * sweep.rng.random())
+        lease = ledger.claim(worker, count, sweep.claimable, seconds, sweep.id)
+    if lease is not None:
+        info["claims"] += 1
+        sweep.counters["granted"] += 1
+        reply.update(chunk=lease.id, lease_seconds=round(lease.lease_seconds, 3), jobs=[
+            {"index": sweep.index_of[key], "key": key, "payload": ledger.live[key].payload}
+            for key in lease.keys
+        ])
+    status = sweep.status(ledger)
+    reply.update(remaining=status["remaining"], active_workers=status["active_workers"])
+    return reply
 
-    All state mutation happens in synchronous methods called from the
-    daemon's event loop — every async entry point follows the pattern
-    *decode off-loop, mutate synchronously, journal afterwards*, so no
-    check-then-act ever straddles an ``await`` (the async-atomicity
-    invariant the lint gate enforces).
+
+def heartbeat(ledger: Ledger, sweep: Sweep, worker: str, chunk: str) -> Dict[str, object]:
+    """Extend one chunk's lease; tells the worker if the lease was lost."""
+    sweep.touch_worker(worker, ledger.clock())
+    lease = ledger.heartbeat(chunk, worker)
+    if lease is None:
+        # Expired and requeued, or stolen: the worker may still complete,
+        # and the first result wins.
+        return {"sweep": sweep.id, "chunk": chunk, "ok": False,
+                "reason": "lease not held (expired, requeued or unknown)"}
+    return {"sweep": sweep.id, "chunk": chunk, "ok": True,
+            "lease_seconds": round(lease.lease_seconds, 3)}
+
+
+def merge(ledger: Ledger, cache, sweep: Sweep, worker: str, chunk: str,
+          decoded: List[Dict[str, object]]):
+    """Fold one completion into the ledger: ``(ack, journal records)``.
+
+    The records are one ``finished`` for every entry the completion
+    finished and, when part of the lease came back unreported or
+    invalid, one ``requeued`` for the lease lost on those entries.
     """
-
-    def __init__(self, service, check_interval: float = 0.2):
-        self.service = service
-        self.check_interval = check_interval
-        self.sweeps: Dict[str, Sweep] = {}
-        self._order: Deque[str] = deque()
-        self.recovered_sweeps = 0
-
-    # ------------------------------------------------------------------
-    # Lookup / status
-    # ------------------------------------------------------------------
-
-    def get(self, sweep_id: str) -> Sweep:
-        sweep = self.sweeps.get(str(sweep_id))
-        if sweep is None:
-            raise ServiceError(f"unknown sweep {sweep_id!r}", status=404)
-        return sweep
-
-    def status(self, sweep: Sweep, include_jobs: bool = False) -> Dict[str, object]:
-        now = time.monotonic()
-        states = sweep.job_states()
-        doc: Dict[str, object] = {
-            "sweep": sweep.id,
-            "state": sweep.state,
-            "total": len(sweep.jobs),
-            "done": states["done"],
-            "failed": states["failed"],
-            "leased": states["leased"],
-            "pending": states["pending"],
-            # What a worker's local chunk math consumes: claimable jobs
-            # and the current active-worker estimate.
-            "remaining": len(sweep.pending),
-            "active_workers": sweep.active_workers(now),
-            "chunks_outstanding": len(sweep.chunks),
-            "lease_seconds": sweep.lease_seconds,
-            "max_requeues": sweep.max_requeues,
-        }
-        if sweep.label is not None:
-            doc["label"] = sweep.label
-        if sweep.recovered:
-            doc["recovered"] = True
-        if include_jobs:
-            doc["jobs"] = [job.describe() for job in sweep.jobs]
-        return doc
-
-    def list_sweeps(self) -> List[Dict[str, object]]:
-        return [self.status(self.sweeps[sid]) for sid in self._order]
-
-    def result_rows(
-        self, sweep: Sweep, start: int, stop: int
-    ) -> List[Tuple[Dict[str, object], Optional[CompilationReport]]]:
-        """Describe jobs ``[start, stop)`` with their report objects.
-
-        The caller (the daemon's results handler) base64-pickles the
-        reports off-loop when the client asked for them.
-        """
-        start = max(0, start)
-        stop = min(len(sweep.jobs), stop)
-        return [
-            (job.describe(), job.report) for job in sweep.jobs[start:stop]
-        ]
-
-    def counters(self) -> Optional[Dict[str, object]]:
-        """The ``/metrics`` sweep section (``None`` before any sweep)."""
-        if not self.sweeps:
-            return None
-        now = time.monotonic()
-        sweep_states = {"open": 0, "done": 0, "failed": 0}
-        jobs = {state: 0 for state in SWEEP_JOB_STATES}
-        chunks = {
-            "granted": 0, "completed": 0, "requeued": 0,
-            "outstanding": 0, "lease_expiries": 0,
-        }
-        completions = {
-            "duplicate": 0, "orphan": 0, "invalid": 0, "cache_prefills": 0,
-        }
-        workers: Dict[str, Dict[str, object]] = {}
-        for sweep in self.sweeps.values():
-            sweep_states[sweep.state] += 1
-            for state, count in sweep.job_states().items():
-                jobs[state] += count
-            chunks["granted"] += sweep.chunks_granted
-            chunks["completed"] += sweep.chunks_completed
-            chunks["requeued"] += sweep.chunks_requeued
-            chunks["outstanding"] += len(sweep.chunks)
-            chunks["lease_expiries"] += sweep.lease_expiries
-            completions["duplicate"] += sweep.duplicate_results
-            completions["orphan"] += sweep.orphan_completions
-            completions["invalid"] += sweep.invalid_results
-            completions["cache_prefills"] += sweep.cache_prefills
-            for name, info in sweep.workers.items():
-                age = round(now - float(info["last_seen"]), 3)
-                merged = workers.get(name)
-                if merged is None:
-                    merged = workers[name] = {
-                        "heartbeat_age_seconds": age,
-                        "claims": 0,
-                        "jobs_done": 0,
-                        "lease_expiries": 0,
-                    }
-                merged["heartbeat_age_seconds"] = min(
-                    merged["heartbeat_age_seconds"], age
-                )
-                merged["claims"] += info["claims"]
-                merged["jobs_done"] += info["jobs_done"]
-                merged["lease_expiries"] += info["lease_expiries"]
-        jobs["total"] = sum(jobs[state] for state in SWEEP_JOB_STATES)
-        return {
-            "sweeps": sweep_states,
-            "jobs": jobs,
-            "chunks": chunks,
-            "completions": completions,
-            "workers": dict(sorted(workers.items())),
-            "recovered_sweeps": self.recovered_sweeps,
-        }
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-
-    def plan(self, spec: object) -> SweepPlan:
-        """Enumerate + validate *spec* (blocking; run in an executor)."""
-        return enumerate_sweep(
-            spec, self.service.toolchain, self.service.cache.disk
-        )
-
-    async def submit(self, spec: object) -> Dict[str, object]:
-        """Admit one sweep spec; idempotent on the spec's content hash."""
-        if self.service._draining:
-            raise ServiceError(
-                "service is draining; not admitting sweeps", status=503
-            )
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        plan = await loop.run_in_executor(None, self.plan, spec)
-        sweep = self.sweeps.get(plan.id)
-        if sweep is not None:
-            return self.status(sweep)
-        sweep = self._install(Sweep(plan))
-        # Durability before acknowledgement, like job submission: the
-        # spec is on disk before any worker can see the sweep id.
-        await self.service._journal_event(
-            "sweep-submitted",
-            f"sweep:{sweep.id}",
-            payload=sweep.spec,
-            total=len(sweep.jobs),
-        )
-        prefilled = {
-            str(job.index): job.key
-            for job in sweep.jobs
-            if job.state == "done"
-        }
-        if prefilled:
-            await self.service._journal_event(
-                "sweep-progress", f"sweep:{sweep.id}", done=prefilled
-            )
-        await self._maybe_finish(sweep)
-        return self.status(sweep)
-
-    def _install(self, sweep: Sweep) -> Sweep:
-        self.sweeps[sweep.id] = sweep
-        self._order.append(sweep.id)
-        while len(self._order) > SWEEP_HISTORY:
-            old = self._order[0]
-            if self.sweeps.get(old) is not None and self.sweeps[old].terminal:
-                self._order.popleft()
-                del self.sweeps[old]
-            else:  # still open: keep it, trim later
-                break
-        return sweep
-
-    # ------------------------------------------------------------------
-    # Worker-facing: claim / heartbeat / complete
-    # ------------------------------------------------------------------
-
-    def claim(self, sweep_id: str, body: object) -> Dict[str, object]:
-        """Grant up to ``count`` pending jobs to ``worker`` under a lease."""
-        if self.service._draining:
-            raise ServiceError(
-                "service is draining; not granting chunks", status=503
-            )
-        worker, count = self._worker_and_count(body)
-        sweep = self.get(sweep_id)
-        now = time.monotonic()
-        info = sweep.touch_worker(worker, now)
-        grant: Dict[str, object] = {
-            "sweep": sweep.id,
-            "state": sweep.state,
-            "chunk": None,
-            "jobs": [],
-            "remaining": len(sweep.pending),
-            "active_workers": sweep.active_workers(now),
-        }
-        if sweep.state != "open" or not sweep.pending:
-            return grant
-        indices = tuple(
-            sweep.pending.popleft()
-            for _ in range(min(count, len(sweep.pending)))
-        )
-        sweep._chunk_no += 1
-        chunk_id = f"c{sweep._chunk_no}"
-        # Seeded jitter keeps expiry deterministic per (sweep, chunk)
-        # sequence while decorrelating requeue timing across chunks.
-        lease = sweep.lease_seconds * (1.0 + LEASE_JITTER * sweep._rng.random())
-        chunk = Chunk(
-            id=chunk_id,
-            worker=worker,
-            indices=indices,
-            lease_seconds=lease,
-            deadline=now + lease,
-        )
-        sweep.chunks[chunk_id] = chunk
-        for index in indices:
-            job = sweep.jobs[index]
-            job.state = "leased"
-            job.worker = worker
-            job.chunk = chunk_id
-        info["claims"] = int(info["claims"]) + 1
-        sweep.chunks_granted += 1
-        grant.update(
-            chunk=chunk_id,
-            lease_seconds=round(lease, 3),
-            jobs=[
-                {
-                    "index": index,
-                    "key": sweep.jobs[index].key,
-                    "payload": sweep.jobs[index].payload,
-                }
-                for index in indices
-            ],
-            remaining=len(sweep.pending),
-        )
-        return grant
-
-    def heartbeat(self, sweep_id: str, body: object) -> Dict[str, object]:
-        """Extend one chunk's lease; tells the worker if the lease died."""
-        worker, _ = self._worker_and_count(body, need_count=False)
-        chunk_id = self._chunk_id(body)
-        sweep = self.get(sweep_id)
-        now = time.monotonic()
-        sweep.touch_worker(worker, now)
-        chunk = sweep.chunks.get(chunk_id)
-        if chunk is None or chunk.worker != worker:
-            # Expired-and-requeued (or stolen) — the worker may finish
-            # and complete anyway; the merge path resolves duplicates.
-            return {
-                "sweep": sweep.id,
-                "chunk": chunk_id,
-                "ok": False,
-                "reason": "lease not held (expired, requeued or unknown)",
-            }
-        chunk.deadline = now + chunk.lease_seconds
-        chunk.heartbeats += 1
-        return {
-            "sweep": sweep.id,
-            "chunk": chunk_id,
-            "ok": True,
-            "lease_seconds": round(chunk.lease_seconds, 3),
-        }
-
-    async def complete(self, sweep_id: str, body: object) -> Dict[str, object]:
-        """Merge one chunk's results; idempotent under duplicates/orphans."""
-        worker, _ = self._worker_and_count(body, need_count=False)
-        chunk_id = self._chunk_id(body)
-        if not isinstance(body, dict):
-            raise ServiceError("completion body must be an object", status=400)
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        decoded = await loop.run_in_executor(
-            None, decode_worker_results, body.get("results")
-        )
-        sweep = self.get(sweep_id)
-        ack, done, failed = self._merge(sweep, worker, chunk_id, decoded)
-        if done or failed:
-            await self.service._journal_event(
-                "sweep-progress",
-                f"sweep:{sweep.id}",
-                done=done or None,
-                failed=failed or None,
-            )
-        await self._maybe_finish(sweep)
-        ack["state"] = sweep.state
-        return ack
-
-    def _merge(
-        self,
-        sweep: Sweep,
-        worker: str,
-        chunk_id: str,
-        decoded: List[Dict[str, object]],
-    ) -> Tuple[Dict[str, object], Dict[str, str], Dict[str, str]]:
-        """Fold decoded results into the ledger (synchronous, no awaits)."""
-        now = time.monotonic()
-        info = sweep.touch_worker(worker, now)
-        chunk = sweep.chunks.pop(chunk_id, None)
-        orphan = chunk is None
-        if orphan:
-            sweep.orphan_completions += 1
+    info = sweep.touch_worker(worker, ledger.clock())
+    lease = ledger.held(chunk, worker)
+    if lease is not None and lease.group != sweep.id:
+        lease = None
+    sweep.counters["orphan" if lease is None else "completed"] += 1
+    if lease is not None:
+        ledger.release(lease)
+    finished: List[Entry] = []
+    reported: List[str] = []
+    lost: List[str] = []
+    duplicates = invalid = 0
+    for item in decoded:
+        if not 0 <= item["index"] < len(sweep.entries):
+            invalid += 1
+            continue
+        entry = sweep.entries[item["index"]]
+        reported.append(entry.key)
+        if item["key"] not in ("", entry.key) or item.get("request_key", entry.key) != entry.key:
+            item["invalid"] = "the report is for another request"
+        if item.get("invalid"):
+            invalid += 1
+            if lease is not None and entry.lease == lease.id:
+                lost.append(entry.key)
+        elif entry.terminal:
+            duplicates += 1
+        elif item.get("error") is not None:
+            ledger.finish(entry, "failed", worker, error=item["error"], status=422)
+            finished.append(entry)
         else:
-            sweep.chunks_completed += 1
-            # Jobs granted in the chunk but absent from the results (a
-            # partial completion) go straight back to pending.
-            reported = {int(entry["index"]) for entry in decoded}
-            for index in chunk.indices:
-                job = sweep.jobs[index]
-                if index not in reported and job.chunk == chunk_id and (
-                    job.state == "leased"
-                ):
-                    self._requeue(sweep, job)
-        done: Dict[str, str] = {}
-        failed: Dict[str, str] = {}
-        accepted = duplicates = invalid = 0
-        for entry in decoded:
-            index = int(entry["index"])
-            if not (0 <= index < len(sweep.jobs)):
-                sweep.invalid_results += 1
-                invalid += 1
-                continue
-            job = sweep.jobs[index]
-            if entry["key"] and entry["key"] != job.key:
-                sweep.invalid_results += 1
-                invalid += 1
-                continue
-            if job.state in ("done", "failed"):
-                # Lease-steal aftermath: someone already landed this job.
-                # First durable result won; the bits were identical.
-                sweep.duplicate_results += 1
-                duplicates += 1
-                continue
-            if entry.get("invalid"):
-                sweep.invalid_results += 1
-                invalid += 1
-                if job.state == "leased" and job.chunk == chunk_id:
-                    self._requeue(sweep, job)
-                continue
-            if job.state == "pending":
-                sweep.discard_pending(index)
-            if entry.get("error") is not None:
-                job.state = "failed"
-                job.error = str(entry["error"])
-                job.worker = worker
-                job.chunk = None
-                failed[str(index)] = job.error
-                accepted += 1
-                continue
-            report = entry["report_obj"]
-            existing, _tier = self.service.cache.get_tiered(job.key)
-            if existing is not None:
-                # First durable result wins; results are bit-identical
-                # by construction so which object we keep is cosmetic.
-                report = existing
-                job.served_from = "cache"
-            else:
-                self.service.cache.put(job.key, report)
-                job.served_from = worker
-            job.state = "done"
-            job.report = report
-            job.fingerprint = entry["fingerprint"]
-            job.ii = entry.get("ii")
-            job.seconds = entry.get("seconds")
-            job.worker = worker
-            job.chunk = None
-            done[str(index)] = job.key
-            info["jobs_done"] = int(info["jobs_done"]) + 1
-            accepted += 1
-        ack = {
-            "sweep": sweep.id,
-            "chunk": chunk_id,
-            "accepted": accepted,
-            "duplicates": duplicates,
-            "invalid": invalid,
-            "orphan": orphan,
-            "remaining": len(sweep.pending),
-        }
-        return ack, done, failed
+            report, _tier = cache.get_tiered(entry.key)
+            served_from = "cache"
+            if report is None:
+                report, served_from = item["report_obj"], worker
+                cache.put(entry.key, report)
+            ledger.finish(entry, "done", worker, report, fingerprint=item["fingerprint"],
+                          ii=item.get("ii"), seconds=item.get("seconds"),
+                          served_from=served_from)
+            finished.append(entry)
+            info["jobs_done"] += 1
+    sweep.counters["invalid"] += invalid
+    sweep.counters["duplicate"] += duplicates
+    records = [finished_record(chunk, finished)]
+    if lease is not None:
+        # Granted but unreported (a partial completion) goes back too.
+        lost += [key for key in lease.keys if key not in reported]
+        records.append(ledger.lose(lease, "partial or invalid completion", lost))
+    ack = {"sweep": sweep.id, "chunk": chunk, "accepted": len(finished),
+           "duplicates": duplicates, "invalid": invalid, "orphan": lease is None,
+           "remaining": sweep.job_states()["pending"]}
+    return ack, records
 
-    def _requeue(self, sweep: Sweep, job: SweepJob) -> None:
-        """One leased job back to the queue front (or poison quarantine)."""
-        job.requeues += 1
-        job.chunk = None
-        if job.requeues > sweep.max_requeues:
-            job.state = "failed"
-            job.error = (
-                f"quarantined: {job.requeues} leases expired without a "
-                f"completion (last worker {job.worker!r})"
-            )
-            return
-        job.state = "pending"
-        job.worker = None
-        # Front of the queue: the job already waited its turn once.
-        sweep.pending.appendleft(job.index)
 
-    def _worker_and_count(
-        self, body: object, need_count: bool = True
-    ) -> Tuple[str, int]:
-        if not isinstance(body, dict):
-            raise ServiceError("request body must be an object", status=400)
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError("'worker' (a non-empty name) is required", status=400)
-        count = 1
-        if need_count:
-            try:
-                count = int(body.get("count", 1))
-            except (TypeError, ValueError):
-                raise ServiceError("'count' must be an integer", status=400)
-            if count < 1:
-                raise ServiceError("'count' must be >= 1", status=400)
-            count = min(count, MAX_SWEEP_JOBS)
-        return str(worker), count
+def expire(ledger: Ledger, sweeps: Dict[str, Sweep]) -> list:
+    """Lose every lease whose deadline passed; their ``requeued`` records."""
+    records = []
+    for lease in ledger.expired():
+        sweep = sweeps.get(lease.group)
+        if sweep is not None:
+            sweep.counters["lease_expiries"] += 1
+            if lease.worker in sweep.workers:
+                sweep.workers[lease.worker]["lease_expiries"] += 1
+        records.append(ledger.lose(lease, "lease expired"))
+    return records
 
-    @staticmethod
-    def _chunk_id(body: object) -> str:
-        if not isinstance(body, dict) or not body.get("chunk"):
-            raise ServiceError("'chunk' (a chunk id) is required", status=400)
-        return str(body["chunk"])
 
-    # ------------------------------------------------------------------
-    # Lease expiry (the coordinator's periodic tick)
-    # ------------------------------------------------------------------
-
-    async def run_ticks(self) -> None:
-        """Periodic lease scan; owned as a task by the daemon."""
-        import asyncio
-
-        while True:
-            await asyncio.sleep(self.check_interval)
-            for sweep, failed in self.expire_leases():
-                if failed:
-                    await self.service._journal_event(
-                        "sweep-progress", f"sweep:{sweep.id}", failed=failed
-                    )
-                await self._maybe_finish(sweep)
-
-    def expire_leases(
-        self, now: Optional[float] = None
-    ) -> List[Tuple[Sweep, Dict[str, str]]]:
-        """Requeue every chunk whose lease deadline passed (synchronous).
-
-        Returns the sweeps that changed, each with the job indices the
-        expiry *quarantined* (so the caller can journal them).
-        """
-        now = time.monotonic() if now is None else now
-        touched: List[Tuple[Sweep, Dict[str, str]]] = []
-        for sweep in self.sweeps.values():
-            if sweep.terminal:
-                continue
-            expired = [
-                chunk for chunk in sweep.chunks.values() if chunk.deadline <= now
-            ]
-            if not expired:
-                continue
-            failed: Dict[str, str] = {}
-            for chunk in expired:
-                del sweep.chunks[chunk.id]
-                sweep.lease_expiries += 1
-                sweep.chunks_requeued += 1
-                info = sweep.workers.get(chunk.worker)
-                if info is not None:
-                    info["lease_expiries"] = int(info["lease_expiries"]) + 1
-                for index in chunk.indices:
-                    job = sweep.jobs[index]
-                    if job.state != "leased" or job.chunk != chunk.id:
-                        continue  # completed (or re-leased) meanwhile
-                    self._requeue(sweep, job)
-                    if job.state == "failed":
-                        failed[str(index)] = str(job.error)
-            touched.append((sweep, failed))
-        return touched
-
-    async def _maybe_finish(self, sweep: Sweep) -> None:
-        """Close the sweep out once every job is terminal."""
-        if sweep.terminal:
-            return
-        states = sweep.job_states()
-        if states["pending"] or states["leased"]:
-            return
-        # Mutate before the journal await: a concurrent completion then
-        # sees the terminal state and resolves as a duplicate.
-        sweep.state = "failed" if states["failed"] and not states["done"] else "done"
-        if states["failed"] and sweep.state == "done":
-            # Partially failed sweeps still finish: per-job errors are
-            # deterministic compile outcomes, not coordinator trouble.
-            pass
-        event = "sweep-done" if sweep.state == "done" else "sweep-failed"
-        await self.service._journal_event(
-            event,
-            f"sweep:{sweep.id}",
-            done=str(states["done"]),
-            failed=str(states["failed"]),
-        )
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-
-    async def recover(self, entry) -> None:
-        """Rebuild one open sweep from its journal entry (startup path).
-
-        The spec is re-enumerated and the content-hash cache re-probed:
-        jobs whose results are durable come back ``done`` (first durable
-        result wins — exactly the duplicate-completion rule), indices
-        the journal recorded as failed stay failed, and everything else
-        is re-advertised to workers.
-        """
-        import asyncio
-
-        key = entry.key
-        sweep_id = key.split(":", 1)[1] if ":" in key else key
-        if entry.payload is None:
-            await self.service._journal_event(
-                "sweep-failed", key,
-                error="journal record carries no sweep spec to replay",
-            )
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            plan = await loop.run_in_executor(None, self.plan, entry.payload)
-        except ServiceError as err:
-            await self.service._journal_event(
-                "sweep-failed", key, error=f"replay rejected: {err}"
-            )
-            return
-        if plan.id != sweep_id:
-            # The spec no longer hashes to the journaled id (hand-edited
-            # journal); recover it under the id it was journaled as.
-            plan.id = sweep_id
-        sweep = Sweep(plan)
-        sweep.recovered = True
-        for index_str, error in entry.sweep_failed.items():
-            try:
-                index = int(index_str)
-            except ValueError:
-                continue
-            if 0 <= index < len(sweep.jobs):
-                job = sweep.jobs[index]
-                if job.state == "pending":
-                    sweep.discard_pending(index)
-                if job.state != "done":
-                    job.state = "failed"
-                    job.error = str(error)
-        self._install(sweep)
-        self.recovered_sweeps += 1
-        await self._maybe_finish(sweep)
+def counters(sweeps: Dict[str, Sweep], ledger: Ledger, recovered: int) -> Optional[Dict[str, object]]:
+    """The ``/metrics`` sweep section (``None`` before any sweep)."""
+    if not sweeps:
+        return None
+    now = ledger.clock()
+    states = {"open": 0, "done": 0, "failed": 0}
+    jobs = dict.fromkeys(SWEEP_JOB_STATES, 0)
+    totals = dict.fromkeys(next(iter(sweeps.values())).counters, 0)
+    workers: Dict[str, Dict[str, object]] = {}
+    for sweep in sweeps.values():
+        states[sweep.state] += 1
+        for state, count in sweep.job_states().items():
+            jobs[state] += count
+        for name, count in sweep.counters.items():
+            totals[name] += count
+        for name, info in sweep.workers.items():
+            age = round(now - float(info["last_seen"]), 3)
+            merged = workers.setdefault(name, {"heartbeat_age_seconds": age, "claims": 0,
+                                               "jobs_done": 0, "lease_expiries": 0})
+            merged["heartbeat_age_seconds"] = min(merged["heartbeat_age_seconds"], age)
+            for counter in ("claims", "jobs_done", "lease_expiries"):
+                merged[counter] += info[counter]
+    jobs["total"] = sum(jobs[state] for state in SWEEP_JOB_STATES)
+    chunks = {name: totals[name] for name in ("granted", "completed", "lease_expiries")}
+    chunks["requeued"] = totals["lease_expiries"]  # each expiry requeues its chunk
+    chunks["outstanding"] = sum(lease.group in sweeps for lease in ledger.leases.values())
+    return {
+        "sweeps": states,
+        "jobs": jobs,
+        "chunks": chunks,
+        "completions": {name: totals[name]
+                        for name in ("duplicate", "orphan", "invalid", "cache_prefills")},
+        "workers": dict(sorted(workers.items())),
+        "recovered_sweeps": recovered,
+    }

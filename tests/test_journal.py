@@ -12,9 +12,10 @@ import pytest
 from repro import faults
 from repro.errors import JournalError
 from repro.service.journal import (
-    EVENT_RANK,
+    EVENTS,
+    JOURNAL_VERSION,
     JobJournal,
-    JournalEntry,
+    JournalState,
     _checksum,
 )
 
@@ -43,33 +44,53 @@ def test_roundtrip_keeps_furthest_state_per_key(tmp_path):
     with make_journal(tmp_path) as journal:
         journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
         journal.append("submitted", "k2", wait=True)
-        journal.append("started", "k1", job=1)
-        journal.append("done", "k2", job=2)
-        entries, stats = journal.replay()
+        journal.append("requeued", "c1", requeues={"k1": 1})
+        journal.append("finished", "c2", done=["k2"])
+        state, stats = journal.replay()
     assert stats.records == 4
     assert stats.corrupt_lines == 0 and stats.torn_tail is False
     assert stats.live == 1 and stats.terminal == 1
-    assert entries["k1"].event == "started" and not entries["k1"].terminal
-    assert entries["k1"].payload == PAYLOAD
-    assert entries["k1"].wait is False
-    assert entries["k2"].event == "done" and entries["k2"].terminal
+    k1, k2 = state.groups["k1"], state.groups["k2"]
+    assert not k1.terminal and k1.payload == PAYLOAD and k1.wait is False
+    assert k1.keys == ["k1"]  # a one-entry group is keyed by its entry
+    assert state.requeues == {"k1": 1}
+    assert k2.terminal and state.done == {"k2"}
+    assert [group.key for group in state.live()] == ["k1"]
 
 
 def test_rank_monotonic_absorb_never_regresses():
-    entry = JournalEntry(key="k")
-    entry.absorb({"event": "done", "key": "k"})
-    # A late-arriving lower-rank record must not un-finish the job.
-    entry.absorb({"event": "started", "key": "k"})
-    assert entry.event == "done"
-    entry.absorb({"event": "retrying", "key": "k", "crashes": 1})
-    assert entry.event == "done"
-    assert entry.crashes == 1  # crash budget still accumulates
+    state = JournalState()
+    state.absorb({"event": "submitted", "key": "k"})
+    state.absorb({"event": "finished", "key": "c1", "done": ["k"]})
+    # A late lost-lease record must not un-finish the entry.
+    state.absorb({"event": "requeued", "key": "c2", "requeues": {"k": 1}})
+    assert state.groups["k"].terminal and "k" in state.done
+    assert state.requeues["k"] == 1  # the requeue budget still accumulates
+    # Submitting a finished key again is a fresh run with a fresh budget.
+    state.absorb({"event": "submitted", "key": "k"})
+    assert not state.groups["k"].terminal
+    assert "k" not in state.done and "k" not in state.requeues
 
 
 def test_unknown_event_is_rejected(tmp_path):
     with make_journal(tmp_path) as journal:
         with pytest.raises(JournalError):
-            journal.append("exploded", "k1")
+            journal.append("started", "k1")
+
+
+def test_parent_version_journal_is_refused(tmp_path):
+    # A journal written before the ledger merge (schema version 1, with
+    # its per-path job and sweep record families) is refused at replay,
+    # naming its version, instead of being misread.
+    record = {"v": 1, "seq": 1, "event": "submitted", "key": "k1",
+              "wait": False, "payload": PAYLOAD}
+    record["sum"] = _checksum(record)
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    journal = JobJournal(path, fsync=False)
+    with pytest.raises(JournalError, match="version 1"):
+        journal.replay()
+    journal.close()
 
 
 # ----------------------------------------------------------------------
@@ -88,20 +109,20 @@ def test_torn_tail_is_detected_and_repaired(tmp_path):
         handle.write(line[: len(line) // 2])
 
     reopened = make_journal(tmp_path)
-    entries, stats = reopened.replay()
+    state, stats = reopened.replay()
     assert stats.torn_tail is True
-    assert set(entries) == {"k1", "k2"}  # the torn line is simply absent
+    assert set(state.groups) == {"k1", "k2"}  # the torn line is simply absent
 
     # repair=True truncates the torn bytes so appends continue cleanly.
     before = reopened.path.read_bytes()
-    entries, stats = reopened.replay(repair=True)
+    state, stats = reopened.replay(repair=True)
     after = reopened.path.read_bytes()
     assert len(after) < len(before)
     assert after.endswith(b"\n")
-    reopened.append("done", "k1")
-    entries, stats = reopened.replay()
+    reopened.append("finished", "c1", done=["k1"])
+    state, stats = reopened.replay()
     assert stats.torn_tail is False
-    assert entries["k1"].terminal
+    assert state.groups["k1"].terminal
     reopened.close()
 
 
@@ -116,15 +137,15 @@ def test_checksum_rejects_corrupt_lines_but_keeps_the_rest(tmp_path):
     journal.path.write_bytes(garbled + raw[1] + b'{"not": "a record"}\n')
 
     reopened = make_journal(tmp_path)
-    entries, stats = reopened.replay()
+    state, stats = reopened.replay()
     reopened.close()
     assert stats.corrupt_lines == 2  # garbled checksum + schemaless line
     assert stats.records == 1
-    assert set(entries) == {"k2"}
+    assert set(state.groups) == {"k2"}
 
 
 def test_checksum_is_over_canonical_record():
-    record = {"v": 1, "seq": 3, "event": "done", "key": "abc"}
+    record = {"v": JOURNAL_VERSION, "seq": 3, "event": "closed", "key": "abc"}
     digest = _checksum(record)
     assert _checksum({**record, "sum": digest}) == digest  # sum excluded
     assert _checksum({**record, "seq": 4}) != digest
@@ -139,13 +160,13 @@ def test_torn_write_fault_point_truncates_the_line(tmp_path):
     raw = journal.path.read_bytes()
     assert not raw.endswith(b"\n")
 
-    entries, stats = journal.replay(repair=True)
+    state, stats = journal.replay(repair=True)
     assert stats.torn_tail is True
-    assert set(entries) == {"k1"}
+    assert set(state.groups) == {"k1"}
     # The journal heals: the torn bytes are gone and appends land again.
     journal.append("submitted", "k3", wait=False)
-    entries, stats = journal.replay()
-    assert set(entries) == {"k1", "k3"} and stats.torn_tail is False
+    state, stats = journal.replay()
+    assert set(state.groups) == {"k1", "k3"} and stats.torn_tail is False
     journal.close()
 
 
@@ -159,21 +180,20 @@ def test_compaction_drops_terminal_keeps_live_and_is_idempotent(tmp_path):
     journal.append("submitted", "live-a", wait=False, payload=PAYLOAD,
                    priority="low")
     journal.append("submitted", "dead-b", wait=False)
-    journal.append("started", "live-a", job=1)
-    journal.append("retrying", "live-a", job=1, crashes=1)
-    journal.append("done", "dead-b", job=2)
+    journal.append("requeued", "c1", requeues={"live-a": 1})
+    journal.append("finished", "c2", done=["dead-b"])
     kept, dropped = journal.compact()
     assert (kept, dropped) == (1, 1)
 
-    entries, stats = journal.replay()
-    assert set(entries) == {"live-a"}
-    assert stats.records == 1
-    entry = entries["live-a"]
+    state, stats = journal.replay()
+    assert set(state.groups) == {"live-a"}
+    assert stats.records == 2  # the group + its requeue count
+    group = state.groups["live-a"]
     # Everything needed to replay the job survived compaction.
-    assert entry.payload == PAYLOAD
-    assert entry.priority == "low"
-    assert entry.crashes == 1
-    assert entry.wait is False
+    assert group.payload == PAYLOAD
+    assert group.priority == "low"
+    assert group.wait is False
+    assert state.requeues == {"live-a": 1}
 
     # Idempotent: compacting a compacted journal is a byte-level no-op.
     first = journal.path.read_bytes()
@@ -182,9 +202,9 @@ def test_compaction_drops_terminal_keeps_live_and_is_idempotent(tmp_path):
 
     # The journal stays appendable after the handle swap, with seq
     # numbering continuing past the compacted records.
-    journal.append("done", "live-a", job=1)
-    entries, _ = journal.replay()
-    assert entries["live-a"].terminal
+    journal.append("finished", "c3", done=["live-a"])
+    state, _ = journal.replay()
+    assert state.groups["live-a"].terminal
     assert journal.compact() == (0, 1)
     assert journal.path.read_bytes() == b""
     assert journal.compactions == 3
@@ -207,7 +227,7 @@ def test_compaction_repairs_a_torn_tail_first(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Sweep records (PR 10): interleaving, torn tails, compaction
+# Many-entry groups: shared entries, torn tails, compaction
 # ----------------------------------------------------------------------
 
 SWEEP_SPEC = {"jobs": [PAYLOAD, dict(PAYLOAD, clusters=4)], "lease": 5.0}
@@ -216,105 +236,96 @@ SWEEP_SPEC = {"jobs": [PAYLOAD, dict(PAYLOAD, clusters=4)], "lease": 5.0}
 def test_sweep_records_interleave_with_job_records(tmp_path):
     with make_journal(tmp_path) as journal:
         journal.append("submitted", "job-a", wait=False, payload=PAYLOAD)
-        journal.append("sweep-submitted", "sweep:sw-1", payload=SWEEP_SPEC)
-        journal.append("started", "job-a", job=1)
-        journal.append("sweep-progress", "sweep:sw-1", done={"0": "key0"})
-        journal.append("done", "job-a", job=1)
-        journal.append(
-            "sweep-progress", "sweep:sw-1",
-            done={"1": "key1"}, failed={"2": "boom"},
-        )
-        entries, stats = journal.replay()
-    assert stats.records == 6
-    sweep = entries["sweep:sw-1"]
-    assert sweep.is_sweep and not sweep.terminal
+        journal.append("submitted", "sweep:sw-1", payload=SWEEP_SPEC,
+                       keys=["key0", "job-a", "key2"])
+        journal.append("finished", "c1", done=["key0"])
+        journal.append("finished", "c2", done=["job-a"], failed={"key2": "boom"})
+        state, stats = journal.replay()
+    assert stats.records == 4
+    sweep = state.groups["sweep:sw-1"]
+    assert sweep.is_sweep and sweep.terminal
     assert sweep.payload == SWEEP_SPEC
-    # Progress accumulates (union), unlike the rank-replacement events.
-    assert sweep.sweep_done == {"0": "key0", "1": "key1"}
-    assert sweep.sweep_failed == {"2": "boom"}
-    job = entries["job-a"]
-    assert not job.is_sweep and job.terminal
+    # One completion finishes the entry for every group holding it.
+    assert state.groups["job-a"].terminal
+    assert state.done == {"key0", "job-a"} and state.failed == {"key2": "boom"}
 
 
 def test_sweep_terminal_records_close_the_entry(tmp_path):
     with make_journal(tmp_path) as journal:
-        journal.append("sweep-submitted", "sweep:sw-1", payload=SWEEP_SPEC)
-        journal.append("sweep-progress", "sweep:sw-1", done={"0": "key0"})
-        journal.append("sweep-done", "sweep:sw-1")
-        # A straggler progress record (duplicate completion after the
-        # close) must not re-open the sweep.
-        journal.append("sweep-progress", "sweep:sw-1", done={"1": "key1"})
-        entries, _ = journal.replay()
-    sweep = entries["sweep:sw-1"]
-    assert sweep.terminal and sweep.event == "sweep-done"
-    assert sweep.sweep_done == {"0": "key0", "1": "key1"}
+        journal.append("submitted", "sweep:sw-1", payload=SWEEP_SPEC,
+                       keys=["key0", "key1"])
+        journal.append("finished", "c1", done=["key0"])
+        journal.append("closed", "sweep:sw-1", error="rejected")
+        # A straggler completion after the close must not re-open it.
+        journal.append("finished", "c2", done=["key1"])
+        state, _ = journal.replay()
+    sweep = state.groups["sweep:sw-1"]
+    assert sweep.terminal and sweep.closed
+    assert state.live() == []
 
 
 def test_torn_tail_inside_a_sweep_record(tmp_path):
     journal = make_journal(tmp_path)
-    journal.append("sweep-submitted", "sweep:sw-1", payload=SWEEP_SPEC)
-    journal.append("sweep-progress", "sweep:sw-1", done={"0": "key0"})
-    record = journal.append(
-        "sweep-progress", "sweep:sw-1", done={"1": "key1"}
-    )
+    journal.append("submitted", "sweep:sw-1", payload=SWEEP_SPEC,
+                   keys=["key0", "key1"])
+    journal.append("finished", "c1", done=["key0"])
+    record = journal.append("finished", "c2", done=["key1"])
     journal.close()
-    # Crash mid-append of the second progress record: tear its line.
+    # Crash mid-append of the second completion: tear its line.
     raw = journal.path.read_bytes().splitlines(keepends=True)
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     assert raw[-1] == line
     journal.path.write_bytes(b"".join(raw[:-1]) + line[: len(line) // 2])
 
     reopened = make_journal(tmp_path)
-    entries, stats = reopened.replay(repair=True)
+    state, stats = reopened.replay(repair=True)
     reopened.close()
     assert stats.torn_tail is True
-    sweep = entries["sweep:sw-1"]
-    # The torn progress is simply absent; the intact prefix survives.
-    assert sweep.sweep_done == {"0": "key0"}
+    sweep = state.groups["sweep:sw-1"]
+    # The torn completion is simply absent; the intact prefix survives.
+    assert state.done == {"key0"} and sweep.open_keys == {"key1"}
     assert sweep.payload == SWEEP_SPEC and not sweep.terminal
 
 
 def test_compaction_keeps_open_sweeps_and_merges_progress(tmp_path):
     journal = make_journal(tmp_path)
     journal.append("submitted", "job-a", wait=False, payload=PAYLOAD)
-    journal.append("sweep-submitted", "sweep:open", payload=SWEEP_SPEC)
-    journal.append("sweep-progress", "sweep:open", done={"0": "key0"})
-    journal.append("sweep-progress", "sweep:open", failed={"1": "boom"})
-    journal.append("sweep-submitted", "sweep:closed", payload=SWEEP_SPEC)
-    journal.append("sweep-done", "sweep:closed")
-    journal.append("done", "job-a", job=1)
+    journal.append("submitted", "sweep:open", payload=SWEEP_SPEC,
+                   keys=["key0", "key1", "key2"])
+    journal.append("finished", "c1", done=["key0"])
+    journal.append("finished", "c2", failed={"key1": "boom"})
+    journal.append("requeued", "c3", requeues={"key2": 2})
+    journal.append("submitted", "sweep:closed", payload=SWEEP_SPEC,
+                   keys=["key9"])
+    journal.append("finished", "c4", done=["key9"])
+    journal.append("finished", "c5", done=["job-a"])
     kept, dropped = journal.compact()
     assert (kept, dropped) == (1, 2)  # open sweep kept; job + closed sweep gone
 
-    entries, stats = journal.replay()
-    assert set(entries) == {"sweep:open"}
-    # Two records survive: the synthesized sweep-submitted + one merged
-    # sweep-progress carrying the union of every progress record.
-    assert stats.records == 2
-    sweep = entries["sweep:open"]
-    assert sweep.payload == SWEEP_SPEC
-    assert sweep.sweep_done == {"0": "key0"}
-    assert sweep.sweep_failed == {"1": "boom"}
+    state, stats = journal.replay()
+    assert set(state.groups) == {"sweep:open"}
+    # Three records survive: the synthesized submission, one merged
+    # completion and one merged requeue count.
+    assert stats.records == 3
+    sweep = state.groups["sweep:open"]
+    assert sweep.payload == SWEEP_SPEC and sweep.open_keys == {"key2"}
+    assert state.done == {"key0"} and state.failed == {"key1": "boom"}
+    assert state.requeues == {"key2": 2}
 
     # Byte-idempotent recompaction, sweeps included.
     first = journal.path.read_bytes()
     assert journal.compact() == (1, 0)
     assert journal.path.read_bytes() == first
 
-    # Appends continue with seq numbering past both synthesized records.
-    journal.append("sweep-done", "sweep:open")
-    entries, _ = journal.replay()
-    assert entries["sweep:open"].terminal
+    # Appends continue with seq numbering past the synthesized records.
+    journal.append("finished", "c6", done=["key2"])
+    state, _ = journal.replay()
+    assert state.groups["sweep:open"].terminal
     assert journal.compact() == (0, 1)
     assert journal.path.read_bytes() == b""
     journal.close()
 
 
 def test_event_rank_table_is_complete():
-    # Every event the daemon can journal has a rank, and the terminal
-    # set is exactly the rank-2 events.
-    assert set(EVENT_RANK) == {
-        "submitted", "started", "retrying", "done", "failed", "shed",
-        "quarantined",
-        "sweep-submitted", "sweep-progress", "sweep-done", "sweep-failed",
-    }
+    # One record family for compiles and sweeps alike.
+    assert EVENTS == ("submitted", "finished", "requeued", "closed")

@@ -142,10 +142,10 @@ class TestDaemonExceptionBoundary:
 
     def test_broken_executor_gives_503_and_drains(self):
         # The original defect: a blanket catch dressed a dead worker
-        # pool up as an ordinary compile failure.  Since the supervisor
-        # landed, a crash on an *owned* pool is respawned and retried
-        # (pinned in test_service_faults); an injected executor is not
-        # the daemon's to rebuild, so that path must still surface the
+        # pool up as an ordinary compile failure.  A crash on an *owned*
+        # pool is a lost lease: respawned and requeued (pinned in
+        # test_service_faults); an injected executor is not the
+        # daemon's to rebuild, so that path must still surface the
         # break as 503 + drain rather than swallow it.
         def broken_compile(toolchain, request):
             raise BrokenExecutor("worker died")

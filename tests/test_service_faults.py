@@ -265,7 +265,7 @@ def test_crash_recovery_replays_interrupted_wait_false_jobs(tmp_path):
         stuck.set()  # let the abandoned executor threads unwind
 
     with JobJournal(journal_path, fsync=False) as journal:
-        entries, stats = journal.replay()
+        _, stats = journal.replay()
     assert stats.live == 2  # both interrupted jobs survived on disk
 
     # Daemon #2: same journal, same disk cache, a working compile path.
@@ -288,7 +288,7 @@ def test_crash_recovery_replays_interrupted_wait_false_jobs(tmp_path):
 
     # After recovery + completion nothing in the journal is live.
     with JobJournal(journal_path, fsync=False) as journal:
-        entries, stats = journal.replay()
+        _, stats = journal.replay()
     assert stats.live == 0
 
 
@@ -309,14 +309,14 @@ def test_recovery_fails_orphaned_wait_true_jobs(tmp_path):
     assert metrics["compiles"]["started"] == 0
     # Recovery compacted the failed orphan away.
     with JobJournal(journal_path, fsync=False) as journal:
-        entries, stats = journal.replay()
-    assert entries == {} and stats.records == 0
+        state, stats = journal.replay()
+    assert state.groups == {} and stats.records == 0
 
 
 def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
     # The compile finished (it is in the disk cache) but the daemon died
-    # before journaling "done": replay must notice the cache hit and
-    # retire the journal entry without re-running the job.
+    # before journaling its completion: replay must notice the cache hit
+    # and retire the journal entry without re-running the job.
     payload = {"kernel": "fir_filter", "clusters": 2, "config": dict(LADDER)}
     journal_path = tmp_path / "journal.jsonl"
     cache_dir = tmp_path / "cache"
@@ -324,7 +324,7 @@ def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
         done = client.compile(dict(payload))
         key = done["cache_key"]
     with JobJournal(journal_path, fsync=False) as journal:
-        journal.append("started", key, wait=False, payload=dict(payload))
+        journal.append("submitted", key, wait=False, payload=dict(payload))
     with running_service(
         journal=str(journal_path), disk_cache=str(cache_dir)
     ) as (service, client, _loop):
@@ -332,5 +332,24 @@ def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
     assert metrics["journal"]["recovered_jobs"] == 0
     assert metrics["compiles"]["started"] == 0  # no recompile
     with JobJournal(journal_path, fsync=False) as journal:
-        entries, stats = journal.replay()
+        _, stats = journal.replay()
     assert stats.live == 0
+
+
+def test_daemon_refuses_a_version_1_journal_at_startup(tmp_path):
+    # A journal written before the ledger merge (schema version 1) is
+    # refused at start-up with an error naming its version; the daemon
+    # never half-reads the old job and sweep record families.
+    import json
+
+    from repro.errors import JournalError
+    from repro.service.journal import _checksum
+
+    record = {"v": 1, "seq": 1, "event": "started", "key": "k1", "wait": False,
+              "payload": {"kernel": "daxpy", "clusters": 2}}
+    record["sum"] = _checksum(record)
+    journal_path = tmp_path / "journal.jsonl"
+    journal_path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    with pytest.raises(JournalError, match="version 1"):
+        with running_service(journal=str(journal_path)):
+            pass

@@ -100,10 +100,7 @@ def test_chunk_size_bounds():
     assert chunk_size(0, 4) == 0
     assert chunk_size(-3, 4) == 0
     assert chunk_size(10_000, 1, max_chunk=32) == 32
-    assert chunk_size(3, 100, min_chunk=2) == 2
-    # min_chunk is a floor even past remaining: over-asking is harmless
-    # because the coordinator clamps the grant to its pending queue.
-    assert chunk_size(1, 1, min_chunk=8) == 8
+    assert chunk_size(3, 100) == 1  # one entry is the floor
     assert chunk_size(5, 2, max_chunk=100) == 2  # share bounded by remaining
 
 
@@ -292,6 +289,34 @@ def test_invalid_results_are_rejected_and_counted():
         assert ack["accepted"] == 0 and ack["invalid"] == 2
         # The job whose result was garbage went straight back to pending.
         assert client.sweep(sweep_id)["pending"] == 4
+
+
+def test_report_for_another_request_is_invalid_and_requeued():
+    # A worker ships daxpy's report under fir_filter's index and key: the
+    # coordinator must recompute the report's content hash, refuse it,
+    # and put the job back — never cache daxpy's schedule under
+    # fir_filter's key.
+    fir = {"kernel": "fir_filter", "clusters": 2, "config": LADDER}
+    daxpy = {"kernel": "daxpy", "clusters": 2, "config": LADDER}
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep({"jobs": [fir]})["sweep"]
+        grant = client.sweep_claim(sweep_id, "wA", 1)
+        job = grant["jobs"][0]
+        wrong = Toolchain.default().compile(parse_compile_payload(daxpy).request)
+        ack = client.sweep_complete(
+            sweep_id, "wA", grant["chunk"],
+            [{"index": job["index"], "key": job["key"],
+              "report": encode_report(wrong)}],
+        )
+        assert ack["accepted"] == 0 and ack["invalid"] == 1
+        status = client.sweep(sweep_id, jobs=True)
+        assert status["pending"] == 1
+        assert status["jobs"][0]["requeues"] == 1
+        served = client.compile(fir)
+    assert served["served_from"] == "compile"
+    assert served["fingerprint"] == jsonable(schedule_fingerprint(
+        Toolchain.default().compile(parse_compile_payload(fir).request).result
+    ))
 
 
 def test_lease_expiry_requeues_and_eventually_quarantines():
