@@ -1,22 +1,35 @@
 """Synchronous client for the compilation service.
 
 :class:`ServiceClient` is a small blocking wrapper over the daemon's
-HTTP surface (plain ``socket`` plus :mod:`repro.service.http` framing;
-no asyncio).  It backs ``repro schedule --remote host:port``::
+HTTP surface — plain ``socket`` + the framing helpers from
+:mod:`repro.service.http`, no third-party dependencies and no asyncio on
+the client side.  It backs ``repro schedule --remote host:port`` and is
+the natural handle for driving a shared daemon from scripts::
+
+    from repro.service import ServiceClient
 
     with ServiceClient("127.0.0.1:8731") as client:
         result = client.compile({"kernel": "fir_filter", "clusters": 4})
         print(result["report"]["ii"], result["served_from"])
 
-Every call opens one tracked connection, released by :meth:`close` (or
-the ``with`` block) even when an exception interrupts a stream.
-Transient failures are retried under a :class:`RetryPolicy`: transport
-errors (refused, reset, timed out, truncated) with exponential backoff
-and *seeded* jitter, so two clients with the same ``jitter_seed`` back
-off identically; backpressure (a 429/503 with ``Retry-After``) after the
-server's delay.  Re-submission is safe because the daemon keys every
-compile by content hash: a retried POST attaches to the live ledger
-entry or is served from cache, and never runs twice.
+Every call opens one connection (the server is ``Connection: close``);
+open sockets are tracked on the client and released by :meth:`close`
+(or the ``with`` block), so an exception mid-stream never leaks a
+handle.
+
+Transient failures are retried under a :class:`RetryPolicy`:
+
+* **transport errors** — connection refused/reset, read timeouts,
+  truncated responses — are retried with exponential backoff plus
+  deterministic *seeded* jitter (no unseeded RNG anywhere, per the
+  project determinism rule: two clients built with the same
+  ``jitter_seed`` back off identically);
+* **backpressure** — a 429/503 carrying a ``Retry-After`` header — is
+  retried after the server-suggested delay.
+
+Re-submission is safe because every compile is keyed on its content
+hash server-side: a retried POST either attaches to the live ledger
+entry or is served from cache — it never runs twice.
 """
 
 from __future__ import annotations
@@ -46,9 +59,12 @@ DEFAULT_TIMEOUT = DEFAULT_READ_TIMEOUT
 
 
 class TransportError(ServiceError):
-    """Connection-level failure (refused, reset, timed out, truncated):
-    the request may never have reached the daemon, so it is always safe
-    to retry (service requests are idempotent, see module doc)."""
+    """Connection-level failure (refused, reset, timed out, truncated).
+
+    Distinct from a server-sent error status: the request may never
+    have reached the daemon, so the retry loop treats these as always
+    safe to retry (service requests are idempotent, see module doc).
+    """
 
     def __init__(self, message: str):
         super().__init__(message, status=503)
@@ -58,14 +74,19 @@ class TransportError(ServiceError):
 class RetryPolicy:
     """When and how a :class:`ServiceClient` retries.
 
-    ``max_attempts=1`` disables retrying.  Backoff before attempt *n*
-    (2-based) is ``min(cap, base * factor**(n-2)) * (1 + jitter * u)``
-    with *u* from a :class:`random.Random` seeded with ``jitter_seed``.
-    ``retry_busy`` gates honoring ``Retry-After`` on 429/503.
-    ``total_deadline`` bounds one exchange's total monotonic time,
-    retries and sleeps included: once the next sleep would overrun it
-    the client raises :class:`~repro.errors.ServiceUnavailable`
-    (``None``: unbounded).
+    ``max_attempts=1`` disables retrying entirely.  Backoff before
+    attempt *n* (2-based) is
+    ``min(cap, base * factor**(n-2)) * (1 + jitter * u)`` with *u*
+    drawn from a :class:`random.Random` seeded with ``jitter_seed`` —
+    deterministic per client, decorrelated across differently-seeded
+    clients.  ``retry_busy`` gates honoring ``Retry-After`` on 429/503.
+
+    ``total_deadline`` bounds one exchange's *total* wall clock
+    (monotonic), retries and backoff sleeps included: a daemon that
+    keeps answering 503 + ``Retry-After`` cannot pin a caller forever —
+    once the next sleep would overrun the deadline the client raises
+    :class:`~repro.errors.ServiceUnavailable` instead of sleeping.
+    ``None`` restores the old unbounded behavior.
     """
 
     max_attempts: int = 4
@@ -81,7 +102,10 @@ class RetryPolicy:
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Sleep before *attempt* (the first retry is attempt 2)."""
-        step = min(self.backoff_cap, self.backoff_base * self.backoff_factor ** max(0, attempt - 2))
+        step = min(
+            self.backoff_cap,
+            self.backoff_base * self.backoff_factor ** max(0, attempt - 2),
+        )
         return step * (1.0 + self.jitter * rng.random())
 
 
@@ -327,41 +351,50 @@ class ServiceClient:
         _, _, document = self._roundtrip("GET", "/healthz", retry_busy=False)
         return document  # 503-when-draining still carries the body
 
-    def _call(self, method: str, path: str, body: Optional[object] = None,
-              retry_busy: Optional[bool] = None) -> Dict[str, object]:
-        """One retried exchange whose error statuses raise."""
-        status, headers, document = self._roundtrip(method, path, body, retry_busy)
-        return self._expect_ok(status, document, headers)
-
     def metrics(self) -> Dict[str, object]:
         """The full ``/metrics`` snapshot."""
-        return self._call("GET", "/metrics")
+        status, headers, document = self._roundtrip("GET", "/metrics")
+        return self._expect_ok(status, document, headers)
 
     def compile(self, payload: Dict[str, object], wait: bool = True) -> Dict[str, object]:
         """Submit one compile payload (see :mod:`repro.service.jobs`).
 
-        ``wait=True`` blocks until the result document; ``wait=False``
-        returns the 202 admission receipt (``{"job": id, ...}``).
+        With ``wait=True`` (default) blocks until the result document;
+        with ``wait=False`` returns the 202 admission receipt
+        (``{"job": id, ...}``) immediately.
         """
-        return self._call("POST", "/compile", dict(payload, **({} if wait else {"wait": False})))
+        body = dict(payload)
+        if not wait:
+            body["wait"] = False
+        status, headers, document = self._roundtrip("POST", "/compile", body)
+        return self._expect_ok(status, document, headers)
 
-    def compile_request(self, request, priority: str = "normal", **extra) -> Dict[str, object]:
+    def compile_request(
+        self, request, priority: str = "normal", **extra
+    ) -> Dict[str, object]:
         """Compile a local :class:`~repro.api.request.CompilationRequest`
         remotely (serializes the loop + machine + config over the wire)."""
         return self.compile(request_to_payload(request, priority=priority, **extra))
 
     def job(self, job_id: int) -> Dict[str, object]:
         """Status document for one job id."""
-        return self._call("GET", f"/jobs/{job_id}")
+        status, headers, document = self._roundtrip("GET", f"/jobs/{job_id}")
+        return self._expect_ok(status, document, headers)
 
     def events(self, job_id: int, since: int = 0) -> Iterator[Dict[str, object]]:
         """Stream a job's events until it reaches a terminal state.
 
-        **Resumable**: a mid-stream disconnect reconnects with
-        ``?since=<consumed>``, so each event is yielded exactly once;
-        *since* starts at an offset.  Reconnects share the policy's
-        ``max_attempts`` bound on *consecutive* failures, and the socket
-        is released even when the consumer abandons the generator.
+        Yields each event dict as the daemon emits it (chunked JSON
+        lines decoded incrementally).  The stream is **resumable**: a
+        mid-stream disconnect (reset by peer, truncated stream) makes
+        the iterator reconnect with ``?since=<consumed>`` — the daemon
+        replays only the events this iterator has not yielded yet, so
+        the consumer sees each event exactly once.  *since* starts the
+        stream at a given offset for callers resuming across their own
+        restarts.  Reconnects share the policy's ``max_attempts`` bound
+        on *consecutive* failures (progress resets the count); the
+        socket is always released, even when the consumer abandons the
+        generator mid-stream.
         """
         consumed = max(0, int(since))
         failures = 0
@@ -385,8 +418,13 @@ class ServiceClient:
     def _events_once(
         self, job_id: int, start: int
     ) -> Iterator[Dict[str, object]]:
-        """One event-stream connection from offset *start* (no retry);
-        :class:`TransportError` when it dies before the final chunk."""
+        """One event-stream connection from offset *start* (no retry).
+
+        Raises :class:`TransportError` when the stream dies before the
+        terminating zero-length chunk — the resume wrapper's signal to
+        reconnect.  (The pre-resume client swallowed that EOF and
+        silently dropped the tail of the stream.)
+        """
         sock = self._connect()
         try:
             self._send_request(
@@ -440,41 +478,81 @@ class ServiceClient:
 
     def sweeps(self) -> Dict[str, object]:
         """Every sweep the coordinator remembers: ``{"sweeps": [...]}``."""
-        return self._call("GET", "/sweeps")
+        status, headers, document = self._roundtrip("GET", "/sweeps")
+        return self._expect_ok(status, document, headers)
 
     def submit_sweep(self, spec: Dict[str, object]) -> Dict[str, object]:
         """Submit one sweep spec; idempotent on the spec's content hash."""
-        return self._call("POST", "/sweeps", spec)
+        status, headers, document = self._roundtrip("POST", "/sweeps", spec)
+        return self._expect_ok(status, document, headers)
 
     def sweep(self, sweep_id: str, jobs: bool = False) -> Dict[str, object]:
         """One sweep's status (``jobs=True`` adds the per-job detail)."""
-        return self._call("GET", f"/sweeps/{sweep_id}" + ("?jobs=1" if jobs else ""))
+        path = f"/sweeps/{sweep_id}"
+        if jobs:
+            path += "?jobs=1"
+        status, headers, document = self._roundtrip("GET", path)
+        return self._expect_ok(status, document, headers)
 
-    def sweep_results(self, sweep_id: str, start: Optional[int] = None,
-                      stop: Optional[int] = None, pickle: bool = False) -> Dict[str, object]:
+    def sweep_results(
+        self,
+        sweep_id: str,
+        start: Optional[int] = None,
+        stop: Optional[int] = None,
+        pickle: bool = False,
+    ) -> Dict[str, object]:
         """A page of per-job results (``pickle=True`` ships reports)."""
-        params = [f"{name}={int(value)}" for name, value in
-                  (("start", start), ("stop", stop), ("pickle", pickle or None))
-                  if value is not None]
-        query = "?" + "&".join(params) if params else ""
-        return self._call("GET", f"/sweeps/{sweep_id}/results{query}")
+        params = []
+        if start is not None:
+            params.append(f"start={int(start)}")
+        if stop is not None:
+            params.append(f"stop={int(stop)}")
+        if pickle:
+            params.append("pickle=1")
+        path = f"/sweeps/{sweep_id}/results"
+        if params:
+            path += "?" + "&".join(params)
+        status, headers, document = self._roundtrip("GET", path)
+        return self._expect_ok(status, document, headers)
 
-    def sweep_claim(self, sweep_id: str, worker: str, count: int = 1) -> Dict[str, object]:
-        """Claim up to *count* jobs under a lease (worker verb); *count* is
-        the worker's own :func:`~repro.service.sweep.chunk_size`."""
-        return self._call("POST", f"/sweeps/{sweep_id}/claim",
-                          {"worker": worker, "count": int(count)})
+    def sweep_claim(
+        self, sweep_id: str, worker: str, count: int = 1
+    ) -> Dict[str, object]:
+        """Claim up to *count* jobs under a lease (worker verb).
 
-    def sweep_heartbeat(self, sweep_id: str, worker: str, chunk: str) -> Dict[str, object]:
+        *count* is the worker's own self-scheduling chunk size — see
+        :func:`repro.service.sweep.chunk_size`.
+        """
+        status, headers, document = self._roundtrip(
+            "POST",
+            f"/sweeps/{sweep_id}/claim",
+            {"worker": worker, "count": int(count)},
+        )
+        return self._expect_ok(status, document, headers)
+
+    def sweep_heartbeat(
+        self, sweep_id: str, worker: str, chunk: str
+    ) -> Dict[str, object]:
         """Extend one chunk's lease (worker verb; never busy-retried —
         a heartbeat is only useful now)."""
-        return self._call("POST", f"/sweeps/{sweep_id}/heartbeat",
-                          {"worker": worker, "chunk": chunk}, retry_busy=False)
+        status, headers, document = self._roundtrip(
+            "POST",
+            f"/sweeps/{sweep_id}/heartbeat",
+            {"worker": worker, "chunk": chunk},
+            retry_busy=False,
+        )
+        return self._expect_ok(status, document, headers)
 
-    def sweep_complete(self, sweep_id: str, worker: str, chunk: str, results) -> Dict[str, object]:
+    def sweep_complete(
+        self, sweep_id: str, worker: str, chunk: str, results
+    ) -> Dict[str, object]:
         """Deliver one chunk's results (worker verb; idempotent)."""
-        return self._call("POST", f"/sweeps/{sweep_id}/complete",
-                          {"worker": worker, "chunk": chunk, "results": list(results)})
+        status, headers, document = self._roundtrip(
+            "POST",
+            f"/sweeps/{sweep_id}/complete",
+            {"worker": worker, "chunk": chunk, "results": list(results)},
+        )
+        return self._expect_ok(status, document, headers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ServiceClient {self.host}:{self.port}>"

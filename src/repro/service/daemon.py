@@ -109,10 +109,6 @@ def _warm_probe(hold_seconds: float) -> int:
     return 0
 
 
-def _is_local(entry: Entry) -> bool:
-    return entry.local
-
-
 def _worker_and_count(body: object, need_count: bool = True) -> Tuple[str, int]:
     if not isinstance(body, dict):
         raise ServiceError("request body must be an object", status=400)
@@ -371,8 +367,10 @@ class CompileService:
         await self._drained.wait()
 
     def _check_drained(self) -> None:
-        if self._draining and self._running == 0 and not any(
-            entry.local for entry in self.ledger.pending.values()
+        """Drained once no entry a ``/compile`` waits on is queued, running
+        on the pool or leased to a sweep worker."""
+        if self._draining and self._running == 0 and not len(self.ledger.local) and not any(
+            entry.local for entry in self.ledger.live.values() if entry.state == "leased"
         ):
             self._drained.set()
 
@@ -462,7 +460,7 @@ class CompileService:
         plan.id = group.key.split(":", 1)[1]  # the id it was journaled as
         sweep = sw.Sweep(plan)
         records = self.ledger.resume(
-            sweep, list(zip(plan.keys, plan.payloads)), state, plan.prefilled.get
+            sweep, list(zip(plan.keys, plan.payloads)), group, state.requeues, plan.prefilled.get
         )
         if plan.keys != group.keys:  # re-keyed: journal the new key list
             records.insert(0, sweep.submitted_record())
@@ -476,9 +474,8 @@ class CompileService:
 
     def queue_depths(self) -> Dict[str, int]:
         depths = dict.fromkeys(PRIORITY_LANES, 0)
-        for entry in self.ledger.pending.values():
-            if entry.local:
-                depths[PRIORITY_LANES[entry.order[0]]] += 1
+        for entry in self.ledger.local.members.values():
+            depths[PRIORITY_LANES[entry.order[0]]] += 1
         return depths
 
     def metrics_snapshot(self) -> Dict[str, object]:
@@ -530,9 +527,9 @@ class CompileService:
 
         entry = self.ledger.live.get(key)
         if entry is not None:
-            self.metrics.coalesced += 1
             existing = self._job_of(entry)
             if existing is not None:
+                self.metrics.coalesced += 1
                 existing.subscribers += 1
                 existing.emit("coalesced", subscribers=existing.subscribers)
                 return existing, False, None
@@ -566,7 +563,7 @@ class CompileService:
         lane first, newest first (its waiters invested the least) — or
         rejects the newcomer.
         """
-        queued = [entry for entry in self.ledger.pending.values() if entry.local]
+        queued = list(self.ledger.local.members.values())
         if len(queued) < self.max_queue_depth:
             return []
         rank = PRIORITY_LANES.index(parsed.priority)
@@ -619,7 +616,7 @@ class CompileService:
 
     def _dispatch(self) -> None:
         while self._running < self._max_concurrency:
-            lease = self.ledger.claim(LOCAL_WORKER, 1, _is_local)
+            lease = self.ledger.claim(LOCAL_WORKER, 1, self.ledger.local)
             if lease is None:
                 return
             self._running += 1
@@ -730,6 +727,12 @@ class CompileService:
         while True:
             await asyncio.sleep(LEASE_CHECK_SECONDS)
             await self._journal(sw.expire(self.ledger, self.sweeps))
+            self._requeued()
+
+    def _requeued(self) -> None:
+        """Entries went back to the queues: a ``/compile`` may wait on one."""
+        self._dispatch()
+        self._check_drained()
 
     # ------------------------------------------------------------------
     # HTTP surface: a route table of handlers answering (status, body)
@@ -859,9 +862,12 @@ class CompileService:
             None, sw.decode_worker_results, body.get("results"), self.toolchain.pass_names
         )
         sweep = self._sweep(sweep_id)
-        ack, records = sw.merge(self.ledger, self.cache, sweep, worker, chunk, decoded)
-        await self._journal(records)
-        return 200, dict(ack, state=sweep.state)
+        ack, records, finishes = sw.merge(self.ledger, self.cache, sweep, worker, chunk, decoded)
+        await self._journal(records)  # durable before any waiter sees a result
+        for entry, state, fields in finishes:
+            self.ledger.finish(entry, state, **fields)
+        self._requeued()
+        return 200, dict(ack, state=sweep.state, remaining=len(sweep.queue))
 
 
 #: route shape -> method -> handler (``*`` stands for the id argument).

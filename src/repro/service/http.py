@@ -1,20 +1,25 @@
 """Minimal HTTP/1.1 framing for the compilation service.
 
-The daemon speaks plain HTTP (so curl works too) but needs only a sliver
-of it: request line, headers and ``Content-Length`` bodies in; fixed
-length or ``chunked`` responses out.  The parsing lives in pure
-functions (:func:`parse_request_head`, :func:`format_response_head`,
-:func:`encode_chunk`, :func:`decode_chunks`) with direct unit tests.
-Connections are one-shot (``Connection: close``): a client reads to EOF,
-and compile requests are seconds-scale, so connection cost is noise.
+The daemon speaks plain HTTP so any client (curl, a browser, the bundled
+:mod:`repro.service.client`) can drive it, but it only needs a sliver of
+the protocol: request-line + headers + ``Content-Length`` bodies in, and
+fixed-length or ``chunked`` responses out.  This module implements that
+sliver over ``asyncio`` streams with the parsing kept in pure functions
+(:func:`parse_request_head`, :func:`format_response_head`,
+:func:`encode_chunk`, :func:`decode_chunks`) so the framing has direct
+unit tests without a socket in sight.
+
+Connections are one-shot: every response carries ``Connection: close``
+and the server closes the stream after writing it.  That forgoes
+keep-alive but makes the framing trivially robust — a client can read to
+EOF — and compile requests are seconds-scale, so per-request connection
+cost is noise.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from http import HTTPStatus
-from urllib.parse import parse_qsl
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, List, Mapping, Optional, Tuple
 
@@ -28,8 +33,19 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Largest request head (request line + headers) accepted.
 MAX_HEAD_BYTES = 64 * 1024
 
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
-
+_REASONS = {
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    408: "Request Timeout",
+    413: "Payload Too Large",
+    422: "Unprocessable Entity",
+    429: "Too Many Requests",
+    500: "Internal Server Error",
+    503: "Service Unavailable",
+}
 
 
 class ProtocolError(ServiceError):
@@ -57,8 +73,17 @@ class HTTPRequest:
 
     @property
     def query(self) -> Dict[str, str]:
-        """Decoded query parameters (a repeated key keeps its last value)."""
-        return dict(parse_qsl(self.path.partition("?")[2], keep_blank_values=True))
+        """Decoded query parameters (no repeated keys, no URL escapes —
+        the service API uses only simple tokens)."""
+        if "?" not in self.path:
+            return {}
+        params: Dict[str, str] = {}
+        for pair in self.path.split("?", 1)[1].split("&"):
+            if not pair:
+                continue
+            key, _, value = pair.partition("=")
+            params[key] = value
+        return params
 
     def json(self) -> object:
         """The body decoded as JSON (``{}`` for an empty body)."""
@@ -76,9 +101,11 @@ class HTTPRequest:
 
 
 def parse_request_head(head: bytes) -> HTTPRequest:
-    """Parse the request line and headers (without the blank line).
+    """Parse the request line and headers (everything before the body).
 
-    Header names are lower-cased; a duplicate header keeps its last value.
+    *head* must not include the terminating blank line.  Header names are
+    lower-cased; duplicate headers keep the last value (none of the
+    service's headers are list-valued).
     """
     try:
         text = head.decode("latin-1")
@@ -102,25 +129,43 @@ def parse_request_head(head: bytes) -> HTTPRequest:
     return HTTPRequest(method=method.upper(), path=path, headers=headers)
 
 
-def format_response_head(status: int, content_length: Optional[int] = None,
-                         content_type: str = "application/json", chunked: bool = False,
-                         extra_headers: Optional[Mapping[str, str]] = None) -> bytes:
+def format_response_head(
+    status: int,
+    content_length: Optional[int] = None,
+    content_type: str = "application/json",
+    chunked: bool = False,
+    extra_headers: Optional[Mapping[str, str]] = None,
+) -> bytes:
     """The status line + headers + blank line for one response."""
     reason = _REASONS.get(status, "Unknown")
-    lines = [f"HTTP/1.1 {status} {reason}", f"Content-Type: {content_type}", "Connection: close"]
+    lines = [
+        f"HTTP/1.1 {status} {reason}",
+        f"Content-Type: {content_type}",
+        "Connection: close",
+    ]
     if chunked:
         lines.append("Transfer-Encoding: chunked")
     elif content_length is not None:
         lines.append(f"Content-Length: {content_length}")
-    lines += [f"{name}: {value}" for name, value in (extra_headers or {}).items()]
+    if extra_headers:
+        for name, value in extra_headers.items():
+            lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-def json_response(status: int, payload: object,
-                  extra_headers: Optional[Mapping[str, str]] = None) -> bytes:
+def json_response(
+    status: int,
+    payload: object,
+    extra_headers: Optional[Mapping[str, str]] = None,
+) -> bytes:
     """A complete fixed-length JSON response."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    return format_response_head(status, len(body), extra_headers=extra_headers) + body
+    return (
+        format_response_head(
+            status, content_length=len(body), extra_headers=extra_headers
+        )
+        + body
+    )
 
 
 def encode_chunk(data: bytes) -> bytes:
@@ -133,9 +178,13 @@ LAST_CHUNK = b"0\r\n\r\n"
 
 
 def decode_chunks(data: bytes) -> Tuple[List[bytes], bytes, bool]:
-    """Incrementally decode a chunked body: ``(chunks, remainder,
-    finished)`` — the complete chunks in *data*, the tail to prepend to
-    the next read, and whether the zero-length terminator was seen."""
+    """Incrementally decode a chunked body.
+
+    Returns ``(chunks, remainder, finished)``: every complete chunk
+    found in *data*, the undecoded tail to prepend to the next read, and
+    whether the zero-length terminator was seen.  Used by the sync
+    client, which reads the event stream socket in arbitrary slices.
+    """
     chunks: List[bytes] = []
     rest = data
     while True:
@@ -163,8 +212,11 @@ def decode_chunks(data: bytes) -> Tuple[List[bytes], bytes, bool]:
 
 
 async def read_request(reader) -> Optional[HTTPRequest]:
-    """Read one request; ``None`` when the peer closed before sending a
-    request line (a port probe, for example)."""
+    """Read one request from an ``asyncio.StreamReader``.
+
+    Returns ``None`` when the peer closed the connection before sending
+    a request line (a health-checker port probe, for example).
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as err:
@@ -177,7 +229,10 @@ async def read_request(reader) -> Optional[HTTPRequest]:
         raise ProtocolError(f"request head exceeds {MAX_HEAD_BYTES} bytes")
     request = parse_request_head(head[:-4])
     length_header = request.headers.get("content-length", "0")
-    length = int(length_header) if length_header.isdigit() else -1
+    try:
+        length = int(length_header)
+    except ValueError:
+        raise ProtocolError(f"bad Content-Length {length_header!r}")
     if length < 0:
         raise ProtocolError(f"bad Content-Length {length_header!r}")
     if length > MAX_BODY_BYTES:
@@ -192,32 +247,36 @@ async def read_request(reader) -> Optional[HTTPRequest]:
 
 
 async def write_response(writer, data: bytes) -> None:
-    """Write a complete pre-formatted response and flush it (unless the
-    ``conn-reset`` fault point aborts the connection instead)."""
-    if not _reset(writer):
-        writer.write(data)
-        await writer.drain()
+    """Write a complete pre-formatted response and flush it.
 
-
-def _reset(writer) -> bool:
-    """The ``conn-reset`` fault point: abort the connection when armed."""
-    if not faults.fire("conn-reset"):
-        return False
-    if writer.transport is not None:
-        writer.transport.abort()
-    return True
+    The ``conn-reset`` fault point lives here: when armed, the daemon
+    aborts the transport instead of answering — the client sees the
+    reset-by-peer every load balancer eventually delivers for real, and
+    its retry path gets exercised on demand.
+    """
+    if faults.fire("conn-reset"):
+        transport = writer.transport
+        if transport is not None:
+            transport.abort()
+        return
+    writer.write(data)
+    await writer.drain()
 
 
 async def write_event_stream(writer, events: AsyncIterator[dict]) -> None:
     """Stream *events* as chunked JSON lines, then the final chunk.
 
-    ``conn-reset`` is checked before every event, so an armed fault can
-    sever the stream mid-flight, as the client's resume path expects.
+    ``conn-reset`` is checked before every event, not just at the head:
+    an armed fault can sever the stream mid-flight, which is exactly the
+    failure the client's ``since=``-offset resume path exists for.
     """
     writer.write(format_response_head(200, chunked=True))
     await writer.drain()
     async for event in events:
-        if _reset(writer):
+        if faults.fire("conn-reset"):
+            transport = writer.transport
+            if transport is not None:
+                transport.abort()
             return
         line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
         writer.write(encode_chunk(line))

@@ -65,16 +65,31 @@ def ddg_to_dict(ddg: DDG) -> Dict[str, object]:
     return {
         "name": ddg.name,
         "operations": [
-            {"op_id": op.op_id, "opcode": op.opcode.value, "tag": op.tag, "srcs": [
-                {"producer": src.producer, "omega": src.omega, "symbol": src.symbol}
-                for src in op.srcs
-            ]}
+            {
+                "op_id": op.op_id,
+                "opcode": op.opcode.value,
+                "srcs": [
+                    {
+                        "producer": src.producer,
+                        "omega": src.omega,
+                        "symbol": src.symbol,
+                    }
+                    for src in op.srcs
+                ],
+                "tag": op.tag,
+            }
             for op in ddg.operations()
         ],
-        "edges": [  # flow edges re-derive from the operands
-            {"src": edge.src, "dst": edge.dst, "kind": edge.kind.value,
-             "omega": edge.omega, "latency": edge.latency}
-            for edge in ddg.edges() if not edge.is_flow
+        "edges": [
+            {
+                "src": edge.src,
+                "dst": edge.dst,
+                "kind": edge.kind.value,
+                "omega": edge.omega,
+                "latency": edge.latency,
+            }
+            for edge in ddg.edges()
+            if not edge.is_flow  # flow edges re-derive from operands
         ],
     }
 
@@ -84,19 +99,28 @@ def ddg_from_dict(data: Mapping[str, object]) -> DDG:
     try:
         ops = [
             Operation(
-                op_id=int(entry["op_id"]), opcode=OpCode(entry["opcode"]),
-                tag=str(entry.get("tag", "")),
+                op_id=int(entry["op_id"]),
+                opcode=OpCode(entry["opcode"]),
                 srcs=tuple(
-                    ValueUse(producer=src.get("producer"), omega=int(src.get("omega", 0)),
-                             symbol=src.get("symbol"))
+                    ValueUse(
+                        producer=src.get("producer"),
+                        omega=int(src.get("omega", 0)),
+                        symbol=src.get("symbol"),
+                    )
                     for src in entry.get("srcs", ())
                 ),
+                tag=str(entry.get("tag", "")),
             )
             for entry in data.get("operations", ())
         ]
         edges = [
-            DepEdge(src=int(entry["src"]), dst=int(entry["dst"]), kind=DepKind(entry["kind"]),
-                    omega=int(entry.get("omega", 0)), latency=entry.get("latency"))
+            DepEdge(
+                src=int(entry["src"]),
+                dst=int(entry["dst"]),
+                kind=DepKind(entry["kind"]),
+                omega=int(entry.get("omega", 0)),
+                latency=entry.get("latency"),
+            )
             for entry in data.get("edges", ())
         ]
         return DDG.bulk(str(data.get("name", "loop")), ops, edges)
@@ -108,8 +132,12 @@ def ddg_from_dict(data: Mapping[str, object]) -> DDG:
 
 def loop_to_dict(loop: Loop) -> Dict[str, object]:
     """Plain-data form of a loop (metadata + serialized DDG)."""
-    return {"name": loop.name, "trip_count": loop.trip_count,
-            "unroll_factor": loop.unroll_factor, "ddg": ddg_to_dict(loop.ddg)}
+    return {
+        "name": loop.name,
+        "trip_count": loop.trip_count,
+        "unroll_factor": loop.unroll_factor,
+        "ddg": ddg_to_dict(loop.ddg),
+    }
 
 
 def loop_from_dict(data: Mapping[str, object]) -> Loop:
@@ -119,9 +147,12 @@ def loop_from_dict(data: Mapping[str, object]) -> Loop:
     except (KeyError, TypeError):
         raise ServiceError("serialized loop payload needs a 'ddg'", status=400)
     try:
-        return Loop(name=str(data.get("name", "loop")), ddg=ddg_from_dict(ddg_data),
-                    trip_count=int(data.get("trip_count", 100)),
-                    unroll_factor=int(data.get("unroll_factor", 1)))
+        return Loop(
+            name=str(data.get("name", "loop")),
+            ddg=ddg_from_dict(ddg_data),
+            trip_count=int(data.get("trip_count", 100)),
+            unroll_factor=int(data.get("unroll_factor", 1)),
+        )
     except ServiceError:
         raise
     except (ReproError, TypeError, ValueError) as err:
@@ -137,9 +168,11 @@ def loop_from_dict(data: Mapping[str, object]) -> Loop:
 class ParsedJob:
     """One admitted compile payload, fully resolved.
 
-    ``raw`` is the original JSON the journal persists for a replay;
-    ``wait`` says whether a client connection blocks on the result
-    (only ``wait=false`` jobs are worth replaying after a crash).
+    ``raw`` keeps the original JSON payload so the daemon's journal can
+    persist exactly what would be needed to replay the submission;
+    ``wait`` records whether a client connection is blocked on the
+    result (``wait=false`` jobs are the ones worth replaying after a
+    crash — their submitters poll, they don't hold a socket open).
     """
 
     request: object  # CompilationRequest (imported lazily, see below)
@@ -153,13 +186,18 @@ def _resolve_loop(payload: Mapping[str, object]) -> Loop:
     kernel = payload.get("kernel")
     loop_data = payload.get("loop")
     if (kernel is None) == (loop_data is None):
-        raise ServiceError("compile payload needs exactly one of 'kernel' or 'loop'", status=400)
+        raise ServiceError(
+            "compile payload needs exactly one of 'kernel' or 'loop'",
+            status=400,
+        )
     if kernel is not None:
         from ..workloads import KERNELS, make_kernel
 
         if kernel not in KERNELS:
-            raise ServiceError(f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}",
-                               status=400)
+            raise ServiceError(
+                f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}",
+                status=400,
+            )
         kwargs = payload.get("kernel_args") or {}
         if not isinstance(kwargs, Mapping):
             raise ServiceError("'kernel_args' must be an object", status=400)
@@ -186,7 +224,10 @@ def _resolve_machine(payload: Mapping[str, object]) -> MachineSpec:
                 return resolve_target(target)
         except TargetError as err:
             raise ServiceError(f"invalid target: {err}", status=400)
-        raise ServiceError("'target' must be a name, file path or machine-file object", status=400)
+        raise ServiceError(
+            "'target' must be a name, file path or machine-file object",
+            status=400,
+        )
     try:
         clusters = int(payload.get("clusters", 4))
     except (TypeError, ValueError):
@@ -208,8 +249,11 @@ def _resolve_config(payload: Mapping[str, object]) -> SchedulerConfig:
         return DEFAULT_CONFIG
     unknown = sorted(set(overrides) - set(CONFIG_FIELDS))
     if unknown:
-        raise ServiceError(f"unknown config fields: {', '.join(unknown)}; "
-                           f"valid: {', '.join(CONFIG_FIELDS)}", status=400)
+        raise ServiceError(
+            f"unknown config fields: {', '.join(unknown)}; "
+            f"valid: {', '.join(CONFIG_FIELDS)}",
+            status=400,
+        )
     try:
         return DEFAULT_CONFIG.with_(**dict(overrides))
     except ReproError as err:
@@ -225,8 +269,10 @@ def parse_compile_payload(payload: object) -> ParsedJob:
         raise ServiceError("compile payload must be a JSON object", status=400)
     priority = payload.get("priority", "normal")
     if priority not in PRIORITY_LANES:
-        raise ServiceError(f"unknown priority {priority!r}; choose from {PRIORITY_LANES}",
-                           status=400)
+        raise ServiceError(
+            f"unknown priority {priority!r}; choose from {PRIORITY_LANES}",
+            status=400,
+        )
     loop = _resolve_loop(payload)
     machine = _resolve_machine(payload)
     config = _resolve_config(payload)
@@ -242,16 +288,24 @@ def parse_compile_payload(payload: object) -> ParsedJob:
 
     try:
         request = CompilationRequest(
-            loop=loop, machine=machine, config=config, unroll=_int_or_none("unroll"),
-            equivalent_k=_int_or_none("equivalent_k"), scheduler=payload.get("scheduler"),
+            loop=loop,
+            machine=machine,
+            config=config,
+            unroll=_int_or_none("unroll"),
+            equivalent_k=_int_or_none("equivalent_k"),
             allocate=bool(payload.get("allocate", True)),
             validate=bool(payload.get("validate", False)),
+            scheduler=payload.get("scheduler"),
         )
     except ToolchainError as err:
         raise ServiceError(f"invalid compile request: {err}", status=400)
-    return ParsedJob(request=request, priority=priority,
-                     want_assembly=bool(payload.get("assembly", False)),
-                     wait=payload.get("wait") is not False, raw=dict(payload))
+    return ParsedJob(
+        request=request,
+        priority=priority,
+        want_assembly=bool(payload.get("assembly", False)),
+        wait=payload.get("wait") is not False,
+        raw=dict(payload),
+    )
 
 
 def request_to_payload(request, priority: str = "normal", **extra) -> Dict[str, object]:

@@ -11,7 +11,8 @@ one-entry group) and a sweep (a many-entry group):
     group), ``payload`` what replay rebuilds it from, ``wait``/``priority``;
 ``finished``
     one lease completed: the entry keys it finished (``done``) and
-    failed (``failed``: key -> error);
+    failed (``failed``: key -> error), outcomes of the groups holding
+    those keys at that point (a later submission of a key runs afresh);
 ``requeued``
     a lease was lost: each requeued key's requeue count (``requeues``,
     so the budget survives a restart) and the keys quarantined
@@ -72,6 +73,11 @@ class JournalEntry:
     closed: bool = False
     #: Entry keys without an outcome yet.
     open_keys: Set[str] = field(default_factory=set)
+    #: Entry keys that failed while this group held them -> error.  They
+    #: stay failed for this group even when a later group runs them again.
+    failed: Dict[str, str] = field(default_factory=dict)
+    #: Submission order (replay and compaction follow it).
+    order: int = 0
 
     @property
     def is_sweep(self) -> bool:
@@ -92,10 +98,11 @@ class JournalState:
     requeues: Dict[str, int] = field(default_factory=dict)
     #: entry key -> keys of the groups holding it.
     holders: Dict[str, Set[str]] = field(default_factory=dict)
+    submissions: int = 0
 
     def live(self) -> List[JournalEntry]:
-        """The groups replay must rebuild, in key order."""
-        return sorted((g for g in self.groups.values() if not g.terminal), key=lambda g: g.key)
+        """The groups replay must rebuild, in submission order."""
+        return sorted((g for g in self.groups.values() if not g.terminal), key=lambda g: g.order)
 
     def absorb(self, record: Dict[str, object]) -> None:
         """Fold one valid record into the state."""
@@ -110,7 +117,9 @@ class JournalState:
             self.groups[key] = JournalEntry(
                 key, keys, record.get("payload"), bool(record.get("wait", True)),
                 str(record.get("priority", "normal")), open_keys=set(keys),
+                order=self.submissions,
             )
+            self.submissions += 1
             for entry_key in keys:
                 self.holders.setdefault(entry_key, set()).add(key)
         elif event == "closed":
@@ -129,7 +138,11 @@ class JournalState:
                     self.done.discard(entry_key)
                     self.failed[entry_key] = str(error)
                 for group_key in self.holders.pop(entry_key, ()):
-                    self.groups[group_key].open_keys.discard(entry_key)
+                    group = self.groups[group_key]
+                    if entry_key in group.open_keys:
+                        group.open_keys.discard(entry_key)
+                        if error is not None:
+                            group.failed[entry_key] = str(error)
 
 
 @dataclass
@@ -252,29 +265,28 @@ class JobJournal:
     def compact(self) -> Tuple[int, int]:
         """Rewrite the journal down to its live groups, atomically.
 
-        One ``submitted`` per live group, then one ``finished`` with the
-        outcomes of their entries and one ``requeued`` with their
-        requeue counts, renumbered from ``seq=1``.  Idempotent byte for
-        byte.  Returns ``(kept, dropped)`` group counts.
+        Each live group in submission order: its ``submitted``, then one
+        ``finished`` with the outcomes it saw; last, one ``requeued`` with
+        the requeue counts of the entries still open.  Renumbered from
+        ``seq=1`` and idempotent byte for byte.  Returns ``(kept,
+        dropped)`` group counts.
         """
         state, _ = self.replay(repair=True)
         live = state.live()
         records: List[Dict[str, object]] = []
-        keys: Set[str] = set()
+        open_keys: Set[str] = set()
         for group in live:
             record = {"event": "submitted", "key": group.key, "payload": group.payload,
                       "wait": group.wait, "priority": group.priority}
             if group.keys != [group.key]:
                 record["keys"] = group.keys
             records.append(record)
-            keys.update(group.keys)
-        done = sorted(keys & state.done)
-        failed = {key: state.failed[key] for key in sorted(keys & set(state.failed))}
-        requeues = {key: state.requeues[key] for key in sorted(keys & set(state.requeues))
-                    if key not in state.done and key not in state.failed}
-        if done or failed:
-            records.append({"event": "finished", "key": "compacted",
-                            "done": done or None, "failed": failed or None})
+            done = sorted(set(group.keys) - group.open_keys - set(group.failed))
+            if done or group.failed:
+                records.append({"event": "finished", "key": "compacted", "done": done or None,
+                                "failed": dict(sorted(group.failed.items())) or None})
+            open_keys |= group.open_keys
+        requeues = {key: state.requeues[key] for key in sorted(open_keys & set(state.requeues))}
         if requeues:
             records.append({"event": "requeued", "key": "compacted", "requeues": requeues})
         with self._lock:

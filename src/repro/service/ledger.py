@@ -11,21 +11,25 @@ of running it twice.  An entry's life::
        ^                  |
        +---lease lost-----+--requeues > budget--> quarantined
 
-* :meth:`Ledger.claim` grants up to *count* pending entries to one
-  worker under a :class:`Lease`, lowest ``(priority rank, sequence)``
-  first: high-priority ``/compile`` entries go before normal and low
-  ones, FIFO within a rank;
+* :meth:`Ledger.claim` grants up to *count* pending entries of one
+  :class:`Queue` to one worker under a :class:`Lease`, lowest
+  ``(priority rank, sequence)`` first: high-priority ``/compile``
+  entries go before normal and low ones, FIFO within a rank;
 * a lost lease (:meth:`Ledger.lose`) — it expired, its worker crashed,
   or its results came back partial or invalid — puts each unfinished
   entry back at the *front* of its rank, and quarantines an entry whose
   requeues exceed its budget: :data:`COMPILE_REQUEUES` for a
   ``/compile``, the spec's ``max_requeues`` for a sweep.
 
-The daemon's pool claims the entries a ``/compile`` waits on
-(``Entry.local``) and ``repro worker`` processes a sweep's, through the
-same code.  The ledger is synchronous and clock-injectable; methods that
-change durable state return the journal records
-(:mod:`repro.service.journal`) for the caller to append.
+Each group files its pending entries in a claim queue: every
+``/compile`` group shares :attr:`Ledger.local`, which the daemon's pool
+claims from, and each sweep has its own, which ``repro worker``
+processes claim from through the same code.  An entry two groups share
+sits in both queues, so a claim touches only what it can take.
+
+The ledger is synchronous and clock-injectable; methods that change
+durable state return the journal records (:mod:`repro.service.journal`)
+for the caller to append.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class Entry:
 
     __slots__ = ("key", "payload", "state", "requeues", "budget", "order", "lease",
                  "worker", "report", "fingerprint", "ii", "seconds", "served_from",
-                 "error", "status", "groups", "local")
+                 "error", "status", "groups")
 
     def __init__(self, key: str, payload: object, budget: int, order: Tuple[int, int]):
         self.key = key
@@ -71,11 +75,52 @@ class Entry:
         self.error: Optional[str] = None
         self.status = 500  # the HTTP status a failed /compile answers with
         self.groups: List["Group"] = []
-        self.local = False  # a /compile waits on it: the pool may claim it
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL
+
+    @property
+    def local(self) -> bool:
+        """Whether a ``/compile`` waits on it (the pool may claim it)."""
+        return any(group.local for group in self.groups)
+
+    def queues(self) -> List["Queue"]:
+        """The distinct claim queues of the groups holding it."""
+        return list({id(group.queue): group.queue for group in self.groups}.values())
+
+
+class Queue:
+    """The pending entries one kind of worker claims, lowest order first.
+
+    A heap with lazy deletion: an entry that leaves the queue, or whose
+    order changes, leaves a stale heap item behind that :meth:`take`
+    skips.
+    """
+
+    __slots__ = ("members", "_heap")
+
+    def __init__(self):
+        self.members: Dict[str, Entry] = {}
+        self._heap: List[Tuple[Tuple[int, int], str]] = []
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def push(self, entry: Entry) -> None:
+        self.members[entry.key] = entry
+        heapq.heappush(self._heap, (entry.order, entry.key))
+
+    def take(self, count: int) -> List[Entry]:
+        """Remove and return up to *count* members, first in order."""
+        picks: List[Entry] = []
+        while self._heap and len(picks) < count:
+            order, key = heapq.heappop(self._heap)
+            entry = self.members.get(key)
+            if entry is not None and entry.order == order:
+                del self.members[key]
+                picks.append(entry)
+        return picks
 
 
 class Lease:
@@ -107,10 +152,12 @@ class Group:
         self.wait = wait
         self.priority = priority
         self.recovered = False
+        self.queue: Optional[Queue] = None  # set by Ledger.submit
+        self.unfinished: set = set()  # keys of its non-terminal entries
 
     @property
     def finished(self) -> bool:
-        return all(entry.terminal for entry in self.entries)
+        return not self.unfinished
 
     def notify(self, entry: Entry, event: str, **fields) -> None:
         """An entry of this group changed state (a hook for views)."""
@@ -123,12 +170,21 @@ class Group:
         return ("submitted", self.key, fields)
 
 
-def finished_record(lease_id: str, entries: Iterable[Entry]) -> Optional[Record]:
+#: One outcome of a completion: ``(key, terminal state, error)``.
+Outcome = Tuple[str, str, Optional[str]]
+
+
+def outcomes(entries: Iterable[Entry]) -> List[Outcome]:
+    """The outcomes of the terminal ones among *entries*."""
+    return [(entry.key, entry.state, entry.error) for entry in entries if entry.terminal]
+
+
+def finished_record(lease_id: str, results: Iterable[Outcome]) -> Optional[Record]:
     """The one record of a completion: every key it finished or failed."""
-    entries = list(entries)
-    done = [entry.key for entry in entries if entry.state == "done"]
-    failed = {entry.key: str(entry.error) for entry in entries
-              if entry.state in ("failed", "quarantined")}
+    results = list(results)
+    done = [key for key, state, _ in results if state == "done"]
+    failed = {key: str(error) for key, state, error in results
+              if state in ("failed", "quarantined")}
     if not done and not failed:
         return None
     return ("finished", lease_id, {"done": done or None, "failed": failed or None})
@@ -140,7 +196,7 @@ class Ledger:
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self.clock = clock
         self.live: Dict[str, Entry] = {}  # non-terminal entries by key
-        self.pending: Dict[str, Entry] = {}
+        self.local = Queue()  # the claim queue of every /compile group
         self.leases: Dict[str, Lease] = {}
         self._seq = 0
         self._lease_no = 0
@@ -151,74 +207,99 @@ class Ledger:
 
     def submit(self, group: Group, items: List[Tuple[str, object]],
                prefilled: Optional[Dict[str, object]] = None,
-               requeues: Optional[Dict[str, int]] = None) -> List[Record]:
+               requeues: Optional[Dict[str, int]] = None,
+               failed: Optional[Dict[str, str]] = None) -> List[Record]:
         """Attach *group* to an entry per ``(key, payload)`` item.
 
-        A live key attaches to its entry; a key in *prefilled* (a result
-        already durable in a cache) starts ``done``; anything else is a
-        new pending entry with its requeue count from *requeues* (journal
-        replay).  Returns the ``submitted`` record, plus a ``finished``
-        record for the prefilled entries.
+        A key in *failed* (journal replay: it failed for this group)
+        starts ``failed`` and one in *prefilled* (a result already
+        durable in a cache) ``done``, each in an entry of this group's
+        own; any other live key attaches to its entry, and the rest are
+        new pending entries with their requeue counts from *requeues*
+        (journal replay).  Returns the ``submitted`` record, plus a
+        ``finished`` record for the prefilled entries.
         """
+        group.queue = self.local if group.local else Queue()
+        prefilled, failed = prefilled or {}, failed or {}
         fresh: Dict[str, Entry] = {}
         for key, payload in items:
-            entry = self.live.get(key) or fresh.get(key)
+            entry = fresh.get(key)
+            if entry is None and key not in failed and key not in prefilled:
+                entry = self.live.get(key)
             if entry is None:
                 entry = fresh[key] = Entry(key, payload, group.budget, (group.rank, self._next()))
-                report = (prefilled or {}).get(key)
-                if report is not None:
-                    entry.state, entry.served_from, entry.report = "done", "cache", report
+                if key in failed:
+                    entry.state, entry.error, entry.status = "failed", failed[key], 422
+                elif key in prefilled:
+                    entry.state, entry.served_from = "done", "cache"
+                    entry.report = prefilled[key]
                 else:
                     entry.requeues = (requeues or {}).get(key, 0)
-                    self.live[key] = self.pending[key] = entry
+                    self.live[key] = entry
             elif not entry.terminal:
                 entry.budget = max(entry.budget, group.budget)
                 entry.order = min(entry.order, (group.rank, entry.order[1]))
-            entry.local = entry.local or group.local
             if group not in entry.groups:
                 entry.groups.append(group)
             group.entries.append(entry)
-        return [group.submitted_record(),
-                finished_record(group.key, [e for e in fresh.values() if e.terminal])]
+            if not entry.terminal:
+                group.unfinished.add(key)
+            if entry.state == "pending":
+                self._enqueue(entry)  # into the group's queue, at its order
+        return [group.submitted_record(), finished_record(
+            group.key, [o for o in outcomes(fresh.values()) if o[0] not in failed]
+        )]
 
-    def resume(self, group: Group, items: List[Tuple[str, object]], state,
-               durable: Callable[[str], object]) -> List[Record]:
-        """Rebuild a group replayed from the journal *state*.
+    def resume(self, group: Group, items: List[Tuple[str, object]], replayed,
+               requeues: Dict[str, int], durable: Callable[[str], object]) -> List[Record]:
+        """Rebuild a group from its journal record *replayed*.
 
-        Entries whose result *durable* (a cache lookup) still holds start
-        done, journaled failures stay failed, requeue counts carry over,
-        and the rest is queued again.  Returns a ``finished`` record for
-        the outcomes the journal lacks.
+        Entries that failed for it stay failed, entries whose result
+        *durable* (a cache lookup) holds start done, requeue counts carry
+        over, and the rest is queued again.  Returns a ``finished``
+        record for the entries the journal still had open.
         """
         prefilled = {key: durable(key) for key, _ in items}
         self.submit(group, items, {k: r for k, r in prefilled.items() if r is not None},
-                    state.requeues)
+                    requeues, replayed.failed)
         group.recovered = True
-        for entry in group.entries:
-            if entry.key in state.failed:
-                self.finish(entry, "failed", error=state.failed[entry.key], status=422)
         return [finished_record(group.key, [
-            entry for entry in dict.fromkeys(group.entries)
-            if entry.terminal and entry.key not in state.done and entry.key not in state.failed
+            outcome for outcome in outcomes(dict.fromkeys(group.entries))
+            if outcome[0] in replayed.open_keys
         ])]
+
+    @staticmethod
+    def _enqueue(entry: Entry) -> None:
+        for queue in entry.queues():
+            queue.push(entry)
+
+    @staticmethod
+    def _dequeue(entry: Entry) -> None:
+        for queue in entry.queues():
+            queue.members.pop(entry.key, None)
 
     def detach(self, group: Group) -> None:
         """Drop *group*'s hold on its entries (shed, or history trim).
 
-        A pending entry no other group holds leaves the queue.
+        A pending entry leaves the group's queue unless another of its
+        groups shares that queue, and leaves the ledger when no group
+        holds it any more.
         """
         for entry in group.entries:
-            if group in entry.groups:
-                entry.groups.remove(group)
-            entry.local = any(g.local for g in entry.groups)
-            if not entry.groups and entry.state == "pending":
-                del self.pending[entry.key], self.live[entry.key]
+            if group not in entry.groups:
+                continue  # detached already (a shed job, trimmed later)
+            entry.groups.remove(group)
+            if entry.state != "pending":
+                continue
+            if group.queue not in entry.queues():
+                group.queue.members.pop(entry.key, None)
+            if not entry.groups:
+                del self.live[entry.key]
 
-    def claim(self, worker: str, count: int, match: Callable[[Entry], bool],
+    def claim(self, worker: str, count: int, queue: Queue,
               lease_seconds: float = math.inf, group: Optional[str] = None) -> Optional[Lease]:
-        """Lease up to *count* matching pending entries, first in order."""
-        picks = heapq.nsmallest(count, (e for e in self.pending.values() if match(e)),
-                                key=lambda entry: entry.order)
+        """Lease up to *count* entries of *queue*, first in order."""
+        picks = queue.take(count)
         if not picks:
             return None
         self._lease_no += 1
@@ -226,7 +307,7 @@ class Ledger:
                       lease_seconds, self.clock() + lease_seconds, group)
         self.leases[lease.id] = lease
         for entry in picks:
-            del self.pending[entry.key]
+            self._dequeue(entry)
             entry.state, entry.lease, entry.worker = "leased", lease.id, worker
             for holder in entry.groups:
                 holder.notify(entry, "started", attempt=entry.requeues + 1)
@@ -262,7 +343,8 @@ class Ledger:
         """
         if entry.terminal:
             return False
-        self.pending.pop(entry.key, None)
+        if entry.state == "pending":
+            self._dequeue(entry)
         if self.live.get(entry.key) is entry:
             del self.live[entry.key]
         entry.state, entry.lease, entry.report, entry.error = state, None, report, error
@@ -270,6 +352,7 @@ class Ledger:
         for name, value in fields.items():
             setattr(entry, name, value)
         for holder in list(entry.groups):
+            holder.unfinished.discard(entry.key)
             holder.notify(entry, state)
         return True
 
@@ -299,7 +382,7 @@ class Ledger:
                 continue
             entry.state, entry.worker = "pending", None
             entry.order = (entry.order[0], -self._next())  # the front of its rank
-            self.pending[key] = entry
+            self._enqueue(entry)
             for holder in entry.groups:
                 holder.notify(entry, "retrying")
         if not requeues:

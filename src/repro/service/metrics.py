@@ -1,8 +1,11 @@
 """Live service metrics: counters, gauges and a latency histogram.
 
-Plain arithmetic updated from the event loop (so no locks), rendered by
-:meth:`ServiceMetrics.snapshot` as the body of ``GET /metrics`` and as
-the final snapshot a draining daemon leaves behind.
+Everything is plain in-process arithmetic updated from the event loop
+(single-threaded, so no locks) and rendered as one JSON document by
+:meth:`ServiceMetrics.snapshot` — the body of ``GET /metrics``.  The
+same snapshot is flushed to stderr (and ``--metrics-out``) when the
+daemon drains, so a terminated service leaves its final hit ratios
+behind.
 """
 
 from __future__ import annotations
@@ -79,38 +82,66 @@ class ServiceMetrics:
 
     def __init__(self) -> None:
         self.started_at = time.time()
+        self.requests_total = 0
         self.requests_by_lane: Dict[str, int] = {}
-        self.requests_total = self.coalesced = 0
-        self.admission_accepted = self.admission_rejected = self.admission_shed = 0
-        self.compiles_started = self.compiles_completed = self.compiles_failed = 0
+        self.admission_accepted = 0
+        self.admission_rejected = 0
+        self.admission_shed = 0
+        self.coalesced = 0
+        self.compiles_started = 0
+        self.compiles_completed = 0
+        self.compiles_failed = 0
         self.latency = LatencyHistogram()
 
     def record_request(self, lane: str) -> None:
         self.requests_total += 1
         self.requests_by_lane[lane] = self.requests_by_lane.get(lane, 0) + 1
 
-    def snapshot(self, queue_depths: Dict[str, int], in_flight: int,
-                 cache_counters: Dict[str, object], draining: bool,
-                 **sections: Optional[Dict[str, object]]) -> Dict[str, object]:
+    def snapshot(
+        self,
+        queue_depths: Dict[str, int],
+        in_flight: int,
+        cache_counters: Dict[str, object],
+        draining: bool,
+        supervisor: Optional[Dict[str, object]] = None,
+        journal: Optional[Dict[str, object]] = None,
+        faults: Optional[Dict[str, object]] = None,
+        sweep: Optional[Dict[str, object]] = None,
+    ) -> Dict[str, object]:
         """One JSON document of everything.
 
-        *sections* are the ``supervisor`` (pool respawn/quarantine),
-        ``journal``, ``faults`` and ``sweep`` sections; each is always
-        present, ``None`` while its subsystem is not configured or armed
-        (for ``sweep``: before the first sweep), for a stable schema.
+        The fault-tolerance sections are always present (stable schema
+        for scrapers): ``supervisor`` carries respawn/quarantine
+        counters; ``journal``, ``faults`` and ``sweep`` are ``None``
+        when the corresponding subsystem is not configured/armed (for
+        ``sweep``: before the first sweep is submitted).
         """
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "draining": draining,
-            "queue_depth": dict(queue_depths, total=sum(queue_depths.values())),
+            "queue_depth": dict(
+                queue_depths, total=sum(queue_depths.values())
+            ),
             "in_flight": in_flight,
-            "requests": {"total": self.requests_total, "by_lane": dict(self.requests_by_lane)},
-            "admission": {"accepted": self.admission_accepted,
-                          "rejected": self.admission_rejected, "shed": self.admission_shed},
+            "requests": {
+                "total": self.requests_total,
+                "by_lane": dict(self.requests_by_lane),
+            },
+            "admission": {
+                "accepted": self.admission_accepted,
+                "rejected": self.admission_rejected,
+                "shed": self.admission_shed,
+            },
             "dedup": {"coalesced": self.coalesced},
             "cache": dict(cache_counters),
-            "compiles": {"started": self.compiles_started,
-                         "completed": self.compiles_completed, "failed": self.compiles_failed},
-            **{name: sections.get(name) for name in ("supervisor", "journal", "faults", "sweep")},
+            "compiles": {
+                "started": self.compiles_started,
+                "completed": self.compiles_completed,
+                "failed": self.compiles_failed,
+            },
+            "supervisor": supervisor,
+            "journal": journal,
+            "faults": faults,
+            "sweep": sweep,
             "latency_ms": self.latency.to_dict(),
         }

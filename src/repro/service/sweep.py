@@ -129,8 +129,9 @@ class Sweep(Group):
         """Entry key -> its first index in the job space."""
         return {entry.key: i for i, entry in reversed(list(enumerate(self.entries)))}
 
-    def claimable(self, entry: Entry) -> bool:
-        return self in entry.groups
+    def active_workers(self, now: float) -> int:
+        horizon = STALE_WORKER_LEASES * self.lease_seconds
+        return sum(now - float(info["last_seen"]) <= horizon for info in self.workers.values())
 
     def touch_worker(self, name: str, now: float) -> Dict[str, object]:
         info = self.workers.setdefault(
@@ -163,18 +164,14 @@ class Sweep(Group):
 
     def status(self, ledger: Ledger, include_jobs: bool = False) -> Dict[str, object]:
         states = self.job_states()
-        horizon = STALE_WORKER_LEASES * self.lease_seconds
-        now = ledger.clock()
         doc: Dict[str, object] = {
             "sweep": self.id,
             "state": self.state,
             "total": len(self.entries),
             **states,
             # What a worker's local chunk math consumes.
-            "remaining": states["pending"],
-            "active_workers": sum(
-                now - float(info["last_seen"]) <= horizon for info in self.workers.values()
-            ),
+            "remaining": len(self.queue),
+            "active_workers": self.active_workers(ledger.clock()),
             "chunks_outstanding": sum(lease.group == self.id for lease in ledger.leases.values()),
             "lease_seconds": self.lease_seconds,
             "max_requeues": self.max_requeues,
@@ -338,7 +335,8 @@ def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Di
 
 def grant(ledger: Ledger, sweep: Sweep, worker: str, count: int) -> Dict[str, object]:
     """Lease up to *count* of the sweep's pending entries to *worker*."""
-    info = sweep.touch_worker(worker, ledger.clock())
+    now = ledger.clock()
+    info = sweep.touch_worker(worker, now)
     reply: Dict[str, object] = {"sweep": sweep.id, "state": sweep.state, "chunk": None,
                                 "jobs": []}
     lease = None
@@ -346,7 +344,7 @@ def grant(ledger: Ledger, sweep: Sweep, worker: str, count: int) -> Dict[str, ob
         # Seeded jitter: deterministic per (sweep, chunk) sequence, yet
         # decorrelated across chunks.
         seconds = sweep.lease_seconds * (1.0 + LEASE_JITTER * sweep.rng.random())
-        lease = ledger.claim(worker, count, sweep.claimable, seconds, sweep.id)
+        lease = ledger.claim(worker, count, sweep.queue, seconds, sweep.id)
     if lease is not None:
         info["claims"] += 1
         sweep.counters["granted"] += 1
@@ -354,8 +352,7 @@ def grant(ledger: Ledger, sweep: Sweep, worker: str, count: int) -> Dict[str, ob
             {"index": sweep.index_of[key], "key": key, "payload": ledger.live[key].payload}
             for key in lease.keys
         ])
-    status = sweep.status(ledger)
-    reply.update(remaining=status["remaining"], active_workers=status["active_workers"])
+    reply.update(remaining=len(sweep.queue), active_workers=sweep.active_workers(now))
     return reply
 
 
@@ -374,11 +371,14 @@ def heartbeat(ledger: Ledger, sweep: Sweep, worker: str, chunk: str) -> Dict[str
 
 def merge(ledger: Ledger, cache, sweep: Sweep, worker: str, chunk: str,
           decoded: List[Dict[str, object]]):
-    """Fold one completion into the ledger: ``(ack, journal records)``.
+    """Fold one completion into the ledger: ``(ack, records, finishes)``.
 
     The records are one ``finished`` for every entry the completion
-    finished and, when part of the lease came back unreported or
-    invalid, one ``requeued`` for the lease lost on those entries.
+    finishes and, when part of the lease came back unreported or
+    invalid, one ``requeued`` for the lease lost on those entries.  The
+    *finishes* are ``(entry, state, fields)`` for :meth:`Ledger.finish`,
+    which the caller applies once the records are durable: a client
+    waiting on a shared entry sees its result only after the journal.
     """
     info = sweep.touch_worker(worker, ledger.clock())
     lease = ledger.held(chunk, worker)
@@ -387,7 +387,8 @@ def merge(ledger: Ledger, cache, sweep: Sweep, worker: str, chunk: str,
     sweep.counters["orphan" if lease is None else "completed"] += 1
     if lease is not None:
         ledger.release(lease)
-    finished: List[Entry] = []
+    finishes: List[Tuple[Entry, str, Dict[str, object]]] = []
+    taken = set()  # entries this completion finishes
     reported: List[str] = []
     lost: List[str] = []
     duplicates = invalid = 0
@@ -403,33 +404,35 @@ def merge(ledger: Ledger, cache, sweep: Sweep, worker: str, chunk: str,
             invalid += 1
             if lease is not None and entry.lease == lease.id:
                 lost.append(entry.key)
-        elif entry.terminal:
+        elif entry.terminal or entry in taken:
             duplicates += 1
         elif item.get("error") is not None:
-            ledger.finish(entry, "failed", worker, error=item["error"], status=422)
-            finished.append(entry)
+            taken.add(entry)
+            finishes.append((entry, "failed", dict(worker=worker, error=item["error"],
+                                                   status=422)))
         else:
             report, _tier = cache.get_tiered(entry.key)
             served_from = "cache"
             if report is None:
                 report, served_from = item["report_obj"], worker
                 cache.put(entry.key, report)
-            ledger.finish(entry, "done", worker, report, fingerprint=item["fingerprint"],
-                          ii=item.get("ii"), seconds=item.get("seconds"),
-                          served_from=served_from)
-            finished.append(entry)
+            taken.add(entry)
+            finishes.append((entry, "done", dict(
+                worker=worker, report=report, fingerprint=item["fingerprint"],
+                ii=item.get("ii"), seconds=item.get("seconds"), served_from=served_from,
+            )))
             info["jobs_done"] += 1
     sweep.counters["invalid"] += invalid
     sweep.counters["duplicate"] += duplicates
-    records = [finished_record(chunk, finished)]
+    records = [finished_record(chunk, [(entry.key, state, fields.get("error"))
+                                       for entry, state, fields in finishes])]
     if lease is not None:
         # Granted but unreported (a partial completion) goes back too.
         lost += [key for key in lease.keys if key not in reported]
         records.append(ledger.lose(lease, "partial or invalid completion", lost))
-    ack = {"sweep": sweep.id, "chunk": chunk, "accepted": len(finished),
-           "duplicates": duplicates, "invalid": invalid, "orphan": lease is None,
-           "remaining": sweep.job_states()["pending"]}
-    return ack, records
+    ack = {"sweep": sweep.id, "chunk": chunk, "accepted": len(finishes),
+           "duplicates": duplicates, "invalid": invalid, "orphan": lease is None}
+    return ack, records, finishes
 
 
 def expire(ledger: Ledger, sweeps: Dict[str, Sweep]) -> list:

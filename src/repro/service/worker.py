@@ -1,19 +1,26 @@
 """The pull-based sweep worker behind ``repro worker``.
 
-A :class:`SweepWorker` polls the coordinator for open sweeps, computes
-its own decreasing chunk size from the advertised remaining count
-(:func:`~repro.service.sweep.chunk_size`; the coordinator never plans
-chunks), claims that many jobs under one lease, compiles them and ships
-the results back.  While a chunk is in flight a thread heartbeats the
-lease with its *own* client (the compute loop may be deep in a
-scheduler).  A heartbeat answered ``ok: false`` means the lease was
-lost; the worker keeps computing, and its completion lands either first
-or as an idempotent duplicate.  A vanished coordinator (restarting after
-a crash) is survived by polling until it answers again.
+A :class:`SweepWorker` is the distributed half of the self-scheduling
+story in :mod:`repro.service.sweep`: it polls the coordinator for open
+sweeps, computes its own decreasing chunk size locally from the
+advertised remaining count (:func:`~repro.service.sweep.chunk_size` —
+the coordinator never plans chunks), claims that many jobs under a
+lease, compiles them, and ships the results back.
 
-Fault points: ``worker-vanish`` claims a chunk and then stops without a
-heartbeat (the lease-expiry test double for SIGKILL); ``slow-worker``
-sleeps before every job (a straggler).
+While a chunk is in flight a daemon thread heartbeats the lease at a
+third of its duration using its *own* client (the compute loop may be
+deep inside a scheduler when the beat is due).  A heartbeat answered
+``ok: false`` means the lease expired and was requeued — the worker
+notes it and keeps computing anyway: its completion still lands, either
+as the first durable result or as an idempotent duplicate.  Losing the
+coordinator entirely (connection refused mid-sweep: it crashed and is
+restarting) is survivable too — the worker just polls until the
+coordinator answers again.
+
+Workers share the compile-side fault points: ``worker-vanish`` makes
+the worker claim a chunk and then return without ever heartbeating
+(the lease-expiry path's test double for SIGKILL), and ``slow-worker``
+makes it a straggler by sleeping before every job.
 """
 
 from __future__ import annotations
@@ -49,11 +56,22 @@ class SweepWorker:
         poll_interval: float = 0.5,
         idle_exit: Optional[float] = None,
     ):
-        """*coordinator* is the daemon's ``host:port``; *name* defaults
-        to ``w<pid>``; *toolchain* must match the coordinator's pipeline;
-        *cache* (a :class:`CompilationCache` or directory) is consulted
-        before compiling and updated after; *idle_exit* returns from
-        :meth:`run` after that many seconds without work.
+        """
+        Args:
+            coordinator: the daemon's ``host:port``.
+            name: worker name for leases/metrics (default ``w<pid>``).
+            toolchain: pass pipeline (must match the coordinator's for
+                content-hash keys to agree; default pipeline does).
+            cache: optional :class:`CompilationCache` or directory — a
+                local content-hash cache consulted before compiling and
+                updated after (sharing the coordinator's cache directory
+                makes completions pure bookkeeping).
+            policy: client retry policy (claims/completions ride it).
+            max_chunk: the local self-scheduling cap fed to
+                :func:`~repro.service.sweep.chunk_size`.
+            poll_interval: sleep between polls when no work is granted.
+            idle_exit: return from :meth:`run` after this many seconds
+                without work (``None`` runs until interrupted).
         """
         self.coordinator = coordinator
         self.name = name or f"w{os.getpid()}"
@@ -66,9 +84,18 @@ class SweepWorker:
         self.poll_interval = poll_interval
         self.idle_exit = idle_exit
         self.client = ServiceClient(coordinator, policy=self.policy)
-        self.stats: Dict[str, int] = dict.fromkeys((
-            "chunks", "jobs", "compiled", "cache_hits", "errors", "lease_lost",
-            "vanished", "coordinator_unreachable"), 0)
+        self.stats: Dict[str, int] = {
+            "chunks": 0,
+            "jobs": 0,
+            "compiled": 0,
+            "cache_hits": 0,
+            "errors": 0,
+            "lease_lost": 0,
+            "vanished": 0,
+            "coordinator_unreachable": 0,
+        }
+
+    # ------------------------------------------------------------------
 
     def run(self) -> Dict[str, object]:
         """Pull chunks until the sweeps drain (or ``idle_exit`` fires).
@@ -77,13 +104,20 @@ class SweepWorker:
         """
         last_work = time.monotonic()
         try:
-            # After a vanish fault this worker is "dead": it stops pulling
-            # so its lease genuinely expires.
-            while not self.stats["vanished"]:
-                if self._poll_once():
-                    last_work = time.monotonic()
+            while True:
+                granted = self._poll_once()
+                if self.stats["vanished"]:
+                    # A vanish fault fired: this worker is "dead" — stop
+                    # pulling so the lease genuinely expires.
+                    break
+                now = time.monotonic()
+                if granted:
+                    last_work = now
                     continue
-                if self.idle_exit is not None and time.monotonic() - last_work >= self.idle_exit:
+                if (
+                    self.idle_exit is not None
+                    and now - last_work >= self.idle_exit
+                ):
                     break
                 time.sleep(self.poll_interval)
         finally:
@@ -107,8 +141,11 @@ class SweepWorker:
             remaining = int(status.get("remaining", 0))
             if remaining <= 0:
                 continue
-            workers = max(1, int(status.get("active_workers", 1)))
-            count = chunk_size(remaining, workers, max_chunk=self.max_chunk)
+            count = chunk_size(
+                remaining,
+                max(1, int(status.get("active_workers", 1))),
+                max_chunk=self.max_chunk,
+            )
             if self._work_one_chunk(str(status["sweep"]), count):
                 return True
         return False
@@ -132,8 +169,12 @@ class SweepWorker:
             return True
         lease = float(grant.get("lease_seconds") or 1.0)
         stop = threading.Event()
-        beat = threading.Thread(target=self._heartbeat_loop, name=f"{self.name}-heartbeat",
-                                args=(sweep_id, str(chunk), lease, stop), daemon=True)
+        beat = threading.Thread(
+            target=self._heartbeat_loop,
+            args=(sweep_id, str(chunk), lease, stop),
+            name=f"{self.name}-heartbeat",
+            daemon=True,
+        )
         beat.start()
         try:
             results = [self._run_job(job) for job in grant.get("jobs", [])]
@@ -170,19 +211,30 @@ class SweepWorker:
         except ReproError as err:
             self.stats["errors"] += 1
             return {"index": index, "key": key, "error": str(err)}
-        return {"index": index, "key": key, "report": encode_report(report),
-                "seconds": round(time.perf_counter() - started, 4)}
+        return {
+            "index": index,
+            "key": key,
+            "report": encode_report(report),
+            "seconds": round(time.perf_counter() - started, 4),
+        }
 
-    def _heartbeat_loop(self, sweep_id: str, chunk: str, lease_seconds: float,
-                        stop: threading.Event) -> None:
+    def _heartbeat_loop(
+        self,
+        sweep_id: str,
+        chunk: str,
+        lease_seconds: float,
+        stop: threading.Event,
+    ) -> None:
         """Extend the chunk's lease until told to stop (daemon thread).
 
         Uses its own single-attempt client: the compute loop may hold
         the main client deep in a compile, and a heartbeat that cannot
         land *now* is not worth retrying — the next beat comes soon.
         """
-        client = ServiceClient(self.coordinator,
-                               policy=RetryPolicy(max_attempts=1, total_deadline=None))
+        client = ServiceClient(
+            self.coordinator,
+            policy=RetryPolicy(max_attempts=1, total_deadline=None),
+        )
         interval = max(0.05, lease_seconds / HEARTBEATS_PER_LEASE)
         try:
             while not stop.wait(interval):

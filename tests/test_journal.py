@@ -326,6 +326,25 @@ def test_compaction_keeps_open_sweeps_and_merges_progress(tmp_path):
     journal.close()
 
 
+def test_a_failure_stays_with_its_group_when_the_key_runs_again(tmp_path):
+    # key0 fails for sweep:one; sweep:two submits key0 afresh.  Replay,
+    # before and after compaction, keeps the failure with sweep:one and
+    # key0 open for sweep:two, so a restart neither re-runs sweep:one's
+    # job nor fails sweep:two's.
+    journal = make_journal(tmp_path)
+    journal.append("submitted", "sweep:one", payload=SWEEP_SPEC, keys=["key0", "key1"])
+    journal.append("finished", "c1", failed={"key0": "boom"})
+    journal.append("submitted", "sweep:two", payload=SWEEP_SPEC, keys=["key0"])
+    for _ in range(2):
+        state, _ = journal.replay()
+        one, two = state.groups["sweep:one"], state.groups["sweep:two"]
+        assert one.failed == {"key0": "boom"} and one.open_keys == {"key1"}
+        assert two.failed == {} and two.open_keys == {"key0"}
+        assert [group.key for group in state.live()] == ["sweep:one", "sweep:two"]
+        journal.compact()
+    journal.close()
+
+
 def test_event_rank_table_is_complete():
     # One record family for compiles and sweeps alike.
     assert EVENTS == ("submitted", "finished", "requeued", "closed")

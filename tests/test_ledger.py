@@ -63,11 +63,11 @@ def reports():
 class Recording(Group):
     """A group that records the terminal notifications it receives."""
 
-    terminal_seen = None  # id(entry) -> count, shared per machine
+    terminal_seen = None  # entry -> count, shared per machine (keeps entries alive)
 
     def notify(self, entry, event, **fields):
         if event in lg.TERMINAL and self is entry.groups[0]:
-            self.terminal_seen[id(entry)] = self.terminal_seen.get(id(entry), 0) + 1
+            self.terminal_seen[entry] = self.terminal_seen.get(entry, 0) + 1
 
 
 class LedgerMachine(RuleBasedStateMachine):
@@ -80,7 +80,8 @@ class LedgerMachine(RuleBasedStateMachine):
         self.terminal_seen = {}
         self.group_no = itertools.count()
         self.lost = []  # leases lost, whose worker may still complete
-        # The model: key -> {"state", "requeues", "budget", "local", "lease"}.
+        # The model: key -> {"state", "requeues", "budget", "local", "lease",
+        # "groups"}, the last the keys of the groups holding the entry.
         self.model = {}
         self.groups = {}  # group key -> (its entries, the group)
         self.journal = JobJournal(self.path, fsync=False)
@@ -101,16 +102,17 @@ class LedgerMachine(RuleBasedStateMachine):
         group.terminal_seen = self.terminal_seen
         return group
 
-    def attach(self, key, budget, local):
+    def attach(self, key, budget, local, group_key):
         entry = self.model.get(key)
         if key in self.cache:  # a durable result: the group starts done
             assert entry["state"] == "done"
         elif entry is None or entry["state"] in lg.TERMINAL:
             self.model[key] = {"state": "pending", "requeues": 0, "budget": budget,
-                               "local": local, "lease": None}
+                               "local": local, "lease": None, "groups": {group_key}}
         else:
             entry["budget"] = max(entry["budget"], budget)
             entry["local"] = entry["local"] or local
+            entry["groups"].add(group_key)
 
     def lose(self, lease, keys=None):
         """Model the loss of *lease* (or of *keys* out of it)."""
@@ -142,7 +144,7 @@ class LedgerMachine(RuleBasedStateMachine):
                 assert self.ledger.finish(entry, "done", "w", report,
                                           fingerprint=fingerprint)
             finished.append(entry)
-        self.write([lg.finished_record(lease_id, finished)])
+        self.write([lg.finished_record(lease_id, lg.outcomes(finished))])
 
     # -- rules -----------------------------------------------------------
 
@@ -152,7 +154,7 @@ class LedgerMachine(RuleBasedStateMachine):
         if key in self.cache:
             return  # served from the cache, as the daemon does
         group = self.group(key, COMPILE_REQUEUES, local=True)
-        self.attach(key, COMPILE_REQUEUES, True)
+        self.attach(key, COMPILE_REQUEUES, True, key)
         self.write(self.ledger.submit(group, [(key, reports()[key][0])]))
         self.groups[key] = (group.entries, group)
 
@@ -161,29 +163,39 @@ class LedgerMachine(RuleBasedStateMachine):
         keys = [self.keys[i] for i in picks]
         group = self.group(f"sweep:{next(self.group_no)}", SWEEP_REQUEUES, local=False)
         for key in keys:
-            self.attach(key, SWEEP_REQUEUES, False)
+            self.attach(key, SWEEP_REQUEUES, False, group.key)
         durable = {k: self.cache[k] for k in keys if k in self.cache}
         self.write(self.ledger.submit(
             group, [(k, reports()[k][0]) for k in keys], durable
         ))
         self.groups[group.key] = (group.entries, group)
 
-    @rule(local=st.booleans(), count=st.integers(1, 3))
-    def claim(self, local, count):
-        if local:
-            lease = self.ledger.claim("pool", 1, lambda e: e.local)
+    @rule(data=st.data(), count=st.integers(1, 3))
+    def claim(self, data, count):
+        """The pool claims /compile entries, a sweep worker its sweep's."""
+        sweeps = sorted(key for key in self.groups if key.startswith("sweep:"))
+        through = data.draw(st.sampled_from(["pool"] + sweeps))
+        if through == "pool":
+            count = 1
+            lease = self.ledger.claim("pool", count, self.ledger.local)
+
+            def claimable(entry):
+                return entry["local"]
         else:
-            lease = self.ledger.claim("w", count, lambda e: True, LEASE, "sweep")
-        if lease is None:
-            assert not any(
-                e["state"] == "pending" and (e["local"] or not local)
-                for e in self.model.values()
-            )
-            return
-        for key in lease.keys:
-            assert self.model[key]["state"] == "pending"
-            assert self.model[key]["local"] or not local
-            self.model[key].update(state="leased", lease=lease.id)
+            lease = self.ledger.claim("w", count, self.groups[through][1].queue, LEASE, through)
+
+            def claimable(entry):
+                return through in entry["groups"]
+        picks = [] if lease is None else [self.ledger.live[key] for key in lease.keys]
+        for entry in picks:
+            assert self.model[entry.key]["state"] == "pending"
+            assert claimable(self.model[entry.key])
+            self.model[entry.key].update(state="leased", lease=lease.id)
+        rest = [self.ledger.live[key] for key, entry in self.model.items()
+                if entry["state"] == "pending" and claimable(entry)]
+        # A claim takes the first entries in order, as many as it can.
+        assert len(picks) == count or not rest
+        assert all(entry.order > pick.order for entry in rest for pick in picks)
 
     @precondition(lambda self: self.ledger.leases)
     @rule(data=st.data())
@@ -234,7 +246,8 @@ class LedgerMachine(RuleBasedStateMachine):
             group = self.group(replayed.key, SWEEP_REQUEUES if replayed.is_sweep
                                else COMPILE_REQUEUES, local=not replayed.is_sweep)
             items = [(key, reports()[key][0]) for key in replayed.keys]
-            records += self.ledger.resume(group, items, state, self.cache.get)
+            records += self.ledger.resume(group, items, replayed, state.requeues,
+                                          self.cache.get)
             self.groups[group.key] = (group.entries, group)
         self.write(records)
         self.journal.compact()
@@ -295,5 +308,19 @@ def test_compile_entry_quarantines_on_its_second_crash(crashes, state):
     ledger.submit(Group(key, COMPILE_REQUEUES, local=True), [(key, PAYLOADS[0])])
     entry = ledger.live[key]
     for _ in range(crashes):
-        ledger.lose(ledger.claim("pool", 1, lambda e: e.local), "worker crash")
+        ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash")
     assert entry.state == state and entry.requeues == crashes
+
+
+def test_detaching_a_shed_group_again_leaves_a_newer_entry_alone():
+    # A shed /compile is detached when it is shed and again when the job
+    # history trims it; by then a new submission may own the same key.
+    key = sorted(reports())[0]
+    ledger = Ledger(clock=lambda: 0.0)
+    shed = Group(key, COMPILE_REQUEUES, local=True)
+    ledger.submit(shed, [(key, PAYLOADS[0])])
+    ledger.detach(shed)
+    assert key not in ledger.live and not len(ledger.local)
+    ledger.submit(Group(key, COMPILE_REQUEUES, local=True), [(key, PAYLOADS[0])])
+    ledger.detach(shed)
+    assert key in ledger.live and len(ledger.local) == 1

@@ -347,6 +347,42 @@ def test_lease_expiry_requeues_and_eventually_quarantines():
         assert chunks["lease_expiries"] == 2 and chunks["requeued"] == 2
 
 
+@pytest.mark.parametrize("loss", ["expiry", "partial"])
+def test_compile_on_a_lost_sweep_lease_runs_on_the_pool(loss):
+    # A /compile attaches to an entry a sweep worker holds; when that
+    # worker's lease is lost, the pool must pick the entry up at once.
+    job = {"kernel": "daxpy", "clusters": 2, "config": LADDER}
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep({"jobs": [job], "lease": 0.3})["sweep"]
+        grant = client.sweep_claim(sweep_id, "wA", 1)
+        receipt = client.compile(job, wait=False)
+        assert client.metrics()["dedup"]["coalesced"] == 0  # a new job, not a waiter
+        if loss == "partial":
+            client.sweep_complete(sweep_id, "wA", grant["chunk"], [])
+        wait_until(lambda: client.job(receipt["job"])["status"] == "done",
+                   what="the pool compiling the requeued entry")
+        result = client.job(receipt["job"])["result"]
+        assert client.sweep(sweep_id)["state"] == "done"
+    assert result["served_from"] == "compile"
+    assert result["fingerprint"] == jsonable(schedule_fingerprint(
+        Toolchain.default().compile(parse_compile_payload(job).request).result
+    ))
+
+
+def test_drain_waits_for_a_compile_leased_to_a_sweep_worker():
+    job = {"kernel": "daxpy", "clusters": 2, "config": LADDER}
+    with running_service() as (service, client, loop):
+        sweep_id = client.submit_sweep({"jobs": [job], "lease": 1.0})["sweep"]
+        assert client.sweep_claim(sweep_id, "wA", 1)["chunk"]
+        receipt = client.compile(job, wait=False)
+        loop.call_soon_threadsafe(service.request_drain)
+        wait_until(lambda: client.healthz()["status"] == "draining", what="drain")
+        time.sleep(0.3)
+        assert not service._drained.is_set()  # the lease is still held
+        wait_until(service._drained.is_set, what="drain after the lease expired")
+        assert client.job(receipt["job"])["status"] == "done"
+
+
 def test_metrics_sweep_section_shape():
     with running_service() as (service, client, _loop):
         assert client.metrics()["sweep"] is None  # no sweeps yet
