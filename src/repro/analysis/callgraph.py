@@ -9,7 +9,7 @@ per indexed function, callee names fully resolved through each module's
 import aliases — including relative imports, which the per-file
 alias map in :mod:`repro.analysis.visitor` deliberately skips).
 
-Rules attach derived per-function facts (e.g. the determinism-taint
+Rules attach derived per-function facts (e.g. the determinism rule's
 return/sink summaries) through :meth:`ProjectIndex.get_summary` /
 :meth:`set_summary`; summaries are plain JSON data so they persist in
 the on-disk cache.

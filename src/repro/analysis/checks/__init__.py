@@ -17,8 +17,6 @@ from .cache_discipline import CacheDisciplineRule
 from .exception_discipline import ExceptionDisciplineRule
 from .resource_hygiene import ResourceHygieneRule
 from .async_atomicity import AsyncAtomicityRule
-from .determinism_taint import DeterminismTaintRule
-from .spawn_picklability import SpawnPicklabilityRule
 
 for _builtin in (
     DeterminismRule(),
@@ -28,8 +26,6 @@ for _builtin in (
     ExceptionDisciplineRule(),
     ResourceHygieneRule(),
     AsyncAtomicityRule(),
-    DeterminismTaintRule(),
-    SpawnPicklabilityRule(),
 ):
     if _builtin.rule_id not in RULE_REGISTRY:
         register_rule(_builtin)
@@ -42,6 +38,4 @@ __all__ = [
     "ExceptionDisciplineRule",
     "ResourceHygieneRule",
     "AsyncAtomicityRule",
-    "DeterminismTaintRule",
-    "SpawnPicklabilityRule",
 ]

@@ -12,12 +12,29 @@ flags:
   :func:`repro.pools.spawn_pool`, which pins the spawn context);
 * any explicit ``get_context("fork")`` / ``get_context("forkserver")``
   and bare ``multiprocessing.Pool(...)`` (same fork default);
-* submitting un-picklable work: a ``lambda`` or a function *defined
-  inside the enclosing function* handed to ``submit``/``map`` of a
-  known process pool (a name bound from a pool constructor by
-  assignment or ``with ... as``).  Spawn workers re-import the job by
-  qualified name; only module-level callables survive the trip.
-  Thread pools are exempt — nothing pickles across a thread.
+* submitting work a spawn worker cannot unpickle.  Spawn workers
+  receive their work function by pickle, which serialises a callable as
+  its qualified name plus module, so anything that cannot be
+  re-imported by name fails at submit time or at the first
+  ``result()``: functions defined inside another function (closures),
+  names bound to ``lambda`` (the qualname is ``<lambda>``), and bound
+  methods of objects instantiated from a *locally defined* class.
+
+The job check resolves the argument of ``pool.submit(fn, ...)`` /
+``pool.map(fn, ...)`` / ``loop.run_in_executor(pool, fn, ...)`` through
+reaching definitions (what is ``fn`` bound to *on the paths reaching
+this call*?) and, when the name is imported or module-level, through
+the project call graph — naming the offending *definition* site in the
+message.  ``functools.partial(fn, ...)`` is unwrapped one level, and
+submissions inside a comprehension body are checked against the
+enclosing function's definitions.
+
+Pool receivers are recognised the same flow-aware way: a name whose
+reaching definitions include a ``ProcessPoolExecutor``/``spawn_pool``
+call (by assignment or ``with ... as``), or a ``self.X`` attribute the
+enclosing class assigns one to.  Thread pools are exempt — nothing
+pickles across a thread — and unresolvable names get the benefit of
+the doubt.
 
 Mutable module globals captured by workers are the same bug class but
 need whole-program analysis; keep worker inputs explicit (arguments,
@@ -28,10 +45,19 @@ immediately — a spawn worker simply does not see parent mutations.
 from __future__ import annotations
 
 import ast
-from typing import Set
+from typing import Dict, Optional, Set, Tuple
 
+from ..cfg import build_cfg
+from ..dataflow import (
+    Definition,
+    ReachingDefs,
+    comprehension_calls,
+    dotted_chain,
+    iter_events,
+    solve_forward,
+)
 from ..rules import LintRule
-from ..visitor import ModuleContext, attr_name
+from ..visitor import ModuleContext
 
 POOL_CONSTRUCTORS = {
     "concurrent.futures.ProcessPoolExecutor",
@@ -45,13 +71,17 @@ SPAWN_HELPERS = {
     "spawn_pool",
 }
 
+_SUBMIT_METHODS = {"submit", "map"}
+
 
 class PoolSafetyRule(LintRule):
     rule_id = "pool-safety"
     description = (
-        "process pools need an explicit spawn context and "
-        "module-level (picklable) work functions"
+        "process pools need an explicit spawn context and module-level "
+        "picklable work functions (no closures, lambdas or bound methods "
+        "of local objects)"
     )
+    requires_project = True
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
         name = ctx.resolve(node.func)
@@ -68,33 +98,6 @@ class PoolSafetyRule(LintRule):
                 "method (fork on Linux); build it from "
                 "get_context('spawn') instead",
             )
-            return
-        if attr_name(node.func) in {"submit", "map"}:
-            self._check_job(node, ctx)
-
-    def visit_Assign(self, node: ast.Assign, ctx: ModuleContext) -> None:
-        """Track names bound to process-pool constructors."""
-        if not self._is_pool_ctor(node.value, ctx):
-            return
-        pools: Set[str] = ctx.scratch("pool-safety:names", set)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                pools.add(target.id)
-
-    def visit_withitem(self, node: ast.withitem, ctx: ModuleContext) -> None:
-        """Track ``with ProcessPoolExecutor(...) as pool:`` bindings."""
-        if not self._is_pool_ctor(node.context_expr, ctx):
-            return
-        if isinstance(node.optional_vars, ast.Name):
-            pools: Set[str] = ctx.scratch("pool-safety:names", set)
-            pools.add(node.optional_vars.id)
-
-    @staticmethod
-    def _is_pool_ctor(node: ast.AST, ctx: ModuleContext) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        name = ctx.resolve(node.func)
-        return name in POOL_CONSTRUCTORS or name in SPAWN_HELPERS
 
     # ------------------------------------------------------------------
 
@@ -124,48 +127,240 @@ class PoolSafetyRule(LintRule):
                     "parent — use the 'spawn' context",
                 )
 
-    def _check_job(self, node: ast.Call, ctx: ModuleContext) -> None:
-        receiver = node.func.value if isinstance(node.func, ast.Attribute) else None
-        if not self._looks_like_pool(receiver, ctx):
-            return
-        if not node.args:
-            return
-        job = node.args[0]
+    # -- submitted jobs ------------------------------------------------
+
+    def analyze_module(self, ctx: ModuleContext, project) -> None:
+        self_pools = _class_self_pools(ctx)
+        module_info = project.module_info(ctx.rel_path) if project else None
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._check_function(
+                    node, ctx, project, module_info, self_pools
+                )
+
+    def _check_function(
+        self, func, ctx, project, module_info, self_pools
+    ) -> None:
+        pool_attrs = self_pools.get(ctx.enclosing_class(func), set())
+        local_classes = {
+            n.name for n in ast.walk(func)
+            if isinstance(n, ast.ClassDef)
+        }
+
+        cfg = build_cfg(func)
+        rd = ReachingDefs(func)
+        in_states = solve_forward(cfg, rd)
+
+        reported: Set[Tuple[int, int]] = set()
+        for bid in sorted(in_states):
+            state = in_states[bid]
+            for element in cfg.block(bid).elements:
+                calls = [
+                    (event.node, state)
+                    for event in iter_events(element)
+                    if event.kind == "call"
+                ]
+                calls += [
+                    (call, {**state, **bound})
+                    for call, bound in comprehension_calls(element)
+                ]
+                for call, scope in calls:
+                    job = self._submitted_job(
+                        call, ctx, scope, pool_attrs
+                    )
+                    if job is None:
+                        continue
+                    key = (call.lineno, call.col_offset)
+                    if key in reported:
+                        continue
+                    if self._flag_job(
+                        job, call, ctx, scope, project, module_info,
+                        local_classes, func,
+                    ):
+                        reported.add(key)
+                state = rd.transfer_element(element, state)
+
+    # -- receiver recognition ------------------------------------------
+
+    def _submitted_job(
+        self, call: ast.Call, ctx, state, pool_attrs
+    ) -> Optional[ast.expr]:
+        """The work-function expression, when *call* submits to a
+        process pool; None otherwise."""
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            return None
+        if func.attr in _SUBMIT_METHODS:
+            if not call.args:
+                return None
+            if self._is_pool(func.value, ctx, state, pool_attrs):
+                return call.args[0]
+            return None
+        if func.attr == "run_in_executor":
+            if len(call.args) < 2:
+                return None
+            if self._is_pool(call.args[0], ctx, state, pool_attrs):
+                return call.args[1]
+        return None
+
+    def _is_pool(self, expr: ast.expr, ctx, state, pool_attrs) -> bool:
+        if isinstance(expr, ast.Call):
+            return self._is_pool_ctor(expr, ctx)
+        if isinstance(expr, ast.Name):
+            defs = state.get(expr.id, frozenset())
+            return any(
+                isinstance(d.value, ast.Call)
+                and self._is_pool_ctor(d.value, ctx)
+                for d in defs
+            )
+        chain = dotted_chain(expr)
+        if chain is not None and chain.startswith("self."):
+            return chain[len("self."):] in pool_attrs
+        return False
+
+    @staticmethod
+    def _is_pool_ctor(call: ast.Call, ctx) -> bool:
+        name = ctx.resolve(call.func)
+        return name in POOL_CONSTRUCTORS or name in SPAWN_HELPERS
+
+    # -- job classification --------------------------------------------
+
+    def _flag_job(
+        self, job, call, ctx, state, project, module_info,
+        local_classes, func,
+    ) -> bool:
+        """Report and return True when *job* cannot pickle by name."""
         if isinstance(job, ast.Lambda):
             self.report(
-                ctx, node,
-                "lambdas do not pickle; pool work functions must be "
-                "module-level callables",
+                ctx, call,
+                f"the lambda defined at line {job.lineno} is submitted to "
+                "a spawn pool; lambdas pickle by qualname '<lambda>', "
+                "which the worker cannot re-import — define a "
+                "module-level function",
             )
-            return
-        if isinstance(job, ast.Name) and job.id in self._nested_defs(ctx):
-            self.report(
-                ctx, node,
-                f"{job.id!r} is defined inside a function and will not "
-                "pickle across the process boundary; hoist it to module "
-                "level",
+            return True
+
+        if isinstance(job, ast.Call):
+            resolved = ctx.resolve(job.func)
+            if resolved in {"functools.partial", "partial"} and job.args:
+                return self._flag_job(
+                    job.args[0], call, ctx, state, project, module_info,
+                    local_classes, func,
+                )
+            return False
+
+        if isinstance(job, ast.Name):
+            return self._flag_name(
+                job, call, ctx, state, project, module_info
             )
 
-    @staticmethod
-    def _looks_like_pool(receiver, ctx: ModuleContext) -> bool:
-        """Only names *known* to hold process pools (assignment/with
-        tracking) qualify: the pickling constraint is specific to the
-        process boundary, and a name heuristic would misfire on
-        ThreadPoolExecutor, where lambdas are fine."""
-        pools: Set[str] = ctx.scratch("pool-safety:names", set)
-        return isinstance(receiver, ast.Name) and receiver.id in pools
-
-    @staticmethod
-    def _nested_defs(ctx: ModuleContext) -> Set[str]:
-        """Names of functions defined inside the current function."""
-        frame = ctx.current_function
-        if frame is None:
-            return set()
-        nested: Set[str] = set()
-        for child in ast.walk(frame.node):
+        chain = dotted_chain(job)
+        if chain is None or "." not in chain:
+            return False
+        root, rest = chain.split(".", 1)
+        if root == "self":
+            return False  # bound method of self: instance pickles if the
+            # class is importable, which a module-level class is
+        root_defs = state.get(root, frozenset())
+        for definition in sorted(root_defs, key=Definition.sort_key):
+            value = definition.value
             if (
-                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child is not frame.node
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in local_classes
             ):
-                nested.add(child.name)
-        return nested
+                self.report(
+                    ctx, call,
+                    f"{chain} is a bound method of an instance of "
+                    f"{value.func.id!r}, a class defined inside "
+                    f"{func.name!r} (line {definition.lineno}); local "
+                    "classes cannot be re-imported by the spawn worker — "
+                    "hoist the class to module level",
+                )
+                return True
+        return self._flag_project_lambda(
+            chain, chain, call, ctx, project, module_info
+        )
+
+    def _flag_name(
+        self, job: ast.Name, call, ctx, state, project, module_info
+    ) -> bool:
+        defs = state.get(job.id, frozenset())
+        for definition in sorted(defs, key=Definition.sort_key):
+            if definition.kind == "def":
+                self.report(
+                    ctx, call,
+                    f"{job.id!r} is defined at line {definition.lineno} "
+                    "inside the enclosing function; nested functions "
+                    "cannot be pickled to a spawn worker — hoist the def "
+                    "to module level",
+                )
+                return True
+            if definition.kind == "assign" and isinstance(
+                definition.value, ast.Lambda
+            ):
+                self.report(
+                    ctx, call,
+                    f"{job.id!r} is bound to a lambda at line "
+                    f"{definition.lineno}; lambdas pickle by qualname "
+                    "'<lambda>', which the worker cannot re-import — "
+                    "define a module-level function",
+                )
+                return True
+        if defs:
+            # Locally bound to something else (param, import, loop var…):
+            # imports resolve below; the rest get the benefit of the doubt.
+            if not all(d.kind == "import" for d in defs):
+                return False
+        return self._flag_project_lambda(
+            job.id, repr(job.id), call, ctx, project, module_info
+        )
+
+    def _flag_project_lambda(
+        self, dotted, shown, call, ctx, project, module_info
+    ) -> bool:
+        """Report and return True when the module-level or imported
+        *dotted* name resolves to a lambda in the project index."""
+        if project is None or module_info is None:
+            return False
+        info = project.resolve_name(
+            module_info.module, dotted, aliases=module_info.aliases
+        )
+        if info is None or info.kind != "lambda":
+            return False
+        self.report(
+            ctx, call,
+            f"{shown} resolves to a lambda bound at "
+            f"{info.rel_path}:{info.lineno}; its qualname is "
+            "'<lambda>', which the spawn worker cannot "
+            "re-import — make it a def",
+        )
+        return True
+
+
+def _class_self_pools(ctx: ModuleContext) -> Dict[str, Set[str]]:
+    """Class name → attribute names it binds to process-pool calls
+    (``self.pool = spawn_pool(...)`` anywhere in the class body)."""
+    result: Dict[str, Set[str]] = {}
+    for cls in ast.walk(ctx.tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        attrs: Set[str] = set()
+        for node in ast.walk(cls):
+            if not isinstance(node, ast.Assign):
+                continue
+            if not isinstance(node.value, ast.Call):
+                continue
+            name = ctx.resolve(node.value.func)
+            if name not in POOL_CONSTRUCTORS and name not in SPAWN_HELPERS:
+                continue
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    attrs.add(target.attr)
+        if attrs:
+            result[cls.name] = attrs
+    return result

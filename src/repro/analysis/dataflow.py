@@ -221,6 +221,47 @@ def _expr_events(expr: ast.expr, force_load: bool = False) -> Iterator[Event]:
             yield from _expr_events(child)
 
 
+def comprehension_calls(
+    element: Element,
+) -> Iterator[Tuple[ast.Call, State]]:
+    """Calls in the comprehension bodies of one CFG element.
+
+    :func:`iter_events` stops at a comprehension's first iterable, since
+    the body runs in the comprehension's own scope; but that body still
+    runs as part of this element (a generator's, once consumed).  Each
+    call comes with the names the enclosing comprehensions bind, as a
+    state of ``"for"`` definitions to lay over the function's reaching
+    definitions.  Lambdas and statement bodies are skipped: they run
+    elsewhere.
+    """
+    if isinstance(element, BranchTest):
+        root: ast.AST = element.expr
+    elif isinstance(element, LoopHeader):
+        root = element.node.iter
+    else:
+        root = element
+    seen = {id(event.node) for event in iter_events(element)}
+    for call, bound in _comprehension_calls(root, None):
+        if id(call) not in seen:
+            yield call, bound
+
+
+def _comprehension_calls(node: ast.AST, bound):
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                         ast.GeneratorExp)):
+        bound = dict(bound or {})
+        for generator in node.generators:
+            for name, target in _target_names(generator.target):
+                bound[name] = frozenset({Definition(
+                    name, "for", target.lineno, target.col_offset
+                )})
+    elif isinstance(node, ast.Call) and bound is not None:
+        yield node, bound
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.stmt, ast.Lambda)):
+            yield from _comprehension_calls(child, bound)
+
+
 # ---------------------------------------------------------------------------
 # Generic forward solver
 # ---------------------------------------------------------------------------
@@ -455,6 +496,7 @@ def _target_names(target: ast.expr) -> Iterator[Tuple[str, ast.expr]]:
 __all__ = [
     "Event",
     "iter_events",
+    "comprehension_calls",
     "dotted_chain",
     "MUTATING_METHODS",
     "ForwardAnalysis",

@@ -33,10 +33,9 @@ class LintRule:
     """One named static-analysis rule.
 
     Subclasses set :attr:`rule_id` and :attr:`description`, then define
-    ``visit_<NodeType>`` hooks.  Rules are stateless across files: all
-    per-file state lives on the :class:`~repro.analysis.visitor.ModuleContext`
-    handed to every hook (rules needing scratch state key it off the
-    context via :meth:`ModuleContext.scratch`).
+    ``visit_<NodeType>`` hooks and/or :meth:`analyze_module`.  Rules are
+    stateless across files: all per-file state lives on the
+    :class:`~repro.analysis.visitor.ModuleContext` handed to every hook.
     """
 
     #: Registry id; kebab-case, must be unique.

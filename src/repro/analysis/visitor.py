@@ -9,10 +9,11 @@ parsed tree plus the derived facts rules keep needing:
   default_rng``, ``time.sleep``) no matter how the module was imported;
 * **scope tracking** — a stack of module/class/function frames, so rules
   can ask "am I inside an ``async def``?" (:attr:`in_async`) or "which
-  class/method am I in?" without re-walking;
-* **parent links** — ``parent(node)`` / ``ancestors(node)``, used by
-  rules that care about *where* an expression sits (``open(...)`` as a
-  ``with`` context manager vs. a bare call).
+  function am I in?" without re-walking;
+* **parent links** — ``parent(node)`` / ``ancestors(node)`` /
+  ``enclosing_class(func)``, used by rules that care about *where* a
+  node sits (``open(...)`` as a ``with`` context manager vs. a bare
+  call, a function as a method of some class).
 
 The :class:`Walker` drives a single pass over the tree, keeping the
 scope stack current and dispatching each node to every active rule that
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .findings import Finding
 
@@ -48,7 +49,6 @@ class ModuleContext:
         self.tree = tree
         self.config = config
         self.findings: List[Finding] = []
-        self._scratch: Dict[str, object] = {}
         self.scopes: List[ScopeFrame] = [
             ScopeFrame("module", rel_path, tree)
         ]
@@ -62,12 +62,6 @@ class ModuleContext:
 
     def add_finding(self, finding: Finding) -> None:
         self.findings.append(finding)
-
-    def scratch(self, key: str, default_factory):
-        """Per-file scratch storage for rules that accumulate state."""
-        if key not in self._scratch:
-            self._scratch[key] = default_factory()
-        return self._scratch[key]
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -85,15 +79,6 @@ class ModuleContext:
         return None
 
     @property
-    def current_class(self) -> Optional[ScopeFrame]:
-        for frame in reversed(self.scopes):
-            if frame.kind == "class":
-                return frame
-            if frame.kind == "module":
-                return None
-        return None
-
-    @property
     def in_async(self) -> bool:
         """True when the innermost enclosing function is ``async def``.
 
@@ -105,11 +90,6 @@ class ModuleContext:
         frame = self.current_function
         return frame is not None and frame.is_async
 
-    def qualname(self) -> str:
-        """Dotted class/function path of the current scope."""
-        parts = [f.name for f in self.scopes[1:] if f.kind != "lambda"]
-        return ".".join(parts)
-
     # -- tree navigation ----------------------------------------------
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
@@ -120,6 +100,16 @@ class ModuleContext:
         while current is not None:
             yield current
             current = self.parent(current)
+
+    def enclosing_class(self, func: ast.AST) -> Optional[str]:
+        """Name of the class whose body defines *func* (None for a
+        module-level or nested function)."""
+        for ancestor in self.ancestors(func):
+            if isinstance(ancestor, ast.ClassDef):
+                return ancestor.name
+            if isinstance(ancestor, _FUNCTION_NODES):
+                return None
+        return None
 
     # -- name resolution ----------------------------------------------
 
@@ -150,11 +140,6 @@ def attr_name(func: ast.AST) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def call_name(ctx: ModuleContext, node: ast.Call) -> Optional[str]:
-    """Resolved dotted name of *node*'s callee (None when dynamic)."""
-    return ctx.resolve(node.func)
 
 
 def _collect_aliases(tree: ast.Module) -> Dict[str, str]:

@@ -40,9 +40,10 @@ from .request import CompilationReport, CompilationRequest
 #: v2: machine signatures carry topology parameters and per-target
 #: latency models (declarative target-description API).
 #: v3: scheduler configs carry the II-search policy fields (search,
-#: search_workers, thrash_cap_ratio) and the default policy is adaptive,
+#: pool width, thrash_cap_ratio) and the default policy is adaptive,
 #: whose emitted schedules may differ bit-wise from the ladder's.
-CACHE_SCHEMA_VERSION = 3
+#: v4: scheduler configs drop the II-search pool width.
+CACHE_SCHEMA_VERSION = 4
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,8 @@ class CompilationRequest:
             including ``DEFAULT_LATENCIES`` itself — wins over the
             target's.
         config: scheduler tunables, including the II-search policy
-            (``config.search``: ``"adaptive"``/``"ladder"``/
-            ``"portfolio"`` — see :mod:`repro.scheduling.search`); part
+            (``config.search``: ``"adaptive"`` or ``"ladder"`` — see
+            :mod:`repro.scheduling.search`); part
             of the cache key, so reports compiled under different
             policies never alias.
         unroll: explicit unroll factor; ``None`` picks it automatically.

@@ -529,7 +529,7 @@ def _search_arg(parser: argparse.ArgumentParser, help: Optional[str] = None) -> 
         "--search",
         type=str,
         default=None,
-        choices=("ladder", "adaptive", "portfolio"),
+        choices=("ladder", "adaptive"),
         help=help or "II-search policy (default: the scheduler default, adaptive)",
     )
 

@@ -8,7 +8,6 @@ can vary them without touching algorithm code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .errors import SchedulingError
 
@@ -31,11 +30,8 @@ class SchedulerConfig:
         search: II-search policy (see ``repro.scheduling.search``):
             ``"adaptive"`` (default — galloping ladder with incumbent
             bisection, failure-evidence seeding and futility cutoffs),
-            ``"ladder"`` (the seed's exhaustive walk, bit-identical
-            schedules) or ``"portfolio"`` (ladder with each rung's
-            restarts fanned across a process pool).
-        search_workers: process-pool width for the ``portfolio`` policy
-            (``None`` = cores - 1).
+            or ``"ladder"`` (the seed's exhaustive walk, bit-identical
+            schedules).
         thrash_cap_ratio: ``adaptive`` futility cutoff — an attempt is
             abandoned once one operation has been re-popped more than
             ``thrash_cap_ratio * budget_ratio`` times.  The default cap
@@ -59,7 +55,6 @@ class SchedulerConfig:
     max_ii_extra: int = 32
     restarts_per_ii: int = 3
     search: str = "adaptive"
-    search_workers: Optional[int] = None
     thrash_cap_ratio: int = 8
     chain_combo_cap: int = 16
     chain_score_all_clusters: bool = True
@@ -74,13 +69,11 @@ class SchedulerConfig:
             raise SchedulingError("invalid II search bounds")
         if self.restarts_per_ii < 1:
             raise SchedulingError("restarts_per_ii must be >= 1")
-        if self.search not in ("ladder", "adaptive", "portfolio"):
+        if self.search not in ("ladder", "adaptive"):
             raise SchedulingError(
                 f"unknown search policy {self.search!r}; choose from "
-                "('ladder', 'adaptive', 'portfolio')"
+                "('ladder', 'adaptive')"
             )
-        if self.search_workers is not None and self.search_workers < 1:
-            raise SchedulingError("search_workers must be >= 1 or None")
         if self.thrash_cap_ratio < 1:
             raise SchedulingError("thrash_cap_ratio must be >= 1")
         if self.chain_combo_cap < 1:

@@ -17,15 +17,18 @@ Spawned workers start from a clean interpreter, so process-wide state
 armed in the parent — in particular a programmatically installed
 :class:`repro.faults.FaultPlan` — would silently vanish in the pool.
 :func:`spawn_pool` therefore forwards the parent's active fault plan
-through the worker initializer (composing with any caller-supplied
-initializer), so a fault-armed daemon's workers crash on schedule too.
+through the worker initializer, so a fault-armed daemon's workers crash
+on schedule too.
+
+Every pool here parallelises across loops — batch compiles, the
+daemon's compile pool, the oracle's matrix — never across the attempts
+of one loop's II search.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Optional, Tuple
 
 from . import faults
 
@@ -35,33 +38,12 @@ def spawn_context() -> multiprocessing.context.SpawnContext:
     return multiprocessing.get_context("spawn")
 
 
-def _arm_then_init(
-    spec: str,
-    seed: int,
-    inner: Optional[Callable[..., Any]],
-    inner_args: Tuple[Any, ...],
-) -> None:
-    """Worker initializer: arm the parent's fault plan, then chain."""
-    faults.install_from_spec(spec, seed)
-    if inner is not None:
-        inner(*inner_args)
-
-
-def spawn_pool(
-    max_workers: int,
-    *,
-    initializer: Optional[Callable[..., Any]] = None,
-    initargs: Tuple[Any, ...] = (),
-) -> ProcessPoolExecutor:
+def spawn_pool(max_workers: int) -> ProcessPoolExecutor:
     """A ``ProcessPoolExecutor`` pinned to the spawn start method."""
     plan = faults.active()
+    initializer, initargs = None, ()
     if plan is not None and plan.rules:
-        initializer, initargs = _arm_then_init, (
-            plan.spec,
-            plan.seed,
-            initializer,
-            initargs,
-        )
+        initializer, initargs = faults.install_from_spec, (plan.spec, plan.seed)
     return ProcessPoolExecutor(
         max_workers=max_workers,
         mp_context=spawn_context(),

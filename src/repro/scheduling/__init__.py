@@ -18,7 +18,6 @@ from .search import (
     AttemptRunner,
     FailureEvidence,
     LadderPolicy,
-    PortfolioPolicy,
     SearchOutcome,
     SearchPolicy,
     get_search_policy,
@@ -62,7 +61,6 @@ __all__ = [
     "AttemptRunner",
     "FailureEvidence",
     "LadderPolicy",
-    "PortfolioPolicy",
     "SearchOutcome",
     "SearchPolicy",
     "get_search_policy",

@@ -172,16 +172,6 @@ class DMSAttemptRunner(AttemptRunner):
             evidence=attempt.failure_evidence() if schedule is None else None,
         )
 
-    def portfolio_payload(self) -> tuple:
-        scheduler = self.scheduler
-        return (
-            "dms",
-            scheduler.machine,
-            scheduler.latencies,
-            scheduler.config,
-            self.ddg,
-        )
-
 
 class _Attempt:
     """State of one II attempt (schedule, chains, budget)."""
@@ -256,7 +246,7 @@ class _Attempt:
         budget = self.config.budget_ratio * len(self.work)
         limits = self.limits
         if limits is None:
-            # Reference path (ladder/portfolio): the seed loop, verbatim.
+            # Reference path (ladder): the seed loop, verbatim.
             while self.unscheduled and budget > 0:
                 budget -= 1
                 self.stats.budget_used += 1

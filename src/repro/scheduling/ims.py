@@ -54,8 +54,7 @@ class IterativeModuloScheduler:
         The II walk is delegated to the search policy named by
         ``config.search`` (see :mod:`repro.scheduling.search`).  IMS is
         deterministic per II — there is no restart salt — so a rung is
-        one attempt and the ``portfolio`` policy degenerates to the
-        serial ladder.
+        one attempt.
         """
         if len(ddg) == 0:
             raise SchedulingError(f"loop {ddg.name!r} has no operations")
@@ -212,14 +211,4 @@ class IMSAttemptRunner(AttemptRunner):
             placements=schedule.placements() if schedule is not None else None,
             work=self.ddg,
             stats=stats,
-        )
-
-    def portfolio_payload(self) -> tuple:
-        scheduler = self.scheduler
-        return (
-            "ims",
-            scheduler.machine,
-            scheduler.latencies,
-            scheduler.config,
-            self.ddg,
         )

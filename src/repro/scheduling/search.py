@@ -16,15 +16,11 @@ objects over an :class:`AttemptRunner` protocol the schedulers provide:
   Attempts run under :class:`AttemptLimits` futility cutoffs, and
   failed probes hand :class:`FailureEvidence` to the next probe's
   cluster-preference seeding.
-* ``portfolio`` — the ladder walk with each rung's restart attempts
-  fanned across a process pool (for batch compiles on idle cores); the
-  lowest-salt success wins, so the result is identical to ``ladder``.
 
-II contract: ``ladder`` defines the reference II.  ``portfolio`` matches
-it (and its schedule) by construction.  ``adaptive`` confirms every rung
-below its incumbent with the ladder's own salt sequence, so it can be
-*worse* than the ladder only when a futility cutoff aborts an attempt
-the ladder would have finished successfully — the default
+II contract: ``ladder`` defines the reference II.  ``adaptive`` confirms
+every rung below its incumbent with the ladder's own salt sequence, so
+it can be *worse* than the ladder only when a futility cutoff aborts an
+attempt the ladder would have finished successfully — the default
 ``thrash_cap_ratio`` leaves ~2x headroom over the largest thrash ever
 observed in a successful attempt.  It can be *better* (lower II) when an
 evidence-seeded probe succeeds at a rung where every plain ladder salt
@@ -39,7 +35,6 @@ order in which attempts are asked for and how their stats aggregate.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -50,7 +45,7 @@ from .result import SchedulerStats
 from .schedule import Placement
 
 #: Registered search-policy names (mirrors ``SchedulerConfig.search``).
-SEARCH_POLICY_NAMES: Tuple[str, ...] = ("ladder", "adaptive", "portfolio")
+SEARCH_POLICY_NAMES: Tuple[str, ...] = ("ladder", "adaptive")
 
 #: Re-pops of one op beyond which a failed attempt reports it as "hot".
 _HOT_POP_THRESHOLD = 4
@@ -104,9 +99,7 @@ class AttemptOutcome:
 
     ``placements``/``work`` describe the finished schedule on success
     (``placements is None`` means failure); ``stats`` covers only this
-    attempt, so policies can aggregate without double counting.  The
-    fields are plain values (no :class:`PartialSchedule`), which keeps
-    outcomes picklable for the ``portfolio`` process pool.
+    attempt, so policies can aggregate without double counting.
     """
 
     ii: int
@@ -162,12 +155,6 @@ class AttemptRunner:
         evidence: Optional[FailureEvidence] = None,
     ) -> AttemptOutcome:
         raise NotImplementedError
-
-    def portfolio_payload(self) -> Optional[tuple]:
-        """Picklable ``(kind, machine, latencies, config, ddg)`` spec for
-        re-creating this runner in a pool worker, or ``None`` when the
-        runner cannot cross a process boundary."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -368,123 +355,10 @@ class AdaptivePolicy(SearchPolicy):
         return tally.outcome(incumbent)
 
 
-def _runner_from_payload(payload: tuple) -> AttemptRunner:
-    """Rebuild an :class:`AttemptRunner` from its picklable payload."""
-    kind, machine, latencies, config, ddg = payload
-    if kind == "dms":
-        from .dms import DistributedModuloScheduler
-
-        return DistributedModuloScheduler(
-            machine, latencies, config
-        ).attempt_runner(ddg)
-    if kind == "ims":
-        from .ims import IterativeModuloScheduler
-
-        return IterativeModuloScheduler(
-            machine, latencies, config
-        ).attempt_runner(ddg)
-    # pragma: no cover - payload is produced by the runners
-    raise SchedulingError(f"unknown portfolio runner kind {kind!r}")
-
-
-#: Per-worker runner built by :func:`_pool_initializer`; lives for the
-#: whole pool so the runner's cross-rung height caches stay warm too.
-_POOL_RUNNER: Optional[AttemptRunner] = None
-
-
-def _pool_initializer(payload: tuple) -> None:
-    """Portfolio pool initializer: build the attempt runner once per
-    worker process instead of re-pickling (machine, config, DDG) with
-    every attempt job."""
-    global _POOL_RUNNER
-    _POOL_RUNNER = _runner_from_payload(payload)
-
-
-def _pool_attempt(job: tuple) -> AttemptOutcome:
-    """Portfolio pool worker: run one plain attempt on the resident
-    runner (jobs carry only ``(ii, salt)``)."""
-    ii, salt = job
-    if _POOL_RUNNER is None:  # pragma: no cover - defensive
-        raise SchedulingError("portfolio pool worker has no resident runner")
-    return _POOL_RUNNER.run(ii, salt)
-
-
-class PortfolioPolicy(SearchPolicy):
-    """Ladder walk with each rung's restarts fanned across processes.
-
-    Every salt of a rung is evaluated (in parallel when a pool is
-    available, serially otherwise — same attempts either way, so the
-    stats are mode-independent) and the lowest-salt success wins, which
-    is exactly the attempt the serial ladder would have returned.  The
-    trade: salts that the ladder would have skipped after an early
-    success are still paid for, in exchange for rung latency equal to
-    the slowest single attempt.  Worth it in batch compiles with idle
-    cores; pointless for ``restarts_per_ii=1`` machines (IMS), where it
-    degenerates to the serial ladder.
-
-    Each executed attempt is tallied exactly once — the winner's stats
-    are not re-merged when it is promoted to the result.
-    """
-
-    name = "portfolio"
-
-    def search(self, runner: AttemptRunner, mii: int, config) -> SearchOutcome:
-        max_ii = config.max_ii(mii)
-        salts = runner.restarts_per_rung
-        payload = runner.portfolio_payload()
-        workers = config.search_workers
-        if workers is None:
-            import os
-
-            workers = max(1, (os.cpu_count() or 2) - 1)
-        workers = min(workers, salts)
-        pool = None
-        if workers > 1 and salts > 1 and payload is not None:
-            try:
-                from ..pools import spawn_pool
-
-                # The initializer rebuilds the runner once per worker;
-                # attempt jobs then carry only (ii, salt), so neither the
-                # graph nor the machine crosses the pipe per attempt.
-                pool = spawn_pool(
-                    workers,
-                    initializer=_pool_initializer,
-                    initargs=(payload,),
-                )
-            except OSError:  # pragma: no cover - depends on the host
-                pool = None
-        tally = _Tally()
-        try:
-            for ii in range(mii, max_ii + 1):
-                jobs = [(ii, salt) for salt in range(salts)]
-                if pool is not None:
-                    try:
-                        outcomes = list(pool.map(_pool_attempt, jobs))
-                    except (OSError, MemoryError, BrokenExecutor):  # pragma: no cover
-                        pool.shutdown(wait=False)
-                        pool = None
-                        outcomes = [
-                            runner.run(ii, salt) for salt in range(salts)
-                        ]
-                else:
-                    outcomes = [runner.run(ii, salt) for salt in range(salts)]
-                winner = None
-                for outcome in outcomes:
-                    tally.add(outcome)
-                    if winner is None and outcome.ok:
-                        winner = outcome
-                if winner is not None:
-                    return tally.outcome(winner)
-            raise IIOverflowError(runner.loop_name, max_ii)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-
 #: Shared policy instances (policies are stateless between searches).
 SEARCH_POLICIES: Dict[str, SearchPolicy] = {
     policy.name: policy
-    for policy in (LadderPolicy(), AdaptivePolicy(), PortfolioPolicy())
+    for policy in (LadderPolicy(), AdaptivePolicy())
 }
 
 

@@ -339,6 +339,13 @@ class ServiceClient:
             )
         return document
 
+    def _request(self, method: str, path: str, payload=None, retry_busy=None):
+        """:meth:`_roundtrip`, raising :class:`ServiceError` on 4xx/5xx."""
+        status, headers, document = self._roundtrip(
+            method, path, payload, retry_busy
+        )
+        return self._expect_ok(status, document, headers)
+
     # ------------------------------------------------------------------
     # API calls
     # ------------------------------------------------------------------
@@ -353,8 +360,7 @@ class ServiceClient:
 
     def metrics(self) -> Dict[str, object]:
         """The full ``/metrics`` snapshot."""
-        status, headers, document = self._roundtrip("GET", "/metrics")
-        return self._expect_ok(status, document, headers)
+        return self._request("GET", "/metrics")
 
     def compile(self, payload: Dict[str, object], wait: bool = True) -> Dict[str, object]:
         """Submit one compile payload (see :mod:`repro.service.jobs`).
@@ -366,8 +372,7 @@ class ServiceClient:
         body = dict(payload)
         if not wait:
             body["wait"] = False
-        status, headers, document = self._roundtrip("POST", "/compile", body)
-        return self._expect_ok(status, document, headers)
+        return self._request("POST", "/compile", body)
 
     def compile_request(
         self, request, priority: str = "normal", **extra
@@ -378,8 +383,7 @@ class ServiceClient:
 
     def job(self, job_id: int) -> Dict[str, object]:
         """Status document for one job id."""
-        status, headers, document = self._roundtrip("GET", f"/jobs/{job_id}")
-        return self._expect_ok(status, document, headers)
+        return self._request("GET", f"/jobs/{job_id}")
 
     def events(self, job_id: int, since: int = 0) -> Iterator[Dict[str, object]]:
         """Stream a job's events until it reaches a terminal state.
@@ -478,21 +482,18 @@ class ServiceClient:
 
     def sweeps(self) -> Dict[str, object]:
         """Every sweep the coordinator remembers: ``{"sweeps": [...]}``."""
-        status, headers, document = self._roundtrip("GET", "/sweeps")
-        return self._expect_ok(status, document, headers)
+        return self._request("GET", "/sweeps")
 
     def submit_sweep(self, spec: Dict[str, object]) -> Dict[str, object]:
         """Submit one sweep spec; idempotent on the spec's content hash."""
-        status, headers, document = self._roundtrip("POST", "/sweeps", spec)
-        return self._expect_ok(status, document, headers)
+        return self._request("POST", "/sweeps", spec)
 
     def sweep(self, sweep_id: str, jobs: bool = False) -> Dict[str, object]:
         """One sweep's status (``jobs=True`` adds the per-job detail)."""
         path = f"/sweeps/{sweep_id}"
         if jobs:
             path += "?jobs=1"
-        status, headers, document = self._roundtrip("GET", path)
-        return self._expect_ok(status, document, headers)
+        return self._request("GET", path)
 
     def sweep_results(
         self,
@@ -512,8 +513,7 @@ class ServiceClient:
         path = f"/sweeps/{sweep_id}/results"
         if params:
             path += "?" + "&".join(params)
-        status, headers, document = self._roundtrip("GET", path)
-        return self._expect_ok(status, document, headers)
+        return self._request("GET", path)
 
     def sweep_claim(
         self, sweep_id: str, worker: str, count: int = 1
@@ -523,36 +523,33 @@ class ServiceClient:
         *count* is the worker's own self-scheduling chunk size — see
         :func:`repro.service.sweep.chunk_size`.
         """
-        status, headers, document = self._roundtrip(
+        return self._request(
             "POST",
             f"/sweeps/{sweep_id}/claim",
             {"worker": worker, "count": int(count)},
         )
-        return self._expect_ok(status, document, headers)
 
     def sweep_heartbeat(
         self, sweep_id: str, worker: str, chunk: str
     ) -> Dict[str, object]:
         """Extend one chunk's lease (worker verb; never busy-retried —
         a heartbeat is only useful now)."""
-        status, headers, document = self._roundtrip(
+        return self._request(
             "POST",
             f"/sweeps/{sweep_id}/heartbeat",
             {"worker": worker, "chunk": chunk},
             retry_busy=False,
         )
-        return self._expect_ok(status, document, headers)
 
     def sweep_complete(
         self, sweep_id: str, worker: str, chunk: str, results
     ) -> Dict[str, object]:
         """Deliver one chunk's results (worker verb; idempotent)."""
-        status, headers, document = self._roundtrip(
+        return self._request(
             "POST",
             f"/sweeps/{sweep_id}/complete",
             {"worker": worker, "chunk": chunk, "results": list(results)},
         )
-        return self._expect_ok(status, document, headers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ServiceClient {self.host}:{self.port}>"

@@ -23,7 +23,7 @@ def deadlines(timeout):
     # early or hangs them, and a timestamp has no legitimate use on a
     # bit-identity path).  The monotonic clocks are *not* syntactically
     # banned any more: deadline arithmetic never reaches a result
-    # value, and the flows that do are determinism-taint's job.
+    # value, and the flows that do are reported at their sinks.
     expires = time.time() + timeout  # EXPECT: determinism
     remaining = time.monotonic() - timeout  # ok: deadline arithmetic
     while time.monotonic_ns() < remaining:  # ok: comparison only

@@ -1,12 +1,12 @@
-"""determinism-taint fixture: nondeterministic flows into hash sinks.
+"""determinism fixture, flow half: nondeterministic flows into hash sinks.
 
 Never imported — only parsed under a config that puts this file on the
-determinism paths.  The marked lines are *sinks* reached by a tracked
-value (the flow-sensitive rule reports where the value lands, not where
-it was born); wall-clock source lines additionally carry the syntactic
-``determinism`` marker, which stays responsible for the sampling site
-itself.  The unmarked flows are the ones the old syntactic ban used to
-force suppressions for: deadline arithmetic that only feeds
+determinism paths.  Most marked lines are *sinks* reached by a tracked
+value (the flow check reports where the value lands, not where it was
+born); wall-clock and global-RNG source lines are marked too, because
+the call-site check reports the sampling site itself.  The unmarked
+flows are the ones a call-site ban alone would force suppressions
+for: deadline arithmetic on a monotonic clock that only feeds
 comparisons, and explicitly seeded generators.
 """
 
@@ -30,12 +30,12 @@ def canonical(value):
 def direct_flow(name):
     started = time.monotonic()
     tag = f"{started}:{name}"
-    return hashlib.sha256(tag.encode())  # EXPECT: determinism-taint
+    return hashlib.sha256(tag.encode())  # EXPECT: determinism
 
 
 def wall_clock_flow(name):
     now = time.time()  # EXPECT: determinism
-    return hashlib.sha256(f"{now}:{name}".encode())  # EXPECT: determinism-taint
+    return hashlib.sha256(f"{now}:{name}".encode())  # EXPECT: determinism
 
 
 def through_helpers(name):
@@ -43,7 +43,7 @@ def through_helpers(name):
     # digest() *forwards* its parameter into a sink.
     sample = stamp_ns()
     key = canonical(sample)
-    return digest(key)  # EXPECT: determinism-taint
+    return digest(key)  # EXPECT: determinism
 
 
 def hash_object_flow(items):
@@ -51,13 +51,13 @@ def hash_object_flow(items):
     started = time.monotonic()
     for item in items:
         state.update(canonical(item))  # ok: item is run-stable
-    state.update(canonical(started))  # EXPECT: determinism-taint
+    state.update(canonical(started))  # EXPECT: determinism
     return state.hexdigest()
 
 
 def rng_flow():
     draw = random.random()  # EXPECT: determinism
-    return hashlib.sha256(canonical(draw))  # EXPECT: determinism-taint
+    return hashlib.sha256(canonical(draw))  # EXPECT: determinism
 
 
 def deadline_only(timeout, work):

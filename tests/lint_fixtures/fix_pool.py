@@ -26,7 +26,7 @@ def fork_explicit(jobs):
 
 def lambda_job(jobs):
     with spawn_pool(2) as pool:
-        return list(pool.map(lambda item: item * 2, jobs))  # EXPECT: pool-safety, spawn-picklability
+        return list(pool.map(lambda item: item * 2, jobs))  # EXPECT: pool-safety
 
 
 def nested_job(jobs):

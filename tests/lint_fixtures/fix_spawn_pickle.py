@@ -1,4 +1,4 @@
-"""spawn-picklability fixture: pool jobs that cannot cross the boundary.
+"""pool-safety fixture: pool jobs that cannot cross the spawn boundary.
 
 Never imported — only parsed.  Spawn workers re-import their work
 function by module + qualname; the marked submissions hand over
@@ -33,18 +33,18 @@ def submit_closure(values):
         return x + offset
 
     with spawn_pool(2) as pool:
-        return pool.submit(shifted, 1)  # EXPECT: pool-safety, spawn-picklability
+        return pool.submit(shifted, 1)  # EXPECT: pool-safety
 
 
 def submit_local_lambda():
     fn = lambda x: x
     with spawn_pool(2) as pool:
-        return pool.submit(fn, 1)  # EXPECT: spawn-picklability
+        return pool.submit(fn, 1)  # EXPECT: pool-safety
 
 
 def submit_module_lambda(values):
     with spawn_pool(2) as pool:
-        return pool.map(as_lambda, values)  # EXPECT: spawn-picklability
+        return pool.map(as_lambda, values)  # EXPECT: pool-safety
 
 
 def submit_local_class_method():
@@ -54,7 +54,7 @@ def submit_local_class_method():
 
     worker = Worker()
     with spawn_pool(2) as pool:
-        return pool.submit(worker.run)  # EXPECT: spawn-picklability
+        return pool.submit(worker.run)  # EXPECT: pool-safety
 
 
 def submit_partial_of_closure(values):
@@ -62,7 +62,7 @@ def submit_partial_of_closure(values):
         return a + b
 
     with spawn_pool(2) as pool:
-        return pool.submit(functools.partial(combine, values))  # EXPECT: spawn-picklability
+        return pool.submit(functools.partial(combine, values))  # EXPECT: pool-safety
 
 
 async def run_in_executor_closure(loop):
@@ -70,7 +70,7 @@ async def run_in_executor_closure(loop):
         return 1
 
     with spawn_pool(2) as pool:
-        return await loop.run_in_executor(pool, job)  # EXPECT: spawn-picklability
+        return await loop.run_in_executor(pool, job)  # EXPECT: pool-safety
 
 
 def thread_pool_is_exempt(values):

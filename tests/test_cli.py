@@ -40,6 +40,12 @@ class TestSchedule:
         with pytest.raises(SystemExit):
             main(["schedule", "nonsense"])
 
+    def test_removed_portfolio_search_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["schedule", "dot_product", "--search", "portfolio"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'portfolio'" in capsys.readouterr().err
+
 
 class TestTarget:
     def test_target_list(self, capsys):

@@ -124,8 +124,7 @@ def test_rules_help_lists_all_rules(capsys):
     for rule_id in (
         "determinism", "async-blocking", "pool-safety", "cache-discipline",
         "exception-discipline", "resource-hygiene", "bad-suppression",
-        "parse-error", "async-atomicity", "determinism-taint",
-        "spawn-picklability",
+        "parse-error", "async-atomicity",
     ):
         assert rule_id in out
 

@@ -79,6 +79,29 @@ class TestSuppressions:
         assert any("justification" in m for m in messages)
         assert any("names no rule id" in m for m in messages)
 
+    @pytest.mark.parametrize(
+        "rule_id",
+        # The last two ids were merged into determinism and pool-safety.
+        ["not-a-rule", "determinism-taint", "spawn-picklability"],
+    )
+    def test_unknown_rule_id_is_a_bad_suppression(self, tmp_path, rule_id):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "import time\n\n\ndef stamp():\n"
+            f"    return time.time()  # repro: lint-ignore[{rule_id}]: old\n"
+        )
+        config = LintConfig(
+            root=tmp_path, paths=(".",), determinism_paths=("mod.py",)
+        )
+        rules = [get_rule(name) for name in registered_rules()]
+        findings, suppressed = lint_file(path, "mod.py", rules, config)
+        assert suppressed == 0
+        assert sorted(f.rule for f in findings) == [
+            BAD_SUPPRESSION, "determinism"
+        ]
+        (bad,) = [f for f in findings if f.rule == BAD_SUPPRESSION]
+        assert repr(rule_id) in bad.message
+
     def test_scan_requires_exact_marker(self):
         table = scan_suppressions(
             "mod.py",

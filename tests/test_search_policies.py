@@ -11,11 +11,11 @@ Four concerns:
 * **Policy semantics** — scripted fake runners pin the walk order, the
   gallop/bisect/confirm interplay and the minimality guarantee without
   paying for real scheduling.
-* **Overflow** — ``IIOverflowError`` carries the right fields under all
-  three policies.
+* **Overflow** — ``IIOverflowError`` carries the right fields under
+  both policies.
 * **Stats accounting** — aggregate :class:`SchedulerStats` equal the sum
-  over the attempt log under every policy (the portfolio must tally each
-  fanned attempt exactly once, no double counting of the winner).
+  over the attempt log under every policy (no double counting of the
+  winner).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.scheduling import (
     IterativeModuloScheduler,
     SchedulerStats,
     get_search_policy,
-    schedule_fingerprint,
 )
 from repro.scheduling.schedule import Placement
 from repro.validate import verify_compiled
@@ -176,8 +175,7 @@ class TestPolicySemantics:
             {(12, 0)},              # top of the range
         ):
             runner = ScriptedRunner(feasible)
-            config = SMALL_CONFIG.with_(search_workers=1)
-            outcome = get_search_policy(policy).search(runner, 4, config)
+            outcome = get_search_policy(policy).search(runner, 4, SMALL_CONFIG)
             expected = min(ii for ii, _ in feasible)
             assert outcome.ii == expected, (policy, feasible)
             assert outcome.trajectory[-1] == expected
@@ -218,11 +216,10 @@ class TestOverflow:
     @pytest.mark.parametrize("policy", SEARCH_POLICY_NAMES)
     def test_scripted_overflow_fields(self, policy):
         runner = ScriptedRunner(feasible=set())
-        config = SMALL_CONFIG.with_(search_workers=1)
         with pytest.raises(IIOverflowError) as excinfo:
-            get_search_policy(policy).search(runner, 4, config)
+            get_search_policy(policy).search(runner, 4, SMALL_CONFIG)
         assert excinfo.value.loop_name == "scripted"
-        assert excinfo.value.max_ii == config.max_ii(4) == 12
+        assert excinfo.value.max_ii == SMALL_CONFIG.max_ii(4) == 12
 
     @pytest.mark.parametrize("policy", SEARCH_POLICY_NAMES)
     def test_real_scheduler_overflow_or_valid_schedule(self, policy):
@@ -239,7 +236,6 @@ class TestOverflow:
             budget_ratio=1,
             restarts_per_ii=1,
             search=policy,
-            search_workers=1,
         )
         scheduler = DistributedModuloScheduler(clustered_vliw(2), config=config)
         loop = spread_loop(pairs=6)
@@ -292,7 +288,7 @@ class TestStatsAccounting:
         from repro.scheduling import compute_mii
 
         ddg = single_use_ddg(unroll_ddg(make_kernel("fir_filter", taps=8).ddg, 2))
-        config = SchedulerConfig(search=policy, search_workers=1)
+        config = SchedulerConfig(search=policy)
         machine = clustered_vliw(4)
         scheduler = DistributedModuloScheduler(machine, config=config)
         mii = compute_mii(ddg, machine, scheduler.latencies).mii
@@ -306,7 +302,7 @@ class TestStatsAccounting:
         from repro.scheduling import compute_mii
 
         ddg = unroll_ddg(make_kernel("fir_filter", taps=8).ddg, 4)
-        config = SchedulerConfig(search=policy, search_workers=1)
+        config = SchedulerConfig(search=policy)
         machine = unclustered_vliw(2)
         scheduler = IterativeModuloScheduler(machine, config=config)
         mii = compute_mii(ddg, machine, scheduler.latencies).mii
@@ -326,44 +322,3 @@ class TestStatsAccounting:
         assert stats.placements <= stats.budget_used
         assert result.ii_trajectory[-1] == result.ii
 
-
-# ----------------------------------------------------------------------
-# Portfolio: identical results, exactly-once tallying
-# ----------------------------------------------------------------------
-
-
-class TestPortfolio:
-    def test_portfolio_matches_ladder_bit_for_bit_serial(self):
-        ddg = single_use_ddg(make_kernel("complex_multiply").ddg)
-        fingerprints = {}
-        for policy in ("ladder", "portfolio"):
-            config = SchedulerConfig(search=policy, search_workers=1)
-            result = DistributedModuloScheduler(
-                clustered_vliw(8), config=config
-            ).schedule(ddg.copy())
-            fingerprints[policy] = schedule_fingerprint(result)
-        assert fingerprints["portfolio"] == fingerprints["ladder"]
-
-    def test_portfolio_matches_ladder_bit_for_bit_pooled(self):
-        ddg = single_use_ddg(make_kernel("fir_filter", taps=6).ddg)
-        fingerprints = {}
-        for policy, workers in (("ladder", None), ("portfolio", 2)):
-            config = SchedulerConfig(search=policy, search_workers=workers)
-            result = DistributedModuloScheduler(
-                clustered_vliw(4), config=config
-            ).schedule(ddg.copy())
-            fingerprints[policy] = schedule_fingerprint(result)
-        assert fingerprints["portfolio"] == fingerprints["ladder"]
-
-    def test_portfolio_tallies_every_salt_once(self):
-        # One infeasible rung forces a full fan-out before the success.
-        runner = ScriptedRunner(feasible={(5, 0), (5, 1)})
-        config = SMALL_CONFIG.with_(search_workers=1)
-        outcome = get_search_policy("portfolio").search(runner, 4, config)
-        assert outcome.ii == 5
-        # All three salts of both rungs ran, each tallied exactly once.
-        assert sorted(runner.calls) == [
-            (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)
-        ]
-        _check_accounting(outcome)
-        assert outcome.stats.budget_used == 6 * 10

@@ -447,10 +447,17 @@ def test_http_error_surfaces():
         with pytest.raises(ServiceError) as bad_kernel:
             client.compile({"kernel": "not_a_kernel"})
         assert bad_kernel.value.status == 400
-        # Scheduler-level failure -> 422.
-        with pytest.raises(ServiceError) as bad_config:
-            client.compile({"kernel": "daxpy", "config": {"search": "nope"}})
-        assert bad_config.value.status == 400
+        # Invalid config values and unknown config fields -> 400; the
+        # removed portfolio policy and its pool width are both rejected.
+        for config, reason in (
+            ({"search": "nope"}, "unknown search policy"),
+            ({"search": "portfolio"}, "unknown search policy"),
+            ({"search_workers": 2}, "unknown config fields: search_workers"),
+        ):
+            with pytest.raises(ServiceError) as bad_config:
+                client.compile({"kernel": "daxpy", "config": config})
+            assert bad_config.value.status == 400
+            assert reason in str(bad_config.value)
         # Routing errors.
         assert client._roundtrip("GET", "/nope")[0] == 404
         assert client._roundtrip("POST", "/healthz")[0] == 405
