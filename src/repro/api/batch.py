@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import ReproError
 from ..pools import spawn_pool
-from .cache import CompilationCache, content_hash
+from .cache import CompilationCache, content_hash, gc_paused
 from .request import CompilationReport, CompilationRequest
 from .toolchain import Toolchain
 
@@ -93,6 +93,11 @@ class BatchCompiler:
         :class:`~repro.errors.ReproError` (e.g. the two-phase baseline
         hitting its II ceiling) yields the exception object in its result
         slot instead of aborting the whole batch.
+
+        While the cache is probed, the cyclic garbage collector is paused
+        for the whole process (:func:`~repro.api.cache.gc_paused`): other
+        threads of a host program run without it until every request has
+        been looked up.  The compiles themselves run with it on.
         """
         requests = list(requests)
         reports: List[Optional[Union[CompilationReport, ReproError]]] = [
@@ -101,14 +106,15 @@ class BatchCompiler:
         keys: List[Optional[str]] = [None] * len(requests)
         pending: List[int] = []
         pipeline = self.toolchain.pass_names
-        for index, request in enumerate(requests):
-            if self.cache is not None:
-                keys[index] = content_hash(request, pipeline=pipeline)
-                hit = self.cache.get(keys[index])
-                if hit is not None:
-                    reports[index] = hit
-                    continue
-            pending.append(index)
+        with gc_paused():
+            for index, request in enumerate(requests):
+                if self.cache is not None:
+                    keys[index] = content_hash(request, pipeline=pipeline)
+                    hit = self.cache.get(keys[index])
+                    if hit is not None:
+                        reports[index] = hit
+                        continue
+                pending.append(index)
         done = len(requests) - len(pending)
         if progress and done:
             progress(f"{done}/{len(requests)} jobs served from cache")
@@ -242,7 +248,11 @@ def compile_many(
     return_errors: bool = False,
     coordinator: Optional[str] = None,
 ) -> List[Union[CompilationReport, ReproError]]:
-    """One-shot convenience wrapper around :class:`BatchCompiler`."""
+    """One-shot convenience wrapper around :class:`BatchCompiler`.
+
+    Pauses the process-wide cyclic garbage collector while the cache is
+    probed; see :meth:`BatchCompiler.compile_many`.
+    """
     compiler = BatchCompiler(
         toolchain=toolchain,
         cache=cache,

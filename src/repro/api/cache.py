@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .. import faults
 from ..errors import CacheError
@@ -166,6 +168,27 @@ def schedule_fingerprint(result: ScheduleResult) -> Tuple:
 # ----------------------------------------------------------------------
 # On-disk store
 # ----------------------------------------------------------------------
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Hold off the cyclic collector while cached reports are unpickled.
+
+    A report unpickles into thousands of small, live objects; every few
+    hundred allocations would otherwise trigger a collection that frees
+    nothing, and on a warm sweep those collections cost more than the
+    unpickling itself.  Wrap a whole run of :meth:`CompilationCache.get`
+    calls, not each one: the collection the pause defers then runs once.
+    The pause is process-wide, so every thread runs without the
+    collector until the block exits.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass

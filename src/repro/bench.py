@@ -495,17 +495,18 @@ def main_bench(args) -> int:
         print(str(err), file=sys.stderr)
         return 2
     if args.baseline_carry:
-        # Carry the seed-reference block forward when rewriting the
-        # committed baseline, so speedup-vs-seed reporting survives.
-        # Read raw (no schema check): carrying across a schema bump is
-        # exactly when this matters.
+        # Carry the seed-reference block and its note forward when
+        # rewriting the committed baseline, so speedup-vs-seed reporting
+        # survives.  Read raw (no schema check): carrying across a schema
+        # bump is exactly when this matters.
         try:
             with open(args.baseline_carry) as handle:
                 previous = json.load(handle)
         except (OSError, ValueError):
             previous = {}
-        if "seed_reference" in previous:
-            doc["seed_reference"] = previous["seed_reference"]
+        for key in ("seed_reference", "seed_reference_note"):
+            if key in previous:
+                doc[key] = previous[key]
     print(render_table(doc))
     exit_code = 0
     if args.check:

@@ -25,8 +25,17 @@ class FUKind(enum.Enum):
     MUL = "mul"  # multiply/divide unit
     COPY = "copy"  # copy/move unit (excluded from performance figures)
 
+    #: Dense position in declaration order, set below: hot tables (the
+    #: MRT lanes) index lists with it instead of hashing the member.
+    index: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FUKind.{self.name}"
+
+
+for _index, _kind in enumerate(FUKind):
+    _kind.index = _index
+del _index, _kind
 
 
 #: FU kinds that perform useful computation (counted in FU totals and IPC).

@@ -6,7 +6,7 @@ from .dms import DistributedModuloScheduler
 from .fingerprint import schedule_fingerprint
 from .heights import compute_heights, height_edge_terms, priority_order
 from .ims import IterativeModuloScheduler
-from .mii import MIIResult, compute_mii, rec_mii, rec_mii_unrolled, res_mii
+from .mii import MIIResult, compute_mii, max_cycle_ratio, rec_mii, res_mii
 from .mrt import ModuloReservationTable
 from .result import ScheduleResult, SchedulerStats
 from .schedule import PartialSchedule, Placement
@@ -46,8 +46,8 @@ __all__ = [
     "IterativeModuloScheduler",
     "MIIResult",
     "compute_mii",
+    "max_cycle_ratio",
     "rec_mii",
-    "rec_mii_unrolled",
     "res_mii",
     "ModuloReservationTable",
     "ScheduleResult",

@@ -15,12 +15,23 @@ Planning rules (paper section 3):
   slots left available to schedule move operations in any cluster" —
   interpreted as maximising the bottleneck (minimum over clusters) of
   remaining Copy-FU slack — tie-broken by the smallest number of moves.
+
+Both criteria depend only on how many moves an option puts in each
+cluster, not on which MRT rows they take, and so does feasibility: a
+move may issue at any row of its window ``[ready, ready + II)``, so it
+finds a clean slot exactly when its cluster's Copy FU has one left.
+:meth:`ChainPlanner.plan` therefore scores every option from its
+per-cluster move counts against one snapshot of the free Copy-FU slots
+(count-based scoring), drops the options that need more slots than a
+cluster has, and runs the slot search for the first remaining option in
+rank order only (first-feasible slot search).  Planning only reads the
+MRT.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import SchedulerConfig
@@ -75,11 +86,6 @@ class ChainPlan:
     @property
     def n_moves(self) -> int:
         return sum(c.n_moves for c in self.chains)
-
-    @property
-    def sort_key(self) -> Tuple[int, int, int]:
-        """Larger is better: slack, then fewer moves, then lower cluster."""
-        return (self.bottleneck_slack, -self.n_moves, -self.cluster)
 
 
 class ChainRegistry:
@@ -166,48 +172,78 @@ class ChainPlanner:
     def __init__(self, schedule: PartialSchedule, config: SchedulerConfig):
         self.schedule = schedule
         self.config = config
-        self._scratch_id = -1
         self._move_latency = schedule.latencies.latency(OpCode.MOVE)
-        # Producer latency memo (opcodes are immutable per op id).
-        self._op_latency: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
 
     def plan(self, op_id: int) -> Optional[ChainPlan]:
-        """Best feasible chain plan for *op_id*, or None."""
-        schedule = self.schedule
-        machine = schedule.machine
-        dist = schedule.dist
-        capacity = schedule.mrt.capacity
-        op = schedule.ddg.op(op_id)
+        """Best feasible chain plan for *op_id*, or None.
 
+        An option is a target cluster plus one path per far predecessor
+        (the first ``chain_combo_cap`` path combinations per cluster).
+        With ``count[c]`` its moves in cluster *c* and ``free[c]`` the
+        free Copy-FU slots at the call, its bottleneck slack is
+        ``min(free[c] - count[c])`` over the touched clusters
+        (``free[cluster]`` when none is touched), capped by ``min(free)``
+        when ``chain_score_all_clusters`` is set.  A negative slack means
+        infeasible.  Options rank by (slack desc, moves asc, cluster asc,
+        combination order); only the winner's slots are searched.
+        """
+        schedule = self.schedule
+        pred_groups = self._scheduled_pred_groups(op_id)
+        if not pred_groups:
+            return None
+        mrt = schedule.mrt
+        dist = schedule.dist
+        clusters = range(schedule.machine.n_clusters)
+        kind = schedule.ddg.op(op_id).fu_kind
         succ_clusters = [
             schedule.cluster(s) for s in schedule.scheduled_flow_succs(op_id)
         ]
-        pred_groups = self._scheduled_pred_groups(op_id)
-        best: Optional[ChainPlan] = None
-        for cluster in range(machine.n_clusters):
-            if capacity(cluster, op.fu_kind) == 0:
+        preds = [
+            (producer, omega, indexes, schedule.cluster(producer))
+            for (producer, omega), indexes in pred_groups.items()
+        ]
+        free = [mrt.free_slots(c, FUKind.COPY) for c in clusters]
+        score_all = self.config.chain_score_all_clusters
+        floor = min(free)
+        # ((-slack, moves, cluster, combination index), far preds, paths)
+        best: Optional[Tuple[Tuple[int, int, int, int], list, tuple]] = None
+        for cluster in clusters:
+            if mrt.capacity(cluster, kind) == 0:
                 continue
             dist_from = dist[cluster]
             if any(dist_from[sc] > 1 for sc in succ_clusters):
                 continue
-            far = [
-                (producer, omega, indexes, schedule.cluster(producer))
-                for (producer, omega), indexes in pred_groups.items()
-                if dist[schedule.cluster(producer)][cluster] > 1
-            ]
+            far = [pred for pred in preds if dist[pred[3]][cluster] > 1]
             if not far:
                 # Strategy 1 handles chain-free clusters; nothing to plan.
                 continue
-            plan = self._best_plan_for_cluster(op_id, cluster, far)
-            if plan is None:
-                continue
-            if best is None or plan.sort_key > best.sort_key:
-                best = plan
-        return best
+            combos = itertools.islice(
+                itertools.product(*(self._paths(pred[3], cluster) for pred in far)),
+                self.config.chain_combo_cap,
+            )
+            for index, combo in enumerate(combos):
+                counts: Dict[int, int] = {}
+                for path in combo:
+                    for hop in path.intermediates:
+                        counts[hop] = counts.get(hop, 0) + 1
+                slack = min(
+                    [free[c] - n for c, n in counts.items()], default=free[cluster]
+                )
+                if slack < 0:
+                    continue  # more moves than free slots in some cluster
+                if score_all:
+                    slack = min(slack, floor)
+                key = (-slack, sum(counts.values()), cluster, index)
+                if best is None or key < best[0]:
+                    best = (key, far, combo)
+        if best is None:
+            return None
+        (neg_slack, _moves, cluster, _index), far, combo = best
+        return ChainPlan(cluster, self._slot_moves(far, combo), -neg_slack)
 
     def _scheduled_pred_groups(
         self, op_id: int
@@ -223,91 +259,48 @@ class ChainPlanner:
             groups.setdefault((src.producer, src.omega), []).append(index)
         return {key: tuple(indexes) for key, indexes in sorted(groups.items())}
 
-    def _best_plan_for_cluster(
-        self,
-        op_id: int,
-        cluster: int,
-        far: List[Tuple[int, int, Tuple[int, ...], int]],
-    ) -> Optional[ChainPlan]:
-        topology = self.schedule.machine.topology
-        options_per_pred: List[List[Tuple[int, int, Tuple[int, ...], CommPath]]] = []
-        for producer, omega, indexes, pred_cluster in far:
-            paths = topology.paths_cached(pred_cluster, cluster)
-            if self.config.prefer_shortest_chain_only:
-                paths = paths[:1]
-            options_per_pred.append(
-                [(producer, omega, indexes, path) for path in paths]
-            )
-        best: Optional[ChainPlan] = None
-        combos = itertools.islice(
-            itertools.product(*options_per_pred), self.config.chain_combo_cap
-        )
-        for combo in combos:
-            plan = self._try_combo(cluster, combo)
-            if plan is None:
-                continue
-            if best is None or plan.sort_key > best.sort_key:
-                best = plan
-        return best
+    def _paths(self, src: int, dst: int) -> Sequence[CommPath]:
+        """Candidate paths *src* -> *dst* the planner may use."""
+        paths = self.schedule.machine.topology.paths_cached(src, dst)
+        return paths[:1] if self.config.prefer_shortest_chain_only else paths
 
-    def _try_combo(
+    def _slot_moves(
         self,
-        cluster: int,
-        combo: Tuple[Tuple[int, int, Tuple[int, ...], CommPath], ...],
-    ) -> Optional[ChainPlan]:
-        """Tentatively place every move of *combo*; score then roll back."""
+        far: List[Tuple[int, int, Tuple[int, ...], int]],
+        paths: Tuple[CommPath, ...],
+    ) -> Tuple[PlannedChain, ...]:
+        """Clean Copy-FU slots for every move of a feasible option.
+
+        Each move takes the first free row in ``[ready, ready + II)``;
+        ``taken`` overlays the rows this option's earlier moves claimed
+        on the live MRT counts.
+        """
         schedule = self.schedule
         mrt = schedule.mrt
         ii = schedule.ii
-        move_latency = self._move_latency
-        occupied: List[Tuple[int, int, int]] = []  # (scratch_id, cluster, time)
+        taken: Dict[Tuple[int, int], int] = {}
         planned: List[PlannedChain] = []
-        feasible = True
-        touched: Set[int] = set()
-        for producer, omega, indexes, path in combo:
-            producer_latency = self._op_latency.get(producer)
-            if producer_latency is None:
-                producer_latency = schedule.latencies.latency(
-                    schedule.ddg.op(producer).opcode
-                )
-                self._op_latency[producer] = producer_latency
-            ready = schedule.time(producer) + producer_latency - ii * omega
+        for (producer, omega, indexes, _cluster), path in zip(far, paths):
+            latency = schedule.latencies.latency(schedule.ddg.op(producer).opcode)
+            ready = schedule.time(producer) + latency - ii * omega
             move_times: List[int] = []
-            for hop_cluster in path.intermediates:
+            for hop in path.intermediates:
+                counts = mrt.row_counts(hop, FUKind.COPY)
+                capacity = mrt.capacity(hop, FUKind.COPY)
                 estart = max(0, ready)
-                slot = self._find_clean_copy_slot(hop_cluster, estart)
-                if slot is None:
-                    feasible = False
-                    break
-                scratch = self._scratch_id
-                self._scratch_id -= 1
-                mrt.place(scratch, hop_cluster, FUKind.COPY, slot)
-                occupied.append((scratch, hop_cluster, slot))
-                touched.add(hop_cluster)
+                for slot in range(estart, estart + ii):
+                    row = slot % ii
+                    if counts[row] + taken.get((hop, row), 0) < capacity:
+                        break
+                else:
+                    raise SchedulingError(f"no free Copy-FU row left in c{hop}")
+                taken[hop, row] = taken.get((hop, row), 0) + 1
                 move_times.append(slot)
-                ready = slot + move_latency
-            if not feasible:
-                break
+                ready = slot + self._move_latency
             planned.append(
                 PlannedChain(producer, omega, indexes, path, tuple(move_times))
             )
-        plan: Optional[ChainPlan] = None
-        if feasible:
-            if self.config.chain_score_all_clusters:
-                scored_clusters = range(schedule.machine.n_clusters)
-            else:
-                scored_clusters = sorted(touched) or [cluster]
-            slack = min(
-                schedule.free_slots(c, FUKind.COPY) for c in scored_clusters
-            )
-            plan = ChainPlan(cluster, tuple(planned), slack)
-        for scratch, hop_cluster, slot in occupied:
-            mrt.remove(scratch, hop_cluster, FUKind.COPY, slot)
-        return plan
-
-    def _find_clean_copy_slot(self, cluster: int, estart: int) -> Optional[int]:
-        """First free Copy-FU slot in ``[estart, estart + II - 1]``."""
-        return self.schedule.mrt.first_free_slot(cluster, FUKind.COPY, estart)
+        return tuple(planned)
 
     # ------------------------------------------------------------------
     # Application

@@ -6,21 +6,25 @@
   ``ceil(ops_of_kind / units_of_kind)`` over FU kinds.
 * **RecMII** — the smallest II such that no dependence circuit has
   positive slack deficit, i.e. for every circuit
-  ``sum(latency) <= II * sum(omega)``.  Computed per strongly connected
-  component with a binary search whose feasibility test is a
-  Bellman-Ford-style positive-cycle detection on edge weights
-  ``latency - II * omega``.
+  ``sum(latency) <= II * sum(omega)``.  That is ``ceil(λ*)`` for the
+  loop's *maximum cycle ratio* ``λ* = max sum(latency) / sum(omega)``.
 
-The scaled variant :func:`rec_mii_unrolled` evaluates the recurrence bound
-the graph would have *after* unrolling by ``u`` without building the
-unrolled graph: a circuit with latency L and distance W yields an unrolled
-ratio ``u * L / W``, so feasibility uses weights ``u * latency - II * omega``.
+:func:`max_cycle_ratio` computes ``λ*`` exactly, per strongly connected
+component, by cycle-ratio iteration (Dinkelbach's method): Bellman-Ford
+on the integer edge weights ``q * latency - p * omega`` finds a circuit
+with ratio above the current ``p / q`` if one exists, and that circuit's
+ratio becomes the next ``p / q``.  Each step strictly raises the ratio
+over a finite set of simple-circuit ratios, so the iteration ends at
+``λ*`` after a few steps.  Unrolling by ``u`` scales every circuit's
+latency by ``u`` and keeps its distance, so the unrolled graph's RecMII
+is ``ceil(u * λ*)`` with no second search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..ir.ddg import DDG
@@ -42,11 +46,14 @@ class MIIResult:
 
 def res_mii(ddg: DDG, machine: MachineSpec) -> int:
     """Resource-constrained lower bound on the II."""
-    counts: Dict[FUKind, int] = {}
+    counts = [0] * len(FUKind)
     for op in ddg.operations():
-        counts[op.fu_kind] = counts.get(op.fu_kind, 0) + 1
+        counts[op.fu_kind.index] += 1
     bound = 1
-    for kind, count in counts.items():
+    for kind in FUKind:
+        count = counts[kind.index]
+        if not count:
+            continue
         units = machine.fu_count(kind)
         if units == 0:
             raise SchedulingError(
@@ -72,17 +79,21 @@ def _scc_edges(
     return edges
 
 
-def _has_positive_cycle(
+def _positive_cycle(
     nodes: Sequence[int],
     edges: List[Tuple[int, int, int, int]],
     ii: int,
     scale: int,
-) -> bool:
-    """True when some cycle has positive total ``scale*lat - ii*omega``."""
+) -> Optional[List[Tuple[int, int, int, int]]]:
+    """A cycle with positive total ``scale*lat - ii*omega``, or None.
+
+    Bellman-Ford longest paths from a virtual source; each relaxation
+    records the edge that made it, and a positive cycle shows up as a
+    cycle of those edges.
+    """
     dist = {node: 0 for node in nodes}
-    # Hoist the per-edge weights out of the Bellman-Ford sweeps: the MII
-    # binary search probes many II values and each probe sweeps up to
-    # |nodes| times over the same edge list.
+    pred: Dict[int, int] = {}
+    # Hoist the per-edge weights out of the up to |nodes| sweeps.
     weighted = [
         (src, dst, scale * lat - ii * omega) for src, dst, lat, omega in edges
     ]
@@ -91,55 +102,91 @@ def _has_positive_cycle(
     # remaining sweeps.
     max_path_gain = sum(weight for _, _, weight in weighted if weight > 0)
     for _ in range(len(nodes)):
-        changed = False
-        for src, dst, weight in weighted:
+        last = None
+        for index, (src, dst, weight) in enumerate(weighted):
             candidate = dist[src] + weight
             if candidate > dist[dst]:
-                if candidate > max_path_gain:
-                    return True
                 dist[dst] = candidate
-                changed = True
-        if not changed:
-            return False
-    return True
+                pred[dst] = index
+                last = dst
+                if candidate > max_path_gain:
+                    break
+        if last is None:
+            return None
+        if dist[last] > max_path_gain:
+            break
+    # Still relaxing after |nodes| sweeps (or past any simple path's
+    # gain): |nodes| steps back along the recorded edges land on the cycle.
+    node = last
+    for _ in range(len(nodes)):
+        node = edges[pred[node]][0]
+    cycle = [edges[pred[node]]]
+    while cycle[-1][0] != node:
+        cycle.append(edges[pred[cycle[-1][0]]])
+    return cycle
+
+
+def _scc_cycle_ratio(
+    scc: Sequence[int], edges: List[Tuple[int, int, int, int]], incumbent: Fraction
+) -> Optional[Fraction]:
+    """Maximum cycle ratio of one SCC, or *incumbent* when not above it.
+
+    While some circuit beats the current ratio ``p/q`` (a positive cycle
+    under weights ``q*lat - p*omega``), that circuit's own, strictly
+    larger ratio becomes the current one.  None when an omega-0 circuit
+    with positive latency makes the ratio unbounded.
+    """
+    ratio = incumbent
+    while True:
+        cycle = _positive_cycle(scc, edges, ratio.numerator, ratio.denominator)
+        if cycle is None:
+            return ratio
+        omega = sum(e[3] for e in cycle)
+        if omega == 0:
+            return None
+        ratio = Fraction(sum(e[2] for e in cycle), omega)
+
+
+def max_cycle_ratio(ddg: DDG, latencies: LatencyModel) -> Fraction:
+    """Exact maximum over dependence circuits of latency / omega (λ*).
+
+    ``0`` when the loop has no circuit with a positive ratio; RecMII is
+    ``max(1, ceil(u * λ*))`` either way.  A component whose ratio cannot
+    beat the best one so far costs a single positive-cycle test.
+    """
+    best = Fraction(0)
+    for scc in ddg.sccs():
+        edges = _scc_edges(ddg, scc, latencies)
+        ratio = None
+        if any(omega for _, _, _, omega in edges):
+            ratio = _scc_cycle_ratio(scc, edges, best)
+        if ratio is None:
+            raise SchedulingError(
+                f"loop {ddg.name!r} has an omega-0 dependence circuit"
+            )
+        best = ratio
+    return best
 
 
 def rec_mii(ddg: DDG, latencies: LatencyModel, unroll: int = 1) -> int:
     """Recurrence-constrained lower bound on the II.
 
     With ``unroll > 1`` this returns the RecMII the graph would have after
-    unrolling by that factor (see module docstring), used by the
-    auto-unroll policy to price candidate factors cheaply.
+    unrolling by that factor (see module docstring).  Callers pricing
+    several factors should take :func:`max_cycle_ratio` once instead.
     """
     if unroll < 1:
         raise SchedulingError(f"unroll must be >= 1, got {unroll}")
-    bound = 1
-    for scc in ddg.sccs():
-        edges = _scc_edges(ddg, scc, latencies)
-        total_omega = sum(e[3] for e in edges)
-        if total_omega == 0:
-            raise SchedulingError(
-                f"loop {ddg.name!r} has an omega-0 dependence circuit"
-            )
-        # Upper bound: sum of scaled latencies always admits every circuit.
-        high = max(1, unroll * sum(e[2] for e in edges))
-        low = 1
-        if not _has_positive_cycle(scc, edges, low, unroll):
-            bound = max(bound, 1)
-            continue
-        while low < high:
-            mid = (low + high) // 2
-            if _has_positive_cycle(scc, edges, mid, unroll):
-                low = mid + 1
-            else:
-                high = mid
-        bound = max(bound, low)
-    return bound
+    return rec_mii_from_ratio(max_cycle_ratio(ddg, latencies), unroll)
 
 
-def rec_mii_unrolled(ddg: DDG, latencies: LatencyModel, unroll: int) -> int:
-    """RecMII of the *unrolled-by-u* graph, computed on the base graph."""
-    return rec_mii(ddg, latencies, unroll=unroll)
+def rec_mii_from_ratio(ratio: Fraction, unroll: int = 1) -> int:
+    """RecMII after unrolling by *unroll*: ``max(1, ceil(unroll * ratio))``.
+
+    *ratio* is the base graph's :func:`max_cycle_ratio`; the ceiling is
+    taken in integers, so pricing many factors builds no fractions.
+    """
+    return max(1, -(-(unroll * ratio.numerator) // ratio.denominator))
 
 
 def compute_mii(

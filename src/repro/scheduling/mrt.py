@@ -8,23 +8,20 @@ the paper's machine model.
 
 The table is organised per (cluster, kind) lane: each lane keeps a
 row-indexed occupancy count, sorted occupant lists and a cached occupant
-tuple per row.  Capacities are snapshotted from the machine once at
-construction, so the is_free/place/remove/occupants cycle on the
-scheduler's innermost loops touches no machine-spec code and allocates
-nothing on reads.
+tuple per row.  Lanes are indexed by ints, ``lanes[cluster][kind.index]``,
+and carry their capacity, so the is_free/place/remove/occupants cycle on
+the scheduler's innermost loops hashes no enum, touches no machine-spec
+code and allocates nothing on reads.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..ir.opcodes import FUKind
 from ..machine.machine import MachineSpec
-
-Cell = Tuple[int, FUKind, int]  # (cluster, kind, row)
-LaneKey = Tuple[int, FUKind]  # (cluster, kind)
 
 
 class _Lane:
@@ -48,19 +45,10 @@ class ModuloReservationTable:
             raise SchedulingError(f"ii must be >= 1, got {ii}")
         self.machine = machine
         self.ii = ii
-        self._lanes: Dict[LaneKey, _Lane] = {}
-        self._caps: Dict[LaneKey, int] = {}
-        for cluster in range(machine.n_clusters):
-            spec = machine.cluster(cluster)
-            for kind in FUKind:
-                self._caps[cluster, kind] = spec.fu_count(kind)
-
-    def _lane(self, cluster: int, kind: FUKind) -> _Lane:
-        key = (cluster, kind)
-        lane = self._lanes.get(key)
-        if lane is None:
-            lane = self._lanes[key] = _Lane(self._caps[key], self.ii)
-        return lane
+        self._lanes: List[List[_Lane]] = [
+            [_Lane(machine.cluster(cluster).fu_count(kind), ii) for kind in FUKind]
+            for cluster in range(machine.n_clusters)
+        ]
 
     def row(self, time: int) -> int:
         """MRT row of an issue time."""
@@ -68,7 +56,7 @@ class ModuloReservationTable:
 
     def capacity(self, cluster: int, kind: FUKind) -> int:
         """Units of *kind* in *cluster*."""
-        return self._caps[cluster, kind]
+        return self._lanes[cluster][kind.index].capacity
 
     def occupants(self, cluster: int, kind: FUKind, time: int) -> Tuple[int, ...]:
         """Operations occupying the cell covering *time* (sorted).
@@ -77,20 +65,20 @@ class ModuloReservationTable:
         repeated reads (eviction ranking scans every candidate cell)
         allocate nothing.
         """
-        lane = self._lanes.get((cluster, kind))
-        if lane is None:
-            return ()
+        lane = self._lanes[cluster][kind.index]
         row = time % self.ii
         cached = lane.cached[row]
         if cached is None:
             cached = lane.cached[row] = tuple(lane.rows[row])
         return cached
 
+    def row_counts(self, cluster: int, kind: FUKind) -> List[int]:
+        """Live per-row occupancy of one lane; read it, never write it."""
+        return self._lanes[cluster][kind.index].counts
+
     def is_free(self, cluster: int, kind: FUKind, time: int) -> bool:
         """True when one more *kind* op fits in *cluster* at *time*."""
-        lane = self._lanes.get((cluster, kind))
-        if lane is None:
-            return self._caps[cluster, kind] > 0
+        lane = self._lanes[cluster][kind.index]
         return lane.counts[time % self.ii] < lane.capacity
 
     def first_free_slot(
@@ -98,15 +86,13 @@ class ModuloReservationTable:
     ) -> Optional[int]:
         """First time in ``[estart, estart + II)`` with a free unit.
 
-        One-lane window scan used by the slot searches of IMS/DMS and the
-        chain planner; equivalent to calling :meth:`is_free` for each time
-        in the window but without the per-call lookups.
+        One-lane window scan used by the slot searches of IMS/DMS;
+        equivalent to calling :meth:`is_free` for each time in the window
+        but without the per-call lookups.
         """
-        lane = self._lanes.get((cluster, kind))
-        if lane is None:
-            return estart if self._caps[cluster, kind] > 0 else None
+        lane = self._lanes[cluster][kind.index]
         capacity = lane.capacity
-        if capacity == 0 or lane.used >= capacity * self.ii:
+        if lane.used >= capacity * self.ii:
             return None
         counts = lane.counts
         ii = self.ii
@@ -117,7 +103,7 @@ class ModuloReservationTable:
 
     def place(self, op_id: int, cluster: int, kind: FUKind, time: int) -> None:
         """Occupy a unit; caller must have ejected conflicts first."""
-        lane = self._lane(cluster, kind)
+        lane = self._lanes[cluster][kind.index]
         row = time % self.ii
         if lane.counts[row] >= lane.capacity:
             raise SchedulingError(
@@ -131,8 +117,8 @@ class ModuloReservationTable:
     def remove(self, op_id: int, cluster: int, kind: FUKind, time: int) -> None:
         """Release the unit *op_id* held."""
         row = time % self.ii
-        lane = self._lanes.get((cluster, kind))
-        if lane is None or op_id not in lane.rows[row]:
+        lane = self._lanes[cluster][kind.index]
+        if op_id not in lane.rows[row]:
             cell = (cluster, kind, row)
             raise SchedulingError(f"op {op_id} not in MRT cell {cell}")
         lane.rows[row].remove(op_id)
@@ -142,23 +128,21 @@ class ModuloReservationTable:
 
     def used_slots(self, cluster: int, kind: FUKind) -> int:
         """Occupied (kind) slots in *cluster* summed over all rows."""
-        lane = self._lanes.get((cluster, kind))
-        return lane.used if lane is not None else 0
+        return self._lanes[cluster][kind.index].used
 
     def free_slots(self, cluster: int, kind: FUKind) -> int:
         """Free (kind) slots in *cluster* summed over all rows."""
-        lane = self._lanes.get((cluster, kind))
-        if lane is None:
-            return self.ii * self._caps[cluster, kind]
+        lane = self._lanes[cluster][kind.index]
         return self.ii * lane.capacity - lane.used
 
     def utilization(self, cluster: int, kind: FUKind) -> float:
         """Fraction of (kind) issue slots used in *cluster*."""
-        total = self.ii * self._caps[cluster, kind]
+        lane = self._lanes[cluster][kind.index]
+        total = self.ii * lane.capacity
         if total == 0:
             return 0.0
-        return self.used_slots(cluster, kind) / total
+        return lane.used / total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        used = sum(lane.used for lane in self._lanes.values())
+        used = sum(lane.used for lanes in self._lanes for lane in lanes)
         return f"<MRT ii={self.ii} occupied={used}>"

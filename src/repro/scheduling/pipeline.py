@@ -24,7 +24,7 @@ from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, FUKind, LatencyModel, USEFUL_FU_KINDS
 from ..machine.machine import MachineSpec, unclustered_vliw
 from ..registers.queues import QueueAllocation
-from .mii import rec_mii
+from .mii import max_cycle_ratio, rec_mii_from_ratio
 from .result import ScheduleResult
 
 
@@ -71,7 +71,8 @@ def choose_unroll_factor(
     machine (k L/S, k Add, k Mul).  For factor ``u`` the projection is
     ``max(ResMII_u, RecMII_u) / u``; ResMII amortises its ceiling as u
     grows while RecMII/u stays constant, so the search stops improving
-    once recurrences dominate.
+    once recurrences dominate.  ``RecMII_u = max(1, ceil(u * λ*))`` comes
+    from one exact maximum cycle ratio ``λ*`` of the base graph.
     """
     if equivalent_k < 1:
         raise SchedulingError(f"equivalent_k must be >= 1, got {equivalent_k}")
@@ -84,14 +85,15 @@ def choose_unroll_factor(
             raise SchedulingError(
                 "choose the unroll factor before inserting copies"
             )
+    demand = [
+        (count, machine.fu_count(kind)) for kind, count in counts.items() if count
+    ]
+    ratio = max_cycle_ratio(ddg, latencies)
     candidates = []
     for u in range(1, cap + 1):
-        res_u = 1
-        for kind, count in counts.items():
-            if count:
-                res_u = max(res_u, -(-(count * u) // machine.fu_count(kind)))
-        rec_u = rec_mii(ddg, latencies, unroll=u)
-        candidates.append((max(res_u, rec_u) / u, u, max(res_u, rec_u)))
+        res_u = max([-(-(count * u) // units) for count, units in demand], default=1)
+        ii_u = max(res_u, rec_mii_from_ratio(ratio, u))
+        candidates.append((ii_u / u, u, ii_u))
     best_score = min(score for score, _u, _ii in candidates)
     tied = [(u, ii_u) for score, u, ii_u in candidates if score <= best_score + 1e-12]
     # Among equal-throughput factors prefer the smallest one whose II is

@@ -151,6 +151,20 @@ class TestRunBench:
         baseline = load_baseline(os.path.join(root, "BENCH_scheduler.json"))
         assert sorted(baseline["cases"]) == sorted(CASE_NAMES)
         assert "seed_reference" in baseline
+        assert "seed_reference_note" in baseline
+
+    def test_baseline_carry_keeps_seed_reference_and_note(self, tmp_path, capsys):
+        previous = tmp_path / "previous.json"
+        previous.write_text(
+            json.dumps({"seed_reference": {"mii_lms": 0.001}, "seed_reference_note": "why"})
+        )
+        out = str(tmp_path / "out.json")
+        argv = ["bench", "--quick", "--cases", "mii_lms", "--out", out]
+        assert main(argv + ["--baseline-carry", str(previous)]) == 0
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        assert doc["seed_reference"] == {"mii_lms": 0.001}
+        assert doc["seed_reference_note"] == "why"
 
 
 class TestSearchStats:

@@ -1,11 +1,26 @@
 """Tests for the ResMII / RecMII lower bounds."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import SchedulingError
-from repro.ir import DEFAULT_LATENCIES, LatencyModel, LoopBuilder, OpCode
+from repro.ir import (
+    DDG,
+    DEFAULT_LATENCIES,
+    DepKind,
+    LatencyModel,
+    LoopBuilder,
+    OpCode,
+    use,
+)
 from repro.machine import clustered_vliw, unclustered_vliw
-from repro.scheduling import compute_mii, rec_mii, res_mii
+from repro.scheduling import compute_mii, max_cycle_ratio, rec_mii, res_mii
+from repro.scheduling.mii import _scc_edges
+from repro.workloads import KERNELS, make_kernel
+from repro.workloads.suite import perfect_club_surrogate
 
 from .conftest import build_reduction_loop, build_stream_loop
 
@@ -133,3 +148,136 @@ class TestCombined:
         loop = b.build()
         result = compute_mii(loop.ddg, unclustered_vliw(8), DEFAULT_LATENCIES)
         assert result.mii == result.rec_mii == 3
+
+
+def _has_positive_cycle(nodes, edges, ii, scale):
+    """Reference Bellman-Ford: a cycle with positive ``scale*lat - ii*omega``?"""
+    dist = {node: 0 for node in nodes}
+    for _ in range(len(nodes)):
+        changed = False
+        for src, dst, lat, omega in edges:
+            candidate = dist[src] + scale * lat - ii * omega
+            if candidate > dist[dst]:
+                dist[dst] = candidate
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _bisected_rec_mii(sccs, unroll):
+    """Reference: the per-factor RecMII binary search on scaled weights.
+
+    *sccs* is ``[(nodes, edges)]``; a circuit of latency L and distance W
+    is infeasible at II unless ``unroll * L <= II * W``.
+    """
+    bound = 1
+    for nodes, edges in sccs:
+        high = max(1, unroll * sum(e[2] for e in edges))
+        low = 1
+        if not _has_positive_cycle(nodes, edges, low, unroll):
+            continue
+        while low < high:
+            mid = (low + high) // 2
+            if _has_positive_cycle(nodes, edges, mid, unroll):
+                low = mid + 1
+            else:
+                high = mid
+        bound = max(bound, low)
+    return bound
+
+
+class TestMaxCycleRatio:
+    def test_matches_bisection_on_suite_and_kernels(self):
+        kernels = [make_kernel(name) for name in sorted(KERNELS)]
+        for loop in perfect_club_surrogate() + kernels:
+            ddg = loop.ddg
+            sccs = [
+                (scc, _scc_edges(ddg, scc, DEFAULT_LATENCIES)) for scc in ddg.sccs()
+            ]
+            ratio = max_cycle_ratio(ddg, DEFAULT_LATENCIES)
+            for u in range(1, 17):
+                expected = _bisected_rec_mii(sccs, u)
+                got = rec_mii(ddg, DEFAULT_LATENCIES, unroll=u)
+                assert got == expected, (loop.name, u)
+                assert max(1, -(-u * ratio.numerator // ratio.denominator)) == expected
+
+    def test_matches_enumerated_circuits_on_random_graphs(self):
+        rng = random.Random(1999)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            ddg = DDG("random")
+            for _ in range(n):
+                ddg.new_operation(OpCode.ADD, ())
+            edges = {}  # one edge per (src, dst, omega), as the DDG keys them
+            for _ in range(rng.randint(1, 7)):
+                src, dst, omega = rng.randrange(n), rng.randrange(n), rng.randint(0, 3)
+                latency = edges[src, dst, omega] = rng.randint(0, 9)
+                ddg.add_dep(src, dst, DepKind.MEM, omega=omega, latency=latency)
+            ratios = []
+            for k in range(1, n + 1):
+                for cycle in itertools.permutations(range(n), k):
+                    if cycle[0] != min(cycle):
+                        continue
+                    hops = list(zip(cycle, cycle[1:] + cycle[:1]))
+                    choices = [
+                        [(lat, w) for (s, d, w), lat in edges.items() if (s, d) == hop]
+                        for hop in hops
+                    ]
+                    for picked in itertools.product(*choices):
+                        lat, omega = map(sum, zip(*picked))
+                        ratios.append((lat, omega))
+            carried_free_scc = any(
+                not any(w for s, d, w in edges if s in scc and d in scc)
+                for scc in map(set, ddg.sccs())
+            )
+            if carried_free_scc or any(w == 0 and lat > 0 for lat, w in ratios):
+                with pytest.raises(SchedulingError, match="omega-0"):
+                    max_cycle_ratio(ddg, DEFAULT_LATENCIES)
+                continue
+            expected = max([Fraction(lat, w) for lat, w in ratios if w], default=0)
+            assert max_cycle_ratio(ddg, DEFAULT_LATENCIES) == max(expected, 0)
+            checked += 1
+        assert checked > 100
+
+    def test_two_scc_graph_has_exact_ratio(self):
+        # SCC A: 3-cycle, latency 2+2+3 over omega 3 -> 7/3.
+        # SCC B: 2-cycle, latency 3+2 over omega 3 -> 5/3.
+        ddg = DDG("two_scc")
+        for _ in range(5):
+            ddg.new_operation(OpCode.ADD, ())
+        ddg.add_dep(0, 1, DepKind.MEM, omega=1, latency=2)
+        ddg.add_dep(1, 2, DepKind.MEM, omega=0, latency=2)
+        ddg.add_dep(2, 0, DepKind.MEM, omega=2, latency=3)
+        ddg.add_dep(3, 4, DepKind.MEM, omega=1, latency=3)
+        ddg.add_dep(4, 3, DepKind.MEM, omega=2, latency=2)
+        ddg.add_dep(2, 3, DepKind.MEM, omega=0, latency=9)  # joins no circuit
+        assert len(ddg.sccs()) == 2
+        assert max_cycle_ratio(ddg, DEFAULT_LATENCIES) == Fraction(7, 3)
+        assert [rec_mii(ddg, DEFAULT_LATENCIES, unroll=u) for u in (1, 2, 3, 4)] == [
+            3, 5, 7, 10,
+        ]
+
+    def test_acyclic_loop_has_zero_ratio(self):
+        loop = build_stream_loop()
+        assert max_cycle_ratio(loop.ddg, DEFAULT_LATENCIES) == 0
+
+    def test_omega0_circuit_raises(self):
+        ddg = DDG("omega0")
+        a = ddg.new_operation(OpCode.ADD, ()).op_id
+        b = ddg.new_operation(OpCode.ADD, (use(a),)).op_id
+        ddg.add_dep(b, a, DepKind.MEM, omega=0, latency=1)
+        for unroll in (1, 4):
+            with pytest.raises(SchedulingError, match="omega-0"):
+                rec_mii(ddg, DEFAULT_LATENCIES, unroll=unroll)
+
+    def test_omega0_circuit_beside_carried_one_raises(self):
+        # The SCC's total omega is positive, but the a <-> b circuit is not.
+        ddg = DDG("mixed")
+        a = ddg.new_operation(OpCode.ADD, ()).op_id
+        b = ddg.new_operation(OpCode.ADD, (use(a),)).op_id
+        ddg.add_dep(b, a, DepKind.MEM, omega=0, latency=1)
+        ddg.add_dep(b, a, DepKind.MEM, omega=1, latency=1)
+        with pytest.raises(SchedulingError, match="omega-0"):
+            max_cycle_ratio(ddg, DEFAULT_LATENCIES)
