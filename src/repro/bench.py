@@ -1,7 +1,9 @@
 """Scheduler performance benchmarks and the regression gate.
 
 ``repro bench`` times the scheduler hot paths on a fixed case matrix
-(micro passes, DMS/IMS throughput, and the wide-unroll scaling regime),
+(micro passes, DMS/IMS throughput, the wide-unroll scaling regime, and
+one differential-oracle run covering codegen, the oracle and the
+sequential reference),
 writes the results as JSON, and compares runs against the committed
 baseline ``BENCH_scheduler.json``.
 
@@ -52,7 +54,7 @@ class BenchCase:
     """
 
     name: str
-    group: str  # "micro" | "dms" | "ims"
+    group: str  # "micro" | "dms" | "ims" | "verify"
     describe: str
     build: Callable[[Optional[str]], Callable[[], object]]
 
@@ -123,6 +125,21 @@ def _transform_thunk() -> Callable[[], object]:
 
     ddg = make_kernel("fir_filter", taps=10).ddg
     return lambda: single_use_ddg(unroll_ddg(ddg, 4))
+
+
+def _verify_thunk() -> Callable[[], object]:
+    from .api import CompilationRequest, Toolchain
+    from .machine import clustered_vliw
+    from .validate import oracle
+    from .workloads import make_kernel
+
+    request = CompilationRequest(
+        loop=make_kernel("lms_update", taps=5),
+        machine=clustered_vliw(8, topology="mesh"),
+        unroll=2,
+    )
+    compiled = Toolchain.default().compile(request).compiled
+    return lambda: oracle.verify_compiled(compiled)
 
 
 CASES: Tuple[BenchCase, ...] = (
@@ -207,6 +224,12 @@ CASES: Tuple[BenchCase, ...] = (
         lambda search=None: _dms_thunk(
             "lms_update", {"taps": 5}, 2, "crossbar", 8, search=search
         ),
+    ),
+    BenchCase(
+        "verify_oracle",
+        "verify",
+        "differential oracle at full ramp, lms_update(5) x2, 8-cluster mesh",
+        lambda search=None: _verify_thunk(),
     ),
 )
 
@@ -334,7 +357,7 @@ class Comparison:
     """Per-case outcome of a baseline comparison."""
 
     case: str
-    status: str  # "ok" | "faster" | "regression" | "missing"
+    status: str  # "ok" | "faster" | "regression" | "missing" | "unbaselined"
     ratio: Optional[float]  # current_normalized / baseline_normalized
     message: str
 
@@ -350,7 +373,9 @@ def compare_to_baseline(
     against false alarms from run-to-run noise while still catching real
     slowdowns beyond *tolerance*.  Baseline cases absent from the current
     run are reported as ``missing`` (also a failure: silently dropping a
-    benchmark must not pass the gate).
+    benchmark must not pass the gate).  Current cases the baseline lacks
+    are reported as ``unbaselined``: not a failure, but listed, so a new
+    case that nothing gates yet is visible until the baseline records it.
     """
     results: List[Comparison] = []
     base_cases = baseline.get("cases", {})
@@ -378,6 +403,10 @@ def compare_to_baseline(
             status = "ok"
             message = f"within tolerance ({100 * (ratio - 1):+.0f}%)"
         results.append(Comparison(name, status, ratio, message))
+    for name in sorted(set(cur_cases) - set(base_cases)):
+        results.append(
+            Comparison(name, "unbaselined", None, "no baseline entry: not gated")
+        )
     return results
 
 
@@ -535,9 +564,14 @@ def main_bench(args) -> int:
                 if entry["normalized"] < doc["cases"][name]["normalized"]:
                     doc["cases"][name] = entry
             results = compare_to_baseline(doc, baseline, args.tolerance)
+        doc["unbaselined"] = [
+            r.case for r in results if r.status == "unbaselined"
+        ]
         print()
         for result in results:
-            flag = {"regression": "FAIL", "missing": "FAIL"}.get(result.status, "ok")
+            flag = {"regression": "FAIL", "missing": "FAIL", "unbaselined": "NEW"}.get(
+                result.status, "ok"
+            )
             print(f"  [{flag:>4}] {result.case:<24} {result.message}")
         if has_regression(results):
             print("benchmark gate: REGRESSION", file=sys.stderr)

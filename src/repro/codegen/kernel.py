@@ -12,6 +12,14 @@ as:
 
 Functional-unit instances are bound per (cluster, kind, row) in op-id
 order; the schedule checker has already guaranteed capacity.
+
+:func:`build_program` is linear in the instances it lists.  The
+allocation's lifetime lookup is built once for all operand labels, and
+each ramp listing is one pass over the ``(op, iteration)`` instances of
+the run: instance ``i`` of an op placed at ``t`` issues at
+``t + i * II``, so it is binned straight into that cycle's word.  Ops
+are visited in id order, so every word lists its bindings in op-id
+order.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CodegenError
-from ..ir.opcodes import FUKind
+from ..ir.operations import Operation
 from ..machine.fu import FUSlot
-from ..registers.queues import QueueAllocation
+from ..registers.queues import QueueAllocation, QueueAssignment
 from ..scheduling.result import ScheduleResult
 
 
@@ -85,12 +93,9 @@ class VLIWProgram:
 
 
 def _operand_labels(
-    result: ScheduleResult,
-    op_id: int,
-    allocation: Optional[QueueAllocation],
+    op: Operation,
+    lookup: Dict[Tuple[int, int, int], QueueAssignment],
 ) -> Tuple[str, ...]:
-    lookup = allocation.by_lifetime() if allocation is not None else {}
-    op = result.ddg.op(op_id)
     labels = []
     for index, src in enumerate(op.srcs):
         if src.is_external:
@@ -99,7 +104,7 @@ def _operand_labels(
         base = f"v{src.producer}"
         if src.omega:
             base += f"@-{src.omega}"
-        assignment = lookup.get((src.producer, op_id, index))
+        assignment = lookup.get((src.producer, op.op_id, index))
         if assignment is not None:
             base += f"<{assignment.label}>"
         labels.append(base)
@@ -118,37 +123,44 @@ def build_program(
     """
     ii = result.ii
     stage_count = result.stage_count
+    lookup = allocation.by_lifetime() if allocation is not None else {}
     # Bind FU instances: per (cluster, kind, row), op-id order.
-    cell_ops: Dict[Tuple[int, FUKind, int], List[int]] = {}
+    cell_ops: Dict[Tuple[int, int, int], List[Operation]] = {}
     for op_id, placement in sorted(result.placements.items()):
         op = result.ddg.op(op_id)
-        cell = (placement.cluster, op.fu_kind, placement.time % ii)
-        cell_ops.setdefault(cell, []).append(op_id)
+        cell = (placement.cluster, op.fu_kind.index, placement.time % ii)
+        cell_ops.setdefault(cell, []).append(op)
 
     bindings: Dict[int, SlotBinding] = {}
-    for (cluster, kind, row), op_ids in cell_ops.items():
+    units: Dict[Tuple[int, int, int], FUSlot] = {}  # one per unit, shared by rows
+    for (cluster, kind_index, row), ops in cell_ops.items():
+        kind = ops[0].fu_kind
         capacity = result.machine.fu_in_cluster(cluster, kind)
-        if len(op_ids) > capacity:
+        if len(ops) > capacity:
             raise CodegenError(
                 f"row {row} cluster {cluster} {kind.value}: "
-                f"{len(op_ids)} ops for {capacity} units"
+                f"{len(ops)} ops for {capacity} units"
             )
-        for fu_index, op_id in enumerate(op_ids):
-            placement = result.placements[op_id]
-            bindings[op_id] = SlotBinding(
-                op_id=op_id,
-                opcode=result.ddg.op(op_id).opcode.value,
-                fu=FUSlot(cluster, kind, fu_index),
+        for fu_index, op in enumerate(ops):
+            fu = units.get((cluster, kind_index, fu_index))
+            if fu is None:
+                fu = units[(cluster, kind_index, fu_index)] = FUSlot(
+                    cluster, kind, fu_index
+                )
+            bindings[op.op_id] = SlotBinding(
+                op_id=op.op_id,
+                opcode=op.opcode.value,
+                fu=fu,
                 row=row,
-                stage=placement.time // ii,
-                operands=_operand_labels(result, op_id, allocation),
+                stage=result.placements[op.op_id].time // ii,
+                operands=_operand_labels(op, lookup),
             )
 
+    # Visiting cells in (cluster, kind) order lists each word in FU
+    # order (``FUSlot.sort_key``).
     kernel: List[List[SlotBinding]] = [[] for _ in range(ii)]
-    for binding in bindings.values():
-        kernel[binding.row].append(binding)
-    for row in kernel:
-        row.sort(key=lambda b: b.fu.sort_key)
+    for cell in sorted(cell_ops):
+        kernel[cell[2]].extend(bindings[op.op_id] for op in cell_ops[cell])
 
     if ramp_iterations is not None and ramp_iterations < 1:
         raise CodegenError(
@@ -160,10 +172,12 @@ def build_program(
     # (SC - 1) * II prologue when n < SC - 1 would re-list issues the
     # drain phase (which starts at n * II) also covers — the short-run
     # double-issue bug the execution oracle flushed out.
-    prologue = _ramp_cycles(
-        result, bindings, range(min(stage_count - 1, ramp) * ii), 0, ramp
+    prologue = _ramp_listing(
+        result, bindings, ramp, 0, min(stage_count - 1, ramp) * ii
     )
-    epilogue = _drain_cycles(result, bindings, ramp)
+    epilogue = _ramp_listing(
+        result, bindings, ramp, ramp * ii, (ramp + stage_count - 1) * ii
+    )
     return VLIWProgram(
         loop_name=result.loop_name,
         machine_name=result.machine.name,
@@ -176,42 +190,25 @@ def build_program(
     )
 
 
-def _ramp_cycles(
-    result: ScheduleResult,
-    bindings: Dict[int, SlotBinding],
-    cycles: range,
-    first_iteration: int,
-    iterations: int,
-) -> List[CycleIssue]:
-    """Issue listing for the fill phase."""
-    issues: List[CycleIssue] = []
-    for cycle in cycles:
-        row: List[SlotBinding] = []
-        for op_id, placement in sorted(result.placements.items()):
-            for iteration in range(first_iteration, iterations):
-                if placement.time + iteration * result.ii == cycle:
-                    row.append(bindings[op_id])
-        if row:
-            issues.append(CycleIssue(cycle, tuple(row)))
-    return issues
-
-
-def _drain_cycles(
+def _ramp_listing(
     result: ScheduleResult,
     bindings: Dict[int, SlotBinding],
     iterations: int,
+    start: int,
+    end: int,
 ) -> List[CycleIssue]:
-    """Issue listing for the drain phase of an *iterations*-deep run."""
+    """Issue listing of cycles ``start .. end - 1`` for a run of
+    *iterations* iterations: every instance ``t + i * II`` in the window,
+    binned by cycle in one pass over the ``(op, iteration)`` instances."""
     ii = result.ii
-    start = iterations * ii
-    end = (iterations + result.stage_count - 1) * ii
-    issues: List[CycleIssue] = []
-    for cycle in range(start, end):
-        row: List[SlotBinding] = []
-        for op_id, placement in sorted(result.placements.items()):
-            for iteration in range(iterations):
-                if placement.time + iteration * ii == cycle:
-                    row.append(bindings[op_id])
-        if row:
-            issues.append(CycleIssue(cycle, tuple(row)))
-    return issues
+    words: Dict[int, List[SlotBinding]] = {}
+    for op_id, placement in sorted(result.placements.items()):
+        binding = bindings[op_id]
+        # First iteration whose instance reaches the window.
+        iteration = max(0, -((placement.time - start) // ii))
+        cycle = placement.time + iteration * ii
+        while iteration < iterations and cycle < end:
+            words.setdefault(cycle, []).append(binding)
+            iteration += 1
+            cycle += ii
+    return [CycleIssue(cycle, tuple(words[cycle])) for cycle in sorted(words)]

@@ -20,8 +20,8 @@ class FUSlot:
 
     @property
     def sort_key(self) -> tuple:
-        order = {FUKind.MEM: 0, FUKind.ALU: 1, FUKind.MUL: 2, FUKind.COPY: 3}
-        return (self.cluster, order[self.kind], self.index)
+        """Listing order: cluster, then kind (MEM, ALU, MUL, COPY), then index."""
+        return (self.cluster, self.kind.index, self.index)
 
 
 def fu_name(cluster: int, kind: FUKind, index: int) -> str:

@@ -60,29 +60,32 @@ def base_iteration(op: Operation, iteration: int) -> int:
     return iteration
 
 
-_TWO_ARG = {
-    OpCode.ADD: lambda a, b: a + b,
-    OpCode.SUB: lambda a, b: a - b,
-    OpCode.MUL: lambda a, b: a * b,
-    OpCode.DIV: lambda a, b: a / b,
-    OpCode.MIN: min,
-    OpCode.MAX: max,
-    OpCode.CMP: lambda a, b: 1.0 if a > b else 0.0,
-    # Bitwise ops get arbitrary-but-fixed arithmetic meanings: semantics
-    # only need determinism and sensitivity to both operands.
-    OpCode.AND: lambda a, b: (a * b) / (a + b),
-    OpCode.OR: lambda a, b: a + b - (a * b) / (a + b),
-    OpCode.XOR: lambda a, b: abs(a - b) + 1.0,
-    OpCode.SHL: lambda a, b: a * (1.0 + b / 8.0),
-    OpCode.SHR: lambda a, b: a / (1.0 + b / 8.0),
-}
+#: Evaluates one instance from its operand values and iteration.
+Evaluator = Callable[[List[float], int], float]
 
-_ONE_ARG = {
-    OpCode.NEG: lambda a: -a,
-    OpCode.ABS: abs,
-    OpCode.SQRT: lambda a: math.sqrt(abs(a)),
-    OpCode.COPY: lambda a: a,
-    OpCode.MOVE: lambda a: a,
+#: Pure semantics of every value-producing opcode except LOAD (whose
+#: value depends on the model's hooks).  Bitwise ops get arbitrary but
+#: fixed arithmetic meanings: semantics only need determinism and
+#: sensitivity to every operand.
+_SEMANTICS: Dict[OpCode, Evaluator] = {
+    OpCode.ADD: lambda x, _i: x[0] + x[1],
+    OpCode.SUB: lambda x, _i: x[0] - x[1],
+    OpCode.MUL: lambda x, _i: x[0] * x[1],
+    OpCode.DIV: lambda x, _i: x[0] / x[1],
+    OpCode.MIN: lambda x, _i: min(x[0], x[1]),
+    OpCode.MAX: lambda x, _i: max(x[0], x[1]),
+    OpCode.CMP: lambda x, _i: 1.0 if x[0] > x[1] else 0.0,
+    OpCode.AND: lambda x, _i: (x[0] * x[1]) / (x[0] + x[1]),
+    OpCode.OR: lambda x, _i: x[0] + x[1] - (x[0] * x[1]) / (x[0] + x[1]),
+    OpCode.XOR: lambda x, _i: abs(x[0] - x[1]) + 1.0,
+    OpCode.SHL: lambda x, _i: x[0] * (1.0 + x[1] / 8.0),
+    OpCode.SHR: lambda x, _i: x[0] / (1.0 + x[1] / 8.0),
+    OpCode.NEG: lambda x, _i: -x[0],
+    OpCode.ABS: lambda x, _i: abs(x[0]),
+    OpCode.SQRT: lambda x, _i: math.sqrt(abs(x[0])),
+    OpCode.COPY: lambda x, _i: x[0],
+    OpCode.MOVE: lambda x, _i: x[0],
+    OpCode.SELECT: lambda x, _i: x[1] if x[0] > 0.5 else x[2],
 }
 
 
@@ -121,16 +124,21 @@ class ValueModel:
     iteration_of: IterationOf = base_iteration
     seed_salt: str = "seed"
     input_salt: str = "in"
+    # Per model: live-in values, and each seeded op's identity-resolved
+    # origin (op, iteration shift, token).
+    _externals: Dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _origins: Dict[int, Tuple[Operation, int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def external_value(self, symbol: str) -> float:
         """Value of a loop-invariant / live-in symbol."""
-        return _hash_unit(symbol, 0, self.input_salt)
-
-    def load_value(self, op: Operation, iteration: int) -> float:
-        """Value a LOAD produces at *iteration* (of its own graph)."""
-        return _hash_unit(
-            self.load_token(op), self.iteration_of(op, iteration), self.input_salt
-        )
+        value = self._externals.get(symbol)
+        if value is None:
+            value = self._externals[symbol] = _hash_unit(symbol, 0, self.input_salt)
+        return value
 
     def seed_value(self, op_id: int, iteration: int) -> float:
         """Pre-loop value of op *op_id* at (negative) *iteration*.
@@ -139,33 +147,42 @@ class ValueModel:
         whatever their source held), so a rewritten graph seeds its
         queues with the *original* producer's values.
         """
-        op = self.ddg.op(op_id)
-        guard = 0
-        while op.opcode in (OpCode.COPY, OpCode.MOVE) and op.internal_srcs:
-            src = op.srcs[0]
-            iteration -= src.omega
-            op = self.ddg.op(src.producer)
-            guard += 1
-            if guard > len(self.ddg):
-                raise SimulationError("identity-op cycle while seeding")
-        token = self.load_token(op)
-        return _hash_unit(token, self.iteration_of(op, iteration), self.seed_salt)
-
-    def compute(self, op: Operation, args: List[float], iteration: int) -> float:
-        """Result of *op* over operand values *args* (non-STORE opcodes)."""
-        if op.opcode == OpCode.LOAD:
-            return self.load_value(op, iteration)
-        if op.opcode in _ONE_ARG:
-            return _ONE_ARG[op.opcode](args[0])
-        if op.opcode in _TWO_ARG:
-            return _TWO_ARG[op.opcode](args[0], args[1])
-        if op.opcode == OpCode.SELECT:
-            return args[1] if args[0] > 0.5 else args[2]
-        if op.opcode == OpCode.STORE:
-            raise SimulationError("STORE produces no value; record args[0]")
-        raise SimulationError(  # pragma: no cover - new opcodes land here
-            f"no semantics for {op.opcode}"
+        origin = self._origins.get(op_id)
+        if origin is None:
+            op = self.ddg.op(op_id)
+            shift = 0
+            guard = 0
+            while op.opcode in (OpCode.COPY, OpCode.MOVE) and op.internal_srcs:
+                src = op.srcs[0]
+                shift += src.omega
+                op = self.ddg.op(src.producer)
+                guard += 1
+                if guard > len(self.ddg):
+                    raise SimulationError("identity-op cycle while seeding")
+            origin = self._origins[op_id] = (op, shift, self.load_token(op))
+        op, shift, token = origin
+        return _hash_unit(
+            token, self.iteration_of(op, iteration - shift), self.seed_salt
         )
+
+    def evaluator(self, op: Operation) -> Evaluator:
+        """The function computing *op*'s value from ``(args, iteration)``.
+
+        Executors resolve it once per op and call it once per instance.
+        A STORE has none: it produces no value, and executors record its
+        ``args[0]``.
+        """
+        if op.opcode == OpCode.LOAD:
+            token = self.load_token(op)
+            iteration_of = self.iteration_of
+            salt = self.input_salt
+            return lambda _args, iteration: _hash_unit(
+                token, iteration_of(op, iteration), salt
+            )
+        try:
+            return _SEMANTICS[op.opcode]
+        except KeyError:  # STORE, and new opcodes until given semantics
+            raise SimulationError(f"no semantics for {op.opcode}") from None
 
 
 def sequential_run(
@@ -193,36 +210,45 @@ def sequential_run(
         seed_salt=seed_salt,
         input_salt=input_salt,
     )
-    order = _evaluation_order(ddg)
-    values: Dict[Tuple[int, int], float] = {}
     run = SequentialRun(iterations)
-
-    def operand_value(op: Operation, index: int, iteration: int) -> float:
-        src = op.srcs[index]
-        if src.is_external:
-            return model.external_value(src.symbol)
-        producer_iter = iteration - src.omega
-        key = (src.producer, producer_iter)
-        if producer_iter < 0:
-            return model.seed_value(src.producer, producer_iter)
-        if key not in values:
-            raise SimulationError(
-                f"value v{src.producer}@{producer_iter} read before computed"
-            )
-        return values[key]
+    # Plan every op once: its evaluator (or store stream) and, per
+    # operand, either a constant (external) or the producer's id, omega
+    # and value list, where ``values[op_id][j]`` is op_id's value at
+    # iteration j (stores produce no values: their list stays empty).
+    order = _evaluation_order(ddg)
+    values: Dict[int, List[float]] = {op_id: [] for op_id in order}
+    plan = []
+    for op_id in order:
+        op = ddg.op(op_id)
+        operands = tuple(
+            (None, 0, model.external_value(src.symbol))
+            if src.is_external
+            else (src.producer, src.omega, values.get(src.producer, ()))
+            for src in op.srcs
+        )
+        if op.opcode == OpCode.STORE:
+            run.store_tokens[op_id] = store_token(op)
+            plan.append((operands, None, run.store_streams.setdefault(op_id, [])))
+        else:
+            plan.append((operands, model.evaluator(op), values[op_id]))
 
     for iteration in range(iterations):
-        for op_id in order:
-            op = ddg.op(op_id)
-            args = [
-                operand_value(op, index, iteration)
-                for index in range(len(op.srcs))
-            ]
-            if op.opcode == OpCode.STORE:
-                run.store_streams.setdefault(op_id, []).append(args[0])
-                run.store_tokens[op_id] = store_token(op)
-                continue
-            values[(op_id, iteration)] = model.compute(op, args, iteration)
+        for operands, evaluate, sink in plan:
+            args: List[float] = []
+            for producer, omega, source in operands:
+                if producer is None:
+                    args.append(source)
+                    continue
+                producer_iter = iteration - omega
+                if producer_iter < 0:
+                    args.append(model.seed_value(producer, producer_iter))
+                elif producer_iter < len(source):
+                    args.append(source[producer_iter])
+                else:
+                    raise SimulationError(
+                        f"value v{producer}@{producer_iter} read before computed"
+                    )
+            sink.append(args[0] if evaluate is None else evaluate(args, iteration))
     return run
 
 

@@ -24,11 +24,23 @@ What one ``verify_compiled`` call proves:
   declared ``write_ports``;
 * the values stored by the pipelined program bit-equal the sequential
   reference on the original iteration space (unroll mapping applied).
+
+:func:`execute_program` is linear in the issues it executes.  It first
+compiles the program into a dense plan: the issue list, sorted once by
+``(cycle, FU order)``; integer queue ids, with one list of deques and
+one list of depth limits; and per op its value function, a tuple of
+operand reads (queue id or constant) and a tuple of fan-out targets
+``(queue id, delay, link)``.  One loop then runs the issues.  Values in
+flight wait in per-cycle arrival lists, delivered in cycle order and,
+within a cycle, in production order.  Every check reports the same
+problem text, in the same order, as a lazy walk of the program would:
+the problem strings are what the fuzzer compares.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,7 +58,7 @@ from ..ir.opcodes import LatencyModel, OpCode
 from ..ir.transforms import base_op_of
 from ..machine.cqrf import LRFId
 from ..machine.machine import MachineSpec
-from ..registers.queues import QueueAllocation, allocate_queues
+from ..registers.queues import QueueAllocation, QueueAssignment, allocate_queues
 from ..scheduling.pipeline import CompiledLoop
 from ..scheduling.result import ScheduleResult
 from ..scheduling.timing import edge_ready_latency
@@ -59,6 +71,9 @@ from ..simulator.semantics import (
 #: Poison operand value substituted when a queue pop fails; keeps the
 #: execution going so one bug yields one problem, not a cascade of crashes.
 _POISON = float("nan")
+
+#: Depth limit of a queue no hardware file bounds.
+_UNBOUNDED = sys.maxsize
 
 
 @dataclass
@@ -92,80 +107,124 @@ class OracleReport:
             )
 
 
+#: One issue of the run: ``(cycle, FU order, enumeration index,
+#: iteration, op id)``.  Tuple order is execution order; the enumeration
+#: index keeps ties (two bindings on one FU in one cycle) in listing order.
+Issue = Tuple[int, Tuple[int, int, int], int, int, int]
+
+
 def _enumerate_issues(
     program: VLIWProgram,
+    ddg: DDG,
     iterations: int,
     report: OracleReport,
-) -> List[Tuple[int, int, SlotBinding]]:
-    """All (cycle, iteration, binding) issues of an *iterations*-deep run.
+) -> Tuple[List[Issue], Dict[int, int]]:
+    """All issues of an *iterations*-deep run, in execution order, with
+    each op's cluster (from its first listed binding).
 
     The prologue and epilogue come from the program's ramp listings (the
     epilogue pattern shifts with the run depth in steady state); the
     kernel block re-issues for every steady-state cycle in between.
+    Listing errors and exactness violations (an ``(op, iteration)``
+    instance issued twice, never, or for an op outside the graph) are
+    recorded as problems.
     """
     ii = program.ii
     sc = program.stage_count
+    problems = report.problems
+    issues: List[Issue] = []
+    cluster_of: Dict[int, int] = {}
+    # counts[op_id][i]: how often instance i of op_id issues.
+    counts: Dict[int, List[int]] = {op_id: [0] * iterations for op_id in ddg.op_ids}
+
+    # op id -> (binding, issue time, FU order, per-iteration counts) of
+    # the last binding seen for it; listings reuse the kernel's bindings.
+    last_seen: Dict[int, tuple] = {}
+
+    def binding_info(binding: SlotBinding) -> tuple:
+        op_id = binding.op_id
+        fu = binding.fu
+        cluster_of.setdefault(op_id, fu.cluster)
+        seen = counts.get(op_id)
+        if seen is None:
+            seen = counts[op_id] = [0] * iterations
+        info = last_seen[op_id] = (
+            binding,
+            binding.stage * ii + binding.row,
+            fu.sort_key,
+            seen,
+        )
+        return info
+
+    def listing(words, phase: str) -> None:
+        for cycle, bindings in words:
+            for binding in bindings:
+                info = last_seen.get(binding.op_id)
+                if info is None or info[0] is not binding:
+                    info = binding_info(binding)
+                _, issue_time, order, seen = info
+                iteration, rest = divmod(cycle - issue_time, ii)
+                if rest or not 0 <= iteration < iterations:
+                    problems.append(
+                        f"{phase} lists v{binding.op_id} at cycle {cycle}, "
+                        f"which is no iteration of a {iterations}-iteration "
+                        f"run (t={issue_time}, II={ii})"
+                    )
+                    continue
+                seen[iteration] += 1
+                issues.append(
+                    (cycle, order, len(issues), iteration, binding.op_id)
+                )
+
     ramp = program.ramp_iterations or min(sc, iterations)
     if ramp != min(sc, iterations):
-        report.problems.append(
+        # Nothing is listed: every instance is then reported missing.
+        problems.append(
             f"program ramp listings cover {ramp} iteration(s); a "
             f"{iterations}-iteration run needs {min(sc, iterations)}"
         )
-        return []
-    issues: List[Tuple[int, int, SlotBinding]] = []
+    else:
+        shift = (iterations - ramp) * ii
+        listing(((c.cycle, c.bindings) for c in program.prologue), "prologue")
+        listing(
+            (
+                (reissue * ii + row, bindings)
+                for reissue in range(sc - 1, iterations)
+                for row, bindings in enumerate(program.kernel)
+            ),
+            "kernel",
+        )
+        listing(
+            ((c.cycle + shift, c.bindings) for c in program.epilogue), "epilogue"
+        )
 
-    def place(cycle: int, binding: SlotBinding, phase: str) -> None:
-        issue_time = binding.stage * ii + binding.row
-        offset = cycle - issue_time
-        if offset % ii or not 0 <= offset // ii < iterations:
-            report.problems.append(
-                f"{phase} lists v{binding.op_id} at cycle {cycle}, which is "
-                f"no iteration of a {iterations}-iteration run "
-                f"(t={issue_time}, II={ii})"
-            )
-            return
-        issues.append((cycle, offset // ii, binding))
-
-    for cycle_issue in program.prologue:
-        for binding in cycle_issue.bindings:
-            place(cycle_issue.cycle, binding, "prologue")
-    for reissue in range(sc - 1, iterations):
-        for row, bindings in enumerate(program.kernel):
-            for binding in bindings:
-                place(reissue * ii + row, binding, "kernel")
-    shift = (iterations - ramp) * ii
-    for cycle_issue in program.epilogue:
-        for binding in cycle_issue.bindings:
-            place(cycle_issue.cycle + shift, binding, "epilogue")
-    return issues
-
-
-def _check_exactness(
-    issues: List[Tuple[int, int, SlotBinding]],
-    ddg: DDG,
-    iterations: int,
-    report: OracleReport,
-) -> None:
-    """Every op of the graph must issue exactly once per iteration."""
-    seen: Dict[Tuple[int, int], int] = {}
-    for _cycle, iteration, binding in issues:
-        key = (binding.op_id, iteration)
-        seen[key] = seen.get(key, 0) + 1
-    for (op_id, iteration), count in sorted(seen.items()):
-        if op_id not in ddg:
-            report.problems.append(
-                f"program issues v{op_id}, which is not in the graph"
-            )
-        elif count > 1:
-            report.problems.append(
-                f"v{op_id} iteration {iteration} issued {count} times"
-            )
-    for op_id in ddg.op_ids:
-        for iteration in range(iterations):
-            if (op_id, iteration) not in seen:
-                report.problems.append(
-                    f"v{op_id} iteration {iteration} never issued"
+    # Exactness: every op of the graph issues once per iteration.
+    for op_id in sorted(counts):
+        seen = counts[op_id]
+        in_graph = op_id in ddg
+        if in_graph and max(seen) <= 1:
+            continue
+        for iteration, count in enumerate(seen):
+            if not count:
+                continue
+            if not in_graph:
+                problems.append(
+                    f"program issues v{op_id}, which is not in the graph"
                 )
+            elif count > 1:
+                problems.append(
+                    f"v{op_id} iteration {iteration} issued {count} times"
+                )
+    for op_id in ddg.op_ids:
+        seen = counts[op_id]
+        if 0 in seen:
+            problems.extend(
+                f"v{op_id} iteration {iteration} never issued"
+                for iteration, count in enumerate(seen)
+                if not count
+            )
+    issues.sort()
+    return issues, cluster_of
 
 
 def execute_program(
@@ -195,6 +254,7 @@ def execute_program(
         stage_count=program.stage_count,
         iterations=iterations,
     )
+    problems = report.problems
 
     # The program's advertised stage count drives ramp length and stage
     # predication in hardware; it must agree with the kernel's own stage
@@ -202,107 +262,127 @@ def execute_program(
     # so enumeration alone cannot see the lie).
     stages = [b.stage for row in program.kernel for b in row]
     if stages and program.stage_count != max(stages) + 1:
-        report.problems.append(
+        problems.append(
             f"program stage count {program.stage_count} != 1 + max kernel "
             f"stage {max(stages)}"
         )
 
-    issues = _enumerate_issues(program, iterations, report)
-    _check_exactness(issues, ddg, iterations, report)
-    if report.problems:
+    issues, cluster_of = _enumerate_issues(program, ddg, iterations, report)
+    if problems:
         return report
 
-    # --- queue plumbing ------------------------------------------------
-    by_lifetime = allocation.by_lifetime() if allocation is not None else None
-    queue_of: Dict[Tuple[int, int, int], object] = {}
-    depth_limit: Dict[object, int] = {}
-    clustered = machine is not None and machine.is_clustered
+    # --- plan: dense queue ids, seeds, per-op reads and fan-out ------
+    # Every operand reference (producer, consumer, operand index) maps
+    # to a queue id: its assigned (file, queue) slot, shared if two
+    # lifetimes were given one queue, or an anonymous queue of its own.
+    queues: List[deque] = []
+    labels: List[Optional[QueueAssignment]] = []  # named in depth problems
+    limits: List[int] = []
+    max_occupancy = 0
 
-    def resolve_queue(producer: int, consumer: int, index: int):
-        ref = (producer, consumer, index)
-        key = queue_of.get(ref)
-        if key is not None:
-            return key
-        if by_lifetime is None:
-            key = ref
-        else:
-            assignment = by_lifetime.get(ref)
-            if assignment is None:
-                report.problems.append(
-                    f"no queue assigned for v{producer} -> op {consumer} "
-                    f"operand {index}"
-                )
-                key = ref  # fall back so execution can continue
-            else:
-                key = (assignment.file_id, assignment.queue_index)
-                if machine is not None:
-                    spec = (
-                        machine.cluster(assignment.file_id.cluster).lrf
-                        if isinstance(assignment.file_id, LRFId)
-                        else machine.cqrf
-                    )
-                    depth_limit[key] = spec.queue_depth
-        queue_of[ref] = key
-        return key
+    def new_queue(assignment: Optional[QueueAssignment], limit: int) -> int:
+        queues.append(deque())
+        labels.append(assignment)
+        limits.append(limit)
+        return len(queues) - 1
 
-    if by_lifetime is not None:
-        taken: Dict[Tuple[object, int], Tuple[int, int, int]] = {}
-        for ref, assignment in by_lifetime.items():
-            slot = (assignment.file_id, assignment.queue_index)
-            if slot in taken:
-                report.problems.append(
-                    f"queue {assignment.label} assigned to two lifetimes: "
-                    f"{taken[slot]} and {ref}"
-                )
-            taken[slot] = ref
-
-    queues: Dict[object, deque] = {}
-
-    def push(key, value) -> None:
-        queue = queues.setdefault(key, deque())
+    def push(qid: int, value: float) -> None:
+        nonlocal max_occupancy
+        queue = queues[qid]
         queue.append(value)
-        if len(queue) > report.max_queue_occupancy:
-            report.max_queue_occupancy = len(queue)
-        limit = depth_limit.get(key)
-        if limit is not None and len(queue) > limit:
-            report.problems.append(
-                f"queue {key[0]}:q{key[1]} holds {len(queue)} values "
-                f"(depth {limit})"
+        held = len(queue)
+        if held > max_occupancy:
+            max_occupancy = held
+        if held > limits[qid]:
+            problems.append(
+                f"queue {labels[qid].label} holds {held} values "
+                f"(depth {limits[qid]})"
             )
 
-    # Loop-carried seeds: instances -omega .. -1 exist before cycle 0.
+    by_lifetime = allocation.by_lifetime() if allocation is not None else None
+    queue_of: Dict[Tuple[int, int, int], int] = {}
+    # slot -> (queue id, the last lifetime assigned to it)
+    slots: Dict[Tuple[object, int], Tuple[int, Tuple[int, int, int]]] = {}
+    for ref, assignment in (by_lifetime or {}).items():
+        slot = (assignment.file_id, assignment.queue_index)
+        owner = slots.get(slot)
+        if owner is not None:
+            problems.append(
+                f"queue {assignment.label} assigned to two lifetimes: "
+                f"{owner[1]} and {ref}"
+            )
+            qid = owner[0]
+        elif machine is None:
+            qid = new_queue(assignment, _UNBOUNDED)
+        else:
+            spec = (
+                machine.cluster(assignment.file_id.cluster).lrf
+                if isinstance(assignment.file_id, LRFId)
+                else machine.cqrf
+            )
+            qid = new_queue(assignment, spec.queue_depth)
+        slots[slot] = (qid, ref)
+        queue_of[ref] = qid
+
+    # A missing assignment is reported where its reference is first
+    # used: a seed push, an operand read or its producer's first value.
+    unreported: Dict[int, str] = {}
+
+    def touch(qid: int) -> None:
+        if qid in unreported:
+            problems.append(unreported.pop(qid))
+
+    # Per op, its operand reads: (queue id, constant, producer, operand
+    # index), the queue id None for an external whose value is the
+    # constant.  Loop-carried seeds (instances -omega .. -1) are pushed
+    # before cycle 0, in operand order.
+    reads_of: Dict[int, tuple] = {}
+    # (queue id, producer, consumer, operand index, omega) per reference
+    streams: List[Tuple[int, int, int, int, int]] = []
     for consumer in ddg.operations():
+        reads = []
         for index, src in enumerate(consumer.srcs):
-            if src.is_external or not src.omega:
+            if src.is_external:
+                value = model.external_value(src.symbol)
+                reads.append((None, value, None, index))
                 continue
-            key = resolve_queue(src.producer, consumer.op_id, index)
-            for instance in range(-src.omega, 0):
-                push(key, model.seed_value(src.producer, instance))
+            ref = (src.producer, consumer.op_id, index)
+            qid = queue_of.get(ref)
+            if qid is None:
+                qid = queue_of[ref] = new_queue(None, _UNBOUNDED)
+                if by_lifetime is not None:
+                    unreported[qid] = (
+                        f"no queue assigned for v{src.producer} -> op "
+                        f"{consumer.op_id} operand {index}"
+                    )
+            if src.omega:
+                touch(qid)
+                for instance in range(-src.omega, 0):
+                    push(qid, model.seed_value(src.producer, instance))
+            reads.append((qid, None, src.producer, index))
+            streams.append((qid, src.producer, consumer.op_id, index, src.omega))
+        reads_of[consumer.op_id] = tuple(reads)
 
-    bindings_cluster: Dict[int, int] = {}
-    for _cycle, _iteration, binding in issues:
-        bindings_cluster.setdefault(binding.op_id, binding.fu.cluster)
-
-    # Producer-side routing: per op, the consumer refs (queue, delay,
-    # crossed link) its value fans out to, plus the single-use write
-    # discipline the CQRF hardware relies on.
-    fanout_plan: Dict[int, List[Tuple[object, int, Optional[Tuple[int, int]]]]] = {}
-
-    def plan_for(op_id: int) -> List[Tuple[object, int, Optional[Tuple[int, int]]]]:
-        plan = fanout_plan.get(op_id)
-        if plan is not None:
-            return plan
-        producer_cluster = bindings_cluster.get(op_id)
+    # Per op, its evaluator and fan-out: (queue id, delay, crossed link)
+    # per consumer reference, the link only where write ports are
+    # counted.  ``first_issue`` holds what an op's first value-producing
+    # issue reports: a single-use fan-out violation, then its fan-out
+    # queues' missing assignments.
+    clustered = machine is not None and machine.is_clustered
+    ports = machine.cqrf.write_ports if clustered else 0
+    plans: Dict[int, tuple] = {}
+    first_issue: Dict[int, Tuple[Optional[str], List[int]]] = {}
+    for op in ddg.operations():
+        op_id = op.op_id
+        if op.opcode == OpCode.STORE:
+            plans[op_id] = (reads_of[op_id], None, ())
+            continue
+        # Every op issued, so every op has a cluster.
+        producer_cluster = cluster_of[op_id]
         refs = ddg.flow_succ_ref_edges(op_id)
-        if clustered and len(refs) > 2:
-            report.problems.append(
-                f"v{op_id} fans out to {len(refs)} queues "
-                "(single-use discipline allows at most 2)"
-            )
-        plan = []
+        fanout = []
         for (consumer_id, index, _omega), edge in refs:
-            key = resolve_queue(op_id, consumer_id, index)
-            consumer_cluster = bindings_cluster.get(consumer_id)
+            consumer_cluster = cluster_of[consumer_id]
             delay = edge_ready_latency(
                 ddg,
                 edge,
@@ -312,81 +392,94 @@ def execute_program(
                 machine=machine,
             )
             link = None
-            if (
-                producer_cluster is not None
-                and consumer_cluster is not None
-                and producer_cluster != consumer_cluster
-            ):
+            if ports and producer_cluster != consumer_cluster:
                 link = (producer_cluster, consumer_cluster)
-            plan.append((key, delay, link))
-        fanout_plan[op_id] = plan
-        return plan
+            fanout.append((queue_of[(op_id, consumer_id, index)], delay, link))
+        wide = None
+        if clustered and len(refs) > 2:
+            wide = (
+                f"v{op_id} fans out to {len(refs)} queues "
+                "(single-use discipline allows at most 2)"
+            )
+        missing = [qid for qid, _, _ in fanout if qid in unreported]
+        if wide or missing:
+            first_issue[op_id] = (wide, missing)
+        plans[op_id] = (reads_of[op_id], model.evaluator(op), tuple(fanout))
 
     # --- execution -----------------------------------------------------
-    issues.sort(key=lambda item: (item[0], item[2].fu.sort_key))
-    pending: List[Tuple[int, int, object, float, Optional[Tuple[int, int]]]] = []
-    sequence = 0
-    ports = machine.cqrf.write_ports if clustered else 0
+    # Values in flight wait in per-cycle arrival lists; ``due`` is a heap
+    # of the cycles that have one.  Within a cycle, values arrive in the
+    # order they were produced.
+    arrivals: Dict[int, List[Tuple[int, float, Optional[Tuple[int, int]]]]] = {}
+    due: List[int] = []
     link_load: Dict[Tuple[int, int, int], int] = {}
+    store_streams = report.store_streams
 
-    def drain_until(cycle: int) -> None:
-        while pending and pending[0][0] <= cycle:
-            ready, _seq, key, value, link = heapq.heappop(pending)
-            push(key, value)
-            if link is not None and ports > 0:
+    def deliver(ready: int) -> None:
+        for qid, value, link in arrivals.pop(ready):
+            push(qid, value)
+            if link is not None:
                 slot = (ready, link[0], link[1])
-                link_load[slot] = link_load.get(slot, 0) + 1
-                if link_load[slot] == ports + 1:
-                    report.problems.append(
+                load = link_load[slot] = link_load.get(slot, 0) + 1
+                if load == ports + 1:
+                    problems.append(
                         f"cycle {ready}: {ports + 1}+ values enter "
                         f"cqrf[c{link[0]}->c{link[1]}] "
                         f"(write ports {ports})"
                     )
 
-    for cycle, iteration, binding in issues:
-        drain_until(cycle)
-        op = ddg.op(binding.op_id)
-        report.issued += 1
+    for cycle, _order, _index, iteration, op_id in issues:
+        while due and due[0] <= cycle:
+            deliver(heapq.heappop(due))
+        reads, evaluate, fanout = plans[op_id]
         args: List[float] = []
-        for index, src in enumerate(op.srcs):
-            if src.is_external:
-                args.append(model.external_value(src.symbol))
+        for qid, constant, producer, index in reads:
+            if qid is None:
+                args.append(constant)
                 continue
-            key = resolve_queue(src.producer, op.op_id, index)
-            queue = queues.get(key)
-            if not queue:
-                report.problems.append(
-                    f"cycle {cycle}: v{op.op_id} iteration {iteration} reads "
-                    f"v{src.producer} (operand {index}) before it is ready"
+            if unreported:
+                touch(qid)
+            try:
+                args.append(queues[qid].popleft())
+            except IndexError:
+                problems.append(
+                    f"cycle {cycle}: v{op_id} iteration {iteration} reads "
+                    f"v{producer} (operand {index}) before it is ready"
                 )
                 args.append(_POISON)
-                continue
-            args.append(queue.popleft())
-        if op.opcode == OpCode.STORE:
-            report.store_streams.setdefault(op.op_id, []).append(args[0])
+        if evaluate is None:
+            store_streams.setdefault(op_id, []).append(args[0])
             continue
-        value = model.compute(op, args, iteration)
-        for key, delay, link in plan_for(op.op_id):
-            sequence += 1
-            heapq.heappush(
-                pending, (cycle + delay, sequence, key, value, link)
-            )
-    drain_until(float("inf"))
+        value = evaluate(args, iteration)
+        if first_issue and op_id in first_issue:
+            wide, pending_queues = first_issue.pop(op_id)
+            if wide:
+                problems.append(wide)
+            for qid in pending_queues:
+                touch(qid)
+        for qid, delay, link in fanout:
+            ready = cycle + delay
+            arriving = arrivals.get(ready)
+            if arriving is None:
+                arriving = arrivals[ready] = []
+                heapq.heappush(due, ready)
+            arriving.append((qid, value, link))
+    while due:
+        deliver(heapq.heappop(due))
+    report.issued = len(issues)
+    report.max_queue_occupancy = max_occupancy
 
     # --- end-state audit ----------------------------------------------
     # After n iterations every reference queue must hold exactly its
     # omega values (the carried state iteration n would consume).
-    for consumer in ddg.operations():
-        for index, src in enumerate(consumer.srcs):
-            if src.is_external:
-                continue
-            key = resolve_queue(src.producer, consumer.op_id, index)
-            left = len(queues.get(key, ()))
-            if left != src.omega:
-                report.problems.append(
-                    f"stream v{src.producer} -> op {consumer.op_id} operand "
-                    f"{index} drains to {left} values (expected {src.omega})"
-                )
+    for qid, producer, consumer_id, index, omega in streams:
+        touch(qid)
+        left = len(queues[qid])
+        if left != omega:
+            problems.append(
+                f"stream v{producer} -> op {consumer_id} operand "
+                f"{index} drains to {left} values (expected {omega})"
+            )
     return report
 
 
@@ -429,27 +522,31 @@ def _unroll_hooks(base: DDG, factor: int):
     """(load_token, iteration_of) mapping a scheduled graph's original
     ops back to the base loop's streams and iteration space.
 
-    Copy/move operations inserted by single-use rewriting or DMS chains
-    never reach these hooks: the value model resolves identity chains to
-    the original producer first.
+    Each op id is mapped to its ``(base op, copy)`` once.  Copy/move
+    operations inserted by single-use rewriting or DMS chains never
+    reach these hooks: the value model resolves identity chains to the
+    original producer first.
     """
     span = factor * len(base.op_ids)
+    origin: Dict[int, Tuple[int, int]] = {}
 
     def ensure_original(op) -> Tuple[int, int]:
-        if op.op_id >= span:
-            raise SimulationError(
-                f"op {op.op_id} ({op.opcode.value}) has no base-loop "
-                "counterpart (identity resolution should have removed it)"
-            )
-        return base_op_of(base, op.op_id, factor)
+        found = origin.get(op.op_id)
+        if found is None:
+            if op.op_id >= span:
+                raise SimulationError(
+                    f"op {op.op_id} ({op.opcode.value}) has no base-loop "
+                    "counterpart (identity resolution should have removed it)"
+                )
+            found = origin[op.op_id] = base_op_of(base, op.op_id, factor)
+        return found
 
     def token(op) -> str:
         base_id, _copy = ensure_original(op)
         return default_load_token(base.op(base_id))
 
     def iteration(op, j: int) -> int:
-        _base_id, copy = ensure_original(op)
-        return j * factor + copy
+        return j * factor + ensure_original(op)[1]
 
     return token, iteration
 

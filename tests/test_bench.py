@@ -86,11 +86,19 @@ class TestCompare:
         (result,) = compare_to_baseline(cur, base, tolerance=0.25)
         assert result.status == "ok"
 
-    def test_extra_current_case_ignored(self):
+    def test_extra_current_case_listed_unbaselined(self):
+        """A case the baseline lacks is listed, not gated: it neither
+        fails the gate nor disappears from the report."""
         base = make_doc({"a": entry(1.0)})
-        cur = make_doc({"a": entry(1.0), "zz": entry(9.0)})
+        cur = make_doc({"a": entry(1.0), "zz": entry(9.0), "b": entry(0.1)})
         results = compare_to_baseline(cur, base)
-        assert [r.case for r in results] == ["a"]
+        assert [(r.case, r.status) for r in results] == [
+            ("a", "ok"),
+            ("b", "unbaselined"),
+            ("zz", "unbaselined"),
+        ]
+        assert all(r.ratio is None for r in results[1:])
+        assert not has_regression(results)
 
 
 class TestHelpers:
@@ -240,6 +248,32 @@ class TestBenchCli:
         printed = capsys.readouterr().out
         assert "benchmark gate: ok" in printed
         assert json.load(open(out))["cases"]["mii_lms"]["best_s"] > 0
+
+    def test_bench_check_lists_unbaselined_cases(self, tmp_path, capsys):
+        baseline = str(tmp_path / "base.json")
+        out = str(tmp_path / "cur.json")
+        assert main(["bench", "--quick", "--cases", "mii_lms", "--out", baseline]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "bench",
+                "--quick",
+                "--cases",
+                "mii_lms,unroll_single_use_fir4",
+                "--check",
+                "--baseline",
+                baseline,
+                "--tolerance",
+                "5.0",
+                "--out",
+                out,
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "[ NEW] unroll_single_use_fir4" in printed
+        assert "benchmark gate: ok" in printed
+        assert json.load(open(out))["unbaselined"] == ["unroll_single_use_fir4"]
 
     def test_bench_profile_cli(self, capsys):
         assert main(["bench", "--profile", "mii_lms"]) == 0

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.api import CompilationRequest, Toolchain
-from repro.codegen.kernel import CycleIssue, _ramp_cycles, build_program
+from repro.codegen.kernel import CycleIssue, _ramp_listing, build_program
 from repro.errors import CodegenError, SimulationError
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.pipeline import CompiledLoop
@@ -109,9 +109,11 @@ class TestRampExactness:
             stage_count=result.stage_count,
             iterations=iterations,
         )
-        issues = _enumerate_issues(program, iterations, report)
+        issues, _clusters = _enumerate_issues(
+            program, result.ddg, iterations, report
+        )
         assert report.ok, report.problems
-        got = sorted((cycle, binding.op_id) for cycle, _it, binding in issues)
+        got = sorted((cycle, op_id) for cycle, _fu, _n, _it, op_id in issues)
         expected = sorted(
             (placement.time + i * result.ii, op_id)
             for op_id, placement in result.placements.items()
@@ -137,12 +139,12 @@ class TestRampExactness:
         bindings = {b.op_id: b for row in program.kernel for b in row}
         buggy = dataclasses.replace(
             program,
-            prologue=_ramp_cycles(
+            prologue=_ramp_listing(
                 result,
                 bindings,
-                range((result.stage_count - 1) * result.ii),
-                0,
                 n,
+                0,
+                (result.stage_count - 1) * result.ii,
             ),
         )
         report = execute_program(
