@@ -3,10 +3,10 @@
 The subsystem mirrors the pass-registry architecture of
 :mod:`repro.api.passes`: rules are stateless objects registered by id
 in :data:`~repro.analysis.rules.RULE_REGISTRY`; the driver
-(:func:`~repro.analysis.runner.run_lint`) walks each file's AST once,
-dispatching nodes to every interested rule, runs each rule's
-whole-module flow pass, then folds in inline suppressions and the
-committed baseline.
+(:func:`~repro.analysis.runner.run_lint`) reads and parses each file
+once into the project index, walks each file's AST once, dispatching
+nodes to every interested rule, runs each rule's whole-module flow
+pass, then folds in inline suppressions and the committed baseline.
 
 Layers::
 
@@ -15,7 +15,7 @@ Layers::
     visitor.py    ModuleContext (scopes, aliases, parents) + Walker
     cfg.py        intraprocedural control-flow graphs
     dataflow.py   events + forward solver + reaching definitions
-    callgraph.py  project-wide symbol index / call graph (+ disk cache)
+    callgraph.py  parsed-module table: trees, resolved aliases, symbols
     suppress.py   # repro: lint-ignore[...] comment semantics
     baseline.py   grandfathered-findings file + diffing
     config.py     defaults + [tool.repro.lint] from pyproject.toml

@@ -1,39 +1,34 @@
-"""Project-wide function index and call graph for flow-aware rules.
+"""The project's parsed-module table and symbol index.
 
-The :class:`ProjectIndex` answers the questions the intraprocedural
-rules cannot: *what does this dotted name refer to, project-wide?*
-(``pools.spawn_pool`` under ``from repro import pools`` →
-``repro.pools.spawn_pool``), *is the referent a module-level def, a
-method, a name bound to a lambda?*, and *who calls whom?* (one edge set
-per indexed function, callee names fully resolved through each module's
-import aliases — including relative imports, which the per-file
-alias map in :mod:`repro.analysis.visitor` deliberately skips).
+:class:`ProjectIndex` reads and parses every linted file exactly once.
+Per file it keeps a :class:`ModuleInfo`: the source, the tree, the
+module's import-alias map and its indexed functions.  The runner lints
+each file from this table, and the flow-aware rules ask it what a
+single file cannot answer: *what does this dotted name refer to,
+project-wide?* (``pools.spawn_pool`` under ``from repro import pools``
+→ ``repro.pools.spawn_pool``), and *is the referent a module-level def,
+a method, or a name bound to a lambda?*
+
+The alias map resolves relative imports against the module's package
+(``from ..pools import spawn_pool`` in ``repro.api.batch`` →
+``repro.pools.spawn_pool``), so every rule sees one spelling per name.
+A file that cannot be read or parsed gets no :class:`ModuleInfo`; its
+``parse-error`` finding waits in :attr:`ProjectIndex.errors`.
 
 Rules attach derived per-function facts (e.g. the determinism rule's
 return/sink summaries) through :meth:`ProjectIndex.get_summary` /
-:meth:`set_summary`; summaries are plain JSON data so they persist in
-the on-disk cache.
-
-The whole index serialises to one JSON file keyed on a hash of every
-``(path, sha256(source))`` pair — ``repro lint --callgraph-cache FILE``
-reloads it when no source changed (CI caches the file across runs) and
-rebuilds it otherwise.  AST nodes are never serialised: a cache-loaded
-index re-parses a module lazily only when a rule asks for a function's
-body (:meth:`func_node`), which the summary cache makes rare.
+:meth:`set_summary`; they live as long as the index, one run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import LintError
-
-CALLGRAPH_SCHEMA = 1
+from .findings import Finding
+from .rules import PARSE_ERROR
 
 
 def module_name_for(rel_path: str) -> str:
@@ -63,32 +58,31 @@ class FunctionInfo:
     name: str
     kind: str  # "function" | "method" | "lambda"
     lineno: int
-    params: Tuple[str, ...] = ()
-    node: Optional[ast.AST] = None  # absent when loaded from cache
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "params": list(self.params),
-        }
+    params: Tuple[str, ...]
+    node: ast.AST
 
 
 @dataclass
 class ModuleInfo:
-    """Per-module slice of the index."""
+    """One parsed file: its source, tree, aliases and functions."""
 
     rel_path: str
     module: str
-    aliases: Dict[str, str] = field(default_factory=dict)
+    source: str
+    tree: ast.Module
+    aliases: Dict[str, str]
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    edges: Dict[str, List[str]] = field(default_factory=dict)
 
 
 def collect_module_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
-    """Local name → canonical dotted path, resolving relative imports
-    against *module* (unlike the visitor's flat map)."""
+    """Local name → canonical dotted path, from every import statement.
+
+    Relative imports resolve against *module*'s package.  Collection is
+    flat (function-local imports land in the same map): precise
+    per-scope shadowing is not worth the complexity for lint purposes,
+    and the repo convention of module-style imports keeps collisions
+    theoretical.
+    """
     package_parts = module.split(".")[:-1] if module else []
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -116,15 +110,14 @@ def collect_module_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
 
 
 class ProjectIndex:
-    """Symbol table + call graph over every linted file."""
+    """Parsed modules + symbol table over every linted file."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.modules: Dict[str, ModuleInfo] = {}  # rel_path -> info
         self.functions: Dict[str, FunctionInfo] = {}  # qualname -> info
-        self.key: str = ""
+        self.errors: Dict[str, Finding] = {}  # rel_path -> parse-error
         self._summaries: Dict[str, Dict[str, object]] = {}
-        self._parsed: Dict[str, Optional[ast.Module]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -133,44 +126,31 @@ class ProjectIndex:
         cls, root: Path, files: Sequence[Tuple[Path, str]]
     ) -> "ProjectIndex":
         index = cls(root)
-        hash_parts: List[str] = []
         for path, rel in sorted(files, key=lambda item: item[1]):
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            hash_parts.append(
-                f"{rel} {hashlib.sha256(source.encode('utf-8')).hexdigest()}"
-            )
-            try:
-                tree = ast.parse(source, filename=rel)
-            except SyntaxError:
-                continue  # the runner reports parse errors itself
-            index._index_module(rel, tree)
-        index.key = hashlib.sha256(
-            "\n".join(hash_parts).encode("utf-8")
-        ).hexdigest()
+            index._add_file(path, rel)
         return index
 
-    @classmethod
-    def source_key(cls, files: Sequence[Tuple[Path, str]]) -> str:
-        """The cache key :meth:`build` would compute for *files*."""
-        hash_parts: List[str] = []
-        for path, rel in sorted(files, key=lambda item: item[1]):
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            hash_parts.append(
-                f"{rel} {hashlib.sha256(source.encode('utf-8')).hexdigest()}"
+    def _add_file(self, path: Path, rel_path: str) -> None:
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            self.errors[rel_path] = Finding(
+                rule=PARSE_ERROR, path=rel_path, line=1, col=1,
+                message=f"cannot read file: {err}", snippet="",
             )
-        return hashlib.sha256("\n".join(hash_parts).encode("utf-8")).hexdigest()
-
-    def _index_module(self, rel_path: str, tree: ast.Module) -> None:
+            return
+        try:
+            tree = ast.parse(source, filename=rel_path)
+        except SyntaxError as err:
+            self.errors[rel_path] = Finding(
+                rule=PARSE_ERROR, path=rel_path,
+                line=err.lineno or 1, col=(err.offset or 1),
+                message=f"syntax error: {err.msg}", snippet="",
+            )
+            return
         module = module_name_for(rel_path)
         info = ModuleInfo(
-            rel_path=rel_path,
-            module=module,
+            rel_path=rel_path, module=module, source=source, tree=tree,
             aliases=collect_module_aliases(tree, module),
         )
         self.modules[rel_path] = info
@@ -202,9 +182,6 @@ class ProjectIndex:
                         )
                         info.functions[qualname] = fn
                         self.functions[qualname] = fn
-        for fn in info.functions.values():
-            if fn.node is not None and not isinstance(fn.node, ast.Lambda):
-                info.edges[fn.qualname] = self._edges_for(info, fn)
 
     def _add_function(
         self, info: ModuleInfo, node, kind: str, cls: Optional[str] = None
@@ -225,22 +202,6 @@ class ProjectIndex:
         info.functions[qualname] = fn
         self.functions[qualname] = fn
 
-    def _edges_for(self, info: ModuleInfo, fn: FunctionInfo) -> List[str]:
-        current_class = None
-        if fn.kind == "method":
-            current_class = fn.qualname.rsplit(".", 2)[-2]
-        callees = set()
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            target = self.resolve_call_target(
-                info.module, node.func, aliases=info.aliases,
-                current_class=current_class,
-            )
-            if target is not None:
-                callees.add(target.qualname)
-        return sorted(callees)
-
     # -- resolution ----------------------------------------------------
 
     def resolve_name(
@@ -248,20 +209,15 @@ class ProjectIndex:
         module: str,
         dotted: str,
         *,
-        aliases: Optional[Dict[str, str]] = None,
+        aliases: Dict[str, str],
         current_class: Optional[str] = None,
     ) -> Optional[FunctionInfo]:
         """The :class:`FunctionInfo` a dotted name denotes, if any.
 
         Tries, in order: ``self.x`` → method of *current_class*; the
-        module's import aliases; a module-local name; the name taken as
-        an absolute path.
+        module's import *aliases*; a module-local name; the name taken
+        as an absolute path.
         """
-        if aliases is None:
-            info = next(
-                (m for m in self.modules.values() if m.module == module), None
-            )
-            aliases = info.aliases if info else {}
         parts = dotted.split(".")
         if parts[0] == "self" and current_class and len(parts) == 2:
             return self.functions.get(f"{module}.{current_class}.{parts[1]}")
@@ -282,7 +238,7 @@ class ProjectIndex:
         module: str,
         func: ast.AST,
         *,
-        aliases: Optional[Dict[str, str]] = None,
+        aliases: Dict[str, str],
         current_class: Optional[str] = None,
     ) -> Optional[FunctionInfo]:
         """Resolve a ``Call.func`` expression to an indexed function."""
@@ -302,154 +258,13 @@ class ProjectIndex:
     def module_info(self, rel_path: str) -> Optional[ModuleInfo]:
         return self.modules.get(rel_path)
 
-    def func_node(self, info: FunctionInfo) -> Optional[ast.AST]:
-        """The def node for *info*, re-parsing its module if needed."""
-        if info.node is not None:
-            return info.node
-        tree = self._module_ast(info.rel_path)
-        if tree is None:
-            return None
-        wanted = info.qualname.split(".")
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stmt.name == wanted[-1] and info.kind == "function":
-                    info.node = stmt
-                    return stmt
-            elif isinstance(stmt, ast.ClassDef) and info.kind == "method":
-                if len(wanted) >= 2 and stmt.name == wanted[-2]:
-                    for member in stmt.body:
-                        if (
-                            isinstance(
-                                member,
-                                (ast.FunctionDef, ast.AsyncFunctionDef),
-                            )
-                            and member.name == wanted[-1]
-                        ):
-                            info.node = member
-                            return member
-            elif (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Lambda)
-                and info.kind == "lambda"
-            ):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == wanted[-1]
-                    ):
-                        info.node = stmt.value
-                        return stmt.value
-        return None
-
-    def _module_ast(self, rel_path: str) -> Optional[ast.Module]:
-        if rel_path not in self._parsed:
-            try:
-                source = (self.root / rel_path).read_text(encoding="utf-8")
-                self._parsed[rel_path] = ast.parse(source, filename=rel_path)
-            except (OSError, UnicodeDecodeError, SyntaxError):
-                self._parsed[rel_path] = None
-        return self._parsed[rel_path]
-
-    # -- summaries (rule-attached, cached) -----------------------------
+    # -- summaries (rule-attached, one run) ----------------------------
 
     def get_summary(self, namespace: str, qualname: str):
         return self._summaries.get(f"{namespace}:{qualname}")
 
     def set_summary(self, namespace: str, qualname: str, data) -> None:
         self._summaries[f"{namespace}:{qualname}"] = data
-
-    # -- persistence ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": CALLGRAPH_SCHEMA,
-            "key": self.key,
-            "modules": {
-                rel: {
-                    "module": m.module,
-                    "aliases": dict(sorted(m.aliases.items())),
-                    "functions": {
-                        q: f.to_dict()
-                        for q, f in sorted(m.functions.items())
-                    },
-                    "edges": {
-                        q: list(edges)
-                        for q, edges in sorted(m.edges.items())
-                    },
-                }
-                for rel, m in sorted(self.modules.items())
-            },
-            "summaries": {
-                k: self._summaries[k] for k in sorted(self._summaries)
-            },
-        }
-
-    def save(self, path: Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def from_dict(cls, root: Path, doc: Dict[str, object]) -> "ProjectIndex":
-        if doc.get("schema") != CALLGRAPH_SCHEMA:
-            raise LintError(
-                f"call-graph cache has schema {doc.get('schema')!r}; "
-                f"this engine writes schema {CALLGRAPH_SCHEMA}"
-            )
-        index = cls(root)
-        index.key = str(doc.get("key", ""))
-        for rel, m in doc.get("modules", {}).items():
-            info = ModuleInfo(
-                rel_path=rel,
-                module=m["module"],
-                aliases=dict(m.get("aliases", {})),
-            )
-            for qualname, f in m.get("functions", {}).items():
-                fn = FunctionInfo(
-                    qualname=qualname, module=info.module, rel_path=rel,
-                    name=f["name"], kind=f["kind"], lineno=int(f["lineno"]),
-                    params=tuple(f.get("params", ())),
-                )
-                info.functions[qualname] = fn
-                index.functions[qualname] = fn
-            info.edges = {
-                q: list(edges) for q, edges in m.get("edges", {}).items()
-            }
-            index.modules[rel] = info
-        index._summaries = dict(doc.get("summaries", {}))
-        return index
-
-    @classmethod
-    def load_or_build(
-        cls,
-        root: Path,
-        files: Sequence[Tuple[Path, str]],
-        cache_path: Optional[Path] = None,
-    ) -> "ProjectIndex":
-        """Reload a cached index when no source changed, else rebuild.
-
-        A corrupt or stale cache file is never an error — it is simply
-        rebuilt and overwritten.
-        """
-        key = None
-        if cache_path is not None and Path(cache_path).exists():
-            try:
-                doc = json.loads(Path(cache_path).read_text())
-                key = cls.source_key(files)
-                if doc.get("key") == key:
-                    return cls.from_dict(root, doc)
-            except (OSError, json.JSONDecodeError, LintError, KeyError,
-                    TypeError, ValueError):
-                pass
-        index = cls.build(root, files)
-        if cache_path is not None:
-            try:
-                index.save(Path(cache_path))
-            except OSError:
-                pass  # cache is best-effort; the run itself proceeds
-        return index
 
 
 __all__ = [

@@ -41,8 +41,8 @@ a sink are clean:
   ``sha256`` call as well, even though the clock and the hash are many
   statements (or one helper call) apart.
 
-Interprocedural depth comes from the project call graph: each
-project-internal function gets a cached summary — which taint labels
+Interprocedural depth comes from the project index: each
+project-internal function gets a memoised summary — which taint labels
 its return value carries, which parameters it forwards into a sink, and
 which parameters pass through to its return — computed on demand from
 its own CFG.  ``h = hashlib.sha256(); h.update(tainted)`` is caught by
@@ -357,8 +357,6 @@ class _TaintMachine(ForwardAnalysis):
         return None
 
     def _project_fn(self, func: ast.AST):
-        if self.project is None:
-            return None
         return self.project.resolve_call_target(
             self.module, func, aliases=self.aliases,
             current_class=self.current_class,
@@ -424,7 +422,6 @@ class DeterminismRule(LintRule):
         "order on bit-identity paths, and no such value flowing into a "
         "fingerprint/cache/hash sink"
     )
-    requires_project = True
 
     def applies_to(self, rel_path: str, config) -> bool:
         return path_in(rel_path, config.determinism_paths)
@@ -505,17 +502,6 @@ class DeterminismRule(LintRule):
     # -- flows into sinks ----------------------------------------------
 
     def analyze_module(self, ctx: ModuleContext, project) -> None:
-        module_info = None
-        if project is not None:
-            module_info = project.module_info(ctx.rel_path)
-        if module_info is not None:
-            module = module_info.module
-            aliases = dict(module_info.aliases)
-        else:
-            from ..callgraph import module_name_for
-
-            module = module_name_for(ctx.rel_path)
-            aliases = dict(ctx.aliases)
         sinks = frozenset(ctx.config.taint_sinks)
         extra_sources = frozenset(ctx.config.taint_sources)
 
@@ -523,17 +509,16 @@ class DeterminismRule(LintRule):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             self._check_function(
-                node, ctx, module, aliases, ctx.enclosing_class(node),
+                node, ctx, ctx.enclosing_class(node),
                 project, sinks, extra_sources,
             )
 
     def _check_function(
-        self, func, ctx, module, aliases, current_class, project,
-        sinks, extra_sources,
+        self, func, ctx, current_class, project, sinks, extra_sources,
     ) -> None:
         cfg = build_cfg(func)
         machine = _TaintMachine(
-            self, ctx.rel_path, module, aliases, current_class,
+            self, ctx.rel_path, ctx.module, ctx.aliases, current_class,
             project, sinks, extra_sources,
         )
         in_states = solve_forward(cfg, machine)
@@ -554,7 +539,7 @@ class DeterminismRule(LintRule):
             )
 
         replay = _TaintMachine(
-            self, ctx.rel_path, module, aliases, current_class,
+            self, ctx.rel_path, ctx.module, ctx.aliases, current_class,
             project, sinks, extra_sources, reporter=reporter,
         )
         for bid in sorted(in_states):
@@ -572,18 +557,14 @@ class DeterminismRule(LintRule):
         an empty summary before computing (recursive flows resolve to
         the fixpoint of "nothing", an under-approximation).
         """
-        if project is None:
-            return dict(_EMPTY_SUMMARY)
         cached = project.get_summary(_SUMMARY_NS, info.qualname)
         if cached is not None:
             return cached
         project.set_summary(_SUMMARY_NS, info.qualname, dict(_EMPTY_SUMMARY))
-        node = project.func_node(info)
-        if node is None or isinstance(node, ast.Lambda):
+        if isinstance(info.node, ast.Lambda):
             return dict(_EMPTY_SUMMARY)
 
-        module_info = project.module_info(info.rel_path)
-        aliases = dict(module_info.aliases) if module_info else {}
+        aliases = project.module_info(info.rel_path).aliases
         current_class = None
         if info.kind == "method":
             current_class = info.qualname.rsplit(".", 2)[-2]
@@ -597,8 +578,8 @@ class DeterminismRule(LintRule):
                     sink_params.setdefault(idx, sink_desc)
 
         # Config of the *linted* run is not in scope here; summaries use
-        # the builtin sink/source tables plus whatever the project cache
-        # already holds.  Param labels seed the initial state.
+        # the builtin sink/source tables plus whatever summaries the
+        # project index already holds.  Param labels seed the initial state.
         machine = _TaintMachine(
             self, info.rel_path, info.module, aliases, current_class,
             project, self._summary_sinks, frozenset(), reporter=None,
@@ -613,7 +594,7 @@ class DeterminismRule(LintRule):
             }
 
         machine.initial = initial  # type: ignore[method-assign]
-        cfg = build_cfg(node)
+        cfg = build_cfg(info.node)
         in_states = solve_forward(cfg, machine)
         replay = _TaintMachine(
             self, info.rel_path, info.module, aliases, current_class,

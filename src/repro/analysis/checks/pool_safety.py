@@ -24,7 +24,7 @@ The job check resolves the argument of ``pool.submit(fn, ...)`` /
 ``pool.map(fn, ...)`` / ``loop.run_in_executor(pool, fn, ...)`` through
 reaching definitions (what is ``fn`` bound to *on the paths reaching
 this call*?) and, when the name is imported or module-level, through
-the project call graph — naming the offending *definition* site in the
+the project index — naming the offending *definition* site in the
 message.  ``functools.partial(fn, ...)`` is unwrapped one level, and
 submissions inside a comprehension body are checked against the
 enclosing function's definitions.
@@ -65,11 +65,7 @@ POOL_CONSTRUCTORS = {
     "concurrent.futures.process.ProcessPoolExecutor",
 }
 
-SPAWN_HELPERS = {
-    "repro.pools.spawn_pool",
-    "pools.spawn_pool",
-    "spawn_pool",
-}
+SPAWN_HELPERS = {"repro.pools.spawn_pool"}
 
 _SUBMIT_METHODS = {"submit", "map"}
 
@@ -81,7 +77,6 @@ class PoolSafetyRule(LintRule):
         "picklable work functions (no closures, lambdas or bound methods "
         "of local objects)"
     )
-    requires_project = True
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
         name = ctx.resolve(node.func)
@@ -131,16 +126,11 @@ class PoolSafetyRule(LintRule):
 
     def analyze_module(self, ctx: ModuleContext, project) -> None:
         self_pools = _class_self_pools(ctx)
-        module_info = project.module_info(ctx.rel_path) if project else None
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(
-                    node, ctx, project, module_info, self_pools
-                )
+                self._check_function(node, ctx, project, self_pools)
 
-    def _check_function(
-        self, func, ctx, project, module_info, self_pools
-    ) -> None:
+    def _check_function(self, func, ctx, project, self_pools) -> None:
         pool_attrs = self_pools.get(ctx.enclosing_class(func), set())
         local_classes = {
             n.name for n in ast.walk(func)
@@ -174,8 +164,7 @@ class PoolSafetyRule(LintRule):
                     if key in reported:
                         continue
                     if self._flag_job(
-                        job, call, ctx, scope, project, module_info,
-                        local_classes, func,
+                        job, call, ctx, scope, project, local_classes, func,
                     ):
                         reported.add(key)
                 state = rd.transfer_element(element, state)
@@ -226,8 +215,7 @@ class PoolSafetyRule(LintRule):
     # -- job classification --------------------------------------------
 
     def _flag_job(
-        self, job, call, ctx, state, project, module_info,
-        local_classes, func,
+        self, job, call, ctx, state, project, local_classes, func,
     ) -> bool:
         """Report and return True when *job* cannot pickle by name."""
         if isinstance(job, ast.Lambda):
@@ -244,15 +232,13 @@ class PoolSafetyRule(LintRule):
             resolved = ctx.resolve(job.func)
             if resolved in {"functools.partial", "partial"} and job.args:
                 return self._flag_job(
-                    job.args[0], call, ctx, state, project, module_info,
+                    job.args[0], call, ctx, state, project,
                     local_classes, func,
                 )
             return False
 
         if isinstance(job, ast.Name):
-            return self._flag_name(
-                job, call, ctx, state, project, module_info
-            )
+            return self._flag_name(job, call, ctx, state, project)
 
         chain = dotted_chain(job)
         if chain is None or "." not in chain:
@@ -278,13 +264,9 @@ class PoolSafetyRule(LintRule):
                     "hoist the class to module level",
                 )
                 return True
-        return self._flag_project_lambda(
-            chain, chain, call, ctx, project, module_info
-        )
+        return self._flag_project_lambda(chain, chain, call, ctx, project)
 
-    def _flag_name(
-        self, job: ast.Name, call, ctx, state, project, module_info
-    ) -> bool:
+    def _flag_name(self, job: ast.Name, call, ctx, state, project) -> bool:
         defs = state.get(job.id, frozenset())
         for definition in sorted(defs, key=Definition.sort_key):
             if definition.kind == "def":
@@ -313,19 +295,13 @@ class PoolSafetyRule(LintRule):
             if not all(d.kind == "import" for d in defs):
                 return False
         return self._flag_project_lambda(
-            job.id, repr(job.id), call, ctx, project, module_info
+            job.id, repr(job.id), call, ctx, project
         )
 
-    def _flag_project_lambda(
-        self, dotted, shown, call, ctx, project, module_info
-    ) -> bool:
+    def _flag_project_lambda(self, dotted, shown, call, ctx, project) -> bool:
         """Report and return True when the module-level or imported
         *dotted* name resolves to a lambda in the project index."""
-        if project is None or module_info is None:
-            return False
-        info = project.resolve_name(
-            module_info.module, dotted, aliases=module_info.aliases
-        )
+        info = project.resolve_name(ctx.module, dotted, aliases=ctx.aliases)
         if info is None or info.kind != "lambda":
             return False
         self.report(

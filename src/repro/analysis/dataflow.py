@@ -374,13 +374,13 @@ class ReachingDefs(ForwardAnalysis):
     """Which :class:`Definition`s can reach each block (strong updates
     for plain-name rebinds, union at joins)."""
 
-    def __init__(self, func_node=None):
-        self.func_node = func_node
+    def __init__(self, func=None):
+        self.func = func  # def node whose parameters seed the entry state
 
     def initial(self) -> State:
         state: State = {}
-        if self.func_node is not None:
-            args = self.func_node.args
+        if self.func is not None:
+            args = self.func.args
             every = (
                 list(args.posonlyargs) + list(args.args)
                 + ([args.vararg] if args.vararg else [])

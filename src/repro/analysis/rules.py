@@ -42,10 +42,6 @@ class LintRule:
     rule_id: str = ""
     #: One-line summary shown by ``repro lint --rules help`` and reports.
     description: str = ""
-    #: Flow rules that resolve names across files set this; the runner
-    #: then guarantees :meth:`analyze_module` receives a project index
-    #: (a single-file one when linting in isolation, e.g. in fixtures).
-    requires_project: bool = False
 
     def applies_to(self, rel_path: str, config) -> bool:
         """Whether this rule runs on *rel_path* at all (default: yes).
@@ -70,7 +66,7 @@ class LintRule:
         """Whole-module pass run after the AST walk (flow rules).
 
         *project* is the :class:`~repro.analysis.callgraph.ProjectIndex`
-        covering the lint run (or just this file when none was built).
+        covering the lint run (just this file in a single-file run).
         The default is a no-op; syntactic rules never override it.
         """
 

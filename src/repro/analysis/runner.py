@@ -8,7 +8,6 @@ runs over the same tree produce byte-identical reports.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
@@ -20,7 +19,6 @@ from .config import LintConfig, path_in
 from .findings import Finding
 from .report import LintResult
 from .rules import (
-    PARSE_ERROR,
     META_RULE_IDS,
     LintRule,
     all_rule_ids,
@@ -74,42 +72,24 @@ def lint_file(
 ) -> tuple[List[Finding], int]:
     """All unsuppressed findings for one file + the suppressed count.
 
-    *project* is the cross-file index flow rules resolve names through;
-    when omitted (single-file runs, fixture tests) and an active rule
-    requires one, a single-file index is built on the spot.
+    *project* is the parsed-module table the file is read from and flow
+    rules resolve names through; when omitted (single-file runs, fixture
+    tests) a one-file index is built on the spot.
     """
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        return [
-            Finding(
-                rule=PARSE_ERROR, path=rel_path, line=1, col=1,
-                message=f"cannot read file: {err}", snippet="",
-            )
-        ], 0
-    try:
-        tree = ast.parse(source, filename=rel_path)
-    except SyntaxError as err:
-        return [
-            Finding(
-                rule=PARSE_ERROR, path=rel_path,
-                line=err.lineno or 1, col=(err.offset or 1),
-                message=f"syntax error: {err.msg}", snippet="",
-            )
-        ], 0
+    if project is None:
+        project = ProjectIndex.build(Path(config.root), [(path, rel_path)])
+    info = project.module_info(rel_path)
+    if info is None:
+        return [project.errors[rel_path]], 0
 
     active = [r for r in rules if r.applies_to(rel_path, config)]
-    ctx = ModuleContext(
-        rel_path=rel_path, source=source, tree=tree, config=config
-    )
+    ctx = ModuleContext(info, config)
     if active:
         Walker(ctx, active).run()
-        if project is None and any(r.requires_project for r in active):
-            project = ProjectIndex.build(Path(config.root), [(path, rel_path)])
         for rule in active:
             rule.analyze_module(ctx, project)
 
-    table = scan_suppressions(rel_path, source, all_rule_ids())
+    table = scan_suppressions(rel_path, info.source, all_rule_ids())
     kept = [f for f in ctx.findings if not table.suppresses(f)]
     suppressed = len(ctx.findings) - len(kept)
     kept.extend(table.problems)
@@ -122,7 +102,6 @@ def run_lint(
     only: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
     files: Optional[Sequence[str]] = None,
-    callgraph_cache: Optional[Path] = None,
 ) -> LintResult:
     """Lint the tree described by *config* and diff against *baseline*.
 
@@ -131,8 +110,8 @@ def run_lint(
     narrows the run to a subset of repo-relative paths (``--changed``);
     the project index is still built over the full tree so cross-file
     resolution stays whole-program, but baseline entries of unlinted
-    files are not reported as resolved.  *callgraph_cache* names a JSON
-    file the index is reloaded from (and saved to) when sources allow.
+    files are not reported as resolved.  Each file is read and parsed
+    once, by the index.
     """
     rules = select_rules(only)
     if baseline is None:
@@ -140,19 +119,14 @@ def run_lint(
 
     result = LintResult(rules_run=sorted(r.rule_id for r in rules))
     root = Path(config.root)
-    collected = collect_files(config)
-    project: Optional[ProjectIndex] = None
-    if any(r.requires_project for r in rules):
-        pairs = [
-            (path, path.relative_to(root).as_posix()) for path in collected
-        ]
-        project = ProjectIndex.load_or_build(
-            root, pairs, cache_path=callgraph_cache
-        )
+    pairs = [
+        (path, path.relative_to(root).as_posix())
+        for path in collect_files(config)
+    ]
+    project = ProjectIndex.build(root, pairs)
 
     wanted = None if files is None else {f.rstrip("/") for f in files}
-    for path in collected:
-        rel = path.relative_to(root).as_posix()
+    for path, rel in pairs:
         if wanted is not None and rel not in wanted:
             continue
         findings, suppressed = lint_file(
@@ -161,13 +135,6 @@ def run_lint(
         result.findings.extend(findings)
         result.suppressed += suppressed
         result.files_checked += 1
-
-    if project is not None and callgraph_cache is not None:
-        try:
-            # Re-save so summaries computed during the run persist too.
-            project.save(Path(callgraph_cache))
-        except OSError:
-            pass
 
     result.findings.sort(key=Finding.sort_key)
     diff = baseline.diff(result.findings)

@@ -3,10 +3,12 @@
 One :class:`ModuleContext` is built per analysed file.  It owns the
 parsed tree plus the derived facts rules keep needing:
 
-* **alias resolution** — ``import numpy as np`` / ``from time import
-  sleep`` are folded into a name map so :meth:`ModuleContext.resolve`
-  turns a ``Call``'s func into a canonical dotted path (``numpy.random.
-  default_rng``, ``time.sleep``) no matter how the module was imported;
+* **alias resolution** — the module's import-alias map, built once by
+  :class:`~repro.analysis.callgraph.ProjectIndex` (relative imports
+  resolved), lets :meth:`ModuleContext.resolve` turn a ``Call``'s func
+  into a canonical dotted path (``numpy.random.default_rng``,
+  ``time.sleep``, ``repro.pools.spawn_pool``) no matter how the module
+  was imported;
 * **scope tracking** — a stack of module/class/function frames, so rules
   can ask "am I inside an ``async def``?" (:attr:`in_async`) or "which
   function am I in?" without re-walking;
@@ -42,21 +44,23 @@ class ScopeFrame:
 class ModuleContext:
     """Everything rules can ask about the file being analysed."""
 
-    def __init__(self, rel_path: str, source: str, tree: ast.Module, config):
-        self.rel_path = rel_path
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = tree
+    def __init__(self, info, config):
+        """*info* is the file's :class:`~repro.analysis.callgraph.ModuleInfo`."""
+        self.rel_path = info.rel_path
+        self.module = info.module  # dotted module name
+        self.source = info.source
+        self.lines = info.source.splitlines()
+        self.tree = info.tree
+        self.aliases = info.aliases
         self.config = config
         self.findings: List[Finding] = []
         self.scopes: List[ScopeFrame] = [
-            ScopeFrame("module", rel_path, tree)
+            ScopeFrame("module", self.rel_path, self.tree)
         ]
         self._parents: Dict[int, ast.AST] = {}
-        for parent in ast.walk(tree):
+        for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[id(child)] = parent
-        self.aliases = _collect_aliases(tree)
 
     # -- findings ------------------------------------------------------
 
@@ -119,7 +123,9 @@ class ModuleContext:
         Resolution folds module aliases: with ``import numpy as np``,
         ``np.random.default_rng`` resolves to
         ``"numpy.random.default_rng"``; with ``from time import sleep as
-        zzz``, ``zzz`` resolves to ``"time.sleep"``.  Chains rooted in
+        zzz``, ``zzz`` resolves to ``"time.sleep"``; in ``repro.api``,
+        ``from ..pools import spawn_pool`` makes ``spawn_pool`` resolve
+        to ``"repro.pools.spawn_pool"``.  Chains rooted in
         anything but a plain name (call results, subscripts) resolve to
         None — use :func:`attr_name` for "method called on *something*".
         """
@@ -140,32 +146,6 @@ def attr_name(func: ast.AST) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> canonical dotted path, from every import statement.
-
-    Collection is flat (function-local imports land in the same map):
-    precise per-scope shadowing is not worth the complexity for lint
-    purposes, and the repo convention of module-style imports keeps
-    collisions theoretical.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                local = item.asname or item.name.split(".")[0]
-                aliases[local] = item.name if item.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative import: keep the local name
-                continue
-            module = node.module or ""
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                local = item.asname or item.name
-                aliases[local] = f"{module}.{item.name}" if module else item.name
-    return aliases
 
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -21,10 +21,11 @@ by the same determinism argument.
 from __future__ import annotations
 
 import base64
+import contextlib
+import functools
 import os
 import pickle
 import time
-from concurrent.futures import Executor
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import ReproError
@@ -50,17 +51,24 @@ def _compile_job(job) -> Union[CompilationReport, ReproError]:
         raise
 
 
+@contextlib.contextmanager
+def _job_map(workers: int, n_jobs: int):
+    """A ``map`` for *n_jobs* jobs: over a spawn pool of *workers*
+    processes when there is work to share, else the builtin."""
+    if workers > 1 and n_jobs > 1:
+        with spawn_pool(workers) as pool:
+            chunksize = max(1, n_jobs // (workers * 4))
+            yield functools.partial(pool.map, chunksize=chunksize)
+    else:
+        yield map
+
+
 class BatchCompiler:
     """Compile many requests through one toolchain, cache and pool.
 
     *cache* may be a :class:`CompilationCache`, any object with the same
     ``get``/``put`` duck type (e.g. a :class:`~repro.api.cache.TieredCache`),
     or a path, which is wrapped in a disk cache.
-
-    *pool* injects a shared, long-lived executor: the batch then fans its
-    misses over that pool instead of creating (and tearing down) its own,
-    so a resident daemon and a batch run can reuse one warm set of worker
-    processes.  An injected pool is never shut down by the compiler.
     """
 
     def __init__(
@@ -68,7 +76,6 @@ class BatchCompiler:
         toolchain: Optional[Toolchain] = None,
         cache: Union[CompilationCache, os.PathLike, None] = None,
         workers: Optional[int] = None,
-        pool: Optional[Executor] = None,
         coordinator: Optional[str] = None,
     ):
         self.toolchain = toolchain or Toolchain.default()
@@ -78,7 +85,6 @@ class BatchCompiler:
             cache = CompilationCache(cache)
         self.cache = cache
         self.workers = workers
-        self.pool = pool
         self.coordinator = coordinator
 
     def compile_many(
@@ -129,27 +135,9 @@ class BatchCompiler:
         jobs = [
             (self.toolchain, requests[i], return_errors) for i in pending
         ]
-        if self.pool is not None and len(pending) > 1:
-            width = getattr(self.pool, "_max_workers", DEFAULT_WORKERS)
-            chunksize = max(1, len(pending) // (max(1, width) * 4))
-            outcomes = self.pool.map(_compile_job, jobs, chunksize=chunksize)
-            for index, outcome in zip(pending, outcomes):
+        with _job_map(workers, len(jobs)) as job_map:
+            for index, outcome in zip(pending, job_map(_compile_job, jobs)):
                 reports[index] = self._finish(keys[index], outcome)
-                done += 1
-                if progress and done % 50 == 0:
-                    progress(f"compiled {done}/{len(requests)} jobs")
-        elif workers > 1 and len(pending) > 1:
-            chunksize = max(1, len(pending) // (workers * 4))
-            with spawn_pool(workers) as pool:
-                outcomes = pool.map(_compile_job, jobs, chunksize=chunksize)
-                for index, outcome in zip(pending, outcomes):
-                    reports[index] = self._finish(keys[index], outcome)
-                    done += 1
-                    if progress and done % 50 == 0:
-                        progress(f"compiled {done}/{len(requests)} jobs")
-        else:
-            for index, job in zip(pending, jobs):
-                reports[index] = self._finish(keys[index], _compile_job(job))
                 done += 1
                 if progress and done % 50 == 0:
                     progress(f"compiled {done}/{len(requests)} jobs")
@@ -243,7 +231,6 @@ def compile_many(
     toolchain: Optional[Toolchain] = None,
     cache: Union[CompilationCache, os.PathLike, None] = None,
     workers: Optional[int] = None,
-    pool: Optional[Executor] = None,
     progress: Optional[ProgressFn] = None,
     return_errors: bool = False,
     coordinator: Optional[str] = None,
@@ -257,7 +244,6 @@ def compile_many(
         toolchain=toolchain,
         cache=cache,
         workers=workers,
-        pool=pool,
         coordinator=coordinator,
     )
     return compiler.compile_many(

@@ -496,11 +496,6 @@ def _parser() -> argparse.ArgumentParser:
              "cross-file analysis still indexes the whole tree",
     )
     lint.add_argument(
-        "--callgraph-cache", type=str, default=None,
-        help="JSON file to reload/save the project call-graph index "
-             "(keyed on a source hash; stale caches rebuild silently)",
-    )
-    lint.add_argument(
         "--baseline", type=str, default=None,
         help="baseline file (default: [tool.repro.lint] baseline, "
              "else LINT_baseline.json)",
@@ -745,12 +740,7 @@ def _lint_command(args: argparse.Namespace) -> int:
                 )
                 return 2
             files = _changed_files(Path(args.root))
-        cache = (
-            Path(args.callgraph_cache) if args.callgraph_cache else None
-        )
-        result = run_lint(
-            config, only=only, files=files, callgraph_cache=cache
-        )
+        result = run_lint(config, only=only, files=files)
     except LintError as err:
         print(f"repro lint: {err}", file=sys.stderr)
         return 2

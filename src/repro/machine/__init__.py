@@ -16,7 +16,6 @@ from .topology import (
     GraphTopology,
     LinearTopology,
     MeshTopology,
-    RingPath,
     RingTopology,
     Topology,
     TorusTopology,
@@ -45,7 +44,6 @@ __all__ = [
     "GraphTopology",
     "LinearTopology",
     "MeshTopology",
-    "RingPath",
     "RingTopology",
     "Topology",
     "TorusTopology",

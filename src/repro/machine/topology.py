@@ -65,10 +65,6 @@ class CommPath:
         return max(0, self.hops - 1)
 
 
-#: Backwards-compatible alias (the pre-registry name of the path type).
-RingPath = CommPath
-
-
 # ----------------------------------------------------------------------
 # Protocol
 # ----------------------------------------------------------------------

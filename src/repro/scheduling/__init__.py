@@ -26,7 +26,6 @@ from .twophase import (
     TwoPhaseScheduler,
     insert_static_chains,
     partition_clusters,
-    partition_ring,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "TwoPhaseScheduler",
     "insert_static_chains",
     "partition_clusters",
-    "partition_ring",
 ]

@@ -212,7 +212,3 @@ class TwoPhaseScheduler:
         if unscheduled:
             return None
         return schedule
-
-
-#: Backwards-compatible alias (pre-registry name).
-partition_ring = partition_clusters

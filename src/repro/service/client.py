@@ -54,9 +54,6 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 #: queued job behind a deep backlog.
 DEFAULT_READ_TIMEOUT = 300.0
 
-#: Back-compat alias for the pre-split single timeout (read semantics).
-DEFAULT_TIMEOUT = DEFAULT_READ_TIMEOUT
-
 
 class TransportError(ServiceError):
     """Connection-level failure (refused, reset, timed out, truncated).

@@ -1,8 +1,11 @@
 """Engine-level lint tests: suppressions, baseline diffing, registry,
 config loading, reporters."""
 
+import ast
 import json
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -308,6 +311,34 @@ class TestRunner:
     def test_text_report_mentions_summary(self):
         text = render_text(LintResult(files_checked=5, rules_run=["a", "b"]))
         assert "checked 5 files" in text and "0 new" in text
+
+    def test_each_file_is_read_and_parsed_once(self, tmp_path):
+        config = self.make_tree(tmp_path)
+        (tmp_path / "src" / "pools.py").write_text(
+            "from concurrent.futures import ProcessPoolExecutor\n\n\n"
+            "def go(xs):\n"
+            "    with ProcessPoolExecutor(2) as pool:\n"
+            "        return list(pool.map(abs, xs))\n"
+        )
+        parse, read_text = ast.parse, Path.read_text
+        with mock.patch("ast.parse", side_effect=parse) as parsed, \
+                mock.patch.object(
+                    Path, "read_text", autospec=True, side_effect=read_text
+                ) as read:
+            result = run_lint(config)
+        linted = ["src/broken.py", "src/clean.py", "src/dirty.py", "src/pools.py"]
+        assert result.files_checked == len(linted)
+        assert {f.rule for f in result.findings} == {
+            PARSE_ERROR, "determinism", "pool-safety",
+        }
+        parses = Counter(c.kwargs.get("filename") for c in parsed.call_args_list)
+        assert parses == Counter(linted)
+        reads = Counter(
+            Path(c.args[0]).relative_to(tmp_path).as_posix()
+            for c in read.call_args_list
+            if Path(c.args[0]).suffix == ".py"
+        )
+        assert reads == Counter(linted)
 
     def test_run_lint_is_deterministic(self, tmp_path):
         config = self.make_tree(tmp_path)

@@ -10,14 +10,14 @@ Covers the three engine modules the flow-aware rules stand on:
   comprehension bodies), the forward solver, and reaching definitions
   across joins and back edges;
 * :mod:`repro.analysis.callgraph` — import-alias resolution (incl.
-  relative imports), method/lambda indexing, call edges, and the
-  disk-cache round trip.
+  relative imports), method/lambda indexing, and ``pool-safety``
+  reading one resolved spelling of ``spawn_pool`` through it.
 """
 
 import ast
-import json
 import textwrap
 
+from repro.analysis import Baseline, LintConfig, run_lint
 from repro.analysis.callgraph import (
     ProjectIndex,
     collect_module_aliases,
@@ -47,8 +47,8 @@ def _events(stmt_source):
     return list(iter_events(stmt))
 
 
-def _defs_at(cfg, func_node, bid, name):
-    in_states = solve_forward(cfg, ReachingDefs(func_node))
+def _defs_at(cfg, func, bid, name):
+    in_states = solve_forward(cfg, ReachingDefs(func))
     return sorted(in_states[bid].get(name, frozenset()),
                   key=lambda d: d.sort_key())
 
@@ -543,62 +543,93 @@ class TestProjectIndex:
         method = index.functions["pkg.b.C.m"]
         assert method.kind == "method" and method.params == ("self", "v")
 
-    def test_call_edges_resolve_through_aliases_and_self(self, tmp_path):
-        index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
-        edges = index.modules["src/pkg/b.py"].edges
-        assert edges["pkg.b.C.m"] == ["pkg.a.helper"]
-        assert edges["pkg.b.C.chain"] == ["pkg.b.C.m"]
-
     def test_resolve_name_orders_self_alias_local(self, tmp_path):
         index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
-        via_alias = index.resolve_name("pkg.b", "h")
+        aliases = index.module_info("src/pkg/b.py").aliases
+        via_alias = index.resolve_name("pkg.b", "h", aliases=aliases)
         assert via_alias is not None
         assert via_alias.qualname == "pkg.a.helper"
-        via_self = index.resolve_name("pkg.b", "self.m", current_class="C")
+        via_self = index.resolve_name(
+            "pkg.b", "self.m", aliases=aliases, current_class="C"
+        )
         assert via_self is not None and via_self.qualname == "pkg.b.C.m"
-        assert index.resolve_name("pkg.b", "nope") is None
+        assert index.resolve_name("pkg.b", "nope", aliases=aliases) is None
 
     def test_build_is_deterministic(self, tmp_path):
         files = _write_project(tmp_path)
         first = ProjectIndex.build(tmp_path, files)
         second = ProjectIndex.build(tmp_path, files)
-        assert first.to_dict() == second.to_dict()
 
-    def test_cache_round_trip_preserves_summaries(self, tmp_path):
-        files = _write_project(tmp_path)
-        cache = tmp_path / "callgraph.json"
-        index = ProjectIndex.load_or_build(tmp_path, files, cache)
-        index.set_summary("det-taint", "pkg.a.helper", {"returns": []})
-        index.save(cache)
+        def shape(index):
+            functions = {
+                q: (f.rel_path, f.name, f.kind, f.lineno, f.params)
+                for q, f in index.functions.items()
+            }
+            aliases = {
+                rel: m.aliases for rel, m in index.modules.items()
+            }
+            return list(functions.items()), list(aliases.items())
 
-        reloaded = ProjectIndex.load_or_build(tmp_path, files, cache)
-        assert reloaded.key == index.key
-        assert reloaded.get_summary("det-taint", "pkg.a.helper") == {
-            "returns": []
-        }
-        # Cache-loaded functions drop their AST; func_node re-parses.
-        info = reloaded.functions["pkg.a.helper"]
-        assert info.node is None
-        node = reloaded.func_node(info)
-        assert isinstance(node, ast.FunctionDef) and node.name == "helper"
+        assert shape(first) == shape(second)
+        assert shape(first)[1] == [
+            ("src/pkg/__init__.py", {}),
+            ("src/pkg/a.py", {}),
+            ("src/pkg/b.py", {"h": "pkg.a.helper"}),
+        ]
 
-    def test_source_change_invalidates_the_cache(self, tmp_path):
-        files = _write_project(tmp_path)
-        cache = tmp_path / "callgraph.json"
-        stale = ProjectIndex.load_or_build(tmp_path, files, cache)
-        (tmp_path / "src" / "pkg" / "a.py").write_text(
-            "def helper(x, y):\n    return x + y\n"
-        )
-        fresh = ProjectIndex.load_or_build(tmp_path, files, cache)
-        assert fresh.key != stale.key
-        assert fresh.functions["pkg.a.helper"].params == ("x", "y")
-        # The rebuilt index overwrote the cache file with the new key.
-        assert json.loads(cache.read_text())["key"] == fresh.key
+    def test_every_function_keeps_its_node(self, tmp_path):
+        index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
+        helper = index.functions["pkg.a.helper"].node
+        assert isinstance(helper, ast.FunctionDef) and helper.name == "helper"
+        assert isinstance(index.functions["pkg.a.square"].node, ast.Lambda)
+        module = index.module_info("src/pkg/a.py")
+        assert helper in module.tree.body
 
-    def test_corrupt_cache_is_rebuilt_not_fatal(self, tmp_path):
-        files = _write_project(tmp_path)
-        cache = tmp_path / "callgraph.json"
-        cache.write_text("not json {")
-        index = ProjectIndex.load_or_build(tmp_path, files, cache)
-        assert "pkg.a.helper" in index.functions
-        assert json.loads(cache.read_text())["key"] == index.key
+
+def test_relative_spawn_pool_import_is_recognised(tmp_path):
+    # ``from ..pools import spawn_pool`` resolves to the one spelling
+    # pool-safety knows, ``repro.pools.spawn_pool``, so lambda jobs are
+    # still flagged while module-level jobs of the same package are not.
+    api = tmp_path / "src" / "repro" / "api"
+    api.mkdir(parents=True)
+    (api.parent / "__init__.py").write_text("")
+    (api / "__init__.py").write_text("")
+    (api / "work.py").write_text(textwrap.dedent(
+        """
+        def double(x):
+            return 2 * x
+
+
+        square = lambda x: x * x
+        """
+    ))
+    (api / "jobs.py").write_text(textwrap.dedent(
+        """
+        from ..pools import spawn_pool
+        from .work import double, square
+
+
+        def inline_lambda(xs):
+            with spawn_pool(2) as pool:
+                return list(pool.map(lambda x: x, xs))
+
+
+        def sibling_lambda(xs):
+            with spawn_pool(2) as pool:
+                return list(pool.map(square, xs))
+
+
+        def module_level(xs):
+            with spawn_pool(2) as pool:
+                return list(pool.map(double, xs))
+        """
+    ))
+    config = LintConfig(
+        root=tmp_path, paths=("src",), determinism_paths=(),
+        api_paths=(), cache_guards=(),
+    )
+    result = run_lint(config, only=["pool-safety"], baseline=Baseline())
+    flagged = [(f.path, f.line) for f in result.findings]
+    assert flagged == [("src/repro/api/jobs.py", 8), ("src/repro/api/jobs.py", 13)]
+    assert "lambda defined at line 8" in result.findings[0].message
+    assert "src/repro/api/work.py:6" in result.findings[1].message

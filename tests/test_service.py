@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import CompilationRequest, Toolchain, compile_many, content_hash
+from repro.api import CompilationRequest, Toolchain, content_hash
 from repro.api.cache import CompilationCache, MemoryCache, TieredCache
 from repro.config import DEFAULT_CONFIG
 from repro.errors import CacheError, ServiceError
@@ -539,30 +539,8 @@ def test_tiered_cache_works_without_disk():
 
 
 # ----------------------------------------------------------------------
-# Shared-pool batch compiles + parallel oracle
+# Parallel oracle
 # ----------------------------------------------------------------------
-
-
-def test_batch_compiler_rides_injected_pool():
-    requests = [
-        CompilationRequest(
-            loop=make_kernel(name),
-            machine=clustered_vliw(2),
-            config=DEFAULT_CONFIG.with_(search="ladder"),
-        )
-        for name in ("daxpy", "vector_add", "dot_product")
-    ]
-    baseline = [
-        Toolchain.default().compile(request) for request in requests
-    ]
-    pool = ThreadPoolExecutor(max_workers=2)
-    try:
-        pooled = compile_many(requests, pool=pool)
-    finally:
-        pool.shutdown()
-    assert [schedule_fingerprint(r.result) for r in pooled] == [
-        schedule_fingerprint(r.result) for r in baseline
-    ]
 
 
 def test_verify_many_parallel_matches_serial():

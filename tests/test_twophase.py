@@ -9,7 +9,7 @@ from repro.machine import clustered_vliw
 from repro.scheduling import (
     TwoPhaseScheduler,
     insert_static_chains,
-    partition_ring,
+    partition_clusters,
     validate_schedule,
 )
 from repro.simulator import assert_same_semantics, simulate
@@ -22,13 +22,13 @@ class TestPartition:
     def test_total_assignment(self):
         loop = build_stream_loop()
         machine = clustered_vliw(4)
-        assignment = partition_ring(loop.ddg, machine, DEFAULT_LATENCIES)
+        assignment = partition_clusters(loop.ddg, machine, DEFAULT_LATENCIES)
         assert set(assignment) == set(loop.ddg.op_ids)
         assert all(0 <= c < 4 for c in assignment.values())
 
     def test_single_cluster_trivial(self):
         loop = build_stream_loop()
-        assignment = partition_ring(
+        assignment = partition_clusters(
             loop.ddg, clustered_vliw(1), DEFAULT_LATENCIES
         )
         assert set(assignment.values()) == {0}
@@ -42,7 +42,7 @@ class TestPartition:
             clusters=(ClusterSpec(), ClusterSpec(mem=1, alu=1, mul=0)),
         )
         loop = build_stream_loop()
-        assignment = partition_ring(loop.ddg, machine, DEFAULT_LATENCIES)
+        assignment = partition_clusters(loop.ddg, machine, DEFAULT_LATENCIES)
         for op in loop.ddg.operations():
             if op.opcode == OpCode.MUL:
                 assert assignment[op.op_id] == 0
@@ -109,7 +109,7 @@ class TestScheduling:
         machine = clustered_vliw(4)
         ddg = single_use_ddg(loop.ddg)
         work = ddg.copy()
-        assignment = partition_ring(work, machine, DEFAULT_LATENCIES)
+        assignment = partition_clusters(work, machine, DEFAULT_LATENCIES)
         result = TwoPhaseScheduler(machine).schedule(ddg)
         # Original (non-move) ops must sit on their partition cluster:
         # the partition is deterministic, so recompute and compare.
