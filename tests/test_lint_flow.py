@@ -17,7 +17,7 @@ Covers the three engine modules the flow-aware rules stand on:
 import ast
 import textwrap
 
-from repro.analysis import Baseline, LintConfig, run_lint
+from repro.analysis import PARSE_ERROR, Baseline, LintConfig, run_lint
 from repro.analysis.callgraph import (
     ProjectIndex,
     collect_module_aliases,
@@ -31,6 +31,7 @@ from repro.analysis.dataflow import (
     iter_events,
     solve_forward,
 )
+from repro.analysis.visitor import ModuleContext
 
 
 def _func(source):
@@ -542,6 +543,57 @@ class TestProjectIndex:
         assert index.functions["pkg.a.square"].kind == "lambda"
         method = index.functions["pkg.b.C.m"]
         assert method.kind == "method" and method.params == ("self", "v")
+
+    def test_call_edges_resolve_through_aliases_and_self(self, tmp_path):
+        index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
+        info = index.module_info("src/pkg/b.py")
+
+        def callees(qualname):
+            return [
+                index.resolve_call_target(
+                    info.module, call.func,
+                    aliases=info.aliases, current_class="C",
+                ).qualname
+                for call in ast.walk(index.functions[qualname].node)
+                if isinstance(call, ast.Call)
+            ]
+
+        assert callees("pkg.b.C.m") == ["pkg.a.helper"]
+        assert callees("pkg.b.C.chain") == ["pkg.b.C.m"]
+
+    def test_unreadable_and_unparseable_files_leave_errors(self, tmp_path):
+        files = _write_project(tmp_path)
+        pkg = tmp_path / "src" / "pkg"
+        (pkg / "broken.py").write_text("def oops(:\n")
+        (pkg / "latin.py").write_bytes(b"name = '\xe9'\n")
+        files += [
+            (pkg / "broken.py", "src/pkg/broken.py"),
+            (pkg / "latin.py", "src/pkg/latin.py"),
+        ]
+        index = ProjectIndex.build(tmp_path, files)
+        assert sorted(index.errors) == ["src/pkg/broken.py", "src/pkg/latin.py"]
+        assert {f.rule for f in index.errors.values()} == {PARSE_ERROR}
+        assert index.errors["src/pkg/broken.py"].message.startswith(
+            "syntax error"
+        )
+        assert index.errors["src/pkg/latin.py"].message.startswith(
+            "cannot read file"
+        )
+        assert index.module_info("src/pkg/broken.py") is None
+        assert index.module_info("src/pkg/latin.py") is None
+        assert sorted(index.modules) == [
+            "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py",
+        ]
+        assert "pkg.a.helper" in index.functions
+
+    def test_module_context_resolves_relative_imports(self, tmp_path):
+        index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
+        ctx = ModuleContext(index.module_info("src/pkg/b.py"), LintConfig())
+        call = next(
+            node for node in ast.walk(ctx.tree) if isinstance(node, ast.Call)
+        )
+        assert ctx.module == "pkg.b"
+        assert ctx.resolve(call.func) == "pkg.a.helper"
 
     def test_resolve_name_orders_self_alias_local(self, tmp_path):
         index = ProjectIndex.build(tmp_path, _write_project(tmp_path))
