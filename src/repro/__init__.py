@@ -91,6 +91,7 @@ from .scheduling import (
     ScheduleResult,
     check_schedule,
     compute_mii,
+    schedule_fingerprint,
     validate_schedule,
 )
 from .scheduling.pipeline import CompiledLoop, choose_unroll_factor, compile_loop
@@ -103,7 +104,6 @@ from .api import (
     Toolchain,
     compile_many,
     register_pass,
-    schedule_fingerprint,
 )
 from .simulator import simulate
 from .codegen import assembly_for, build_program

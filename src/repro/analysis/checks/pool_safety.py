@@ -31,10 +31,10 @@ enclosing function's definitions.
 
 Pool receivers are recognised the same flow-aware way: a name whose
 reaching definitions include a ``ProcessPoolExecutor``/``spawn_pool``
-call (by assignment or ``with ... as``), or a ``self.X`` attribute the
-enclosing class assigns one to.  Thread pools are exempt — nothing
-pickles across a thread — and unresolvable names get the benefit of
-the doubt.
+call (by assignment, ``with ... as`` or ``stack.enter_context(...)``),
+or a ``self.X`` attribute the enclosing class assigns one to.  Thread
+pools are exempt — nothing pickles across a thread — and unresolvable
+names get the benefit of the doubt.
 
 Mutable module globals captured by workers are the same bug class but
 need whole-program analysis; keep worker inputs explicit (arguments,
@@ -209,7 +209,13 @@ class PoolSafetyRule(LintRule):
 
     @staticmethod
     def _is_pool_ctor(call: ast.Call, ctx) -> bool:
-        name = ctx.resolve(call.func)
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr == "enter_context" and call.args:
+            inner = call.args[0]  # an ExitStack hands back the pool itself
+            if not isinstance(inner, ast.Call):
+                return False
+            func = inner.func
+        name = ctx.resolve(func)
         return name in POOL_CONSTRUCTORS or name in SPAWN_HELPERS
 
     # -- job classification --------------------------------------------

@@ -6,7 +6,8 @@ For a fixed set of resource constructors (``open``, sockets, executors,
 ``subprocess.Popen``, tempfiles) this rule demands that the acquisition
 site shows its release:
 
-* used as a ``with`` context manager → fine;
+* used as a ``with`` context manager, or entered on a
+  ``contextlib.ExitStack`` (``stack.enter_context(...)``) → fine;
 * stored on an object (``self.pool = ...``) or container → fine, the
   lifetime escapes the function and teardown owns it;
 * bound to a local name → the enclosing function must *somewhere*
@@ -68,7 +69,7 @@ class ResourceHygieneRule(LintRule):
         if kind is None:
             return
         parent = ctx.parent(node)
-        if isinstance(parent, ast.withitem):
+        if isinstance(parent, ast.withitem) or _entered_on_stack(node, parent):
             return
         if isinstance(parent, ast.Await):
             parent = ctx.parent(parent)
@@ -180,6 +181,16 @@ class ResourceHygieneRule(LintRule):
         while isinstance(node, (ast.Attribute, ast.Subscript)):
             node = node.value
         return isinstance(node, ast.Name) and node.id == name
+
+
+def _entered_on_stack(node: ast.Call, parent: Optional[ast.AST]) -> bool:
+    """``stack.enter_context(<node>)``: the exit stack closes it."""
+    return (
+        isinstance(parent, ast.Call)
+        and isinstance(parent.func, ast.Attribute)
+        and parent.func.attr == "enter_context"
+        and node in parent.args
+    )
 
 
 #: Sentinel: resource stored beyond the function; lifetime is managed

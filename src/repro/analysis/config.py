@@ -49,7 +49,7 @@ DEFAULT_CACHE_GUARDS: Tuple[CacheGuard, ...] = (
         classes=("DDG",),
         guarded=("_ops", "_out", "_in"),
         caches=(
-            "_out_cache", "_in_cache", "_refs_cache",
+            "_out_cache", "_in_cache", "_refs_cache", "_ref_edges_cache",
             "_op_ids_cache", "_adj_version",
         ),
         invalidators=("_touch_endpoints", "_insert_edge", "_remove_edge",

@@ -24,12 +24,12 @@ from .batch import BatchCompiler, DEFAULT_WORKERS, compile_many
 from .cache import (
     CacheStats,
     CompilationCache,
+    EncodedReport,
     MemoryCache,
     TieredCache,
     content_hash,
     ddg_signature,
     machine_signature,
-    schedule_fingerprint,
 )
 from .passes import (
     AllocatePass,
@@ -63,6 +63,7 @@ __all__ = [
     "CompilationRequest",
     "DEFAULT_PASSES",
     "DEFAULT_WORKERS",
+    "EncodedReport",
     "MemoryCache",
     "PASS_REGISTRY",
     "Pass",
@@ -82,5 +83,4 @@ __all__ = [
     "machine_signature",
     "register_pass",
     "registered_passes",
-    "schedule_fingerprint",
 ]

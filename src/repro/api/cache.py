@@ -8,14 +8,17 @@ same key are guaranteed to produce bit-identical schedules (compilation
 is deterministic), so re-running a figure sweep against a warm cache is
 near-instant.
 
-Entries are pickled :class:`~repro.api.request.CompilationReport` objects
-written atomically (tmp file + rename), so a cache directory can be
-shared by the worker processes of a :class:`~repro.api.batch.BatchCompiler`.
+An entry is an :class:`EncodedReport`: the pickled
+:class:`~repro.api.request.CompilationReport` plus a JSON-safe summary
+of it, the form both cache tiers and the compilation service hold.  On
+disk it is one file (a check line, the summary as a JSON line, then the
+pickle), written atomically (tmp file + rename), so a cache directory
+can be shared by the worker processes of a
+:class:`~repro.api.batch.BatchCompiler`.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import gc
 import hashlib
@@ -23,17 +26,18 @@ import json
 import os
 import pickle
 import tempfile
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import CacheError
 from ..ir.ddg import DDG
 from ..machine.machine import MachineSpec
-from ..scheduling.result import ScheduleResult
+from ..scheduling.fingerprint import schedule_fingerprint
 from ..targets.spec import LATENCY_FIELDS
 from .request import CompilationReport, CompilationRequest
 
@@ -45,7 +49,9 @@ from .request import CompilationReport, CompilationRequest
 #: pool width, thrash_cap_ratio) and the default policy is adaptive,
 #: whose emitted schedules may differ bit-wise from the ladder's.
 #: v4: scheduler configs drop the II-search pool width.
-CACHE_SCHEMA_VERSION = 4
+#: v5: an entry file is a check line (schema, crc32), the reply summary
+#: as one JSON line, then the pickled report (:class:`EncodedReport`).
+CACHE_SCHEMA_VERSION = 5
 
 
 # ----------------------------------------------------------------------
@@ -144,25 +150,106 @@ def content_hash(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def schedule_fingerprint(result: ScheduleResult) -> Tuple:
-    """Canonical deep value of a schedule, for bit-identity comparisons.
+# ----------------------------------------------------------------------
+# The stored form of a report
+# ----------------------------------------------------------------------
 
-    Two results with equal fingerprints encode the same schedule: same
-    loop, machine, II/bounds, final graph and per-op placements.
+
+def _first_line(body: bytes) -> bytes:
+    """An entry file's first line for *body*: format, schema version and
+    a damage check (the cache directory is trusted: crc32, not a MAC)."""
+    return b"repro-cache %d %d" % (CACHE_SCHEMA_VERSION, zlib.crc32(body))
+
+
+def _split_entry(data: bytes) -> Tuple[bytes, bytes]:
+    """``(summary JSON, blob)`` of an entry file's bytes.
+
+    Raises :class:`CacheError` for anything else: another schema version
+    (a v4 entry is a bare pickle) or a damaged file.
     """
-    return (
-        result.loop_name,
-        machine_signature(result.machine),
-        result.scheduler,
-        result.ii,
-        result.res_mii,
-        result.rec_mii,
-        ddg_signature(result.ddg),
-        tuple(
-            (op_id, p.time, p.cluster)
-            for op_id, p in sorted(result.placements.items())
-        ),
-    )
+    head, _, body = data.partition(b"\n")
+    if head != _first_line(body):
+        raise CacheError("not a current cache entry")
+    summary, _, blob = body.partition(b"\n")
+    return summary, blob
+
+
+class EncodedReport:
+    """A compiled report held as bytes plus the summary its replies need.
+
+    *summary* is JSON-safe: ``report`` is :meth:`CompilationReport.to_dict`
+    without the per-lookup ``cache_hit``/``cache_key`` fields,
+    ``fingerprint`` the schedule's hash
+    (:func:`repro.scheduling.fingerprint.schedule_fingerprint`) and
+    ``timings`` the ``[pass name, seconds]`` list of its pass runs.
+    *blob* is the pickled report.  The report is pickled once, by
+    :meth:`encode`, and :attr:`report` unpickles a fresh copy only when
+    a caller asks, so no object graph is kept or shared.
+    """
+
+    __slots__ = ("summary", "blob")
+
+    def __init__(self, summary: Dict[str, object], blob: bytes):
+        self.summary = summary
+        self.blob = blob
+
+    @classmethod
+    def encode(cls, report: CompilationReport) -> "EncodedReport":
+        described = report.to_dict()
+        del described["cache_hit"], described["cache_key"]
+        summary = {
+            "report": described,
+            "fingerprint": schedule_fingerprint(report.result),
+            "timings": [[t.pass_name, t.seconds] for t in report.timings],
+        }
+        return cls(summary, pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
+
+    @property
+    def fingerprint(self) -> str:
+        return self.summary["fingerprint"]
+
+    @property
+    def ii(self) -> int:
+        return self.summary["report"]["ii"]
+
+    @property
+    def ii_trajectory(self) -> List[int]:
+        return self.summary["report"]["ii_trajectory"]
+
+    @property
+    def timings(self) -> List[List[object]]:
+        """``[pass name, seconds]`` per pass run, in order."""
+        return self.summary["timings"]
+
+    @property
+    def report(self) -> CompilationReport:
+        """A freshly unpickled copy of the report."""
+        return pickle.loads(self.blob)
+
+    def describe(self, cache_hit: bool, cache_key: Optional[str]) -> Dict[str, object]:
+        """``report.to_dict()`` as one lookup of *cache_key* sees it."""
+        return dict(self.summary["report"], cache_hit=cache_hit, cache_key=cache_key)
+
+    def to_bytes(self) -> bytes:
+        """The disk form: a check line, the summary as one JSON line,
+        then the blob."""
+        body = json.dumps(self.summary, separators=(",", ":")).encode("utf-8") + b"\n" + self.blob
+        return _first_line(body) + b"\n" + body
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "EncodedReport":
+        """Parse :meth:`to_bytes` output without unpickling the blob;
+        :class:`CacheError` when *data* is not a current, intact entry."""
+        text, blob = _split_entry(data)
+        return cls(json.loads(text), blob)
+
+
+def _as_entry(key: str, value: Union[EncodedReport, CompilationReport]) -> EncodedReport:
+    """*value* as a stored entry; a report is stamped with *key* first."""
+    if isinstance(value, EncodedReport):
+        return value
+    value.cache_key = key
+    return EncodedReport.encode(value)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +298,7 @@ class CacheStats:
 
 
 class CompilationCache:
-    """A directory of pickled compilation reports, keyed by content hash."""
+    """A directory of encoded compilation reports, keyed by content hash."""
 
     def __init__(self, root: os.PathLike):
         self.root = Path(root).expanduser()
@@ -228,57 +315,76 @@ class CompilationCache:
     def get(self, key: str) -> Optional[CompilationReport]:
         """Load the report for *key*, or ``None`` on a miss.
 
-        Read-repair: a corrupt or unreadable entry counts as a miss
-        *and is deleted*, so a damaged cache degrades to recompilation
-        (whose ``put`` rewrites the entry) instead of failing the same
-        way on every future lookup.
+        Read-repair: a corrupt, unreadable or stale-schema entry counts
+        as a miss *and is deleted*, so a damaged cache degrades to
+        recompilation (whose ``put`` rewrites the entry) instead of
+        failing the same way on every future lookup.
         """
-        path = self.path_for(key)
-        faults.damage_cache_entry(path)
+        data = self._read(key)
+        if data is None:
+            return None
         try:
-            with open(path, "rb") as handle:
-                report = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError, TypeError):
-            # Everything a truncated/corrupt/stale-schema pickle can
-            # throw.  Anything outside this set (MemoryError, a bug in
-            # CompilationReport.__setstate__) propagates — swallowing it
-            # here hid real failures before the `errors` counter existed.
-            self.stats.errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.stats.misses += 1
-            return None
-        if not isinstance(report, CompilationReport):
-            # Unpickled cleanly but is the wrong thing (e.g. an entry
-            # written by foreign tooling): just as corrupt for our
-            # purposes — repair it away too.
-            self.stats.errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.stats.misses += 1
+            report = pickle.loads(_split_entry(data)[1])
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, ValueError, TypeError, CacheError):
+            # A damaged or stale-schema file fails the check line; an
+            # intact blob can still name classes this code no longer
+            # has.  Anything else (MemoryError, a bug in
+            # CompilationReport.__setstate__) propagates.
+            self._repair(self.path_for(key))
             return None
         self.stats.hits += 1
         report.cache_hit = True
         report.cache_key = key
         return report
 
-    def put(self, key: str, report: CompilationReport) -> None:
-        """Store *report* under *key* atomically."""
+    def get_encoded(self, key: str) -> Optional[EncodedReport]:
+        """The stored entry for *key* without unpickling it, or ``None``
+        (with the same read-repair as :meth:`get`)."""
+        data = self._read(key)
+        if data is None:
+            return None
+        try:
+            entry = EncodedReport.from_bytes(data)
+        except CacheError:
+            self._repair(self.path_for(key))
+            return None
+        self.stats.hits += 1
+        return entry
+
+    def _read(self, key: str) -> Optional[bytes]:
+        """The bytes of *key*'s entry file; counts misses and unreadable
+        entries, not hits."""
+        path = self.path_for(key)
+        faults.damage_cache_entry(path)
+        try:
+            with open(path, "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            self.stats.misses += 1
+        except OSError:
+            self._repair(path)
+        return None
+
+    def _repair(self, path: Path) -> None:
+        """Count and delete an entry that could not be used."""
+        self.stats.errors += 1
+        self.stats.misses += 1
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
+    def put(self, key: str, value: Union[EncodedReport, CompilationReport]) -> None:
+        """Store *value* (an entry, or a report to encode) under *key*
+        atomically."""
+        data = _as_entry(key, value).to_bytes()
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        report.cache_key = key
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(report, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -309,14 +415,13 @@ class CompilationCache:
 
 
 class MemoryCache:
-    """A bounded in-memory LRU of compilation reports, keyed like the
-    disk cache.
+    """A bounded in-memory LRU of :class:`EncodedReport` entries, keyed
+    like the disk cache.
 
-    Entries are kept un-flagged (``cache_hit=False``); :meth:`get`
-    returns a shallow copy with the provenance flags set, so handing the
-    same entry to many callers never lets one caller's flag mutation
-    leak into another's report (the disk tier gets the same isolation
-    for free from unpickling).
+    An entry is bytes plus a JSON-safe summary: callers that want the
+    report unpickle their own copy, so nothing one caller does to it
+    reaches another, and the cyclic collector has no report graphs to
+    walk.
 
     The capacity bound is an entry count, not bytes: reports for the
     kernel suite are small and uniform, and a count keeps eviction O(1).
@@ -326,27 +431,21 @@ class MemoryCache:
         if capacity < 1:
             raise CacheError(f"MemoryCache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, CompilationReport]" = OrderedDict()
+        self._entries: "OrderedDict[str, EncodedReport]" = OrderedDict()
         self.stats = CacheStats()
         self.evictions = 0
 
-    def get(self, key: str) -> Optional[CompilationReport]:
+    def get(self, key: str) -> Optional[EncodedReport]:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        report = copy.copy(entry)
-        report.cache_hit = True
-        report.cache_key = key
-        return report
+        return entry
 
-    def put(self, key: str, report: CompilationReport) -> None:
-        stored = copy.copy(report)
-        stored.cache_hit = False
-        stored.cache_key = key
-        self._entries[key] = stored
+    def put(self, key: str, entry: EncodedReport) -> None:
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -379,7 +478,8 @@ class TieredCache:
     its working set.  Writes go to both tiers.  The object satisfies the
     same ``get``/``put``/``stats`` duck type as :class:`CompilationCache`,
     so a :class:`~repro.api.batch.BatchCompiler` can ride a tiered cache
-    unchanged.
+    unchanged; :meth:`get_tiered` is the service's lookup, which hands
+    back the :class:`EncodedReport` itself.
     """
 
     def __init__(
@@ -392,36 +492,44 @@ class TieredCache:
         self.stats = CacheStats()  # aggregate over both tiers
 
     def get(self, key: str) -> Optional[CompilationReport]:
-        return self.get_tiered(key)[0]
+        """The report for *key* (unpickled from its entry), or ``None``."""
+        entry = self.get_tiered(key)[0]
+        if entry is None:
+            return None
+        report = entry.report
+        report.cache_hit = True
+        report.cache_key = key
+        return report
 
     def get_tiered(
         self, key: str
-    ) -> Tuple[Optional[CompilationReport], Optional[str]]:
+    ) -> Tuple[Optional[EncodedReport], Optional[str]]:
         """Lookup that also names the tier that answered.
 
-        Returns ``(report, tier)`` with tier ``"memory"``, ``"disk"`` or
+        Returns ``(entry, tier)`` with tier ``"memory"``, ``"disk"`` or
         ``None`` on a miss.  Membership checks after the fact can't tell
         the tiers apart (a disk hit is promoted into memory), so callers
         that report provenance — the service's ``served_from`` field —
-        need the answer from the lookup itself.
+        need the answer from the lookup itself.  Neither tier unpickles.
         """
-        report = self.memory.get(key)
-        if report is not None:
+        entry = self.memory.get(key)
+        if entry is not None:
             self.stats.hits += 1
-            return report, "memory"
+            return entry, "memory"
         if self.disk is not None:
-            report = self.disk.get(key)
-            if report is not None:
-                self.memory.put(key, report)
+            entry = self.disk.get_encoded(key)
+            if entry is not None:
+                self.memory.put(key, entry)
                 self.stats.hits += 1
-                return report, "disk"
+                return entry, "disk"
         self.stats.misses += 1
         return None, None
 
-    def put(self, key: str, report: CompilationReport) -> None:
-        self.memory.put(key, report)
+    def put(self, key: str, value: Union[EncodedReport, CompilationReport]) -> None:
+        entry = _as_entry(key, value)
+        self.memory.put(key, entry)
         if self.disk is not None:
-            self.disk.put(key, report)
+            self.disk.put(key, entry)
         self.stats.writes += 1
 
     def counters(self) -> Dict[str, object]:

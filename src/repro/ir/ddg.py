@@ -97,12 +97,14 @@ class DDG:
         self._in: Dict[int, Dict[EdgeKey, DepEdge]] = {}
         self._next_id = 0
         # Read caches: pre-sorted adjacency tuples per op, the sorted id
-        # tuple, and per-op flow consumer references.  Values are
+        # tuple, per-op flow consumer references and those references
+        # joined with their flow edges.  Values are
         # immutable, built on first read and dropped on mutation (see
         # _invalidate_*), so repeated reads between mutations are O(1).
         self._out_cache: Dict[int, Tuple[DepEdge, ...]] = {}
         self._in_cache: Dict[int, Tuple[DepEdge, ...]] = {}
         self._refs_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
+        self._ref_edges_cache: Dict[int, Tuple[Tuple[Tuple[int, int, int], DepEdge], ...]] = {}
         self._op_ids_cache: Optional[Tuple[int, ...]] = None
         # Monotonic per-op adjacency versions (bumped on any edge change
         # touching the op); scheduler-side caches key off these.
@@ -215,6 +217,7 @@ class DDG:
         self._out_cache.pop(op_id, None)
         self._in_cache.pop(op_id, None)
         self._refs_cache.pop(op_id, None)
+        self._ref_edges_cache.pop(op_id, None)
         self._adj_version.pop(op_id, None)
 
     def replace_operand(self, op_id: int, index: int, new_src: ValueUse) -> None:
@@ -279,6 +282,7 @@ class DDG:
         # Consumer references depend on the producer's out edges *and* the
         # consumer's operand list; both endpoints' refs may shift.
         self._refs_cache.pop(edge.src, None)
+        self._ref_edges_cache.pop(edge.src, None)
         versions = self._adj_version
         versions[edge.src] = versions.get(edge.src, 0) + 1
         versions[edge.dst] = versions.get(edge.dst, 0) + 1
@@ -383,23 +387,29 @@ class DDG:
 
     def flow_succ_ref_edges(
         self, op_id: int
-    ) -> List[Tuple[Tuple[int, int, int], DepEdge]]:
+    ) -> Tuple[Tuple[Tuple[int, int, int], DepEdge], ...]:
         """:meth:`flow_succ_refs` entries paired with their flow edges.
 
         The checker, the timing simulator and the execution oracle all
         need the per-reference view *and* the edge (for
         :meth:`edge_latency`); keeping the join here guarantees the two
-        can never drift apart.
+        can never drift apart.  Cached and dropped exactly like
+        :meth:`flow_succ_refs`.
         """
+        cached = self._ref_edges_cache.get(op_id)
+        if cached is not None:
+            return cached
         edges = {
             (edge.dst, edge.omega): edge
             for edge in self.out_edges(op_id)
             if edge.is_flow
         }
-        return [
+        result = tuple(
             (ref, edges[(ref[0], ref[2])])
             for ref in self.flow_succ_refs(op_id)
-        ]
+        )
+        self._ref_edges_cache[op_id] = result
+        return result
 
     def edge_latency(self, edge: DepEdge, latencies: LatencyModel) -> int:
         """Resolve the latency of *edge* under *latencies*.
@@ -540,6 +550,7 @@ class DDG:
         clone._out_cache = dict(self._out_cache)
         clone._in_cache = dict(self._in_cache)
         clone._refs_cache = dict(self._refs_cache)
+        clone._ref_edges_cache = dict(self._ref_edges_cache)
         clone._op_ids_cache = self._op_ids_cache
         clone._forward = {k: list(v) for k, v in self._forward.items()}
         return clone

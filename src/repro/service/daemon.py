@@ -53,6 +53,7 @@ POST     ``/sweeps/<id>/complete``   worker: deliver chunk results
 from __future__ import annotations
 
 import asyncio
+import base64
 import functools
 import json
 import signal
@@ -65,9 +66,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import faults
 from ..api import CompilationReport, CompilationRequest, Toolchain, content_hash
-from ..api.cache import CompilationCache, MemoryCache, TieredCache
+from ..api.cache import CompilationCache, EncodedReport, MemoryCache, TieredCache
 from ..errors import ReproError, ServiceError
-from ..scheduling.fingerprint import schedule_fingerprint
 from . import http as h
 from . import ledger as lg
 from . import sweep as sw
@@ -97,10 +97,16 @@ LOCAL_WORKER = "pool"
 
 
 def _execute_request(toolchain: Toolchain, request: CompilationRequest) -> CompilationReport:
-    """Executor-side compile entry point (module-level: picklable)."""
+    """The default compile callable (module-level: picklable)."""
     faults.slowpoint("slow-compile")
     faults.crashpoint("worker-crash")
     return toolchain.compile(request)
+
+
+def _compile_encoded(compile_fn, toolchain: Toolchain,
+                     request: CompilationRequest) -> EncodedReport:
+    """Executor-side task: compile, then pickle the report once, here."""
+    return EncodedReport.encode(compile_fn(toolchain, request))
 
 
 def _warm_probe(hold_seconds: float) -> int:
@@ -140,6 +146,26 @@ def _int_query(request: h.HTTPRequest, name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ServiceError(f"query parameter {name!r} must be an integer", status=400)
+
+
+def result_payload(stored: EncodedReport, served_from: str, key: str, parsed: ParsedJob,
+                   job_id: Optional[int] = None) -> Dict[str, object]:
+    """A ``/compile`` result, built from *stored*'s summary; only an
+    ``assembly`` request unpickles the report."""
+    payload: Dict[str, object] = {
+        "job": job_id, "status": "done", "served_from": served_from, "cache_key": key,
+        "report": stored.describe(served_from in ("memory", "disk"), key),
+        "fingerprint": stored.fingerprint,
+    }
+    if parsed.want_assembly:
+        from ..codegen import assembly_for
+
+        report = stored.report
+        try:
+            payload["assembly"] = assembly_for(report.result, report.compiled.allocation)
+        except ReproError as err:  # pragma: no cover - defensive
+            payload["assembly_error"] = str(err)
+    return payload
 
 
 class CompileJob(Group):
@@ -182,13 +208,15 @@ class CompileJob(Group):
             self.service.pool_counters["jobs_retried"] += 1
             self.emit("retrying", crashes=entry.requeues)
         elif event == "done":
-            report = entry.report
-            for timing in report.timings:
-                self.emit("pass", name=timing.pass_name, ms=round(1e3 * timing.seconds, 3))
-            self.emit("ii_trajectory", trajectory=list(report.ii_trajectory))
-            self.emit("done", ii=report.result.ii, seconds=entry.seconds)
+            stored = entry.report
+            for name, seconds in stored.timings:
+                self.emit("pass", name=name, ms=round(1e3 * seconds, 3))
+            self.emit("ii_trajectory", trajectory=list(stored.ii_trajectory))
+            self.emit("done", ii=stored.ii, seconds=entry.seconds)
             self.state = "done"
-            self.future.set_result(self.service.result_payload(self, report, "compile", entry.key))
+            self.future.set_result(result_payload(
+                stored, "compile", entry.key, self.parsed, job_id=self.id
+            ))
         elif event == "quarantined":
             self.service.pool_counters["jobs_quarantined"] += 1
             self.fail("quarantined", ServiceError(
@@ -520,10 +548,10 @@ class CompileService:
         self.metrics.record_request(parsed.priority)
         started = time.perf_counter()
         key = content_hash(parsed.request, pipeline=self.toolchain.pass_names)
-        report, tier = self.cache.get_tiered(key)
-        if report is not None:
+        stored, tier = self.cache.get_tiered(key)
+        if stored is not None:
             self.metrics.latency.observe(time.perf_counter() - started)
-            return None, False, self.result_payload(None, report, tier, key)
+            return None, False, result_payload(stored, tier, key, parsed)
 
         entry = self.ledger.live.get(key)
         if entry is not None:
@@ -594,22 +622,6 @@ class CompileService:
             del self._jobs[old.id]
             self.ledger.detach(old)
 
-    def result_payload(self, job: Optional[CompileJob], report: CompilationReport,
-                       served_from: str, key: Optional[str] = None) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "job": job.id if job is not None else None, "status": "done",
-            "served_from": served_from, "cache_key": key, "report": report.to_dict(),
-            "fingerprint": schedule_fingerprint(report.result),
-        }
-        if job is not None and job.parsed.want_assembly:
-            from ..codegen import assembly_for
-
-            try:
-                payload["assembly"] = assembly_for(report.result, report.compiled.allocation)
-            except ReproError as err:  # pragma: no cover - defensive
-                payload["assembly_error"] = str(err)
-        return payload
-
     # ------------------------------------------------------------------
     # The local worker: the pool claims what a /compile waits on
     # ------------------------------------------------------------------
@@ -632,8 +644,8 @@ class CompileService:
         self.metrics.compiles_started += 1
         started = time.perf_counter()
         try:
-            report = await asyncio.get_running_loop().run_in_executor(
-                self.executor, self._compile_fn, self.toolchain, request
+            stored = await asyncio.get_running_loop().run_in_executor(
+                self.executor, _compile_encoded, self._compile_fn, self.toolchain, request
             )
         except ReproError as err:
             await self._fail_entry(lease, entry, err, status=422)
@@ -659,17 +671,14 @@ class CompileService:
             await self._fail_entry(lease, entry, err, status=500)
         else:
             elapsed = time.perf_counter() - started
-            self.cache.put(entry.key, report)
+            self.cache.put(entry.key, stored)
             self.metrics.compiles_completed += 1
             self.metrics.latency.observe(elapsed)
             # Journal first: once a client sees the result, the journal
             # already knows the entry is done.
             await self._journal([("finished", lease.id, {"done": [entry.key]})])
-            self.ledger.finish(
-                entry, "done", LOCAL_WORKER, report,
-                fingerprint=schedule_fingerprint(report.result), ii=report.result.ii,
-                seconds=round(elapsed, 4), served_from=LOCAL_WORKER,
-            )
+            self.ledger.finish(entry, "done", LOCAL_WORKER, stored,
+                               seconds=round(elapsed, 4), served_from=LOCAL_WORKER)
         finally:
             self.ledger.release(lease)
             self._running -= 1
@@ -830,16 +839,10 @@ class CompileService:
         start = max(0, _int_query(request, "start", 0))
         stop = min(len(sweep.entries), _int_query(request, "stop", len(sweep.entries)))
         rows = [sweep.describe_job(index) for index in range(start, stop)]
-        reports = [sweep.entries[index].report for index in range(start, stop)]
         if request.query.get("pickle") not in (None, "0"):
-            # Described before the executor encodes: a row and its blob
-            # cannot disagree.
-            blobs = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: [None if r is None else sw.encode_report(r) for r in reports]
-            )
-            for row, blob in zip(rows, blobs):
-                if blob is not None:
-                    row["report"] = blob
+            for row, entry in zip(rows, sweep.entries[start:stop]):
+                if entry.report is not None:  # the stored blob, as pickled once
+                    row["report"] = base64.b64encode(entry.report.blob).decode("ascii")
         return 200, {"sweep": sweep.id, "state": sweep.state, "start": start, "results": rows}
 
     async def _post_claim(self, request, sweep_id):

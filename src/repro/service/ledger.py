@@ -57,8 +57,7 @@ class Entry:
     """One unit of work: a compile payload under its content-hash key."""
 
     __slots__ = ("key", "payload", "state", "requeues", "budget", "order", "lease",
-                 "worker", "report", "fingerprint", "ii", "seconds", "served_from",
-                 "error", "status", "groups")
+                 "worker", "report", "seconds", "served_from", "error", "status", "groups")
 
     def __init__(self, key: str, payload: object, budget: int, order: Tuple[int, int]):
         self.key = key
@@ -69,8 +68,8 @@ class Entry:
         self.order = order
         self.lease: Optional[str] = None
         self.worker: Optional[str] = None
-        self.report = None
-        self.fingerprint = self.ii = self.seconds = None
+        self.report = None  # an EncodedReport once done
+        self.seconds = None
         self.served_from: Optional[str] = None
         self.error: Optional[str] = None
         self.status = 500  # the HTTP status a failed /compile answers with

@@ -14,9 +14,11 @@ entries at the queue front, quarantining those past ``max_requeues``.
 A completion for a lease the ledger no longer holds is an **orphan**
 and still accepted; one for a finished entry is a **duplicate** (the
 first result wins; compilation is deterministic).  Workers ship reports
-as base64 pickles (the disk cache's form, on a trusted network); the
-coordinator recomputes each fingerprint and request content hash, and
-rejects a report whose hash is not its entry's key.
+as base64 pickles (on a trusted network); the coordinator unpickles
+each, recomputes its request content hash, rejects a report whose hash
+is not its entry's key, and stores the report re-encoded from the
+decoded object (:class:`~repro.api.cache.EncodedReport`), never the
+bytes the worker sent.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..api import CompilationReport, content_hash
+from ..api import CompilationReport, EncodedReport, content_hash
 from ..errors import ServiceError
-from ..scheduling.fingerprint import schedule_fingerprint
 from .jobs import parse_compile_payload
 from .ledger import Entry, Group, Ledger, finished_record
 
@@ -90,8 +91,8 @@ class SweepPlan:
     seed: int
     payloads: List[Dict[str, object]]
     keys: List[str]
-    #: key -> report found durable in the disk cache at planning time.
-    prefilled: Dict[str, CompilationReport] = field(default_factory=dict)
+    #: key -> entry found durable in the disk cache at planning time.
+    prefilled: Dict[str, EncodedReport] = field(default_factory=dict)
 
 
 class Sweep(Group):
@@ -152,10 +153,8 @@ class Sweep(Group):
         if entry.worker is not None:
             info["worker"] = entry.worker
         if entry.state == "done":
-            if entry.fingerprint is None:  # prefilled from the cache
-                entry.fingerprint = schedule_fingerprint(entry.report.result)
-                entry.ii = entry.report.result.ii
-            info.update(fingerprint=entry.fingerprint, ii=entry.ii, served_from=entry.served_from)
+            info.update(fingerprint=entry.report.fingerprint, ii=entry.report.ii,
+                        served_from=entry.served_from)
             if entry.seconds is not None:
                 info["seconds"] = entry.seconds
         elif entry.terminal:
@@ -196,8 +195,8 @@ def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
     The sweep id is a content hash of the normalized spec, so
     re-submitting an identical spec returns the existing sweep.  Keys
     already durable in *disk_cache* come back prefilled, so a re-run
-    starts (partially) done; the memory LRU belongs to the event loop
-    and is not probed here.
+    starts (partially) done without unpickling anything; the memory LRU
+    belongs to the event loop and is not probed here.
     """
     if not isinstance(spec, dict):
         raise ServiceError("sweep spec must be a JSON object", status=400)
@@ -225,11 +224,11 @@ def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
     normalized = {"jobs": payloads, "lease": lease_seconds, "max_requeues": max_requeues,
                   "seed": seed, "label": label}
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
-    prefilled: Dict[str, CompilationReport] = {}
+    prefilled: Dict[str, EncodedReport] = {}
     for key in dict.fromkeys(keys) if disk_cache is not None else ():
-        report = disk_cache.get(key)
-        if report is not None:
-            prefilled[key] = report
+        stored = disk_cache.get_encoded(key)
+        if stored is not None:
+            prefilled[key] = stored
     if label is None:
         del normalized["label"]
     return SweepPlan(
@@ -280,17 +279,17 @@ def _enumerate_payloads(spec: Dict[str, object]) -> List[Dict[str, object]]:
 
 
 def encode_report(report: CompilationReport) -> str:
-    """The wire form of one report (base64 pickle, see module doc)."""
+    """The wire form of one worker-shipped report (base64 pickle)."""
     return base64.b64encode(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
 
 
 def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Dict[str, object]]:
     """Validate and decode one completion's result list.
 
-    Each item carries either ``report_obj`` (the unpickled report, with
-    its fingerprint and its request's content hash under *pipeline*
-    recomputed), or ``error`` (a deterministic compile failure), or
-    ``invalid`` when it cannot be used.
+    Each item carries either ``stored`` (the unpickled report encoded
+    afresh, with its request's content hash under *pipeline* recomputed
+    as ``request_key``), or ``error`` (a deterministic compile failure),
+    or ``invalid`` when it cannot be used.
     """
     if not isinstance(results, list) or len(results) > MAX_SWEEP_JOBS:
         raise ServiceError("'results' must be a list of at most one per job", status=400)
@@ -315,10 +314,8 @@ def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Di
                 if not isinstance(report, CompilationReport):
                     raise ServiceError("decoded object is not a CompilationReport")
                 item.update(
-                    report_obj=report,
+                    stored=EncodedReport.encode(report),
                     request_key=content_hash(report.request, pipeline=pipeline),
-                    fingerprint=schedule_fingerprint(report.result),
-                    ii=report.result.ii,
                 )
             except Exception as err:  # repro: lint-ignore[exception-discipline]: untrusted-bytes boundary - unpickling a worker-shipped report can raise nearly anything; a bad entry must requeue that one job, not fail the whole completion
                 item["invalid"] = f"undecodable report: {type(err).__name__}: {err}"
@@ -411,15 +408,15 @@ def merge(ledger: Ledger, cache, sweep: Sweep, worker: str, chunk: str,
             finishes.append((entry, "failed", dict(worker=worker, error=item["error"],
                                                    status=422)))
         else:
-            report, _tier = cache.get_tiered(entry.key)
+            stored, _tier = cache.get_tiered(entry.key)
             served_from = "cache"
-            if report is None:
-                report, served_from = item["report_obj"], worker
-                cache.put(entry.key, report)
+            if stored is None:
+                stored, served_from = item["stored"], worker
+                cache.put(entry.key, stored)
             taken.add(entry)
             finishes.append((entry, "done", dict(
-                worker=worker, report=report, fingerprint=item["fingerprint"],
-                ii=item.get("ii"), seconds=item.get("seconds"), served_from=served_from,
+                worker=worker, report=stored, seconds=item.get("seconds"),
+                served_from=served_from,
             )))
             info["jobs_done"] += 1
     sweep.counters["invalid"] += invalid

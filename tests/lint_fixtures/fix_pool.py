@@ -1,5 +1,6 @@
 """pool-safety fixture: start methods and picklability of pool jobs."""
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from multiprocessing import get_context
 
@@ -45,3 +46,9 @@ def spawn_ok(jobs):
 def threads_ok(jobs):
     with ThreadPoolExecutor(max_workers=2) as workers:
         return list(workers.map(lambda item: item * 2, jobs))  # ok: no pickling
+
+
+def stacked_lambda_job(jobs):
+    with contextlib.ExitStack() as stack:
+        pool = stack.enter_context(spawn_pool(2))
+        return list(pool.map(lambda item: item * 2, jobs))  # EXPECT: pool-safety

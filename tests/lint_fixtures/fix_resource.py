@@ -1,5 +1,6 @@
 """resource-hygiene fixture: acquisition sites and their releases."""
 
+import contextlib
 import json
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
@@ -54,3 +55,9 @@ def waited_child():
     proc = subprocess.Popen(["true"])  # ok: waited below
     proc.wait()
     return proc.returncode
+
+
+def stacked_pool(jobs):
+    with contextlib.ExitStack() as stack:
+        workers = stack.enter_context(ThreadPoolExecutor(max_workers=2))  # ok: the stack closes it
+        return [workers.submit(str, job) for job in jobs]

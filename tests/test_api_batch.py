@@ -22,10 +22,10 @@ from repro.api import (
     CompilationRequest,
     Toolchain,
     compile_many,
-    schedule_fingerprint,
 )
 from repro.errors import IIOverflowError, ReproError
 from repro.machine import clustered_vliw, unclustered_vliw
+from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.scheduling.pipeline import compile_loop
 from repro.workloads import KERNELS, make_kernel, perfect_club_surrogate
 

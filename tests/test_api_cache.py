@@ -10,11 +10,11 @@ from repro.api import (
     CompilationRequest,
     Toolchain,
     content_hash,
-    schedule_fingerprint,
 )
 from repro.config import SchedulerConfig
 from repro.ir.opcodes import LatencyModel
 from repro.machine import clustered_vliw, unclustered_vliw
+from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.workloads import make_kernel
 
 from .conftest import build_stream_loop

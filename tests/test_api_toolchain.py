@@ -11,11 +11,11 @@ from repro.api import (
     Toolchain,
     get_pass,
     register_pass,
-    schedule_fingerprint,
 )
 from repro.errors import SchedulingError, ToolchainError
 from repro.ir.transforms import unroll_loop
 from repro.machine import clustered_vliw, unclustered_vliw
+from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.scheduling.pipeline import compile_loop
 from repro.workloads import make_kernel
 

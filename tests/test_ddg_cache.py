@@ -104,6 +104,44 @@ class TestAdjacencyCaches:
         assert ddg.op_ids == (0, 1, 2)
         ddg.validate()
 
+    def test_ref_edge_join_tracks_every_mutation(self):
+        """``flow_succ_ref_edges`` is cached; after each mutation its
+        pairs equal those of a graph rebuilt from scratch."""
+
+        def rebuilt(ddg):
+            fresh = DDG(ddg.name)
+            for op in ddg.operations():
+                fresh.add_operation(op)
+            for edge in ddg.edges():
+                if not edge.is_flow:
+                    fresh.add_dep(edge.src, edge.dst, edge.kind, edge.omega, edge.latency)
+            return fresh
+
+        def joined(ddg):
+            return {
+                op_id: [(ref, (e.src, e.dst, e.kind, e.omega, e.latency))
+                        for ref, e in ddg.flow_succ_ref_edges(op_id)]
+                for op_id in ddg.op_ids
+            }
+
+        ddg = chain_ddg()
+        steps = []
+        move = ddg.new_operation(OpCode.MOVE, (use(0),))
+        steps.append(lambda: ddg.replace_operand(1, 0, use(move.op_id)))
+        steps.append(lambda: ddg.replace_operand(2, 0, use(move.op_id)))
+        mem = []
+        steps.append(lambda: mem.append(ddg.add_dep(0, 2, DepKind.MEM, latency=1)))
+        steps.append(lambda: ddg.remove_dep(mem.pop()))
+        steps.append(lambda: ddg.replace_operand(1, 0, use(0)))
+        steps.append(lambda: ddg.replace_operand(2, 0, use(1)))
+        steps.append(lambda: ddg.remove_operation(move.op_id))
+        assert joined(ddg) == joined(rebuilt(ddg))
+        for step in steps:
+            step()
+            assert joined(ddg) == joined(rebuilt(ddg))
+        assert ddg.flow_succ_ref_edges(0) is ddg.flow_succ_ref_edges(0)
+        assert joined(ddg) == joined(chain_ddg())
+
     def test_copy_isolation_both_directions(self):
         ddg = chain_ddg()
         ddg.out_edges(0)  # warm caches

@@ -134,15 +134,14 @@ class LedgerMachine(RuleBasedStateMachine):
             if entry is None:
                 assert self.model[key]["state"] in lg.TERMINAL  # a duplicate
                 continue
-            payload, report, fingerprint = reports()[key]
+            _payload, report, _fingerprint = reports()[key]
             if fail and key == keys[0]:
                 self.model[key].update(state="failed", lease=None)
                 assert self.ledger.finish(entry, "failed", "w", error="boom")
             else:
                 self.cache[key] = report
                 self.model[key].update(state="done", lease=None)
-                assert self.ledger.finish(entry, "done", "w", report,
-                                          fingerprint=fingerprint)
+                assert self.ledger.finish(entry, "done", "w", report)
             finished.append(entry)
         self.write([lg.finished_record(lease_id, lg.outcomes(finished))])
 

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import CompilationRequest, Toolchain, content_hash
-from repro.api.cache import CompilationCache, MemoryCache, TieredCache
+from repro.api.cache import CompilationCache, EncodedReport, MemoryCache, TieredCache
 from repro.config import DEFAULT_CONFIG
 from repro.errors import CacheError, ServiceError
 from repro.machine.machine import clustered_vliw
@@ -488,20 +488,23 @@ def _tiny_report():
 
 def test_memory_cache_lru_semantics():
     report, request = _tiny_report()
+    stored = EncodedReport.encode(report)
     cache = MemoryCache(capacity=2)
-    cache.put("a", report)
-    cache.put("b", report)
+    cache.put("a", stored)
+    cache.put("b", stored)
     assert cache.get("a") is not None  # refresh 'a': now 'b' is oldest
-    cache.put("c", report)
+    cache.put("c", stored)
     assert "b" not in cache
     assert "a" in cache and "c" in cache
     assert cache.evictions == 1
     assert cache.get("b") is None
     assert cache.stats.misses == 1
-    # Returned entries are isolated copies: flag mutation doesn't leak.
+    # Entries are bytes: each caller unpickles its own report, so a
+    # flag one caller sets never reaches another.
     hit = cache.get("a")
-    assert hit.cache_hit is True
-    assert cache._entries["a"].cache_hit is False
+    first, second = hit.report, hit.report
+    first.cache_hit = True
+    assert second is not first and second.cache_hit is False
     with pytest.raises(CacheError):
         MemoryCache(capacity=0)
 
