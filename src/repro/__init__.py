@@ -24,185 +24,106 @@ reports, batch/parallel compilation with on-disk memoisation)::
         CompilationRequest(loop=loop, machine=clustered_vliw(4), equivalent_k=4)
     )
     print(report.summary(), report.pass_seconds())
+
+Every public name is imported on first use (see :mod:`repro._lazy`), so
+``import repro`` costs almost nothing and numpy loads only with the
+fuzzer or the surrogate-suite generator.
 """
 
-from .config import DEFAULT_CONFIG, SchedulerConfig
-from .errors import (
-    AllocationError,
-    CacheError,
-    CodegenError,
-    DDGError,
-    IIOverflowError,
-    MachineError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TargetError,
-    ToolchainError,
-    TransformError,
-    ValidationError,
-    WorkloadError,
-)
-from .ir import (
-    DDG,
-    DEFAULT_LATENCIES,
-    DepEdge,
-    DepKind,
-    FUKind,
-    LatencyModel,
-    Loop,
-    LoopBuilder,
-    OpCode,
-    Operation,
-    ValueUse,
-)
-from .machine import (
-    ClusterSpec,
-    CommPath,
-    CrossbarTopology,
-    GraphTopology,
-    LinearTopology,
-    MachineSpec,
-    MeshTopology,
-    QueueFileSpec,
-    RingTopology,
-    Topology,
-    TorusTopology,
-    clustered_vliw,
-    make_topology,
-    paper_machine_pair,
-    register_topology,
-    topology_kinds,
-    unclustered_vliw,
-)
-from .targets import (
-    TargetSpec,
-    get_target,
-    load_target,
-    register_target,
-    resolve_target,
-    save_target,
-    target_names,
-)
-from .registers import allocate_queues, extract_lifetimes, register_pressure
-from .scheduling import (
-    DistributedModuloScheduler,
-    IterativeModuloScheduler,
-    ScheduleResult,
-    check_schedule,
-    compute_mii,
-    schedule_fingerprint,
-    validate_schedule,
-)
-from .scheduling.pipeline import CompiledLoop, choose_unroll_factor, compile_loop
-from .api import (
-    BatchCompiler,
-    CompilationCache,
-    CompilationReport,
-    CompilationRequest,
-    Pass,
-    Toolchain,
-    compile_many,
-    register_pass,
-)
-from .simulator import simulate
-from .codegen import assembly_for, build_program
-from .validate import run_fuzz, verify_compiled, verify_loop
-from .workloads import (
-    KERNELS,
-    PERFECT_CLUB_LOOP_COUNT,
-    make_kernel,
-    perfect_club_surrogate,
-    split_sets,
-    suite_stats,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".config": ("DEFAULT_CONFIG", "SchedulerConfig"),
+    ".errors": (
+        "AllocationError",
+        "CacheError",
+        "CodegenError",
+        "DDGError",
+        "IIOverflowError",
+        "MachineError",
+        "ReproError",
+        "SchedulingError",
+        "SimulationError",
+        "TargetError",
+        "ToolchainError",
+        "TransformError",
+        "ValidationError",
+        "WorkloadError",
+    ),
+    ".ir": (
+        "DDG",
+        "DEFAULT_LATENCIES",
+        "DepEdge",
+        "DepKind",
+        "FUKind",
+        "LatencyModel",
+        "Loop",
+        "LoopBuilder",
+        "OpCode",
+        "Operation",
+        "ValueUse",
+    ),
+    ".machine": (
+        "ClusterSpec",
+        "CommPath",
+        "CrossbarTopology",
+        "GraphTopology",
+        "LinearTopology",
+        "MachineSpec",
+        "MeshTopology",
+        "QueueFileSpec",
+        "RingTopology",
+        "Topology",
+        "TorusTopology",
+        "clustered_vliw",
+        "make_topology",
+        "paper_machine_pair",
+        "register_topology",
+        "topology_kinds",
+        "unclustered_vliw",
+    ),
+    ".targets": (
+        "TargetSpec",
+        "get_target",
+        "load_target",
+        "register_target",
+        "resolve_target",
+        "save_target",
+        "target_names",
+    ),
+    ".registers": ("allocate_queues", "extract_lifetimes", "register_pressure"),
+    ".scheduling": (
+        "DistributedModuloScheduler",
+        "IterativeModuloScheduler",
+        "ScheduleResult",
+        "check_schedule",
+        "compute_mii",
+        "schedule_fingerprint",
+        "validate_schedule",
+    ),
+    ".scheduling.pipeline": ("CompiledLoop", "choose_unroll_factor", "compile_loop"),
+    ".api": (
+        "BatchCompiler",
+        "CompilationCache",
+        "CompilationReport",
+        "CompilationRequest",
+        "Pass",
+        "Toolchain",
+        "compile_many",
+        "register_pass",
+    ),
+    ".simulator": ("simulate",),
+    ".codegen": ("assembly_for", "build_program"),
+    ".validate": ("run_fuzz", "verify_compiled", "verify_loop"),
+    ".workloads": (
+        "KERNELS",
+        "PERFECT_CLUB_LOOP_COUNT",
+        "make_kernel",
+        "perfect_club_surrogate",
+        "split_sets",
+        "suite_stats",
+    ),
+})
 
 __version__ = "1.1.0"
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "SchedulerConfig",
-    "AllocationError",
-    "CacheError",
-    "CodegenError",
-    "DDGError",
-    "IIOverflowError",
-    "MachineError",
-    "ReproError",
-    "SchedulingError",
-    "SimulationError",
-    "TargetError",
-    "ToolchainError",
-    "TransformError",
-    "ValidationError",
-    "WorkloadError",
-    "DDG",
-    "DEFAULT_LATENCIES",
-    "DepEdge",
-    "DepKind",
-    "FUKind",
-    "LatencyModel",
-    "Loop",
-    "LoopBuilder",
-    "OpCode",
-    "Operation",
-    "ValueUse",
-    "ClusterSpec",
-    "CommPath",
-    "CrossbarTopology",
-    "GraphTopology",
-    "LinearTopology",
-    "MachineSpec",
-    "MeshTopology",
-    "QueueFileSpec",
-    "RingTopology",
-    "Topology",
-    "TorusTopology",
-    "clustered_vliw",
-    "make_topology",
-    "paper_machine_pair",
-    "register_topology",
-    "topology_kinds",
-    "unclustered_vliw",
-    "TargetSpec",
-    "get_target",
-    "load_target",
-    "register_target",
-    "resolve_target",
-    "save_target",
-    "target_names",
-    "allocate_queues",
-    "extract_lifetimes",
-    "register_pressure",
-    "DistributedModuloScheduler",
-    "IterativeModuloScheduler",
-    "ScheduleResult",
-    "check_schedule",
-    "compute_mii",
-    "validate_schedule",
-    "CompiledLoop",
-    "choose_unroll_factor",
-    "compile_loop",
-    "BatchCompiler",
-    "CompilationCache",
-    "CompilationReport",
-    "CompilationRequest",
-    "Pass",
-    "Toolchain",
-    "compile_many",
-    "register_pass",
-    "schedule_fingerprint",
-    "simulate",
-    "assembly_for",
-    "build_program",
-    "run_fuzz",
-    "verify_compiled",
-    "verify_loop",
-    "KERNELS",
-    "PERFECT_CLUB_LOOP_COUNT",
-    "make_kernel",
-    "perfect_club_surrogate",
-    "split_sets",
-    "suite_stats",
-    "__version__",
-]
+__all__.append("__version__")

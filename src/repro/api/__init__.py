@@ -18,69 +18,44 @@ Layers:
 * :mod:`repro.api.request`   — request/report value types;
 * :mod:`repro.api.cache`     — content hashing and the on-disk store;
 * :mod:`repro.api.batch`     — multiprocessing fan-out with memoisation.
+
+Each name loads its module on first use, so a single compile never
+imports the batch layer's process-pool machinery.
 """
 
-from .batch import BatchCompiler, DEFAULT_WORKERS, compile_many
-from .cache import (
-    CacheStats,
-    CompilationCache,
-    EncodedReport,
-    MemoryCache,
-    TieredCache,
-    content_hash,
-    ddg_signature,
-    machine_signature,
-)
-from .passes import (
-    AllocatePass,
-    CodegenPass,
-    PASS_REGISTRY,
-    Pass,
-    PassContext,
-    SchedulePass,
-    SingleUsePass,
-    TwoPhaseSchedulePass,
-    UnrollPass,
-    get_pass,
-    register_pass,
-    registered_passes,
-)
-from .request import (
-    CompilationReport,
-    CompilationRequest,
-    PassTiming,
-    SCHEDULER_CHOICES,
-)
-from .toolchain import DEFAULT_PASSES, Toolchain
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllocatePass",
-    "BatchCompiler",
-    "CacheStats",
-    "CodegenPass",
-    "CompilationCache",
-    "CompilationReport",
-    "CompilationRequest",
-    "DEFAULT_PASSES",
-    "DEFAULT_WORKERS",
-    "EncodedReport",
-    "MemoryCache",
-    "PASS_REGISTRY",
-    "Pass",
-    "PassContext",
-    "PassTiming",
-    "SCHEDULER_CHOICES",
-    "SchedulePass",
-    "SingleUsePass",
-    "TieredCache",
-    "Toolchain",
-    "TwoPhaseSchedulePass",
-    "UnrollPass",
-    "compile_many",
-    "content_hash",
-    "ddg_signature",
-    "get_pass",
-    "machine_signature",
-    "register_pass",
-    "registered_passes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".batch": ("BatchCompiler", "DEFAULT_WORKERS", "compile_many"),
+    ".cache": (
+        "CacheStats",
+        "CompilationCache",
+        "EncodedReport",
+        "MemoryCache",
+        "TieredCache",
+        "content_hash",
+        "ddg_signature",
+        "machine_signature",
+    ),
+    ".passes": (
+        "AllocatePass",
+        "CodegenPass",
+        "PASS_REGISTRY",
+        "Pass",
+        "PassContext",
+        "SchedulePass",
+        "SingleUsePass",
+        "TwoPhaseSchedulePass",
+        "UnrollPass",
+        "get_pass",
+        "register_pass",
+        "registered_passes",
+    ),
+    ".request": (
+        "CompilationReport",
+        "CompilationRequest",
+        "PassTiming",
+        "SCHEDULER_CHOICES",
+    ),
+    ".toolchain": ("DEFAULT_PASSES", "Toolchain"),
+})

@@ -285,9 +285,10 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    #: Entries that existed but could not be loaded (corrupt/unreadable).
-    #: These also count as misses; a rising value means the cache
-    #: directory is being damaged faster than it is repopulated.
+    #: Entries that existed but could not be loaded (corrupt/unreadable);
+    #: these also count as misses.  A :class:`TieredCache` also counts
+    #: its disk tier's failed writes here.  A rising value means the
+    #: cache directory is damaged or unwritable.
     errors: int = 0
 
     def summary(self) -> str:
@@ -375,10 +376,11 @@ class CompilationCache:
         except OSError:
             pass
 
-    def put(self, key: str, value: Union[EncodedReport, CompilationReport]) -> None:
+    def put(self, key: str, value: Union[EncodedReport, CompilationReport]) -> EncodedReport:
         """Store *value* (an entry, or a report to encode) under *key*
-        atomically."""
-        data = _as_entry(key, value).to_bytes()
+        atomically; returns the stored entry."""
+        entry = _as_entry(key, value)
+        data = entry.to_bytes()
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -393,6 +395,7 @@ class CompilationCache:
                 pass
             raise
         self.stats.writes += 1
+        return entry
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -526,10 +529,20 @@ class TieredCache:
         return None, None
 
     def put(self, key: str, value: Union[EncodedReport, CompilationReport]) -> None:
+        """Store *value* in both tiers.
+
+        A failed disk write (a full disk, an unwritable directory) is
+        counted in the disk tier's ``errors`` — ``disk_errors`` in
+        :meth:`counters` — and not raised: the memory tier holds the
+        entry, and the compile that produced it has succeeded.
+        """
         entry = _as_entry(key, value)
         self.memory.put(key, entry)
         if self.disk is not None:
-            self.disk.put(key, entry)
+            try:
+                self.disk.put(key, entry)
+            except (OSError, CacheError):
+                self.disk.stats.errors += 1
         self.stats.writes += 1
 
     def counters(self) -> Dict[str, object]:

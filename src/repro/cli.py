@@ -38,31 +38,22 @@ import sys
 import time
 from typing import List, Optional
 
-from .api import BatchCompiler, CompilationRequest, Toolchain, compile_many
 from .config import DEFAULT_CONFIG
-from .experiments import (
-    FigureData,
-    SweepConfig,
-    backtracking_report,
-    figure4,
-    figure5,
-    figure6,
-    moves_report,
-    pass_timing_figure,
-    run_sweep,
-)
-from .machine import clustered_vliw, unclustered_vliw
-from .codegen import assembly_for
-from .workloads import (
-    KERNELS,
-    PERFECT_CLUB_LOOP_COUNT,
-    make_kernel,
-    perfect_club_surrogate,
-    suite_stats,
-)
+
+# Each command imports what it uses inside its handler, so start-up
+# loads only that command's modules (no numpy outside fuzz and the
+# surrogate suite, no service or lint layer outside their commands).
+
+#: ``repro ablation`` choices: the keys of
+#: :data:`repro.experiments.ablations.ABLATIONS` (a test keeps them
+#: equal), named here so that building the parser does not import the
+#: experiment layer.
+ABLATION_NAMES = ("chain_policy", "copy_fus", "restarts", "single_use", "topology")
 
 
 def _parser() -> argparse.ArgumentParser:
+    from .workloads.kernels import KERNELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -321,9 +312,7 @@ def _parser() -> argparse.ArgumentParser:
     storage.add_argument("--csv", type=str, default=None)
 
     ablation = sub.add_parser("ablation", help="run one design ablation")
-    from .experiments import ABLATIONS
-
-    ablation.add_argument("name", choices=sorted(ABLATIONS))
+    ablation.add_argument("name", choices=ABLATION_NAMES)
     _suite_args(ablation)
     _search_arg(ablation)
     ablation.add_argument("--clusters", type=str, default="4,6,8,10")
@@ -538,6 +527,8 @@ def _scheduler_config(args: argparse.Namespace):
 
 
 def _suite_args(parser: argparse.ArgumentParser) -> None:
+    from .workloads.suite import PERFECT_CLUB_LOOP_COUNT
+
     parser.add_argument(
         "--loops",
         type=int,
@@ -547,7 +538,30 @@ def _suite_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1999)
 
 
+def _suite(args: argparse.Namespace) -> list:
+    """The surrogate-suite loops a command's ``--loops``/``--seed`` name."""
+    from .workloads.suite import perfect_club_surrogate
+
+    return perfect_club_surrogate(args.loops, seed=args.seed)
+
+
+def _kernel_names(args: argparse.Namespace) -> Optional[List[str]]:
+    """The kernels ``--kernels`` names; None (after a message) if unknown."""
+    from .workloads.kernels import KERNELS
+
+    if args.kernels == "all":
+        return sorted(KERNELS)
+    names = [n for n in args.kernels.split(",") if n]
+    unknown = sorted(set(names) - set(KERNELS))
+    if unknown:
+        print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
+        return None
+    return names
+
+
 def _info() -> str:
+    from .workloads.kernels import KERNELS
+
     lines = [
         "Distributed Modulo Scheduling (DMS) reproduction",
         "paper: Fernandes, Llosa & Topham, HPCA-5, 1999",
@@ -570,12 +584,18 @@ def _info() -> str:
 
 
 def _schedule_command(args: argparse.Namespace) -> int:
-    from .errors import TargetError
-    from .targets import resolve_target
+    from .api.request import CompilationRequest
+    from .api.toolchain import Toolchain
+    from .codegen.assembly import assembly_for
+    from .machine.machine import clustered_vliw, unclustered_vliw
+    from .workloads.kernels import make_kernel
 
     loop = make_kernel(args.kernel)
     equivalent_k: Optional[int] = args.clusters
     if args.target is not None:
+        from .errors import TargetError
+        from .targets import resolve_target
+
         try:
             machine = resolve_target(args.target)
         except TargetError as err:
@@ -612,7 +632,7 @@ def _schedule_command(args: argparse.Namespace) -> int:
 def _schedule_remote(args: argparse.Namespace, request) -> int:
     """``repro schedule --remote host:port``: compile on a daemon."""
     from .errors import ServiceError
-    from .service import ServiceClient
+    from .service.client import ServiceClient
 
     client = ServiceClient(args.remote)
     try:
@@ -645,7 +665,7 @@ def _schedule_remote(args: argparse.Namespace, request) -> int:
 def _serve_command(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import run_service
+    from .service.daemon import run_service
 
     asyncio.run(
         run_service(
@@ -791,14 +811,14 @@ def _changed_files(root) -> list:
 
 
 def _batch_command(args: argparse.Namespace) -> int:
-    if args.kernels == "all":
-        names = sorted(KERNELS)
-    else:
-        names = [n for n in args.kernels.split(",") if n]
-        unknown = sorted(set(names) - set(KERNELS))
-        if unknown:
-            print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    from .api.batch import BatchCompiler
+    from .api.request import CompilationRequest
+    from .machine.machine import clustered_vliw
+    from .workloads.kernels import make_kernel
+
+    names = _kernel_names(args)
+    if names is None:
+        return 2
     if args.target is not None:
         from .errors import TargetError
         from .targets import resolve_target
@@ -863,6 +883,8 @@ def _batch_command(args: argparse.Namespace) -> int:
     if args.timings:
         cold = [r for r in reports if not r.cache_hit]
         if cold:
+            from .experiments.figures import pass_timing_figure
+
             print(pass_timing_figure(cold).render_table())
         else:
             print("# all jobs cached; no cold timings to report", file=sys.stderr)
@@ -925,18 +947,26 @@ def _target_command(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = {
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "backtracking": backtracking_report,
-    "moves": moves_report,
-}
-
-
 def _figures_command(args: argparse.Namespace) -> int:
+    from .experiments.figures import (
+        backtracking_report,
+        figure4,
+        figure5,
+        figure6,
+        moves_report,
+    )
+    from .experiments.runner import SweepConfig, run_sweep
+
+    builders = {
+        "fig4": figure4,
+        "fig5": figure5,
+        "fig6": figure6,
+        "backtracking": backtracking_report,
+        "moves": moves_report,
+    }
+
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
-    loops = perfect_club_surrogate(args.loops, seed=args.seed)
+    loops = _suite(args)
     started = time.time()
     runs = run_sweep(
         loops,
@@ -954,14 +984,14 @@ def _figures_command(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if getattr(args, "runs_out", None):
-        from .experiments import dump_runs
+        from .experiments.io import dump_runs
 
         dump_runs(runs, args.runs_out)
         print(f"# wrote {args.runs_out}", file=sys.stderr)
     names = (
-        list(_FIGURES) if args.command == "all-figures" else [args.command]
+        list(builders) if args.command == "all-figures" else [args.command]
     )
-    figures: List[FigureData] = [_FIGURES[name](runs) for name in names]
+    figures = [builders[name](runs) for name in names]
     for figure in figures:
         print(figure.render_table())
         print()
@@ -973,7 +1003,7 @@ def _figures_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_figure(figure: FigureData, csv_dir: Optional[str]) -> None:
+def _emit_figure(figure, csv_dir: Optional[str]) -> None:
     print(figure.render_table())
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
@@ -983,18 +1013,17 @@ def _emit_figure(figure: FigureData, csv_dir: Optional[str]) -> None:
 
 
 def _verify_command(args: argparse.Namespace) -> int:
-    from .machine import clustered_vliw, unclustered_vliw
+    from .api.batch import compile_many
+    from .api.request import CompilationRequest
+    from .api.toolchain import Toolchain
+    from .machine.machine import clustered_vliw, unclustered_vliw
     from .machine.topology import topology_kinds
-    from .validate import verify_many
+    from .validate.oracle import verify_many
+    from .workloads.kernels import make_kernel
 
-    if args.kernels == "all":
-        names = sorted(KERNELS)
-    else:
-        names = [n for n in args.kernels.split(",") if n]
-        unknown = sorted(set(names) - set(KERNELS))
-        if unknown:
-            print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    names = _kernel_names(args)
+    if names is None:
+        return 2
     topologies = [t for t in args.topologies.split(",") if t]
     unknown = sorted(set(topologies) - set(topology_kinds()))
     if unknown:
@@ -1015,8 +1044,6 @@ def _verify_command(args: argparse.Namespace) -> int:
     # instead of a fresh Toolchain per program: the compile phase shares
     # every per-session cache and, with --workers, fans across processes;
     # each run depth below then re-verifies its already-compiled loop.
-    from .api import compile_many
-
     loops = {name: make_kernel(name) for name in names}
     jobs = [(name, machine) for name in names for machine in machines]
     requests = [
@@ -1073,7 +1100,7 @@ def _verify_command(args: argparse.Namespace) -> int:
 
 
 def _fuzz_command(args: argparse.Namespace) -> int:
-    from .validate import FuzzConfig, run_fuzz
+    from .validate.fuzz import FuzzConfig, run_fuzz
 
     config = FuzzConfig(
         seed=args.seed,
@@ -1103,20 +1130,20 @@ def _fuzz_command(args: argparse.Namespace) -> int:
 
 
 def _storage_command(args: argparse.Namespace) -> int:
-    from .experiments import storage_report, storage_sweep
+    from .experiments.storage import storage_report, storage_sweep
 
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
-    loops = perfect_club_surrogate(args.loops, seed=args.seed)
+    loops = _suite(args)
     points = storage_sweep(loops, cluster_counts, config=_scheduler_config(args))
     _emit_figure(storage_report(points), args.csv)
     return 0
 
 
 def _ablation_command(args: argparse.Namespace) -> int:
-    from .experiments import ABLATIONS
+    from .experiments.ablations import ABLATIONS
 
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
-    loops = perfect_club_surrogate(args.loops, seed=args.seed)
+    loops = _suite(args)
     figure = ABLATIONS[args.name](
         loops, cluster_counts, config=_scheduler_config(args)
     )
@@ -1125,10 +1152,10 @@ def _ablation_command(args: argparse.Namespace) -> int:
 
 
 def _baseline_command(args: argparse.Namespace) -> int:
-    from .experiments import two_phase_comparison
+    from .experiments.baselines import two_phase_comparison
 
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
-    loops = perfect_club_surrogate(args.loops, seed=args.seed)
+    loops = _suite(args)
     figure = two_phase_comparison(
         loops, cluster_counts, config=_scheduler_config(args)
     )
@@ -1137,10 +1164,10 @@ def _baseline_command(args: argparse.Namespace) -> int:
 
 
 def _sensitivity_command(args: argparse.Namespace) -> int:
-    from .experiments import latency_sensitivity
+    from .experiments.sensitivity import latency_sensitivity
 
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
-    loops = perfect_club_surrogate(args.loops, seed=args.seed)
+    loops = _suite(args)
     figure = latency_sensitivity(
         loops, cluster_counts, config=_scheduler_config(args)
     )
@@ -1154,8 +1181,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_info())
         return 0
     if args.command == "suite-stats":
-        loops = perfect_club_surrogate(args.loops, seed=args.seed)
-        stats = suite_stats(loops)
+        from .workloads.suite import suite_stats
+
+        stats = suite_stats(_suite(args))
         print(f"loops:            {stats.n_loops}")
         print(
             f"vectorizable:     {stats.n_vectorizable} "

@@ -1,64 +1,35 @@
 """Experiment harness: the paper's figures regenerated from loop runs."""
 
-from .figures import (
-    FigureData,
-    backtracking_report,
-    figure4,
-    figure5,
-    figure6,
-    moves_report,
-    pass_timing_figure,
-)
-from .metrics import (
-    LoopRun,
-    aggregate_ipc,
-    ii_overhead_fraction,
-    mean_ejections_per_placement,
-    total_cycles,
-)
-from .ablations import (
-    ABLATIONS,
-    chain_policy_ablation,
-    copy_fu_ablation,
-    restart_ablation,
-    single_use_ablation,
-    topology_ablation,
-)
-from .baselines import two_phase_comparison
-from .io import dump_runs, load_runs
-from .runner import SweepConfig, run_sweep, sweep_requests
-from .sensitivity import LATENCY_PROFILES, latency_sensitivity
-from .storage import StoragePoint, storage_point, storage_report, storage_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FigureData",
-    "backtracking_report",
-    "figure4",
-    "figure5",
-    "figure6",
-    "moves_report",
-    "pass_timing_figure",
-    "LoopRun",
-    "aggregate_ipc",
-    "ii_overhead_fraction",
-    "mean_ejections_per_placement",
-    "total_cycles",
-    "SweepConfig",
-    "run_sweep",
-    "sweep_requests",
-    "LATENCY_PROFILES",
-    "latency_sensitivity",
-    "ABLATIONS",
-    "chain_policy_ablation",
-    "copy_fu_ablation",
-    "restart_ablation",
-    "single_use_ablation",
-    "topology_ablation",
-    "two_phase_comparison",
-    "dump_runs",
-    "load_runs",
-    "StoragePoint",
-    "storage_point",
-    "storage_report",
-    "storage_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".figures": (
+        "FigureData",
+        "backtracking_report",
+        "figure4",
+        "figure5",
+        "figure6",
+        "moves_report",
+        "pass_timing_figure",
+    ),
+    ".metrics": (
+        "LoopRun",
+        "aggregate_ipc",
+        "ii_overhead_fraction",
+        "mean_ejections_per_placement",
+        "total_cycles",
+    ),
+    ".ablations": (
+        "ABLATIONS",
+        "chain_policy_ablation",
+        "copy_fu_ablation",
+        "restart_ablation",
+        "single_use_ablation",
+        "topology_ablation",
+    ),
+    ".baselines": ("two_phase_comparison",),
+    ".io": ("dump_runs", "load_runs"),
+    ".runner": ("SweepConfig", "run_sweep", "sweep_requests"),
+    ".sensitivity": ("LATENCY_PROFILES", "latency_sensitivity"),
+    ".storage": ("StoragePoint", "storage_point", "storage_report", "storage_sweep"),
+})

@@ -13,48 +13,27 @@ requeue and quarantine rule, the persistent journal
 (:mod:`repro.service.journal`) and a retrying client policy
 (:class:`~repro.service.client.RetryPolicy`).
 See :mod:`repro.service.daemon` for the architecture overview and
-:mod:`repro.service.client` for the blocking client.
+:mod:`repro.service.client` for the blocking client.  Names load on
+first use, so a client or a ``repro worker`` never imports the daemon.
 """
 
-from .client import NO_RETRY, RetryPolicy, ServiceClient, TransportError
-from .daemon import CompileJob, CompileService, run_service
-from .jobs import (
-    PRIORITY_LANES,
-    ParsedJob,
-    ddg_from_dict,
-    ddg_to_dict,
-    loop_from_dict,
-    loop_to_dict,
-    parse_compile_payload,
-    request_to_payload,
-)
-from .journal import JobJournal, JournalEntry, ReplayStats
-from .metrics import LatencyHistogram, ServiceMetrics
-from .sweep import Sweep, chunk_size
-from .worker import SweepWorker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompileJob",
-    "CompileService",
-    "JobJournal",
-    "JournalEntry",
-    "LatencyHistogram",
-    "NO_RETRY",
-    "PRIORITY_LANES",
-    "ParsedJob",
-    "ReplayStats",
-    "RetryPolicy",
-    "ServiceClient",
-    "ServiceMetrics",
-    "Sweep",
-    "SweepWorker",
-    "TransportError",
-    "chunk_size",
-    "ddg_from_dict",
-    "ddg_to_dict",
-    "loop_from_dict",
-    "loop_to_dict",
-    "parse_compile_payload",
-    "request_to_payload",
-    "run_service",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".client": ("NO_RETRY", "RetryPolicy", "ServiceClient", "TransportError"),
+    ".daemon": ("CompileJob", "CompileService", "run_service"),
+    ".jobs": (
+        "PRIORITY_LANES",
+        "ParsedJob",
+        "ddg_from_dict",
+        "ddg_to_dict",
+        "loop_from_dict",
+        "loop_to_dict",
+        "parse_compile_payload",
+        "request_to_payload",
+    ),
+    ".journal": ("JobJournal", "JournalEntry", "ReplayStats"),
+    ".metrics": ("LatencyHistogram", "ServiceMetrics"),
+    ".sweep": ("Sweep", "chunk_size"),
+    ".worker": ("SweepWorker",),
+})

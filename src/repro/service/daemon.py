@@ -214,9 +214,7 @@ class CompileJob(Group):
             self.emit("ii_trajectory", trajectory=list(stored.ii_trajectory))
             self.emit("done", ii=stored.ii, seconds=entry.seconds)
             self.state = "done"
-            self.future.set_result(result_payload(
-                stored, "compile", entry.key, self.parsed, job_id=self.id
-            ))
+            self.future.set_result(stored)
         elif event == "quarantined":
             self.service.pool_counters["jobs_quarantined"] += 1
             self.fail("quarantined", ServiceError(
@@ -225,6 +223,14 @@ class CompileJob(Group):
             ), crashes=entry.requeues)
         else:
             self.fail("failed", ServiceError(str(entry.error), status=entry.status))
+
+    def reply(self, parsed: ParsedJob) -> Dict[str, object]:
+        """The finished job's result for the submission *parsed*: its
+        creator's (``served_from`` ``compile``) or a coalesced one's,
+        with the assembly that submission asked for."""
+        served_from = "compile" if parsed is self.parsed else "coalesced"
+        return result_payload(self.future.result(), served_from, self.key, parsed,
+                              job_id=self.id)
 
     def fail(self, state: str, err: ServiceError, **fields) -> None:
         if state != "shed":
@@ -245,7 +251,7 @@ class CompileJob(Group):
         if self.recovered:
             info["recovered"] = True
         if self.state == "done":
-            info["result"] = self.future.result()
+            info["result"] = self.reply(self.parsed)
         elif self.state in _TERMINAL:
             info["error"] = str(self.future.exception())
         return info
@@ -533,11 +539,13 @@ class CompileService:
 
     async def submit(
         self, payload: object, recovered: Optional[JournalState] = None
-    ) -> Tuple[Optional[CompileJob], bool, Optional[Dict[str, object]]]:
-        """Admit one compile payload: ``(job, created, immediate)``.
+    ) -> Tuple[Optional[CompileJob], ParsedJob, Optional[Dict[str, object]]]:
+        """Admit one compile payload: ``(job, parsed, immediate)``.
 
         *immediate* is the result when a cache tier answered (*job* is
-        then ``None``); *created* says whether this call created *job*.
+        then ``None``); *parsed* is this payload's submission, which is
+        ``job.parsed`` when this call created *job* and a coalesced
+        waiter's own otherwise.
         The ``submitted`` record is durable before this returns.  A
         *recovered* journal replay skips admission control and inherits
         the journaled requeue counts.
@@ -551,7 +559,7 @@ class CompileService:
         stored, tier = self.cache.get_tiered(key)
         if stored is not None:
             self.metrics.latency.observe(time.perf_counter() - started)
-            return None, False, result_payload(stored, tier, key, parsed)
+            return None, parsed, result_payload(stored, tier, key, parsed)
 
         entry = self.ledger.live.get(key)
         if entry is not None:
@@ -560,7 +568,7 @@ class CompileService:
                 self.metrics.coalesced += 1
                 existing.subscribers += 1
                 existing.emit("coalesced", subscribers=existing.subscribers)
-                return existing, False, None
+                return existing, parsed, None
         records = [] if recovered is not None else self._admit_or_reject(parsed)
         job = CompileJob(self, self._next_id, key, parsed)
         self._next_id += 1
@@ -574,7 +582,7 @@ class CompileService:
         await self._journal(records)
         # Claim on the next loop turn: the caller acknowledges it queued.
         asyncio.get_running_loop().call_soon(self._dispatch)
-        return job, True, None
+        return job, parsed, None
 
     @staticmethod
     def _job_of(entry: Entry) -> Optional[CompileJob]:
@@ -810,16 +818,17 @@ class CompileService:
     async def _post_compile(self, request, _arg):
         payload = request.json()
         wait = not (isinstance(payload, dict) and payload.get("wait") is False)
-        job, created, immediate = await self.submit(payload)
+        job, parsed, immediate = await self.submit(payload)
         if immediate is not None:
             return 200, immediate
         if not wait:
-            return 202, {"job": job.id, "status": job.state, "coalesced": not created}
+            return 202, {"job": job.id, "status": job.state,
+                         "coalesced": parsed is not job.parsed}
         try:
-            result = await asyncio.shield(job.future)
+            await asyncio.shield(job.future)
         except ServiceError as err:
             return err.status, {"error": str(err), "job": job.id}
-        return 200, result if created else dict(result, served_from="coalesced")
+        return 200, job.reply(parsed)
 
     async def _get_job(self, request, job_id):
         return 200, self._job_for(job_id).describe()

@@ -280,7 +280,13 @@ def _enumerate_payloads(spec: Dict[str, object]) -> List[Dict[str, object]]:
 
 def encode_report(report: CompilationReport) -> str:
     """The wire form of one worker-shipped report (base64 pickle)."""
-    return base64.b64encode(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+    return encode_blob(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def encode_blob(blob: bytes) -> str:
+    """The wire form of an already pickled report, such as a stored
+    entry's :attr:`~repro.api.cache.EncodedReport.blob`."""
+    return base64.b64encode(blob).decode("ascii")
 
 
 def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Dict[str, object]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from .. import faults
 from ..api import Toolchain
@@ -36,7 +36,7 @@ from ..api.cache import CompilationCache
 from ..errors import ReproError, ServiceError, ServiceUnavailable
 from .client import RetryPolicy, ServiceClient, TransportError
 from .jobs import parse_compile_payload
-from .sweep import chunk_size, encode_report
+from .sweep import chunk_size, encode_blob, encode_report
 
 #: How many heartbeats fit in one lease (beat interval = lease / this).
 HEARTBEATS_PER_LEASE = 3.0
@@ -50,7 +50,7 @@ class SweepWorker:
         coordinator: str,
         name: Optional[str] = None,
         toolchain: Optional[Toolchain] = None,
-        cache: Optional[object] = None,
+        cache: Union[CompilationCache, str, os.PathLike, None] = None,
         policy: Optional[RetryPolicy] = None,
         max_chunk: int = 32,
         poll_interval: float = 0.5,
@@ -76,7 +76,7 @@ class SweepWorker:
         self.coordinator = coordinator
         self.name = name or f"w{os.getpid()}"
         self.toolchain = toolchain or Toolchain.default()
-        if cache is not None and not hasattr(cache, "get"):
+        if cache is not None and not isinstance(cache, CompilationCache):
             cache = CompilationCache(cache)
         self.cache = cache
         self.policy = policy or RetryPolicy()
@@ -199,22 +199,27 @@ class SweepWorker:
         key = str(job.get("key", ""))
         started = time.perf_counter()
         try:
-            report = self.cache.get(key) if self.cache is not None else None
-            if report is not None:
+            # A local hit ships the stored pickle as is; a miss pickles
+            # its report once, into the cache entry when there is one.
+            stored = self.cache.get_encoded(key) if self.cache is not None else None
+            if stored is not None:
                 self.stats["cache_hits"] += 1
+                shipped = encode_blob(stored.blob)
             else:
                 parsed = parse_compile_payload(job.get("payload"))
                 report = self.toolchain.compile(parsed.request)
                 self.stats["compiled"] += 1
                 if self.cache is not None:
-                    self.cache.put(key, report)
+                    shipped = encode_blob(self.cache.put(key, report).blob)
+                else:
+                    shipped = encode_report(report)
         except ReproError as err:
             self.stats["errors"] += 1
             return {"index": index, "key": key, "error": str(err)}
         return {
             "index": index,
             "key": key,
-            "report": encode_report(report),
+            "report": shipped,
             "seconds": round(time.perf_counter() - started, 4),
         }
 

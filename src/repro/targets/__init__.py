@@ -5,37 +5,26 @@ The target subsystem turns the machine model into data: a
 model; machine files serialise it to TOML/JSON; the registry names the
 builtin configurations (``paper-ring-4``, ``mesh-3x3``, ``crossbar-8``,
 ...) every CLI ``--target`` flag and ``CompilationRequest(machine="...")``
-string resolves through.
+string resolves through.  Names load on first use: a compile that
+names no target never reads the registry or the file formats.
 """
 
-from .builtins import (
-    TARGET_REGISTRY,
-    get_target,
-    register_target,
-    resolve_target,
-    target_names,
-)
-from .files import (
-    dumps_toml,
-    load_target,
-    loads_target,
-    save_target,
-    target_to_toml,
-)
-from .spec import TargetSpec, machine_as_target, target_from_dict
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TARGET_REGISTRY",
-    "get_target",
-    "register_target",
-    "resolve_target",
-    "target_names",
-    "dumps_toml",
-    "load_target",
-    "loads_target",
-    "save_target",
-    "target_to_toml",
-    "TargetSpec",
-    "machine_as_target",
-    "target_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".builtins": (
+        "TARGET_REGISTRY",
+        "get_target",
+        "register_target",
+        "resolve_target",
+        "target_names",
+    ),
+    ".files": (
+        "dumps_toml",
+        "load_target",
+        "loads_target",
+        "save_target",
+        "target_to_toml",
+    ),
+    ".spec": ("TargetSpec", "machine_as_target", "target_from_dict"),
+})

@@ -16,35 +16,20 @@ with two tools:
   mutations of valid schedules, cross-examined by the checker, the
   timing simulator and the oracle under an explicit agreement contract.
 
-CLI entry points: ``repro verify`` and ``repro fuzz``.
+CLI entry points: ``repro verify`` and ``repro fuzz``.  Names load on
+first use: the oracle alone never imports the fuzzer or numpy.
 """
 
-from .oracle import (
-    DifferentialReport,
-    OracleReport,
-    execute_program,
-    verify_compiled,
-    verify_loop,
-    verify_many,
-)
-from .fuzz import (
-    Disagreement,
-    FuzzConfig,
-    FuzzReport,
-    MUTATIONS,
-    run_fuzz,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DifferentialReport",
-    "Disagreement",
-    "FuzzConfig",
-    "FuzzReport",
-    "MUTATIONS",
-    "OracleReport",
-    "execute_program",
-    "run_fuzz",
-    "verify_compiled",
-    "verify_loop",
-    "verify_many",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".oracle": (
+        "DifferentialReport",
+        "OracleReport",
+        "execute_program",
+        "verify_compiled",
+        "verify_loop",
+        "verify_many",
+    ),
+    ".fuzz": ("Disagreement", "FuzzConfig", "FuzzReport", "MUTATIONS", "run_fuzz"),
+})

@@ -1,25 +1,15 @@
 """Workloads: classic kernels, synthetic loops, the Perfect Club surrogate."""
 
-from .kernels import KERNELS, KernelInfo, make_kernel
-from .suite import (
-    PERFECT_CLUB_LOOP_COUNT,
-    SuiteStats,
-    perfect_club_surrogate,
-    split_sets,
-    suite_stats,
-)
-from .synthetic import DEFAULT_SPEC, SyntheticSpec, synthetic_loop
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KERNELS",
-    "KernelInfo",
-    "make_kernel",
-    "PERFECT_CLUB_LOOP_COUNT",
-    "SuiteStats",
-    "perfect_club_surrogate",
-    "split_sets",
-    "suite_stats",
-    "DEFAULT_SPEC",
-    "SyntheticSpec",
-    "synthetic_loop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".kernels": ("KERNELS", "KernelInfo", "make_kernel"),
+    ".suite": (
+        "PERFECT_CLUB_LOOP_COUNT",
+        "SuiteStats",
+        "perfect_club_surrogate",
+        "split_sets",
+        "suite_stats",
+    ),
+    ".synthetic": ("DEFAULT_SPEC", "SyntheticSpec", "synthetic_loop"),
+})

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..errors import WorkloadError
 from ..ir.loop import Loop
 from ..ir.transforms import ddg_stats
@@ -38,6 +36,8 @@ _PARAM_RANGES = {
 
 
 def _kernel_loop(index: int, seed: int) -> Loop:
+    import numpy as np  # only generating loops needs numpy
+
     rng = np.random.default_rng([seed, 7_000_000 + index])
     names = sorted(KERNELS)
     name = names[int(rng.integers(0, len(names)))]

@@ -16,15 +16,14 @@ templates observed in scientific inner loops:
 
 Everything is driven by a :class:`numpy.random.Generator` seeded from
 ``(suite_seed, loop_index)``, so the 1258-loop suite is reproducible
-bit-for-bit.
+bit-for-bit.  numpy is imported when a loop is generated, not when this
+module is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 from ..errors import WorkloadError
 from ..ir.builder import LoopBuilder, Value
@@ -171,6 +170,8 @@ def synthetic_loop(
     index: int, seed: int = 1999, spec: SyntheticSpec = DEFAULT_SPEC
 ) -> Loop:
     """Generate loop *index* of the synthetic population (deterministic)."""
+    import numpy as np  # only generating loops needs numpy
+
     rng = np.random.default_rng([seed, index])
     recurrent = rng.random() < spec.p_recurrent_loop
     n_strands = int(rng.integers(spec.min_strands, spec.max_strands + 1))

@@ -14,6 +14,7 @@ parallel oracle fan-out (:func:`repro.validate.verify_many`).
 
 import asyncio
 import contextlib
+import errno
 import json
 import threading
 import time
@@ -238,6 +239,45 @@ def test_identical_concurrent_requests_coalesce_to_one_compile():
     assert len({json.dumps(r["fingerprint"]) for r in results}) == 1
     # All joiners share the creator's job id.
     assert len({r["job"] for r in results}) == 1
+
+
+def test_a_coalesced_request_gets_the_assembly_it_asked_for():
+    gate = threading.Event()
+
+    def gated_compile(toolchain, request):
+        gate.wait(60)
+        return toolchain.compile(request)
+
+    payload = {"kernel": "daxpy", "clusters": 2}
+    with running_service(compile_fn=gated_compile) as (service, client, _loop):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            plain = pool.submit(client.compile, dict(payload))
+            wait_until(lambda: service.metrics.requests_total == 1, what="creator admitted")
+            listing = pool.submit(client.compile, dict(payload, assembly=True))
+            wait_until(lambda: service.metrics.requests_total == 2, what="joiner admitted")
+            gate.set()
+            creator, joiner = plain.result(timeout=60), listing.result(timeout=60)
+    assert (creator["served_from"], joiner["served_from"]) == ("compile", "coalesced")
+    assert "assembly" not in creator
+    assert joiner["assembly"].startswith("; loop 'daxpy'")
+    assert joiner["job"] == creator["job"]
+    assert joiner["fingerprint"] == creator["fingerprint"]
+
+
+def test_a_failed_cache_write_still_answers_the_compile(tmp_path):
+    def full_disk(key, value):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with running_service(disk_cache=str(tmp_path / "cache")) as (service, client, _loop):
+        service.cache.disk.put = full_disk
+        quick = ServiceClient(f"{client.host}:{client.port}", timeout=10, policy=NO_RETRY)
+        result = quick.compile({"kernel": "daxpy", "clusters": 2})
+        again = quick.compile({"kernel": "daxpy", "clusters": 2})
+        metrics = quick.metrics()
+    assert (result["status"], result["served_from"]) == ("done", "compile")
+    assert again["served_from"] == "memory"
+    assert metrics["cache"]["disk_errors"] == 1
+    assert metrics["compiles"]["completed"] == 1
 
 
 # ----------------------------------------------------------------------

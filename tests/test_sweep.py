@@ -505,6 +505,29 @@ def test_worker_uses_local_cache_before_compiling(tmp_path):
         )
 
 
+def test_a_local_hit_ships_the_stored_blob_without_unpickling(tmp_path, monkeypatch):
+    import base64
+    import pickle
+
+    from repro.api.cache import CompilationCache
+
+    payload = {"kernel": "daxpy", "clusters": 2}
+    cache = CompilationCache(tmp_path / "cache")
+    stored = cache.put("k", Toolchain.default().compile(parse_compile_payload(payload).request))
+    worker = SweepWorker("127.0.0.1:9", cache=cache)
+
+    def no_pickling(*args, **kwargs):
+        raise AssertionError("a local hit must not unpickle or re-pickle")
+
+    monkeypatch.setattr(pickle, "loads", no_pickling)
+    monkeypatch.setattr(pickle, "dumps", no_pickling)
+    row = worker._run_job({"index": 3, "key": "k", "payload": payload})
+    monkeypatch.undo()
+    assert base64.b64decode(row["report"]) == stored.blob == cache.get_encoded("k").blob
+    assert (row["index"], row["key"]) == (3, "k")
+    assert (worker.stats["cache_hits"], worker.stats["compiled"]) == (1, 0)
+
+
 def test_batch_compiler_coordinator_merge_path(tmp_path):
     from repro.api.batch import BatchCompiler
 
