@@ -44,16 +44,26 @@ from .config import DEFAULT_CONFIG
 # loads only that command's modules (no numpy outside fuzz and the
 # surrogate suite, no service or lint layer outside their commands).
 
-#: ``repro ablation`` choices: the keys of
-#: :data:`repro.experiments.ablations.ABLATIONS` (a test keeps them
-#: equal), named here so that building the parser does not import the
-#: experiment layer.
+#: Named here, so that building the parser imports neither the experiment
+#: layer nor the workloads (and with them the IR), and kept equal by tests:
+#: ``repro ablation`` choices, the keys of
+#: :data:`repro.experiments.ablations.ABLATIONS`; the kernel names
+#: (``schedule`` choices, ``--kernels``, ``info``), the sorted keys of
+#: :data:`repro.workloads.kernels.KERNELS`; and the ``--loops`` default,
+#: :data:`repro.workloads.suite.PERFECT_CLUB_LOOP_COUNT`.
 ABLATION_NAMES = ("chain_policy", "copy_fus", "restarts", "single_use", "topology")
+KERNEL_NAMES = (
+    "alpha_blend", "chebyshev_recurrence", "complex_fir", "complex_multiply",
+    "cumulative_sum", "daxpy", "dct_row4", "dot_product", "element_divide",
+    "euclidean_norm", "fft_butterfly", "fir_filter", "geometric_scale",
+    "givens_rotation", "horner", "iir_biquad", "linear_interp", "lms_update",
+    "matmul2x2", "max_reduction", "rgb_to_yuv", "rms_normalize", "stencil3",
+    "stencil5", "sum_reduction", "unrolled_dot", "vector_add", "vector_scale",
+)
+SUITE_LOOPS = 1258
 
 
 def _parser() -> argparse.ArgumentParser:
-    from .workloads.kernels import KERNELS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -69,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
     _suite_args(stats)
 
     sched = sub.add_parser("schedule", help="compile one kernel, print assembly")
-    sched.add_argument("kernel", choices=sorted(KERNELS))
+    sched.add_argument("kernel", choices=KERNEL_NAMES)
     sched.add_argument("--clusters", type=int, default=4)
     sched.add_argument("--unclustered", action="store_true")
     sched.add_argument(
@@ -527,12 +537,10 @@ def _scheduler_config(args: argparse.Namespace):
 
 
 def _suite_args(parser: argparse.ArgumentParser) -> None:
-    from .workloads.suite import PERFECT_CLUB_LOOP_COUNT
-
     parser.add_argument(
         "--loops",
         type=int,
-        default=PERFECT_CLUB_LOOP_COUNT,
+        default=SUITE_LOOPS,
         help="number of suite loops (default: the paper's 1258)",
     )
     parser.add_argument("--seed", type=int, default=1999)
@@ -547,12 +555,10 @@ def _suite(args: argparse.Namespace) -> list:
 
 def _kernel_names(args: argparse.Namespace) -> Optional[List[str]]:
     """The kernels ``--kernels`` names; None (after a message) if unknown."""
-    from .workloads.kernels import KERNELS
-
     if args.kernels == "all":
-        return sorted(KERNELS)
+        return list(KERNEL_NAMES)
     names = [n for n in args.kernels.split(",") if n]
-    unknown = sorted(set(names) - set(KERNELS))
+    unknown = sorted(set(names) - set(KERNEL_NAMES))
     if unknown:
         print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
         return None
@@ -560,8 +566,6 @@ def _kernel_names(args: argparse.Namespace) -> Optional[List[str]]:
 
 
 def _info() -> str:
-    from .workloads.kernels import KERNELS
-
     lines = [
         "Distributed Modulo Scheduling (DMS) reproduction",
         "paper: Fernandes, Llosa & Topham, HPCA-5, 1999",
@@ -578,7 +582,7 @@ def _info() -> str:
         "  fig6  - aggregate IPC vs useful FUs",
         "  backtracking - IMS vs DMS ejections per placement",
         "",
-        f"kernels: {', '.join(sorted(KERNELS))}",
+        f"kernels: {', '.join(KERNEL_NAMES)}",
     ]
     return "\n".join(lines)
 

@@ -34,7 +34,6 @@ entry or is served from cache — it never runs twice.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import socket
@@ -137,24 +136,16 @@ class ServiceClient:
     def __init__(
         self,
         address: Union[str, Tuple[str, int]],
-        timeout: Optional[float] = None,
         policy: Optional[RetryPolicy] = None,
     ):
         """
         Args:
             address: ``"host:port"`` or a ``(host, port)`` tuple.
-            timeout: back-compat single timeout — sets both the connect
-                and read timeouts of *policy* when given.
             policy: retry/timeout policy (default :class:`RetryPolicy`).
         """
         self.host, self.port = _parse_address(address)
-        policy = policy or RetryPolicy()
-        if timeout is not None:
-            policy = dataclasses.replace(
-                policy, connect_timeout=timeout, read_timeout=timeout
-            )
-        self.policy = policy
-        self._rng = random.Random(policy.jitter_seed)
+        self.policy = policy or RetryPolicy()
+        self._rng = random.Random(self.policy.jitter_seed)
         self._sockets: set = set()
         self.retries: Dict[str, int] = {"transport": 0, "busy": 0}
 
@@ -251,11 +242,6 @@ class ServiceClient:
         finally:
             self._release(sock)
         status, headers, body = self._split_head(raw)
-        if headers.get("transfer-encoding") == "chunked":
-            chunks, _, finished = decode_chunks(body)
-            if not finished:
-                raise TransportError("truncated chunked response")
-            body = b"".join(chunks)
         try:
             document = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -371,12 +357,10 @@ class ServiceClient:
             body["wait"] = False
         return self._request("POST", "/compile", body)
 
-    def compile_request(
-        self, request, priority: str = "normal", **extra
-    ) -> Dict[str, object]:
+    def compile_request(self, request, **extra) -> Dict[str, object]:
         """Compile a local :class:`~repro.api.request.CompilationRequest`
         remotely (serializes the loop + machine + config over the wire)."""
-        return self.compile(request_to_payload(request, priority=priority, **extra))
+        return self.compile(request_to_payload(request, **extra))
 
     def job(self, job_id: int) -> Dict[str, object]:
         """Status document for one job id."""

@@ -23,9 +23,9 @@ Around that: admission control (a full queue sheds a lower-priority
 queued compile, else answers 429 with ``Retry-After``), per-job event
 streams, ``/healthz`` and ``/metrics``, a graceful drain on SIGTERM, a
 journal (:mod:`repro.service.journal`) that makes every acknowledged
-submission survive a ``kill -9``, and deterministic fault injection
-(:mod:`repro.faults`) at the ``worker-crash``/``slow-compile``/
-``conn-reset`` points.
+``wait=false`` submission and every sweep survive a ``kill -9``, and
+deterministic fault injection (:mod:`repro.faults`) at the
+``worker-crash``/``slow-compile``/``conn-reset`` points.
 
 The HTTP surface (framing in :mod:`repro.service.http`):
 
@@ -174,7 +174,7 @@ class CompileJob(Group):
     def __init__(self, service: "CompileService", job_id: int, key: str, parsed: ParsedJob):
         super().__init__(
             key, budget=COMPILE_REQUEUES, rank=PRIORITY_LANES.index(parsed.priority),
-            local=True, payload=parsed.raw, wait=parsed.wait, priority=parsed.priority,
+            local=True, payload=parsed.raw, durable=not parsed.wait,
         )
         self.service = service
         self.id = job_id
@@ -188,10 +188,6 @@ class CompileJob(Group):
     @property
     def request(self) -> CompilationRequest:
         return self.parsed.request
-
-    @property
-    def crashes(self) -> int:
-        return self.entries[0].requeues if self.entries else 0
 
     def emit(self, event: str, **fields) -> None:
         self.events.append({"event": event, "job": self.id, "t": round(time.time(), 3), **fields})
@@ -242,12 +238,12 @@ class CompileJob(Group):
 
     def describe(self) -> Dict[str, object]:
         info: Dict[str, object] = {
-            "job": self.id, "status": self.state, "priority": self.priority,
+            "job": self.id, "status": self.state, "priority": self.parsed.priority,
             "loop": self.request.loop.name, "machine": self.request.machine.name,
             "subscribers": self.subscribers, "events": len(self.events),
         }
-        if self.crashes:
-            info["crashes"] = self.crashes
+        if self.entries[0].requeues:
+            info["crashes"] = self.entries[0].requeues
         if self.recovered:
             info["recovered"] = True
         if self.state == "done":
@@ -431,10 +427,6 @@ class CompileService:
         if self.journal is not None and self._owns_journal:
             self.journal.close()
 
-    def final_metrics(self) -> Dict[str, object]:
-        """The closing metrics snapshot (flushed on drain)."""
-        return self.metrics_snapshot()
-
     # ------------------------------------------------------------------
     # Journal and crash recovery
     # ------------------------------------------------------------------
@@ -452,9 +444,9 @@ class CompileService:
     async def _recover(self) -> None:
         """Replay the journal into the ledger, then compact it.
 
-        Live ``wait=false`` compiles are re-submitted with their requeue
-        counts; live ``wait=true`` ones are closed (their connection died
-        with the previous daemon); open sweeps are re-enumerated.
+        The journal holds durable groups only: each live compile is
+        re-submitted, durable again, with its requeue counts, and each
+        open sweep is re-enumerated.
         """
         if self.journal is None:
             return
@@ -465,9 +457,8 @@ class CompileService:
         for group in state.live():
             if group.is_sweep:
                 await self._recover_sweep(group, state)
-            elif group.wait or group.payload is None:
-                await self._close(group.key, "daemon restarted; waiting client connection lost"
-                                  if group.wait else "journal record carries no payload")
+            elif group.payload is None:
+                await self._close(group.key, "journal record carries no payload")
             else:
                 try:
                     job, _, immediate = await self.submit(group.payload, recovered=state)
@@ -546,9 +537,9 @@ class CompileService:
         then ``None``); *parsed* is this payload's submission, which is
         ``job.parsed`` when this call created *job* and a coalesced
         waiter's own otherwise.
-        The ``submitted`` record is durable before this returns.  A
-        *recovered* journal replay skips admission control and inherits
-        the journaled requeue counts.
+        A ``wait=false`` submission makes *job* durable, its ``submitted``
+        record on disk before this returns; a *recovered* replay skips
+        admission control and keeps the journaled requeue counts.
         """
         if self._draining:
             raise ServiceError("service is draining; not admitting", status=503)
@@ -568,11 +559,15 @@ class CompileService:
                 self.metrics.coalesced += 1
                 existing.subscribers += 1
                 existing.emit("coalesced", subscribers=existing.subscribers)
+                if not parsed.wait and not existing.durable:
+                    existing.durable, existing.payload = True, parsed.raw
+                    await self._journal([existing.submitted_record()])
                 return existing, parsed, None
         records = [] if recovered is not None else self._admit_or_reject(parsed)
         job = CompileJob(self, self._next_id, key, parsed)
         self._next_id += 1
-        job.recovered = recovered is not None
+        if recovered is not None:
+            job.recovered = job.durable = True
         self._register(job)
         records += self.ledger.submit(
             job, [(key, parsed.raw)], requeues=recovered and recovered.requeues
@@ -617,7 +612,7 @@ class CompileService:
         victim.fail("shed", ServiceError(
             f"job {victim.id} shed by admission control (queue full)", status=503,
         ), reason="admission control: queue full")
-        return [("closed", victim.key, {"error": "shed"})]
+        return [("closed", victim.key, {"error": "shed"})] if victim.durable else []
 
     def _register(self, job: CompileJob) -> None:
         self._jobs[job.id] = job
@@ -682,11 +677,8 @@ class CompileService:
             self.cache.put(entry.key, stored)
             self.metrics.compiles_completed += 1
             self.metrics.latency.observe(elapsed)
-            # Journal first: once a client sees the result, the journal
-            # already knows the entry is done.
-            await self._journal([("finished", lease.id, {"done": [entry.key]})])
-            self.ledger.finish(entry, "done", LOCAL_WORKER, stored,
-                               seconds=round(elapsed, 4), served_from=LOCAL_WORKER)
+            await self._finish_entry(lease, entry, "done", report=stored,
+                                     seconds=round(elapsed, 4), served_from=LOCAL_WORKER)
         finally:
             self.ledger.release(lease)
             self._running -= 1
@@ -697,9 +689,17 @@ class CompileService:
                           status: int) -> None:
         if entry.terminal:  # a sweep worker finished it meanwhile: its result stands
             return
-        error = f"{type(err).__name__}: {err}"
-        await self._journal([("finished", lease.id, {"failed": {entry.key: error}})])
-        self.ledger.finish(entry, "failed", LOCAL_WORKER, error=error, status=status)
+        await self._finish_entry(lease, entry, "failed", error=f"{type(err).__name__}: {err}",
+                                 status=status)
+
+    async def _finish_entry(self, lease: Lease, entry: Entry, state: str, **fields) -> None:
+        """Apply a pool outcome, journaled first when a durable group holds
+        *entry*: once a client sees it, the journal already knows."""
+        if entry.durable:
+            await self._journal([lg.finished_record(
+                lease.id, [(entry.key, state, fields.get("error"))]
+            )])
+        self.ledger.finish(entry, state, LOCAL_WORKER, **fields)
 
     # ------------------------------------------------------------------
     # Sweeps: many-entry groups claimed by remote workers
@@ -816,12 +816,10 @@ class CompileService:
         return 200, self.metrics_snapshot()
 
     async def _post_compile(self, request, _arg):
-        payload = request.json()
-        wait = not (isinstance(payload, dict) and payload.get("wait") is False)
-        job, parsed, immediate = await self.submit(payload)
+        job, parsed, immediate = await self.submit(request.json())
         if immediate is not None:
             return 200, immediate
-        if not wait:
+        if not parsed.wait:
             return 202, {"job": job.id, "status": job.state,
                          "coalesced": parsed is not job.parsed}
         try:
@@ -902,7 +900,6 @@ async def run_service(
     host: str = "127.0.0.1", port: int = 0, workers: Optional[int] = None,
     lru_capacity: int = 256, disk_cache: Optional[object] = None, max_queue_depth: int = 64,
     port_file: Optional[str] = None, metrics_out: Optional[str] = None,
-    toolchain: Optional[Toolchain] = None, quiet: bool = False,
     journal: Optional[object] = None, fault_spec: Optional[str] = None, fault_seed: int = 0,
 ) -> Dict[str, object]:
     """Run a :class:`CompileService` until SIGTERM/SIGINT drains it.
@@ -917,7 +914,7 @@ async def run_service(
     if fault_spec:
         faults.install(faults.FaultPlan.from_spec(fault_spec, seed=fault_seed))
     service = CompileService(
-        toolchain=toolchain, workers=workers, lru_capacity=lru_capacity,
+        workers=workers, lru_capacity=lru_capacity,
         disk_cache=disk_cache, max_queue_depth=max_queue_depth, journal=journal,
     )
     bound_host, bound_port = await service.start(host, port)
@@ -931,26 +928,24 @@ async def run_service(
         await loop.run_in_executor(
             None, Path(port_file).write_text, f"{bound_host}:{bound_port}\n"
         )
-    if not quiet:
-        print(f"repro serve listening on {bound_host}:{bound_port} "
-              f"(workers={service._max_concurrency}, lru={service.cache.memory.capacity}, "
-              f"queue={service.max_queue_depth})", flush=True)
+    print(f"repro serve listening on {bound_host}:{bound_port} "
+          f"(workers={service._max_concurrency}, lru={service.cache.memory.capacity}, "
+          f"queue={service.max_queue_depth})", flush=True)
     try:
         await service.wait_drained()
         # Let handlers waiting on just-finished jobs flush their replies.
         await asyncio.sleep(0.1)
     finally:
-        snapshot = service.final_metrics()
+        snapshot = service.metrics_snapshot()
         if metrics_out:
             await loop.run_in_executor(
                 None, Path(metrics_out).write_text,
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
             )
-        if not quiet:
-            summary = {"requests": snapshot["requests"]["total"],
-                       "compiles": snapshot["compiles"],
-                       "cache_hit_ratio": snapshot["cache"]["hit_ratio"]}
-            print("repro serve drained: " + json.dumps(summary, sort_keys=True),
-                  file=sys.stderr, flush=True)
+        summary = {"requests": snapshot["requests"]["total"],
+                   "compiles": snapshot["compiles"],
+                   "cache_hit_ratio": snapshot["cache"]["hit_ratio"]}
+        print("repro serve drained: " + json.dumps(summary, sort_keys=True),
+              file=sys.stderr, flush=True)
         await service.close()
     return snapshot

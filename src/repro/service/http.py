@@ -132,7 +132,6 @@ def parse_request_head(head: bytes) -> HTTPRequest:
 def format_response_head(
     status: int,
     content_length: Optional[int] = None,
-    content_type: str = "application/json",
     chunked: bool = False,
     extra_headers: Optional[Mapping[str, str]] = None,
 ) -> bytes:
@@ -140,7 +139,7 @@ def format_response_head(
     reason = _REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
+        "Content-Type: application/json",
         "Connection: close",
     ]
     if chunked:

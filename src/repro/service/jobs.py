@@ -171,8 +171,8 @@ class ParsedJob:
     ``raw`` keeps the original JSON payload so the daemon's journal can
     persist exactly what would be needed to replay the submission;
     ``wait`` records whether a client connection is blocked on the
-    result (``wait=false`` jobs are the ones worth replaying after a
-    crash — their submitters poll, they don't hold a socket open).
+    result (``wait=false`` makes the job durable, journaled and replayed
+    after a crash: its submitter polls, it holds no socket open).
     """
 
     request: object  # CompilationRequest (imported lazily, see below)
@@ -308,7 +308,7 @@ def parse_compile_payload(payload: object) -> ParsedJob:
     )
 
 
-def request_to_payload(request, priority: str = "normal", **extra) -> Dict[str, object]:
+def request_to_payload(request, **extra) -> Dict[str, object]:
     """The JSON payload equivalent of a local :class:`CompilationRequest`.
 
     The loop ships serialized; the machine ships as an inline target
@@ -319,10 +319,7 @@ def request_to_payload(request, priority: str = "normal", **extra) -> Dict[str, 
     """
     from ..targets.spec import TargetSpec
 
-    payload: Dict[str, object] = {
-        "loop": loop_to_dict(request.loop),
-        "priority": priority,
-    }
+    payload: Dict[str, object] = {"loop": loop_to_dict(request.loop)}
     machine = request.machine
     if isinstance(machine, TargetSpec):
         payload["target"] = machine.to_dict()

@@ -1,14 +1,19 @@
 """Persistent work journal: acknowledged work survives a restart.
 
 The work ledger (:mod:`repro.service.ledger`) appends one JSONL record
-per durable transition, in one family shared by a ``/compile`` (a
-one-entry group) and a sweep (a many-entry group):
+per transition of a *durable* group — a sweep (a many-entry group), or
+a ``/compile`` (a one-entry group) once a submission to it said
+``"wait": false`` — and of the entries such a group holds.  A
+``wait=true`` compile writes no record of its own: its client's
+connection dies with the daemon, so a replay would answer nobody.
 
 ``submitted``
-    a group was admitted, fsync'd before the submission is acknowledged:
-    ``key`` is the group key (a compile's content hash, ``sweep:<id>``),
-    ``keys`` its entries' content hashes (omitted for a one-entry
-    group), ``payload`` what replay rebuilds it from, ``wait``/``priority``;
+    a durable group was admitted (or a compile became durable), fsync'd
+    before the submission is acknowledged: ``key`` is the group key (a
+    compile's content hash, ``sweep:<id>``), ``keys`` its entries'
+    content hashes (omitted for a one-entry group), ``payload`` what
+    replay rebuilds it from, and ``requeues`` the requeue counts its
+    entries gathered before it was journaled (omitted when none);
 ``finished``
     one lease completed: the entry keys it finished (``done``) and
     failed (``failed``: key -> error), outcomes of the groups holding
@@ -18,7 +23,7 @@ one-entry group) and a sweep (a many-entry group):
     so the budget survives a restart) and the keys quarantined
     (``failed``);
 ``closed``
-    a group ended unfinished (shed, orphaned, or rejected on replay).
+    a group ended unfinished (shed, or rejected on replay).
 
 Lines carry ``v`` (the schema version), ``seq`` and ``sum``, the first 16
 hex chars of the SHA-256 over the canonical record without ``sum``.
@@ -42,8 +47,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from .. import faults
 from ..errors import JournalError
 
-#: Journal record schema version (1 had per-path job and sweep families).
-JOURNAL_VERSION = 2
+#: Journal record schema version (1 had per-path job and sweep families;
+#: 2 journaled ``wait=true`` compiles and a ``wait``/``priority`` per group).
+JOURNAL_VERSION = 3
 
 #: Every record type the ledger writes.
 EVENTS = ("submitted", "finished", "requeued", "closed")
@@ -68,8 +74,6 @@ class JournalEntry:
     key: str
     keys: List[str]
     payload: Optional[Dict[str, object]] = None
-    wait: bool = True
-    priority: str = "normal"
     closed: bool = False
     #: Entry keys without an outcome yet.
     open_keys: Set[str] = field(default_factory=set)
@@ -115,9 +119,7 @@ class JournalState:
                     self.failed.pop(entry_key, None)
                     self.requeues.pop(entry_key, None)
             self.groups[key] = JournalEntry(
-                key, keys, record.get("payload"), bool(record.get("wait", True)),
-                str(record.get("priority", "normal")), open_keys=set(keys),
-                order=self.submissions,
+                key, keys, record.get("payload"), open_keys=set(keys), order=self.submissions,
             )
             self.submissions += 1
             for entry_key in keys:
@@ -126,8 +128,6 @@ class JournalState:
             if key in self.groups:
                 self.groups[key].closed = True
         else:
-            for entry_key, count in (record.get("requeues") or {}).items():
-                self.requeues[entry_key] = max(self.requeues.get(entry_key, 0), int(count))
             outcomes = [(k, None) for k in record.get("done") or ()]
             outcomes += list((record.get("failed") or {}).items())
             for entry_key, error in outcomes:
@@ -143,6 +143,8 @@ class JournalState:
                         group.open_keys.discard(entry_key)
                         if error is not None:
                             group.failed[entry_key] = str(error)
+        for entry_key, count in (record.get("requeues") or {}).items():
+            self.requeues[entry_key] = max(self.requeues.get(entry_key, 0), int(count))
 
 
 @dataclass
@@ -276,8 +278,7 @@ class JobJournal:
         records: List[Dict[str, object]] = []
         open_keys: Set[str] = set()
         for group in live:
-            record = {"event": "submitted", "key": group.key, "payload": group.payload,
-                      "wait": group.wait, "priority": group.priority}
+            record = {"event": "submitted", "key": group.key, "payload": group.payload}
             if group.keys != [group.key]:
                 record["keys"] = group.keys
             records.append(record)

@@ -27,9 +27,11 @@ claims from, and each sweep has its own, which ``repro worker``
 processes claim from through the same code.  An entry two groups share
 sits in both queues, so a claim touches only what it can take.
 
-The ledger is synchronous and clock-injectable; methods that change
-durable state return the journal records (:mod:`repro.service.journal`)
-for the caller to append.
+A *durable* group is one replay must rebuild — every sweep, and a
+``/compile`` once a submission to it said ``"wait": false`` — and only
+what durable groups hold is journaled.  The ledger is synchronous and
+clock-injectable; methods that change durable state return the journal
+records (:mod:`repro.service.journal`) for the caller to append.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ class Entry:
     def local(self) -> bool:
         """Whether a ``/compile`` waits on it (the pool may claim it)."""
         return any(group.local for group in self.groups)
+
+    @property
+    def durable(self) -> bool:
+        """Whether a durable group holds it (its outcome is journaled)."""
+        return any(group.durable for group in self.groups)
 
     def queues(self) -> List["Queue"]:
         """The distinct claim queues of the groups holding it."""
@@ -141,15 +148,14 @@ class Group:
     """One submission: the entries it waits on and its journal identity."""
 
     def __init__(self, key: str, budget: int, rank: int = SWEEP_RANK, local: bool = False,
-                 payload: object = None, wait: bool = False, priority: str = "normal"):
+                 payload: object = None, durable: bool = True):
         self.key = key
         self.entries: List[Entry] = []
         self.budget = budget
         self.rank = rank
         self.local = local
         self.payload = payload
-        self.wait = wait
-        self.priority = priority
+        self.durable = durable  # journaled, so replay rebuilds it
         self.recovered = False
         self.queue: Optional[Queue] = None  # set by Ledger.submit
         self.unfinished: set = set()  # keys of its non-terminal entries
@@ -162,10 +168,14 @@ class Group:
         """An entry of this group changed state (a hook for views)."""
 
     def submitted_record(self) -> Record:
-        fields = {"payload": self.payload, "wait": self.wait, "priority": self.priority}
+        """Its ``submitted`` record, with its entries' requeue counts so far."""
+        fields: Dict[str, object] = {"payload": self.payload}
         keys = [entry.key for entry in self.entries]
         if keys != [self.key]:
             fields["keys"] = keys
+        requeues = {entry.key: entry.requeues for entry in self.entries if entry.requeues}
+        if requeues:
+            fields["requeues"] = requeues
         return ("submitted", self.key, fields)
 
 
@@ -216,7 +226,7 @@ class Ledger:
         own; any other live key attaches to its entry, and the rest are
         new pending entries with their requeue counts from *requeues*
         (journal replay).  Returns the ``submitted`` record, plus a
-        ``finished`` record for the prefilled entries.
+        ``finished`` record for the prefilled entries, of a durable group.
         """
         group.queue = self.local if group.local else Queue()
         prefilled, failed = prefilled or {}, failed or {}
@@ -245,6 +255,8 @@ class Ledger:
                 group.unfinished.add(key)
             if entry.state == "pending":
                 self._enqueue(entry)  # into the group's queue, at its order
+        if not group.durable:
+            return []
         return [group.submitted_record(), finished_record(
             group.key, [o for o in outcomes(fresh.values()) if o[0] not in failed]
         )]
@@ -360,7 +372,7 @@ class Ledger:
         """A lost lease: requeue, or quarantine, what it still held.
 
         *keys* narrows the loss to some of its entries (a partial or
-        invalid completion).  Returns the ``requeued`` record.
+        invalid completion).  Returns the durable entries' ``requeued`` record.
         """
         if keys is None:
             self.release(lease)
@@ -372,12 +384,15 @@ class Ledger:
             if entry is None or entry.lease != lease.id or key not in wanted:
                 continue
             entry.requeues += 1
-            requeues[key] = entry.requeues
             entry.lease = None
+            if entry.durable:
+                requeues[key] = entry.requeues
             if entry.requeues > entry.budget:
-                failed[key] = (f"quarantined: {entry.requeues} leases lost without a "
-                               f"completion ({reason}; last worker {entry.worker!r})")
-                self.finish(entry, "quarantined", error=failed[key])
+                error = (f"quarantined: {entry.requeues} leases lost without a "
+                         f"completion ({reason}; last worker {entry.worker!r})")
+                if entry.durable:
+                    failed[key] = error
+                self.finish(entry, "quarantined", error=error)
                 continue
             entry.state, entry.worker = "pending", None
             entry.order = (entry.order[0], -self._next())  # the front of its rank

@@ -8,7 +8,8 @@ stories against real ``repro serve`` / ``repro worker`` processes:
     against ``/metrics``, then a clean SIGTERM drain;
 ``chaos``
     a fault-armed daemon (a worker crash, connection resets, slow
-    compiles) must answer every request without draining; a second
+    compiles) must answer every request without draining, and its
+    ``wait=true`` compiles must leave the journal untouched; a second
     daemon is SIGKILLed with ``wait=false`` jobs journaled, and a third
     replays them to results bit-identical to local compiles;
 ``dist``
@@ -100,8 +101,7 @@ def _local_fingerprint(payload: Dict[str, object]) -> object:
     from ..scheduling.fingerprint import schedule_fingerprint
     from .jobs import parse_compile_payload
 
-    body = {k: v for k, v in payload.items() if k != "wait"}
-    report = Toolchain.default().compile(parse_compile_payload(body).request)
+    report = Toolchain.default().compile(parse_compile_payload(payload).request)
     # The service ships fingerprints through JSON (tuples -> lists).
     return json.loads(json.dumps(schedule_fingerprint(report.result)))
 
@@ -273,6 +273,9 @@ def chaos_story(story: Story) -> None:
                 "daemon survived the crash without draining")
     story.check("chaos-client-retried", client.retries["transport"] >= 1,
                 f"transport retries={client.retries['transport']}")
+    appends = live["journal"]["appends"]
+    story.check("chaos-journal-untouched", appends == 0,
+                f"{appends} journal appends for wait=true compiles (worker crash included)")
     story.artifact["chaos_metrics"] = live
     story.stop(story.procs[-1], "chaos")
 

@@ -103,7 +103,6 @@ class Sweep(Group):
         self.id = plan.id
         self.label = plan.label
         self.lease_seconds = plan.lease_seconds
-        self.max_requeues = plan.max_requeues
         digest = hashlib.sha256(f"{plan.seed}:{plan.id}".encode("utf-8")).digest()
         self.rng = random.Random(int.from_bytes(digest[:8], "big"))
         self.workers: Dict[str, Dict[str, object]] = {}
@@ -173,7 +172,7 @@ class Sweep(Group):
             "active_workers": self.active_workers(ledger.clock()),
             "chunks_outstanding": sum(lease.group == self.id for lease in ledger.leases.values()),
             "lease_seconds": self.lease_seconds,
-            "max_requeues": self.max_requeues,
+            "max_requeues": self.budget,
         }
         if self.label is not None:
             doc["label"] = self.label

@@ -36,9 +36,13 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert "IMS" in out
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["schedule", "nonsense"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nonsense'" in err
+        assert "'daxpy'" in err and "'vector_scale'" in err
 
     def test_removed_portfolio_search_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

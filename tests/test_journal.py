@@ -42,8 +42,8 @@ def make_journal(tmp_path, name="jobs.jsonl"):
 
 def test_roundtrip_keeps_furthest_state_per_key(tmp_path):
     with make_journal(tmp_path) as journal:
-        journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
-        journal.append("submitted", "k2", wait=True)
+        journal.append("submitted", "k1", payload=PAYLOAD)
+        journal.append("submitted", "k2")
         journal.append("requeued", "c1", requeues={"k1": 1})
         journal.append("finished", "c2", done=["k2"])
         state, stats = journal.replay()
@@ -51,7 +51,7 @@ def test_roundtrip_keeps_furthest_state_per_key(tmp_path):
     assert stats.corrupt_lines == 0 and stats.torn_tail is False
     assert stats.live == 1 and stats.terminal == 1
     k1, k2 = state.groups["k1"], state.groups["k2"]
-    assert not k1.terminal and k1.payload == PAYLOAD and k1.wait is False
+    assert not k1.terminal and k1.payload == PAYLOAD
     assert k1.keys == ["k1"]  # a one-entry group is keyed by its entry
     assert state.requeues == {"k1": 1}
     assert k2.terminal and state.done == {"k2"}
@@ -78,19 +78,32 @@ def test_unknown_event_is_rejected(tmp_path):
             journal.append("started", "k1")
 
 
-def test_parent_version_journal_is_refused(tmp_path):
-    # A journal written before the ledger merge (schema version 1, with
-    # its per-path job and sweep record families) is refused at replay,
-    # naming its version, instead of being misread.
-    record = {"v": 1, "seq": 1, "event": "submitted", "key": "k1",
-              "wait": False, "payload": PAYLOAD}
+@pytest.mark.parametrize("version", [1, 2])
+def test_parent_version_journal_is_refused(tmp_path, version):
+    # A journal of an older schema is refused at replay, naming its
+    # version, instead of being misread: version 1 had per-path job and
+    # sweep record families, version 2 journaled wait=true compiles.
+    record = {"v": version, "seq": 1, "event": "submitted", "key": "k1",
+              "wait": False, "priority": "normal", "payload": PAYLOAD}
     record["sum"] = _checksum(record)
     path = tmp_path / "old.jsonl"
     path.write_text(json.dumps(record, sort_keys=True) + "\n")
     journal = JobJournal(path, fsync=False)
-    with pytest.raises(JournalError, match="version 1"):
+    with pytest.raises(JournalError, match=f"version {version}"):
         journal.replay()
     journal.close()
+
+
+def test_a_submission_carries_the_requeues_gathered_before_it(tmp_path):
+    # A compile that became durable after a lost lease journals its
+    # requeue count with its submission; compaction keeps the count.
+    with make_journal(tmp_path) as journal:
+        journal.append("submitted", "k1", payload=PAYLOAD, requeues={"k1": 1})
+        state, _ = journal.replay()
+        assert state.requeues == {"k1": 1} and not state.groups["k1"].terminal
+        journal.compact()
+        state, _ = journal.replay()
+    assert state.requeues == {"k1": 1} and state.groups["k1"].payload == PAYLOAD
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +113,8 @@ def test_parent_version_journal_is_refused(tmp_path):
 
 def test_torn_tail_is_detected_and_repaired(tmp_path):
     journal = make_journal(tmp_path)
-    journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
-    record = journal.append("submitted", "k2", wait=False)
+    journal.append("submitted", "k1", payload=PAYLOAD)
+    record = journal.append("submitted", "k2")
     journal.close()
     # Simulate a crash mid-append: half a line, no newline.
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
@@ -128,8 +141,8 @@ def test_torn_tail_is_detected_and_repaired(tmp_path):
 
 def test_checksum_rejects_corrupt_lines_but_keeps_the_rest(tmp_path):
     journal = make_journal(tmp_path)
-    journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
-    journal.append("submitted", "k2", wait=False)
+    journal.append("submitted", "k1", payload=PAYLOAD)
+    journal.append("submitted", "k2")
     journal.close()
     raw = journal.path.read_bytes().splitlines(keepends=True)
     # Flip payload bytes of the first record without touching its "sum".
@@ -154,8 +167,8 @@ def test_checksum_is_over_canonical_record():
 def test_torn_write_fault_point_truncates_the_line(tmp_path):
     faults.install(faults.FaultPlan.from_spec("journal-torn-write:times=2"))
     journal = make_journal(tmp_path)
-    journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
-    journal.append("submitted", "k2", wait=False, payload=PAYLOAD)  # torn
+    journal.append("submitted", "k1", payload=PAYLOAD)
+    journal.append("submitted", "k2", payload=PAYLOAD)  # torn
     assert journal.torn_writes == 1
     raw = journal.path.read_bytes()
     assert not raw.endswith(b"\n")
@@ -164,7 +177,7 @@ def test_torn_write_fault_point_truncates_the_line(tmp_path):
     assert stats.torn_tail is True
     assert set(state.groups) == {"k1"}
     # The journal heals: the torn bytes are gone and appends land again.
-    journal.append("submitted", "k3", wait=False)
+    journal.append("submitted", "k3")
     state, stats = journal.replay()
     assert set(state.groups) == {"k1", "k3"} and stats.torn_tail is False
     journal.close()
@@ -177,9 +190,8 @@ def test_torn_write_fault_point_truncates_the_line(tmp_path):
 
 def test_compaction_drops_terminal_keeps_live_and_is_idempotent(tmp_path):
     journal = make_journal(tmp_path)
-    journal.append("submitted", "live-a", wait=False, payload=PAYLOAD,
-                   priority="low")
-    journal.append("submitted", "dead-b", wait=False)
+    journal.append("submitted", "live-a", payload=PAYLOAD)
+    journal.append("submitted", "dead-b")
     journal.append("requeued", "c1", requeues={"live-a": 1})
     journal.append("finished", "c2", done=["dead-b"])
     kept, dropped = journal.compact()
@@ -191,8 +203,6 @@ def test_compaction_drops_terminal_keeps_live_and_is_idempotent(tmp_path):
     group = state.groups["live-a"]
     # Everything needed to replay the job survived compaction.
     assert group.payload == PAYLOAD
-    assert group.priority == "low"
-    assert group.wait is False
     assert state.requeues == {"live-a": 1}
 
     # Idempotent: compacting a compacted journal is a byte-level no-op.
@@ -213,7 +223,7 @@ def test_compaction_drops_terminal_keeps_live_and_is_idempotent(tmp_path):
 
 def test_compaction_repairs_a_torn_tail_first(tmp_path):
     journal = make_journal(tmp_path)
-    record = journal.append("submitted", "k1", wait=False, payload=PAYLOAD)
+    record = journal.append("submitted", "k1", payload=PAYLOAD)
     journal.close()
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     with open(journal.path, "ab") as handle:
@@ -235,7 +245,7 @@ SWEEP_SPEC = {"jobs": [PAYLOAD, dict(PAYLOAD, clusters=4)], "lease": 5.0}
 
 def test_sweep_records_interleave_with_job_records(tmp_path):
     with make_journal(tmp_path) as journal:
-        journal.append("submitted", "job-a", wait=False, payload=PAYLOAD)
+        journal.append("submitted", "job-a", payload=PAYLOAD)
         journal.append("submitted", "sweep:sw-1", payload=SWEEP_SPEC,
                        keys=["key0", "job-a", "key2"])
         journal.append("finished", "c1", done=["key0"])
@@ -289,7 +299,7 @@ def test_torn_tail_inside_a_sweep_record(tmp_path):
 
 def test_compaction_keeps_open_sweeps_and_merges_progress(tmp_path):
     journal = make_journal(tmp_path)
-    journal.append("submitted", "job-a", wait=False, payload=PAYLOAD)
+    journal.append("submitted", "job-a", payload=PAYLOAD)
     journal.append("submitted", "sweep:open", payload=SWEEP_SPEC,
                    keys=["key0", "key1", "key2"])
     journal.append("finished", "c1", done=["key0"])

@@ -2,14 +2,16 @@
 
 Hypothesis drives :class:`~repro.service.ledger.Ledger` directly, with
 an injected clock and a real journal file, through arbitrary
-interleavings of submit (``/compile`` and sweep groups, sharing keys),
-claim, heartbeat, complete (partial, duplicate and orphan), lease
-expiry, a local pool crash and a restart that replays the journal into a
-fresh ledger.  A plain dict model tracks what each entry must be, and
-after every step the ledger must agree with it:
+interleavings of submit (``wait=true`` and ``wait=false`` ``/compile``
+groups and sweep groups, sharing keys), claim, heartbeat, complete
+(partial, duplicate and orphan), lease expiry, a local pool crash and a
+restart that replays the journal into a fresh ledger.  A plain dict
+model tracks what each entry must be, and after every step the ledger
+must agree with it:
 
 * each entry reaches a terminal state exactly once;
-* no acknowledged entry is lost across a restart;
+* an entry is durable exactly when a sweep or a ``wait=false`` compile
+  holds it, and a restart rebuilds exactly the durable ones;
 * the requeue budget survives a restart;
 * every result is bit-identical to a direct compile.
 """
@@ -84,6 +86,7 @@ class LedgerMachine(RuleBasedStateMachine):
         # "groups"}, the last the keys of the groups holding the entry.
         self.model = {}
         self.groups = {}  # group key -> (its entries, the group)
+        self.durable = set()  # keys of the durable /compile groups
         self.journal = JobJournal(self.path, fsync=False)
         self.ledger = Ledger(clock=lambda: self.now)
 
@@ -97,8 +100,8 @@ class LedgerMachine(RuleBasedStateMachine):
     def write(self, records):
         lg.write(self.journal, records)
 
-    def group(self, key, budget, local):
-        group = Recording(key, budget, local=local, wait=False)
+    def group(self, key, budget, local, durable=True):
+        group = Recording(key, budget, local=local, durable=durable)
         group.terminal_seen = self.terminal_seen
         return group
 
@@ -113,6 +116,10 @@ class LedgerMachine(RuleBasedStateMachine):
             entry["budget"] = max(entry["budget"], budget)
             entry["local"] = entry["local"] or local
             entry["groups"].add(group_key)
+
+    def is_durable(self, entry):
+        """Whether a sweep or a durable /compile holds the model *entry*."""
+        return any(key.startswith("sweep:") or key in self.durable for key in entry["groups"])
 
     def lose(self, lease, keys=None):
         """Model the loss of *lease* (or of *keys* out of it)."""
@@ -131,8 +138,8 @@ class LedgerMachine(RuleBasedStateMachine):
         finished = []
         for key in keys:
             entry = self.ledger.live.get(key)
-            if entry is None:
-                assert self.model[key]["state"] in lg.TERMINAL  # a duplicate
+            if entry is None:  # a duplicate, or dropped by a restart
+                assert key not in self.model or self.model[key]["state"] in lg.TERMINAL
                 continue
             _payload, report, _fingerprint = reports()[key]
             if fail and key == keys[0]:
@@ -143,16 +150,27 @@ class LedgerMachine(RuleBasedStateMachine):
                 self.model[key].update(state="done", lease=None)
                 assert self.ledger.finish(entry, "done", "w", report)
             finished.append(entry)
-        self.write([lg.finished_record(lease_id, lg.outcomes(finished))])
+        # As the daemon does: only a durable entry's outcome is journaled.
+        durable = [entry for entry in finished if self.is_durable(self.model[entry.key])]
+        self.write([lg.finished_record(lease_id, lg.outcomes(durable))])
 
     # -- rules -----------------------------------------------------------
 
-    @rule(index=st.integers(0, len(PAYLOADS) - 1))
-    def submit_compile(self, index):
+    @rule(index=st.integers(0, len(PAYLOADS) - 1), wait=st.booleans())
+    def submit_compile(self, index, wait):
         key = self.keys[index]
         if key in self.cache:
             return  # served from the cache, as the daemon does
-        group = self.group(key, COMPILE_REQUEUES, local=True)
+        live = self.groups.get(key)
+        if live is not None and not live[1].finished:
+            # Coalesced onto the live job: wait=false makes it durable.
+            if not wait and not live[1].durable:
+                live[1].durable = True
+                self.durable.add(key)
+                self.write([live[1].submitted_record()])
+            return
+        group = self.group(key, COMPILE_REQUEUES, local=True, durable=not wait)
+        (self.durable.discard if wait else self.durable.add)(key)
         self.attach(key, COMPILE_REQUEUES, True, key)
         self.write(self.ledger.submit(group, [(key, reports()[key][0])]))
         self.groups[key] = (group.entries, group)
@@ -250,16 +268,25 @@ class LedgerMachine(RuleBasedStateMachine):
             self.groups[group.key] = (group.entries, group)
         self.write(records)
         self.journal.compact()
-        for key, entry in self.model.items():
+        for key, entry in list(self.model.items()):
             if entry["state"] == "leased":
                 entry.update(state="pending", lease=None)
             if entry["state"] == "quarantined":
-                entry["state"] = "failed"  # journaled as a failure
-            if entry["state"] in ("pending", "leased"):
-                # No acknowledged entry is lost, and its budget survives.
-                live = self.ledger.live.get(key)
-                assert live is not None, f"entry {key[:8]} lost across restart"
-                assert live.requeues == entry["requeues"]
+                entry["state"] = "failed"  # journaled as a failure, if durable
+            if entry["state"] != "pending":
+                continue
+            live = self.ledger.live.get(key)
+            if not self.is_durable(entry):
+                # Only wait=true compiles held it: nothing replays it.
+                assert live is None, f"entry {key[:8]} replayed but never durable"
+                del self.model[key]
+                continue
+            # No acknowledged entry is lost, and its budget survives.
+            assert live is not None, f"entry {key[:8]} lost across restart"
+            assert live.requeues == entry["requeues"]
+            entry["groups"] = {g for g in entry["groups"] if g in self.groups}
+            entry["local"] = any(not g.startswith("sweep:") for g in entry["groups"])
+        self.durable &= set(self.groups)
 
     # -- invariants ------------------------------------------------------
 
@@ -272,6 +299,7 @@ class LedgerMachine(RuleBasedStateMachine):
                 continue
             assert live is not None and live.state == entry["state"]
             assert live.requeues == entry["requeues"]
+            assert live.durable == self.is_durable(entry)
         assert set(self.ledger.live) <= set(self.model)
 
     @invariant()
@@ -300,6 +328,32 @@ def test_ledger_state_machine(tmp_path):
     )
 
 
+class _Pool:
+    """A ``data`` stand-in whose every draw picks the local pool."""
+
+    @staticmethod
+    def draw(_strategy):
+        return "pool"
+
+
+def test_requeues_before_a_compile_became_durable_survive_a_restart(tmp_path):
+    # The interleaving the random walk rarely reaches: a wait=true
+    # compile crashes the pool once, a wait=false submission makes it
+    # durable, and the daemon restarts; the replayed entry keeps its
+    # requeue count (the machine's restart rule asserts it).
+    reports()
+    machine = LedgerMachine(tmp_path)
+    try:
+        machine.submit_compile(0, wait=True)
+        machine.claim(_Pool, 1)
+        machine.pool_crash()
+        machine.submit_compile(0, wait=False)
+        machine.restart()
+        assert machine.ledger.live[machine.keys[0]].requeues == 1
+    finally:
+        machine.teardown()
+
+
 @pytest.mark.parametrize("crashes, state", [(1, "pending"), (2, "quarantined")])
 def test_compile_entry_quarantines_on_its_second_crash(crashes, state):
     key = sorted(reports())[0]
@@ -323,3 +377,23 @@ def test_detaching_a_shed_group_again_leaves_a_newer_entry_alone():
     ledger.submit(Group(key, COMPILE_REQUEUES, local=True), [(key, PAYLOADS[0])])
     ledger.detach(shed)
     assert key in ledger.live and len(ledger.local) == 1
+
+
+def test_a_non_durable_group_writes_no_records():
+    # A wait=true /compile: its submission, its lost lease and its
+    # quarantine leave nothing for the journal; once a durable group
+    # shares the entry, its submission carries the requeue count so far.
+    key = sorted(reports())[0]
+    ledger = Ledger(clock=lambda: 0.0)
+    job = Group(key, COMPILE_REQUEUES, local=True, durable=False)
+    assert ledger.submit(job, [(key, PAYLOADS[0])]) == []
+    entry = ledger.live[key]
+    assert not entry.durable
+    assert ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash") is None
+    sweep = Group("sweep:s", 2)
+    submitted, _ = ledger.submit(sweep, [(key, PAYLOADS[0])])
+    assert entry.durable
+    assert submitted == ("submitted", "sweep:s", {"payload": None, "keys": [key],
+                                                  "requeues": {key: 1}})
+    assert ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash") == (
+        "requeued", "c2", {"requeues": {key: 2}, "failed": None})

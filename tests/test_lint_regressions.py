@@ -216,7 +216,7 @@ class TestRunServiceFileWrites:
             task = asyncio.ensure_future(
                 run_service(
                     port=0, workers=0, port_file=str(port_file),
-                    metrics_out=str(metrics_out), quiet=True,
+                    metrics_out=str(metrics_out),
                 )
             )
             for _ in range(400):

@@ -28,11 +28,14 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import CacheError, ServiceError
 from repro.machine.machine import clustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
-from repro.service import NO_RETRY, CompileService, ServiceClient
+from repro.service import NO_RETRY, CompileService, RetryPolicy, ServiceClient
 from repro.validate import verify_many
 from repro.workloads import make_kernel
 
 LADDER = {"search": "ladder"}
+
+#: The test client's policy: generous timeouts for slow CI hosts.
+PATIENT = RetryPolicy(connect_timeout=60.0, read_timeout=60.0)
 
 
 def jsonable(value):
@@ -85,7 +88,7 @@ def running_service(**kwargs):
     if "error" in box:
         raise box["error"]
     try:
-        yield box["service"], ServiceClient(box["address"], timeout=60), loop
+        yield box["service"], ServiceClient(box["address"], policy=PATIENT), loop
     finally:
         loop.call_soon_threadsafe(box["stop"].set)
         thread.join(timeout=30)
@@ -270,7 +273,8 @@ def test_a_failed_cache_write_still_answers_the_compile(tmp_path):
 
     with running_service(disk_cache=str(tmp_path / "cache")) as (service, client, _loop):
         service.cache.disk.put = full_disk
-        quick = ServiceClient(f"{client.host}:{client.port}", timeout=10, policy=NO_RETRY)
+        quick = ServiceClient(f"{client.host}:{client.port}", policy=RetryPolicy(
+            max_attempts=1, connect_timeout=10.0, read_timeout=10.0))
         result = quick.compile({"kernel": "daxpy", "clusters": 2})
         again = quick.compile({"kernel": "daxpy", "clusters": 2})
         metrics = quick.metrics()

@@ -5,10 +5,12 @@ fault-injection plane (:mod:`repro.faults`) and asserts the service
 recovers: worker crashes respawn the pool and retry the job, poison
 jobs are quarantined instead of crash-looping, connection resets and
 queue-full rejections are absorbed by the retrying client, corrupt
-disk-cache entries are read-repaired, and ``wait=false`` jobs
-interrupted by a daemon crash are replayed from the journal.
+disk-cache entries are read-repaired, ``wait=false`` jobs interrupted
+by a daemon crash are replayed from the journal, and ``wait=true``
+compiles leave the journal untouched.
 """
 
+import asyncio
 import re
 import threading
 import time
@@ -292,25 +294,83 @@ def test_crash_recovery_replays_interrupted_wait_false_jobs(tmp_path):
     assert stats.live == 0
 
 
-def test_recovery_fails_orphaned_wait_true_jobs(tmp_path):
-    # A wait=true job's client connection died with the old daemon —
-    # nobody can receive the result, so replay closes it out as failed
-    # rather than burning a worker on it.
+def test_a_wait_false_waiter_on_a_wait_true_job_survives_a_crash(tmp_path):
+    # A wait=true compile is not journaled: its client's connection dies
+    # with the daemon.  A wait=false submission that coalesces onto it
+    # gets a 202, so it must make the job durable before that receipt
+    # goes out, and a restarted daemon must finish the compile.
     journal_path = tmp_path / "journal.jsonl"
-    with JobJournal(journal_path, fsync=False) as journal:
-        journal.append(
-            "submitted", "orphan-key", wait=True,
-            payload={"kernel": "daxpy", "clusters": 2},
-        )
+    cache_dir = tmp_path / "cache"
+    payload = RECOVERY_PAYLOADS[0]
+    gate = threading.Event()
+
+    def gated_compile(toolchain, request):
+        gate.wait(30)  # never released while the first daemon lives
+        return toolchain.compile(request)
+
+    try:
+        with running_service(
+            journal=str(journal_path), disk_cache=str(cache_dir), compile_fn=gated_compile,
+        ) as (service, client, loop):
+            # The blocking submission (what a wait=true POST does first).
+            job, _, _ = asyncio.run_coroutine_threadsafe(
+                service.submit(dict(payload)), loop
+            ).result(30)
+            wait_until(lambda: service._running == 1, what="the compile to start")
+            receipt = client.compile(dict(payload), wait=False)
+            assert receipt == {"job": job.id, "status": "running", "coalesced": True}
+    finally:
+        gate.set()  # let the abandoned executor thread unwind
+
+    with running_service(
+        journal=str(journal_path), disk_cache=str(cache_dir)
+    ) as (service, client, _loop):
+        assert client.metrics()["journal"]["recovered_jobs"] == 1
+        wait_until(lambda: client.metrics()["compiles"]["completed"] == 1,
+                   what="the replayed compile to finish")
+        served = client.compile(dict(payload))
+    assert served["served_from"] in ("memory", "disk")
+    assert served["fingerprint"] == local_fingerprint(payload)
+
+
+@pytest.mark.parametrize("crashes", [0, 1, 2])
+def test_a_wait_true_compile_appends_nothing(tmp_path, crashes):
+    # A plain miss, a pool crash (requeue) and a second one (quarantine)
+    # on a wait=true entry leave the journal untouched.
+    if crashes:
+        faults.install(FaultPlan((FaultRule(point="worker-crash",
+                                            times=tuple(range(1, crashes + 1))),)))
+    journal_path = tmp_path / "journal.jsonl"
     with running_service(journal=str(journal_path)) as (service, client, _loop):
+        try:
+            client.compile(dict(RECOVERY_PAYLOADS[0]))
+        except ServiceError as err:
+            assert crashes == 2 and "quarantined as poison" in str(err)
         metrics = client.metrics()
-    assert metrics["journal"]["recovered_jobs"] == 0
-    assert metrics["journal"]["replay"]["live"] == 1
-    assert metrics["compiles"]["started"] == 0
-    # Recovery compacted the failed orphan away.
+    assert metrics["supervisor"]["worker_crashes"] == crashes
+    assert metrics["journal"]["appends"] == 0
+    assert journal_path.read_bytes() == b""
+
+
+def test_a_pool_result_for_a_shared_sweep_entry_is_journaled(tmp_path):
+    # A wait=true compile attaches to the entry of an open sweep and the
+    # pool finishes it: the sweep is durable, so its entry's outcome is
+    # journaled, and replay shows the sweep done.
+    journal_path = tmp_path / "journal.jsonl"
+    payload = RECOVERY_PAYLOADS[0]
+    with running_service(journal=str(journal_path)) as (service, client, _loop):
+        sweep_id = client.submit_sweep({"jobs": [dict(payload)], "lease": 30.0})["sweep"]
+        result = client.compile(dict(payload))
+        status = client.sweep(sweep_id)
+        appends = client.metrics()["journal"]["appends"]
+    assert result["served_from"] == "compile"
+    assert status["state"] == "done" and status["done"] == 1
+    assert appends == 2  # the sweep's submitted + the pool's finished
     with JobJournal(journal_path, fsync=False) as journal:
-        state, stats = journal.replay()
-    assert state.groups == {} and stats.records == 0
+        state, _ = journal.replay()
+    sweep = state.groups[f"sweep:{sweep_id}"]
+    assert sweep.terminal and set(sweep.keys) <= state.done
+    assert [key for key in state.groups if not key.startswith("sweep:")] == []
 
 
 def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
@@ -324,7 +384,7 @@ def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
         done = client.compile(dict(payload))
         key = done["cache_key"]
     with JobJournal(journal_path, fsync=False) as journal:
-        journal.append("submitted", key, wait=False, payload=dict(payload))
+        journal.append("submitted", key, payload=dict(payload, wait=False))
     with running_service(
         journal=str(journal_path), disk_cache=str(cache_dir)
     ) as (service, client, _loop):
@@ -336,20 +396,21 @@ def test_recovered_job_served_from_cache_is_not_recompiled(tmp_path):
     assert stats.live == 0
 
 
-def test_daemon_refuses_a_version_1_journal_at_startup(tmp_path):
-    # A journal written before the ledger merge (schema version 1) is
-    # refused at start-up with an error naming its version; the daemon
-    # never half-reads the old job and sweep record families.
+@pytest.mark.parametrize("version, event", [(1, "started"), (2, "submitted")])
+def test_daemon_refuses_a_version_1_journal_at_startup(tmp_path, version, event):
+    # A journal of an older schema is refused at start-up with an error
+    # naming its version; the daemon never half-reads version 1's job
+    # and sweep record families or version 2's wait=true records.
     import json
 
     from repro.errors import JournalError
     from repro.service.journal import _checksum
 
-    record = {"v": 1, "seq": 1, "event": "started", "key": "k1", "wait": False,
+    record = {"v": version, "seq": 1, "event": event, "key": "k1", "wait": True,
               "payload": {"kernel": "daxpy", "clusters": 2}}
     record["sum"] = _checksum(record)
     journal_path = tmp_path / "journal.jsonl"
     journal_path.write_text(json.dumps(record, sort_keys=True) + "\n")
-    with pytest.raises(JournalError, match="version 1"):
+    with pytest.raises(JournalError, match=f"version {version}"):
         with running_service(journal=str(journal_path)):
             pass

@@ -49,6 +49,12 @@ def test_import_repro_cli_loads_no_heavy_layer():
     assert not [name for name in NOT_LOADED if name in loaded]
 
 
+def test_lint_rule_table_loads_no_ir():
+    loaded = fresh_modules("from repro.cli import main\nmain(['lint', '--rules', 'help'])")
+    assert "repro.analysis" in loaded  # the command ran
+    assert not [name for name in loaded if name.startswith("repro.ir")]
+
+
 def test_the_compile_path_never_loads_numpy():
     loaded = fresh_modules(
         "from repro.api import CompilationRequest, Toolchain\n"
@@ -125,3 +131,12 @@ def test_ablation_choices_match_the_registry():
     from repro.experiments.ablations import ABLATIONS
 
     assert ABLATION_NAMES == tuple(sorted(ABLATIONS))
+
+
+def test_kernel_choices_and_suite_size_match_the_workloads():
+    from repro.cli import KERNEL_NAMES, SUITE_LOOPS
+    from repro.workloads.kernels import KERNELS
+    from repro.workloads.suite import PERFECT_CLUB_LOOP_COUNT
+
+    assert KERNEL_NAMES == tuple(sorted(KERNELS))
+    assert SUITE_LOOPS == PERFECT_CLUB_LOOP_COUNT

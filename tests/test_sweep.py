@@ -652,6 +652,9 @@ E2E_SPEC = {
     "max_requeues": 5,
 }
 
+#: The e2e's client: 30 s to connect and to read, retries as default.
+E2E_CLIENT = RetryPolicy(connect_timeout=30.0, read_timeout=30.0)
+
 
 def _spawn(args, **kwargs):
     env = dict(os.environ)
@@ -716,7 +719,7 @@ def test_distributed_sweep_survives_kills(tmp_path):
     try:
         coordinator, address = _start_coordinator(tmp_path)
         procs.append(coordinator)
-        with ServiceClient(address, timeout=30) as client:
+        with ServiceClient(address, policy=E2E_CLIENT) as client:
             sweep_id = client.submit_sweep(E2E_SPEC)["sweep"]
 
         # Two workers; the slow-worker fault stretches their per-job
@@ -732,7 +735,7 @@ def test_distributed_sweep_survives_kills(tmp_path):
 
         # Wait until the victim holds work, then SIGKILL it mid-chunk.
         def victim_engaged():
-            with ServiceClient(address, timeout=30) as client:
+            with ServiceClient(address, policy=E2E_CLIENT) as client:
                 section = client.metrics()["sweep"]
                 return (
                     section is not None
@@ -761,7 +764,7 @@ def test_distributed_sweep_survives_kills(tmp_path):
         procs.append(coordinator)
         assert address2 == address, "coordinator must rebind the same port"
 
-        with ServiceClient(address, timeout=30) as client:
+        with ServiceClient(address, policy=E2E_CLIENT) as client:
             deadline = time.monotonic() + 180
             while time.monotonic() < deadline:
                 status = client.sweep(sweep_id)
