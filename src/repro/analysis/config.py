@@ -53,7 +53,7 @@ DEFAULT_CACHE_GUARDS: Tuple[CacheGuard, ...] = (
             "_op_ids_cache", "_adj_version",
         ),
         invalidators=("_touch_endpoints", "_insert_edge", "_remove_edge",
-                      "_derive_flow_in_edges", "_retire_flow_in_edges"),
+                      "_derive_flow_in_edges"),
     ),
     CacheGuard(
         file="src/repro/scheduling/mrt.py",

@@ -225,6 +225,16 @@ CASES: Tuple[BenchCase, ...] = (
             "lms_update", {"taps": 5}, 2, "crossbar", 8, search=search
         ),
     ),
+    # The failing-rung path: surrogate loop 46 (stencil5, auto-unrolled
+    # x5) on the 10-cluster ring fails seven attempts at II 2 and 3
+    # before II 4 schedules, so chain planning against full Copy FUs,
+    # ejection and chain dismantling dominate.
+    BenchCase(
+        "dms_failing_rungs",
+        "dms",
+        "DMS failing rungs, stencil5 x5 (surrogate loop 46), 10-cluster ring",
+        lambda search=None: _dms_thunk("stencil5", {}, 5, "ring", 10, search=search),
+    ),
     BenchCase(
         "verify_oracle",
         "verify",

@@ -16,7 +16,8 @@ a read between mutations costs one dict lookup instead of a sort.  Every
 edge insert/remove also bumps a per-endpoint *adjacency version*
 (:meth:`DDG.adj_version`), which lets schedulers key their own incremental
 state (e.g. communication-compatibility sets) off graph changes without
-subscribing to them.
+subscribing to them.  Edge keys carry the kind as its int
+``DepKind.code``, so keying an edge hashes no enum member.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DDGError
-from .edges import DepEdge, DepKind
+from .edges import FLOW_CODE, DepEdge, DepKind
 from .opcodes import LatencyModel, OpCode, is_useful, produces_value
 from .operations import Operation, ValueUse
 
-EdgeKey = Tuple[int, int, DepKind, int]
+#: ``(src, dst, DepKind.code, omega)``: see :attr:`DepEdge.key`.
+EdgeKey = Tuple[int, int, int, int]
 
 
 def _tarjan_sccs(adj: Dict[int, List[int]]) -> List[List[int]]:
@@ -109,6 +111,8 @@ class DDG:
         # Monotonic per-op adjacency versions (bumped on any edge change
         # touching the op); scheduler-side caches key off these.
         self._adj_version: Dict[int, int] = {}
+        # Bumped by every change to an operation or an edge.
+        self._content_version = 0
         # Forward references: missing producer id -> consumer ids that
         # referenced it when they were inserted.  Entries are verified
         # against the consumers' *current* operands when the producer
@@ -170,6 +174,7 @@ class DDG:
         self._out.setdefault(op.op_id, {})
         self._in.setdefault(op.op_id, {})
         self._next_id = max(self._next_id, op.op_id + 1)
+        self._content_version += 1
         self._op_ids_cache = None
         self._derive_flow_in_edges(op)
         # Existing ops may hold forward references to this op.
@@ -211,6 +216,7 @@ class DDG:
         for edge in list(self.out_edges(op_id)) + list(self.in_edges(op_id)):
             self._remove_edge(edge)
         del self._ops[op_id]
+        self._content_version += 1
         self._out.pop(op_id, None)
         self._in.pop(op_id, None)
         self._op_ids_cache = None
@@ -221,15 +227,43 @@ class DDG:
         self._adj_version.pop(op_id, None)
 
     def replace_operand(self, op_id: int, index: int, new_src: ValueUse) -> None:
-        """Replace operand *index* of op *op_id*, re-deriving flow edges."""
+        """Replace operand *index* of op *op_id*, updating only its edge.
+
+        The old operand's flow edge goes unless another operand still
+        reads the same (producer, omega); the new operand's edge is added
+        unless one already exists.  Either way both endpoints of each
+        edge are touched: the producers' per-reference views shift with
+        the operand list even where the edge set does not.
+        """
         op = self.op(op_id)
         if not 0 <= index < len(op.srcs):
             raise DDGError(f"op {op_id} has no operand index {index}")
+        old_src = op.srcs[index]
         srcs = list(op.srcs)
         srcs[index] = new_src
-        self._retire_flow_in_edges(op_id)
         self._ops[op_id] = op.with_srcs(tuple(srcs))
-        self._derive_flow_in_edges(self._ops[op_id])
+        self._content_version += 1
+        in_edges = self._in[op_id]
+        if not old_src.is_external:
+            producer, omega = old_src.producer, old_src.omega
+            edge = in_edges.get((producer, op_id, FLOW_CODE, omega))
+            if edge is not None:
+                if any(
+                    src.producer == producer and src.omega == omega for src in srcs
+                ):
+                    self._touch_endpoints(edge)
+                else:
+                    self._remove_edge(edge)
+        if not new_src.is_external:
+            producer = new_src.producer
+            if producer not in self._ops:
+                self._forward.setdefault(producer, []).append(op_id)
+                return
+            edge = in_edges.get((producer, op_id, FLOW_CODE, new_src.omega))
+            if edge is None:
+                self._insert_edge(DepEdge(producer, op_id, DepKind.FLOW, new_src.omega))
+            else:
+                self._touch_endpoints(edge)
 
     def add_dep(
         self,
@@ -255,15 +289,13 @@ class DDG:
         self._remove_edge(edge)
 
     def _derive_flow_in_edges(self, op: Operation) -> None:
-        for src in op.internal_srcs:
+        for src in op.srcs:
+            if src.producer is None:
+                continue  # external
             if src.producer in self._ops:
                 self._insert_edge(DepEdge(src.producer, op.op_id, DepKind.FLOW, src.omega))
             else:
                 self._forward.setdefault(src.producer, []).append(op.op_id)
-
-    def _retire_flow_in_edges(self, op_id: int) -> None:
-        for edge in [e for e in self.in_edges(op_id) if e.is_flow]:
-            self._remove_edge(edge)
 
     def _insert_edge(self, edge: DepEdge) -> None:
         self._out.setdefault(edge.src, {})[edge.key] = edge
@@ -286,6 +318,13 @@ class DDG:
         versions = self._adj_version
         versions[edge.src] = versions.get(edge.src, 0) + 1
         versions[edge.dst] = versions.get(edge.dst, 0) + 1
+        self._content_version += 1
+
+    def content_version(self) -> int:
+        """Counter bumped by every change to the graph's operations or
+        edges: something derived from the whole graph (its content hash)
+        is current exactly while the counter and the name are unchanged."""
+        return self._content_version
 
     def adj_version(self, op_id: int) -> int:
         """Monotonic counter bumped whenever an edge touching *op_id*
@@ -535,6 +574,17 @@ class DDG:
     # Copy / validation / display
     # ------------------------------------------------------------------
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the graph without its read caches and adjacency
+        versions: they are rebuilt on first read, and leaving them out
+        makes a stored report smaller and quicker to load."""
+        state = dict(self.__dict__)
+        state.update(
+            _out_cache={}, _in_cache={}, _refs_cache={}, _ref_edges_cache={},
+            _op_ids_cache=None, _adj_version={},
+        )
+        return state
+
     def copy(self, name: Optional[str] = None) -> "DDG":
         """Deep-copy the graph (operations are immutable, so shared)."""
         clone = DDG(name or self.name)
@@ -546,7 +596,9 @@ class DDG:
         # each graph drops its own entries on mutation.  Adjacency
         # versions are *not* carried over: consumers of the clone rebuild
         # their keyed state lazily (starting from version 0), which keeps
-        # the per-restart copy as cheap as possible.
+        # the per-restart copy as cheap as possible.  Version 0 therefore
+        # means "adjacency as copied": DMS shares views computed at
+        # version 0 between the attempts on copies of one graph.
         clone._out_cache = dict(self._out_cache)
         clone._in_cache = dict(self._in_cache)
         clone._refs_cache = dict(self._refs_cache)
@@ -569,7 +621,7 @@ class DDG:
                         f"op {op.op_id} reads op {src.producer} "
                         f"({producer.opcode.value}) which produces no value"
                     )
-                key = (src.producer, op.op_id, DepKind.FLOW, src.omega)
+                key = (src.producer, op.op_id, FLOW_CODE, src.omega)
                 if key not in self._in.get(op.op_id, {}):
                     raise DDGError(f"missing derived flow edge for {key}")
         for edge in self.edges():

@@ -27,12 +27,26 @@ class DepKind(enum.Enum):
     ANTI = "anti"  # register anti-dependence (rare with renaming)
     OUTPUT = "output"  # register output dependence
 
+    #: Dense position in declaration order, set below: edge keys carry it
+    #: instead of the member, so keying an edge hashes no enum.
+    code: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DepKind.{self.name}"
 
 
+for _code, _kind in enumerate(DepKind):
+    _kind.code = _code
+del _code, _kind
+
+
 #: Edge kinds that require producer/consumer cluster adjacency.
 COMMUNICATING_KINDS = frozenset({DepKind.FLOW})
+
+#: ``DepKind.code`` of flow edges (the kind part of a flow edge's key).
+FLOW_CODE = DepKind.FLOW.code
+
+_COMMUNICATING_CODES = frozenset(kind.code for kind in COMMUNICATING_KINDS)
 
 
 @dataclass(frozen=True)
@@ -62,16 +76,17 @@ class DepEdge:
             raise ValueError(f"{self.kind.value} edges need an explicit latency")
         if self.kind != DepKind.FLOW and self.latency < 0:
             raise ValueError(f"edge latency must be >= 0, got {self.latency}")
+        # Derived once here: every edge put in a graph is keyed, and the
+        # schedulers test ``communicates`` on every adjacency walk.
+        code = self.kind.code
+        object.__setattr__(self, "_key", (self.src, self.dst, code, self.omega))
+        object.__setattr__(self, "_communicates", code in _COMMUNICATING_CODES)
 
     @property
-    def key(self) -> Tuple[int, int, DepKind, int]:
-        """Uniqueness key: one edge per (src, dst, kind, omega); cached."""
-        try:
-            return self._key
-        except AttributeError:
-            value = (self.src, self.dst, self.kind, self.omega)
-            object.__setattr__(self, "_key", value)
-            return value
+    def key(self) -> Tuple[int, int, int, int]:
+        """Uniqueness key: one edge per (src, dst, kind, omega), the kind
+        as its ``DepKind.code``."""
+        return self._key
 
     @property
     def is_flow(self) -> bool:
@@ -80,16 +95,8 @@ class DepEdge:
 
     @property
     def communicates(self) -> bool:
-        """True when the edge moves a value between producer and consumer.
-
-        Cached: the schedulers test this on every adjacency walk.
-        """
-        try:
-            return self._communicates
-        except AttributeError:
-            value = self.kind in COMMUNICATING_KINDS
-            object.__setattr__(self, "_communicates", value)
-            return value
+        """True when the edge moves a value between producer and consumer."""
+        return self._communicates
 
     @property
     def is_loop_carried(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Tuple
 
 
 class FUKind(enum.Enum):
@@ -70,8 +70,17 @@ class OpCode(enum.Enum):
     COPY = "copy"
     MOVE = "move"
 
+    #: Dense position in declaration order, set below: the per-opcode
+    #: tables (FU kind, latency) are tuples indexed by it.
+    index: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OpCode.{self.name}"
+
+
+for _index, _opcode in enumerate(OpCode):
+    _opcode.index = _index
+del _index, _opcode
 
 
 _OPCODE_FU: Mapping[OpCode, FUKind] = {
@@ -97,6 +106,8 @@ _OPCODE_FU: Mapping[OpCode, FUKind] = {
     OpCode.MOVE: FUKind.COPY,
 }
 
+_FU_BY_INDEX = tuple(_OPCODE_FU[opcode] for opcode in OpCode)
+
 #: Opcodes whose executions count toward IPC / useful-operation totals.
 USEFUL_OPCODES = frozenset(op for op, fu in _OPCODE_FU.items() if fu != FUKind.COPY)
 
@@ -106,7 +117,7 @@ VOID_OPCODES = frozenset({OpCode.STORE})
 
 def fu_kind_of(opcode: OpCode) -> FUKind:
     """Return the functional-unit kind that executes *opcode*."""
-    return _OPCODE_FU[opcode]
+    return _FU_BY_INDEX[opcode.index]
 
 
 def is_useful(opcode: OpCode) -> bool:
@@ -139,7 +150,8 @@ class LatencyModel:
     copy: int = 1
     move: int = 1
 
-    _table: Mapping[OpCode, int] = field(init=False, repr=False, compare=False)
+    #: Latency per opcode, indexed by ``OpCode.index``.
+    _table: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("load", "store", "alu", "mul", "div", "sqrt", "copy", "move"):
@@ -158,14 +170,14 @@ class LatencyModel:
         for opcode, kind in _OPCODE_FU.items():
             if opcode not in table and kind == FUKind.ALU:
                 table[opcode] = self.alu
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", tuple(table[opcode] for opcode in OpCode))
 
     def latency(self, opcode: OpCode) -> int:
         """Latency in cycles of *opcode* (result-ready delay)."""
-        return self._table[opcode]
+        return self._table[opcode.index]
 
     def __getitem__(self, opcode: OpCode) -> int:
-        return self._table[opcode]
+        return self._table[opcode.index]
 
 
 #: Shared default latency model.

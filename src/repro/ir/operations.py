@@ -86,16 +86,12 @@ class Operation:
         if self.op_id < 0:
             raise ValueError(f"op_id must be >= 0, got {self.op_id}")
         object.__setattr__(self, "srcs", tuple(self.srcs))
+        object.__setattr__(self, "_fu_kind", fu_kind_of(self.opcode))
 
     @property
     def fu_kind(self) -> FUKind:
-        """Functional-unit kind that executes this operation (cached)."""
-        try:
-            return self._fu_kind
-        except AttributeError:
-            value = fu_kind_of(self.opcode)
-            object.__setattr__(self, "_fu_kind", value)
-            return value
+        """Functional-unit kind that executes this operation."""
+        return self._fu_kind
 
     @property
     def internal_srcs(self) -> Tuple[ValueUse, ...]:
@@ -113,7 +109,7 @@ class Operation:
 
     def with_srcs(self, srcs: Tuple[ValueUse, ...]) -> "Operation":
         """Return a copy of this operation with replaced operands."""
-        return replace(self, srcs=tuple(srcs))
+        return Operation(self.op_id, self.opcode, tuple(srcs), self.tag)
 
     def with_id(self, op_id: int) -> "Operation":
         """Return a copy of this operation with a new id."""

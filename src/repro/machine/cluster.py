@@ -31,22 +31,19 @@ class ClusterSpec:
                 raise MachineError(f"negative {name} FU count")
         if self.mem + self.alu + self.mul == 0:
             raise MachineError("a cluster needs at least one useful FU")
-        # fu_count sits on MRT/scheduler hot paths; build the lookup once
-        # instead of a dict per call.
-        object.__setattr__(
-            self,
-            "_fu_counts",
-            {
-                FUKind.MEM: self.mem,
-                FUKind.ALU: self.alu,
-                FUKind.MUL: self.mul,
-                FUKind.COPY: self.copy,
-            },
-        )
+        # fu_count sits on MRT/scheduler hot paths; build the lookup once,
+        # indexed by FUKind.index so a lookup hashes no enum.
+        counts = {
+            FUKind.MEM: self.mem,
+            FUKind.ALU: self.alu,
+            FUKind.MUL: self.mul,
+            FUKind.COPY: self.copy,
+        }
+        object.__setattr__(self, "_fu_counts", tuple(counts[kind] for kind in FUKind))
 
     def fu_count(self, kind: FUKind) -> int:
         """Number of units of *kind* in this cluster."""
-        return self._fu_counts[kind]
+        return self._fu_counts[kind.index]
 
     @property
     def useful_fus(self) -> int:

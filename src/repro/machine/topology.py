@@ -29,8 +29,9 @@ bridge it with a chain of moves along one of the paths enumerated here.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Type
 
 from ..errors import MachineError
 
@@ -63,6 +64,20 @@ class CommPath:
     def n_moves(self) -> int:
         """Move operations needed to bridge this path."""
         return max(0, self.hops - 1)
+
+
+class PathCombo(NamedTuple):
+    """One row of :meth:`Topology.chain_options`.
+
+    Attributes:
+        paths: one path per far producer, in producer order.
+        counts: ``(cluster, moves placed there)`` pairs, clusters ascending.
+        moves: total moves of the combination.
+    """
+
+    paths: Tuple[CommPath, ...]
+    counts: Tuple[Tuple[int, int], ...]
+    moves: int
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +221,50 @@ class Topology:
         if paths is None:
             paths = cache[key] = self.paths(src, dst)
         return paths
+
+    def chain_options(
+        self, srcs: Tuple[int, ...], dst: int, combo_cap: int, shortest_only: bool
+    ) -> Tuple[PathCombo, ...]:
+        """Memoised path combinations bridging producers on *srcs* to a
+        consumer on *dst*, for chain planning.
+
+        One path per source from :meth:`paths_cached` (only the first
+        with *shortest_only*), combined in ``itertools.product`` order and
+        cut at *combo_cap*.  A combination is dropped when an earlier kept
+        one needs at most as many moves in every cluster: the chain
+        planner's ranking can never prefer it (see
+        :mod:`repro.scheduling.chains`).  The table depends only on the
+        interconnect and the two settings, so it is built once per
+        instance and shared by every schedule on it.
+        """
+        tables = self.__dict__.setdefault("_chain_options", {})
+        key = (srcs, dst, combo_cap, shortest_only)
+        rows = tables.get(key)
+        if rows is not None:
+            return rows
+        choices = []
+        for src in srcs:
+            paths = self.paths_cached(src, dst)
+            choices.append(paths[:1] if shortest_only else paths)
+        kept: List[PathCombo] = []
+        vectors: List[List[int]] = []
+        for combo in itertools.islice(itertools.product(*choices), combo_cap):
+            vector = [0] * self.n_clusters
+            for path in combo:
+                for hop in path.intermediates:
+                    vector[hop] += 1
+            if any(
+                all(a <= b for a, b in zip(seen, vector)) for seen in vectors
+            ):
+                continue
+            counts = tuple((c, n) for c, n in enumerate(vector) if n)
+            kept.append(PathCombo(combo, counts, sum(vector)))
+            if counts:
+                # A move-free row scores free[dst], not its counts, so it
+                # dominates nothing.
+                vectors.append(vector)
+        rows = tables[key] = tuple(kept)
+        return rows
 
     def directed_pairs(self) -> List[Tuple[int, int]]:
         """All ordered adjacent pairs (one CQRF per pair and direction)."""

@@ -26,11 +26,32 @@ per-cluster move counts against one snapshot of the free Copy-FU slots
 cluster has, and runs the slot search for the first remaining option in
 rank order only (first-feasible slot search).  Planning only reads the
 MRT.
+
+The counts do not depend on the schedule either.  For a tuple of far
+producer clusters and a target cluster, the **chain option table**
+(:meth:`Topology.chain_options <repro.machine.topology.Topology.chain_options>`)
+holds the path combinations in ``itertools.product`` order, cut at
+``chain_combo_cap``, each with its per-cluster move counts and its move
+total.  It is built once per topology instance and per
+(``chain_combo_cap``, ``prefer_shortest_chain_only``) and shared by every
+schedule on that interconnect.  **Dominance rule:** a combination is left
+out of the table when an earlier kept one needs at most as many moves in
+every cluster.  The earlier one then touches no cluster the later one
+does not, so its slack is at least as large, its move total at most as
+large, and its combination index smaller: it ranks first whenever the
+later one is feasible.  On top of the table, the attempt runner memoizes
+each loop's **candidate list** across all its attempts, keyed by the
+scheduled producers' clusters, the *set* of scheduled consumers'
+clusters and the FU kind: per target cluster, which producers are far
+and their table rows.  A call to :meth:`ChainPlanner.plan` then only
+takes the free-slot snapshot and scores the rows against it; the winner
+per snapshot is memoized with the list (:class:`CandidateList`), since
+the ranking reads nothing else and a failing attempt asks again and
+again with the Copy FUs in the same state.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -39,7 +60,7 @@ from ..errors import SchedulingError
 from ..ir.ddg import DDG
 from ..ir.opcodes import FUKind, OpCode
 from ..ir.operations import ValueUse
-from ..machine.topology import CommPath
+from ..machine.topology import CommPath, PathCombo
 from .schedule import PartialSchedule
 
 
@@ -161,18 +182,87 @@ class ChainRegistry:
         return [self._chains[c] for c in sorted(self._chains)]
 
 
+class CandidateList:
+    """A loop's chain candidates for one (scheduled producer clusters,
+    scheduled consumer-cluster set, FU kind).
+
+    ``targets`` holds ``(target cluster, far producer indexes, table
+    rows)`` per target cluster that needs a chain, targets ascending.
+    ``winners`` memoizes :meth:`best` per free Copy-FU snapshot: the
+    ranking reads nothing else, and failing attempts ask again and again
+    with the same snapshot.
+    """
+
+    __slots__ = ("targets", "score_all", "winners")
+
+    def __init__(
+        self,
+        targets: Tuple[Tuple[int, Tuple[int, ...], Tuple[PathCombo, ...]], ...],
+        score_all: bool,
+    ):
+        self.targets = targets
+        self.score_all = score_all
+        self.winners: Dict[Tuple[int, ...], Optional[tuple]] = {}
+
+    def best(
+        self, free: Tuple[int, ...]
+    ) -> Optional[Tuple[int, Tuple[int, ...], Tuple[CommPath, ...], int]]:
+        """``(cluster, far producer indexes, paths, slack)`` of the winning
+        row against the free Copy-FU slots per cluster, or None."""
+        try:
+            return self.winners[free]
+        except KeyError:
+            pass
+        # With score_all no slack exceeds the machine-wide floor; without
+        # it the cap is never reached.
+        cap = min(free) if self.score_all else None
+        best = None
+        best_slack = best_moves = -1
+        for cluster, far, rows in self.targets:
+            for row in rows:
+                moves = row.moves
+                if best_slack == cap and moves >= best_moves:
+                    continue  # cannot beat the incumbent's (slack, moves)
+                counts = row.counts
+                if counts:
+                    slack = min([free[c] - n for c, n in counts])
+                    if slack < 0:
+                        continue  # more moves than free slots in some cluster
+                else:
+                    slack = free[cluster]
+                if cap is not None and slack > cap:
+                    slack = cap
+                if slack > best_slack or (slack == best_slack and moves < best_moves):
+                    best = (cluster, far, row.paths)
+                    best_slack, best_moves = slack, moves
+        winner = None if best is None else best + (best_slack,)
+        self.winners[free] = winner
+        return winner
+
+
 class ChainPlanner:
     """Builds :class:`ChainPlan` options for DMS strategy 2.
 
     Candidate paths per far predecessor come from the machine topology
     (two ring directions on the paper machine; up to ``max_paths``
-    shortest routes on a mesh or torus).
+    shortest routes on a mesh or torus).  *candidates* is the
+    :class:`CandidateList` memo; an attempt runner passes one dict to
+    every attempt of a loop (same machine and config), a standalone
+    planner keeps its own.
     """
 
-    def __init__(self, schedule: PartialSchedule, config: SchedulerConfig):
+    def __init__(
+        self,
+        schedule: PartialSchedule,
+        config: SchedulerConfig,
+        candidates: Optional[Dict[tuple, CandidateList]] = None,
+    ):
         self.schedule = schedule
         self.config = config
         self._move_latency = schedule.latencies.latency(OpCode.MOVE)
+        self._candidates: Dict[tuple, CandidateList] = (
+            {} if candidates is None else candidates
+        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -195,55 +285,65 @@ class ChainPlanner:
         pred_groups = self._scheduled_pred_groups(op_id)
         if not pred_groups:
             return None
-        mrt = schedule.mrt
-        dist = schedule.dist
-        clusters = range(schedule.machine.n_clusters)
-        kind = schedule.ddg.op(op_id).fu_kind
-        succ_clusters = [
-            schedule.cluster(s) for s in schedule.scheduled_flow_succs(op_id)
-        ]
+        cluster_of = schedule.cluster
         preds = [
-            (producer, omega, indexes, schedule.cluster(producer))
+            (producer, omega, indexes, cluster_of(producer))
             for (producer, omega), indexes in pred_groups.items()
         ]
-        free = [mrt.free_slots(c, FUKind.COPY) for c in clusters]
-        score_all = self.config.chain_score_all_clusters
-        floor = min(free)
-        # ((-slack, moves, cluster, combination index), far preds, paths)
-        best: Optional[Tuple[Tuple[int, int, int, int], list, tuple]] = None
-        for cluster in clusters:
-            if mrt.capacity(cluster, kind) == 0:
+        pred_clusters = tuple(pred[3] for pred in preds)
+        succ_clusters = frozenset(
+            cluster_of(s) for s in schedule.scheduled_flow_succs(op_id)
+        )
+        kind = schedule.ddg.op(op_id).fu_kind
+        key = (pred_clusters, succ_clusters, kind.index)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            candidates = self._candidates[key] = self._candidate_list(
+                pred_clusters, succ_clusters, kind
+            )
+        if not candidates.targets:
+            return None
+        best = candidates.best(tuple(schedule.mrt.free_slot_counts(FUKind.COPY)))
+        if best is None:
+            return None
+        cluster, far, paths, slack = best
+        return ChainPlan(
+            cluster, self._slot_moves([preds[i] for i in far], paths), slack
+        )
+
+    def _candidate_list(
+        self, pred_clusters: Tuple[int, ...], succ_clusters: frozenset, kind: FUKind
+    ) -> CandidateList:
+        """Targets that need a chain, their far producers and table rows.
+
+        A target qualifies when it has a *kind* unit, every scheduled
+        consumer sits within distance 1 of it, and some producer does
+        not (strategy 1 handles chain-free clusters).
+        """
+        schedule = self.schedule
+        dist = schedule.dist
+        capacity = schedule.mrt.capacity
+        options = schedule.topology.chain_options
+        combo_cap = self.config.chain_combo_cap
+        shortest_only = self.config.prefer_shortest_chain_only
+        targets = []
+        for cluster in range(schedule.machine.n_clusters):
+            if capacity(cluster, kind) == 0:
                 continue
             dist_from = dist[cluster]
             if any(dist_from[sc] > 1 for sc in succ_clusters):
                 continue
-            far = [pred for pred in preds if dist[pred[3]][cluster] > 1]
-            if not far:
-                # Strategy 1 handles chain-free clusters; nothing to plan.
-                continue
-            combos = itertools.islice(
-                itertools.product(*(self._paths(pred[3], cluster) for pred in far)),
-                self.config.chain_combo_cap,
+            far = tuple(
+                i for i, pc in enumerate(pred_clusters) if dist[pc][cluster] > 1
             )
-            for index, combo in enumerate(combos):
-                counts: Dict[int, int] = {}
-                for path in combo:
-                    for hop in path.intermediates:
-                        counts[hop] = counts.get(hop, 0) + 1
-                slack = min(
-                    [free[c] - n for c, n in counts.items()], default=free[cluster]
-                )
-                if slack < 0:
-                    continue  # more moves than free slots in some cluster
-                if score_all:
-                    slack = min(slack, floor)
-                key = (-slack, sum(counts.values()), cluster, index)
-                if best is None or key < best[0]:
-                    best = (key, far, combo)
-        if best is None:
-            return None
-        (neg_slack, _moves, cluster, _index), far, combo = best
-        return ChainPlan(cluster, self._slot_moves(far, combo), -neg_slack)
+            if not far:
+                continue
+            rows = options(
+                tuple(pred_clusters[i] for i in far), cluster, combo_cap, shortest_only
+            )
+            if rows:
+                targets.append((cluster, far, rows))
+        return CandidateList(tuple(targets), self.config.chain_score_all_clusters)
 
     def _scheduled_pred_groups(
         self, op_id: int
@@ -258,11 +358,6 @@ class ChainPlanner:
                 continue
             groups.setdefault((src.producer, src.omega), []).append(index)
         return {key: tuple(indexes) for key, indexes in sorted(groups.items())}
-
-    def _paths(self, src: int, dst: int) -> Sequence[CommPath]:
-        """Candidate paths *src* -> *dst* the planner may use."""
-        paths = self.schedule.machine.topology.paths_cached(src, dst)
-        return paths[:1] if self.config.prefer_shortest_chain_only else paths
 
     def _slot_moves(
         self,

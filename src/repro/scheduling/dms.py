@@ -45,11 +45,11 @@ from ..errors import SchedulingError
 from ..ir.ddg import DDG
 from ..ir.opcodes import DEFAULT_LATENCIES, FUKind, LatencyModel
 from ..machine.machine import MachineSpec
-from .chains import ChainPlanner, ChainRegistry, dismantle_chain
+from .chains import CandidateList, ChainPlanner, ChainRegistry, dismantle_chain
 from .heights import compute_heights
 from .mii import compute_mii
 from .result import ScheduleResult, SchedulerStats
-from .schedule import PartialSchedule
+from .schedule import PartialSchedule, PristineViews
 from .search import (
     _HOT_POP_THRESHOLD,
     AttemptLimits,
@@ -129,12 +129,17 @@ class DistributedModuloScheduler:
 
 class DMSAttemptRunner(AttemptRunner):
     """Serves DMS attempts to a search policy for one loop (the shared
-    height caches live on :class:`AttemptRunner`)."""
+    height caches live on :class:`AttemptRunner`).  Every attempt also
+    shares the chain planner's candidate-list memo, whose entries depend
+    on the machine and the config only, and the pristine graph's
+    adjacency views (:class:`PristineViews`)."""
 
     def __init__(self, scheduler: DistributedModuloScheduler, ddg: DDG):
         self.scheduler = scheduler
         self.restarts_per_rung = scheduler.config.restarts_per_ii
         self._can_mutate = scheduler.machine.is_clustered
+        self._chain_candidates: Dict[tuple, CandidateList] = {}
+        self._views = PristineViews()
         self._bind(ddg, scheduler.latencies)
 
     def run(
@@ -161,6 +166,8 @@ class DMSAttemptRunner(AttemptRunner):
             self.heights_for(ii),
             limits=limits,
             evidence=evidence,
+            chain_candidates=self._chain_candidates,
+            views=self._views,
         )
         schedule = attempt.run()
         return AttemptOutcome(
@@ -186,6 +193,8 @@ class _Attempt:
         heights: Optional[Dict[int, int]] = None,
         limits: Optional[AttemptLimits] = None,
         evidence: Optional[FailureEvidence] = None,
+        chain_candidates: Optional[Dict[tuple, CandidateList]] = None,
+        views: Optional[PristineViews] = None,
     ):
         self.machine = scheduler.machine
         self.latencies = scheduler.latencies
@@ -207,9 +216,9 @@ class _Attempt:
             if evidence is not None
             else None
         )
-        self.schedule = PartialSchedule(work, self.machine, ii, self.latencies)
+        self.schedule = PartialSchedule(work, self.machine, ii, self.latencies, views)
         self.registry = ChainRegistry()
-        self.planner = ChainPlanner(self.schedule, self.config)
+        self.planner = ChainPlanner(self.schedule, self.config, chain_candidates)
         self.unscheduled: Set[int] = set(work.op_ids)
         self.last_time: Dict[int, int] = {}
         self.force_counts: Dict[int, int] = {}
@@ -304,11 +313,9 @@ class _Attempt:
         estart = max(0, self.schedule.earliest_start(op_id))
         kind = self.work.op(op_id).fu_kind
         with_kind = self.schedule.clusters_with(kind)
-        compatible = [
-            cluster
-            for cluster in self.schedule.comm_compatible_clusters(op_id)
-            if cluster in with_kind
-        ]
+        compatible = self.schedule.comm_compatible_clusters(op_id)
+        if len(with_kind) < self.machine.n_clusters:
+            compatible = [cluster for cluster in compatible if cluster in with_kind]
         if compatible:
             self.stats.strategy1 += 1
             time, cluster = self._place_in_clusters(op_id, estart, compatible)
@@ -379,14 +386,14 @@ class _Attempt:
         dist = self.schedule.dist
         partner_clusters = self.schedule.scheduled_partner_clusters(op_id)
         if partner_clusters:
-            free_slots = self.schedule.mrt.free_slots
+            free = self.schedule.mrt.free_slot_counts(kind)
             keyed = []
             for c in clusters:
                 dist_from = dist[c]
                 total = 0
                 for pc in partner_clusters:
                     total += dist_from[pc]
-                keyed.append((total, -free_slots(c, kind), c))
+                keyed.append((total, -free[c], c))
             keyed.sort()
             return [key[2] for key in keyed]
         # Spread partner-free operations proportionally to their position
@@ -433,19 +440,17 @@ class _Attempt:
         self, op_id: int, estart: int, kind: FUKind
     ) -> Tuple[int, int]:
         """Arbitrary-cluster placement with communication ejections."""
+        # The cluster with the most free *kind* slots, the lowest on ties.
         capacity = self.schedule.mrt.capacity
-        candidates = [
-            c
-            for c in range(self.machine.n_clusters)
-            if capacity(c, kind) > 0
-        ]
-        if not candidates:
+        free = self.schedule.mrt.free_slot_counts(kind)
+        cluster = -1
+        for c in range(self.machine.n_clusters):
+            if capacity(c, kind) > 0 and (cluster < 0 or free[c] > free[cluster]):
+                cluster = c
+        if cluster < 0:
             raise SchedulingError(
                 f"machine {self.machine.name!r} has no {kind.value} unit"
             )
-        cluster = max(
-            candidates, key=lambda c: (self.schedule.free_slots(c, kind), -c)
-        )
         # Communication conflicts do not depend on the slot; eject them now.
         for victim in self.schedule.comm_conflicts(op_id, cluster):
             self._eject(victim, "communication")

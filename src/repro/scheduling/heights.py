@@ -46,7 +46,11 @@ def compute_heights(
     heights: Dict[int, int] = {op_id: 0 for op_id in ddg.op_ids}
     if terms is None:
         terms = height_edge_terms(ddg, latencies)
-    edges = [(src, dst, lat - ii * omega) for src, dst, lat, omega in terms]
+    # Relaxation order does not change the fixpoint, only the sweeps to
+    # reach it: producers mostly precede their consumers in id order, so
+    # walking the edges by descending source settles a consumer's height
+    # before its producers read it.
+    edges = [(src, dst, lat - ii * omega) for src, dst, lat, omega in reversed(terms)]
     for _ in range(len(heights) + 1):
         changed = False
         for src, dst, weight in edges:

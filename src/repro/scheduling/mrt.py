@@ -49,6 +49,11 @@ class ModuloReservationTable:
             [_Lane(machine.cluster(cluster).fu_count(kind), ii) for kind in FUKind]
             for cluster in range(machine.n_clusters)
         ]
+        # _free[kind.index][cluster]: free slots of the lane, kept in step
+        # with place/remove so a snapshot of every cluster is one copy.
+        self._free: List[List[int]] = [
+            [ii * lanes[kind.index].capacity for lanes in self._lanes] for kind in FUKind
+        ]
 
     def row(self, time: int) -> int:
         """MRT row of an issue time."""
@@ -113,6 +118,7 @@ class ModuloReservationTable:
         lane.counts[row] += 1
         lane.cached[row] = None
         lane.used += 1
+        self._free[kind.index][cluster] -= 1
 
     def remove(self, op_id: int, cluster: int, kind: FUKind, time: int) -> None:
         """Release the unit *op_id* held."""
@@ -125,6 +131,7 @@ class ModuloReservationTable:
         lane.counts[row] -= 1
         lane.cached[row] = None
         lane.used -= 1
+        self._free[kind.index][cluster] += 1
 
     def used_slots(self, cluster: int, kind: FUKind) -> int:
         """Occupied (kind) slots in *cluster* summed over all rows."""
@@ -132,8 +139,12 @@ class ModuloReservationTable:
 
     def free_slots(self, cluster: int, kind: FUKind) -> int:
         """Free (kind) slots in *cluster* summed over all rows."""
-        lane = self._lanes[cluster][kind.index]
-        return self.ii * lane.capacity - lane.used
+        return self._free[kind.index][cluster]
+
+    def free_slot_counts(self, kind: FUKind) -> List[int]:
+        """Live :meth:`free_slots` of *kind* per cluster; read it, never
+        write it."""
+        return self._free[kind.index]
 
     def utilization(self, cluster: int, kind: FUKind) -> float:
         """Fraction of (kind) issue slots used in *cluster*."""

@@ -8,11 +8,15 @@ conflict queries of the DMS paper:
 * dependence conflicts (edge timing),
 * communication conflicts (flow partners on indirectly connected clusters).
 
-Communication compatibility is tracked *incrementally*: every placed flow
-partner intersects the candidate set of its neighbours with the clusters
-adjacent to its own (via the topology's cached ``compat_sets``), so the
-per-placement ``comm_compatible_clusters`` query no longer rescans every
-edge once per cluster.  Cache entries are keyed to the DDG's per-op
+Communication compatibility is the intersection of the topology's cached
+``compat_sets`` over the placed flow partners, computed per query.  It is
+not kept up to date on place/remove: DMS asks about an op when it pops it
+from the ready queue, and by then a partner has almost always moved since
+the last query (on the heaviest fig4 compiles 96% of the queries found a
+stale or missing entry), so upkeep on every placement cost more than the
+recomputations it saved.
+
+The timing and flow-index views are cached against the DDG's per-op
 adjacency versions, so move insertion and chain dismantling invalidate
 exactly the operations whose adjacency changed.
 """
@@ -41,12 +45,30 @@ class Placement:
             raise SchedulingError(f"issue time must be >= 0, got {self.time}")
 
 
+class PristineViews:
+    """Adjacency views of a loop's pristine graph, shared by every
+    attempt scheduling a copy of it.
+
+    :meth:`DDG.copy` starts every op at adjacency version 0 and any edge
+    change bumps the version, so a view entry computed at version 0 in
+    one attempt holds in every attempt on a copy of the same graph.  The
+    timing views also depend on the II, so they are kept per II.
+    """
+
+    def __init__(self) -> None:
+        self.pred_pairs: Dict[int, Tuple[int, tuple]] = {}
+        self.succ_ids: Dict[int, Tuple[int, tuple]] = {}
+        #: II -> (pred timing entries, succ timing entries).
+        self.timing: Dict[int, Tuple[Dict, Dict]] = {}
+
+
 class PartialSchedule:
     """Mutable schedule state for one II attempt.
 
     The schedule holds a *live* reference to the DDG being scheduled: DMS
     mutates the graph (move insertion, chain dismantling) while scheduling,
-    and every query below reads the current graph.
+    and every query below reads the current graph.  *views* shares the
+    version-0 view entries between attempts on copies of one graph.
     """
 
     def __init__(
@@ -55,6 +77,7 @@ class PartialSchedule:
         machine: MachineSpec,
         ii: int,
         latencies: LatencyModel,
+        views: Optional[PristineViews] = None,
     ):
         self.ddg = ddg
         self.machine = machine
@@ -62,7 +85,9 @@ class PartialSchedule:
         self.latencies = latencies
         self.mrt = ModuloReservationTable(machine, ii)
         self._placements: Dict[int, Placement] = {}
-        topology = machine.topology
+        #: The interconnect, bound once: ``machine.topology`` looks the
+        #: memoised instance up again on every access.
+        self.topology = topology = machine.topology
         #: ``dist[a][b]`` — cached topology distances (built once per
         #: machine, shared by every schedule targeting it).
         self.dist: Tuple[Tuple[int, ...], ...] = topology.distance_matrix()
@@ -72,22 +97,30 @@ class PartialSchedule:
         #: so asymmetric registered topologies are judged per direction.
         self.compat: Tuple[frozenset, ...] = topology.compat_sets()
         self.compat_in: Tuple[frozenset, ...] = topology.compat_sets_in()
-        self._all_clusters: frozenset = frozenset(range(machine.n_clusters))
-        self._all_clusters_sorted: List[int] = list(range(machine.n_clusters))
-        # op -> [ddg adjacency version, compatible cluster set,
-        #        sorted list of the set or None when stale].
-        self._compat_cache: Dict[int, List] = {}
+        self._all_clusters: List[int] = list(range(machine.n_clusters))
         # op -> (version, ((pred, latency - II*omega), ...)) and the
         # successor-side mirror: the constants of the dependence
         # inequalities, flattened so the timing queries touch no edge
-        # objects or latency tables.
-        self._pred_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
-        self._succ_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
-        # kind -> clusters with at least one unit, ascending.
-        self._kind_clusters: Dict[FUKind, frozenset] = {}
+        # objects or latency tables.  Like the flow pred/succ indexes
+        # below, each cache starts from the shared version-0 entries and
+        # hands its own version-0 entries back.
+        self._views = views = PristineViews() if views is None else views
+        self._shared_timing = views.timing.setdefault(ii, ({}, {}))
+        self._pred_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
+            self._shared_timing[0]
+        )
+        self._succ_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
+            self._shared_timing[1]
+        )
+        # FUKind.index -> clusters with at least one unit of that kind.
+        self._kind_clusters: Dict[int, frozenset] = {}
         # Flow pred/succ indexes keyed by adjacency version.
-        self._pred_pairs_cache: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
-        self._succ_ids_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        self._pred_pairs_cache: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
+            views.pred_pairs
+        )
+        self._succ_ids_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = dict(
+            views.succ_ids
+        )
 
     # ------------------------------------------------------------------
     # Placement bookkeeping
@@ -100,32 +133,6 @@ class PartialSchedule:
         op = self.ddg.op(op_id)
         self.mrt.place(op_id, cluster, op.fu_kind, time)
         self._placements[op_id] = Placement(time, cluster)
-        # Narrow the partners' compatible sets: they must now sit within
-        # distance 1 of this op's cluster (preds against the incoming
-        # direction, succs against the outgoing one).  Duplicate partners
-        # (several edges to the same op) re-intersect idempotently, so
-        # the edge tuples are walked directly without building a set.
-        producer_ok = self.compat_in[cluster]
-        consumer_ok = self.compat[cluster]
-        cache = self._compat_cache
-        ddg = self.ddg
-        for edge in ddg.in_edges(op_id):
-            if edge.communicates and edge.src != op_id:
-                self._narrow_partner(cache, ddg, edge.src, producer_ok)
-        for edge in ddg.out_edges(op_id):
-            if edge.communicates and edge.dst != op_id:
-                self._narrow_partner(cache, ddg, edge.dst, consumer_ok)
-
-    @staticmethod
-    def _narrow_partner(cache, ddg, partner: int, compat: frozenset) -> None:
-        entry = cache.get(partner)
-        if entry is None:
-            return
-        if entry[0] == ddg.adj_version(partner):
-            entry[1].intersection_update(compat)
-            entry[2] = None
-        else:
-            del cache[partner]
 
     def remove(self, op_id: int) -> Placement:
         """Unschedule *op_id*, returning its old placement."""
@@ -134,15 +141,6 @@ class PartialSchedule:
             raise SchedulingError(f"op {op_id} is not scheduled")
         op = self.ddg.op(op_id)
         self.mrt.remove(op_id, placement.cluster, op.fu_kind, placement.time)
-        # A constraint disappeared; the partners' sets can only grow, so
-        # drop them for lazy recomputation.
-        cache = self._compat_cache
-        for edge in self.ddg.in_edges(op_id):
-            if edge.communicates and edge.src != op_id:
-                cache.pop(edge.src, None)
-        for edge in self.ddg.out_edges(op_id):
-            if edge.communicates and edge.dst != op_id:
-                cache.pop(edge.dst, None)
         return placement
 
     def placement(self, op_id: int) -> Optional[Placement]:
@@ -201,7 +199,9 @@ class PartialSchedule:
                 for edge in self.ddg.out_edges(op_id)
                 if edge.dst != op_id
             )
-        cache[op_id] = (version, info)
+        cache[op_id] = entry = (version, info)
+        if version == 0:
+            self._shared_timing[0 if incoming else 1][op_id] = entry
         return info
 
     def earliest_start(self, op_id: int) -> int:
@@ -232,13 +232,13 @@ class PartialSchedule:
 
     def clusters_with(self, kind: FUKind) -> frozenset:
         """Clusters owning at least one *kind* unit (cached)."""
-        clusters = self._kind_clusters.get(kind)
+        clusters = self._kind_clusters.get(kind.index)
         if clusters is None:
             capacity = self.mrt.capacity
             clusters = frozenset(
                 c for c in range(self.machine.n_clusters) if capacity(c, kind) > 0
             )
-            self._kind_clusters[kind] = clusters
+            self._kind_clusters[kind.index] = clusters
         return clusters
 
     # ------------------------------------------------------------------
@@ -270,52 +270,33 @@ class PartialSchedule:
         return sorted(conflicts)
 
     def comm_compatible_clusters(self, op_id: int) -> List[int]:
-        """Clusters where *op_id* conflicts with no scheduled flow partner.
-
-        Maintained incrementally: the set is the intersection of
-        ``compat[cluster(p)]`` over every scheduled flow partner *p*,
-        updated in :meth:`place`/:meth:`remove` and recomputed only when
-        this op's DDG adjacency changed since the cached computation.
+        """Clusters where *op_id* conflicts with no scheduled flow partner,
+        ascending: the intersection of ``compat[cluster(p)]`` over its
+        placed producers *p* and ``compat_in[cluster(s)]`` over its placed
+        consumers *s*.  Callers treat the list as read-only.
         """
-        version = self.ddg.adj_version(op_id)
-        entry = self._compat_cache.get(op_id)
-        if entry is None or entry[0] != version:
-            compatible = None
-            placements = self._placements
-            compat = self.compat
-            compat_in = self.compat_in
-            ddg = self.ddg
-            # A placed pred on p constrains this op to compat[p]; a placed
-            # succ on s constrains it to compat_in[s].
-            for edge in ddg.in_edges(op_id):
-                if edge.communicates and edge.src != op_id:
-                    placement = placements.get(edge.src)
-                    if placement is not None:
-                        if compatible is None:
-                            compatible = set(compat[placement.cluster])
-                        else:
-                            compatible &= compat[placement.cluster]
-            for edge in ddg.out_edges(op_id):
-                if edge.communicates and edge.dst != op_id:
-                    placement = placements.get(edge.dst)
-                    if placement is not None:
-                        if compatible is None:
-                            compatible = set(compat_in[placement.cluster])
-                        else:
-                            compatible &= compat_in[placement.cluster]
-            if compatible is None:
-                # Unconstrained: no scheduled partner.  Short-circuit with
-                # the shared full-cluster list (constraints arriving later
-                # go through _narrow_partner, which copies first).
-                entry = [version, set(self._all_clusters), self._all_clusters_sorted]
-            else:
-                entry = [version, compatible, None]
-            self._compat_cache[op_id] = entry
-        if entry[2] is None:
-            entry[2] = sorted(entry[1])
-        # Callers treat the list as read-only; it is re-sorted only when
-        # the underlying set changes.
-        return entry[2]
+        compatible = None
+        placements = self._placements
+        ddg = self.ddg
+        for edge in ddg.in_edges(op_id):
+            if edge.communicates and edge.src != op_id:
+                placement = placements.get(edge.src)
+                if placement is not None:
+                    if compatible is None:
+                        compatible = set(self.compat[placement.cluster])
+                    else:
+                        compatible &= self.compat[placement.cluster]
+        for edge in ddg.out_edges(op_id):
+            if edge.communicates and edge.dst != op_id:
+                placement = placements.get(edge.dst)
+                if placement is not None:
+                    if compatible is None:
+                        compatible = set(self.compat_in[placement.cluster])
+                    else:
+                        compatible &= self.compat_in[placement.cluster]
+        if compatible is None:
+            return self._all_clusters
+        return sorted(compatible)
 
     def _flow_pred_pairs(self, op_id: int) -> Tuple[Tuple[int, int], ...]:
         """Sorted unique (producer, omega) flow pairs (cached, no self)."""
@@ -332,7 +313,9 @@ class PartialSchedule:
                 }
             )
         )
-        self._pred_pairs_cache[op_id] = (version, pairs)
+        self._pred_pairs_cache[op_id] = entry = (version, pairs)
+        if version == 0:
+            self._views.pred_pairs[op_id] = entry
         return pairs
 
     def _flow_succ_ids(self, op_id: int) -> Tuple[int, ...]:
@@ -350,7 +333,9 @@ class PartialSchedule:
                 }
             )
         )
-        self._succ_ids_cache[op_id] = (version, succs)
+        self._succ_ids_cache[op_id] = entry = (version, succs)
+        if version == 0:
+            self._views.succ_ids[op_id] = entry
         return succs
 
     def scheduled_partner_clusters(self, op_id: int) -> List[int]:
@@ -403,7 +388,7 @@ class PartialSchedule:
         return self.max_time // self.ii + 1
 
     def free_slots(self, cluster: int, kind: FUKind) -> int:
-        """MRT passthrough used by chain scoring and strategy 3."""
+        """Free *kind* slots of *cluster* (MRT passthrough)."""
         return self.mrt.free_slots(cluster, kind)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,6 +12,7 @@ from repro.api import (
     content_hash,
 )
 from repro.config import SchedulerConfig
+from repro.ir import DepKind, OpCode, ValueUse
 from repro.ir.opcodes import LatencyModel
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
@@ -78,6 +79,32 @@ class TestContentHash:
         assert content_hash(
             _request(loop=build_stream_loop(trip_count=64))
         ) != content_hash(_request(loop=build_stream_loop(trip_count=128)))
+
+    def test_follows_every_change_to_a_hashed_graph(self):
+        # The graph's digest is memoized per object: each mutation kind
+        # must still move the hash, and undoing it must restore it.
+        loop = make_kernel("daxpy")
+        request = _request(loop=loop)
+        ddg = loop.ddg
+        seen = {content_hash(request)}
+        consumer = max(ddg.op_ids)
+        index = next(i for i, src in enumerate(ddg.op(consumer).srcs) if not src.is_external)
+        old = ddg.op(consumer).srcs[index]
+        ddg.replace_operand(consumer, index, ValueUse(None, 0, "z"))  # no edge left
+        seen.add(content_hash(request))
+        ddg.replace_operand(consumer, index, ValueUse(None, 0, "w"))  # external to external
+        seen.add(content_hash(request))
+        ddg.replace_operand(consumer, index, old)
+        assert content_hash(request) in seen
+        extra = ddg.new_operation(OpCode.LOAD, (ValueUse(None, 0, "q"),))
+        seen.add(content_hash(request))
+        dep = ddg.add_dep(extra.op_id, consumer, DepKind.MEM, 1, 1)
+        seen.add(content_hash(request))
+        ddg.remove_dep(dep)
+        ddg.remove_operation(extra.op_id)
+        ddg.name = "renamed"
+        seen.add(content_hash(request))
+        assert len(seen) == 6
 
 
 class TestCompilationCache:

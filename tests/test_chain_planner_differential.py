@@ -195,3 +195,47 @@ def test_plan_matches_trial_placement(topology, config_name):
         assert planned == 0  # every cluster pair is adjacent
     else:
         assert planned > 20
+
+
+#: Interconnects the interleaved run shares between every config.
+SHARED_MACHINES = (("ring", 4), ("ring", 8), ("ring", 10), ("mesh", 8), ("torus", 9))
+
+
+def test_configs_interleaved_on_shared_topologies():
+    """One seeded sequence switches config op by op on the same topology
+    instances, so every chain option table and candidate list is reused
+    by whichever config asks next.  A table keyed without the config or
+    the target cluster, or a dominance rule that drops a winner, makes
+    some plan differ from the trial-placement reference."""
+    rng = random.Random("interleaved")
+    names = sorted(CONFIGS)
+    # One candidate-list memo per (machine, config), reused across
+    # schedules as an attempt runner reuses it across attempts.
+    memos: Dict[Tuple[str, int, str], dict] = {}
+    compared = planned = 0
+    phantom = -2_000_000
+    for _ in range(6):
+        for topology, k in SHARED_MACHINES:
+            schedule = _random_schedule(rng, topology, k)
+            mrt = schedule.mrt
+            for op_id in schedule.ddg.op_ids:
+                if schedule.is_scheduled(op_id):
+                    continue
+                for _round in range(3):
+                    for name in rng.sample(names, len(names)):
+                        config = CONFIGS[name]
+                        memo = memos.setdefault((topology, k, name), {})
+                        plan = ChainPlanner(schedule, config, memo).plan(op_id)
+                        reference = TrialPlacementPlanner(schedule, config).plan(op_id)
+                        assert plan == reference, (topology, k, name, op_id)
+                        compared += 1
+                        planned += plan is not None
+                    # Take one more Copy-FU slot, so the next round scores
+                    # the same candidates against a new free-slot snapshot.
+                    cluster = rng.randrange(k)
+                    row = mrt.first_free_slot(cluster, FUKind.COPY, 0)
+                    if row is not None:
+                        mrt.place(phantom, cluster, FUKind.COPY, row)
+                        phantom -= 1
+    assert compared > 1000
+    assert planned > 200

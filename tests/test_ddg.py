@@ -1,6 +1,8 @@
 """Tests for the dependence graph container."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DDGError
 from repro.ir import DDG, DEFAULT_LATENCIES, DepKind, OpCode, Operation, ValueUse, use
@@ -106,6 +108,83 @@ class TestMutation:
         clone.new_operation(OpCode.STORE, (use(1),))
         assert len(clone) == 3
         assert len(ddg) == 2
+
+
+def _rewire_base(n_ops: int):
+    """Operations 0..n-1 reading earlier ops, themselves and externals."""
+    ops = [Operation(0, OpCode.LOAD, (ValueUse(None, 0, "a"),))]
+    for op_id in range(1, n_ops):
+        srcs = (use(op_id - 1), use(op_id // 2), ValueUse(None, 0, "k"))
+        ops.append(Operation(op_id, OpCode.ADD, srcs[: 2 + op_id % 2]))
+    return ops
+
+
+_SOURCE_KINDS = st.sampled_from(("earlier", "same-producer", "self", "later", "external"))
+
+
+@st.composite
+def _rewirings(draw):
+    n_ops = draw(st.integers(3, 7))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        consumer = draw(st.integers(1, n_ops - 1))
+        index = draw(st.integers(0, 1 + consumer % 2))
+        kind = draw(_SOURCE_KINDS)
+        omega = draw(st.integers(0, 2))
+        if kind == "earlier":
+            src = use(draw(st.integers(0, consumer - 1)), omega)
+        elif kind == "same-producer":
+            src = use(0, omega)  # piles duplicate references onto op 0
+        elif kind == "self":
+            src = use(consumer, max(1, omega))
+        elif kind == "later":
+            src = use(draw(st.integers(consumer, n_ops - 1)), max(1, omega))
+        else:
+            src = ValueUse(None, 0, draw(st.sampled_from("kx")))
+        steps.append((consumer, index, src))
+    return n_ops, steps
+
+
+class TestIncrementalReplaceOperand:
+    """``replace_operand`` touches one edge; the graph must still equal one
+    derived from scratch over the same operations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rewirings())
+    def test_matches_a_bulk_build(self, case):
+        n_ops, steps = case
+        ops = _rewire_base(n_ops)
+        mem = DepEdge(n_ops - 1, 1, DepKind.MEM, 1, 1)
+        ddg = DDG.bulk("rewire", ops, [mem])
+        for consumer, index, src in steps:
+            old = ddg.op(consumer).srcs[index]
+            touched = {consumer} if not (old.is_external and src.is_external) else set()
+            touched.update(v.producer for v in (old, src) if not v.is_external)
+            before = {op_id: ddg.adj_version(op_id) for op_id in touched}
+            ddg.replace_operand(consumer, index, src)
+            for op_id, version in before.items():
+                assert ddg.adj_version(op_id) > version, (op_id, consumer, index, src)
+        reference = DDG.bulk("rewire", list(ddg.operations()), [mem])
+        ddg.validate()
+        reference.validate()
+        assert ddg.n_edges == reference.n_edges
+        for op_id in ddg.op_ids:
+            assert ddg.in_edges(op_id) == reference.in_edges(op_id)
+            assert ddg.out_edges(op_id) == reference.out_edges(op_id)
+            assert ddg.flow_succ_refs(op_id) == reference.flow_succ_refs(op_id)
+
+    def test_a_duplicate_reference_keeps_the_edge(self):
+        ddg = DDG("dup")
+        ddg.new_operation(OpCode.LOAD)
+        ddg.new_operation(OpCode.LOAD)
+        ddg.new_operation(OpCode.ADD, (use(0), use(0)))
+        ddg.replace_operand(2, 0, use(1))
+        assert [e.src for e in ddg.in_edges(2)] == [0, 1]
+        assert ddg.flow_succ_refs(0) == ((2, 1, 0),)
+        ddg.replace_operand(2, 1, use(1))
+        assert [e.src for e in ddg.in_edges(2)] == [1]
+        assert not ddg.out_edges(0)
+        assert ddg.flow_succ_refs(1) == ((2, 0, 0), (2, 1, 0))
 
 
 class TestQueries:

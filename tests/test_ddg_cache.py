@@ -169,6 +169,23 @@ class TestAdjacencyCaches:
         assert ddg.adj_version(0) > v0
         assert ddg.adj_version(2) > v2
 
+    def test_pickle_leaves_the_read_caches_behind(self):
+        import pickle
+
+        ddg = chain_ddg()
+        views = [(ddg.in_edges(i), ddg.out_edges(i), ddg.flow_succ_refs(i)) for i in ddg.op_ids]
+        loaded = pickle.loads(pickle.dumps(ddg))
+        assert not loaded._in_cache and not loaded._out_cache and not loaded._refs_cache
+        assert [(loaded.in_edges(i), loaded.out_edges(i), loaded.flow_succ_refs(i))
+                for i in loaded.op_ids] == views
+        assert ddg.out_edges(0) is views[0][1]  # the original keeps its caches
+        loaded.validate()
+        move = loaded.new_operation(OpCode.MOVE, (use(0),))
+        loaded.replace_operand(1, 0, use(move.op_id))
+        assert edge_pairs(loaded.in_edges(1)) == [
+            (1, 1, DepKind.FLOW, 1), (move.op_id, 1, DepKind.FLOW, 0),
+        ]
+
     def test_forward_reference_resolved_on_late_insert(self):
         ddg = DDG("fwd")
         ddg.new_operation(OpCode.ADD, (use(5), external("x")), op_id=0)

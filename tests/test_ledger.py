@@ -391,9 +391,58 @@ def test_a_non_durable_group_writes_no_records():
     assert not entry.durable
     assert ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash") is None
     sweep = Group("sweep:s", 2)
-    submitted, _ = ledger.submit(sweep, [(key, PAYLOADS[0])])
+    (submitted,) = ledger.submit(sweep, [(key, PAYLOADS[0])])
     assert entry.durable
     assert submitted == ("submitted", "sweep:s", {"payload": None, "keys": [key],
                                                   "requeues": {key: 1}})
     assert ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash") == (
         "requeued", "c2", {"requeues": {key: 2}, "failed": None})
+
+
+def test_a_cache_prefilled_sweep_replays_to_the_same_states_with_one_record_fewer(tmp_path):
+    # The submission journals only `submitted`: replay looks every key up
+    # in the cache again, so a `finished` record for the prefilled entry
+    # (which the parent wrote) would carry nothing replay reads.
+    keys = sorted(reports())
+    items = [(key, reports()[key][0]) for key in keys]
+    cache = {keys[0]: reports()[keys[0]][1]}
+    path = tmp_path / "journal.jsonl"
+    journal = JobJournal(path, fsync=False)
+    ledger = Ledger(clock=lambda: 0.0)
+    sweep = Group("sweep:s", SWEEP_REQUEUES)
+    records = ledger.submit(sweep, items, dict(cache))
+    assert [record[0] for record in records] == ["submitted"]
+    lg.write(journal, records)
+    # A worker finishes the second entry, then the daemon crashes.
+    lease = ledger.claim("w", 1, sweep.queue, LEASE, sweep.key)
+    assert list(lease.keys) == [keys[1]]
+    ledger.release(lease)
+    entry = ledger.live[keys[1]]
+    cache[keys[1]] = reports()[keys[1]][1]
+    assert ledger.finish(entry, "done", "w", cache[keys[1]])
+    lg.write(journal, [lg.finished_record(lease.id, lg.outcomes([entry]))])
+    before = {e.key: e.state for e in sweep.entries}
+    journal.close()
+    assert len(path.read_text().splitlines()) == 2  # the parent journaled 3
+
+    journal = JobJournal(path, fsync=False)
+    state, _ = journal.replay(repair=True)
+    (replayed,) = state.live()
+    assert replayed.open_keys == {keys[0], keys[2]}
+    ledger = Ledger(clock=lambda: 0.0)
+    group = Group(replayed.key, SWEEP_REQUEUES)
+    lg.write(journal, ledger.resume(group, items, replayed, state.requeues, cache.get))
+    assert {e.key: e.state for e in group.entries} == before == {
+        keys[0]: "done", keys[1]: "done", keys[2]: "pending",
+    }
+    assert group.entries[0].served_from == "cache"
+    # The replay journals the cache-prefilled entry as finished, so the
+    # sweep turns terminal in the journal once its last entry completes.
+    lease = ledger.claim("w", 1, group.queue, LEASE, group.key)
+    ledger.release(lease)
+    last = ledger.live[keys[2]]
+    assert ledger.finish(last, "done", "w", reports()[keys[2]][1])
+    lg.write(journal, [lg.finished_record(lease.id, lg.outcomes([last]))])
+    journal.close()
+    state, _ = JobJournal(path, fsync=False).replay(repair=True)
+    assert state.live() == [] and state.done == set(keys)

@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import CompilationReport, Toolchain, content_hash
-from repro.api.cache import CompilationCache, EncodedReport
+from repro.api.cache import CACHE_SCHEMA_VERSION, CompilationCache, EncodedReport
 from repro.codegen import assembly_for
 from repro.errors import CacheError
 from repro.scheduling.fingerprint import schedule_fingerprint
@@ -290,6 +290,9 @@ def test_encoded_report_disk_form_rejects_damage():
     again = EncodedReport.from_bytes(data)
     assert again.summary == stored.summary and again.blob == stored.blob
     flipped = data[:-1] + bytes([data[-1] ^ 1])
-    for damaged in (data[:-5], flipped, b"junk", data.replace(b"repro-cache 5", b"repro-cache 4", 1)):
+    current = b"repro-cache %d" % CACHE_SCHEMA_VERSION
+    older = data.replace(current, b"repro-cache %d" % (CACHE_SCHEMA_VERSION - 1), 1)
+    assert older != data
+    for damaged in (data[:-5], flipped, b"junk", older):
         with pytest.raises(CacheError):
             EncodedReport.from_bytes(damaged)
