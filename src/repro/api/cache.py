@@ -26,7 +26,6 @@ import json
 import os
 import pickle
 import tempfile
-import weakref
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -53,8 +52,7 @@ from .request import CompilationReport, CompilationRequest
 #: v5: an entry file is a check line (schema, crc32), the reply summary
 #: as one JSON line, then the pickled report (:class:`EncodedReport`).
 #: v6: pickled graphs key their edges by ``DepKind.code`` and latency
-#: models hold an opcode-indexed tuple, so a v5 report no longer loads;
-#: the key carries a loop's graph as the digest of its signature.
+#: models hold an opcode-indexed tuple, so a v5 report no longer loads.
 CACHE_SCHEMA_VERSION = 6
 
 
@@ -80,26 +78,6 @@ def ddg_signature(ddg: DDG) -> Tuple:
         if not e.is_flow
     )
     return (ddg.name, ops, explicit)
-
-
-#: Graph -> (content version, name, digest of its signature): a sweep
-#: hashed again (a warm rerun of the same requests) skips re-encoding
-#: every loop.
-_DDG_DIGESTS: "weakref.WeakKeyDictionary[DDG, Tuple[int, str, str]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def ddg_digest(ddg: DDG) -> str:
-    """SHA-256 of :func:`ddg_signature`, memoized per graph until the
-    graph or its name changes."""
-    version = ddg.content_version()
-    memo = _DDG_DIGESTS.get(ddg)
-    if memo is None or memo[0] != version or memo[1] != ddg.name:
-        blob = json.dumps(ddg_signature(ddg), sort_keys=True, default=str)
-        memo = (version, ddg.name, hashlib.sha256(blob.encode("utf-8")).hexdigest())
-        _DDG_DIGESTS[ddg] = memo
-    return memo[2]
 
 
 def machine_signature(machine: MachineSpec) -> Tuple:
@@ -155,7 +133,7 @@ def content_hash(
             "name": loop.name,
             "trip_count": loop.trip_count,
             "unroll_factor": loop.unroll_factor,
-            "ddg": ddg_digest(loop.ddg),
+            "ddg": ddg_signature(loop.ddg),
         },
         "machine": machine_signature(request.machine),
         "latencies": [getattr(latencies, name) for name in LATENCY_FIELDS],

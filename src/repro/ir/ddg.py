@@ -111,8 +111,6 @@ class DDG:
         # Monotonic per-op adjacency versions (bumped on any edge change
         # touching the op); scheduler-side caches key off these.
         self._adj_version: Dict[int, int] = {}
-        # Bumped by every change to an operation or an edge.
-        self._content_version = 0
         # Forward references: missing producer id -> consumer ids that
         # referenced it when they were inserted.  Entries are verified
         # against the consumers' *current* operands when the producer
@@ -174,7 +172,6 @@ class DDG:
         self._out.setdefault(op.op_id, {})
         self._in.setdefault(op.op_id, {})
         self._next_id = max(self._next_id, op.op_id + 1)
-        self._content_version += 1
         self._op_ids_cache = None
         self._derive_flow_in_edges(op)
         # Existing ops may hold forward references to this op.
@@ -216,7 +213,6 @@ class DDG:
         for edge in list(self.out_edges(op_id)) + list(self.in_edges(op_id)):
             self._remove_edge(edge)
         del self._ops[op_id]
-        self._content_version += 1
         self._out.pop(op_id, None)
         self._in.pop(op_id, None)
         self._op_ids_cache = None
@@ -242,7 +238,6 @@ class DDG:
         srcs = list(op.srcs)
         srcs[index] = new_src
         self._ops[op_id] = op.with_srcs(tuple(srcs))
-        self._content_version += 1
         in_edges = self._in[op_id]
         if not old_src.is_external:
             producer, omega = old_src.producer, old_src.omega
@@ -318,13 +313,6 @@ class DDG:
         versions = self._adj_version
         versions[edge.src] = versions.get(edge.src, 0) + 1
         versions[edge.dst] = versions.get(edge.dst, 0) + 1
-        self._content_version += 1
-
-    def content_version(self) -> int:
-        """Counter bumped by every change to the graph's operations or
-        edges: something derived from the whole graph (its content hash)
-        is current exactly while the counter and the name are unchanged."""
-        return self._content_version
 
     def adj_version(self, op_id: int) -> int:
         """Monotonic counter bumped whenever an edge touching *op_id*
@@ -596,9 +584,7 @@ class DDG:
         # each graph drops its own entries on mutation.  Adjacency
         # versions are *not* carried over: consumers of the clone rebuild
         # their keyed state lazily (starting from version 0), which keeps
-        # the per-restart copy as cheap as possible.  Version 0 therefore
-        # means "adjacency as copied": DMS shares views computed at
-        # version 0 between the attempts on copies of one graph.
+        # the per-restart copy as cheap as possible.
         clone._out_cache = dict(self._out_cache)
         clone._in_cache = dict(self._in_cache)
         clone._refs_cache = dict(self._refs_cache)

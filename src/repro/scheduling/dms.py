@@ -49,7 +49,7 @@ from .chains import CandidateList, ChainPlanner, ChainRegistry, dismantle_chain
 from .heights import compute_heights
 from .mii import compute_mii
 from .result import ScheduleResult, SchedulerStats
-from .schedule import PartialSchedule, PristineViews
+from .schedule import PartialSchedule
 from .search import (
     _HOT_POP_THRESHOLD,
     AttemptLimits,
@@ -131,15 +131,13 @@ class DMSAttemptRunner(AttemptRunner):
     """Serves DMS attempts to a search policy for one loop (the shared
     height caches live on :class:`AttemptRunner`).  Every attempt also
     shares the chain planner's candidate-list memo, whose entries depend
-    on the machine and the config only, and the pristine graph's
-    adjacency views (:class:`PristineViews`)."""
+    on the machine and the config only."""
 
     def __init__(self, scheduler: DistributedModuloScheduler, ddg: DDG):
         self.scheduler = scheduler
         self.restarts_per_rung = scheduler.config.restarts_per_ii
         self._can_mutate = scheduler.machine.is_clustered
         self._chain_candidates: Dict[tuple, CandidateList] = {}
-        self._views = PristineViews()
         self._bind(ddg, scheduler.latencies)
 
     def run(
@@ -167,7 +165,6 @@ class DMSAttemptRunner(AttemptRunner):
             limits=limits,
             evidence=evidence,
             chain_candidates=self._chain_candidates,
-            views=self._views,
         )
         schedule = attempt.run()
         return AttemptOutcome(
@@ -194,7 +191,6 @@ class _Attempt:
         limits: Optional[AttemptLimits] = None,
         evidence: Optional[FailureEvidence] = None,
         chain_candidates: Optional[Dict[tuple, CandidateList]] = None,
-        views: Optional[PristineViews] = None,
     ):
         self.machine = scheduler.machine
         self.latencies = scheduler.latencies
@@ -216,7 +212,7 @@ class _Attempt:
             if evidence is not None
             else None
         )
-        self.schedule = PartialSchedule(work, self.machine, ii, self.latencies, views)
+        self.schedule = PartialSchedule(work, self.machine, ii, self.latencies)
         self.registry = ChainRegistry()
         self.planner = ChainPlanner(self.schedule, self.config, chain_candidates)
         self.unscheduled: Set[int] = set(work.op_ids)

@@ -27,14 +27,13 @@ from ..machine.machine import MachineSpec
 class _Lane:
     """Occupancy state of one (cluster, kind) pair across all MRT rows."""
 
-    __slots__ = ("capacity", "counts", "rows", "cached", "used")
+    __slots__ = ("capacity", "counts", "rows", "cached")
 
     def __init__(self, capacity: int, ii: int):
         self.capacity = capacity
         self.counts: List[int] = [0] * ii
         self.rows: List[List[int]] = [[] for _ in range(ii)]
         self.cached: List[Optional[Tuple[int, ...]]] = [None] * ii
-        self.used = 0
 
 
 class ModuloReservationTable:
@@ -49,8 +48,9 @@ class ModuloReservationTable:
             [_Lane(machine.cluster(cluster).fu_count(kind), ii) for kind in FUKind]
             for cluster in range(machine.n_clusters)
         ]
-        # _free[kind.index][cluster]: free slots of the lane, kept in step
-        # with place/remove so a snapshot of every cluster is one copy.
+        # _free[kind.index][cluster]: free slots of the lane summed over
+        # all rows (the one occupancy total), laid out per kind so a
+        # snapshot of every cluster is one copy.
         self._free: List[List[int]] = [
             [ii * lanes[kind.index].capacity for lanes in self._lanes] for kind in FUKind
         ]
@@ -95,10 +95,10 @@ class ModuloReservationTable:
         equivalent to calling :meth:`is_free` for each time in the window
         but without the per-call lookups.
         """
+        if not self._free[kind.index][cluster]:
+            return None
         lane = self._lanes[cluster][kind.index]
         capacity = lane.capacity
-        if lane.used >= capacity * self.ii:
-            return None
         counts = lane.counts
         ii = self.ii
         for time in range(estart, estart + ii):
@@ -117,7 +117,6 @@ class ModuloReservationTable:
         insort(lane.rows[row], op_id)
         lane.counts[row] += 1
         lane.cached[row] = None
-        lane.used += 1
         self._free[kind.index][cluster] -= 1
 
     def remove(self, op_id: int, cluster: int, kind: FUKind, time: int) -> None:
@@ -130,12 +129,12 @@ class ModuloReservationTable:
         lane.rows[row].remove(op_id)
         lane.counts[row] -= 1
         lane.cached[row] = None
-        lane.used -= 1
         self._free[kind.index][cluster] += 1
 
     def used_slots(self, cluster: int, kind: FUKind) -> int:
         """Occupied (kind) slots in *cluster* summed over all rows."""
-        return self._lanes[cluster][kind.index].used
+        total = self.ii * self._lanes[cluster][kind.index].capacity
+        return total - self._free[kind.index][cluster]
 
     def free_slots(self, cluster: int, kind: FUKind) -> int:
         """Free (kind) slots in *cluster* summed over all rows."""
@@ -148,12 +147,11 @@ class ModuloReservationTable:
 
     def utilization(self, cluster: int, kind: FUKind) -> float:
         """Fraction of (kind) issue slots used in *cluster*."""
-        lane = self._lanes[cluster][kind.index]
-        total = self.ii * lane.capacity
+        total = self.ii * self._lanes[cluster][kind.index].capacity
         if total == 0:
             return 0.0
-        return lane.used / total
+        return (total - self._free[kind.index][cluster]) / total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        used = sum(lane.used for lanes in self._lanes for lane in lanes)
+        used = sum(sum(lane.counts) for lanes in self._lanes for lane in lanes)
         return f"<MRT ii={self.ii} occupied={used}>"

@@ -45,30 +45,12 @@ class Placement:
             raise SchedulingError(f"issue time must be >= 0, got {self.time}")
 
 
-class PristineViews:
-    """Adjacency views of a loop's pristine graph, shared by every
-    attempt scheduling a copy of it.
-
-    :meth:`DDG.copy` starts every op at adjacency version 0 and any edge
-    change bumps the version, so a view entry computed at version 0 in
-    one attempt holds in every attempt on a copy of the same graph.  The
-    timing views also depend on the II, so they are kept per II.
-    """
-
-    def __init__(self) -> None:
-        self.pred_pairs: Dict[int, Tuple[int, tuple]] = {}
-        self.succ_ids: Dict[int, Tuple[int, tuple]] = {}
-        #: II -> (pred timing entries, succ timing entries).
-        self.timing: Dict[int, Tuple[Dict, Dict]] = {}
-
-
 class PartialSchedule:
     """Mutable schedule state for one II attempt.
 
     The schedule holds a *live* reference to the DDG being scheduled: DMS
     mutates the graph (move insertion, chain dismantling) while scheduling,
-    and every query below reads the current graph.  *views* shares the
-    version-0 view entries between attempts on copies of one graph.
+    and every query below reads the current graph.
     """
 
     def __init__(
@@ -77,7 +59,6 @@ class PartialSchedule:
         machine: MachineSpec,
         ii: int,
         latencies: LatencyModel,
-        views: Optional[PristineViews] = None,
     ):
         self.ddg = ddg
         self.machine = machine
@@ -101,26 +82,14 @@ class PartialSchedule:
         # op -> (version, ((pred, latency - II*omega), ...)) and the
         # successor-side mirror: the constants of the dependence
         # inequalities, flattened so the timing queries touch no edge
-        # objects or latency tables.  Like the flow pred/succ indexes
-        # below, each cache starts from the shared version-0 entries and
-        # hands its own version-0 entries back.
-        self._views = views = PristineViews() if views is None else views
-        self._shared_timing = views.timing.setdefault(ii, ({}, {}))
-        self._pred_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
-            self._shared_timing[0]
-        )
-        self._succ_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
-            self._shared_timing[1]
-        )
+        # objects or latency tables.
+        self._pred_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+        self._succ_info: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
         # FUKind.index -> clusters with at least one unit of that kind.
         self._kind_clusters: Dict[int, frozenset] = {}
         # Flow pred/succ indexes keyed by adjacency version.
-        self._pred_pairs_cache: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = dict(
-            views.pred_pairs
-        )
-        self._succ_ids_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = dict(
-            views.succ_ids
-        )
+        self._pred_pairs_cache: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+        self._succ_ids_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Placement bookkeeping
@@ -199,9 +168,7 @@ class PartialSchedule:
                 for edge in self.ddg.out_edges(op_id)
                 if edge.dst != op_id
             )
-        cache[op_id] = entry = (version, info)
-        if version == 0:
-            self._shared_timing[0 if incoming else 1][op_id] = entry
+        cache[op_id] = (version, info)
         return info
 
     def earliest_start(self, op_id: int) -> int:
@@ -313,9 +280,7 @@ class PartialSchedule:
                 }
             )
         )
-        self._pred_pairs_cache[op_id] = entry = (version, pairs)
-        if version == 0:
-            self._views.pred_pairs[op_id] = entry
+        self._pred_pairs_cache[op_id] = (version, pairs)
         return pairs
 
     def _flow_succ_ids(self, op_id: int) -> Tuple[int, ...]:
@@ -333,9 +298,7 @@ class PartialSchedule:
                 }
             )
         )
-        self._succ_ids_cache[op_id] = entry = (version, succs)
-        if version == 0:
-            self._views.succ_ids[op_id] = entry
+        self._succ_ids_cache[op_id] = (version, succs)
         return succs
 
     def scheduled_partner_clusters(self, op_id: int) -> List[int]:

@@ -225,10 +225,11 @@ class Ledger:
         durable in a cache) ``done``, each in an entry of this group's
         own; any other live key attaches to its entry, and the rest are
         new pending entries with their requeue counts from *requeues*
-        (journal replay).  Returns the ``submitted`` record of a durable
-        group.  A prefilled entry gets no ``finished`` record: replay
-        looks every key up in the cache again (:meth:`resume`), so the
-        cache, not the journal, is where its result lives.
+        (journal replay).  Returns the ``submitted`` record, plus a
+        ``finished`` record for the prefilled entries, of a durable group.
+        The ``finished`` record is what closes a prefilled key in the
+        group's journal entry: without it a sweep served partly from the
+        cache would never turn terminal in the journal.
         """
         group.queue = self.local if group.local else Queue()
         prefilled, failed = prefilled or {}, failed or {}
@@ -257,7 +258,11 @@ class Ledger:
                 group.unfinished.add(key)
             if entry.state == "pending":
                 self._enqueue(entry)  # into the group's queue, at its order
-        return [group.submitted_record()] if group.durable else []
+        if not group.durable:
+            return []
+        return [group.submitted_record(), finished_record(
+            group.key, [o for o in outcomes(fresh.values()) if o[0] not in failed]
+        )]
 
     def resume(self, group: Group, items: List[Tuple[str, object]], replayed,
                requeues: Dict[str, int], durable: Callable[[str], object]) -> List[Record]:

@@ -81,8 +81,8 @@ class TestContentHash:
         ) != content_hash(_request(loop=build_stream_loop(trip_count=128)))
 
     def test_follows_every_change_to_a_hashed_graph(self):
-        # The graph's digest is memoized per object: each mutation kind
-        # must still move the hash, and undoing it must restore it.
+        # Each mutation kind of a graph already hashed must move the
+        # hash, and undoing it must restore it.
         loop = make_kernel("daxpy")
         request = _request(loop=loop)
         ddg = loop.ddg

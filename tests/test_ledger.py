@@ -391,7 +391,7 @@ def test_a_non_durable_group_writes_no_records():
     assert not entry.durable
     assert ledger.lose(ledger.claim("pool", 1, ledger.local), "worker crash") is None
     sweep = Group("sweep:s", 2)
-    (submitted,) = ledger.submit(sweep, [(key, PAYLOADS[0])])
+    submitted, _ = ledger.submit(sweep, [(key, PAYLOADS[0])])
     assert entry.durable
     assert submitted == ("submitted", "sweep:s", {"payload": None, "keys": [key],
                                                   "requeues": {key: 1}})
@@ -399,21 +399,19 @@ def test_a_non_durable_group_writes_no_records():
         "requeued", "c2", {"requeues": {key: 2}, "failed": None})
 
 
-def test_a_cache_prefilled_sweep_replays_to_the_same_states_with_one_record_fewer(tmp_path):
-    # The submission journals only `submitted`: replay looks every key up
-    # in the cache again, so a `finished` record for the prefilled entry
-    # (which the parent wrote) would carry nothing replay reads.
+def _prefilled_sweep(path):
+    """Journal a sweep of three keys, the first served from the cache,
+    and let a worker finish the second; return what the test needs."""
     keys = sorted(reports())
     items = [(key, reports()[key][0]) for key in keys]
     cache = {keys[0]: reports()[keys[0]][1]}
-    path = tmp_path / "journal.jsonl"
     journal = JobJournal(path, fsync=False)
     ledger = Ledger(clock=lambda: 0.0)
     sweep = Group("sweep:s", SWEEP_REQUEUES)
     records = ledger.submit(sweep, items, dict(cache))
-    assert [record[0] for record in records] == ["submitted"]
+    assert [record[0] for record in records] == ["submitted", "finished"]
+    assert records[1][2] == {"done": [keys[0]], "failed": None}
     lg.write(journal, records)
-    # A worker finishes the second entry, then the daemon crashes.
     lease = ledger.claim("w", 1, sweep.queue, LEASE, sweep.key)
     assert list(lease.keys) == [keys[1]]
     ledger.release(lease)
@@ -421,14 +419,39 @@ def test_a_cache_prefilled_sweep_replays_to_the_same_states_with_one_record_fewe
     cache[keys[1]] = reports()[keys[1]][1]
     assert ledger.finish(entry, "done", "w", cache[keys[1]])
     lg.write(journal, [lg.finished_record(lease.id, lg.outcomes([entry]))])
-    before = {e.key: e.state for e in sweep.entries}
+    return keys, items, cache, journal, ledger, sweep
+
+
+def _finish_last(journal, ledger, group, key):
+    lease = ledger.claim("w", 1, group.queue, LEASE, group.key)
+    assert list(lease.keys) == [key]
+    ledger.release(lease)
+    last = ledger.live[key]
+    assert ledger.finish(last, "done", "w", reports()[key][1])
+    lg.write(journal, [lg.finished_record(lease.id, lg.outcomes([last]))])
     journal.close()
-    assert len(path.read_text().splitlines()) == 2  # the parent journaled 3
+
+
+def test_a_sweep_served_partly_from_the_cache_turns_terminal_in_the_journal(tmp_path):
+    # The submission's `finished` record is the only one that closes the
+    # cache-served key: no worker ever finishes it.
+    path = tmp_path / "journal.jsonl"
+    keys, _, _, journal, ledger, sweep = _prefilled_sweep(path)
+    _finish_last(journal, ledger, sweep, keys[2])
+    state, _ = JobJournal(path, fsync=False).replay(repair=True)
+    assert state.live() == [] and state.done == set(keys)
+
+
+def test_a_cache_prefilled_sweep_replays_to_the_same_states(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    keys, items, cache, journal, _, sweep = _prefilled_sweep(path)
+    before = {e.key: e.state for e in sweep.entries}
+    journal.close()  # the daemon crashes with the third key pending
 
     journal = JobJournal(path, fsync=False)
     state, _ = journal.replay(repair=True)
     (replayed,) = state.live()
-    assert replayed.open_keys == {keys[0], keys[2]}
+    assert replayed.open_keys == {keys[2]}
     ledger = Ledger(clock=lambda: 0.0)
     group = Group(replayed.key, SWEEP_REQUEUES)
     lg.write(journal, ledger.resume(group, items, replayed, state.requeues, cache.get))
@@ -436,13 +459,6 @@ def test_a_cache_prefilled_sweep_replays_to_the_same_states_with_one_record_fewe
         keys[0]: "done", keys[1]: "done", keys[2]: "pending",
     }
     assert group.entries[0].served_from == "cache"
-    # The replay journals the cache-prefilled entry as finished, so the
-    # sweep turns terminal in the journal once its last entry completes.
-    lease = ledger.claim("w", 1, group.queue, LEASE, group.key)
-    ledger.release(lease)
-    last = ledger.live[keys[2]]
-    assert ledger.finish(last, "done", "w", reports()[keys[2]][1])
-    lg.write(journal, [lg.finished_record(lease.id, lg.outcomes([last]))])
-    journal.close()
+    _finish_last(journal, ledger, group, keys[2])
     state, _ = JobJournal(path, fsync=False).replay(repair=True)
     assert state.live() == [] and state.done == set(keys)
