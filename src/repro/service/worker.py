@@ -7,7 +7,21 @@ advertised remaining count (:func:`~repro.service.sweep.chunk_size` —
 the coordinator never plans chunks), claims that many jobs under a
 lease, compiles them, and ships the results back.
 
-While a chunk is in flight a daemon thread heartbeats the lease at a
+The loop is software-pipelined, like the modulo schedules it computes:
+once chunk N is compiled the worker *claims chunk N+1 first*, then
+hands N's completion to one background sender (a single thread with
+its own client) and compiles N+1 while the coordinator decodes N.  At
+most one completion is in flight — handing off the next one waits for
+the last one's reply — and a held completion is shipped before the
+worker sleeps for lack of work and before :meth:`SweepWorker.run`
+returns, however it returns.  Only the main thread writes
+:attr:`SweepWorker.stats`: the sender and the heartbeat thread hand
+their outcomes back.  A SIGKILL loses the chunk being compiled (or,
+during a claim, the computed one not yet handed off) plus at most one
+completion in flight; their leases expire and requeue like any lost
+lease.
+
+While a chunk is compiled a daemon thread heartbeats the lease at a
 third of its duration using its *own* client (the compute loop may be
 deep inside a scheduler when the beat is due).  A heartbeat answered
 ``ok: false`` means the lease expired and was requeued — the worker
@@ -15,7 +29,10 @@ notes it and keeps computing anyway: its completion still lands, either
 as the first durable result or as an idempotent duplicate.  Losing the
 coordinator entirely (connection refused mid-sweep: it crashed and is
 restarting) is survivable too — the worker just polls until the
-coordinator answers again.
+coordinator answers again.  Every field of a coordinator reply is
+checked where it is read: a reply of the wrong shape is counted as
+``malformed`` and treated like a refused claim, so the worker polls on
+and any lease that reply granted expires.
 
 Workers share the compile-side fault points: ``worker-vanish`` makes
 the worker claim a chunk and then return without ever heartbeating
@@ -28,18 +45,37 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Optional, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Dict, List, Optional, Tuple, Union
 
 from .. import faults
 from ..api import Toolchain
 from ..api.cache import CompilationCache
 from ..errors import ReproError, ServiceError, ServiceUnavailable
 from .client import RetryPolicy, ServiceClient, TransportError
+from .http import ProtocolError
 from .jobs import parse_compile_payload
 from .sweep import chunk_size, encode_blob, encode_report
 
 #: How many heartbeats fit in one lease (beat interval = lease / this).
 HEARTBEATS_PER_LEASE = 3.0
+
+_Completion = Tuple[str, str, List[Dict[str, object]]]  # (sweep, chunk, results)
+
+
+def _field(document: object, name: str, kind, default: object = None):
+    """``document[name]`` when *document* is an object and it is a *kind*.
+
+    The coordinator's replies are JSON this process did not write, so
+    each field is checked where it is read (a bool is never a number
+    here); anything else raises :class:`ProtocolError`.
+    """
+    if not isinstance(document, dict):
+        raise ProtocolError(f"coordinator sent a {type(document).__name__}, not an object")
+    value = document.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ProtocolError(f"coordinator sent {name}={value!r}")
+    return value
 
 
 class SweepWorker:
@@ -84,6 +120,11 @@ class SweepWorker:
         self.poll_interval = poll_interval
         self.idle_exit = idle_exit
         self.client = ServiceClient(coordinator, policy=self.policy)
+        # The background sender's own client: only its thread uses it.
+        self._sender_client = ServiceClient(coordinator, policy=self.policy)
+        self._sender: Optional[ThreadPoolExecutor] = None  # while run() runs
+        self._held: Optional[_Completion] = None
+        self._sending: Optional[Future] = None
         self.stats: Dict[str, int] = {
             "chunks": 0,
             "jobs": 0,
@@ -93,6 +134,7 @@ class SweepWorker:
             "lease_lost": 0,
             "vanished": 0,
             "coordinator_unreachable": 0,
+            "malformed": 0,
         }
 
     # ------------------------------------------------------------------
@@ -103,9 +145,18 @@ class SweepWorker:
         Returns the worker's final stats dict.
         """
         last_work = time.monotonic()
+        self._sender = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"{self.name}-sender"
+        )
         try:
             while True:
-                granted = self._poll_once()
+                try:
+                    granted = self._poll_once()
+                except ProtocolError:
+                    # A reply of the wrong shape: like a refused claim,
+                    # count it and poll on; a lease it granted expires.
+                    self.stats["malformed"] += 1
+                    granted = False
                 if self.stats["vanished"]:
                     # A vanish fault fired: this worker is "dead" — stop
                     # pulling so the lease genuinely expires.
@@ -114,6 +165,7 @@ class SweepWorker:
                 if granted:
                     last_work = now
                     continue
+                self._flush()
                 if (
                     self.idle_exit is not None
                     and now - last_work >= self.idle_exit
@@ -121,7 +173,12 @@ class SweepWorker:
                     break
                 time.sleep(self.poll_interval)
         finally:
-            self.client.close()
+            try:
+                self._flush()
+            finally:
+                self._sender.shutdown()
+                self._sender_client.close()
+                self.client.close()
         return dict(self.stats, worker=self.name)
 
     def _poll_once(self) -> bool:
@@ -133,20 +190,22 @@ class SweepWorker:
             # keep polling — its journal will bring the sweep back.
             self.stats["coordinator_unreachable"] += 1
             return False
+        except ProtocolError:
+            raise  # malformed: counted by run()
         except ServiceError:
             return False
-        for status in listing.get("sweeps", []):
-            if status.get("state") != "open":
+        for status in _field(listing, "sweeps", list, []):
+            if _field(status, "state", str) != "open":
                 continue
-            remaining = int(status.get("remaining", 0))
+            remaining = _field(status, "remaining", int, 0)
             if remaining <= 0:
                 continue
             count = chunk_size(
                 remaining,
-                max(1, int(status.get("active_workers", 1))),
+                max(1, _field(status, "active_workers", int, 1)),
                 max_chunk=self.max_chunk,
             )
-            if self._work_one_chunk(str(status["sweep"]), count):
+            if self._work_one_chunk(_field(status, "sweep", str), count):
                 return True
         return False
 
@@ -156,47 +215,85 @@ class SweepWorker:
         except (TransportError, ServiceUnavailable):
             self.stats["coordinator_unreachable"] += 1
             return False
+        except ProtocolError:
+            raise
         except ServiceError:
             return False  # sweep finished/draining between list and claim
-        chunk = grant.get("chunk")
+        chunk = _field(grant, "chunk", (str, type(None)))
         if not chunk:
             return False
+        jobs = _field(grant, "jobs", list, [])
+        lease = float(_field(grant, "lease_seconds", (int, float), 1.0))
+        # Claimed first, so the coordinator decodes the previous chunk
+        # while this one compiles (claiming after the hand-off queued
+        # the claim behind that decode).
+        self._ship()
         self.stats["chunks"] += 1
         if faults.fire("worker-vanish"):
             # Claimed, now gone: never heartbeat, never complete.  The
             # coordinator's lease expiry requeues these jobs.
             self.stats["vanished"] += 1
             return True
-        lease = float(grant.get("lease_seconds") or 1.0)
-        stop = threading.Event()
+        stop, lost = threading.Event(), threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop,
-            args=(sweep_id, str(chunk), lease, stop),
+            args=(sweep_id, chunk, lease, stop, lost),
             name=f"{self.name}-heartbeat",
             daemon=True,
         )
         beat.start()
         try:
-            results = [self._run_job(job) for job in grant.get("jobs", [])]
+            results = [self._run_job(job) for job in jobs]
         finally:
             stop.set()
             beat.join(timeout=2.0)
+            if lost.is_set():
+                self.stats["lease_lost"] += 1
+        self._held = (sweep_id, chunk, results)
+        return True
+
+    def _ship(self) -> None:
+        """Hand the held completion to the sender, once the one in
+        flight has its reply (at most one completion is in flight)."""
+        self._settle()
+        if self._held is not None:
+            self._sending = self._sender.submit(self._send, self._held)
+            self._held = None
+
+    def _settle(self) -> None:
+        """Wait for the completion in flight and count its outcome."""
+        sending, self._sending = self._sending, None
+        if sending is not None:
+            outcome = sending.result()
+            if outcome is not None:
+                self.stats[outcome] += 1
+
+    def _flush(self) -> None:
+        """Ship the held completion and wait for every reply."""
+        self._ship()
+        self._settle()
+
+    def _send(self, completion: _Completion) -> Optional[str]:
+        """Deliver one completion (sender thread); the stat it costs."""
+        sweep_id, chunk, results = completion
         try:
-            self.client.sweep_complete(sweep_id, self.name, str(chunk), results)
+            self._sender_client.sweep_complete(sweep_id, self.name, chunk, results)
         except (TransportError, ServiceUnavailable):
             # The completion is lost; the lease will expire and another
             # worker recomputes bit-identical results. Nothing to undo.
-            self.stats["coordinator_unreachable"] += 1
+            return "coordinator_unreachable"
+        except ProtocolError:
+            return "malformed"
         except ServiceError:
             pass  # coordinator rejected (sweep gone); nothing to undo
-        return True
+        return None
 
     def _run_job(self, job: Dict[str, object]) -> Dict[str, object]:
         """Compile one granted job into a completion entry."""
+        index = _field(job, "index", int)
+        key = _field(job, "key", str, "")
         faults.slowpoint("slow-worker")
         self.stats["jobs"] += 1
-        index = int(job["index"])
-        key = str(job.get("key", ""))
         started = time.perf_counter()
         try:
             # A local hit ships the stored pickle as is; a miss pickles
@@ -229,12 +326,14 @@ class SweepWorker:
         chunk: str,
         lease_seconds: float,
         stop: threading.Event,
+        lost: threading.Event,
     ) -> None:
         """Extend the chunk's lease until told to stop (daemon thread).
 
         Uses its own single-attempt client: the compute loop may hold
         the main client deep in a compile, and a heartbeat that cannot
         land *now* is not worth retrying — the next beat comes soon.
+        Sets *lost* when the lease is gone.
         """
         client = ServiceClient(
             self.coordinator,
@@ -245,13 +344,13 @@ class SweepWorker:
             while not stop.wait(interval):
                 try:
                     answer = client.sweep_heartbeat(sweep_id, self.name, chunk)
-                except (TransportError, ServiceError):
+                except ServiceError:
                     continue  # coordinator busy/restarting; try next beat
-                if not answer.get("ok", False):
+                if isinstance(answer, dict) and not answer.get("ok", False):
                     # Lease expired under us (we were too slow): the
                     # chunk is requeued.  Keep computing — completion
                     # resolves idempotently — but count the loss.
-                    self.stats["lease_lost"] += 1
+                    lost.set()
                     return
         finally:
             client.close()

@@ -11,6 +11,10 @@ Three layers of coverage:
   sweep across a coordinator restart, the ``/metrics`` sweep section,
   and the :class:`~repro.service.worker.SweepWorker` pull loop with the
   ``worker-vanish``/``slow-worker`` fault points;
+* the worker's pipelined loop (the next claim before the last chunk's
+  completion, one completion in flight, a held completion shipped on
+  every way out) from recorded call logs, and malformed coordinator
+  replies from a stub client;
 * a real-process e2e (``test_distributed_sweep_survives_kills``):
   coordinator + two ``repro worker`` subprocesses, one worker SIGKILLed
   mid-sweep *and* the coordinator SIGKILL-and-restarted mid-sweep — the
@@ -26,6 +30,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -37,7 +42,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import ServiceError, ServiceUnavailable
 from repro.machine.machine import clustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
-from repro.service import RetryPolicy, ServiceClient
+from repro.service import RetryPolicy, ServiceClient, TransportError
+from repro.service import worker as worker_module
 from repro.service.jobs import parse_compile_payload
 from repro.service.sweep import (
     DEFAULT_LEASE_SECONDS,
@@ -528,6 +534,211 @@ def test_a_local_hit_ships_the_stored_blob_without_unpickling(tmp_path, monkeypa
     assert (worker.stats["cache_hits"], worker.stats["compiled"]) == (1, 0)
 
 
+# ----------------------------------------------------------------------
+# The pipelined loop: claim N+1, ship N in the background, compute N+1
+# ----------------------------------------------------------------------
+
+#: Six cheap jobs: one worker claims them in chunks of 3, 2 and 1.
+CHEAP = {
+    "jobs": [
+        {"kernel": kernel, "clusters": k, "config": LADDER}
+        for kernel in ("daxpy", "dot_product")
+        for k in (2, 3, 4)
+    ]
+}
+ONE = {"jobs": CHEAP["jobs"][:1]}
+
+
+def lease_expiries(client):
+    return client.metrics()["sweep"]["chunks"]["lease_expiries"]
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """Every client the worker builds logs its claims and completions."""
+    log = []
+
+    class Recording(ServiceClient):
+        def sweep_claim(self, *args, **kwargs):
+            grant = super().sweep_claim(*args, **kwargs)
+            log.append(("claimed", grant.get("chunk")))
+            return grant
+
+        def sweep_complete(self, sweep_id, worker, chunk, results):
+            log.append(("complete", chunk))
+            # Long enough for the next chunk to compile meanwhile: a
+            # second completion would be in flight if one were allowed.
+            time.sleep(0.05)
+            try:
+                return super().sweep_complete(sweep_id, worker, chunk, results)
+            finally:
+                log.append(("completed", chunk))
+
+    monkeypatch.setattr(worker_module, "ServiceClient", Recording)
+    return log
+
+
+def test_worker_claims_the_next_chunk_before_it_ships_the_last(call_log):
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep(CHEAP)["sweep"]
+        stats = worker_for(client, name="wP").run()
+        assert client.sweep(sweep_id)["state"] == "done"
+        assert lease_expiries(client) == 0
+    chunks = [chunk for event, chunk in call_log if event == "claimed" and chunk]
+    assert stats["chunks"] == len(chunks) == 3
+    for chunk, successor in zip(chunks, chunks[1:]):
+        assert call_log.index(("complete", chunk)) > call_log.index(("claimed", successor))
+    assert [chunk for event, chunk in call_log if event == "completed"] == chunks
+    in_flight = []
+    for event, _chunk in call_log:
+        in_flight.append((in_flight[-1] if in_flight else 0)
+                         + {"complete": 1, "completed": -1}.get(event, 0))
+    assert max(in_flight) == 1 and in_flight[-1] == 0
+
+
+def test_a_held_completion_ships_before_the_worker_sleeps(monkeypatch):
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep(CHEAP)["sweep"]
+        states = []
+
+        class Clock:
+            """The worker module's ``time``, noting the sweep at each sleep."""
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def sleep(self, seconds):
+                states.append(client.sweep(sweep_id)["state"])
+                time.sleep(seconds)
+
+        monkeypatch.setattr(worker_module, "time", Clock())
+        stats = worker_for(client, name="wI", idle_exit=0.2).run()
+        assert stats["jobs"] == 6
+        assert states and set(states) == {"done"}
+        assert lease_expiries(client) == 0
+
+
+def test_a_held_completion_ships_before_an_interrupted_run_returns():
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep(ONE)["sweep"]
+        worker = worker_for(client, name="wK")
+        listings = worker.client.sweeps
+        calls = []
+
+        def interrupted_second_listing():
+            calls.append(None)
+            if len(calls) == 2:  # the only chunk is computed and held
+                raise KeyboardInterrupt
+            return listings()
+
+        worker.client.sweeps = interrupted_second_listing
+        with pytest.raises(KeyboardInterrupt):
+            worker.run()
+        assert worker.stats["jobs"] == 1
+        assert client.sweep(sweep_id)["state"] == "done"
+        assert lease_expiries(client) == 0
+
+
+def test_a_held_completion_ships_before_a_vanished_worker_returns():
+    with running_service() as (service, client, _loop):
+        sweep_id = client.submit_sweep(CHEAP)["sweep"]
+        # The first chunk (3 jobs) is computed and held when the second
+        # claim vanishes.
+        faults.install(faults.FaultPlan.from_spec("worker-vanish:times=2"))
+        stats = worker_for(client, name="wV").run()
+        assert (stats["vanished"], stats["jobs"]) == (1, 3)
+        status = client.sweep(sweep_id)
+        assert (status["done"], status["leased"]) == (3, 2)
+        assert lease_expiries(client) == 0
+
+
+def test_a_lost_completion_is_counted_once_by_the_main_thread(monkeypatch):
+    class Unreachable(ServiceClient):
+        def sweep_complete(self, *args, **kwargs):
+            raise TransportError("connection reset by peer")
+
+    monkeypatch.setattr(worker_module, "ServiceClient", Unreachable)
+    writers = set()
+
+    class Stats(dict):
+        def __setitem__(self, key, value):
+            writers.add(threading.current_thread().name)
+            super().__setitem__(key, value)
+
+    with running_service() as (service, client, _loop):
+        client.submit_sweep(ONE)
+        worker = worker_for(client, name="wT", idle_exit=0.2)
+        worker.stats = Stats(worker.stats)
+        stats = worker.run()
+    assert (stats["jobs"], stats["coordinator_unreachable"]) == (1, 1)
+    assert writers == {threading.current_thread().name}
+
+
+class StubCoordinator:
+    """Every client a worker builds, answering from one scripted sweep."""
+
+    def __init__(self, listing, grant):
+        self.listing, self.grant = listing, grant
+        self.claims = 0
+        self.completions = []
+
+    def __call__(self, *args, **kwargs):  # stands in for ServiceClient(...)
+        return self
+
+    def sweeps(self):
+        return self.listing
+
+    def sweep_claim(self, sweep_id, worker, count):
+        # Bounded, so a worker that takes a malformed grant for work
+        # fails the test instead of looping on it forever.
+        self.claims += 1
+        return self.grant if self.claims <= 20 else {"chunk": None, "jobs": []}
+
+    def sweep_heartbeat(self, sweep_id, worker, chunk):
+        return {"ok": True}
+
+    def sweep_complete(self, sweep_id, worker, chunk, results):
+        self.completions.append(chunk)
+        return {"accepted": len(results)}
+
+    def close(self):
+        pass
+
+
+OPEN = {"sweep": "s1", "state": "open", "remaining": 1, "active_workers": 1}
+JOB = {"index": 0, "key": "k0", "payload": {"kernel": "daxpy", "clusters": 2}}
+GRANT = {"chunk": "c1", "lease_seconds": 30.0, "jobs": [JOB]}
+
+
+@pytest.mark.parametrize(
+    "listing, grant",
+    [
+        ([OPEN], GRANT),
+        ({"sweeps": "s1"}, GRANT),
+        ({"sweeps": [dict(OPEN, remaining="1")]}, GRANT),
+        ({"sweeps": [dict(OPEN, sweep=None)]}, GRANT),
+        ({"sweeps": [OPEN]}, [GRANT]),
+        ({"sweeps": [OPEN]}, dict(GRANT, jobs="c1")),
+        ({"sweeps": [OPEN]}, dict(GRANT, chunk=7)),
+        ({"sweeps": [OPEN]}, dict(GRANT, jobs=[{"key": "k0", "payload": JOB["payload"]}])),
+        ({"sweeps": [OPEN]}, dict(GRANT, jobs=["k0"])),
+    ],
+    ids=[
+        "listing-is-a-list", "sweeps-is-a-string", "remaining-is-a-string",
+        "sweep-id-missing", "grant-is-a-list", "jobs-is-a-string",
+        "chunk-is-a-number", "job-without-index", "job-is-a-string",
+    ],
+)
+def test_a_malformed_coordinator_reply_is_counted_and_polled_past(
+    monkeypatch, listing, grant
+):
+    stub = StubCoordinator(listing, grant)
+    monkeypatch.setattr(worker_module, "ServiceClient", stub)
+    stats = SweepWorker("127.0.0.1:9", poll_interval=0.01, idle_exit=0.1).run()
+    assert stats["malformed"] >= 1
+    assert (stats["jobs"], stub.completions) == (0, [])
+
+
 def test_batch_compiler_coordinator_merge_path(tmp_path):
     from repro.api.batch import BatchCompiler
 
@@ -633,8 +844,6 @@ def test_total_deadline_none_keeps_old_unbounded_behavior():
             total_deadline=None,
         ),
     )
-    from repro.service import TransportError
-
     with pytest.raises(TransportError):
         client.healthz()
 
