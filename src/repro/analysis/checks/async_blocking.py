@@ -1,8 +1,8 @@
 """``async-blocking``: no synchronous waits on the event loop.
 
 The daemon (:mod:`repro.service.daemon`) is a single-threaded asyncio
-process; one blocking call in a coroutine stalls every connection,
-event stream and drain watcher at once.  Inside ``async def`` bodies
+process; one blocking call in a coroutine stalls every connection
+and the drain watcher at once.  Inside ``async def`` bodies
 this rule flags:
 
 * ``time.sleep`` (use ``asyncio.sleep``);

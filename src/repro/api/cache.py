@@ -31,7 +31,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .. import faults
 from ..errors import CacheError
@@ -181,9 +181,8 @@ class EncodedReport:
 
     *summary* is JSON-safe: ``report`` is :meth:`CompilationReport.to_dict`
     without the per-lookup ``cache_hit``/``cache_key`` fields,
-    ``fingerprint`` the schedule's hash
-    (:func:`repro.scheduling.fingerprint.schedule_fingerprint`) and
-    ``timings`` the ``[pass name, seconds]`` list of its pass runs.
+    and ``fingerprint`` the schedule's hash
+    (:func:`repro.scheduling.fingerprint.schedule_fingerprint`).
     *blob* is the pickled report.  The report is pickled once, by
     :meth:`encode`, and :attr:`report` unpickles a fresh copy only when
     a caller asks, so no object graph is kept or shared.
@@ -202,7 +201,6 @@ class EncodedReport:
         summary = {
             "report": described,
             "fingerprint": schedule_fingerprint(report.result),
-            "timings": [[t.pass_name, t.seconds] for t in report.timings],
         }
         return cls(summary, pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -213,15 +211,6 @@ class EncodedReport:
     @property
     def ii(self) -> int:
         return self.summary["report"]["ii"]
-
-    @property
-    def ii_trajectory(self) -> List[int]:
-        return self.summary["report"]["ii_trajectory"]
-
-    @property
-    def timings(self) -> List[List[object]]:
-        """``[pass name, seconds]`` per pass run, in order."""
-        return self.summary["timings"]
 
     @property
     def report(self) -> CompilationReport:

@@ -14,7 +14,7 @@ the natural handle for driving a shared daemon from scripts::
 
 Every call opens one connection (the server is ``Connection: close``);
 open sockets are tracked on the client and released by :meth:`close`
-(or the ``with`` block), so an exception mid-stream never leaks a
+(or the ``with`` block), so an exception mid-exchange never leaks a
 handle.
 
 Transient failures are retried under a :class:`RetryPolicy`:
@@ -39,10 +39,10 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ServiceError, ServiceUnavailable
-from .http import ProtocolError, decode_chunks
+from .http import ProtocolError
 from .jobs import request_to_payload
 
 #: Default connect timeout: establishing a TCP connection to a live
@@ -363,99 +363,9 @@ class ServiceClient:
         return self.compile(request_to_payload(request, **extra))
 
     def job(self, job_id: int) -> Dict[str, object]:
-        """Status document for one job id."""
+        """Status document for one job id: how a ``wait=False`` submitter
+        follows its job and reads the result."""
         return self._request("GET", f"/jobs/{job_id}")
-
-    def events(self, job_id: int, since: int = 0) -> Iterator[Dict[str, object]]:
-        """Stream a job's events until it reaches a terminal state.
-
-        Yields each event dict as the daemon emits it (chunked JSON
-        lines decoded incrementally).  The stream is **resumable**: a
-        mid-stream disconnect (reset by peer, truncated stream) makes
-        the iterator reconnect with ``?since=<consumed>`` — the daemon
-        replays only the events this iterator has not yielded yet, so
-        the consumer sees each event exactly once.  *since* starts the
-        stream at a given offset for callers resuming across their own
-        restarts.  Reconnects share the policy's ``max_attempts`` bound
-        on *consecutive* failures (progress resets the count); the
-        socket is always released, even when the consumer abandons the
-        generator mid-stream.
-        """
-        consumed = max(0, int(since))
-        failures = 0
-        while True:
-            progressed = False
-            try:
-                for event in self._events_once(job_id, consumed):
-                    consumed += 1
-                    progressed = True
-                    yield event
-                return
-            except TransportError:
-                if progressed:
-                    failures = 0
-                failures += 1
-                if failures >= self.policy.max_attempts:
-                    raise
-                self.retries["transport"] += 1
-                time.sleep(self.policy.backoff(failures + 1, self._rng))
-
-    def _events_once(
-        self, job_id: int, start: int
-    ) -> Iterator[Dict[str, object]]:
-        """One event-stream connection from offset *start* (no retry).
-
-        Raises :class:`TransportError` when the stream dies before the
-        terminating zero-length chunk — the resume wrapper's signal to
-        reconnect.  (The pre-resume client swallowed that EOF and
-        silently dropped the tail of the stream.)
-        """
-        sock = self._connect()
-        try:
-            self._send_request(
-                sock, "GET", f"/jobs/{job_id}/events?since={start}", None
-            )
-            buffer = b""
-            head_done = False
-            status = 200
-            finished = False
-            pending_text = b""
-            while not finished:
-                try:
-                    piece = sock.recv(65536)
-                except OSError as err:
-                    raise TransportError(f"event stream read failed: {err}")
-                if not piece:
-                    break
-                buffer += piece
-                if not head_done:
-                    if b"\r\n\r\n" not in buffer:
-                        continue
-                    status, headers, buffer = self._split_head(buffer)
-                    head_done = True
-                    if status >= 400 or headers.get("transfer-encoding") != "chunked":
-                        # Error document arrives fixed-length; drain it.
-                        while True:
-                            piece = sock.recv(65536)
-                            if not piece:
-                                break
-                            buffer += piece
-                        document = json.loads(buffer.decode("utf-8") or "{}")
-                        self._expect_ok(status, document, headers)
-                        return
-                chunks, buffer, finished = decode_chunks(buffer)
-                for chunk in chunks:
-                    pending_text += chunk
-                    while b"\n" in pending_text:
-                        line, _, pending_text = pending_text.partition(b"\n")
-                        if line.strip():
-                            yield json.loads(line.decode("utf-8"))
-            if not finished:
-                raise TransportError(
-                    "event stream severed before the terminal event"
-                )
-        finally:
-            self._release(sock)
 
     # ------------------------------------------------------------------
     # Sweep API (coordinator + worker verbs, see repro.service.sweep)

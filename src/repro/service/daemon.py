@@ -20,9 +20,9 @@ entry the pool held: the pool is respawned (at most
 requeued, or quarantined once they spend their requeue budget.
 
 Around that: admission control (a full queue sheds a lower-priority
-queued compile, else answers 429 with ``Retry-After``), per-job event
-streams, ``/healthz`` and ``/metrics``, a graceful drain on SIGTERM, a
-journal (:mod:`repro.service.journal`) that makes every acknowledged
+queued compile, else answers 429 with ``Retry-After``), ``/healthz`` and
+``/metrics``, a graceful drain on SIGTERM, a journal
+(:mod:`repro.service.journal`) that makes every acknowledged
 ``wait=false`` submission and every sweep survive a ``kill -9``, and
 deterministic fault injection (:mod:`repro.faults`) at the
 ``worker-crash``/``slow-compile``/``conn-reset`` points.
@@ -38,8 +38,6 @@ POST     ``/compile``                compile payload
                                      (:mod:`repro.service.jobs`); blocks
                                      until done unless ``"wait": false``
 GET      ``/jobs/<id>``              job status / result
-GET      ``/jobs/<id>/events``       chunked event stream until terminal
-                                     (``?since=N`` resumes at offset N)
 GET      ``/sweeps``                 list sweeps
 POST     ``/sweeps``                 submit a sweep spec (idempotent)
 GET      ``/sweeps/<id>``            sweep status (``?jobs=1`` for detail)
@@ -181,42 +179,29 @@ class CompileJob(Group):
         self.parsed = parsed
         self.state = "queued"
         self.subscribers = 1
-        self.events: list = []
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._signal = asyncio.Event()
 
     @property
     def request(self) -> CompilationRequest:
         return self.parsed.request
 
-    def emit(self, event: str, **fields) -> None:
-        self.events.append({"event": event, "job": self.id, "t": round(time.time(), 3), **fields})
-        self._signal.set()
-
-    def notify(self, entry: Entry, event: str, **fields) -> None:
+    def notify(self, entry: Entry, event: str) -> None:
         if self.state in _TERMINAL:
             return
         if event == "started":
             self.state = "running"
-            self.emit("started", attempt=fields["attempt"])
         elif event == "retrying":
             self.state = "queued"
             self.service.pool_counters["jobs_retried"] += 1
-            self.emit("retrying", crashes=entry.requeues)
         elif event == "done":
-            stored = entry.report
-            for name, seconds in stored.timings:
-                self.emit("pass", name=name, ms=round(1e3 * seconds, 3))
-            self.emit("ii_trajectory", trajectory=list(stored.ii_trajectory))
-            self.emit("done", ii=stored.ii, seconds=entry.seconds)
             self.state = "done"
-            self.future.set_result(stored)
+            self.future.set_result(entry.report)
         elif event == "quarantined":
             self.service.pool_counters["jobs_quarantined"] += 1
             self.fail("quarantined", ServiceError(
                 f"job {self.id} quarantined as poison: its compile crashed "
                 f"{entry.requeues} workers ({entry.error})", status=500,
-            ), crashes=entry.requeues)
+            ))
         else:
             self.fail("failed", ServiceError(str(entry.error), status=entry.status))
 
@@ -228,11 +213,10 @@ class CompileJob(Group):
         return result_payload(self.future.result(), served_from, self.key, parsed,
                               job_id=self.id)
 
-    def fail(self, state: str, err: ServiceError, **fields) -> None:
+    def fail(self, state: str, err: ServiceError) -> None:
         if state != "shed":
             self.service.metrics.compiles_failed += 1
         self.state = state
-        self.emit(state, error=str(err), **fields)
         self.future.set_exception(err)
         self.future.exception()  # fire-and-forget jobs must not warn
 
@@ -240,7 +224,7 @@ class CompileJob(Group):
         info: Dict[str, object] = {
             "job": self.id, "status": self.state, "priority": self.parsed.priority,
             "loop": self.request.loop.name, "machine": self.request.machine.name,
-            "subscribers": self.subscribers, "events": len(self.events),
+            "subscribers": self.subscribers,
         }
         if self.entries[0].requeues:
             info["crashes"] = self.entries[0].requeues
@@ -251,22 +235,6 @@ class CompileJob(Group):
         elif self.state in _TERMINAL:
             info["error"] = str(self.future.exception())
         return info
-
-    async def stream_events(self, start: int = 0):
-        """Yield events in order until the job is terminal.
-
-        *start* skips already-consumed events, so a client whose stream
-        died can resume with ``?since=N`` instead of replaying from zero.
-        """
-        index = max(0, start)
-        while True:
-            while index < len(self.events):
-                yield self.events[index]
-                index += 1
-            if self.state in _TERMINAL:
-                return
-            self._signal.clear()
-            await self._signal.wait()
 
 
 class CompileService:
@@ -558,7 +526,6 @@ class CompileService:
             if existing is not None:
                 self.metrics.coalesced += 1
                 existing.subscribers += 1
-                existing.emit("coalesced", subscribers=existing.subscribers)
                 if not parsed.wait and not existing.durable:
                     existing.durable, existing.payload = True, parsed.raw
                     await self._journal([existing.submitted_record()])
@@ -573,7 +540,6 @@ class CompileService:
             job, [(key, parsed.raw)], requeues=recovered and recovered.requeues
         )
         self.metrics.admission_accepted += 1
-        job.emit("admitted", lane=parsed.priority, queue_depth=sum(self.queue_depths().values()))
         await self._journal(records)
         # Claim on the next loop turn: the caller acknowledges it queued.
         asyncio.get_running_loop().call_soon(self._dispatch)
@@ -611,7 +577,7 @@ class CompileService:
         self.ledger.detach(victim)
         victim.fail("shed", ServiceError(
             f"job {victim.id} shed by admission control (queue full)", status=503,
-        ), reason="admission control: queue full")
+        ))
         return [("closed", victim.key, {"error": "shed"})] if victim.durable else []
 
     def _register(self, job: CompileJob) -> None:
@@ -782,10 +748,6 @@ class CompileService:
                 raise ServiceError(f"no route {request.path!r}", status=404)
             if request.method not in methods:
                 raise ServiceError(f"use {' or '.join(methods)} {request.path}", status=405)
-            if shape == ("jobs", "*", "events"):
-                job = self._job_for(arg)
-                since = _int_query(request, "since", 0)
-                return await h.write_event_stream(writer, job.stream_events(start=since))
             status, body = await methods[request.method](self, request, arg)
             await h.write_response(writer, h.json_response(status, body))
         except ServiceError as err:
@@ -886,7 +848,6 @@ _ROUTES = {
     ("metrics",): {"GET": CompileService._get_metrics},
     ("compile",): {"POST": CompileService._post_compile},
     ("jobs", "*"): {"GET": CompileService._get_job},
-    ("jobs", "*", "events"): {"GET": None},  # streamed by _serve_one itself
     ("sweeps",): {"GET": CompileService._get_sweeps, "POST": CompileService._post_sweeps},
     ("sweeps", "*"): {"GET": CompileService._get_sweep},
     ("sweeps", "*", "results"): {"GET": CompileService._get_results},

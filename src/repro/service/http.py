@@ -3,11 +3,10 @@
 The daemon speaks plain HTTP so any client (curl, a browser, the bundled
 :mod:`repro.service.client`) can drive it, but it only needs a sliver of
 the protocol: request-line + headers + ``Content-Length`` bodies in, and
-fixed-length or ``chunked`` responses out.  This module implements that
-sliver over ``asyncio`` streams with the parsing kept in pure functions
-(:func:`parse_request_head`, :func:`format_response_head`,
-:func:`encode_chunk`, :func:`decode_chunks`) so the framing has direct
-unit tests without a socket in sight.
+fixed-length ``Content-Length`` responses out.  This module implements
+that sliver over ``asyncio`` streams with the parsing kept in pure functions
+(:func:`parse_request_head`, :func:`format_response_head`) so the
+framing has direct unit tests without a socket in sight.
 
 Connections are one-shot: every response carries ``Connection: close``
 and the server closes the stream after writing it.  That forgoes
@@ -21,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .. import faults
 from ..errors import ServiceError
@@ -66,8 +65,8 @@ class HTTPRequest:
 
     @property
     def route(self) -> Tuple[str, ...]:
-        """Path segments, query string stripped: ``/jobs/3/events`` ->
-        ``("jobs", "3", "events")``."""
+        """Path segments, query string stripped: ``/sweeps/3/results``
+        -> ``("sweeps", "3", "results")``."""
         path = self.path.split("?", 1)[0]
         return tuple(seg for seg in path.split("/") if seg)
 
@@ -131,8 +130,7 @@ def parse_request_head(head: bytes) -> HTTPRequest:
 
 def format_response_head(
     status: int,
-    content_length: Optional[int] = None,
-    chunked: bool = False,
+    content_length: int,
     extra_headers: Optional[Mapping[str, str]] = None,
 ) -> bytes:
     """The status line + headers + blank line for one response."""
@@ -141,11 +139,8 @@ def format_response_head(
         f"HTTP/1.1 {status} {reason}",
         "Content-Type: application/json",
         "Connection: close",
+        f"Content-Length: {content_length}",
     ]
-    if chunked:
-        lines.append("Transfer-Encoding: chunked")
-    elif content_length is not None:
-        lines.append(f"Content-Length: {content_length}")
     if extra_headers:
         for name, value in extra_headers.items():
             lines.append(f"{name}: {value}")
@@ -165,44 +160,6 @@ def json_response(
         )
         + body
     )
-
-
-def encode_chunk(data: bytes) -> bytes:
-    """One chunk of a ``Transfer-Encoding: chunked`` body."""
-    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
-
-
-#: The terminating zero-length chunk.
-LAST_CHUNK = b"0\r\n\r\n"
-
-
-def decode_chunks(data: bytes) -> Tuple[List[bytes], bytes, bool]:
-    """Incrementally decode a chunked body.
-
-    Returns ``(chunks, remainder, finished)``: every complete chunk
-    found in *data*, the undecoded tail to prepend to the next read, and
-    whether the zero-length terminator was seen.  Used by the sync
-    client, which reads the event stream socket in arbitrary slices.
-    """
-    chunks: List[bytes] = []
-    rest = data
-    while True:
-        head, sep, tail = rest.partition(b"\r\n")
-        if not sep:
-            return chunks, rest, False
-        try:
-            size = int(head.split(b";", 1)[0], 16)
-        except ValueError:
-            raise ProtocolError(f"malformed chunk size {head!r}")
-        if len(tail) < size + 2:
-            return chunks, rest, False
-        body, trailer = tail[:size], tail[size : size + 2]
-        if trailer != b"\r\n":
-            raise ProtocolError("chunk body missing CRLF terminator")
-        rest = tail[size + 2 :]
-        if size == 0:
-            return chunks, rest, True
-        chunks.append(body)
 
 
 # ----------------------------------------------------------------------
@@ -259,26 +216,4 @@ async def write_response(writer, data: bytes) -> None:
             transport.abort()
         return
     writer.write(data)
-    await writer.drain()
-
-
-async def write_event_stream(writer, events: AsyncIterator[dict]) -> None:
-    """Stream *events* as chunked JSON lines, then the final chunk.
-
-    ``conn-reset`` is checked before every event, not just at the head:
-    an armed fault can sever the stream mid-flight, which is exactly the
-    failure the client's ``since=``-offset resume path exists for.
-    """
-    writer.write(format_response_head(200, chunked=True))
-    await writer.drain()
-    async for event in events:
-        if faults.fire("conn-reset"):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            return
-        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-        writer.write(encode_chunk(line))
-        await writer.drain()
-    writer.write(LAST_CHUNK)
     await writer.drain()

@@ -164,7 +164,7 @@ class Group:
     def finished(self) -> bool:
         return not self.unfinished
 
-    def notify(self, entry: Entry, event: str, **fields) -> None:
+    def notify(self, entry: Entry, event: str) -> None:
         """An entry of this group changed state (a hook for views)."""
 
     def submitted_record(self) -> Record:
@@ -324,7 +324,7 @@ class Ledger:
             self._dequeue(entry)
             entry.state, entry.lease, entry.worker = "leased", lease.id, worker
             for holder in entry.groups:
-                holder.notify(entry, "started", attempt=entry.requeues + 1)
+                holder.notify(entry, "started")
         return lease
 
     def held(self, lease_id: str, worker: str) -> Optional[Lease]:

@@ -67,7 +67,7 @@ class Recording(Group):
 
     terminal_seen = None  # entry -> count, shared per machine (keeps entries alive)
 
-    def notify(self, entry, event, **fields):
+    def notify(self, entry, event):
         if event in lg.TERMINAL and self is entry.groups[0]:
             self.terminal_seen[entry] = self.terminal_seen.get(entry, 0) + 1
 

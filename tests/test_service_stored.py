@@ -8,7 +8,6 @@ that must not change and what it must guarantee:
   jobs, and the ``/jobs/<id>`` result of a ``wait=false`` job, are
   byte-identical to bodies built from the report object
   (``report.to_dict()`` plus its fingerprint, :func:`old_reply`);
-* a job's ``pass``/``ii_trajectory``/``done`` events are unchanged;
 * a pre-v5 disk entry (a bare pickle) is repaired as a miss;
 * the memory tier and the ledger hold no report objects;
 * ``assembly`` works on a cache hit;
@@ -152,25 +151,6 @@ def test_coalesced_and_background_results_match_the_report_object():
         assert status == 200
         result = json.loads(body)["result"]
         assert wire(result) == wire(old_reply(key_of(PAYLOADS[2]), "compile", accepted["job"]))
-
-
-def test_job_events_come_from_the_summary():
-    key = key_of(PAYLOADS[1])
-    report = pickle.loads(canned()[key])
-    with running_service(compile_fn=canned_compile) as (service, client, _loop):
-        result = client.compile(PAYLOADS[1])
-        events = list(client.events(result["job"]))
-    tail = [{k: v for k, v in event.items() if k not in ("t", "seconds")}
-            for event in events if event["event"] in ("pass", "ii_trajectory", "done")]
-    job = result["job"]
-    expected = [{"event": "pass", "job": job, "name": t.pass_name, "ms": round(1e3 * t.seconds, 3)}
-                for t in report.timings]
-    expected += [
-        {"event": "ii_trajectory", "job": job, "trajectory": list(report.ii_trajectory)},
-        {"event": "done", "job": job, "ii": report.result.ii},
-    ]
-    assert tail == expected
-    assert isinstance(events[-1]["seconds"], float)
 
 
 def test_a_v4_disk_entry_is_repaired_as_a_miss(tmp_path):

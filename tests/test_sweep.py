@@ -20,9 +20,8 @@ Three layers of coverage:
   mid-sweep *and* the coordinator SIGKILL-and-restarted mid-sweep — the
   sweep must finish with results bit-identical to a local run.
 
-Satellites covered here too: the client's resumable event stream
-(``since=`` offsets under ``conn-reset``) and the retry policy's
-``total_deadline`` conversion to :class:`ServiceUnavailable`.
+Also covered here: the retry policy's ``total_deadline`` conversion to
+:class:`ServiceUnavailable`.
 """
 
 import json
@@ -775,44 +774,8 @@ def test_batch_compiler_coordinator_merge_path(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Satellites: resumable event stream, bounded retry deadline
+# Satellites: bounded retry deadline
 # ----------------------------------------------------------------------
-
-
-def test_event_stream_resumes_after_conn_reset():
-    with running_service() as (service, client, _loop):
-        receipt = client.compile(
-            {"kernel": "fir_filter", "clusters": 2, "config": LADDER},
-            wait=False,
-        )
-        job_id = receipt["job"]
-        wait_until(
-            lambda: client.job(job_id)["status"] == "done", what="job done"
-        )
-        baseline = list(client.events(job_id))
-        assert baseline[-1]["event"] == "done"
-        # Sever the stream on its 1st and 2nd delivery attempts: the
-        # iterator must reconnect with since=<consumed> and still yield
-        # every event exactly once.
-        faults.install(faults.FaultPlan.from_spec("conn-reset:times=1+2"))
-        resumed = list(client.events(job_id))
-        faults.disarm()
-        assert resumed == baseline
-        assert client.retries["transport"] >= 1
-
-
-def test_event_stream_since_offset():
-    with running_service() as (service, client, _loop):
-        receipt = client.compile(
-            {"kernel": "daxpy", "clusters": 2, "config": LADDER}, wait=False
-        )
-        job_id = receipt["job"]
-        wait_until(
-            lambda: client.job(job_id)["status"] == "done", what="job done"
-        )
-        baseline = list(client.events(job_id))
-        assert list(client.events(job_id, since=2)) == baseline[2:]
-        assert list(client.events(job_id, since=len(baseline))) == []
 
 
 def test_total_deadline_converts_to_service_unavailable():
