@@ -11,8 +11,9 @@ Run:  python examples/fir_dsp_scaling.py
 """
 
 from repro import (
+    CompilationRequest,
+    Toolchain,
     clustered_vliw,
-    compile_loop,
     make_kernel,
     unclustered_vliw,
     validate_schedule,
@@ -34,9 +35,14 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
+    toolchain = Toolchain.default()
     for k in range(1, 9):
-        clustered = compile_loop(loop, clustered_vliw(k), equivalent_k=k)
-        unclustered = compile_loop(loop, unclustered_vliw(k), equivalent_k=k)
+        clustered, unclustered = (
+            toolchain.compile(
+                CompilationRequest(loop=loop, machine=machine, equivalent_k=k)
+            ).compiled
+            for machine in (clustered_vliw(k), unclustered_vliw(k))
+        )
         validate_schedule(clustered.result)
         validate_schedule(unclustered.result)
         ratio = clustered.cycles / unclustered.cycles

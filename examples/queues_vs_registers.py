@@ -15,7 +15,13 @@ time.  This example makes the argument concrete on one kernel:
 Run:  python examples/queues_vs_registers.py
 """
 
-from repro import clustered_vliw, compile_loop, make_kernel, unclustered_vliw
+from repro import (
+    CompilationRequest,
+    Toolchain,
+    clustered_vliw,
+    make_kernel,
+    unclustered_vliw,
+)
 from repro.machine.cqrf import CQRFId
 from repro.registers import allocate_queues, mve_report, register_pressure
 
@@ -32,15 +38,20 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
+    toolchain = Toolchain.default()
     for k in (1, 2, 4, 6, 8):
-        unclustered = compile_loop(
-            loop, unclustered_vliw(k), equivalent_k=k, allocate=False
-        )
-        maxlive = register_pressure(unclustered.result)
-        mve = mve_report(unclustered.result)
+        unclustered = toolchain.compile(
+            CompilationRequest(
+                loop=loop, machine=unclustered_vliw(k), equivalent_k=k, allocate=False
+            )
+        ).result
+        maxlive = register_pressure(unclustered)
+        mve = mve_report(unclustered)
 
-        clustered = compile_loop(loop, clustered_vliw(k), equivalent_k=k)
-        allocation = allocate_queues(clustered.result)
+        clustered = toolchain.compile(
+            CompilationRequest(loop=loop, machine=clustered_vliw(k), equivalent_k=k)
+        ).result
+        allocation = allocate_queues(clustered)
         largest_file = max(
             (usage.queues_used for usage in allocation.files), default=0
         )
@@ -53,7 +64,7 @@ def main() -> None:
             default=0,
         )
         print(
-            f"{k:>8} {3 * k:>4} {unclustered.result.ii:>4} "
+            f"{k:>8} {3 * k:>4} {unclustered.ii:>4} "
             f"{maxlive:>8} {mve.kernel_unroll_max:>11} "
             f"{mve.total_registers:>9} {largest_file:>9} {cqrf_depth:>11}"
         )

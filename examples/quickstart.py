@@ -9,10 +9,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    CompilationRequest,
     LoopBuilder,
+    Toolchain,
     assembly_for,
     clustered_vliw,
-    compile_loop,
     simulate,
     validate_schedule,
 )
@@ -37,7 +38,10 @@ def main() -> None:
 
     machine = clustered_vliw(4)
     print(f"== target: {machine.describe()} ==")
-    compiled = compile_loop(loop, machine, equivalent_k=4)
+    report = Toolchain.default().compile(
+        CompilationRequest(loop=loop, machine=machine, equivalent_k=4)
+    )
+    compiled = report.compiled
     result = compiled.result
     print(result.summary())
     print(

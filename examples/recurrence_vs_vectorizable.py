@@ -10,11 +10,13 @@ clusters are added (set 1 behaviour at large widths).
 Run:  python examples/recurrence_vs_vectorizable.py
 """
 
-from repro import clustered_vliw, compile_loop, make_kernel
+from repro import CompilationRequest, Toolchain, clustered_vliw, make_kernel
 
 
 def scaling_row(loop, k):
-    compiled = compile_loop(loop, clustered_vliw(k), equivalent_k=k)
+    compiled = Toolchain.default().compile(
+        CompilationRequest(loop=loop, machine=clustered_vliw(k), equivalent_k=k)
+    ).compiled
     result = compiled.result
     return (
         f"{k:>8} {result.ii:>4} {result.rec_mii:>6} "

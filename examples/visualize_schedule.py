@@ -9,15 +9,17 @@ Graphviz DOT format.
 Run:  python examples/visualize_schedule.py
 """
 
-from repro import clustered_vliw, compile_loop, make_kernel
+from repro import CompilationRequest, Toolchain, clustered_vliw, make_kernel
 from repro.codegen import kernel_gantt, utilization_summary
 from repro.ir import ddg_to_dot
 
 
 def main() -> None:
     loop = make_kernel("rgb_to_yuv", trip_count=640)
-    compiled = compile_loop(loop, clustered_vliw(3), equivalent_k=3)
-    result = compiled.result
+    report = Toolchain.default().compile(
+        CompilationRequest(loop=loop, machine=clustered_vliw(3), equivalent_k=3)
+    )
+    result = report.result
 
     print(result.summary())
     print()

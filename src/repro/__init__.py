@@ -7,23 +7,19 @@ paper depends on (unrolling, single-use copy insertion), queue register
 allocation, a validation simulator, VLIW code generation, and the
 experiment harness regenerating the paper's figures 4-6.
 
-Quickstart::
+Quickstart, through the compilation-session API (pass pipeline,
+structured reports; ``compile_many`` adds batch/parallel compilation
+with on-disk memoisation)::
 
-    from repro import make_kernel, clustered_vliw, compile_loop
+    from repro import CompilationRequest, Toolchain, clustered_vliw, make_kernel
 
     loop = make_kernel("fir_filter", taps=8)
-    compiled = compile_loop(loop, clustered_vliw(4), equivalent_k=4)
-    print(compiled.result.summary(), compiled.ipc)
-
-Or, through the compilation-session API (pass pipeline, structured
-reports, batch/parallel compilation with on-disk memoisation)::
-
-    from repro import CompilationRequest, Toolchain, compile_many
-
     report = Toolchain.default().compile(
         CompilationRequest(loop=loop, machine=clustered_vliw(4), equivalent_k=4)
     )
-    print(report.summary(), report.pass_seconds())
+    compiled = report.compiled
+    print(compiled.result.summary(), compiled.ipc, report.pass_seconds())
+    record = report.to_dict()   # the compile's numbers, no graphs
 
 Every public name is imported on first use (see :mod:`repro._lazy`), so
 ``import repro`` costs almost nothing and numpy loads only with the
@@ -101,12 +97,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "schedule_fingerprint",
         "validate_schedule",
     ),
-    ".scheduling.pipeline": ("CompiledLoop", "choose_unroll_factor", "compile_loop"),
+    ".scheduling.mii": ("choose_unroll_factor",),
     ".api": (
         "BatchCompiler",
         "CompilationCache",
         "CompilationReport",
         "CompilationRequest",
+        "CompiledLoop",
         "Pass",
         "Toolchain",
         "compile_many",

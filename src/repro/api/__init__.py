@@ -49,11 +49,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "UnrollPass",
         "get_pass",
         "register_pass",
-        "registered_passes",
     ),
     ".request": (
         "CompilationReport",
         "CompilationRequest",
+        "CompiledLoop",
         "PassTiming",
         "SCHEDULER_CHOICES",
     ),

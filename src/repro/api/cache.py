@@ -53,7 +53,10 @@ from .request import CompilationReport, CompilationRequest
 #: as one JSON line, then the pickled report (:class:`EncodedReport`).
 #: v6: pickled graphs key their edges by ``DepKind.code`` and latency
 #: models hold an opcode-indexed tuple, so a v5 report no longer loads.
-CACHE_SCHEMA_VERSION = 6
+#: v7: the summary's ``report`` is the full compile record (the fields a
+#: :class:`~repro.experiments.metrics.LoopRun` reads), and the pickled
+#: ``CompiledLoop`` lives in :mod:`repro.api.request`.
+CACHE_SCHEMA_VERSION = 7
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +182,10 @@ def _split_entry(data: bytes) -> Tuple[bytes, bytes]:
 class EncodedReport:
     """A compiled report held as bytes plus the summary its replies need.
 
-    *summary* is JSON-safe: ``report`` is :meth:`CompilationReport.to_dict`
-    without the per-lookup ``cache_hit``/``cache_key`` fields,
+    *summary* is JSON-safe: ``report`` is the compile's record,
+    :meth:`CompilationReport.to_dict` without the per-lookup
+    ``cache_hit``/``cache_key`` fields (enough for a
+    :class:`~repro.experiments.metrics.LoopRun` without unpickling),
     and ``fingerprint`` the schedule's hash
     (:func:`repro.scheduling.fingerprint.schedule_fingerprint`).
     *blob* is the pickled report.  The report is pickled once, by
@@ -456,11 +461,6 @@ class MemoryCache:
             self.evictions += 1
         self.stats.writes += 1
 
-    def clear(self) -> int:
-        removed = len(self._entries)
-        self._entries.clear()
-        return removed
-
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
@@ -479,11 +479,9 @@ class TieredCache:
 
     Lookup order is memory first, then disk; a disk hit is promoted into
     the memory tier so a warm daemon stops touching the filesystem for
-    its working set.  Writes go to both tiers.  The object satisfies the
-    same ``get``/``put``/``stats`` duck type as :class:`CompilationCache`,
-    so a :class:`~repro.api.batch.BatchCompiler` can ride a tiered cache
-    unchanged; :meth:`get_tiered` is the service's lookup, which hands
-    back the :class:`EncodedReport` itself.
+    its working set.  Writes go to both tiers.  :meth:`get_tiered`, the
+    service's lookup, hands back the :class:`EncodedReport` itself:
+    neither tier unpickles.
     """
 
     def __init__(
@@ -494,16 +492,6 @@ class TieredCache:
         self.memory = memory if memory is not None else MemoryCache()
         self.disk = disk
         self.stats = CacheStats()  # aggregate over both tiers
-
-    def get(self, key: str) -> Optional[CompilationReport]:
-        """The report for *key* (unpickled from its entry), or ``None``."""
-        entry = self.get_tiered(key)[0]
-        if entry is None:
-            return None
-        report = entry.report
-        report.cache_hit = True
-        report.cache_key = key
-        return report
 
     def get_tiered(
         self, key: str

@@ -14,7 +14,7 @@ instance can serve many concurrent compilations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..codegen import assembly_for
 from ..config import SchedulerConfig
@@ -28,7 +28,7 @@ from ..registers.queues import QueueAllocation, allocate_queues
 from ..scheduling.checker import validate_schedule
 from ..scheduling.dms import DistributedModuloScheduler
 from ..scheduling.ims import IterativeModuloScheduler
-from ..scheduling.pipeline import choose_unroll_factor
+from ..scheduling.mii import choose_unroll_factor
 from ..scheduling.result import ScheduleResult
 from ..scheduling.twophase import TwoPhaseScheduler
 from .request import CompilationRequest
@@ -122,11 +122,6 @@ def get_pass(name: str) -> Pass:
         ) from None
 
 
-def registered_passes() -> Tuple[str, ...]:
-    """Names of all registered passes, sorted."""
-    return tuple(sorted(PASS_REGISTRY))
-
-
 # ----------------------------------------------------------------------
 # Builtin passes (the paper's flow)
 # ----------------------------------------------------------------------
@@ -137,8 +132,8 @@ class UnrollPass(Pass):
 
     The factor is the request's explicit ``unroll`` if given, otherwise
     the projected-II minimiser on the unclustered machine of
-    ``equivalent_k`` units per kind (defaulting to the machine's own
-    useful-FU count, exactly as ``compile_loop`` always did).
+    ``equivalent_k`` units per kind (by default, the machine's own
+    useful-FU count per kind).
     """
 
     name = "unroll"

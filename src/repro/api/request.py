@@ -1,16 +1,18 @@
-"""Compilation requests and structured reports.
+"""Compilation requests and the one value a compile produces.
 
 A :class:`CompilationRequest` names everything one compilation depends on
 — the loop, the machine, the latency model, the scheduler configuration
-and the driver knobs that used to be loose keyword arguments of
-``compile_loop``.  Because the request is a plain frozen value it can be
-hashed (:meth:`CompilationRequest.cache_key`), pickled across worker
+and the driver knobs.  Because the request is a plain frozen value it can
+be hashed (:func:`~repro.api.cache.content_hash`), pickled across worker
 processes, and recorded next to its result.
 
 A :class:`CompilationReport` is what a :class:`~repro.api.toolchain.Toolchain`
-returns: the :class:`~repro.scheduling.pipeline.CompiledLoop` plus
-per-pass wall-clock timings, the II-search trajectory, diagnostics from
-every pass, and cache provenance.
+returns: the :class:`CompiledLoop` (the schedule and the objects codegen,
+the oracle and assembly need) plus per-pass wall-clock timings, the
+II-search trajectory, diagnostics from every pass, and cache provenance.
+:meth:`CompilationReport.to_dict` is the compile's record, the one place
+that derives the numbers the figures, the service replies and a stored
+cache entry's summary read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..errors import ToolchainError
 from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
 from ..machine.machine import MachineSpec
-from ..scheduling.pipeline import CompiledLoop
+from ..registers.queues import QueueAllocation
 from ..scheduling.result import ScheduleResult
 from ..targets.spec import TargetSpec
 
@@ -100,12 +102,6 @@ class CompilationRequest:
                 f"choose from {SCHEDULER_CHOICES} or None"
             )
 
-    def cache_key(self) -> str:
-        """Content hash identifying this request's result."""
-        from .cache import content_hash
-
-        return content_hash(self)
-
     def describe(self) -> str:
         """One-line human description."""
         sched = self.scheduler or "auto"
@@ -113,6 +109,37 @@ class CompilationRequest:
             f"{self.loop.name} on {self.machine.name} "
             f"(scheduler={sched}, unroll={self.unroll or 'auto'})"
         )
+
+
+@dataclass(frozen=True)
+class CompiledLoop:
+    """The compiled form of one loop on one machine."""
+
+    loop: Loop
+    machine: MachineSpec
+    unroll_factor: int
+    result: ScheduleResult
+    allocation: Optional[QueueAllocation] = None
+
+    @property
+    def kernel_iterations(self) -> int:
+        """Unrolled-body iterations covering the loop's trip count."""
+        return -(-self.loop.trip_count // self.unroll_factor)
+
+    @property
+    def cycles(self) -> int:
+        """Modelled execution cycles for the loop's trip count."""
+        return self.result.cycles(self.kernel_iterations)
+
+    @property
+    def useful_instances(self) -> int:
+        """Useful operation issues over the whole run."""
+        return self.result.useful_instances(self.kernel_iterations)
+
+    @property
+    def ipc(self) -> float:
+        """Useful IPC, ramp included (the paper's figure-6 metric)."""
+        return self.useful_instances / self.cycles
 
 
 @dataclass(frozen=True)
@@ -166,23 +193,34 @@ class CompilationReport:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable summary (metrics only, no graphs)."""
-        result = self.result
+        """The compile's record: JSON-safe metrics, no graphs."""
+        compiled = self.compiled
+        result = compiled.result
+        stats = result.stats
         return {
-            "loop": result.loop_name,
+            "loop": compiled.loop.name,
+            "vectorizable": compiled.loop.is_vectorizable,
             "machine": result.machine.name,
             "clusters": result.machine.n_clusters,
+            "useful_fus": result.machine.useful_fus,
             "scheduler": result.scheduler,
             "ii": result.ii,
             "mii": result.mii,
             "res_mii": result.res_mii,
             "rec_mii": result.rec_mii,
             "stage_count": result.stage_count,
-            "unroll": self.compiled.unroll_factor,
-            "cycles": self.compiled.cycles,
-            "ipc": self.compiled.ipc,
+            "unroll": compiled.unroll_factor,
+            "kernel_iterations": compiled.kernel_iterations,
+            "cycles": compiled.cycles,
+            "useful_instances": compiled.useful_instances,
+            "ipc": compiled.ipc,
             "n_moves": result.n_moves,
             "n_copies": result.n_copies,
+            "placements": stats.placements,
+            "total_ejections": stats.total_ejections,
+            "strategy1": stats.strategy1,
+            "strategy2": stats.strategy2,
+            "strategy3": stats.strategy3,
             "ii_trajectory": list(self.ii_trajectory),
             "timings_ms": {
                 name: 1e3 * seconds

@@ -1,14 +1,15 @@
 """The :class:`Toolchain`: an ordered pass pipeline with one entry point.
 
-``Toolchain.default()`` reproduces the paper's flow exactly as the old
-``compile_loop`` driver did; experiments derive variants by swapping,
+``Toolchain.default()`` is the paper's flow, and the one way the
+library compiles a loop; experiments derive variants by swapping,
 dropping or inserting passes::
 
     two_phase = Toolchain.default().with_pass("schedule", "schedule_two_phase")
     report = two_phase.compile(CompilationRequest(loop, machine))
 
 Every :meth:`Toolchain.compile` call returns a
-:class:`~repro.api.request.CompilationReport` carrying the compiled loop,
+:class:`~repro.api.request.CompilationReport` carrying the
+:class:`~repro.api.request.CompiledLoop`,
 per-pass wall-clock timings, the II-search trajectory and diagnostics.
 """
 
@@ -18,13 +19,12 @@ import time
 from typing import Iterable, Tuple, Union
 
 from ..errors import ToolchainError
-from ..scheduling.pipeline import CompiledLoop
 from .passes import Pass, PassContext, get_pass
-from .request import CompilationReport, CompilationRequest, PassTiming
+from .request import CompilationReport, CompilationRequest, CompiledLoop, PassTiming
 
 PassLike = Union[str, Pass]
 
-#: The paper's flow, as run by ``compile_loop`` since the seed.
+#: The paper's flow: unroll, single-use copies, schedule, allocate.
 DEFAULT_PASSES: Tuple[str, ...] = ("unroll", "single_use", "schedule", "allocate")
 
 
@@ -100,13 +100,6 @@ class Toolchain:
         index = self._index_of(name)
         passes = list(self._passes)
         passes.insert(index + 1, new_pass)
-        return Toolchain(passes, name=self.name)
-
-    def insert_before(self, name: str, new_pass: PassLike) -> "Toolchain":
-        """Return a copy with *new_pass* inserted right before *name*."""
-        index = self._index_of(name)
-        passes = list(self._passes)
-        passes.insert(index, new_pass)
         return Toolchain(passes, name=self.name)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -38,6 +38,17 @@ class LoopRun:
     strategy2: int
     strategy3: int
 
+    @classmethod
+    def from_record(cls, record: Mapping[str, object], clusters: int) -> "LoopRun":
+        """The run at comparison point *clusters* that a compile's record
+        describes: ``CompilationReport.to_dict()`` or a stored entry's
+        ``summary["report"]``."""
+        return cls(
+            loop_name=record["loop"],
+            clusters=clusters,
+            **{name: record[name] for name in _RECORD_FIELDS},
+        )
+
     @property
     def ipc(self) -> float:
         return self.useful_instances / self.cycles
@@ -48,6 +59,12 @@ class LoopRun:
         if self.placements == 0:
             return 0.0
         return self.total_ejections / self.placements
+
+
+#: LoopRun fields copied verbatim from a compile's record.
+_RECORD_FIELDS = tuple(
+    f.name for f in fields(LoopRun) if f.name not in ("loop_name", "clusters")
+)
 
 
 def _index_runs(

@@ -3,7 +3,8 @@
 For every loop and every cluster count ``k`` the runner schedules the loop
 twice — IMS on the unclustered 3k-FU machine and DMS on the k-cluster
 machine — sharing one unroll factor chosen on the unclustered model, then
-records a :class:`~repro.experiments.metrics.LoopRun` per schedule.
+reads a :class:`~repro.experiments.metrics.LoopRun` off each compile's
+record (:meth:`~repro.api.request.CompilationReport.to_dict`).
 
 Since the compilation-session redesign the runner is a thin client of
 :mod:`repro.api`: it expands the sweep into
@@ -33,7 +34,6 @@ from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
 from ..machine.cluster import ClusterSpec, PAPER_CLUSTER
 from ..machine.machine import clustered_vliw, unclustered_vliw
-from ..scheduling.pipeline import CompiledLoop
 from .metrics import LoopRun
 
 ProgressFn = Callable[[str], None]
@@ -58,33 +58,6 @@ class SweepConfig:
     workers: Optional[int] = None
     #: On-disk compilation cache directory (None = no memoisation).
     cache_dir: Optional[str] = None
-
-
-def _record(compiled: CompiledLoop, clusters: int) -> LoopRun:
-    result = compiled.result
-    return LoopRun(
-        loop_name=compiled.loop.name,
-        vectorizable=compiled.loop.is_vectorizable,
-        clusters=clusters,
-        useful_fus=result.machine.useful_fus,
-        scheduler=result.scheduler,
-        unroll=compiled.unroll_factor,
-        ii=result.ii,
-        mii=result.mii,
-        res_mii=result.res_mii,
-        rec_mii=result.rec_mii,
-        stage_count=result.stage_count,
-        kernel_iterations=compiled.kernel_iterations,
-        cycles=compiled.cycles,
-        useful_instances=compiled.useful_instances,
-        n_moves=result.n_moves,
-        n_copies=result.n_copies,
-        placements=result.stats.placements,
-        total_ejections=result.stats.total_ejections,
-        strategy1=result.stats.strategy1,
-        strategy2=result.stats.strategy2,
-        strategy3=result.stats.strategy3,
-    )
 
 
 def sweep_requests(
@@ -146,7 +119,7 @@ def run_sweep(
     )
     runs: List[LoopRun] = []
     for (k, _request), report in zip(jobs, reports):
-        runs.append(_record(report.compiled, k))
+        runs.append(LoopRun.from_record(report.to_dict(), k))
         if progress is not None and per_loop and len(runs) % (25 * per_loop) == 0:
             progress(f"scheduled {len(runs) // per_loop}/{len(loops)} loops")
     return runs

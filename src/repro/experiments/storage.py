@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..api.request import CompilationRequest
+from ..api.toolchain import Toolchain
 from ..config import DEFAULT_CONFIG, SchedulerConfig
 from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
@@ -32,7 +34,6 @@ from ..machine.cqrf import LRFId
 from ..machine.machine import clustered_vliw, unclustered_vliw
 from ..registers.lifetimes import register_pressure
 from ..registers.queues import allocate_queues
-from ..scheduling.pipeline import compile_loop
 from .figures import FigureData
 
 
@@ -61,14 +62,16 @@ def storage_point(
     config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> StoragePoint:
     """Measure the storage demands of *loop* on the k-cluster pair."""
-    unclustered = compile_loop(
-        loop, unclustered_vliw(k), latencies, config, equivalent_k=k, allocate=False
+    toolchain = Toolchain.default()
+    unclustered, clustered = (
+        toolchain.compile(CompilationRequest(
+            loop=loop, machine=machine, latencies=latencies, config=config,
+            equivalent_k=k, allocate=False,
+        )).result
+        for machine in (unclustered_vliw(k), clustered_vliw(k))
     )
-    maxlive = register_pressure(unclustered.result)
-    clustered = compile_loop(
-        loop, clustered_vliw(k), latencies, config, equivalent_k=k, allocate=False
-    )
-    allocation = allocate_queues(clustered.result)
+    maxlive = register_pressure(unclustered)
+    allocation = allocate_queues(clustered)
     lrf_queues = [0]
     lrf_depths = [0]
     cqrf_queues = [0]

@@ -17,7 +17,8 @@ ratio becomes the next ``p / q``.  Each step strictly raises the ratio
 over a finite set of simple-circuit ratios, so the iteration ends at
 ``λ*`` after a few steps.  Unrolling by ``u`` scales every circuit's
 latency by ``u`` and keeps its distance, so the unrolled graph's RecMII
-is ``ceil(u * λ*)`` with no second search.
+is ``ceil(u * λ*)`` with no second search.  :func:`choose_unroll_factor`
+prices every candidate unroll factor that way.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import DEFAULT_CONFIG
 from ..errors import SchedulingError
 from ..ir.ddg import DDG
-from ..ir.opcodes import FUKind, LatencyModel
-from ..machine.machine import MachineSpec
+from ..ir.opcodes import DEFAULT_LATENCIES, FUKind, LatencyModel, USEFUL_FU_KINDS
+from ..machine.machine import MachineSpec, unclustered_vliw
 
 
 @dataclass(frozen=True)
@@ -194,3 +196,52 @@ def compute_mii(
 ) -> MIIResult:
     """Both II lower bounds for *ddg* on *machine*."""
     return MIIResult(res_mii(ddg, machine), rec_mii(ddg, latencies))
+
+
+def choose_unroll_factor(
+    ddg: DDG,
+    equivalent_k: int,
+    latencies: LatencyModel = DEFAULT_LATENCIES,
+    cap: int = DEFAULT_CONFIG.unroll_cap,
+) -> int:
+    """Smallest unroll factor minimising the projected per-iteration II.
+
+    ``equivalent_k`` is the per-kind FU count of the unclustered reference
+    machine (k L/S, k Add, k Mul); both machines of a comparison pair
+    share the factor, so figure 4's "II increase due to partitioning"
+    compares like against like.  For factor ``u`` the projection is
+    ``max(ResMII_u, RecMII_u) / u``; ResMII amortises its ceiling as u
+    grows while RecMII/u stays constant, so the search stops improving
+    once recurrences dominate.  ``RecMII_u`` comes from one exact
+    maximum cycle ratio of the base graph.
+    """
+    if equivalent_k < 1:
+        raise SchedulingError(f"equivalent_k must be >= 1, got {equivalent_k}")
+    machine = unclustered_vliw(equivalent_k)
+    counts = {kind: 0 for kind in USEFUL_FU_KINDS}
+    for op in ddg.operations():
+        if op.fu_kind in counts:
+            counts[op.fu_kind] += 1
+        elif op.fu_kind == FUKind.COPY:
+            raise SchedulingError(
+                "choose the unroll factor before inserting copies"
+            )
+    demand = [
+        (count, machine.fu_count(kind)) for kind, count in counts.items() if count
+    ]
+    ratio = max_cycle_ratio(ddg, latencies)
+    candidates = []
+    for u in range(1, cap + 1):
+        res_u = max([-(-(count * u) // units) for count, units in demand], default=1)
+        ii_u = max(res_u, rec_mii_from_ratio(ratio, u))
+        candidates.append((ii_u / u, u, ii_u))
+    best_score = min(score for score, _u, _ii in candidates)
+    tied = [(u, ii_u) for score, u, ii_u in candidates if score <= best_score + 1e-12]
+    # Among equal-throughput factors prefer the smallest one whose II is
+    # at least 2: an II-1 kernel has a single MRT row, where one packing
+    # miss costs a full 2x in cycles; II >= 2 leaves slack at the same
+    # projected throughput (and a +1 miss costs only 1.5x).
+    for u, ii_u in tied:
+        if ii_u >= 2:
+            return u
+    return tied[0][0]

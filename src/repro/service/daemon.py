@@ -51,7 +51,6 @@ POST     ``/sweeps/<id>/complete``   worker: deliver chunk results
 from __future__ import annotations
 
 import asyncio
-import base64
 import functools
 import json
 import signal
@@ -811,7 +810,7 @@ class CompileService:
         if request.query.get("pickle") not in (None, "0"):
             for row, entry in zip(rows, sweep.entries[start:stop]):
                 if entry.report is not None:  # the stored blob, as pickled once
-                    row["report"] = base64.b64encode(entry.report.blob).decode("ascii")
+                    row["report"] = sw.encode_blob(entry.report.blob)
         return 200, {"sweep": sweep.id, "state": sweep.state, "start": start, "results": rows}
 
     async def _post_claim(self, request, sweep_id):

@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, SchedulerConfig
-from ..errors import ReproError, ServiceError
+from ..errors import ReproError, ServiceError, ToolchainError
 from ..ir.ddg import DDG
 from ..ir.edges import DepEdge, DepKind
 from ..ir.loop import Loop
-from ..ir.opcodes import OpCode
+from ..ir.opcodes import DEFAULT_LATENCIES, OpCode
 from ..ir.operations import Operation, ValueUse
 from ..machine.machine import MachineSpec, clustered_vliw, unclustered_vliw
 
@@ -263,7 +263,6 @@ def _resolve_config(payload: Mapping[str, object]) -> SchedulerConfig:
 def parse_compile_payload(payload: object) -> ParsedJob:
     """Validate a JSON compile payload into a :class:`ParsedJob`."""
     from ..api import CompilationRequest
-    from ..errors import ToolchainError
 
     if not isinstance(payload, Mapping):
         raise ServiceError("compile payload must be a JSON object", status=400)
@@ -314,8 +313,12 @@ def request_to_payload(request, **extra) -> Dict[str, object]:
     The loop ships serialized; the machine ships as an inline target
     payload when it knows how to serialize itself (:class:`TargetSpec`),
     or in constructor form for the paper's parametric machines.  Lets a
-    client mirror any local compile over the wire
+    client mirror a local compile over the wire
     (``ServiceClient.compile_request``).
+
+    Raises :class:`~repro.errors.ToolchainError` for a request the
+    payload cannot carry exactly: another cluster shape, topology
+    parameters or latency model.  Ship those as a :class:`TargetSpec`.
     """
     from ..targets.spec import TargetSpec
 
@@ -323,13 +326,25 @@ def request_to_payload(request, **extra) -> Dict[str, object]:
     machine = request.machine
     if isinstance(machine, TargetSpec):
         payload["target"] = machine.to_dict()
-    elif machine.is_clustered:
+    elif machine.is_clustered or machine.clusters[0].copy:
+        # k clusters on a topology (a lone cluster with a copy unit: k = 1).
         payload["clusters"] = machine.n_clusters
         payload["topology"] = machine.topology_kind
     else:
         # The unclustered reference machine: k units of each useful kind.
         payload["clusters"] = machine.clusters[0].mem
         payload["unclustered"] = True
+    try:
+        rebuilt = _resolve_machine(payload)
+    except ServiceError:
+        rebuilt = None
+    if rebuilt != machine or request.latencies != getattr(
+        rebuilt, "latencies", DEFAULT_LATENCIES
+    ):
+        raise ToolchainError(
+            f"a compile payload cannot carry {request.describe()} with "
+            f"{request.latencies}; ship its machine as a TargetSpec"
+        )
     config_overrides = {
         f.name: getattr(request.config, f.name)
         for f in dataclasses.fields(request.config)

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..api import CompilationRequest, Toolchain
+from ..api import CompilationRequest, CompiledLoop, Toolchain
 from ..errors import ReproError
 from ..ir.ddg import DDG
 from ..ir.loop import Loop
@@ -50,7 +50,6 @@ from ..machine.cqrf import CQRFId, QueueFileSpec
 from ..machine.machine import MachineSpec, clustered_vliw
 from ..registers.queues import allocate_queues
 from ..scheduling.checker import check_schedule
-from ..scheduling.pipeline import CompiledLoop
 from ..scheduling.result import ScheduleResult
 from ..scheduling.schedule import Placement
 from ..simulator.engine import simulate

@@ -45,6 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..api.request import CompiledLoop
 from ..codegen.kernel import SlotBinding, VLIWProgram, build_program
 from ..errors import (
     AllocationError,
@@ -59,7 +60,6 @@ from ..ir.transforms import base_op_of
 from ..machine.cqrf import LRFId
 from ..machine.machine import MachineSpec
 from ..registers.queues import QueueAllocation, QueueAssignment, allocate_queues
-from ..scheduling.pipeline import CompiledLoop
 from ..scheduling.result import ScheduleResult
 from ..scheduling.timing import edge_ready_latency
 from ..simulator.semantics import (

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import CompilationRequest, Toolchain
 from repro.ir import DEFAULT_LATENCIES, LoopBuilder
 from repro.machine import clustered_vliw, unclustered_vliw
+
+
+def compile_for(loop, machine, **knobs):
+    """The default toolchain's compiled loop for one request."""
+    return Toolchain.default().compile(
+        CompilationRequest(loop=loop, machine=machine, **knobs)
+    ).compiled
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 The acceptance property of the session redesign: fanning the kernel
 suite across a process pool produces bit-identical schedules to per-loop
-serial ``compile_loop``, and a warm cache answers the same sweep in a
+serial ``Toolchain.compile``, and a warm cache answers the same sweep in a
 small fraction of the cold wall-clock.
 
 The full suite x k=1..10 sweep is genuinely expensive (DMS backtracking
@@ -15,8 +15,6 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import (
     CompilationRequest,
@@ -24,9 +22,8 @@ from repro.api import (
     compile_many,
 )
 from repro.errors import IIOverflowError, ReproError
-from repro.machine import clustered_vliw, unclustered_vliw
+from repro.machine import clustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
-from repro.scheduling.pipeline import compile_loop
 from repro.workloads import KERNELS, make_kernel, perfect_club_surrogate
 
 #: Full acceptance sweep: every kernel x every paper cluster count.
@@ -61,15 +58,11 @@ def cold_sweep(tmp_path_factory):
 
 class TestParallelEqualsSerial:
     def test_full_kernel_suite_bit_identical(self, cold_sweep):
-        """Parallel compile_many == per-loop compile_loop, whole sweep."""
+        """Parallel compile_many == per-request Toolchain.compile, whole sweep."""
         assert len(cold_sweep.reports) == len(KERNELS) * len(FULL_CLUSTER_RANGE)
+        toolchain = Toolchain.default()
         for request, report in zip(cold_sweep.requests, cold_sweep.reports):
-            serial = compile_loop(
-                request.loop,
-                request.machine,
-                equivalent_k=request.equivalent_k,
-                allocate=False,
-            )
+            serial = toolchain.compile(request).compiled
             assert schedule_fingerprint(report.result) == schedule_fingerprint(
                 serial.result
             ), f"{request.describe()} diverged between parallel and serial"
@@ -79,24 +72,6 @@ class TestParallelEqualsSerial:
         for request, report in zip(cold_sweep.requests, cold_sweep.reports):
             assert report.result.loop_name == request.loop.name
             assert report.result.machine.name == request.machine.name
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        k=st.sampled_from(FULL_CLUSTER_RANGE),
-    )
-    def test_property_surrogate_loops_roundtrip(self, seed, k):
-        """Any surrogate loop: toolchain == compile_loop, on both twins."""
-        loop = perfect_club_surrogate(1, seed=seed)[0]
-        for machine in (clustered_vliw(k), unclustered_vliw(k)):
-            request = CompilationRequest(
-                loop=loop, machine=machine, equivalent_k=k, allocate=False
-            )
-            report = Toolchain.default().compile(request)
-            serial = compile_loop(loop, machine, equivalent_k=k, allocate=False)
-            assert schedule_fingerprint(report.result) == schedule_fingerprint(
-                serial.result
-            )
 
 
 class TestWarmCachePerformance:
@@ -113,6 +88,29 @@ class TestWarmCachePerformance:
         assert warm_seconds < 0.1 * cold_sweep.seconds, (
             f"warm rerun took {warm_seconds:.3f}s vs cold {cold_sweep.seconds:.3f}s"
         )
+
+    def test_warm_rerun_compiles_nothing(self, cold_sweep, monkeypatch):
+        """The wall-clock ratio's deterministic twin: a warm rerun, even
+        one allowed a pool, runs no compile and starts no pool."""
+        import repro.api.batch as batch
+
+        compiles = []
+        real_compile = Toolchain.compile
+
+        def counting_compile(self, request):
+            compiles.append(request)
+            return real_compile(self, request)
+
+        def no_pool(workers):
+            raise AssertionError("a warm rerun entered spawn_pool")
+
+        monkeypatch.setattr(Toolchain, "compile", counting_compile)
+        monkeypatch.setattr(batch, "spawn_pool", no_pool)
+        warm = compile_many(
+            cold_sweep.requests, cache=cold_sweep.cache_dir, workers=2
+        )
+        assert compiles == []
+        assert all(r.cache_hit for r in warm)
 
 
 class TestErrorPolicy:

@@ -111,7 +111,7 @@ class TestCompilationCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = CompilationCache(tmp_path)
         request = _request()
-        key = request.cache_key()
+        key = content_hash(request)
         assert cache.get(key) is None
         report = Toolchain.default().compile(request)
         cache.put(key, report)
@@ -130,7 +130,7 @@ class TestCompilationCache:
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = CompilationCache(tmp_path)
         request = _request()
-        key = request.cache_key()
+        key = content_hash(request)
         cache.put(key, Toolchain.default().compile(request))
         cache.path_for(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
@@ -147,7 +147,7 @@ class TestCompilationCache:
         cache = CompilationCache(tmp_path)
         for name in ("daxpy", "dot_product"):
             request = _request(loop=make_kernel(name))
-            cache.put(request.cache_key(), Toolchain.default().compile(request))
+            cache.put(content_hash(request), Toolchain.default().compile(request))
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0

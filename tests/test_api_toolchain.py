@@ -16,7 +16,6 @@ from repro.errors import SchedulingError, ToolchainError
 from repro.ir.transforms import unroll_loop
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
-from repro.scheduling.pipeline import compile_loop
 from repro.workloads import make_kernel
 
 from .conftest import build_reduction_loop, build_stream_loop
@@ -130,19 +129,6 @@ class TestComposition:
 
 
 class TestCompile:
-    def test_matches_compile_loop_shim(self):
-        loop = make_kernel("dot_product")
-        machine = clustered_vliw(4)
-        via_shim = compile_loop(loop, machine, equivalent_k=4)
-        report = Toolchain.default().compile(
-            CompilationRequest(loop=loop, machine=machine, equivalent_k=4)
-        )
-        assert schedule_fingerprint(report.result) == schedule_fingerprint(
-            via_shim.result
-        )
-        assert report.compiled.unroll_factor == via_shim.unroll_factor
-        assert (report.compiled.allocation is None) == (via_shim.allocation is None)
-
     def test_report_carries_timings_trajectory_diagnostics(self):
         report = Toolchain.default().compile(
             CompilationRequest(
@@ -180,8 +166,9 @@ class TestCompile:
 
     def test_unrolled_loop_rejected(self):
         loop = unroll_loop(build_stream_loop(), 2)
+        request = CompilationRequest(loop=loop, machine=unclustered_vliw(2))
         with pytest.raises(SchedulingError, match="already unrolled"):
-            compile_loop(loop, unclustered_vliw(2))
+            Toolchain.default().compile(request)
 
     def test_forced_scheduler_overrides_machine_shape(self):
         # Figure 4's k=1 point: DMS degenerates on the single-cluster

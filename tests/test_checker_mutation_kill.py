@@ -15,14 +15,13 @@ import dataclasses
 
 import pytest
 
-from repro.api import CompilationRequest, Toolchain
+from repro.api import CompiledLoop
 from repro.ir import LoopBuilder, OpCode
 from repro.ir.loop import Loop
 from repro.machine import MachineSpec, clustered_vliw
 from repro.machine.cluster import ClusterSpec, PAPER_CLUSTER
 from repro.machine.cqrf import QueueFileSpec
 from repro.scheduling.checker import check_schedule
-from repro.scheduling.pipeline import CompiledLoop
 from repro.scheduling.result import ScheduleResult
 from repro.scheduling.schedule import Placement
 from repro.scheduling.timing import dependence_slack
@@ -30,14 +29,7 @@ from repro.simulator import simulate
 from repro.validate import verify_compiled
 from repro.workloads import make_kernel
 
-from .conftest import build_stream_loop
-
-
-def compile_on(loop, machine, **kwargs):
-    report = Toolchain.default().compile(
-        CompilationRequest(loop=loop, machine=machine, **kwargs)
-    )
-    return report.compiled
+from .conftest import build_stream_loop, compile_for
 
 
 def oracle_rejects(compiled: CompiledLoop, mutant: ScheduleResult) -> bool:
@@ -50,7 +42,7 @@ def oracle_rejects(compiled: CompiledLoop, mutant: ScheduleResult) -> bool:
 @pytest.fixture(scope="module")
 def baseline():
     """One valid compiled loop on the paper's 4-cluster ring."""
-    compiled = compile_on(make_kernel("fir_filter", taps=6), clustered_vliw(4))
+    compiled = compile_for(make_kernel("fir_filter", taps=6), clustered_vliw(4))
     assert check_schedule(compiled.result).ok
     assert verify_compiled(compiled).ok
     return compiled
@@ -87,7 +79,7 @@ class TestRuleMutants:
             clusters=(PAPER_CLUSTER, no_mul),
         )
         loop = build_stream_loop()
-        compiled = compile_on(loop, machine)
+        compiled = compile_for(loop, machine)
         result = compiled.result
         mul_id = next(
             op.op_id
@@ -184,9 +176,7 @@ class TestRuleMutants:
         loop = b.build(64)
         ddg = loop.ddg.copy()
         machine = clustered_vliw(2)
-        latencies = Toolchain.default().compile(
-            CompilationRequest(loop=build_stream_loop(), machine=machine)
-        ).compiled.result.latencies
+        latencies = compile_for(build_stream_loop(), machine).result.latencies
         # ids: 0 load, (1,2) (3,4) (5,6) = (mul, store) pairs.
         placements = {
             0: Placement(time=0, cluster=0),
@@ -278,9 +268,7 @@ class TestLinkBandwidthRule:
         machine = clustered_vliw(
             2, cqrf=QueueFileSpec(write_ports=write_ports)
         )
-        latencies = Toolchain.default().compile(
-            CompilationRequest(loop=build_stream_loop(), machine=machine)
-        ).compiled.result.latencies
+        latencies = compile_for(build_stream_loop(), machine).result.latencies
         # ids: 0 load x, 1 add a, 2 add(x,k), 3 store, 4 add(a,m), 5 store.
         placements = {
             0: Placement(time=0, cluster=0),   # mem c0 row 0, birth 2

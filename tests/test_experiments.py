@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.api import CompilationCache, Toolchain, content_hash
 from repro.errors import ReproError
 from repro.experiments import (
     FigureData,
@@ -15,6 +16,7 @@ from repro.experiments import (
     ii_overhead_fraction,
     moves_report,
     run_sweep,
+    sweep_requests,
 )
 from repro.experiments.metrics import LoopRun, aggregate_ipc, total_cycles
 from repro.workloads import perfect_club_surrogate
@@ -51,6 +53,31 @@ class TestRunner:
     def test_useful_fus_match_cluster_count(self, small_runs):
         for run in small_runs:
             assert run.useful_fus == 3 * run.clusters
+
+    def test_stored_record_yields_the_cold_run(self, tmp_path, monkeypatch):
+        """A cache entry's summary alone, never unpickled, gives the same
+        LoopRun as the report it was stored from."""
+        import repro.api.cache as cache_module
+
+        jobs = sweep_requests(
+            perfect_club_surrogate(2, seed=5), SweepConfig(cluster_counts=[1, 3])
+        )
+        cache = CompilationCache(tmp_path)
+        cold = []
+        for k, request in jobs:
+            report = Toolchain.default().compile(request)
+            cold.append(LoopRun.from_record(report.to_dict(), k))
+            assert cold[-1].cycles == report.compiled.cycles
+            assert cold[-1].total_ejections == report.result.stats.total_ejections
+            cache.put(content_hash(request), report)
+
+        def no_unpickling(_data):
+            raise AssertionError("a stored record was unpickled")
+
+        monkeypatch.setattr(cache_module.pickle, "loads", no_unpickling)
+        for (k, request), run in zip(jobs, cold):
+            entry = cache.get_encoded(content_hash(request))
+            assert LoopRun.from_record(entry.summary["report"], k) == run
 
     def test_cycles_formula(self, small_runs):
         for run in small_runs:

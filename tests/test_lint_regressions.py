@@ -96,7 +96,7 @@ class TestCacheErrorCounter:
         key = content_hash(request)
         disk.put(key, report)
         disk.path_for(key).write_bytes(b"junk")
-        assert tiered.get(key) is None
+        assert tiered.get_tiered(key) == (None, None)
         assert tiered.counters()["disk_errors"] == 1
 
     def test_old_swallow_shape_is_a_true_positive(self, tmp_path):

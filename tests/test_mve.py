@@ -5,10 +5,9 @@ import pytest
 from repro.machine import unclustered_vliw
 from repro.registers import mve_report, mve_summary, register_pressure
 from repro.scheduling import IterativeModuloScheduler
-from repro.scheduling.pipeline import compile_loop
 from repro.workloads import make_kernel
 
-from .conftest import build_reduction_loop, build_stream_loop
+from .conftest import build_reduction_loop, build_stream_loop, compile_for
 
 
 def result_for(loop, k=2):
@@ -61,17 +60,17 @@ class TestDegrees:
         # kernel ~8x on a conventional RF — the cost queues avoid.
         loop = make_kernel("fir_filter", taps=8)
         report = mve_report(
-            compile_loop(loop, unclustered_vliw(1), unroll=1).result
+            compile_for(loop, unclustered_vliw(1), unroll=1).result
         )
         assert report.kernel_unroll_max == 8
 
     def test_wide_machines_need_more_registers(self):
         loop = make_kernel("fir_filter", taps=8)
         narrow = mve_report(
-            compile_loop(loop, unclustered_vliw(1), unroll=1).result
+            compile_for(loop, unclustered_vliw(1), unroll=1).result
         )
         wide = mve_report(
-            compile_loop(loop, unclustered_vliw(6), unroll=1).result
+            compile_for(loop, unclustered_vliw(6), unroll=1).result
         )
         assert wide.total_registers >= narrow.total_registers
 

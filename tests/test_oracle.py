@@ -13,33 +13,30 @@ import dataclasses
 
 import pytest
 
-from repro.api import CompilationRequest, Toolchain
+from repro.api import CompiledLoop
 from repro.codegen.kernel import CycleIssue, _ramp_listing, build_program
 from repro.errors import CodegenError, SimulationError
 from repro.machine import clustered_vliw, unclustered_vliw
-from repro.scheduling.pipeline import CompiledLoop
 from repro.scheduling.schedule import Placement
 from repro.simulator import simulate
 from repro.validate import execute_program, verify_compiled, verify_loop
 from repro.validate.oracle import _enumerate_issues, OracleReport
 from repro.workloads import KERNELS, make_kernel
 
-from .conftest import build_fanout_loop, build_reduction_loop, build_stream_loop
+from .conftest import (
+    build_fanout_loop,
+    build_reduction_loop,
+    build_stream_loop,
+    compile_for,
+)
 
 TOPOLOGIES = ("ring", "linear", "mesh", "torus", "crossbar")
 CLUSTER_COUNTS = (2, 4, 8)
 
 
-def compile_loop_on(loop, machine, **kwargs):
-    report = Toolchain.default().compile(
-        CompilationRequest(loop=loop, machine=machine, **kwargs)
-    )
-    return report.compiled
-
-
 class TestExecuteProgram:
     def test_valid_program_executes_clean(self):
-        compiled = compile_loop_on(build_stream_loop(), clustered_vliw(4))
+        compiled = compile_for(build_stream_loop(), clustered_vliw(4))
         result = compiled.result
         program = build_program(result, compiled.allocation, ramp_iterations=6)
         report = execute_program(
@@ -55,14 +52,14 @@ class TestExecuteProgram:
         assert report.store_streams
 
     def test_unclustered_runs_without_allocation(self):
-        compiled = compile_loop_on(build_stream_loop(), unclustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), unclustered_vliw(2))
         result = compiled.result
         program = build_program(result, ramp_iterations=5)
         report = execute_program(program, result.ddg, result.latencies, 5)
         assert report.ok, report.problems
 
     def test_invalid_iterations_rejected(self):
-        compiled = compile_loop_on(build_stream_loop(), clustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), clustered_vliw(2))
         program = build_program(compiled.result, compiled.allocation)
         with pytest.raises(SimulationError):
             execute_program(
@@ -72,7 +69,7 @@ class TestExecuteProgram:
     def test_ramp_mismatch_reported(self):
         """A program whose ramp listings were built for a different run
         depth must be rejected, not silently mis-executed."""
-        compiled = compile_loop_on(
+        compiled = compile_for(
             make_kernel("fir_filter", taps=8), clustered_vliw(2)
         )
         result = compiled.result
@@ -92,7 +89,7 @@ class TestRampExactness:
     @pytest.mark.parametrize("kernel", ["fir_filter", "stencil5", "lms_update"])
     @pytest.mark.parametrize("short", [False, True])
     def test_issue_multiset_matches_schedule(self, kernel, short):
-        compiled = compile_loop_on(make_kernel(kernel), clustered_vliw(4))
+        compiled = compile_for(make_kernel(kernel), clustered_vliw(4))
         result = compiled.result
         iterations = (
             max(1, result.stage_count - 1)
@@ -128,7 +125,7 @@ class TestRampExactness:
         """Regression: ramp listings used to span the full (SC-1)*II
         prologue even when ramp_iterations < SC, re-listing issues the
         drain phase also covers.  The oracle flags the double issue."""
-        compiled = compile_loop_on(
+        compiled = compile_for(
             make_kernel("fir_filter", taps=8), clustered_vliw(2)
         )
         result = compiled.result
@@ -169,7 +166,7 @@ class TestRampExactness:
         assert fixed.ok, fixed.problems
 
     def test_omitted_issue_is_caught(self):
-        compiled = compile_loop_on(build_stream_loop(), clustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), clustered_vliw(2))
         result = compiled.result
         program = build_program(result, compiled.allocation, ramp_iterations=4)
         victim = program.prologue[0]
@@ -193,7 +190,7 @@ class TestDifferential:
 
     def test_unrolled_program_maps_back_to_base_iterations(self):
         loop = build_stream_loop()
-        compiled = compile_loop_on(loop, clustered_vliw(4), unroll=3)
+        compiled = compile_for(loop, clustered_vliw(4), unroll=3)
         assert compiled.unroll_factor == 3
         report = verify_compiled(compiled)
         assert report.ok, report.all_problems
@@ -211,7 +208,7 @@ class TestDifferential:
     def test_short_ramp_run(self):
         """Runs shorter than the pipeline depth (trip count < SC)."""
         loop = make_kernel("fir_filter", taps=8)
-        compiled = compile_loop_on(loop, clustered_vliw(2))
+        compiled = compile_for(loop, clustered_vliw(2))
         assert compiled.result.stage_count >= 3
         report = verify_compiled(compiled, iterations=2)
         assert report.ok, report.all_problems
@@ -228,7 +225,7 @@ class TestDifferential:
         from repro.ir.operations import use
 
         loop = build_stream_loop()
-        compiled = compile_loop_on(loop, clustered_vliw(2))
+        compiled = compile_for(loop, clustered_vliw(2))
         result = compiled.result
         ddg = result.ddg.copy()
         store = next(
@@ -248,7 +245,7 @@ class TestDifferential:
         """Counterpoint: delaying a store by a full II keeps every FIFO
         pop aligned — the oracle must accept it (no false alarms)."""
         loop = build_stream_loop()
-        compiled = compile_loop_on(loop, clustered_vliw(2))
+        compiled = compile_for(loop, clustered_vliw(2))
         result = compiled.result
         store_id = max(
             op_id
@@ -270,7 +267,7 @@ class TestDifferential:
         """On an unclustered machine (no allocation layer to catch it
         first) a dependence-violating mutant must fail in the value
         execution itself."""
-        compiled = compile_loop_on(build_stream_loop(), unclustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), unclustered_vliw(2))
         result = compiled.result
         # Pull the first consumer of a load to cycle 0.
         victim = next(

@@ -1,4 +1,4 @@
-"""Tests for the end-to-end compile pipeline and unroll policy."""
+"""Tests for the default toolchain's end-to-end flow and unroll policy."""
 
 import pytest
 
@@ -8,13 +8,10 @@ from repro.ir import DEFAULT_LATENCIES
 from repro.ir.transforms import unroll_loop
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling import validate_schedule
-from repro.scheduling.pipeline import (
-    choose_unroll_factor,
-    compile_loop,
-)
+from repro.scheduling.mii import choose_unroll_factor
 from repro.workloads import make_kernel
 
-from .conftest import build_reduction_loop, build_stream_loop
+from .conftest import build_reduction_loop, build_stream_loop, compile_for
 
 
 class TestUnrollPolicy:
@@ -54,14 +51,14 @@ class TestUnrollPolicy:
             choose_unroll_factor(loop.ddg, 0)
 
 
-class TestCompileLoop:
+class TestDefaultToolchain:
     def test_unclustered_uses_ims(self):
-        compiled = compile_loop(build_stream_loop(), unclustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), unclustered_vliw(2))
         assert compiled.result.scheduler == "ims"
         validate_schedule(compiled.result)
 
     def test_clustered_uses_dms(self):
-        compiled = compile_loop(build_stream_loop(), clustered_vliw(4))
+        compiled = compile_for(build_stream_loop(), clustered_vliw(4))
         assert compiled.result.scheduler == "dms"
         validate_schedule(compiled.result)
         assert compiled.allocation is not None
@@ -69,17 +66,17 @@ class TestCompileLoop:
 
     def test_single_cluster_machine_skips_single_use(self):
         loop = make_kernel("stencil5")  # fan-out 5 on the load
-        compiled = compile_loop(loop, clustered_vliw(1))
+        compiled = compile_for(loop, clustered_vliw(1))
         assert compiled.result.n_copies == 0
 
     def test_clustered_machine_gets_copies(self):
         loop = make_kernel("stencil5")
-        compiled = compile_loop(loop, clustered_vliw(3))
+        compiled = compile_for(loop, clustered_vliw(3))
         assert compiled.result.n_copies > 0
         validate_schedule(compiled.result)
 
     def test_explicit_unroll_respected(self):
-        compiled = compile_loop(
+        compiled = compile_for(
             build_stream_loop(), unclustered_vliw(2), unroll=3
         )
         assert compiled.unroll_factor == 3
@@ -87,19 +84,19 @@ class TestCompileLoop:
 
     def test_shared_unroll_between_pair(self):
         loop = build_stream_loop()
-        a = compile_loop(loop, unclustered_vliw(4), equivalent_k=4)
-        b = compile_loop(loop, clustered_vliw(4), equivalent_k=4)
+        a = compile_for(loop, unclustered_vliw(4), equivalent_k=4)
+        b = compile_for(loop, clustered_vliw(4), equivalent_k=4)
         assert a.unroll_factor == b.unroll_factor
 
     def test_already_unrolled_rejected(self):
         loop = unroll_loop(build_stream_loop(), 2)
         with pytest.raises(SchedulingError):
-            compile_loop(loop, unclustered_vliw(1))
+            compile_for(loop, unclustered_vliw(1))
 
 
 class TestMetrics:
     def test_cycle_model(self):
-        compiled = compile_loop(
+        compiled = compile_for(
             build_stream_loop("s", trip_count=100), unclustered_vliw(1), unroll=1
         )
         result = compiled.result
@@ -108,15 +105,15 @@ class TestMetrics:
 
     def test_kernel_iterations_ceiling(self):
         loop = build_stream_loop("s", trip_count=100)
-        compiled = compile_loop(loop, unclustered_vliw(2), unroll=3)
+        compiled = compile_for(loop, unclustered_vliw(2), unroll=3)
         assert compiled.kernel_iterations == 34
 
     def test_ipc_bounded_by_machine_width(self):
-        compiled = compile_loop(build_stream_loop(), unclustered_vliw(2))
+        compiled = compile_for(build_stream_loop(), unclustered_vliw(2))
         assert 0 < compiled.ipc <= 6
 
     def test_useful_instances_exclude_copies(self):
         loop = make_kernel("stencil5", trip_count=64)
-        compiled = compile_loop(loop, clustered_vliw(4), equivalent_k=4)
+        compiled = compile_for(loop, clustered_vliw(4), equivalent_k=4)
         useful_per_iter = compiled.result.n_useful_ops
         assert compiled.useful_instances == useful_per_iter * compiled.kernel_iterations

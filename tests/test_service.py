@@ -25,10 +25,14 @@ import pytest
 from repro.api import CompilationRequest, Toolchain, content_hash
 from repro.api.cache import CompilationCache, EncodedReport, MemoryCache, TieredCache
 from repro.config import DEFAULT_CONFIG
-from repro.errors import CacheError, ServiceError
-from repro.machine.machine import clustered_vliw
+from repro.errors import CacheError, ServiceError, ToolchainError
+from repro.ir.opcodes import LatencyModel
+from repro.machine import ClusterSpec
+from repro.machine.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.service import NO_RETRY, CompileService, RetryPolicy, ServiceClient
+from repro.service.jobs import parse_compile_payload, request_to_payload
+from repro.targets import resolve_target
 from repro.validate import verify_many
 from repro.workloads import make_kernel
 
@@ -140,6 +144,37 @@ def test_compile_request_roundtrip_matches_local():
         result = client.compile_request(request)
     assert result["fingerprint"] == jsonable(schedule_fingerprint(local.result))
     assert result["report"]["ii"] == local.result.ii
+
+
+def test_request_to_payload_carries_the_request_or_refuses():
+    # Each refused request once shipped as a different one: the daemon
+    # compiled, and a remote sweep cached, another machine's schedule.
+    loop = make_kernel("daxpy")
+    for request in (
+        CompilationRequest(
+            loop=loop, machine=clustered_vliw(4), latencies=LatencyModel(mul=5)
+        ),
+        CompilationRequest(
+            loop=loop, machine=clustered_vliw(4, cluster=ClusterSpec(copy=2))
+        ),
+        CompilationRequest(
+            loop=loop,
+            machine=clustered_vliw(
+                6, topology="mesh", topology_params={"rows": 1, "cols": 6}
+            ),
+        ),
+    ):
+        with pytest.raises(ToolchainError):
+            request_to_payload(request)
+    for machine in (
+        clustered_vliw(1),
+        clustered_vliw(4, topology="mesh"),
+        unclustered_vliw(3),
+        resolve_target("hetero-4"),
+    ):
+        request = CompilationRequest(loop=loop, machine=machine, equivalent_k=2)
+        shipped = parse_compile_payload(request_to_payload(request)).request
+        assert content_hash(shipped) == content_hash(request), machine.name
 
 
 # ----------------------------------------------------------------------

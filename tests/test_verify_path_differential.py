@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.api import CompilationRequest, Toolchain
+from repro.api import CompilationRequest, CompiledLoop, Toolchain
 from repro.codegen.kernel import CycleIssue, SlotBinding, VLIWProgram, build_program
 from repro.errors import CodegenError, SimulationError
 from repro.ir import LoopBuilder
@@ -40,7 +40,6 @@ from repro.machine import clustered_vliw, unclustered_vliw
 from repro.machine.cqrf import LRFId, QueueFileSpec
 from repro.machine.fu import FUSlot
 from repro.registers.queues import QueueAllocation, allocate_queues
-from repro.scheduling.pipeline import CompiledLoop
 from repro.scheduling.result import ScheduleResult
 from repro.scheduling.schedule import Placement
 from repro.scheduling.timing import edge_ready_latency
