@@ -6,19 +6,18 @@ in :data:`~repro.analysis.rules.RULE_REGISTRY`; the driver
 (:func:`~repro.analysis.runner.run_lint`) reads and parses each file
 once into the project index, walks each file's AST once, dispatching
 nodes to every interested rule, runs each rule's whole-module flow
-pass, then folds in inline suppressions and the committed baseline.
+pass, then folds in inline suppressions.
 
 Layers::
 
-    findings.py   Finding / baseline keys
+    findings.py   Finding + its line-free key
     rules.py      LintRule base + registry (+ meta rule ids)
     visitor.py    ModuleContext (scopes, aliases, parents) + Walker
     cfg.py        intraprocedural control-flow graphs
     dataflow.py   events + forward solver + reaching definitions
     callgraph.py  parsed-module table: trees, resolved aliases, symbols
     suppress.py   # repro: lint-ignore[...] comment semantics
-    baseline.py   grandfathered-findings file + diffing
-    config.py     defaults + [tool.repro.lint] from pyproject.toml
+    config.py     LintConfig: the repo's paths, guards, sources, sinks
     report.py     LintResult + text/JSON/SARIF rendering
     runner.py     file collection + the run_lint driver
     checks/       the builtin rules (syntactic and flow-aware)
@@ -26,8 +25,7 @@ Layers::
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineDiff
-from .config import CacheGuard, LintConfig, load_config
+from .config import CacheGuard, LintConfig
 from .findings import Finding
 from .report import LintResult, render_json, render_sarif, render_text
 from .rules import (
@@ -40,14 +38,12 @@ from .rules import (
     register_rule,
     registered_rules,
 )
-from .runner import collect_files, lint_file, run_lint, select_rules, update_baseline
+from .runner import collect_files, lint_file, run_lint, select_rules
 
 __all__ = [
     "BAD_SUPPRESSION",
     "PARSE_ERROR",
     "RULE_REGISTRY",
-    "Baseline",
-    "BaselineDiff",
     "CacheGuard",
     "Finding",
     "LintConfig",
@@ -57,7 +53,6 @@ __all__ = [
     "collect_files",
     "get_rule",
     "lint_file",
-    "load_config",
     "register_rule",
     "registered_rules",
     "render_json",
@@ -65,5 +60,4 @@ __all__ = [
     "render_text",
     "run_lint",
     "select_rules",
-    "update_baseline",
 ]

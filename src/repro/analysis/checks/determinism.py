@@ -48,11 +48,11 @@ which parameters pass through to its return — computed on demand from
 its own CFG.  ``h = hashlib.sha256(); h.update(tainted)`` is caught by
 tracking hash objects as a dataflow fact of their own.
 
-Sources and sinks extend via ``[tool.repro.lint]`` ``taint-sources`` /
-``taint-sinks`` (dotted call names).  Known-good escapes:
-``sorted(...)`` around the set, seeded generator objects, and doing the
-timing one layer up (pass wall-clock measurements in; never sample them
-on a deterministic path).
+Extra sources and sinks are ``LintConfig.taint_sources`` /
+``taint_sinks`` (dotted call names, :mod:`repro.analysis.config`).
+Known-good escapes: ``sorted(...)`` around the set, seeded generator
+objects, and doing the timing one layer up (pass wall-clock
+measurements in; never sample them on a deterministic path).
 """
 
 from __future__ import annotations

@@ -1,27 +1,17 @@
-"""Lint configuration: defaults + ``[tool.repro.lint]`` in pyproject.toml.
+"""Lint configuration: which files ``repro lint`` reads and which rules
+apply where.
 
 Everything path-like is repo-relative with posix separators.  The
-defaults describe *this* repository (they are what ``repro lint`` uses
-when run from a checkout without a pyproject section), and the pyproject
-table overrides any subset — tests inject hand-built configs to point
-rules at fixture files instead.
+defaults describe *this* repository and are the only configuration
+``repro lint`` has; tests inject hand-built configs to point rules at
+fixture files instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..errors import LintError
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.10 path
-    try:
-        import tomli as tomllib  # type: ignore[no-redef]
-    except ModuleNotFoundError:
-        tomllib = None  # type: ignore[assignment]
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,6 @@ DEFAULT_API_PATHS: Tuple[str, ...] = (
 )
 
 DEFAULT_PATHS: Tuple[str, ...] = ("src", "benchmarks")
-DEFAULT_BASELINE = "LINT_baseline.json"
 
 #: Extra taint *sources* for the flow-sensitive determinism rule (the
 #: ambient ones — clocks, unseeded RNG, id()/hash() — are built in).
@@ -111,15 +100,11 @@ class LintConfig:
     root: Path = field(default_factory=Path.cwd)
     paths: Tuple[str, ...] = DEFAULT_PATHS
     exclude: Tuple[str, ...] = ()
-    baseline: str = DEFAULT_BASELINE
     determinism_paths: Tuple[str, ...] = DEFAULT_DETERMINISM_PATHS
     api_paths: Tuple[str, ...] = DEFAULT_API_PATHS
     cache_guards: Tuple[CacheGuard, ...] = DEFAULT_CACHE_GUARDS
     taint_sources: Tuple[str, ...] = DEFAULT_TAINT_SOURCES
     taint_sinks: Tuple[str, ...] = DEFAULT_TAINT_SINKS
-
-    def baseline_path(self) -> Path:
-        return Path(self.root) / self.baseline
 
     def guards_for(self, rel_path: str) -> List[CacheGuard]:
         return [g for g in self.cache_guards if g.file == rel_path]
@@ -132,85 +117,3 @@ def path_in(rel_path: str, prefixes: Sequence[str]) -> bool:
         if rel_path == clean or rel_path.startswith(clean + "/"):
             return True
     return False
-
-
-def load_config(root: Path) -> LintConfig:
-    """Config for *root*: defaults overridden by ``[tool.repro.lint]``."""
-    root = Path(root)
-    table = _pyproject_table(root)
-    config = LintConfig(root=root)
-    if not table:
-        return config
-    simple = {
-        "paths": "paths",
-        "exclude": "exclude",
-        "baseline": "baseline",
-        "determinism-paths": "determinism_paths",
-        "api-paths": "api_paths",
-        "taint-sources": "taint_sources",
-        "taint-sinks": "taint_sinks",
-    }
-    known = set(simple) | {"cache-guards"}
-    unknown = sorted(set(table) - known)
-    if unknown:
-        raise LintError(
-            f"[tool.repro.lint] has unknown key(s): {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(known))}"
-        )
-    for key, attr in simple.items():
-        if key not in table:
-            continue
-        value = table[key]
-        if key == "baseline":
-            if not isinstance(value, str):
-                raise LintError("[tool.repro.lint] baseline must be a string")
-            setattr(config, attr, value)
-        else:
-            if not isinstance(value, list) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise LintError(
-                    f"[tool.repro.lint] {key} must be a list of strings"
-                )
-            setattr(config, attr, tuple(value))
-    if "cache-guards" in table:
-        config.cache_guards = tuple(
-            _parse_guard(entry) for entry in table["cache-guards"]
-        )
-    return config
-
-
-def _parse_guard(entry: Dict[str, object]) -> CacheGuard:
-    if not isinstance(entry, dict):
-        raise LintError("[tool.repro.lint] cache-guards entries must be tables")
-    try:
-        return CacheGuard(
-            file=str(entry["file"]),
-            classes=tuple(entry["classes"]),
-            guarded=tuple(entry["guarded"]),
-            caches=tuple(entry["caches"]),
-            invalidators=tuple(entry.get("invalidators", ())),
-        )
-    except KeyError as err:
-        raise LintError(
-            f"cache-guards entry is missing required key {err.args[0]!r} "
-            "(needs file, classes, guarded, caches)"
-        ) from None
-
-
-def _pyproject_table(root: Path) -> Optional[Dict[str, object]]:
-    path = root / "pyproject.toml"
-    if not path.exists():
-        return None
-    if tomllib is None:  # pragma: no cover - Python 3.10 without tomli
-        return None
-    with open(path, "rb") as handle:
-        doc = tomllib.load(handle)
-    tool = doc.get("tool", {})
-    if not isinstance(tool, dict):
-        return None
-    repro = tool.get("repro", {})
-    if not isinstance(repro, dict):
-        return None
-    lint = repro.get("lint")
-    return lint if isinstance(lint, dict) else None

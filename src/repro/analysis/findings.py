@@ -2,17 +2,17 @@
 
 A :class:`Finding` is one rule violation pinned to a source location.
 Findings carry the *stripped source line* they fired on (``snippet``):
-the baseline key is derived from ``(rule, path, snippet)`` rather than
-the line number, so grandfathered findings survive unrelated edits that
-shift lines, and resurface only when the offending code itself moves
-between files or changes rule.
+the finding's key is derived from ``(rule, path, snippet)`` rather than
+the line number, so code scanning (SARIF) tracks one finding across
+unrelated edits that shift lines, and sees a new one only when the
+offending code itself moves between files or changes rule.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class Finding:
     message: str
     snippet: str = ""
 
-    def baseline_key(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
+    def key(self) -> str:
+        """Stable identity across line shifts (line-number free)."""
         blob = f"{self.rule}\x1f{self.path}\x1f{self.snippet.strip()}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -48,17 +48,5 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "key": self.baseline_key(),
+            "key": self.key(),
         }
-
-
-@dataclass
-class FileReport:
-    """All findings produced while analysing one file."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
-
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)

@@ -8,30 +8,26 @@ from typing import Dict, List
 
 from .findings import Finding
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 @dataclass
 class LintResult:
     """Everything one ``repro lint`` run produced.
 
-    *findings* is every unsuppressed finding; *new* / *baselined* split
-    it against the baseline; *resolved* lists baseline entries no
-    longer matched by anything (stale grandfathering — remove them).
+    *findings* is every finding no inline suppression accepted;
+    *suppressed* counts the ones that were.
     """
 
     findings: List[Finding] = field(default_factory=list)
-    new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    resolved: List[Dict[str, object]] = field(default_factory=list)
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
     suppressed: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when nothing outside the baseline fired."""
-        return not self.new
+        """True when no unsuppressed finding remains."""
+        return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -41,48 +37,23 @@ class LintResult:
             "rules": list(self.rules_run),
             "counts": {
                 "total": len(self.findings),
-                "new": len(self.new),
-                "baselined": len(self.baselined),
-                "resolved": len(self.resolved),
                 "suppressed": self.suppressed,
             },
-            "new": [f.to_dict() for f in self.new],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "resolved": list(self.resolved),
+            "findings": [f.to_dict() for f in self.findings],
         }
 
 
-def render_text(result: LintResult, *, verbose: bool = False) -> str:
-    """Human-readable report: new findings, then a one-line summary."""
-    lines: List[str] = []
-    for finding in result.new:
-        lines.append(finding.render())
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append(f"baselined ({len(result.baselined)} grandfathered):")
-        for finding in result.baselined:
-            lines.append("  " + finding.render())
-    if result.resolved:
-        lines.append("")
-        lines.append(
-            f"{len(result.resolved)} baseline entr"
-            f"{'y is' if len(result.resolved) == 1 else 'ies are'} no longer "
-            "matched — run `repro lint --update-baseline` to drop:"
-        )
-        for entry in result.resolved:
-            lines.append(
-                f"  {entry.get('rule', '?')} at {entry.get('path', '?')} "
-                f"(key {entry.get('key', '?')})"
-            )
+def render_text(result: LintResult) -> str:
+    """Human-readable report: findings, then a one-line summary."""
+    lines = [finding.render() for finding in result.findings]
     if lines:
         lines.append("")
-    summary = (
+    lines.append(
         f"checked {result.files_checked} files, "
         f"{len(result.rules_run)} rules: "
-        f"{len(result.new)} new, {len(result.baselined)} baselined, "
+        f"{len(result.findings)} findings, "
         f"{result.suppressed} suppressed"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -98,14 +69,12 @@ SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 def render_sarif(result: LintResult) -> str:
     """The run as a SARIF 2.1.0 document (GitHub code-scanning upload).
 
-    New findings are ``error`` (they gate), baselined ones ``note``
-    (visible in the UI without failing the scan).  The baseline key
-    rides along as a partial fingerprint so code scanning tracks a
-    finding across line-shifting edits exactly like the baseline does.
+    Every finding is an ``error``: each one fails the gate.  The
+    finding's key rides along as a partial fingerprint so code scanning
+    tracks a finding across line-shifting edits.
     """
     from .rules import META_RULE_IDS, RULE_REGISTRY
 
-    new_keys = {id(f) for f in result.new}
     rule_ids = sorted(
         {f.rule for f in result.findings} | set(result.rules_run)
     )
@@ -129,7 +98,7 @@ def render_sarif(result: LintResult) -> str:
         results.append(
             {
                 "ruleId": finding.rule,
-                "level": "error" if id(finding) in new_keys else "note",
+                "level": "error",
                 "message": {"text": finding.message},
                 "locations": [
                     {
@@ -146,7 +115,7 @@ def render_sarif(result: LintResult) -> str:
                     }
                 ],
                 "partialFingerprints": {
-                    "reproBaselineKey/v1": finding.baseline_key(),
+                    "reproBaselineKey/v1": finding.key(),
                 },
             }
         )

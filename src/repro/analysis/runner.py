@@ -1,4 +1,4 @@
-"""The lint driver: collect files, run rules, fold in suppressions + baseline.
+"""The lint driver: collect files, run rules, fold in suppressions.
 
 :func:`run_lint` is the single entry point the CLI, CI and tests share.
 It is deterministic by construction — files are visited in sorted
@@ -13,7 +13,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..errors import LintError
 from . import checks  # noqa: F401 - import registers the builtin rules
-from .baseline import Baseline
 from .callgraph import ProjectIndex
 from .config import LintConfig, path_in
 from .findings import Finding
@@ -100,23 +99,16 @@ def run_lint(
     config: LintConfig,
     *,
     only: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     files: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """Lint the tree described by *config* and diff against *baseline*.
+    """Lint the tree described by *config*.
 
-    When *baseline* is None the committed baseline file is loaded (a
-    missing file is an empty baseline, never an error).  *files*
-    narrows the run to a subset of repo-relative paths (``--changed``);
-    the project index is still built over the full tree so cross-file
-    resolution stays whole-program, but baseline entries of unlinted
-    files are not reported as resolved.  Each file is read and parsed
-    once, by the index.
+    *files* narrows the run to a subset of repo-relative paths
+    (``--changed``); the project index is still built over the full
+    tree so cross-file resolution stays whole-program.  Each file is
+    read and parsed once, by the index.
     """
     rules = select_rules(only)
-    if baseline is None:
-        baseline = Baseline.load(config.baseline_path())
-
     result = LintResult(rules_run=sorted(r.rule_id for r in rules))
     root = Path(config.root)
     pairs = [
@@ -137,20 +129,7 @@ def run_lint(
         result.files_checked += 1
 
     result.findings.sort(key=Finding.sort_key)
-    diff = baseline.diff(result.findings)
-    result.new = diff.new
-    result.baselined = diff.baselined
-    # A subset run never saw most files; silence about them is not
-    # evidence their baselined findings are fixed.
-    result.resolved = [] if wanted is not None else diff.resolved
     return result
-
-
-def update_baseline(config: LintConfig, result: LintResult) -> Path:
-    """Write the baseline matching *result* and return its path."""
-    path = config.baseline_path()
-    Baseline.from_findings(result.findings).save(path)
-    return path
 
 
 __all__ = [
@@ -158,6 +137,5 @@ __all__ = [
     "select_rules",
     "lint_file",
     "run_lint",
-    "update_baseline",
     "LintError",
 ]

@@ -66,9 +66,8 @@ def _job_map(workers: int, n_jobs: int):
 class BatchCompiler:
     """Compile many requests through one toolchain, cache and pool.
 
-    *cache* may be a :class:`CompilationCache`, any object with the same
-    ``get``/``put`` duck type (e.g. a :class:`~repro.api.cache.TieredCache`),
-    or a path, which is wrapped in a disk cache.
+    *cache* may be a :class:`CompilationCache` or a directory, which is
+    wrapped in one.
     """
 
     def __init__(
@@ -79,9 +78,7 @@ class BatchCompiler:
         coordinator: Optional[str] = None,
     ):
         self.toolchain = toolchain or Toolchain.default()
-        if cache is not None and not (
-            hasattr(cache, "get") and hasattr(cache, "put")
-        ):
+        if cache is not None and not isinstance(cache, CompilationCache):
             cache = CompilationCache(cache)
         self.cache = cache
         self.workers = workers

@@ -473,11 +473,12 @@ def _parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="project-aware static analysis (invariant-enforcing AST rules)",
+        help="project-aware static analysis (invariant-enforcing AST rules); "
+             "exits 1 on any unsuppressed finding",
     )
     lint.add_argument(
         "--root", type=str, default=".",
-        help="repository root holding pyproject.toml (default: cwd)",
+        help="repository root to lint (default: cwd)",
     )
     lint.add_argument(
         "--rules", type=str, default=None,
@@ -495,25 +496,8 @@ def _parser() -> argparse.ArgumentParser:
              "cross-file analysis still indexes the whole tree",
     )
     lint.add_argument(
-        "--baseline", type=str, default=None,
-        help="baseline file (default: [tool.repro.lint] baseline, "
-             "else LINT_baseline.json)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather every current finding",
-    )
-    lint.add_argument(
-        "--fail-on-new", action="store_true",
-        help="exit 1 when any finding outside the baseline exists (CI gate)",
-    )
-    lint.add_argument(
         "--out", type=str, default=None,
         help="also write the JSON report to this path",
-    )
-    lint.add_argument(
-        "--verbose", action="store_true",
-        help="text format: also list baselined (grandfathered) findings",
     )
     return parser
 
@@ -724,20 +708,16 @@ def _lint_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .analysis import (
-        load_config,
+        LintConfig,
         render_json,
         render_sarif,
         render_text,
         run_lint,
-        update_baseline,
     )
     from .analysis.rules import META_RULE_IDS, get_rule, registered_rules
     from .errors import LintError
 
     try:
-        config = load_config(Path(args.root))
-        if args.baseline is not None:
-            config.baseline = args.baseline
         if args.rules == "help":
             for rule_id in registered_rules():
                 print(f"{rule_id:<22} {get_rule(rule_id).description}")
@@ -747,34 +727,11 @@ def _lint_command(args: argparse.Namespace) -> int:
         only = None
         if args.rules is not None:
             only = [part.strip() for part in args.rules.split(",") if part.strip()]
-        if args.update_baseline and only is not None:
-            print(
-                "repro lint: --update-baseline needs the full rule set "
-                "(a narrowed run would drop other rules' baseline entries)",
-                file=sys.stderr,
-            )
-            return 2
-        files = None
-        if args.changed:
-            if args.update_baseline:
-                print(
-                    "repro lint: --update-baseline needs a full run "
-                    "(--changed only sees a subset of the tree)",
-                    file=sys.stderr,
-                )
-                return 2
-            files = _changed_files(Path(args.root))
-        result = run_lint(config, only=only, files=files)
+        files = _changed_files(Path(args.root)) if args.changed else None
+        result = run_lint(LintConfig(root=Path(args.root)), only=only, files=files)
     except LintError as err:
         print(f"repro lint: {err}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        path = update_baseline(config, result)
-        print(
-            f"baseline updated: {path} "
-            f"({len(result.findings)} findings grandfathered)"
-        )
-        return 0
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(render_json(result) + "\n")
@@ -783,10 +740,8 @@ def _lint_command(args: argparse.Namespace) -> int:
     elif args.format == "sarif":
         print(render_sarif(result))
     else:
-        print(render_text(result, verbose=args.verbose))
-    if args.fail_on_new and not result.ok:
-        return 1
-    return 0
+        print(render_text(result))
+    return 0 if result.ok else 1
 
 
 def _changed_files(root) -> list:

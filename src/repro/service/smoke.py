@@ -387,8 +387,8 @@ STORIES = {"serve": serve_story, "chaos": chaos_story, "dist": dist_story}
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(text)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
     print(f"[smoke] wrote {path}", flush=True)
 
 

@@ -11,6 +11,7 @@ from repro.api import (
     Toolchain,
     content_hash,
 )
+from repro.api.cache import MemoryCache, TieredCache
 from repro.config import SchedulerConfig
 from repro.ir import DepKind, OpCode, ValueUse
 from repro.ir.opcodes import LatencyModel
@@ -184,6 +185,15 @@ class TestBatchCompilerCaching:
         assert not report.cache_hit
         assert report.result.scheduler == "two-phase"
         assert len(two_phase.cache) == 2
+
+    def test_cache_takes_a_compilation_cache_or_a_directory(self, tmp_path):
+        cache = CompilationCache(tmp_path / "given")
+        assert BatchCompiler(cache=cache).cache is cache
+        assert BatchCompiler(cache=tmp_path / "dir").cache.root == tmp_path / "dir"
+        # The service tiers hand back encoded entries, not reports.
+        for tier in (MemoryCache(), TieredCache()):
+            with pytest.raises(TypeError, match=type(tier).__name__):
+                BatchCompiler(cache=tier)
 
     def test_cache_root_expands_user(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))

@@ -1,5 +1,4 @@
-"""Engine-level lint tests: suppressions, baseline diffing, registry,
-config loading, reporters."""
+"""Engine-level lint tests: suppressions, registry, config, reporters."""
 
 import ast
 import json
@@ -12,12 +11,10 @@ import pytest
 from repro.analysis import (
     BAD_SUPPRESSION,
     PARSE_ERROR,
-    Baseline,
     Finding,
     LintConfig,
     LintResult,
     lint_file,
-    load_config,
     register_rule,
     render_json,
     render_text,
@@ -120,57 +117,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Baseline add/remove diffing
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        findings = [_finding(), _finding(rule="pool-safety", line=9)]
-        path = tmp_path / "base.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 2
-        diff = loaded.diff(findings)
-        assert not diff.new and not diff.resolved
-        assert len(diff.baselined) == 2
-
-    def test_line_shift_still_matches(self):
-        baseline = Baseline.from_findings([_finding(line=3)])
-        diff = baseline.diff([_finding(line=40)])  # same snippet, moved
-        assert not diff.new and not diff.resolved
-
-    def test_new_finding_is_new(self):
-        baseline = Baseline.from_findings([_finding()])
-        diff = baseline.diff([_finding(), _finding(snippet="y = hash(k)")])
-        assert len(diff.new) == 1
-        assert diff.new[0].snippet == "y = hash(k)"
-
-    def test_fixed_finding_is_resolved(self):
-        baseline = Baseline.from_findings([_finding(), _finding(line=9)])
-        diff = baseline.diff([_finding()])
-        # Two identical-key findings grandfathered, one remains: the
-        # count shrinks and the surplus is reported as resolved.
-        assert not diff.new
-        assert len(diff.baselined) == 1
-        assert len(diff.resolved) == 1
-        assert diff.resolved[0]["unmatched"] == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert len(baseline) == 0
-
-    def test_corrupt_file_raises_lint_error(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text("{\"schema\": 99}")
-        with pytest.raises(LintError):
-            Baseline.load(path)
-        path.write_text("not json")
-        with pytest.raises(LintError):
-            Baseline.load(path)
-
-
-# ----------------------------------------------------------------------
 # Rule registry
 # ----------------------------------------------------------------------
 
@@ -225,35 +171,17 @@ class TestRegistry:
 
 
 class TestConfig:
-    def test_repo_pyproject_round_trips(self):
-        config = load_config(REPO_ROOT)
+    def test_defaults_describe_this_repo(self):
+        config = LintConfig(root=REPO_ROOT)
         assert config.paths == ("src", "benchmarks")
-        assert config.baseline == "LINT_baseline.json"
         assert "src/repro/scheduling" in config.determinism_paths
         assert {g.file for g in config.cache_guards} == {
             "src/repro/ir/ddg.py", "src/repro/scheduling/mrt.py",
         }
         ddg = config.guards_for("src/repro/ir/ddg.py")
         assert len(ddg) == 1 and "_touch_endpoints" in ddg[0].invalidators
-
-    def test_unknown_key_raises(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\ntypo-key = true\n"
-        )
-        with pytest.raises(LintError) as err:
-            load_config(tmp_path)
-        assert "typo-key" in str(err.value)
-
-    def test_missing_pyproject_uses_defaults(self, tmp_path):
-        config = load_config(tmp_path)
-        assert config.paths == ("src", "benchmarks")
-
-    def test_guard_entry_missing_key_raises(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[[tool.repro.lint.cache-guards]]\nfile = \"x.py\"\n"
-        )
-        with pytest.raises(LintError):
-            load_config(tmp_path)
+        for guard in config.cache_guards:
+            assert (REPO_ROOT / guard.file).is_file()
 
 
 # ----------------------------------------------------------------------
@@ -288,29 +216,21 @@ class TestRunner:
         result = run_lint(config)
         assert result.files_checked == 1 and result.ok
 
-    def test_baseline_consumes_findings(self, tmp_path):
-        config = self.make_tree(tmp_path)
-        config.exclude = ("src/broken.py",)
-        first = run_lint(config)
-        Baseline.from_findings(first.findings).save(config.baseline_path())
-        second = run_lint(config)
-        assert second.ok and len(second.baselined) == 1
-
     def test_json_report_shape(self, tmp_path):
         config = self.make_tree(tmp_path)
         result = run_lint(config)
         payload = json.loads(render_json(result))
         assert payload["ok"] is False
-        assert payload["counts"]["new"] == 2
-        assert {f["rule"] for f in payload["new"]} == {
+        assert payload["counts"] == {"total": 2, "suppressed": 0}
+        assert {f["rule"] for f in payload["findings"]} == {
             PARSE_ERROR, "determinism",
         }
-        for entry in payload["new"]:
+        for entry in payload["findings"]:
             assert {"rule", "path", "line", "col", "message", "key"} <= set(entry)
 
     def test_text_report_mentions_summary(self):
         text = render_text(LintResult(files_checked=5, rules_run=["a", "b"]))
-        assert "checked 5 files" in text and "0 new" in text
+        assert text == "checked 5 files, 2 rules: 0 findings, 0 suppressed"
 
     def test_each_file_is_read_and_parsed_once(self, tmp_path):
         config = self.make_tree(tmp_path)

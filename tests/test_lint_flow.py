@@ -17,7 +17,7 @@ Covers the three engine modules the flow-aware rules stand on:
 import ast
 import textwrap
 
-from repro.analysis import PARSE_ERROR, Baseline, LintConfig, run_lint
+from repro.analysis import PARSE_ERROR, LintConfig, run_lint
 from repro.analysis.callgraph import (
     ProjectIndex,
     collect_module_aliases,
@@ -680,7 +680,7 @@ def test_relative_spawn_pool_import_is_recognised(tmp_path):
         root=tmp_path, paths=("src",), determinism_paths=(),
         api_paths=(), cache_guards=(),
     )
-    result = run_lint(config, only=["pool-safety"], baseline=Baseline())
+    result = run_lint(config, only=["pool-safety"])
     flagged = [(f.path, f.line) for f in result.findings]
     assert flagged == [("src/repro/api/jobs.py", 8), ("src/repro/api/jobs.py", 13)]
     assert "lambda defined at line 8" in result.findings[0].message

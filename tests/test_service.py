@@ -666,3 +666,12 @@ def test_verify_many_parallel_matches_serial():
         (r.oracle.loop_name, r.oracle.iterations, r.matched_stores, r.ok)
         for r in serial
     ]
+
+
+def test_smoke_write_creates_missing_directories(tmp_path):
+    """A smoke run's artifacts land even when --out names a new dir."""
+    from repro.service.smoke import _write
+
+    out = tmp_path / "runs" / "today" / "smoke.json"
+    _write(str(out), "{}\n")
+    assert out.read_text() == "{}\n"
