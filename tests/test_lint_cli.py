@@ -35,6 +35,24 @@ def test_repo_lints_clean(capsys):
     assert " 0 findings, " in capsys.readouterr().out
 
 
+def test_repo_json_report_is_clean(capsys):
+    """The machine-readable report of this checkout: ok, no findings."""
+    assert main(
+        ["lint", "--root", str(REPO_ROOT), "--format", "json"]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 2 and payload["ok"] is True
+    assert payload["counts"]["total"] == 0 and payload["findings"] == []
+    assert payload["files_checked"] > 0
+
+
+def test_repo_has_one_lint_configuration():
+    """The settings live in ``analysis/config.py`` only: no baseline file
+    and no pyproject table that could drift from the in-code defaults."""
+    assert not (REPO_ROOT / "LINT_baseline.json").exists()
+    assert "[tool.repro.lint" not in (REPO_ROOT / "pyproject.toml").read_text()
+
+
 # ----------------------------------------------------------------------
 # Exit codes and formats
 # ----------------------------------------------------------------------
@@ -51,6 +69,47 @@ def test_clean_project_exits_0(project, capsys):
     (project / MOD).write_text("VALUE = 1\n")
     assert main(["lint", "--root", str(project)]) == 0
     assert "0 findings, 0 suppressed" in capsys.readouterr().out
+
+
+def test_parse_error_exits_1(project, capsys):
+    (project / MOD).write_text("def oops(:\n")
+    assert main(["lint", "--root", str(project)]) == 1
+    assert f"{MOD}:" in (out := capsys.readouterr().out)
+    assert "[parse-error]" in out
+
+
+@pytest.mark.parametrize(
+    "flag", ["--baseline=x.json", "--update-baseline", "--fail-on-new",
+             "--verbose"],
+)
+def test_deleted_flag_is_a_usage_error(project, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--root", str(project), flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_pyproject_lint_table_is_ignored(project, capsys):
+    """A leftover ``[tool.repro.lint]`` table changes nothing: the run
+    still lints the default paths and reports the finding."""
+    (project / "pyproject.toml").write_text(
+        "[tool.repro.lint]\n"
+        'paths = ["elsewhere"]\n'
+        "determinism-paths = []\n"
+    )
+    assert main(["lint", "--root", str(project)]) == 1
+    assert f"{MOD}:5:12: [determinism]" in capsys.readouterr().out
+
+
+def test_text_format_out_file_is_the_json_report(project, capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    assert main(
+        ["lint", "--root", str(project), "--out", str(out_file)]
+    ) == 1
+    assert "1 findings, 0 suppressed" in capsys.readouterr().out
+    written = json.loads(out_file.read_text())
+    assert written["counts"] == {"total": 1, "suppressed": 0}
+    assert written["findings"][0]["path"] == MOD
 
 
 def test_json_format_and_out_file(project, capsys, tmp_path):
@@ -144,6 +203,54 @@ def test_unjustified_suppression_fails_the_gate(project, capsys):
     assert "[bad-suppression]" in out and "[determinism]" in out
 
 
+def test_suppression_of_another_rule_keeps_the_finding(project, capsys):
+    _annotate(project, "# repro: lint-ignore[pool-safety]: wrong rule")
+    assert main(["lint", "--root", str(project)]) == 1
+    out = capsys.readouterr().out
+    assert "[determinism]" in out and "1 findings, 0 suppressed" in out
+
+
+def test_unknown_rule_in_suppression_fails_the_gate(project, capsys):
+    _annotate(project, "# repro: lint-ignore[no-such-rule]: typo")
+    assert main(["lint", "--root", str(project)]) == 1
+    out = capsys.readouterr().out
+    assert "unknown rule id 'no-such-rule'" in out
+    assert "[determinism]" in out  # a malformed comment silences nothing
+
+
+def test_standalone_suppression_covers_the_next_line(project, capsys):
+    path = project / MOD
+    path.write_text(
+        path.read_text().replace(
+            "    return time.time()\n",
+            "    # repro: lint-ignore[determinism]: display only\n"
+            "    return time.time()\n",
+        )
+    )
+    assert main(["lint", "--root", str(project)]) == 0
+    assert "0 findings, 1 suppressed" in capsys.readouterr().out
+
+
+def test_new_finding_beside_a_suppressed_one_fails(project, capsys):
+    _annotate(project, "# repro: lint-ignore[determinism]: display only")
+    (project / MOD).with_name("other.py").write_text(
+        "import uuid\n\n\ndef tag():\n    return uuid.uuid4()\n"
+    )
+    assert main(["lint", "--root", str(project)]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/scheduling/other.py:5:12: [determinism]" in out
+    assert "1 findings, 1 suppressed" in out
+
+
+def test_sarif_omits_suppressed_findings(project, capsys):
+    _annotate(project, "# repro: lint-ignore[determinism]: display only")
+    assert main(
+        ["lint", "--root", str(project), "--format", "sarif"]
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["runs"][0]["results"] == []
+
+
 # ----------------------------------------------------------------------
 # --changed (git-diff-scoped runs)
 # ----------------------------------------------------------------------
@@ -180,3 +287,21 @@ def test_changed_lints_only_the_diff(project, capsys):
     assert payload["findings"][0]["path"] == "src/repro/scheduling/other.py"
     # mod.py's committed finding is outside the subset.
     assert all(f["path"] != MOD for f in payload["findings"])
+
+
+def test_changed_counts_suppressions_in_the_subset(project, capsys):
+    _git(project, "init", "-q")
+    _git(project, "add", "-A")
+    _git(project, "commit", "-q", "-m", "seed")
+    (project / MOD).with_name("other.py").write_text(
+        "import uuid\n\n\ndef tag():\n"
+        "    return uuid.uuid4()  # repro: lint-ignore[determinism]: log id\n"
+    )
+    assert main(
+        ["lint", "--root", str(project), "--changed", "--format", "json"]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # Only the untracked file is linted; mod.py's committed finding is
+    # outside the subset, and the new file's finding is accepted inline.
+    assert payload["files_checked"] == 1
+    assert payload["counts"] == {"total": 0, "suppressed": 1}

@@ -117,6 +117,26 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
+# Finding keys (SARIF partial fingerprints)
+# ----------------------------------------------------------------------
+
+
+class TestFindingKey:
+    def test_line_shift_keeps_the_key(self):
+        assert _finding(line=3).key() == _finding(line=40).key()
+
+    def test_rule_path_or_snippet_change_the_key(self):
+        base = _finding().key()
+        assert _finding(rule="pool-safety").key() != base
+        assert _finding(path="other.py").key() != base
+        assert _finding(snippet="y = hash(k)").key() != base
+
+    def test_key_ignores_surrounding_whitespace(self):
+        assert _finding(snippet="  x = time.time()  ").key() == _finding().key()
+        assert _finding().to_dict()["key"] == _finding().key()
+
+
+# ----------------------------------------------------------------------
 # Rule registry
 # ----------------------------------------------------------------------
 
@@ -215,6 +235,17 @@ class TestRunner:
         config.exclude = ("src/broken.py", "src/dirty.py")
         result = run_lint(config)
         assert result.files_checked == 1 and result.ok
+
+    def test_suppressed_finding_is_counted_not_reported(self, tmp_path):
+        config = self.make_tree(tmp_path)
+        config.exclude = ("src/broken.py",)
+        (tmp_path / "src" / "dirty.py").write_text(
+            "import time\n\n\ndef stamp():\n"
+            "    return time.time()  # repro: lint-ignore[determinism]: log\n"
+        )
+        result = run_lint(config)
+        assert result.ok and result.findings == []
+        assert result.suppressed == 1 and result.files_checked == 2
 
     def test_json_report_shape(self, tmp_path):
         config = self.make_tree(tmp_path)
