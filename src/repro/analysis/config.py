@@ -99,7 +99,6 @@ class LintConfig:
 
     root: Path = field(default_factory=Path.cwd)
     paths: Tuple[str, ...] = DEFAULT_PATHS
-    exclude: Tuple[str, ...] = ()
     determinism_paths: Tuple[str, ...] = DEFAULT_DETERMINISM_PATHS
     api_paths: Tuple[str, ...] = DEFAULT_API_PATHS
     cache_guards: Tuple[CacheGuard, ...] = DEFAULT_CACHE_GUARDS

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 from ..errors import LintError
 from . import checks  # noqa: F401 - import registers the builtin rules
 from .callgraph import ProjectIndex
-from .config import LintConfig, path_in
+from .config import LintConfig
 from .findings import Finding
 from .report import LintResult
 from .rules import (
@@ -29,7 +29,7 @@ from .visitor import ModuleContext, Walker
 
 
 def collect_files(config: LintConfig) -> List[Path]:
-    """Python files under ``config.paths``, minus ``config.exclude``."""
+    """Python files under ``config.paths``."""
     root = Path(config.root)
     seen = set()
     out: List[Path] = []
@@ -43,7 +43,7 @@ def collect_files(config: LintConfig) -> List[Path]:
             continue
         for path in candidates:
             rel = path.relative_to(root).as_posix()
-            if rel in seen or path_in(rel, config.exclude):
+            if rel in seen:
                 continue
             seen.add(rel)
             out.append(path)

@@ -21,15 +21,13 @@ by the same determinism argument.
 from __future__ import annotations
 
 import base64
-import contextlib
-import functools
 import os
 import pickle
 import time
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import ReproError
-from ..pools import spawn_pool
+from ..pools import job_map
 from .cache import CompilationCache, content_hash, gc_paused
 from .request import CompilationReport, CompilationRequest
 from .toolchain import Toolchain
@@ -49,18 +47,6 @@ def _compile_job(job) -> Union[CompilationReport, ReproError]:
         if return_errors:
             return err
         raise
-
-
-@contextlib.contextmanager
-def _job_map(workers: int, n_jobs: int):
-    """A ``map`` for *n_jobs* jobs: over a spawn pool of *workers*
-    processes when there is work to share, else the builtin."""
-    if workers > 1 and n_jobs > 1:
-        with spawn_pool(workers) as pool:
-            chunksize = max(1, n_jobs // (workers * 4))
-            yield functools.partial(pool.map, chunksize=chunksize)
-    else:
-        yield map
 
 
 class BatchCompiler:
@@ -128,12 +114,11 @@ class BatchCompiler:
             )
             return reports
 
-        workers = self.workers if self.workers is not None else 1
         jobs = [
             (self.toolchain, requests[i], return_errors) for i in pending
         ]
-        with _job_map(workers, len(jobs)) as job_map:
-            for index, outcome in zip(pending, job_map(_compile_job, jobs)):
+        with job_map(self.workers, len(jobs)) as map_jobs:
+            for index, outcome in zip(pending, map_jobs(_compile_job, jobs)):
                 reports[index] = self._finish(keys[index], outcome)
                 done += 1
                 if progress and done % 50 == 0:

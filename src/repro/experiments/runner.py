@@ -6,17 +6,16 @@ machine — sharing one unroll factor chosen on the unclustered model, then
 reads a :class:`~repro.experiments.metrics.LoopRun` off each compile's
 record (:meth:`~repro.api.request.CompilationReport.to_dict`).
 
-Since the compilation-session redesign the runner is a thin client of
-:mod:`repro.api`: it expands the sweep into
-:class:`~repro.api.CompilationRequest` jobs and hands them to a
-:class:`~repro.api.BatchCompiler`, which gives every sweep process-level
-parallelism (``SweepConfig.workers``) and on-disk memoisation
-(``SweepConfig.cache_dir``) for free.  (The old in-loop reuse of
-unrolled/single-use DDGs across cluster counts is gone with the shared
-driver; the transforms are <6% of sweep wall-clock — scheduling
-dominates — and the cache more than buys it back on reruns.)
+The runner expands the sweep into :class:`~repro.api.CompilationRequest`
+jobs and maps one module-level job over them
+(:func:`repro.pools.job_map`): compile the request with the default
+toolchain and return its record.  With ``SweepConfig.workers`` > 1 the
+jobs run in a spawn pool and only the records come back to the parent,
+which turns each into a ``LoopRun`` as it arrives; no report is kept or
+unpickled there.  A sweep has no cache of its own: ``repro batch`` and
+the service memoise compiles, a figure sweep recompiles.
 
-Schedules are validated with the independent checker as they are
+Every schedule is validated with the independent checker as it is
 produced; a reproduction harness that silently accepts broken schedules
 would be worthless.
 """
@@ -24,9 +23,8 @@ would be worthless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api.batch import BatchCompiler
 from ..api.request import CompilationRequest
 from ..api.toolchain import Toolchain
 from ..config import DEFAULT_CONFIG, SchedulerConfig
@@ -34,6 +32,7 @@ from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
 from ..machine.cluster import ClusterSpec, PAPER_CLUSTER
 from ..machine.machine import clustered_vliw, unclustered_vliw
+from ..pools import job_map
 from .metrics import LoopRun
 
 ProgressFn = Callable[[str], None]
@@ -50,14 +49,8 @@ class SweepConfig:
     #: Interconnect of the clustered twin: any registered topology kind
     #: (ring, linear, mesh, torus, crossbar, graph, ...).
     topology: str = "ring"
-    #: Optional topology parameters (e.g. ``{"rows": 3, "cols": 3}``);
-    #: ``None`` lets each topology pick its default shape per k.
-    topology_params: Optional[dict] = None
-    validate: bool = True
-    #: Process-pool width for the batch compiler (None/1 = serial).
+    #: Process-pool width (None/1 = serial).
     workers: Optional[int] = None
-    #: On-disk compilation cache directory (None = no memoisation).
-    cache_dir: Optional[str] = None
 
 
 def sweep_requests(
@@ -69,18 +62,14 @@ def sweep_requests(
     clustered machine — always scheduled with DMS, even at one cluster
     where DMS degenerates to IMS (the paper's comparison pairs figure-4
     labels by scheduler, so the k=1 clustered run must stay ``"dms"``).
-    Both twins pass ``equivalent_k=k`` so they share one unroll factor.
+    Both twins pass ``equivalent_k=k`` so they share one unroll factor,
+    and every request validates its schedule.
     """
     jobs: List[Tuple[int, CompilationRequest]] = []
     machines = {
         k: (
             unclustered_vliw(k),
-            clustered_vliw(
-                k,
-                cluster=sweep.cluster_spec,
-                topology=sweep.topology,
-                topology_params=sweep.topology_params,
-            ),
+            clustered_vliw(k, cluster=sweep.cluster_spec, topology=sweep.topology),
         )
         for k in sweep.cluster_counts
     }
@@ -93,11 +82,17 @@ def sweep_requests(
                 config=sweep.scheduler_config,
                 equivalent_k=k,
                 allocate=False,
-                validate=sweep.validate,
+                validate=True,
             )
             jobs.append((k, CompilationRequest(machine=unclustered, scheduler="ims", **common)))
             jobs.append((k, CompilationRequest(machine=clustered, scheduler="dms", **common)))
     return jobs
+
+
+def _sweep_record(request: CompilationRequest) -> Dict[str, object]:
+    """The sweep's one job: compile *request* and return its record
+    (module-level, so a spawn worker imports it by name)."""
+    return Toolchain.default().compile(request).to_dict()
 
 
 def run_sweep(
@@ -108,18 +103,12 @@ def run_sweep(
     """Schedule every loop on every machine pair of the sweep."""
     sweep = sweep or SweepConfig()
     jobs = sweep_requests(loops, sweep)
-    compiler = BatchCompiler(
-        toolchain=Toolchain.default(),
-        cache=sweep.cache_dir,
-        workers=sweep.workers,
-    )
     per_loop = 2 * len(sweep.cluster_counts)
-    reports = compiler.compile_many(
-        [request for _k, request in jobs], progress=progress
-    )
     runs: List[LoopRun] = []
-    for (k, _request), report in zip(jobs, reports):
-        runs.append(LoopRun.from_record(report.to_dict(), k))
-        if progress is not None and per_loop and len(runs) % (25 * per_loop) == 0:
-            progress(f"scheduled {len(runs) // per_loop}/{len(loops)} loops")
+    with job_map(sweep.workers, len(jobs)) as map_jobs:
+        records = map_jobs(_sweep_record, [request for _k, request in jobs])
+        for (k, _request), record in zip(jobs, records):
+            runs.append(LoopRun.from_record(record, k))
+            if progress is not None and len(runs) % (25 * per_loop) == 0:
+                progress(f"scheduled {len(runs) // per_loop}/{len(loops)} loops")
     return runs

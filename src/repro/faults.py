@@ -43,12 +43,11 @@ probability ``rate`` drawn from a :class:`random.Random` seeded from
 ``(seed, point)`` — never the global RNG, so two runs with the same seed
 and the same call sequence fire identically.
 
-Arming: :func:`install` a plan programmatically (tests), or set
-``REPRO_FAULTS`` (a spec string, see :meth:`FaultPlan.from_spec`) plus
-``REPRO_FAULTS_SEED`` in the environment — spawn-context pool workers
-inherit the environment, so an env-armed daemon automatically arms its
-workers; a programmatically armed daemon passes the serialized spec to
-workers through the pool initializer (:func:`install_from_spec`).
+Arming: :func:`install` a plan (the daemon's ``--faults SPEC
+--fault-seed N`` flags and the tests do; see :meth:`FaultPlan.from_spec`
+for the spec grammar).  Spawned pool workers start unarmed;
+:func:`repro.pools.spawn_pool` passes the parent's serialized plan to
+each of them through the pool initializer (:func:`install_from_spec`).
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ FAULT_POINTS: Tuple[str, ...] = (
 
 #: Exit status a crashed pool worker dies with (BSD's EX_SOFTWARE).
 WORKER_CRASH_EXIT = 70
-
-#: Environment switchboard.
-ENV_SPEC = "REPRO_FAULTS"
-ENV_SEED = "REPRO_FAULTS_SEED"
 
 
 class SimulatedWorkerCrash(BrokenExecutor):
@@ -261,16 +256,14 @@ def plan_spec(rules: Tuple[FaultRule, ...]) -> str:
 # ----------------------------------------------------------------------
 
 _active: Optional[FaultPlan] = None
-_env_checked = False
 _arm_lock = threading.Lock()
 
 
 def install(plan: Optional[FaultPlan]) -> None:
     """Arm *plan* process-wide (``None`` disarms)."""
-    global _active, _env_checked
+    global _active
     with _arm_lock:
         _active = plan
-        _env_checked = True
 
 
 def install_from_spec(spec: str, seed: int = 0) -> None:
@@ -279,38 +272,12 @@ def install_from_spec(spec: str, seed: int = 0) -> None:
 
 
 def disarm() -> None:
-    """Disarm and forget any env arming (tests call this in teardown)."""
-    global _active, _env_checked
-    with _arm_lock:
-        _active = None
-        _env_checked = True
-
-
-def reset() -> None:
-    """Disarm and re-enable lazy env arming (fresh-process semantics)."""
-    global _active, _env_checked
-    with _arm_lock:
-        _active = None
-        _env_checked = False
+    """Disarm (tests call this in teardown)."""
+    install(None)
 
 
 def active() -> Optional[FaultPlan]:
-    """The armed plan, lazily reading ``REPRO_FAULTS`` once per process."""
-    global _active, _env_checked
-    if _active is None and not _env_checked:
-        with _arm_lock:
-            if _active is None and not _env_checked:
-                _env_checked = True
-                spec = os.environ.get(ENV_SPEC)
-                if spec:
-                    try:
-                        seed = int(os.environ.get(ENV_SEED, "0"))
-                    except ValueError:
-                        raise FaultError(
-                            f"{ENV_SEED} must be an integer, "
-                            f"got {os.environ.get(ENV_SEED)!r}"
-                        )
-                    _active = FaultPlan.from_spec(spec, seed=seed)
+    """The armed plan, or ``None``."""
     return _active
 
 

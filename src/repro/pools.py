@@ -14,21 +14,25 @@ Use :func:`spawn_pool` instead of constructing
 constructions without an ``mp_context``.
 
 Spawned workers start from a clean interpreter, so process-wide state
-armed in the parent — in particular a programmatically installed
+armed in the parent — in particular an installed
 :class:`repro.faults.FaultPlan` — would silently vanish in the pool.
 :func:`spawn_pool` therefore forwards the parent's active fault plan
 through the worker initializer, so a fault-armed daemon's workers crash
 on schedule too.
 
-Every pool here parallelises across loops — batch compiles, the
-daemon's compile pool, the oracle's matrix — never across the attempts
-of one loop's II search.
+Every pool here parallelises across loops — batch compiles, figure
+sweeps, the daemon's compile pool, the oracle's matrix — never across
+the attempts of one loop's II search.  All but the daemon's fan out
+through one :func:`job_map`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, Optional
 
 from . import faults
 
@@ -50,3 +54,20 @@ def spawn_pool(max_workers: int) -> ProcessPoolExecutor:
         initializer=initializer,
         initargs=initargs,
     )
+
+
+@contextlib.contextmanager
+def job_map(workers: Optional[int], n_jobs: int) -> Iterator[Callable]:
+    """A ``map`` for *n_jobs* jobs: over a spawn pool of *workers*
+    processes when there is work to share, else the builtin.
+
+    Either way results come back in job order.  The pool hands each
+    worker chunks of ``n_jobs // (workers * 4)`` jobs; the job function
+    must be module-level, and its arguments and results picklable.
+    """
+    if workers is not None and workers > 1 and n_jobs > 1:
+        with spawn_pool(workers) as pool:
+            chunksize = max(1, n_jobs // (workers * 4))
+            yield functools.partial(pool.map, chunksize=chunksize)
+    else:
+        yield map

@@ -12,10 +12,11 @@ A compile payload names the same things a local
     and explicit edges.  This is how a remote front end ships a graph
     the daemon has never seen.
 ``target``
-    a registered target name, a machine-file path (daemon-local), or an
-    inline machine-file payload (the ``target_from_dict`` schema) — or
-    the constructor form ``clusters``/``unclustered``/``topology``
-    mirroring the local CLI flags.
+    a registered target name (``"mesh-3x3"``) or an inline machine-file
+    payload (the ``target_from_dict`` schema) — or the constructor form
+    ``clusters``/``unclustered``/``topology`` mirroring the local CLI
+    flags.  The daemon never opens a file a payload names: a string that
+    is not a registered name, a path included, is answered 400.
 ``config``
     ``SchedulerConfig`` field overrides (``{"search": "ladder"}``),
     validated against the dataclass fields.
@@ -214,18 +215,18 @@ def _resolve_machine(payload: Mapping[str, object]) -> MachineSpec:
     target = payload.get("target")
     if target is not None:
         from ..errors import TargetError
-        from ..targets import resolve_target
+        from ..targets import get_target
         from ..targets.spec import target_from_dict
 
         try:
             if isinstance(target, Mapping):
                 return target_from_dict(target)
             if isinstance(target, str):
-                return resolve_target(target)
+                return get_target(target)
         except TargetError as err:
             raise ServiceError(f"invalid target: {err}", status=400)
         raise ServiceError(
-            "'target' must be a name, file path or machine-file object",
+            "'target' must be a registered name or a machine-file object",
             status=400,
         )
     try:

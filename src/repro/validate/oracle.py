@@ -724,11 +724,8 @@ def verify_many(
     oracle phase of ``repro verify`` gets the same ``--workers`` speedup
     its compile phase already has.  Reports come back in job order.
     """
-    jobs = list(jobs)
-    if workers is None or workers <= 1 or len(jobs) <= 1:
-        return [_verify_job(job) for job in jobs]
-    from ..pools import spawn_pool
+    from ..pools import job_map
 
-    chunksize = max(1, len(jobs) // (workers * 4))
-    with spawn_pool(workers) as pool:
-        return list(pool.map(_verify_job, jobs, chunksize=chunksize))
+    jobs = list(jobs)
+    with job_map(workers, len(jobs)) as map_jobs:
+        return list(map_jobs(_verify_job, jobs))

@@ -92,7 +92,7 @@ class TestWarmCachePerformance:
     def test_warm_rerun_compiles_nothing(self, cold_sweep, monkeypatch):
         """The wall-clock ratio's deterministic twin: a warm rerun, even
         one allowed a pool, runs no compile and starts no pool."""
-        import repro.api.batch as batch
+        import repro.pools as pools
 
         compiles = []
         real_compile = Toolchain.compile
@@ -105,7 +105,7 @@ class TestWarmCachePerformance:
             raise AssertionError("a warm rerun entered spawn_pool")
 
         monkeypatch.setattr(Toolchain, "compile", counting_compile)
-        monkeypatch.setattr(batch, "spawn_pool", no_pool)
+        monkeypatch.setattr(pools, "spawn_pool", no_pool)
         warm = compile_many(
             cold_sweep.requests, cache=cold_sweep.cache_dir, workers=2
         )
@@ -160,3 +160,63 @@ class TestSweepIntegration:
         serial = run_sweep(loops, SweepConfig(cluster_counts=(1, 3)))
         parallel = run_sweep(loops, SweepConfig(cluster_counts=(1, 3), workers=2))
         assert serial == parallel
+
+    def test_pooled_sweep_unpickles_no_report_in_the_parent(self, monkeypatch):
+        """A pool worker sends back the compile's record, not its report:
+        the pooled sweep finishes, equal to the serial one, while every
+        parent-side unpickle of a CompilationReport fails."""
+        from repro.api.request import CompilationReport
+        from repro.experiments import SweepConfig, run_sweep
+
+        loops = perfect_club_surrogate(4, seed=11)
+        serial = run_sweep(loops, SweepConfig(cluster_counts=(1, 3)))
+
+        def refuse(self, state):
+            raise AssertionError("the parent unpickled a CompilationReport")
+
+        monkeypatch.setattr(
+            CompilationReport, "__setstate__", refuse, raising=False
+        )
+        pooled = run_sweep(loops, SweepConfig(cluster_counts=(1, 3), workers=2))
+        assert pooled == serial
+
+
+class TestJobMap:
+    """``repro.pools.job_map`` is the one local fan-out: batch compiles,
+    figure sweeps and the oracle's matrix all reach the pool through it."""
+
+    @pytest.fixture
+    def thread_pools(self, monkeypatch):
+        """Route ``spawn_pool`` to thread pools, recording each width."""
+        import repro.pools as pools
+        from concurrent.futures import ThreadPoolExecutor
+
+        widths = []
+
+        def thread_pool(workers):
+            widths.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(pools, "spawn_pool", thread_pool)
+        return widths
+
+    def test_builtin_map_without_work_to_share(self, thread_pools):
+        from repro.pools import job_map
+
+        for workers, n_jobs in ((None, 5), (1, 5), (2, 1), (2, 0)):
+            with job_map(workers, n_jobs) as map_jobs:
+                assert map_jobs is map
+        assert thread_pools == []
+
+    def test_every_local_driver_uses_it(self, thread_pools):
+        from repro.experiments import SweepConfig, run_sweep
+        from repro.validate import verify_many
+
+        requests = _suite_requests((2,))[:3]
+        reports = compile_many(requests, workers=2)
+        loops = perfect_club_surrogate(2, seed=11)
+        runs = run_sweep(loops, SweepConfig(cluster_counts=(2,), workers=2))
+        checks = verify_many([(r.compiled, None) for r in reports], workers=2)
+        assert thread_pools == [2, 2, 2]
+        assert runs == run_sweep(loops, SweepConfig(cluster_counts=(2,)))
+        assert all(check.ok for check in checks)

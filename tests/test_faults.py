@@ -1,7 +1,5 @@
 """Unit tests for the deterministic fault-injection plane."""
 
-import os
-
 import pytest
 
 from repro import faults
@@ -14,8 +12,6 @@ def _clean_faults():
     faults.disarm()
     yield
     faults.disarm()
-    os.environ.pop(faults.ENV_SPEC, None)
-    os.environ.pop(faults.ENV_SEED, None)
 
 
 # ----------------------------------------------------------------------
@@ -105,33 +101,6 @@ def test_fire_is_a_noop_when_disarmed():
     assert faults.fire("worker-crash") is False
     faults.crashpoint()  # must not raise
     assert faults.torn_write_size(100) is None
-
-
-def test_env_arming_via_reset():
-    os.environ[faults.ENV_SPEC] = "conn-reset:times=1"
-    os.environ[faults.ENV_SEED] = "9"
-    faults.reset()  # fresh-process semantics: re-read the environment
-    plan = faults.active()
-    assert plan is not None
-    assert set(plan.rules) == {"conn-reset"}
-    assert plan.seed == 9
-    assert faults.fire("conn-reset") is True
-    assert faults.fire("conn-reset") is False
-
-
-def test_env_seed_must_be_an_integer():
-    os.environ[faults.ENV_SPEC] = "conn-reset:times=1"
-    os.environ[faults.ENV_SEED] = "lots"
-    faults.reset()
-    with pytest.raises(FaultError):
-        faults.active()
-
-
-def test_disarm_wins_over_environment():
-    os.environ[faults.ENV_SPEC] = "conn-reset:times=1"
-    faults.disarm()  # explicit disarm must not be overridden by env
-    assert faults.active() is None
-    assert faults.fire("conn-reset") is False
 
 
 def test_install_from_spec_matches_install():

@@ -570,6 +570,27 @@ def test_http_error_surfaces():
         assert client.healthz()["status"] == "ok"
 
 
+def test_payload_target_is_a_registered_name_or_inline_never_a_path(tmp_path):
+    from repro.targets import get_target, load_target, save_target
+
+    target = get_target("hetero-4")
+    path = tmp_path / "hetero.toml"
+    save_target(target, path)
+    assert load_target(path) == target  # a valid machine file on disk
+    with running_service() as (service, client, _loop):
+        # A path the daemon could read is refused like any unknown name.
+        for ref in (str(path), str(tmp_path / "missing.json"), "hetero.toml"):
+            with pytest.raises(ServiceError) as refused:
+                client.compile({"kernel": "daxpy", "target": ref})
+            assert refused.value.status == 400
+            assert "unknown target" in str(refused.value)
+        # The two accepted forms compile the same machine.
+        by_name = client.compile({"kernel": "daxpy", "target": "hetero-4"})
+        inline = client.compile({"kernel": "daxpy", "target": target.to_dict()})
+    assert by_name["status"] == inline["status"] == "done"
+    assert by_name["fingerprint"] == inline["fingerprint"]
+
+
 # ----------------------------------------------------------------------
 # Cache tiers (unit level)
 # ----------------------------------------------------------------------
