@@ -13,7 +13,7 @@ Layers:
 
 * :mod:`repro.api.passes`    — the pass registry and the paper's five
   builtin passes (``unroll``, ``single_use``, ``schedule``, ``allocate``,
-  ``codegen``) plus the two-phase baseline swap;
+  ``codegen``);
 * :mod:`repro.api.toolchain` — ordered pass pipelines;
 * :mod:`repro.api.request`   — request/report value types;
 * :mod:`repro.api.cache`     — content hashing and the on-disk store;
@@ -45,7 +45,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "PassContext",
         "SchedulePass",
         "SingleUsePass",
-        "TwoPhaseSchedulePass",
         "UnrollPass",
         "get_pass",
         "register_pass",

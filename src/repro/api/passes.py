@@ -3,8 +3,9 @@
 The paper's flow — unroll, single-use copy insertion, DMS/IMS scheduling,
 queue allocation, code generation — is expressed here as five registered
 passes.  A :class:`~repro.api.toolchain.Toolchain` strings passes together
-by name; ablations and baselines swap a single pass instead of
-re-implementing the whole driver.
+by name; a variant swaps a single pass instead of re-implementing the
+whole driver.  Which scheduler the ``schedule`` pass runs (IMS, DMS or
+the two-phase baseline) is the request's ``scheduler`` field.
 
 Passes communicate through a mutable :class:`PassContext`.  Every pass is
 stateless (all per-compilation state lives on the context), so one pass
@@ -49,7 +50,6 @@ class PassContext:
     unroll_factor: int = 1
     result: Optional[ScheduleResult] = None
     allocation: Optional[QueueAllocation] = None
-    ii_trajectory: List[int] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     artifacts: Dict[str, object] = field(default_factory=dict)
 
@@ -179,12 +179,11 @@ class SingleUsePass(Pass):
 
 
 class SchedulePass(Pass):
-    """Run the modulo scheduler and record the II-search trajectory.
+    """Run the modulo scheduler (and the checker, if the request asks).
 
     The scheduler is the request's forced choice when set (``"ims"``,
     ``"dms"`` or ``"two_phase"``), otherwise DMS on clustered machines
-    and IMS on unclustered ones.  A subclass may pin the choice instead
-    (see :class:`TwoPhaseSchedulePass`).
+    and IMS on unclustered ones.
     """
 
     name = "schedule"
@@ -195,19 +194,8 @@ class SchedulePass(Pass):
         "two_phase": TwoPhaseScheduler,
     }
 
-    def __init__(self, forced_scheduler: Optional[str] = None):
-        if (
-            forced_scheduler is not None
-            and forced_scheduler not in self._SCHEDULERS
-        ):
-            raise ToolchainError(
-                f"unknown scheduler {forced_scheduler!r}; "
-                f"choose from {tuple(self._SCHEDULERS)}"
-            )
-        self._forced = forced_scheduler
-
     def run(self, ctx: PassContext) -> None:
-        choice = self._forced or ctx.request.scheduler
+        choice = ctx.request.scheduler
         if choice is None:
             choice = "dms" if ctx.machine.is_clustered else "ims"
         scheduler = self._SCHEDULERS[choice](
@@ -215,32 +203,12 @@ class SchedulePass(Pass):
         )
         result = scheduler.schedule(ctx.ddg)
         ctx.result = result
-        # The search layer records the II candidates it actually visited
-        # (a galloping policy skips rungs, so the walk is no longer a
-        # contiguous range).  Schedulers predating the layer (two-phase)
-        # leave the trajectory empty; reconstruct their contiguous walk.
-        attempts = max(1, result.stats.ii_attempts)
-        if result.ii_trajectory:
-            ctx.ii_trajectory = list(result.ii_trajectory)
-        else:
-            ctx.ii_trajectory = list(
-                range(result.ii - attempts + 1, result.ii + 1)
-            )
         if ctx.request.validate:
             validate_schedule(result)
         ctx.note(
             f"schedule: {result.scheduler} II={result.ii} (MII={result.mii}) "
-            f"after {attempts} II attempt(s)"
+            f"after {result.stats.ii_attempts} II attempt(s)"
         )
-
-
-class TwoPhaseSchedulePass(SchedulePass):
-    """Partition-then-schedule baseline as a drop-in ``schedule`` swap."""
-
-    name = "schedule_two_phase"
-
-    def __init__(self):
-        super().__init__("two_phase")
 
 
 class AllocatePass(Pass):
@@ -274,7 +242,6 @@ for _builtin in (
     UnrollPass(),
     SingleUsePass(),
     SchedulePass(),
-    TwoPhaseSchedulePass(),
     AllocatePass(),
     CodegenPass(),
 ):

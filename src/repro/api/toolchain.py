@@ -1,11 +1,19 @@
 """The :class:`Toolchain`: an ordered pass pipeline with one entry point.
 
 ``Toolchain.default()`` is the paper's flow, and the one way the
-library compiles a loop; experiments derive variants by swapping,
-dropping or inserting passes::
+library compiles a loop; variants swap, drop or insert passes::
 
-    two_phase = Toolchain.default().with_pass("schedule", "schedule_two_phase")
-    report = two_phase.compile(CompilationRequest(loop, machine))
+    class NotedSchedule(SchedulePass):
+        def run(self, ctx):
+            super().run(ctx)
+            ctx.note(f"trajectory {ctx.result.ii_trajectory}")
+
+    noted = Toolchain.default().with_pass("schedule", NotedSchedule())
+    report = noted.compile(CompilationRequest(loop, machine))
+
+The scheduler itself is a request field, not a pass: the two-phase
+baseline is ``CompilationRequest(loop, machine, scheduler="two_phase")``
+through the default toolchain.
 
 Every :meth:`Toolchain.compile` call returns a
 :class:`~repro.api.request.CompilationReport` carrying the
@@ -134,7 +142,7 @@ class Toolchain:
             request=request,
             compiled=compiled,
             timings=tuple(timings),
-            ii_trajectory=tuple(ctx.ii_trajectory),
+            ii_trajectory=ctx.result.ii_trajectory,
             diagnostics=tuple(ctx.diagnostics),
             artifacts=ctx.artifacts,
         )

@@ -38,7 +38,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, SEARCH_POLICY_NAMES
 
 # Each command imports what it uses inside its handler, so start-up
 # loads only that command's modules (no numpy outside fuzz and the
@@ -507,7 +507,7 @@ def _search_arg(parser: argparse.ArgumentParser, help: Optional[str] = None) -> 
         "--search",
         type=str,
         default=None,
-        choices=("ladder", "adaptive"),
+        choices=SEARCH_POLICY_NAMES,
         help=help or "II-search policy (default: the scheduler default, adaptive)",
     )
 

@@ -8,8 +8,16 @@ can vary them without touching algorithm code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 from .errors import SchedulingError
+
+#: II-search policy names (:mod:`repro.scheduling.search`).
+SEARCH_POLICY_NAMES: Tuple[str, ...] = ("ladder", "adaptive")
+
+#: Copy shapes of the single-use transform
+#: (:mod:`repro.ir.transforms.single_use`).
+SINGLE_USE_STRATEGIES: Tuple[str, ...] = ("chain", "tree")
 
 
 @dataclass(frozen=True)
@@ -69,16 +77,16 @@ class SchedulerConfig:
             raise SchedulingError("invalid II search bounds")
         if self.restarts_per_ii < 1:
             raise SchedulingError("restarts_per_ii must be >= 1")
-        if self.search not in ("ladder", "adaptive"):
+        if self.search not in SEARCH_POLICY_NAMES:
             raise SchedulingError(
                 f"unknown search policy {self.search!r}; choose from "
-                "('ladder', 'adaptive')"
+                f"{SEARCH_POLICY_NAMES}"
             )
         if self.thrash_cap_ratio < 1:
             raise SchedulingError("thrash_cap_ratio must be >= 1")
         if self.chain_combo_cap < 1:
             raise SchedulingError("chain_combo_cap must be >= 1")
-        if self.single_use_strategy not in ("chain", "tree"):
+        if self.single_use_strategy not in SINGLE_USE_STRATEGIES:
             raise SchedulingError(
                 f"unknown single_use_strategy {self.single_use_strategy!r}"
             )

@@ -7,28 +7,26 @@ figure-4 metric (fraction of loops whose II exceeds the unclustered IMS
 II) side by side — the measured version of the paper's integration
 argument.
 
-With the session API the baseline is literally a one-pass swap::
-
-    dms_toolchain       = Toolchain.default()
-    two_phase_toolchain = dms_toolchain.with_pass("schedule", "schedule_two_phase")
-
-everything else (unroll policy, single-use insertion, validation) is
-shared by construction instead of by copy-paste.
+The IMS reference and the DMS runs are the figure sweep's own twins
+(:func:`~repro.experiments.runner.run_sweep`).  The baseline is each
+DMS request with ``scheduler="two_phase"``: the same default toolchain,
+unroll factor, single-use insertion, validation and II-search policy,
+with only the schedule phase differing — IMS pinned to a partition
+chosen before scheduling (:mod:`repro.scheduling.twophase`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Optional, Sequence
 
 from ..api.batch import compile_many
-from ..api.request import CompilationRequest
-from ..api.toolchain import Toolchain
 from ..config import DEFAULT_CONFIG, SchedulerConfig
 from ..errors import IIOverflowError, ReproError
 from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
-from ..machine.machine import clustered_vliw, unclustered_vliw
 from .figures import FigureData
+from .runner import SweepConfig, run_sweep, sweep_requests
 
 
 def two_phase_comparison(
@@ -39,64 +37,41 @@ def two_phase_comparison(
     workers: Optional[int] = None,
 ) -> FigureData:
     """II-overhead fractions for DMS and the two-phase baseline."""
-    dms_toolchain = Toolchain.default()
-    two_phase_toolchain = dms_toolchain.with_pass("schedule", "schedule_two_phase")
-
-    def requests(machine_for_k, scheduler: Optional[str]) -> List[CompilationRequest]:
-        return [
-            CompilationRequest(
-                loop=loop,
-                machine=machine_for_k[k],
-                latencies=latencies,
-                config=config,
-                equivalent_k=k,
-                allocate=False,
-                validate=True,
-                scheduler=scheduler,
-            )
-            for k in cluster_counts
-            for loop in loops
-        ]
-
-    unclustered = {k: unclustered_vliw(k) for k in cluster_counts}
-    clustered = {k: clustered_vliw(k) for k in cluster_counts}
-    reference = compile_many(
-        requests(unclustered, "ims"), toolchain=dms_toolchain, workers=workers
+    sweep = SweepConfig(
+        cluster_counts=tuple(cluster_counts),
+        latencies=latencies,
+        scheduler_config=config,
+        workers=workers,
     )
-    dms = compile_many(
-        requests(clustered, "dms"), toolchain=dms_toolchain, workers=workers
-    )
+    # Loop-major, per k: the IMS twin's run, then the DMS twin's.
+    twins = run_sweep(loops, sweep)
     # The two-phase scheduler can exhaust its II search on loops DMS
     # handles; such failures come back as exception objects and count as
     # overhead (the baseline simply cannot schedule the loop).
     two_phase = compile_many(
-        requests(clustered, None),
-        toolchain=two_phase_toolchain,
+        [
+            replace(request, scheduler="two_phase")
+            for _k, request in sweep_requests(loops, sweep)
+            if request.scheduler == "dms"
+        ],
         workers=workers,
         return_errors=True,
     )
 
-    dms_overhead: List[float] = []
-    twophase_overhead: List[float] = []
+    dms_worse = {k: 0 for k in cluster_counts}
+    twophase_worse = {k: 0 for k in cluster_counts}
     twophase_failures = 0
-    for k_index, k in enumerate(cluster_counts):
-        dms_worse = 0
-        twophase_worse = 0
-        for loop_index in range(len(loops)):
-            at = k_index * len(loops) + loop_index
-            reference_ii = reference[at].result.ii
-            if dms[at].result.ii > reference_ii:
-                dms_worse += 1
-            outcome = two_phase[at]
-            if isinstance(outcome, ReproError):
-                if not isinstance(outcome, IIOverflowError):
-                    raise outcome
-                twophase_failures += 1
-                twophase_worse += 1
-            elif outcome.result.ii > reference_ii:
-                twophase_worse += 1
-        dms_overhead.append(100.0 * dms_worse / len(loops))
-        twophase_overhead.append(100.0 * twophase_worse / len(loops))
+    for reference, dms, outcome in zip(twins[0::2], twins[1::2], two_phase):
+        k = reference.clusters
+        if dms.ii > reference.ii:
+            dms_worse[k] += 1
+        if isinstance(outcome, ReproError):
+            if not isinstance(outcome, IIOverflowError):
+                raise outcome
+            twophase_failures += 1
+            twophase_worse[k] += 1
+        elif outcome.result.ii > reference.ii:
+            twophase_worse[k] += 1
     notes = [
         "two-phase = ring partition + static move chains + pinned IMS "
         "(related-work style, refs [1][6][12])",
@@ -113,8 +88,13 @@ def two_phase_comparison(
         x_label="clusters",
         x=[float(k) for k in cluster_counts],
         series={
-            "dms_single_phase": dms_overhead,
-            "two_phase": twophase_overhead,
+            "dms_single_phase": [
+                100.0 * dms_worse[k] / len(loops) for k in cluster_counts
+            ],
+            "two_phase": [
+                100.0 * twophase_worse[k] / len(loops) for k in cluster_counts
+            ],
         },
         notes=notes,
     )
+

@@ -98,11 +98,6 @@ class DepEdge:
         """True when the edge moves a value between producer and consumer."""
         return self._communicates
 
-    @property
-    def is_loop_carried(self) -> bool:
-        """True when the dependence crosses an iteration boundary."""
-        return self.omega > 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lat = "" if self.latency is None else f", lat={self.latency}"
         return f"<{self.kind.value} {self.src}->{self.dst} w={self.omega}{lat}>"

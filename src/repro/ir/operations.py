@@ -9,7 +9,7 @@ symbol (loop invariant / live-in), which imposes no scheduling constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .opcodes import OpCode, fu_kind_of, FUKind
@@ -110,10 +110,6 @@ class Operation:
     def with_srcs(self, srcs: Tuple[ValueUse, ...]) -> "Operation":
         """Return a copy of this operation with replaced operands."""
         return Operation(self.op_id, self.opcode, tuple(srcs), self.tag)
-
-    def with_id(self, op_id: int) -> "Operation":
-        """Return a copy of this operation with a new id."""
-        return replace(self, op_id=op_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(repr(s) for s in self.srcs)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ...config import SINGLE_USE_STRATEGIES
 from ...errors import TransformError
 from ..ddg import DDG
 from ..loop import Loop
@@ -35,7 +36,7 @@ Ref = Tuple[int, int, int]  # (consumer op id, operand index, omega)
 
 def single_use_ddg(ddg: DDG, strategy: str = "chain") -> DDG:
     """Return a copy of *ddg* where every value has fan-out <= 2."""
-    if strategy not in ("chain", "tree"):
+    if strategy not in SINGLE_USE_STRATEGIES:
         raise TransformError(f"unknown single-use strategy {strategy!r}")
     result = ddg.copy(ddg.name)
     for op_id in list(result.op_ids):

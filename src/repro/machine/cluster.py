@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from ..errors import MachineError
 from ..ir.opcodes import FUKind, USEFUL_FU_KINDS
@@ -54,10 +54,6 @@ class ClusterSpec:
     def total_fus(self) -> int:
         """All units including the copy FU."""
         return self.useful_fus + self.copy
-
-    def fu_table(self) -> Dict[FUKind, int]:
-        """Kind -> count mapping."""
-        return {kind: self.fu_count(kind) for kind in FUKind}
 
     def iter_fus(self) -> Iterator[Tuple[FUKind, int]]:
         """Iterate (kind, instance_index) pairs deterministically."""

@@ -41,11 +41,6 @@ class MVEReport:
     kernel_unroll_lcm: int  # no-overhead variant (lcm of degrees)
     total_registers: int  # sum of degrees = registers after renaming
 
-    @property
-    def expanded_code_growth(self) -> float:
-        """Kernel code-size multiplier under the low-overhead variant."""
-        return float(self.kernel_unroll_max)
-
 
 def mve_report(result: ScheduleResult) -> MVEReport:
     """Compute MVE requirements for *result* on a conventional RF.

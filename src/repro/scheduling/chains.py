@@ -178,9 +178,6 @@ class ChainRegistry:
     def n_live(self) -> int:
         return len(self._chains)
 
-    def live_chains(self) -> List[Chain]:
-        return [self._chains[c] for c in sorted(self._chains)]
-
 
 class CandidateList:
     """A loop's chain candidates for one (scheduled producer clusters,

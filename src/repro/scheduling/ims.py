@@ -8,12 +8,15 @@ bounds total scheduling effort per II attempt.
 
 The implementation is machine-shape agnostic (a multi-cluster machine is
 treated as a flat pool of units with no communication constraints), but in
-the experiments IMS always targets single-cluster machines.
+the experiments IMS targets single-cluster machines, except as the
+schedule phase of the two-phase baseline
+(:mod:`repro.scheduling.twophase`), which pins every operation to the
+cluster its partition chose.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 from ..config import DEFAULT_CONFIG, SchedulerConfig
 from ..errors import SchedulingError
@@ -48,19 +51,25 @@ class IterativeModuloScheduler:
         self.latencies = latencies
         self.config = config
 
-    def schedule(self, ddg: DDG) -> ScheduleResult:
+    def schedule(
+        self, ddg: DDG, pins: Optional[Mapping[int, int]] = None
+    ) -> ScheduleResult:
         """Find the smallest feasible II for *ddg* and schedule it.
 
         The II walk is delegated to the search policy named by
         ``config.search`` (see :mod:`repro.scheduling.search`).  IMS is
         deterministic per II — there is no restart salt — so a rung is
-        one attempt.
+        one attempt.  *pins* (op id -> cluster, total over *ddg*) limits
+        every operation's window scan and forced placement to its one
+        cluster; without it every cluster is a candidate.
         """
         if len(ddg) == 0:
             raise SchedulingError(f"loop {ddg.name!r} has no operations")
         bounds = compute_mii(ddg, self.machine, self.latencies)
         policy = get_search_policy(self.config.search)
-        outcome = policy.search(self.attempt_runner(ddg), bounds.mii, self.config)
+        outcome = policy.search(
+            self.attempt_runner(ddg, pins), bounds.mii, self.config
+        )
         return ScheduleResult(
             loop_name=ddg.name,
             machine=self.machine,
@@ -75,9 +84,11 @@ class IterativeModuloScheduler:
             ii_trajectory=outcome.trajectory,
         )
 
-    def attempt_runner(self, ddg: DDG) -> "IMSAttemptRunner":
+    def attempt_runner(
+        self, ddg: DDG, pins: Optional[Mapping[int, int]] = None
+    ) -> "IMSAttemptRunner":
         """The per-loop attempt server the search policies drive."""
-        return IMSAttemptRunner(self, ddg)
+        return IMSAttemptRunner(self, ddg, pins)
 
     # ------------------------------------------------------------------
 
@@ -89,8 +100,10 @@ class IterativeModuloScheduler:
         height_terms=None,
         heights=None,
         limits: Optional[AttemptLimits] = None,
+        pins: Optional[Mapping[int, int]] = None,
     ) -> Optional[PartialSchedule]:
         schedule = PartialSchedule(ddg, self.machine, ii, self.latencies)
+        all_clusters = tuple(range(self.machine.n_clusters))
         if heights is None:
             heights = compute_heights(ddg, self.latencies, ii, height_terms)
         unscheduled: Set[int] = set(ddg.op_ids)
@@ -114,9 +127,12 @@ class IterativeModuloScheduler:
             stats.budget_used += 1
             unscheduled.remove(op_id)
             estart = max(0, schedule.earliest_start(op_id))
-            placed = self._find_slot(schedule, op_id, estart)
+            clusters = all_clusters if pins is None else (pins[op_id],)
+            placed = self._find_slot(schedule, op_id, estart, clusters)
             if placed is None:
-                placed = self._force(schedule, op_id, estart, last_time, stats, unscheduled)
+                placed = self._force(
+                    schedule, op_id, estart, clusters, last_time, stats, unscheduled
+                )
             time, cluster = placed
             # Scheduled consumers whose timing the new placement breaks.
             for victim in schedule.succ_violations(op_id, time):
@@ -131,12 +147,16 @@ class IterativeModuloScheduler:
         return schedule
 
     def _find_slot(
-        self, schedule: PartialSchedule, op_id: int, estart: int
+        self,
+        schedule: PartialSchedule,
+        op_id: int,
+        estart: int,
+        clusters: Sequence[int],
     ) -> Optional[tuple]:
         """First resource-free (time, cluster) in the II window."""
         kind = schedule.ddg.op(op_id).fu_kind
         for time in range(estart, estart + schedule.ii):
-            for cluster in range(self.machine.n_clusters):
+            for cluster in clusters:
                 if schedule.mrt.is_free(cluster, kind, time):
                     return (time, cluster)
         return None
@@ -146,6 +166,7 @@ class IterativeModuloScheduler:
         schedule: PartialSchedule,
         op_id: int,
         estart: int,
+        clusters: Sequence[int],
         last_time: Dict[int, int],
         stats: SchedulerStats,
         unscheduled: Set[int],
@@ -159,7 +180,7 @@ class IterativeModuloScheduler:
         # Choose the cluster whose cell at this row needs fewest evictions.
         best_cluster = None
         best_evictions = None
-        for cluster in range(self.machine.n_clusters):
+        for cluster in clusters:
             if schedule.mrt.capacity(cluster, kind) == 0:
                 continue
             occupants = schedule.mrt.occupants(cluster, kind, time)
@@ -181,13 +202,20 @@ class IMSAttemptRunner(AttemptRunner):
     """Serves IMS attempts to a search policy for one loop.
 
     IMS never mutates the graph and has no restart salt, so the runner
-    shares the graph across attempts, declares one restart per rung, and
-    ignores both the salt and the (cluster-preference) failure evidence.
-    The shared height caches live on :class:`AttemptRunner`.
+    shares the graph (and the pins, if any) across attempts, declares one
+    restart per rung, and ignores both the salt and the (cluster-
+    preference) failure evidence.  The shared height caches live on
+    :class:`AttemptRunner`.
     """
 
-    def __init__(self, scheduler: IterativeModuloScheduler, ddg: DDG):
+    def __init__(
+        self,
+        scheduler: IterativeModuloScheduler,
+        ddg: DDG,
+        pins: Optional[Mapping[int, int]] = None,
+    ):
         self.scheduler = scheduler
+        self.pins = pins
         self.restarts_per_rung = 1
         self._bind(ddg, scheduler.latencies)
 
@@ -200,7 +228,12 @@ class IMSAttemptRunner(AttemptRunner):
     ) -> AttemptOutcome:
         stats = SchedulerStats()
         schedule = self.scheduler._attempt(
-            self.ddg, ii, stats, heights=self.heights_for(ii), limits=limits
+            self.ddg,
+            ii,
+            stats,
+            heights=self.heights_for(ii),
+            limits=limits,
+            pins=self.pins,
         )
         # evidence stays None even on failure: IMS attempts ignore it, so
         # reporting any would only make the adaptive policy treat its

@@ -65,7 +65,7 @@ class ScheduleResult:
     Attributes:
         loop_name: the scheduled loop.
         machine: target machine.
-        scheduler: ``"ims"`` or ``"dms"``.
+        scheduler: ``"ims"``, ``"dms"`` or ``"two-phase"``.
         ii: achieved initiation interval.
         res_mii / rec_mii: lower bounds (on the scheduled DDG).
         ddg: the final graph, including copies and any surviving moves.
@@ -73,9 +73,8 @@ class ScheduleResult:
         latencies: latency model used.
         stats: scheduling effort counters.
         ii_trajectory: distinct II candidates the search visited, ending
-            at the achieved II (empty for schedulers predating the
-            search-policy layer; consumers fall back to the contiguous
-            ``(ii - ii_attempts, ii]`` range).
+            at the achieved II (empty only for a result built outside a
+            scheduler, such as a hand-made or mutated schedule).
     """
 
     loop_name: str

@@ -126,10 +126,6 @@ class PartialSchedule:
         return self._placements[op_id].cluster
 
     @property
-    def scheduled_ids(self) -> List[int]:
-        return sorted(self._placements)
-
-    @property
     def n_scheduled(self) -> int:
         return len(self._placements)
 

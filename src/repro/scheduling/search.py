@@ -38,14 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..config import SEARCH_POLICY_NAMES
 from ..errors import IIOverflowError, SchedulingError
 from ..ir.ddg import DDG
 from .heights import compute_heights, height_edge_terms
 from .result import SchedulerStats
 from .schedule import Placement
-
-#: Registered search-policy names (mirrors ``SchedulerConfig.search``).
-SEARCH_POLICY_NAMES: Tuple[str, ...] = ("ladder", "adaptive")
 
 #: Re-pops of one op beyond which a failed attempt reports it as "hot".
 _HOT_POP_THRESHOLD = 4

@@ -10,9 +10,10 @@ baseline so the integration claim can be measured:
    dependence order, balancing the bottleneck FU kind per cluster; every
    flow edge spanning more than one hop is bridged *statically* with
    pinned move operations along the topology's first (shortest) path.
-2. **Schedule** — a pinned-cluster variant of IMS: identical II search,
-   priorities, window scan and forced ejection, but each operation may
-   only ever sit on its pre-assigned cluster.
+2. **Schedule** — IMS itself, given the partition as its pin map: the
+   same search policy (``config.search``), priorities, window scan and
+   forced ejection, but each operation may only ever sit on its
+   pre-assigned cluster.
 
 Because cluster assignment can no longer adapt to scheduling conflicts,
 every imbalance or badly placed chain becomes II overhead — exactly the
@@ -21,18 +22,17 @@ phenomenon DMS's single-phase design removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Tuple
 
-from ..config import DEFAULT_CONFIG, SchedulerConfig
-from ..errors import IIOverflowError, SchedulingError
+from ..errors import SchedulingError
 from ..ir.ddg import DDG
-from ..ir.opcodes import DEFAULT_LATENCIES, FUKind, LatencyModel, OpCode
+from ..ir.opcodes import FUKind, LatencyModel, OpCode
 from ..ir.operations import ValueUse
 from ..machine.machine import MachineSpec
 from .heights import compute_heights
-from .mii import compute_mii, rec_mii
-from .result import ScheduleResult, SchedulerStats
-from .schedule import PartialSchedule
+from .ims import IterativeModuloScheduler
+from .mii import rec_mii
+from .result import ScheduleResult
 
 
 def partition_clusters(
@@ -125,90 +125,15 @@ def insert_static_chains(
     return extended
 
 
-class TwoPhaseScheduler:
-    """Partition-then-schedule baseline (related-work style)."""
+class TwoPhaseScheduler(IterativeModuloScheduler):
+    """Partition-then-schedule baseline (related-work style): IMS with
+    every operation pinned to its partition cluster."""
 
     name = "two-phase"
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        latencies: LatencyModel = DEFAULT_LATENCIES,
-        config: SchedulerConfig = DEFAULT_CONFIG,
-    ):
-        self.machine = machine
-        self.latencies = latencies
-        self.config = config
-
     def schedule(self, ddg: DDG) -> ScheduleResult:
         """Partition *ddg*, insert static chains, then pinned-IMS it."""
-        if len(ddg) == 0:
-            raise SchedulingError(f"loop {ddg.name!r} has no operations")
         work = ddg.copy()
         assignment = partition_clusters(work, self.machine, self.latencies)
-        assignment = insert_static_chains(work, assignment, self.machine)
-        bounds = compute_mii(work, self.machine, self.latencies)
-        stats = SchedulerStats()
-        max_ii = self.config.max_ii(bounds.mii)
-        for ii in range(bounds.mii, max_ii + 1):
-            stats.ii_attempts += 1
-            schedule = self._attempt(work, assignment, ii, stats)
-            if schedule is not None:
-                return ScheduleResult(
-                    loop_name=work.name,
-                    machine=self.machine,
-                    scheduler=self.name,
-                    ii=ii,
-                    res_mii=bounds.res_mii,
-                    rec_mii=bounds.rec_mii,
-                    ddg=work,
-                    placements=schedule.placements(),
-                    latencies=self.latencies,
-                    stats=stats,
-                )
-        raise IIOverflowError(work.name, max_ii)
-
-    def _attempt(
-        self,
-        ddg: DDG,
-        assignment: Dict[int, int],
-        ii: int,
-        stats: SchedulerStats,
-    ) -> Optional[PartialSchedule]:
-        schedule = PartialSchedule(ddg, self.machine, ii, self.latencies)
-        heights = compute_heights(ddg, self.latencies, ii)
-        unscheduled: Set[int] = set(ddg.op_ids)
-        last_time: Dict[int, int] = {}
-        budget = self.config.budget_ratio * len(ddg)
-        while unscheduled and budget > 0:
-            budget -= 1
-            stats.budget_used += 1
-            op_id = min(unscheduled, key=lambda i: (-heights[i], i))
-            unscheduled.remove(op_id)
-            cluster = assignment[op_id]
-            kind = ddg.op(op_id).fu_kind
-            estart = max(0, schedule.earliest_start(op_id))
-            time = None
-            for t in range(estart, estart + ii):
-                if schedule.mrt.is_free(cluster, kind, t):
-                    time = t
-                    break
-            if time is None:
-                if op_id in last_time:
-                    time = max(estart, last_time[op_id] + 1)
-                else:
-                    time = estart
-                for victim in schedule.mrt.occupants(cluster, kind, time):
-                    schedule.remove(victim)
-                    unscheduled.add(victim)
-                    stats.ejections_resource += 1
-            for victim in schedule.succ_violations(op_id, time):
-                schedule.remove(victim)
-                unscheduled.add(victim)
-                stats.ejections_dependence += 1
-            schedule.place(op_id, time, cluster)
-            last_time[op_id] = time
-            stats.placements += 1
-        if unscheduled:
-            return None
-        return schedule
+        pins = insert_static_chains(work, assignment, self.machine)
+        return super().schedule(work, pins)

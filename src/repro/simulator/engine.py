@@ -62,11 +62,6 @@ class SimReport:
         """Useful IPC against the analytic cycle model (paper metric)."""
         return self.issued_useful / self.cycles_model
 
-    @property
-    def ipc_span(self) -> float:
-        """Useful IPC against the measured makespan."""
-        return self.issued_useful / max(1, self.cycles_span)
-
     def utilization(self, kind: FUKind, capacity: int) -> float:
         """Busy fraction of all *kind* units over the measured span."""
         total = capacity * max(1, self.cycles_span)

@@ -121,22 +121,21 @@ class TestErrorPolicy:
         from repro.config import SchedulerConfig
 
         tight = SchedulerConfig(max_ii_factor=1, max_ii_extra=0)
-        chain = Toolchain.default().with_pass("schedule", "schedule_two_phase")
-        requests = [
+        return [
             CompilationRequest(
                 loop=make_kernel(name),
                 machine=clustered_vliw(8),
                 config=tight,
                 equivalent_k=8,
                 allocate=False,
+                scheduler="two_phase",
             )
             for name in sorted(KERNELS)
         ]
-        return chain, requests
 
     def test_return_errors_collects_failures(self):
-        chain, requests = self._overflow_requests()
-        outcomes = compile_many(requests, toolchain=chain, return_errors=True)
+        requests = self._overflow_requests()
+        outcomes = compile_many(requests, return_errors=True)
         assert len(outcomes) == len(requests)
         failures = [o for o in outcomes if isinstance(o, ReproError)]
         assert failures, "expected failures on the MII-tight config"
@@ -147,9 +146,8 @@ class TestErrorPolicy:
                 assert outcome.result.loop_name == request.loop.name
 
     def test_default_policy_raises(self):
-        chain, requests = self._overflow_requests()
         with pytest.raises(ReproError):
-            compile_many(requests, toolchain=chain)
+            compile_many(self._overflow_requests())
 
 
 class TestSweepIntegration:

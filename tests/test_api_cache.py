@@ -63,14 +63,14 @@ class TestContentHash:
 
     def test_sensitive_to_pipeline(self):
         # A default-toolchain entry must never answer for a different
-        # pipeline (e.g. the two-phase baseline, or one with codegen).
+        # pipeline (e.g. the full one, with codegen).
         base = content_hash(_request())
         assert base == content_hash(
             _request(), pipeline=("unroll", "single_use", "schedule", "allocate")
         )
         assert base != content_hash(
             _request(),
-            pipeline=("unroll", "single_use", "schedule_two_phase", "allocate"),
+            pipeline=("unroll", "single_use", "schedule", "allocate", "codegen"),
         )
 
     def test_sensitive_to_loop_content(self):
@@ -175,16 +175,11 @@ class TestBatchCompilerCaching:
     def test_different_toolchains_never_share_entries(self, tmp_path):
         request = _request()
         BatchCompiler(cache=tmp_path).compile_many([request])
-        two_phase = BatchCompiler(
-            toolchain=Toolchain.default().with_pass(
-                "schedule", "schedule_two_phase"
-            ),
-            cache=tmp_path,
-        )
-        report = two_phase.compile_many([request])[0]
+        full = BatchCompiler(toolchain=Toolchain.full(), cache=tmp_path)
+        report = full.compile_many([request])[0]
         assert not report.cache_hit
-        assert report.result.scheduler == "two-phase"
-        assert len(two_phase.cache) == 2
+        assert "assembly" in report.artifacts
+        assert len(full.cache) == 2
 
     def test_cache_takes_a_compilation_cache_or_a_directory(self, tmp_path):
         cache = CompilationCache(tmp_path / "given")

@@ -25,7 +25,16 @@ class TestRegistry:
     def test_builtin_passes_registered(self):
         for name in ("unroll", "single_use", "schedule", "allocate", "codegen"):
             assert get_pass(name).name == name
-        assert "schedule_two_phase" in PASS_REGISTRY
+        # The scheduler is a request field, not a pass to swap in.
+        assert sorted(PASS_REGISTRY) == sorted(DEFAULT_PASSES + ("codegen",))
+
+    def test_scheduler_choices_are_the_schedule_pass_table(self):
+        from repro.api import SCHEDULER_CHOICES
+        from repro.config import SEARCH_POLICY_NAMES
+        from repro.scheduling.search import SEARCH_POLICIES
+
+        assert SCHEDULER_CHOICES == tuple(SchedulePass._SCHEDULERS)
+        assert SEARCH_POLICY_NAMES == tuple(SEARCH_POLICIES)
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(ToolchainError, match="unknown pass"):
@@ -72,13 +81,24 @@ class TestComposition:
         assert Toolchain.full().pass_names == DEFAULT_PASSES + ("codegen",)
 
     def test_with_pass_swaps_in_place(self):
-        chain = Toolchain.default().with_pass("schedule", "schedule_two_phase")
+        class NotedSchedule(SchedulePass):
+            name = "noted_schedule"
+
+            def run(self, ctx):
+                super().run(ctx)
+                ctx.note(f"noted: {ctx.result.ii_trajectory}")
+
+        chain = Toolchain.default().with_pass("schedule", NotedSchedule())
         assert chain.pass_names == (
             "unroll",
             "single_use",
-            "schedule_two_phase",
+            "noted_schedule",
             "allocate",
         )
+        report = chain.compile(
+            CompilationRequest(loop=build_stream_loop(), machine=unclustered_vliw(2))
+        )
+        assert report.diagnostics[-2] == f"noted: {report.ii_trajectory}"
 
     def test_without_pass_removes(self):
         chain = Toolchain.default().without_pass("allocate")
@@ -129,10 +149,24 @@ class TestComposition:
 
 
 class TestCompile:
-    def test_report_carries_timings_trajectory_diagnostics(self):
+    # IMS ignores communication, so its schedules allocate only on the
+    # unclustered machine.
+    @pytest.mark.parametrize(
+        "scheduler, machine",
+        [
+            (None, clustered_vliw(4)),
+            ("ims", unclustered_vliw(4)),
+            ("two_phase", clustered_vliw(4)),
+        ],
+        ids=["default", "ims", "two_phase"],
+    )
+    def test_report_carries_timings_trajectory_diagnostics(self, scheduler, machine):
         report = Toolchain.default().compile(
             CompilationRequest(
-                loop=build_reduction_loop(), machine=clustered_vliw(4), equivalent_k=4
+                loop=build_reduction_loop(),
+                machine=machine,
+                equivalent_k=4,
+                scheduler=scheduler,
             )
         )
         assert [t.pass_name for t in report.timings] == list(DEFAULT_PASSES)
@@ -186,11 +220,13 @@ class TestCompile:
         )
         assert auto.result.scheduler == "ims"
 
-    def test_two_phase_swap_changes_scheduler(self):
-        chain = Toolchain.default().with_pass("schedule", "schedule_two_phase")
-        report = chain.compile(
+    def test_two_phase_request_changes_scheduler(self):
+        report = Toolchain.default().compile(
             CompilationRequest(
-                loop=build_stream_loop(), machine=clustered_vliw(4), equivalent_k=4
+                loop=build_stream_loop(),
+                machine=clustered_vliw(4),
+                equivalent_k=4,
+                scheduler="two_phase",
             )
         )
         assert report.result.scheduler == "two-phase"

@@ -115,3 +115,20 @@ class TestScheduling:
         # the partition is deterministic, so recompute and compare.
         for op_id, cluster in assignment.items():
             assert result.placements[op_id].cluster == cluster
+
+
+class TestBaselineFigure:
+    def test_series_hold_their_recorded_values(self):
+        # Pinned values: any change to the partition, the static chains
+        # or the pinned IMS phase that moves an II shows up here.
+        from repro.experiments.baselines import two_phase_comparison
+        from repro.workloads import perfect_club_surrogate
+
+        loops = perfect_club_surrogate(24)
+        figure = two_phase_comparison(loops, (4, 8))
+        assert figure.x == [4.0, 8.0]
+        assert figure.series == {
+            "dms_single_phase": [100.0 * 0 / 24, 100.0 * 2 / 24],
+            "two_phase": [100.0 * 15 / 24, 100.0 * 18 / 24],
+        }
+        assert len(figure.notes) == 1  # no two-phase II overflow
