@@ -77,8 +77,7 @@ def ddg_signature(ddg: DDG) -> Tuple:
     )
     explicit = tuple(
         (e.src, e.dst, e.kind.value, e.omega, e.latency)
-        for e in ddg.edges()
-        if not e.is_flow
+        for e in ddg.explicit_edges()
     )
     return (ddg.name, ops, explicit)
 

@@ -17,9 +17,10 @@ Commands:
 * ``fuzz``          — schedule-mutation fuzzing: random loops plus
   systematic schedule mutations, cross-examined by the checker, the
   timing simulator and the oracle (used by CI with a fixed seed);
-* ``serve``         — long-lived compilation service: warm process pool,
-  in-memory LRU over the disk cache, request dedup, priority admission
-  control and live ``/metrics`` (``schedule --remote`` is its client);
+* ``serve``         — long-lived compilation service: a process pool
+  started on the first local compile, in-memory LRU over the disk
+  cache, request dedup, priority admission control and live
+  ``/metrics`` (``schedule --remote`` is its client);
 * ``fig4|fig5|fig6``— regenerate a paper figure over the surrogate suite;
 * ``backtracking``  — the IMS-vs-DMS backtracking comparison;
 * ``all-figures``   — everything above in one sweep.
@@ -335,6 +336,12 @@ def _parser() -> argparse.ArgumentParser:
     _search_arg(baseline)
     baseline.add_argument("--clusters", type=str, default="4,6,8,10")
     baseline.add_argument("--csv", type=str, default=None)
+    baseline.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="process-pool width for the sweep (default: serial)",
+    )
 
     sensitivity = sub.add_parser(
         "sensitivity", help="figure-4 shape under alternative latency models"
@@ -346,7 +353,7 @@ def _parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="long-lived compilation service (warm pool, LRU, metrics)",
+        help="long-lived compilation service (compile pool, LRU, metrics)",
     )
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument(
@@ -356,7 +363,8 @@ def _parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="warm process-pool width (0 = in-process threads, for tests)",
+        help="compile process-pool width, started on the first local compile "
+        "(0 = in-process threads, for tests)",
     )
     serve.add_argument(
         "--lru-capacity",
@@ -1116,7 +1124,7 @@ def _baseline_command(args: argparse.Namespace) -> int:
     cluster_counts = [int(c) for c in args.clusters.split(",") if c]
     loops = _suite(args)
     figure = two_phase_comparison(
-        loops, cluster_counts, config=_scheduler_config(args)
+        loops, cluster_counts, config=_scheduler_config(args), workers=args.workers
     )
     _emit_figure(figure, args.csv)
     return 0

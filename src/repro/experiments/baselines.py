@@ -12,7 +12,9 @@ The IMS reference and the DMS runs are the figure sweep's own twins
 DMS request with ``scheduler="two_phase"``: the same default toolchain,
 unroll factor, single-use insertion, validation and II-search policy,
 with only the schedule phase differing — IMS pinned to a partition
-chosen before scheduling (:mod:`repro.scheduling.twophase`).
+chosen before scheduling (:mod:`repro.scheduling.twophase`).  Both
+fan out through :func:`repro.pools.job_map`, and each two-phase job
+ships back only its II.
 """
 
 from __future__ import annotations
@@ -20,13 +22,24 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..api.batch import compile_many
+from ..api import CompilationRequest, Toolchain
 from ..config import DEFAULT_CONFIG, SchedulerConfig
-from ..errors import IIOverflowError, ReproError
+from ..errors import IIOverflowError
 from ..ir.loop import Loop
 from ..ir.opcodes import DEFAULT_LATENCIES, LatencyModel
+from ..pools import job_map
 from .figures import FigureData
 from .runner import SweepConfig, run_sweep, sweep_requests
+
+
+def _two_phase_ii(request: CompilationRequest) -> Optional[int]:
+    """The baseline's one job: the two-phase II of *request*, or ``None``
+    when its II search overflows (module-level, so a spawn worker
+    imports it by name)."""
+    try:
+        return Toolchain.default().compile(request).result.ii
+    except IIOverflowError:
+        return None
 
 
 def two_phase_comparison(
@@ -46,31 +59,27 @@ def two_phase_comparison(
     # Loop-major, per k: the IMS twin's run, then the DMS twin's.
     twins = run_sweep(loops, sweep)
     # The two-phase scheduler can exhaust its II search on loops DMS
-    # handles; such failures come back as exception objects and count as
-    # overhead (the baseline simply cannot schedule the loop).
-    two_phase = compile_many(
-        [
-            replace(request, scheduler="two_phase")
-            for _k, request in sweep_requests(loops, sweep)
-            if request.scheduler == "dms"
-        ],
-        workers=workers,
-        return_errors=True,
-    )
+    # handles; such failures come back as None and count as overhead
+    # (the baseline simply cannot schedule the loop).
+    two_phase = [
+        replace(request, scheduler="two_phase")
+        for _k, request in sweep_requests(loops, sweep)
+        if request.scheduler == "dms"
+    ]
+    with job_map(workers, len(two_phase)) as map_jobs:
+        two_phase_iis = list(map_jobs(_two_phase_ii, two_phase))
 
     dms_worse = {k: 0 for k in cluster_counts}
     twophase_worse = {k: 0 for k in cluster_counts}
     twophase_failures = 0
-    for reference, dms, outcome in zip(twins[0::2], twins[1::2], two_phase):
+    for reference, dms, ii in zip(twins[0::2], twins[1::2], two_phase_iis):
         k = reference.clusters
         if dms.ii > reference.ii:
             dms_worse[k] += 1
-        if isinstance(outcome, ReproError):
-            if not isinstance(outcome, IIOverflowError):
-                raise outcome
+        if ii is None:
             twophase_failures += 1
             twophase_worse[k] += 1
-        elif outcome.result.ii > reference.ii:
+        elif ii > reference.ii:
             twophase_worse[k] += 1
     notes = [
         "two-phase = ring partition + static move chains + pinned IMS "

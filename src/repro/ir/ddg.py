@@ -381,6 +381,17 @@ class DDG:
         for op_id in self.op_ids:
             yield from self.out_edges(op_id)
 
+    def explicit_edges(self) -> List[DepEdge]:
+        """The explicit (non-flow) edges in :meth:`edges` order, read
+        straight from the adjacency dicts: unlike :meth:`edges`, this
+        builds no per-op read cache (content hashing reads a graph once)."""
+        explicit = [
+            edge for out in self._out.values() for key, edge in out.items()
+            if key[2] != FLOW_CODE
+        ]
+        explicit.sort(key=lambda e: (e.src, e.dst, e.kind.value, e.omega))
+        return explicit
+
     @property
     def n_edges(self) -> int:
         return sum(len(d) for d in self._out.values())

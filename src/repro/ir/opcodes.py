@@ -114,6 +114,11 @@ USEFUL_OPCODES = frozenset(op for op, fu in _OPCODE_FU.items() if fu != FUKind.C
 #: Opcodes that produce no register result (nothing to communicate).
 VOID_OPCODES = frozenset({OpCode.STORE})
 
+# The predicates below read tuples indexed by ``OpCode.index``: a
+# membership test on the frozensets above would hash the member.
+_USEFUL_BY_INDEX = tuple(opcode in USEFUL_OPCODES for opcode in OpCode)
+_VALUE_BY_INDEX = tuple(opcode not in VOID_OPCODES for opcode in OpCode)
+
 
 def fu_kind_of(opcode: OpCode) -> FUKind:
     """Return the functional-unit kind that executes *opcode*."""
@@ -122,12 +127,12 @@ def fu_kind_of(opcode: OpCode) -> FUKind:
 
 def is_useful(opcode: OpCode) -> bool:
     """True when *opcode* performs useful computation (not copy/move)."""
-    return opcode in USEFUL_OPCODES
+    return _USEFUL_BY_INDEX[opcode.index]
 
 
 def produces_value(opcode: OpCode) -> bool:
     """True when *opcode* defines a register value consumers can read."""
-    return opcode not in VOID_OPCODES
+    return _VALUE_BY_INDEX[opcode.index]
 
 
 @dataclass(frozen=True)

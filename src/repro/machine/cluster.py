@@ -32,14 +32,9 @@ class ClusterSpec:
         if self.mem + self.alu + self.mul == 0:
             raise MachineError("a cluster needs at least one useful FU")
         # fu_count sits on MRT/scheduler hot paths; build the lookup once,
-        # indexed by FUKind.index so a lookup hashes no enum.
-        counts = {
-            FUKind.MEM: self.mem,
-            FUKind.ALU: self.alu,
-            FUKind.MUL: self.mul,
-            FUKind.COPY: self.copy,
-        }
-        object.__setattr__(self, "_fu_counts", tuple(counts[kind] for kind in FUKind))
+        # indexed by FUKind.index so a lookup hashes no enum (each kind's
+        # count is the field named after its value).
+        object.__setattr__(self, "_fu_counts", tuple(getattr(self, kind.value) for kind in FUKind))
 
     def fu_count(self, kind: FUKind) -> int:
         """Number of units of *kind* in this cluster."""

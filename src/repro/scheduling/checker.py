@@ -93,7 +93,9 @@ def check_schedule(result: ScheduleResult) -> ValidationReport:
     for phantom in sorted(scheduled - ops):
         report.problems.append(f"placement for unknown op {phantom}")
 
-    usage: Dict[Tuple[int, FUKind, int], int] = {}
+    # MRT cells keyed by FUKind.index: keying a cell hashes no enum.
+    kinds = tuple(FUKind)
+    usage: Dict[Tuple[int, int, int], int] = {}
     for op_id in sorted(scheduled & ops):
         placement = placements[op_id]
         op = ddg.op(op_id)
@@ -110,13 +112,14 @@ def check_schedule(result: ScheduleResult) -> ValidationReport:
                 f"op {op_id} ({op.fu_kind.value}) on cluster "
                 f"{placement.cluster} without such a unit"
             )
-        cell = (placement.cluster, op.fu_kind, placement.time % ii)
+        cell = (placement.cluster, op.fu_kind.index, placement.time % ii)
         usage[cell] = usage.get(cell, 0) + 1
 
     # 3. Resources.
-    for (cluster, kind, row), count in sorted(
-        usage.items(), key=lambda item: (item[0][0], item[0][1].value, item[0][2])
+    for (cluster, index, row), count in sorted(
+        usage.items(), key=lambda item: (item[0][0], kinds[item[0][1]].value, item[0][2])
     ):
+        kind = kinds[index]
         capacity = machine.fu_in_cluster(cluster, kind)
         if count > capacity:
             report.problems.append(

@@ -218,16 +218,14 @@ def choose_unroll_factor(
     if equivalent_k < 1:
         raise SchedulingError(f"equivalent_k must be >= 1, got {equivalent_k}")
     machine = unclustered_vliw(equivalent_k)
-    counts = {kind: 0 for kind in USEFUL_FU_KINDS}
+    counts = [0] * len(FUKind)  # by FUKind.index: counting hashes no enum
     for op in ddg.operations():
-        if op.fu_kind in counts:
-            counts[op.fu_kind] += 1
-        elif op.fu_kind == FUKind.COPY:
-            raise SchedulingError(
-                "choose the unroll factor before inserting copies"
-            )
+        counts[op.fu_kind.index] += 1
+    if counts[FUKind.COPY.index]:
+        raise SchedulingError("choose the unroll factor before inserting copies")
     demand = [
-        (count, machine.fu_count(kind)) for kind, count in counts.items() if count
+        (counts[kind.index], machine.fu_count(kind))
+        for kind in USEFUL_FU_KINDS if counts[kind.index]
     ]
     ratio = max_cycle_ratio(ddg, latencies)
     candidates = []

@@ -1,10 +1,9 @@
 """The compilation daemon: ``repro serve``.
 
 A :class:`CompileService` is a long-lived asyncio process that keeps a
-compile session's expensive state resident between requests: a warm,
-pre-spawned process pool and an in-memory LRU in front of the
-content-hash disk cache, so a warm repeat compile touches neither the
-scheduler nor the filesystem.
+compile session's expensive state resident between requests: a process
+pool and an in-memory LRU in front of the content-hash disk cache, so a
+warm repeat compile touches neither the scheduler nor the filesystem.
 
 Everything it runs goes through one **work ledger**
 (:mod:`repro.service.ledger`).  A ``/compile`` cache miss is a one-entry
@@ -15,9 +14,18 @@ claim order.  The process pool is a **local worker** on the ledger: it
 claims the entries a ``/compile`` waits on through the same claim /
 complete / lost-lease code that ``repro worker`` processes use through
 ``/sweeps/<id>/claim``.  A ``BrokenExecutor`` is a lost lease on every
-entry the pool held: the pool is respawned (at most
-:data:`MAX_RESPAWNS` times, then the daemon drains) and the entries are
-requeued, or quarantined once they spend their requeue budget.
+entry the pool held: the broken pool is shut down, the next local
+compile starts a fresh one (at most :data:`MAX_RESPAWNS` times, then
+the daemon drains) and the entries are requeued, or quarantined once
+they spend their requeue budget.
+
+The pool starts on the first local compile, not at startup: a daemon
+that only coordinates sweeps (every compile runs in a ``repro worker``)
+never starts a compile process or multiprocessing's resource tracker,
+and answers ``/healthz`` in 0.39-0.49 s instead of 0.74-1.01 s.  The
+first ``/compile`` miss pays the spawn instead: 0.41-0.45 s for
+``daxpy`` at k = 2, against 7-10 ms once the pool runs (2-vCPU host,
+CPython 3.11).
 
 Around that: admission control (a full queue sheds a lower-priority
 queued compile, else answers 429 with ``Retry-After``), ``/healthz`` and
@@ -57,7 +65,7 @@ import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -104,12 +112,6 @@ def _compile_encoded(compile_fn, toolchain: Toolchain,
                      request: CompilationRequest) -> EncodedReport:
     """Executor-side task: compile, then pickle the report once, here."""
     return EncodedReport.encode(compile_fn(toolchain, request))
-
-
-def _warm_probe(hold_seconds: float) -> int:
-    """Pool pre-warm task: spin up a worker and hold it briefly."""
-    time.sleep(hold_seconds)
-    return 0
 
 
 def _worker_and_count(body: object, need_count: bool = True) -> Tuple[str, int]:
@@ -246,10 +248,11 @@ class CompileService:
         compile_fn=None, journal: Optional[object] = None,
     ):
         """*workers* is the pool width (``0``: a small in-process thread
-        pool for tests; ``None``: cores - 1).  An injected *executor* is
-        never shut down or respawned, so a ``BrokenExecutor`` drains the
-        daemon.  *compile_fn* replaces the executor-side compile callable
-        (a test hook); *journal* is a :class:`JobJournal` or a path.
+        pool for tests; ``None``: cores - 1); the first local compile
+        builds the pool.  An injected *executor* is never shut down or
+        respawned, so a ``BrokenExecutor`` drains the daemon.
+        *compile_fn* replaces the executor-side compile callable (a test
+        hook); *journal* is a :class:`JobJournal` or a path.
         """
         self.toolchain = toolchain or Toolchain.default()
         if disk_cache is not None and not hasattr(disk_cache, "get"):
@@ -257,19 +260,23 @@ class CompileService:
         self.cache = TieredCache(MemoryCache(lru_capacity), disk_cache)
         if max_queue_depth < 1:
             raise ServiceError("max_queue_depth must be >= 1")
+        if workers is not None and workers < 0:
+            raise ServiceError("workers must be >= 0")
         self.max_queue_depth = max_queue_depth
         self.metrics = ServiceMetrics()
         self._compile_fn = compile_fn or _execute_request
         self._owns_executor = executor is None
         self._workers = workers
+        self.executor: Optional[Executor] = executor
         if executor is not None:
-            self.executor = executor
-            self._executor_width = max(1, getattr(executor, "_max_workers", 1))
+            width = getattr(executor, "_max_workers", 1)
+        elif workers == 0:
+            width = 2
         else:
-            self.executor = self.build_executor()
-        self._max_concurrency = self._executor_width
-        self._pool_generation = 0
-        self._pool_lock = asyncio.Lock()
+            from ..api.batch import DEFAULT_WORKERS
+
+            width = workers if workers is not None else DEFAULT_WORKERS
+        self._max_concurrency = max(1, width)
         self.pool_counters = dict.fromkeys(
             ("pool_respawns", "worker_crashes", "jobs_retried", "jobs_quarantined"), 0
         )
@@ -300,46 +307,29 @@ class CompileService:
     # ------------------------------------------------------------------
 
     def build_executor(self) -> Executor:
-        """A fresh executor of the configured shape (startup and respawn)."""
+        """A fresh executor of the configured shape, built by the first
+        local compile and by the first one after a crash."""
         if self._workers == 0:
-            self._executor_width = 2
-            return ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-serve")
-        from ..api.batch import DEFAULT_WORKERS
+            return ThreadPoolExecutor(self._max_concurrency, thread_name_prefix="repro-serve")
         from ..pools import spawn_pool
 
-        width = self._workers if self._workers is not None else DEFAULT_WORKERS
-        self._executor_width = max(1, width)
         # Spawn, never fork: a worker forked from a live multi-threaded
         # asyncio process can inherit a held call-queue lock and wedge
-        # the pool.  :meth:`warm_pool` pays the spawn imports up front.
-        return spawn_pool(width)
+        # the pool.
+        return spawn_pool(self._max_concurrency)
 
-    async def warm_pool(self) -> None:
-        """Spin up every worker of the owned pool before traffic (each
-        probe holds its worker briefly, so the pool launches them all)."""
-        if not (self._owns_executor and isinstance(self.executor, ProcessPoolExecutor)):
-            return
-        loop = asyncio.get_running_loop()
-        await asyncio.gather(*(
-            loop.run_in_executor(self.executor, _warm_probe, 0.05)
-            for _ in range(self._max_concurrency)
-        ))
-
-    async def _ensure_pool(self, generation: int) -> bool:
-        """A healthy pool after a crash on pool *generation*: the first
-        victim of a collapse respawns it, the others see the new
-        generation.  ``False`` when it cannot be respawned."""
-        async with self._pool_lock:
-            if generation < self._pool_generation:
-                return True
-            if not self._owns_executor or self.pool_counters["pool_respawns"] >= MAX_RESPAWNS:
-                return False
-            self._pool_generation += 1
-            self.pool_counters["pool_respawns"] += 1
-            old, self.executor = self.executor, self.build_executor()
-            old.shutdown(wait=False, cancel_futures=True)  # already broken
-            await self.warm_pool()
+    def _retire_pool(self, broken: Executor) -> bool:
+        """Shut down the owned pool a crash broke: the first victim of a
+        collapse retires it, the others find it gone.  ``False`` when it
+        cannot be respawned."""
+        if broken is not self.executor:
             return True
+        if not self._owns_executor or self.pool_counters["pool_respawns"] >= MAX_RESPAWNS:
+            return False
+        self.pool_counters["pool_respawns"] += 1
+        self.executor = None
+        broken.shutdown(wait=False, cancel_futures=True)
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -347,7 +337,6 @@ class CompileService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Bind and start serving; returns the actual (host, port)."""
-        await self.warm_pool()
         await self._recover()
         self._expiry_task = asyncio.get_running_loop().create_task(self._expire_leases())
         self._server = await asyncio.start_server(self._handle_connection, host, port)
@@ -386,7 +375,7 @@ class CompileService:
                 await task
             except asyncio.CancelledError:
                 pass
-        if self._owns_executor:
+        if self._owns_executor and self.executor is not None:
             self.executor.shutdown(wait=False, cancel_futures=True)
         if self._journal_pool is not None:
             # wait=True: an in-flight append must reach the disk first.
@@ -483,7 +472,7 @@ class CompileService:
             cache_counters=self.cache.counters(),
             draining=self._draining,
             supervisor=dict(
-                self.pool_counters, pool_generation=self._pool_generation,
+                self.pool_counters, pool_generation=self.pool_counters["pool_respawns"],
                 max_job_crashes=COMPILE_REQUEUES + 1, max_respawns=MAX_RESPAWNS,
             ),
             journal=journal,
@@ -608,12 +597,14 @@ class CompileService:
             task.add_done_callback(self._tasks.discard)
 
     async def _run_lease(self, lease: Lease, entry: Entry, request: CompilationRequest) -> None:
-        generation = self._pool_generation
         self.metrics.compiles_started += 1
         started = time.perf_counter()
+        executor = self.executor
         try:
+            if executor is None:  # the first local compile, or the first since a crash
+                executor = self.executor = self.build_executor()
             stored = await asyncio.get_running_loop().run_in_executor(
-                self.executor, _compile_encoded, self._compile_fn, self.toolchain, request
+                executor, _compile_encoded, self._compile_fn, self.toolchain, request
             )
         except ReproError as err:
             await self._fail_entry(lease, entry, err, status=422)
@@ -627,7 +618,7 @@ class CompileService:
         except BrokenExecutor as err:
             # A lost lease on the entry the crashed pool held.
             self.pool_counters["worker_crashes"] += 1
-            if await self._ensure_pool(generation):
+            if self._retire_pool(executor):
                 await self._journal([
                     self.ledger.lose(lease, f"worker crash: {type(err).__name__}")
                 ])

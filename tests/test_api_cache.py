@@ -11,13 +11,14 @@ from repro.api import (
     Toolchain,
     content_hash,
 )
-from repro.api.cache import MemoryCache, TieredCache
+from repro.api.cache import MemoryCache, TieredCache, ddg_signature
 from repro.config import SchedulerConfig
 from repro.ir import DepKind, OpCode, ValueUse
 from repro.ir.opcodes import LatencyModel
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.workloads import make_kernel
+from perfbench import gen
 
 from .conftest import build_stream_loop
 
@@ -106,6 +107,74 @@ class TestContentHash:
         ddg.name = "renamed"
         seen.add(content_hash(request))
         assert len(seen) == 6
+
+
+def reference_ddg_signature(ddg):
+    """The signature as first defined: explicit edges read off ``ddg.edges()``."""
+    ops = tuple(
+        (
+            op.op_id,
+            op.opcode.value,
+            tuple((s.producer, s.omega, s.symbol) for s in op.srcs),
+            op.tag,
+        )
+        for op in ddg.operations()
+    )
+    explicit = tuple(
+        (e.src, e.dst, e.kind.value, e.omega, e.latency)
+        for e in ddg.edges()
+        if not e.is_flow
+    )
+    return (ddg.name, ops, explicit)
+
+
+class TestSignatureEdges:
+    """``ddg_signature`` reads explicit edges without building the DDG's
+    per-op read caches, and keys stay what they were."""
+
+    def test_sweep_requests_match_the_reference(self):
+        from repro.experiments.runner import SweepConfig, sweep_requests
+        from repro.workloads.suite import perfect_club_surrogate
+
+        loops = {id(request.loop): request.loop for _, request in
+                 sweep_requests(perfect_club_surrogate(100), SweepConfig())}
+        assert len(loops) == 100
+        for loop in loops.values():
+            assert ddg_signature(loop.ddg) == reference_ddg_signature(loop.ddg), loop.name
+
+    def test_serve_mixed_payloads_match_the_reference_from_a_fresh_parse(self):
+        from repro.service.jobs import parse_compile_payload, request_to_payload
+        from repro.workloads.suite import perfect_club_surrogate
+
+        suite = perfect_club_surrogate()
+        plan = gen.serve_plan(1, 12, [len(loop.ddg) for loop in suite], 256)
+        machines = {k: clustered_vliw(k) for k in gen.SERVICE_CLUSTERS}
+        for index, k in plan.requests:
+            payload = request_to_payload(
+                CompilationRequest(loop=suite[index], machine=machines[k]))
+            request = parse_compile_payload(payload).request
+            key = content_hash(request)
+            ddg = request.loop.ddg
+            assert not ddg._out_cache and not ddg._in_cache  # no read cache built
+            assert ddg_signature(ddg) == reference_ddg_signature(ddg)
+            assert content_hash(request) == key
+
+    def test_explicit_edges_of_every_kind_keep_the_reference_order(self):
+        # The suite carries no explicit edge, so order them here: kinds
+        # sort by name ("anti" < "mem" < "output"), not declaration order.
+        ddg = build_stream_loop().ddg
+        ops = ddg.op_ids
+        for src, dst, kind, omega in (
+            (ops[4], ops[0], DepKind.OUTPUT, 1), (ops[4], ops[0], DepKind.MEM, 2),
+            (ops[4], ops[0], DepKind.MEM, 1), (ops[4], ops[0], DepKind.ANTI, 1),
+            (ops[1], ops[4], DepKind.MEM, 0), (ops[0], ops[4], DepKind.MEM, 0),
+        ):
+            ddg.add_dep(src, dst, kind, omega, 1)
+        cached = dict(ddg._out_cache)
+        signature = ddg_signature(ddg)
+        assert ddg._out_cache == cached  # no read cache built
+        assert len(signature[2]) == 6
+        assert signature == reference_ddg_signature(ddg)
 
 
 class TestCompilationCache:

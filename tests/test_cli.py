@@ -236,6 +236,13 @@ class TestSupplementaryCommands:
         out = capsys.readouterr().out
         assert "two_phase" in out
 
+    def test_baseline_pooled_csv_equals_serial(self, tmp_path, capsys):
+        args = ["baseline", "--loops", "6", "--clusters", "4,8"]
+        assert main(args + ["--csv", str(tmp_path / "serial")]) == 0
+        assert main(args + ["--workers", "2", "--csv", str(tmp_path / "pooled")]) == 0
+        serial = (tmp_path / "serial" / "baseline_two_phase.csv").read_bytes()
+        assert serial == (tmp_path / "pooled" / "baseline_two_phase.csv").read_bytes()
+
     def test_sensitivity(self, capsys):
         assert main(["sensitivity", "--loops", "3", "--clusters", "2"]) == 0
         out = capsys.readouterr().out

@@ -16,6 +16,7 @@ import asyncio
 import contextlib
 import errno
 import json
+import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,7 @@ from repro.machine.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.service import NO_RETRY, CompileService, RetryPolicy, ServiceClient
 from repro.service.jobs import parse_compile_payload, request_to_payload
+from repro.service.worker import SweepWorker
 from repro.targets import resolve_target
 from repro.validate import verify_many
 from repro.workloads import make_kernel
@@ -195,6 +197,43 @@ def test_warm_repeat_served_from_memory_without_compiling():
     assert metrics["compiles"]["started"] == 1
     assert metrics["cache"]["memory_hits"] == 1
     assert metrics["cache"]["hit_ratio"] == pytest.approx(0.5)
+
+
+def test_the_pool_starts_on_the_first_local_compile(monkeypatch):
+    # A real one-process pool.  A daemon that has only answered /healthz
+    # and merged a sweep worker's completion holds no executor and
+    # started no process; the first /compile miss builds the pool once
+    # and the second miss reuses it.
+    before = set(multiprocessing.active_children())
+    job = {"kernel": "daxpy", "clusters": 2, "config": dict(LADDER)}
+    with running_service(workers=1) as (service, client, _loop):
+        assert client.healthz()["status"] == "ok"
+        sweep_id = client.submit_sweep({"jobs": [job]})["sweep"]
+        stats = SweepWorker(f"{client.host}:{client.port}", name="wA",
+                            poll_interval=0.05, idle_exit=0.2).run()
+        assert stats["jobs"] == 1 and client.sweep(sweep_id)["state"] == "done"
+        assert service.executor is None
+        assert set(multiprocessing.active_children()) <= before
+
+        built = []
+        build = service.build_executor
+        monkeypatch.setattr(service, "build_executor", lambda: built.append(1) or build())
+        first = client.compile({"kernel": "fir_filter", "clusters": 2, "config": dict(LADDER)})
+        pool = service.executor
+        second = client.compile({"kernel": "dot_product", "clusters": 2, "config": dict(LADDER)})
+        assert service.executor is pool is not None
+        metrics = client.metrics()
+    assert first["served_from"] == second["served_from"] == "compile"
+    assert len(built) == 1
+    assert metrics["compiles"]["started"] == 2
+    assert metrics["supervisor"]["pool_respawns"] == 0
+
+
+@pytest.mark.parametrize("kwargs", [{"max_queue_depth": 0}, {"workers": -1}])
+def test_a_bad_shape_is_refused_at_construction(kwargs):
+    # The pool is built late, so its width is checked up front.
+    with pytest.raises(ServiceError):
+        CompileService(**kwargs)
 
 
 def test_disk_hit_promotes_into_memory_across_restarts(tmp_path):

@@ -132,3 +132,26 @@ class TestBaselineFigure:
             "two_phase": [100.0 * 15 / 24, 100.0 * 18 / 24],
         }
         assert len(figure.notes) == 1  # no two-phase II overflow
+
+    def test_a_baseline_job_ships_the_ii_or_none_on_overflow(self):
+        # An II ceiling of exactly MII overflows the two-phase search on
+        # several kernels of an 8-wide ring; the others keep their II.
+        from repro.api import CompilationRequest, Toolchain
+        from repro.config import SchedulerConfig
+        from repro.experiments.baselines import _two_phase_ii
+        from repro.workloads.kernels import KERNELS
+
+        tight = SchedulerConfig(max_ii_factor=1, max_ii_extra=0)
+        outcomes = []
+        for name in sorted(KERNELS):
+            request = CompilationRequest(
+                loop=make_kernel(name), machine=clustered_vliw(8), config=tight,
+                equivalent_k=8, allocate=False, scheduler="two_phase",
+            )
+            try:
+                expected = Toolchain.default().compile(request).result.ii
+            except IIOverflowError:
+                expected = None
+            outcomes.append(_two_phase_ii(request))
+            assert outcomes[-1] == expected, name
+        assert None in outcomes and any(ii is not None for ii in outcomes)
