@@ -3,7 +3,8 @@
 
 Builds the dot-product loop ``acc += x[i] * c[i]`` by hand, compiles it
 for a 4-cluster machine (the paper's {1 L/S, 1 Add, 1 Mul, 1 Copy} per
-cluster), validates and simulates the schedule, and prints the kernel.
+cluster), validates the schedule, executes the emitted program through
+the differential oracle, and prints the kernel.
 
 Run:  python examples/quickstart.py
 """
@@ -14,8 +15,8 @@ from repro import (
     Toolchain,
     assembly_for,
     clustered_vliw,
-    simulate,
     validate_schedule,
+    verify_compiled,
 )
 
 
@@ -56,12 +57,12 @@ def main() -> None:
     validate_schedule(result)
     print("checker: schedule valid")
 
-    # The simulator executes the pipelined schedule cycle by cycle,
-    # enforcing FIFO queue discipline.
-    report = simulate(result, iterations=16, allocation=compiled.allocation)
+    # The oracle executes the emitted program cycle by cycle, routing
+    # every value through its queue and checking each one is ready.
+    report = verify_compiled(compiled, iterations=16)
     print(
-        f"simulator: ok={report.ok}, measured span {report.cycles_span} vs "
-        f"model {report.cycles_model} cycles"
+        f"oracle: ok={report.ok}, measured span {report.oracle.cycles_span} "
+        f"vs model {report.oracle.cycles_model} cycles"
     )
     print()
 

@@ -4,7 +4,7 @@ A full reproduction of *"Distributed Modulo Scheduling"* (M. M. Fernandes,
 J. Llosa, N. Topham, HPCA-5, 1999): the DMS algorithm, Rau's IMS baseline,
 the clustered ring-of-CQRFs machine model, the IR transformations the
 paper depends on (unrolling, single-use copy insertion), queue register
-allocation, a validation simulator, VLIW code generation, and the
+allocation, a differential execution oracle, VLIW code generation, and the
 experiment harness regenerating the paper's figures 4-6.
 
 Quickstart, through the compilation-session API (pass pipeline,
@@ -109,7 +109,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "compile_many",
         "register_pass",
     ),
-    ".simulator": ("simulate",),
     ".codegen": ("assembly_for", "build_program"),
     ".validate": ("run_fuzz", "verify_compiled", "verify_loop"),
     ".workloads": (

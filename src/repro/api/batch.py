@@ -38,15 +38,10 @@ ProgressFn = Callable[[str], None]
 DEFAULT_WORKERS = max(1, (os.cpu_count() or 2) - 1)
 
 
-def _compile_job(job) -> Union[CompilationReport, ReproError]:
+def _compile_job(job) -> CompilationReport:
     """Pool worker: compile one request (module-level for picklability)."""
-    toolchain, request, return_errors = job
-    try:
-        return toolchain.compile(request)
-    except ReproError as err:
-        if return_errors:
-            return err
-        raise
+    toolchain, request = job
+    return toolchain.compile(request)
 
 
 class BatchCompiler:
@@ -74,14 +69,11 @@ class BatchCompiler:
         self,
         requests: Sequence[CompilationRequest],
         progress: Optional[ProgressFn] = None,
-        return_errors: bool = False,
-    ) -> List[Union[CompilationReport, ReproError]]:
+    ) -> List[CompilationReport]:
         """Compile every request; results come back in request order.
 
-        With ``return_errors=True`` a job that fails with a
-        :class:`~repro.errors.ReproError` (e.g. the two-phase baseline
-        hitting its II ceiling) yields the exception object in its result
-        slot instead of aborting the whole batch.
+        A job that fails with a :class:`~repro.errors.ReproError` (e.g.
+        the two-phase baseline hitting its II ceiling) aborts the batch.
 
         While the cache is probed, the cyclic garbage collector is paused
         for the whole process (:func:`~repro.api.cache.gc_paused`): other
@@ -89,9 +81,7 @@ class BatchCompiler:
         been looked up.  The compiles themselves run with it on.
         """
         requests = list(requests)
-        reports: List[Optional[Union[CompilationReport, ReproError]]] = [
-            None
-        ] * len(requests)
+        reports: List[Optional[CompilationReport]] = [None] * len(requests)
         keys: List[Optional[str]] = [None] * len(requests)
         pending: List[int] = []
         pipeline = self.toolchain.pass_names
@@ -109,14 +99,10 @@ class BatchCompiler:
             progress(f"{done}/{len(requests)} jobs served from cache")
 
         if self.coordinator is not None and pending:
-            self._compile_remote(
-                requests, keys, reports, pending, progress, return_errors
-            )
+            self._compile_remote(requests, keys, reports, pending, progress)
             return reports
 
-        jobs = [
-            (self.toolchain, requests[i], return_errors) for i in pending
-        ]
+        jobs = [(self.toolchain, requests[i]) for i in pending]
         with job_map(self.workers, len(jobs)) as map_jobs:
             for index, outcome in zip(pending, map_jobs(_compile_job, jobs)):
                 reports[index] = self._finish(keys[index], outcome)
@@ -126,14 +112,12 @@ class BatchCompiler:
         return reports
 
     def _finish(
-        self,
-        key: Optional[str],
-        outcome: Union[CompilationReport, ReproError],
-    ) -> Union[CompilationReport, ReproError]:
-        if self.cache is not None and isinstance(outcome, CompilationReport):
-            outcome.cache_key = key
-            self.cache.put(key, outcome)
-        return outcome
+        self, key: Optional[str], report: CompilationReport
+    ) -> CompilationReport:
+        if self.cache is not None:
+            report.cache_key = key
+            self.cache.put(key, report)
+        return report
 
     #: Results fetched per page when merging a distributed sweep.
     REMOTE_PAGE = 64
@@ -142,10 +126,9 @@ class BatchCompiler:
         self,
         requests: Sequence[CompilationRequest],
         keys: List[Optional[str]],
-        reports: List[Optional[Union[CompilationReport, ReproError]]],
+        reports: List[Optional[CompilationReport]],
         pending: List[int],
         progress: Optional[ProgressFn],
-        return_errors: bool,
     ) -> None:
         """Run the cache misses as one sweep on the coordinator fleet.
 
@@ -196,16 +179,13 @@ class BatchCompiler:
                         )
                         reports[index] = self._finish(keys[index], report)
                     else:
-                        err = ReproError(
+                        raise ReproError(
                             str(
                                 row.get("error")
                                 or f"sweep job {row['index']} ended "
                                 f"{row.get('state')!r}"
                             )
                         )
-                        if not return_errors:
-                            raise err
-                        reports[index] = err
 
 
 def compile_many(
@@ -214,9 +194,8 @@ def compile_many(
     cache: Union[CompilationCache, os.PathLike, None] = None,
     workers: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
-    return_errors: bool = False,
     coordinator: Optional[str] = None,
-) -> List[Union[CompilationReport, ReproError]]:
+) -> List[CompilationReport]:
     """One-shot convenience wrapper around :class:`BatchCompiler`.
 
     Pauses the process-wide cyclic garbage collector while the cache is
@@ -228,6 +207,4 @@ def compile_many(
         workers=workers,
         coordinator=coordinator,
     )
-    return compiler.compile_many(
-        requests, progress=progress, return_errors=return_errors
-    )
+    return compiler.compile_many(requests, progress=progress)

@@ -15,8 +15,8 @@ Commands:
   VLIW programs value-by-value and bit-compare against the sequential
   reference, across kernels x topologies x cluster counts;
 * ``fuzz``          — schedule-mutation fuzzing: random loops plus
-  systematic schedule mutations, cross-examined by the checker, the
-  timing simulator and the oracle (used by CI with a fixed seed);
+  systematic schedule mutations, each judged by the static checker and
+  the execution oracle, which must agree (used by CI with a fixed seed);
 * ``serve``         — long-lived compilation service: a process pool
   started on the first local compile, in-memory LRU over the disk
   cache, request dedup, priority admission control and live
@@ -287,7 +287,7 @@ def _parser() -> argparse.ArgumentParser:
     _search_arg(verify)
 
     fuzz = sub.add_parser(
-        "fuzz", help="schedule-mutation fuzzing (checker vs simulator vs oracle)"
+        "fuzz", help="schedule-mutation fuzzing (checker vs oracle)"
     )
     fuzz.add_argument("--seed", type=int, default=1999)
     fuzz.add_argument(

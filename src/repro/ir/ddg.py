@@ -428,8 +428,8 @@ class DDG:
     ) -> Tuple[Tuple[Tuple[int, int, int], DepEdge], ...]:
         """:meth:`flow_succ_refs` entries paired with their flow edges.
 
-        The checker, the timing simulator and the execution oracle all
-        need the per-reference view *and* the edge (for
+        The checker and the execution oracle both need the
+        per-reference view *and* the edge (for
         :meth:`edge_latency`); keeping the join here guarantees the two
         can never drift apart.  Cached and dropped exactly like
         :meth:`flow_succ_refs`.

@@ -43,7 +43,7 @@ USEFUL_FU_KINDS = (FUKind.MEM, FUKind.ALU, FUKind.MUL)
 
 
 class OpCode(enum.Enum):
-    """Machine operations understood by the scheduler and simulator."""
+    """Machine operations understood by the scheduler and the oracle."""
 
     # Memory
     LOAD = "load"

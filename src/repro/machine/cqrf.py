@@ -31,8 +31,8 @@ class QueueFileSpec:
         write_ports: values the file accepts per cycle (its write
             bandwidth).  0 means unconstrained, which matches the paper's
             silence on port counts; a positive value arms the per-link
-            bandwidth rule in the schedule checker and the timing
-            simulator.
+            bandwidth rule in the schedule checker and the execution
+            oracle.
     """
 
     n_queues: int = 64

@@ -150,7 +150,7 @@ class Topology:
         the consumer reads it as a normal operand), so the default is 0
         for any directly connected pair.  A registered topology with
         slower links can override this; both the schedule checker and
-        the timing simulator consume it through
+        the execution oracle consume it through
         :func:`repro.scheduling.timing.edge_ready_latency`, so the two
         can never disagree on link cost.
         """

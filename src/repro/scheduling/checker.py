@@ -11,7 +11,7 @@ bookkeeping.  It enforces:
 4. dependences — ``t(dst) >= t(src) + latency - II * omega`` for every
    edge, with the latency resolved through the *shared* timing helper
    (:func:`repro.scheduling.timing.dependence_slack`), so the checker and
-   the timing simulator can never silently disagree on edge cost;
+   the execution oracle can never silently disagree on edge cost;
 5. communication — every flow edge connects clusters the machine's
    topology deems adjacent (any registered interconnect);
 6. fan-out — at most 2 consumer references per value on clustered machines
@@ -25,7 +25,7 @@ Two derived-shape rules ride along:
   placements poisons every downstream cycle model);
 * link bandwidth — when the machine's CQRF declares a finite
   ``write_ports`` count, the flow values entering any directed cluster
-  link per MRT row must fit it (mirrored dynamically by the simulator).
+  link per MRT row must fit it (mirrored per cycle by the oracle).
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _check_link_bandwidth(result: ScheduleResult, report: ValidationReport) -> N
     In steady state every cross-cluster flow edge delivers one value per
     II cycles, landing in the CQRF at ``(t(src) + latency) % II``; rows
     with more landings than ports cannot be sustained by the hardware.
-    The timing simulator mirrors this per actual cycle.
+    The execution oracle mirrors this per actual cycle.
     """
     machine = result.machine
     ports = machine.cqrf.write_ports
@@ -189,7 +189,7 @@ def _check_link_bandwidth(result: ScheduleResult, report: ValidationReport) -> N
             continue
         src = placements[op_id]
         # One landing per operand *reference* (each reference is its own
-        # queue), matching the simulator's per-cycle count exactly.
+        # queue), matching the oracle's per-cycle count exactly.
         for (consumer_id, _index, _omega), edge in ddg.flow_succ_ref_edges(
             op_id
         ):

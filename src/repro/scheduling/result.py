@@ -113,7 +113,8 @@ class ScheduleResult:
         """Execution cycles for *iterations* kernel iterations.
 
         Standard modulo-schedule ramp model: ``(n + SC - 1) * II`` covers
-        prologue, kernel and epilogue (validated against the simulator).
+        prologue, kernel and epilogue (the oracle reports its measured
+        span next to it).
         """
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")

@@ -1,16 +1,15 @@
 """The single source of truth for dependence-edge timing.
 
-Before this module existed, the schedule checker resolved dependence
-latencies through :meth:`~repro.ir.ddg.DDG.edge_latency` while the timing
-simulator readied operands at ``issue + latencies.latency(op.opcode)`` —
-two independent derivations that agreed only by accident (per-op producer
-latency happens to equal per-edge latency for flow edges under the default
-model).  Any future divergence — explicit edge latencies, per-link
-communication cost, asymmetric interconnects — would have let the checker
-and the simulator silently disagree about the same schedule.
+The schedule checker and the execution oracle both judge edge timing:
+the checker statically, from the placements; the oracle dynamically, on
+the issue cycles of the emitted program (operand readiness for flow
+edges, instance order for explicit ordering edges).  Two independent
+derivations of an edge's cost would let them silently disagree about
+the same schedule, for example under explicit edge latencies, per-link
+communication cost or an asymmetric interconnect.
 
-Both now call :func:`edge_ready_latency`: the per-edge latency (explicit
-for ordering edges, producer latency for flow edges) plus the topology's
+Both call :func:`edge_ready_latency`: the per-edge latency (explicit for
+ordering edges, producer latency for flow edges) plus the topology's
 per-link communication cost whenever the edge actually moves a value
 between two distinct clusters.
 """
@@ -63,8 +62,9 @@ def dependence_slack(
     machine: Optional[MachineSpec] = None,
 ) -> int:
     """Slack of *edge* under *placements*: ``t(dst) - (t(src) + latency -
-    II * omega)``.  Negative slack is a dependence violation; the checker
-    and the simulator both reject it (through this shared arithmetic).
+    II * omega)``.  Negative slack is a dependence violation: the checker
+    rejects it here, the oracle on the issue cycles, both through
+    :func:`edge_ready_latency`.
     """
     src = placements[edge.src]
     dst = placements[edge.dst]

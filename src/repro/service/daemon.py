@@ -472,7 +472,7 @@ class CompileService:
             cache_counters=self.cache.counters(),
             draining=self._draining,
             supervisor=dict(
-                self.pool_counters, pool_generation=self.pool_counters["pool_respawns"],
+                self.pool_counters,
                 max_job_crashes=COMPILE_REQUEUES + 1, max_respawns=MAX_RESPAWNS,
             ),
             journal=journal,

@@ -1,20 +1,13 @@
-"""Cycle-accurate validation simulator for pipelined schedules."""
+"""Value semantics shared by the sequential reference and the oracle."""
 
-from .engine import SimReport, simulate
 from .semantics import (
     SequentialRun,
     assert_same_semantics,
     sequential_run,
     streams_equal,
 )
-from .trace import ExecutionTrace, TraceEntry, collect_trace
 
 __all__ = [
-    "SimReport",
-    "simulate",
-    "ExecutionTrace",
-    "TraceEntry",
-    "collect_trace",
     "SequentialRun",
     "assert_same_semantics",
     "sequential_run",

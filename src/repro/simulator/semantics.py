@@ -1,6 +1,6 @@
 """Value-level semantics: do transformed graphs compute the same thing?
 
-The timing simulator proves a schedule *can* execute; this module proves
+The execution oracle proves a schedule *can* execute; this module proves
 the graph rewrites (unrolling, single-use copies, DMS move chains) did
 not change *what* is computed.  Every opcode gets a deterministic pure
 function over floats; loads and loop-carried seeds get reproducible

@@ -1,20 +1,19 @@
 """End-to-end validation: the differential execution oracle and fuzzer.
 
-The repository's other validation layers each cover one slice of the
-compiler: the static checker re-derives schedule constraints, the timing
-simulator replays issue/ready/pop discipline, and the rewrite-semantics
-module proves graph transforms value-preserving.  This package closes the
-remaining hole — nothing else ever *executes the emitted VLIW program* —
-with two tools:
+The static checker re-derives schedule constraints, and the
+rewrite-semantics module proves graph transforms value-preserving.  This
+package *executes the emitted VLIW program*, with two tools:
 
 * :mod:`~repro.validate.oracle` — a value-level interpreter for
   :class:`~repro.codegen.kernel.VLIWProgram` (prologue, kernel re-issue,
   epilogue, queue pops through the actual
-  :class:`~repro.registers.queues.QueueAllocation`) whose store streams
-  must bit-equal a sequential reference run of the *original* loop;
+  :class:`~repro.registers.queues.QueueAllocation`, explicit ordering
+  edges on the issue cycles) whose store streams must bit-equal a
+  sequential reference run of the *original* loop.  It is the one
+  dynamic judge of a schedule;
 * :mod:`~repro.validate.fuzz` — randomized loops plus systematic
-  mutations of valid schedules, cross-examined by the checker, the
-  timing simulator and the oracle under an explicit agreement contract.
+  mutations of valid schedules, judged by the checker and the oracle
+  under an explicit agreement contract.
 
 CLI entry points: ``repro verify`` and ``repro fuzz``.  Names load on
 first use: the oracle alone never imports the fuzzer or numpy.

@@ -1,32 +1,26 @@
-"""Schedule-mutation fuzzing: checker vs simulator vs oracle.
+"""Schedule-mutation fuzzing: the static checker against the oracle.
 
-The three validation layers cover overlapping slices of schedule
-correctness; when one of them accepts a schedule another rejects, at
+The checker judges a schedule statically; the execution oracle runs the
+emitted program.  When one accepts a schedule the other rejects, at
 least one of them is wrong.  The fuzzer hunts for exactly those
 disagreements: it compiles randomized loops (the synthetic generator
 behind the Perfect Club surrogate) across random topologies and cluster
 counts, then applies systematic mutations to each valid schedule and
 cross-examines every mutant.
 
-The **agreement contract** makes "agree" precise, because the layers have
-different scopes by design:
+The **agreement contract** makes "agree" precise, because the two judges
+have different scopes by design:
 
-* baseline (no mutation): all three layers must accept a schedule the
-  toolchain just produced;
-* placement mutations (``shift``, ``swap_clusters``, ``move_cluster``):
-
-  - checker accepts  -> simulator and oracle must both accept,
-  - checker rejects  -> simulator must reject (every static rule those
-    mutations can break has a dynamic mirror),
-  - oracle rejects   -> checker must reject (the oracle never raises a
-    false alarm).
-
-  The one asymmetry allowed: the checker may reject while the *oracle*
-  accepts, because memory-ordering edges carry no value — the oracle is
-  blind to them (the simulator is not);
+* baseline (no mutation): both must accept a schedule the toolchain just
+  produced;
+* placement mutations (``shift``, ``swap_clusters``, ``move_cluster``,
+  ``tighten_edge``): the checker accepts if and only if the oracle
+  accepts.  Every static rule those mutations can break has a dynamic
+  mirror, including the explicit ordering edges, which the oracle checks
+  on its issue cycles;
 * capacity mutation (``shrink_queue``): the checker has no queue-capacity
-  rule, so its verdict must stay "accept"; the simulator and the oracle
-  must agree with *each other* on whether the shrunken depth binds.
+  rule, so it must accept; the mutant sets the CQRF depth one below what
+  the schedule needs, so the oracle must reject.
 
 Any contract violation is recorded as a :class:`Disagreement`, minimized
 by shrinking the loop body, and serialised for the CI artifact.
@@ -52,12 +46,11 @@ from ..registers.queues import allocate_queues
 from ..scheduling.checker import check_schedule
 from ..scheduling.result import ScheduleResult
 from ..scheduling.schedule import Placement
-from ..simulator.engine import simulate
 from ..workloads.synthetic import SyntheticSpec, synthetic_loop
 
 #: Fuzzing population spec: the surrogate-suite shapes plus memory
 #: aliasing edges, so the ordering-edge paths of the checker and the
-#: simulator face mutants too.
+#: oracle face mutants too.
 FUZZ_SPEC = SyntheticSpec(p_mem_dep=0.35)
 from .oracle import verify_compiled
 
@@ -92,22 +85,18 @@ class FuzzConfig:
 
 @dataclass
 class Verdicts:
-    """One (schedule, machine) examined by all three layers."""
+    """One (schedule, machine) examined by both judges."""
 
     checker_ok: bool
-    simulator_ok: bool
     oracle_ok: bool
     checker_problems: List[str] = field(default_factory=list)
-    simulator_problems: List[str] = field(default_factory=list)
     oracle_problems: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "checker_ok": self.checker_ok,
-            "simulator_ok": self.simulator_ok,
             "oracle_ok": self.oracle_ok,
             "checker_problems": self.checker_problems[:5],
-            "simulator_problems": self.simulator_problems[:5],
             "oracle_problems": self.oracle_problems[:5],
         }
 
@@ -262,8 +251,8 @@ def mutate_tighten_edge(rng: np.random.Generator, result: ScheduleResult):
 
     Random +-1/2 shifts almost never bind on high-slack ordering edges,
     so this targeted mutation is what keeps the checker's and the
-    simulator's per-edge-kind coverage honest (it is how the fuzzer
-    proved the simulator used to ignore memory ordering edges).
+    oracle's per-edge-kind coverage honest (it is how the fuzzer showed
+    that the oracle's value comparison cannot see memory ordering edges).
     """
     from ..scheduling.timing import dependence_slack
 
@@ -349,17 +338,9 @@ _PLACEMENT_MUTATIONS = frozenset(
 
 
 def evaluate(loop: Loop, unroll_factor: int, result: ScheduleResult) -> Verdicts:
-    """Run the checker, the timing simulator and the oracle over one
-    schedule; exceptions from a layer count as that layer rejecting."""
+    """Run the checker and the oracle over one schedule; an exception
+    from the oracle counts as a rejection."""
     checker = check_schedule(result)
-
-    iterations = max(result.stage_count + 2, _max_omega(result.ddg) + 2)
-    try:
-        sim = simulate(result, iterations, strict=False)
-        sim_ok, sim_problems = sim.ok, sim.problems
-    except ReproError as err:
-        sim_ok, sim_problems = False, [f"simulator error: {err}"]
-
     compiled = CompiledLoop(
         loop=loop,
         machine=result.machine,
@@ -368,30 +349,16 @@ def evaluate(loop: Loop, unroll_factor: int, result: ScheduleResult) -> Verdicts
         allocation=None,
     )
     try:
-        oracle = verify_compiled(compiled, iterations=iterations)
+        oracle = verify_compiled(compiled)
         oracle_ok, oracle_problems = oracle.ok, oracle.all_problems
     except ReproError as err:
         oracle_ok, oracle_problems = False, [f"oracle error: {err}"]
 
     return Verdicts(
         checker_ok=checker.ok,
-        simulator_ok=sim_ok,
         oracle_ok=oracle_ok,
         checker_problems=list(checker.problems),
-        simulator_problems=list(sim_problems),
         oracle_problems=list(oracle_problems),
-    )
-
-
-def _max_omega(ddg: DDG) -> int:
-    return max(
-        (
-            src.omega
-            for op in ddg.operations()
-            for src in op.srcs
-            if not src.is_external
-        ),
-        default=0,
     )
 
 
@@ -405,27 +372,20 @@ def contract_violations(mutation: Optional[str], verdicts: Verdicts) -> List[str
     if mutation is None:
         if not v.checker_ok:
             out.append("baseline: checker rejects a fresh toolchain schedule")
-        if not v.simulator_ok:
-            out.append("baseline: simulator rejects a fresh toolchain schedule")
         if not v.oracle_ok:
             out.append("baseline: oracle rejects a fresh toolchain schedule")
         return out
     if mutation in _PLACEMENT_MUTATIONS:
-        if v.checker_ok and not v.simulator_ok:
-            out.append("checker accepts but simulator rejects")
         if v.checker_ok and not v.oracle_ok:
             out.append("checker accepts but oracle rejects")
-        if not v.checker_ok and v.simulator_ok:
-            out.append("checker rejects but simulator accepts")
+        if not v.checker_ok and v.oracle_ok:
+            out.append("checker rejects but oracle accepts")
         return out
     if mutation == "shrink_queue":
         if not v.checker_ok:
             out.append("shrink_queue flipped the checker (no capacity rule)")
-        if v.simulator_ok != v.oracle_ok:
-            out.append(
-                "simulator and oracle disagree on queue capacity "
-                f"(simulator_ok={v.simulator_ok}, oracle_ok={v.oracle_ok})"
-            )
+        if v.oracle_ok:
+            out.append("oracle accepts a queue one value too shallow")
         return out
     raise ValueError(f"unknown mutation {mutation!r}")
 

@@ -86,6 +86,8 @@ class OracleReport:
     stage_count: int
     iterations: int
     issued: int = 0
+    #: Measured makespan: the last completion cycle of the run.
+    cycles_span: int = 0
     max_queue_occupancy: int = 0
     store_streams: Dict[int, List[float]] = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
@@ -93,6 +95,11 @@ class OracleReport:
     @property
     def ok(self) -> bool:
         return not self.problems
+
+    @property
+    def cycles_model(self) -> int:
+        """The analytic ramp model ``(n + SC - 1) * II`` the figures use."""
+        return (self.iterations + self.stage_count - 1) * self.ii
 
     def raise_if_failed(self) -> None:
         if self.problems:
@@ -227,6 +234,49 @@ def _enumerate_issues(
     return issues, cluster_of
 
 
+def _check_ordering_edges(
+    issues: List[Issue],
+    ddg: DDG,
+    latencies: LatencyModel,
+    iterations: int,
+    problems: List[str],
+) -> None:
+    """Check every explicit (non-flow) edge on the run's issue cycles.
+
+    Memory, anti and output edges carry no value, so no queue pop and no
+    store comparison can see them.  Every dst instance ``i`` whose src
+    instance ``i - omega`` ran must issue at least the edge latency after
+    it.  A violated edge gets one problem, at its first offending
+    instance.  Runs only on an exact issue list: every instance of every
+    op issued once.  Ordering edges never pay a link cost, so the
+    clusters do not enter.
+    """
+    edges = ddg.explicit_edges()
+    if not edges:
+        return
+    ends = {op_id for edge in edges for op_id in (edge.src, edge.dst)}
+    issued_at: Dict[int, List[int]] = {op_id: [0] * iterations for op_id in ends}
+    for cycle, _order, _index, iteration, op_id in issues:
+        cycles = issued_at.get(op_id)
+        if cycles is not None:
+            cycles[iteration] = cycle
+    for edge in edges:
+        latency = edge_ready_latency(ddg, edge, latencies)
+        src_at = issued_at[edge.src]
+        dst_at = issued_at[edge.dst]
+        for iteration in range(edge.omega, iterations):
+            src = src_at[iteration - edge.omega]
+            dst = dst_at[iteration]
+            if dst < src + latency:
+                problems.append(
+                    f"cycle {dst}: ordering violated on {edge!r}: "
+                    f"v{edge.dst} iteration {iteration} issues "
+                    f"{src + latency - dst} cycle(s) early (v{edge.src} "
+                    f"iteration {iteration - edge.omega} at cycle {src})"
+                )
+                break
+
+
 def execute_program(
     program: VLIWProgram,
     ddg: DDG,
@@ -270,6 +320,7 @@ def execute_program(
     issues, cluster_of = _enumerate_issues(program, ddg, iterations, report)
     if problems:
         return report
+    _check_ordering_edges(issues, ddg, latencies, iterations, problems)
 
     # --- plan: dense queue ids, seeds, per-op reads and fan-out ------
     # Every operand reference (producer, consumer, operand index) maps
@@ -467,6 +518,16 @@ def execute_program(
     while due:
         deliver(heapq.heappop(due))
     report.issued = len(issues)
+    last_issue: Dict[int, int] = {}
+    for cycle, _order, _index, _iteration, op_id in issues:
+        last_issue[op_id] = cycle
+    report.cycles_span = max(
+        (
+            cycle + latencies.latency(ddg.op(op_id).opcode)
+            for op_id, cycle in last_issue.items()
+        ),
+        default=0,
+    )
     report.max_queue_occupancy = max_occupancy
 
     # --- end-state audit ----------------------------------------------
@@ -587,11 +648,17 @@ def verify_compiled(
         )
     if iterations is None:
         # Cover fill, at least two steady-state kernel re-issues and the
-        # full drain, plus every loop-carried seed distance.
+        # full drain, plus the largest distance of any edge: every
+        # loop-carried seed is consumed, and every ordering edge relates
+        # at least two instance pairs.
+        ddg = result.ddg
         max_omega = max(
-            (src.omega for op in result.ddg.operations() for src in op.srcs
-             if not src.is_external),
-            default=0,
+            max(
+                (src.omega for op in ddg.operations() for src in op.srcs
+                 if not src.is_external),
+                default=0,
+            ),
+            max((edge.omega for edge in ddg.explicit_edges()), default=0),
         )
         iterations = max(result.stage_count + 2, max_omega + 2)
     if iterations < 1:

@@ -42,7 +42,7 @@ class SyntheticSpec:
     a load of the body (aliasing arrays).  It defaults to 0 so the
     surrogate suite stays bit-identical to its published statistics; the
     schedule-mutation fuzzer turns it on to exercise the ordering-edge
-    paths of the checker and the timing simulator.
+    paths of the checker and the execution oracle.
     """
 
     min_strands: int = 1

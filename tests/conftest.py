@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import CompilationRequest, Toolchain
+from repro.api import CompilationRequest, CompiledLoop, Toolchain
+from repro.codegen import build_program
 from repro.ir import DEFAULT_LATENCIES, LoopBuilder
 from repro.machine import clustered_vliw, unclustered_vliw
+from repro.registers import allocate_queues
+from repro.validate import execute_program
 
 
 def compile_for(loop, machine, **knobs):
@@ -14,6 +17,38 @@ def compile_for(loop, machine, **knobs):
     return Toolchain.default().compile(
         CompilationRequest(loop=loop, machine=machine, **knobs)
     ).compiled
+
+
+def compiled_from(loop, result):
+    """*result*, scheduled from *loop*'s body without unrolling, as the
+    compiled loop :func:`repro.validate.verify_compiled` judges."""
+    return CompiledLoop(
+        loop=loop,
+        machine=result.machine,
+        unroll_factor=1,
+        result=result,
+        allocation=None,
+    )
+
+
+def execute_schedule(result, iterations):
+    """Run *result*'s emitted program through the oracle, for a schedule
+    built without a loop (so with no sequential reference to compare):
+    queues allocated as ``verify_compiled`` allocates them, the
+    allocation's depth violations reported first."""
+    allocation = allocate_queues(result) if result.machine.is_clustered else None
+    program = build_program(result, allocation, ramp_iterations=iterations)
+    report = execute_program(
+        program,
+        result.ddg,
+        result.latencies,
+        iterations,
+        allocation=allocation,
+        machine=result.machine,
+    )
+    if allocation is not None:
+        report.problems[:0] = allocation.violations
+    return report
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from repro.api import (
     Toolchain,
     compile_many,
 )
-from repro.errors import IIOverflowError, ReproError
+from repro.errors import ReproError
 from repro.machine import clustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.workloads import KERNELS, make_kernel, perfect_club_surrogate
@@ -132,18 +132,6 @@ class TestErrorPolicy:
             )
             for name in sorted(KERNELS)
         ]
-
-    def test_return_errors_collects_failures(self):
-        requests = self._overflow_requests()
-        outcomes = compile_many(requests, return_errors=True)
-        assert len(outcomes) == len(requests)
-        failures = [o for o in outcomes if isinstance(o, ReproError)]
-        assert failures, "expected failures on the MII-tight config"
-        assert any(isinstance(f, IIOverflowError) for f in failures)
-        # Successes still come back as ordinary reports, in order.
-        for request, outcome in zip(requests, outcomes):
-            if not isinstance(outcome, ReproError):
-                assert outcome.result.loop_name == request.loop.name
 
     def test_default_policy_raises(self):
         with pytest.raises(ReproError):

@@ -13,7 +13,8 @@ from repro.scheduling import (
     check_schedule,
 )
 from repro.scheduling.result import ScheduleResult
-from repro.simulator import simulate
+
+from .conftest import execute_schedule
 
 
 def carried_far_graph(omega=2):
@@ -66,10 +67,10 @@ class TestCarriedChains:
         # ready = t(p) + lat - omega*II = 0 + 2 - 8 < 0 -> clamped to 0.
         assert planned.move_times[0] == 0
 
-    def test_end_to_end_schedule_simulates(self):
+    def test_end_to_end_schedule_executes(self):
         ddg = carried_far_graph(omega=2)
         machine, schedule, plan, _chains = plan_and_apply(ddg)
-        # Place the consumer and package a result for the simulator.
+        # Place the consumer and package a result for the oracle.
         estart = max(0, schedule.earliest_start(2))
         kind = ddg.op(2).fu_kind
         for t in range(estart, estart + schedule.ii):
@@ -88,8 +89,8 @@ class TestCarriedChains:
             latencies=DEFAULT_LATENCIES,
         )
         assert check_schedule(result).ok
-        report = simulate(result, iterations=8)
-        assert report.ok
+        report = execute_schedule(result, iterations=8)
+        assert report.ok, report.problems
 
 
 class TestMoveLatency:

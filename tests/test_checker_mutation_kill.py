@@ -7,8 +7,7 @@ oracle (the dynamic layer).  A rule only one layer can see would let a
 scheduler bug slip through whichever layer an experiment happens to run.
 
 The two derived-shape rules (II/stage-count consistency, link bandwidth)
-are covered the same way, with the bandwidth rule additionally mirrored
-by the timing simulator.
+are covered the same way.
 """
 
 import dataclasses
@@ -25,7 +24,6 @@ from repro.scheduling.checker import check_schedule
 from repro.scheduling.result import ScheduleResult
 from repro.scheduling.schedule import Placement
 from repro.scheduling.timing import dependence_slack
-from repro.simulator import simulate
 from repro.validate import verify_compiled
 from repro.workloads import make_kernel
 
@@ -248,7 +246,7 @@ class TestDerivedShapeRules:
 
 
 class TestLinkBandwidthRule:
-    """The CQRF write-port rule, in the checker and its simulator mirror.
+    """The CQRF write-port rule, in the checker and its oracle mirror.
 
     Hand-built schedule on a ports-limited 2-cluster ring: two loads on
     cluster 0 whose values land in cqrf[c0->c1] on the same row.
@@ -306,10 +304,12 @@ class TestLinkBandwidthRule:
             report.problems
         )
 
-    def test_simulator_mirrors_the_rule(self):
+    def test_oracle_mirrors_the_rule_at_six_iterations(self):
         compiled, result = self._bandwidth_case(write_ports=1)
-        sim = simulate(result, 6, strict=False)
-        assert any("write ports" in p for p in sim.problems), sim.problems
+        oracle = verify_compiled(compiled, 6)
+        assert any(
+            "write ports" in p for p in oracle.all_problems
+        ), oracle.all_problems
 
     def test_oracle_mirrors_the_rule(self):
         compiled, result = self._bandwidth_case(write_ports=1)
@@ -321,8 +321,8 @@ class TestLinkBandwidthRule:
     def test_two_ports_accept_the_same_schedule(self):
         compiled, result = self._bandwidth_case(write_ports=2)
         assert check_schedule(result).ok, check_schedule(result).problems
-        sim = simulate(result, 6, strict=False)
-        assert sim.ok, sim.problems
+        six = verify_compiled(compiled, 6)
+        assert six.ok, six.all_problems
         assert verify_compiled(compiled).ok
 
     def test_zero_ports_means_unconstrained(self):

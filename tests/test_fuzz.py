@@ -67,56 +67,53 @@ class TestMutations:
         if produced is None:
             pytest.skip("no cross-cluster lifetime deep enough to shrink")
         mutant, _ = produced
-        # The checker has no capacity rule; simulator and oracle do.
+        # The checker has no capacity rule; the oracle does.
         assert check_schedule(mutant).ok
         verdicts = evaluate(
             compiled.loop, compiled.unroll_factor, mutant
         )
-        assert not verdicts.simulator_ok
         assert not verdicts.oracle_ok
         assert not contract_violations("shrink_queue", verdicts)
 
 
 class TestContract:
-    def _verdicts(self, c, s, o):
-        return Verdicts(checker_ok=c, simulator_ok=s, oracle_ok=o)
+    def _verdicts(self, c, o):
+        return Verdicts(checker_ok=c, oracle_ok=o)
 
     def test_baseline_requires_unanimous_accept(self):
-        assert not contract_violations(None, self._verdicts(True, True, True))
-        assert contract_violations(None, self._verdicts(False, True, True))
-        assert contract_violations(None, self._verdicts(True, False, True))
-        assert contract_violations(None, self._verdicts(True, True, False))
+        assert not contract_violations(None, self._verdicts(True, True))
+        assert contract_violations(None, self._verdicts(False, True))
+        assert contract_violations(None, self._verdicts(True, False))
 
     def test_placement_clauses(self):
-        ok = self._verdicts(True, True, True)
-        assert not contract_violations("shift", ok)
-        # All three reject: agreement.
-        assert not contract_violations("shift", self._verdicts(False, False, False))
-        # Checker rejects, oracle blind (mem edge): allowed.
-        assert not contract_violations("shift", self._verdicts(False, False, True))
-        # Checker accepts but a dynamic layer rejects: bug.
-        assert contract_violations("shift", self._verdicts(True, False, True))
-        assert contract_violations("shift", self._verdicts(True, True, False))
-        # Checker rejects but the simulator accepts: missing mirror.
-        assert contract_violations("shift", self._verdicts(False, True, True))
+        # Both accept or both reject: agreement.
+        assert not contract_violations("shift", self._verdicts(True, True))
+        assert not contract_violations("shift", self._verdicts(False, False))
+        # Checker accepts but the oracle rejects: a false alarm or a
+        # missing static rule.
+        assert contract_violations("shift", self._verdicts(True, False)) == [
+            "checker accepts but oracle rejects"
+        ]
+        # Checker rejects but the oracle accepts: a missing mirror.
+        assert contract_violations("shift", self._verdicts(False, True)) == [
+            "checker rejects but oracle accepts"
+        ]
 
     def test_capacity_clauses(self):
         assert not contract_violations(
-            "shrink_queue", self._verdicts(True, False, False)
+            "shrink_queue", self._verdicts(True, False)
         )
-        assert not contract_violations(
-            "shrink_queue", self._verdicts(True, True, True)
+        # The mutant is one value too shallow: the oracle must reject.
+        assert contract_violations(
+            "shrink_queue", self._verdicts(True, True)
         )
         assert contract_violations(
-            "shrink_queue", self._verdicts(True, True, False)
-        )
-        assert contract_violations(
-            "shrink_queue", self._verdicts(False, False, False)
+            "shrink_queue", self._verdicts(False, False)
         )
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):
-            contract_violations("nonsense", self._verdicts(True, True, True))
+            contract_violations("nonsense", self._verdicts(True, True))
 
 
 class TestCampaign:

@@ -1,7 +1,7 @@
 """End-to-end integration: kernels through the full pipeline.
 
 Every named kernel is compiled for a pair of machines, validated by the
-checker, executed by the simulator, queue-allocated, and code-generated.
+checker, queue-allocated, code-generated and executed by the oracle.
 This is the closest thing to "the whole system, as a user would run it".
 """
 
@@ -11,7 +11,7 @@ from repro.codegen import assembly_for, build_program
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.registers import allocate_queues, register_pressure
 from repro.scheduling import validate_schedule
-from repro.simulator import simulate
+from repro.validate import verify_compiled
 from repro.workloads import KERNELS, make_kernel
 
 from .conftest import compile_for
@@ -23,8 +23,8 @@ class TestKernelPipeline:
         loop = make_kernel(name)
         compiled = compile_for(loop, unclustered_vliw(2), equivalent_k=2)
         validate_schedule(compiled.result)
-        report = simulate(compiled.result, iterations=6)
-        assert report.ok
+        report = verify_compiled(compiled, iterations=6)
+        assert report.ok, report.all_problems
 
     def test_clustered(self, name):
         loop = make_kernel(name)
@@ -32,10 +32,8 @@ class TestKernelPipeline:
         validate_schedule(compiled.result)
         assert compiled.allocation is not None
         assert compiled.allocation.fits
-        report = simulate(
-            compiled.result, iterations=6, allocation=compiled.allocation
-        )
-        assert report.ok
+        report = verify_compiled(compiled, iterations=6)
+        assert report.ok, report.all_problems
         program = build_program(compiled.result, compiled.allocation)
         assert program.kernel_ops == len(compiled.result.ddg)
 
@@ -73,12 +71,13 @@ class TestCrossChecks:
         for cluster in used:
             assert f"c{cluster}." in text
 
-    def test_simulator_matches_static_cycles(self):
+    def test_oracle_span_matches_static_cycles(self):
         for name in ("dot_product", "stencil3", "complex_multiply"):
             loop = make_kernel(name)
             compiled = compile_for(loop, clustered_vliw(3), equivalent_k=3)
             iterations = 12
-            report = simulate(compiled.result, iterations)
+            report = verify_compiled(compiled, iterations).oracle
+            assert report.ok, report.problems
             assert report.cycles_model == compiled.result.cycles(iterations)
             # Measured makespan within one drain latency of the model.
             assert abs(report.cycles_model - report.cycles_span) <= 12

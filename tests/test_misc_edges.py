@@ -8,10 +8,9 @@ from repro.experiments import FigureData
 from repro.ir.transforms import single_use_ddg
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.codegen import build_program, render_program
-from repro.scheduling import TwoPhaseScheduler, IterativeModuloScheduler
-from repro.simulator import collect_trace
+from repro.scheduling import TwoPhaseScheduler
 
-from .conftest import build_fanout_loop, build_stream_loop
+from .conftest import build_fanout_loop
 
 
 class TestErrorHierarchy:
@@ -57,24 +56,6 @@ class TestCodegenForOtherSchedulers:
         program = build_program(result)
         assert program.kernel_ops == len(result.ddg)
         assert "kernel:" in render_program(program)
-
-
-class TestTraceEdges:
-    def test_zero_max_cycles(self):
-        loop = build_stream_loop()
-        result = IterativeModuloScheduler(unclustered_vliw(2)).schedule(
-            loop.ddg.copy()
-        )
-        trace = collect_trace(result, iterations=2, max_cycles=1)
-        assert all(e.cycle == 0 for e in trace.entries)
-
-    def test_trace_respects_iteration_bound(self):
-        loop = build_stream_loop()
-        result = IterativeModuloScheduler(unclustered_vliw(2)).schedule(
-            loop.ddg.copy()
-        )
-        trace = collect_trace(result, iterations=1, max_cycles=1000)
-        assert {e.iteration for e in trace.entries} == {0}
 
 
 class TestMachineDescriptions:

@@ -2,7 +2,7 @@
 
 Random DDGs are generated structurally (always valid: operands reference
 earlier operations or loop-carried later ones), then pushed through the
-transforms, both schedulers, the checker, the allocator and the simulator.
+transforms, both schedulers, the checker, the allocator and the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.ir import DDG, DEFAULT_LATENCIES, OpCode, Operation, ValueUse
 from repro.ir.transforms import max_fanout, single_use_ddg, unroll_ddg
 from repro.machine import RingTopology, clustered_vliw, unclustered_vliw
-from repro.registers import allocate_queues, extract_lifetimes
+from repro.registers import extract_lifetimes
 from repro.scheduling import (
     DistributedModuloScheduler,
     IterativeModuloScheduler,
@@ -21,7 +21,8 @@ from repro.scheduling import (
     compute_mii,
     rec_mii,
 )
-from repro.simulator import simulate
+
+from .conftest import execute_schedule
 
 _PRODUCING_OPS = [
     OpCode.LOAD,
@@ -143,18 +144,17 @@ class TestSchedulerProperties:
 
     @given(ddg=random_ddg(max_ops=10), clusters=st.integers(2, 6))
     @_settings
-    def test_dms_schedules_simulate_and_allocate(self, ddg, clusters):
+    def test_dms_schedules_execute_and_allocate(self, ddg, clusters):
         result = DistributedModuloScheduler(clustered_vliw(clusters)).schedule(
             single_use_ddg(ddg)
         )
-        allocation = allocate_queues(result)
-        sim = simulate(result, iterations=4, allocation=None, strict=True)
-        assert sim.ok
-        # Queue depths computed statically bound the simulated occupancy.
+        report = execute_schedule(result, iterations=4)
+        assert report.ok, report.problems
+        # Queue depths computed statically bound the executed occupancy.
         static_depth = max(
             (lt.depth for lt in extract_lifetimes(result)), default=0
         )
-        assert sim.max_queue_occupancy <= max(static_depth, 1) + 1
+        assert report.max_queue_occupancy <= max(static_depth, 1) + 1
 
     @given(ddg=random_ddg(max_ops=8))
     @_settings

@@ -12,10 +12,16 @@ from repro.scheduling import (
     partition_clusters,
     validate_schedule,
 )
-from repro.simulator import assert_same_semantics, simulate
+from repro.simulator import assert_same_semantics
+from repro.validate import verify_compiled
 from repro.workloads import make_kernel
 
-from .conftest import build_fanout_loop, build_reduction_loop, build_stream_loop
+from .conftest import (
+    build_fanout_loop,
+    build_reduction_loop,
+    build_stream_loop,
+    compiled_from,
+)
 
 
 class TestPartition:
@@ -93,16 +99,17 @@ class TestScheduling:
             single_use_ddg(loop.ddg)
         )
         validate_schedule(result)
-        simulate(result, iterations=6)
+        report = verify_compiled(compiled_from(loop, result), iterations=6)
+        assert report.ok, report.all_problems
 
-    def test_fanout_loop_schedules_and_simulates(self):
+    def test_fanout_loop_schedules_and_executes(self):
         loop = build_fanout_loop(consumers=6)
         result = TwoPhaseScheduler(clustered_vliw(5)).schedule(
             single_use_ddg(loop.ddg)
         )
         validate_schedule(result)
-        report = simulate(result, iterations=5)
-        assert report.ok
+        report = verify_compiled(compiled_from(loop, result), iterations=5)
+        assert report.ok, report.all_problems
 
     def test_pinning_respected(self):
         loop = build_reduction_loop()

@@ -8,15 +8,17 @@ Two latent bug classes were flushed out while standing the oracle up:
    instances twice).  Pinned in ``test_oracle.py`` (the
    ``TestRampExactness`` class) and re-asserted here end to end.
 
-2. **Simulator blind to ordering edges** — the timing simulator readied
-   operands from per-*op* latency and modelled only value (flow) streams,
-   so a schedule that reordered aliasing memory operations sailed through
-   while the checker rejected it.  The schedule-mutation fuzzer found the
-   class immediately once the synthetic population gained memory edges;
-   both the per-edge latency rework and this regression pin it.
+2. **Dynamic judges blind to ordering edges** — memory, anti and output
+   edges carry no value, so neither a queue pop nor the store comparison
+   sees a schedule that reorders aliasing memory operations, while the
+   checker rejects it.  The schedule-mutation fuzzer found the class
+   once the synthetic population gained memory edges.  The oracle now
+   checks every explicit edge on its issue cycles; these cases pin it,
+   including an edge whose distance exceeds the run depth the flow
+   operands alone would ask for.
 
 The third suite pins the shared-timing guarantee itself: the checker and
-the simulator resolve every edge through one helper, so a topology with a
+the oracle resolve every edge through one helper, so a topology with a
 non-zero per-link communication cost moves both verdicts together.
 """
 
@@ -36,8 +38,7 @@ from repro.machine.topology import (
 from repro.scheduling.checker import check_schedule
 from repro.scheduling.schedule import Placement
 from repro.scheduling.timing import dependence_slack, edge_ready_latency
-from repro.simulator import simulate
-import repro.simulator.engine as engine_module
+from repro.validate import oracle as oracle_module
 from repro.validate import verify_compiled
 from repro.validate.fuzz import contract_violations, evaluate
 
@@ -48,85 +49,109 @@ def compile_on(loop, machine, **kwargs):
     ).compiled
 
 
-def build_mem_edge_loop():
-    """A stream loop with a store -> load aliasing edge (omega 1)."""
+def build_mem_edge_loop(omega=1, latency=1):
+    """A stream loop with a store -> load aliasing edge."""
     b = LoopBuilder("aliasing")
     x = b.load("x[i]")
     y = b.load("y[i]")
     s = b.store(b.mul(b.add(x, y), "k"), "z[i]")
-    b.mem_dep(s, x, omega=1, latency=1)
+    b.mem_dep(s, x, omega=omega, latency=latency)
     return b.build(64)
 
 
+def mem_edge_mutant(compiled):
+    """*compiled*'s schedule with its one ordering edge violated and
+    every other checker rule kept."""
+    result = compiled.result
+    edge = next(e for e in result.ddg.edges() if not e.is_flow)
+    slack = dependence_slack(
+        result.ddg,
+        edge,
+        result.placements,
+        result.ii,
+        result.latencies,
+        result.machine,
+    )
+    # Push the *producer* side (the store) past the slack: moving an
+    # op later is always representable, unlike a negative time.  Try
+    # successive MRT rows until the ordering edge is the *only*
+    # violated rule, isolating the memory-edge case.
+    old = result.placements[edge.src]
+    for extra in range(result.ii):
+        placements = dict(result.placements)
+        placements[edge.src] = Placement(
+            time=old.time + slack + 1 + extra, cluster=old.cluster
+        )
+        mutant = dataclasses.replace(result, placements=placements)
+        problems = check_schedule(mutant).problems
+        if problems and all("dependence violated" in p for p in problems):
+            return compiled, mutant, edge
+    pytest.fail("could not isolate a mem-edge-only violation")
+
+
 class TestOrderingEdgeRegression:
-    """Bug 2: mem-edge-violating schedules must fail in the simulator."""
+    """Bug 2: mem-edge-violating schedules must fail in the oracle."""
 
     def _mem_edge_mutant(self):
-        loop = build_mem_edge_loop()
-        compiled = compile_on(loop, clustered_vliw(2))
-        result = compiled.result
-        edge = next(e for e in result.ddg.edges() if not e.is_flow)
-        slack = dependence_slack(
-            result.ddg,
-            edge,
-            result.placements,
-            result.ii,
-            result.latencies,
-            result.machine,
-        )
-        # Push the *producer* side (the store) past the slack: moving an
-        # op later is always representable, unlike a negative time.  Try
-        # successive MRT rows until the ordering edge is the *only*
-        # violated rule, isolating the memory-edge case.
-        old = result.placements[edge.src]
-        for extra in range(result.ii):
-            placements = dict(result.placements)
-            placements[edge.src] = Placement(
-                time=old.time + slack + 1 + extra, cluster=old.cluster
-            )
-            mutant = dataclasses.replace(result, placements=placements)
-            problems = check_schedule(mutant).problems
-            if problems and all("dependence violated" in p for p in problems):
-                return compiled, mutant, edge
-        pytest.fail("could not isolate a mem-edge-only violation")
+        return mem_edge_mutant(compile_on(build_mem_edge_loop(), clustered_vliw(2)))
 
-    def test_checker_and_simulator_agree_on_mem_violation(self):
+    def test_checker_and_oracle_agree_on_mem_violation(self):
         compiled, mutant, edge = self._mem_edge_mutant()
         checker = check_schedule(mutant)
         assert any("dependence violated" in p for p in checker.problems)
-        sim = simulate(mutant, 6, strict=False)
-        assert any("ordering violated" in p for p in sim.problems), (
-            sim.problems
+        oracle = verify_compiled(
+            dataclasses.replace(compiled, result=mutant, allocation=None), 6
         )
-        # Full contract: the oracle is allowed to stay blind (no value
-        # flows through a memory edge) but checker/simulator must agree.
+        assert any(
+            f"ordering violated on {edge!r}" in p for p in oracle.all_problems
+        ), oracle.all_problems
+        # Full contract: the checker and the oracle both reject.
         verdicts = evaluate(compiled.loop, compiled.unroll_factor, mutant)
+        assert not verdicts.oracle_ok
         assert not contract_violations("tighten_edge", verdicts)
 
-    def test_pre_fix_engine_violates_the_contract(self, monkeypatch):
-        """With the ordering check removed (the pre-fix engine), the same
-        mutant is a checker/simulator disagreement — exactly what the
-        fuzzer flagged during bring-up."""
+    def test_oracle_without_ordering_check_violates_the_contract(
+        self, monkeypatch
+    ):
+        """With the ordering check removed (the oracle before it had
+        one), the same mutant is a checker/oracle disagreement — exactly
+        what the fuzzer flagged."""
         compiled, mutant, _edge = self._mem_edge_mutant()
         monkeypatch.setattr(
-            engine_module, "_check_ordering_edges", lambda *a, **k: None
+            oracle_module, "_check_ordering_edges", lambda *a, **k: None
         )
         verdicts = evaluate(compiled.loop, compiled.unroll_factor, mutant)
         assert contract_violations("tighten_edge", verdicts) == [
-            "checker rejects but simulator accepts"
+            "checker rejects but oracle accepts"
         ]
+
+    def test_far_edge_is_checked_at_the_default_depth(self):
+        """An ordering edge whose distance exceeds both SC + 2 and every
+        flow distance still gets instance pairs at the default depth."""
+        loop = build_mem_edge_loop(omega=8, latency=26)
+        compiled = compile_on(loop, clustered_vliw(2), unroll=1)
+        _compiled, mutant, edge = mem_edge_mutant(compiled)
+        flow_omega = max(e.omega for e in mutant.ddg.edges() if e.is_flow)
+        assert edge.omega > max(mutant.stage_count + 2, flow_omega)
+        report = verify_compiled(
+            dataclasses.replace(compiled, result=mutant, allocation=None)
+        )
+        assert report.oracle.iterations == edge.omega + 2
+        assert any(
+            f"ordering violated on {edge!r}" in p for p in report.all_problems
+        ), report.all_problems
 
     def test_valid_mem_edge_loop_passes_everywhere(self):
         loop = build_mem_edge_loop()
         compiled = compile_on(loop, clustered_vliw(2))
         assert check_schedule(compiled.result).ok
-        assert simulate(compiled.result, 6).ok
+        assert verify_compiled(compiled, 6).ok
         assert verify_compiled(compiled).ok
 
 
 class TestSharedTimingGuarantee:
-    """The checker and the simulator must resolve edge latency through
-    one code path — including per-link communication cost."""
+    """The checker and the oracle must resolve edge latency through one
+    code path — including per-link communication cost."""
 
     @pytest.fixture()
     def slow_link_topology(self):
@@ -145,9 +170,9 @@ class TestSharedTimingGuarantee:
             TOPOLOGY_REGISTRY.pop("slow-ring-test", None)
             _cached_topology.cache_clear()
 
-    def test_checker_and_simulator_move_together(self, slow_link_topology):
+    def test_checker_and_oracle_move_together(self, slow_link_topology):
         """A ring schedule valid under free links must be judged under
-        the slow links *identically* by checker and simulator."""
+        the slow links *identically* by checker and oracle."""
         b = LoopBuilder("cross")
         x = b.load("x[i]")
         b.store(b.add(x, "k"), "y[i]")
@@ -159,14 +184,18 @@ class TestSharedTimingGuarantee:
         )
         slow = dataclasses.replace(result, machine=slow_machine)
         checker_ok = check_schedule(slow).ok
-        sim = simulate(slow, 6, strict=False)
-        assert checker_ok == sim.ok
+        oracle = verify_compiled(
+            dataclasses.replace(
+                compiled, machine=slow_machine, result=slow, allocation=None
+            ),
+            6,
+        )
+        assert checker_ok == oracle.ok
         if not checker_ok:
             assert any("dependence violated" in p for p in check_schedule(slow).problems)
             assert any(
-                "before it is ready" in p or "read from empty stream" in p
-                for p in sim.problems
-            ), sim.problems
+                "before it is ready" in p for p in oracle.all_problems
+            ), oracle.all_problems
 
     def test_edge_ready_latency_adds_link_cost(self, slow_link_topology):
         machine = clustered_vliw(4, topology=slow_link_topology)

@@ -3,7 +3,8 @@
 The reference implementations below are the verify path as first
 written: ramp listings that scan every (cycle x op x iteration) triple,
 an oracle loop that routes operands through closures and hashes
-``(file id, queue index)`` keys, and a sequential run that re-resolves
+``(file id, queue index)`` keys and checks ordering edges on a hashed
+``(op, iteration)`` issue map, and a sequential run that re-resolves
 every operand and opcode per instance.  The production path must agree
 with them exactly:
 
@@ -14,9 +15,9 @@ with them exactly:
 * :func:`verify_compiled` matches the same number of stores;
 
 over the kernel suite x every topology x {2, 4, 8} clusters at full and
-short ramp, over seeded fuzz mutants of those schedules, and over
-hand-broken programs and allocations that reach the problem paths the
-mutants cannot.
+short ramp, over seeded fuzz mutants of those schedules and of the fuzz
+population's memory-edge loops, and over hand-broken programs and
+allocations that reach the problem paths the mutants cannot.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from repro.machine import clustered_vliw, unclustered_vliw
 from repro.machine.cqrf import LRFId, QueueFileSpec
 from repro.machine.fu import FUSlot
 from repro.registers.queues import QueueAllocation, allocate_queues
+from repro.scheduling.checker import check_schedule
 from repro.scheduling.result import ScheduleResult
 from repro.scheduling.schedule import Placement
-from repro.scheduling.timing import edge_ready_latency
+from repro.scheduling.timing import dependence_slack, edge_ready_latency
 from repro.simulator.semantics import (
     SequentialRun,
     ValueModel,
@@ -51,9 +53,10 @@ from repro.simulator.semantics import (
     default_load_token,
 )
 from repro.validate import oracle
-from repro.validate.fuzz import MUTATIONS
+from repro.validate.fuzz import FUZZ_SPEC, MUTATIONS
 from repro.validate.oracle import OracleReport, execute_program, verify_compiled
 from repro.workloads import KERNELS, make_kernel
+from repro.workloads.synthetic import synthetic_loop
 
 from .conftest import build_fanout_loop, build_reduction_loop, build_stream_loop
 
@@ -291,6 +294,27 @@ def reference_check_exactness(issues, ddg, iterations, report):
                 report.problems.append(f"v{op_id} iteration {iteration} never issued")
 
 
+def reference_check_ordering(issues, ddg, latencies, iterations, report):
+    issued_at = {
+        (binding.op_id, iteration): cycle for cycle, iteration, binding in issues
+    }
+    for edge in ddg.edges():
+        if edge.is_flow:
+            continue
+        latency = ddg.edge_latency(edge, latencies)
+        for iteration in range(edge.omega, iterations):
+            src = issued_at[(edge.src, iteration - edge.omega)]
+            dst = issued_at[(edge.dst, iteration)]
+            if dst - src < latency:
+                report.problems.append(
+                    f"cycle {dst}: ordering violated on {edge!r}: "
+                    f"v{edge.dst} iteration {iteration} issues "
+                    f"{latency - (dst - src)} cycle(s) early (v{edge.src} "
+                    f"iteration {iteration - edge.omega} at cycle {src})"
+                )
+                break
+
+
 def reference_execute_program(
     program, ddg, latencies, iterations, allocation=None, machine=None, model=None
 ):
@@ -314,6 +338,7 @@ def reference_execute_program(
     reference_check_exactness(issues, ddg, iterations, report)
     if report.problems:
         return report
+    reference_check_ordering(issues, ddg, latencies, iterations, report)
 
     by_lifetime = allocation.by_lifetime() if allocation is not None else None
     queue_of = {}
@@ -534,10 +559,7 @@ def _iterations(compiled: CompiledLoop, short: bool) -> int:
     result = compiled.result
     if short:
         return max(1, result.stage_count - 1)
-    max_omega = max(
-        (s.omega for op in result.ddg.operations() for s in op.srcs if not s.is_external),
-        default=0,
-    )
+    max_omega = max((edge.omega for edge in result.ddg.edges()), default=0)
     return max(result.stage_count + 2, max_omega + 2)
 
 
@@ -601,6 +623,54 @@ def test_fuzz_mutants_get_the_same_verdicts(matrix):
             kills[name] += not report.ok
     # Every mutation kind reached a problem path at least once.
     assert all(kills.values()), kills
+
+
+def _past_slack(result, edge):
+    """*result* with *edge*'s src moved past the edge's slack, on the
+    first MRT row that keeps codegen possible (no cell over capacity)."""
+    slack = dependence_slack(
+        result.ddg,
+        edge,
+        result.placements,
+        result.ii,
+        result.latencies,
+        result.machine,
+    )
+    old = result.placements[edge.src]
+    for extra in range(result.ii):
+        placements = dict(result.placements)
+        placements[edge.src] = Placement(old.time + slack + 1 + extra, old.cluster)
+        mutant = dataclasses.replace(result, placements=placements)
+        if not any("MRT cell" in p for p in check_schedule(mutant).problems):
+            return mutant
+    return None
+
+
+def test_memory_edge_mutants_get_the_same_verdicts():
+    """The fuzz population's loops carry memory edges, which the kernel
+    matrix has none of.  Each edge's src, pushed past the edge's slack,
+    reaches the ordering problems."""
+    ordering = 0
+    for index in range(24):
+        loop = synthetic_loop(index, seed=1999 + 7919, spec=FUZZ_SPEC)
+        machine = clustered_vliw(2 + 2 * (index % 2))
+        compiled = Toolchain.default().compile(
+            CompilationRequest(loop=loop, machine=machine)
+        ).compiled
+        assert assert_same_verify(compiled, None).ok
+        for edge in compiled.result.ddg.explicit_edges():
+            mutant = _past_slack(compiled.result, edge)
+            if mutant is None:
+                continue
+            report = assert_same_verify(
+                dataclasses.replace(compiled, result=mutant, allocation=None),
+                None,
+            )
+            ordering += any(
+                f"ordering violated on {edge!r}" in p
+                for p in report.oracle.problems
+            )
+    assert ordering >= 10, ordering
 
 
 # ----------------------------------------------------------------------
