@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import CompilationRequest, CompiledLoop, Toolchain
@@ -9,6 +11,9 @@ from repro.codegen import build_program
 from repro.ir import DEFAULT_LATENCIES, LoopBuilder
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.registers import allocate_queues
+from repro.scheduling.checker import check_schedule
+from repro.scheduling.schedule import Placement
+from repro.scheduling.timing import dependence_slack
 from repro.validate import execute_program
 
 
@@ -98,6 +103,46 @@ def build_fanout_loop(name: str = "fanout", consumers: int = 5, trip_count: int 
     for j in range(consumers):
         b.store(b.mul(x, f"c{j}"), f"y{j}[i]")
     return b.build(trip_count)
+
+
+def build_mem_edge_loop(omega=1, latency=1):
+    """A stream loop with a store -> load aliasing edge."""
+    b = LoopBuilder("aliasing")
+    x = b.load("x[i]")
+    y = b.load("y[i]")
+    s = b.store(b.mul(b.add(x, y), "k"), "z[i]")
+    b.mem_dep(s, x, omega=omega, latency=latency)
+    return b.build(64)
+
+
+def mem_edge_mutant(compiled):
+    """*compiled*'s schedule with its one ordering edge violated and
+    every other checker rule kept."""
+    result = compiled.result
+    edge = next(e for e in result.ddg.edges() if not e.is_flow)
+    slack = dependence_slack(
+        result.ddg,
+        edge,
+        result.placements,
+        result.ii,
+        result.latencies,
+        result.machine,
+    )
+    # Push the *producer* side (the store) past the slack: moving an
+    # op later is always representable, unlike a negative time.  Try
+    # successive MRT rows until the ordering edge is the *only*
+    # violated rule, isolating the memory-edge case.
+    old = result.placements[edge.src]
+    for extra in range(result.ii):
+        placements = dict(result.placements)
+        placements[edge.src] = Placement(
+            time=old.time + slack + 1 + extra, cluster=old.cluster
+        )
+        mutant = dataclasses.replace(result, placements=placements)
+        problems = check_schedule(mutant).problems
+        if problems and all("dependence violated" in p for p in problems):
+            return compiled, mutant, edge
+    pytest.fail("could not isolate a mem-edge-only violation")
 
 
 @pytest.fixture

@@ -36,57 +36,18 @@ from repro.machine.topology import (
     register_topology,
 )
 from repro.scheduling.checker import check_schedule
-from repro.scheduling.schedule import Placement
-from repro.scheduling.timing import dependence_slack, edge_ready_latency
+from repro.scheduling.timing import edge_ready_latency
 from repro.validate import oracle as oracle_module
 from repro.validate import verify_compiled
 from repro.validate.fuzz import contract_violations, evaluate
+
+from .conftest import build_mem_edge_loop, mem_edge_mutant
 
 
 def compile_on(loop, machine, **kwargs):
     return Toolchain.default().compile(
         CompilationRequest(loop=loop, machine=machine, validate=False, **kwargs)
     ).compiled
-
-
-def build_mem_edge_loop(omega=1, latency=1):
-    """A stream loop with a store -> load aliasing edge."""
-    b = LoopBuilder("aliasing")
-    x = b.load("x[i]")
-    y = b.load("y[i]")
-    s = b.store(b.mul(b.add(x, y), "k"), "z[i]")
-    b.mem_dep(s, x, omega=omega, latency=latency)
-    return b.build(64)
-
-
-def mem_edge_mutant(compiled):
-    """*compiled*'s schedule with its one ordering edge violated and
-    every other checker rule kept."""
-    result = compiled.result
-    edge = next(e for e in result.ddg.edges() if not e.is_flow)
-    slack = dependence_slack(
-        result.ddg,
-        edge,
-        result.placements,
-        result.ii,
-        result.latencies,
-        result.machine,
-    )
-    # Push the *producer* side (the store) past the slack: moving an
-    # op later is always representable, unlike a negative time.  Try
-    # successive MRT rows until the ordering edge is the *only*
-    # violated rule, isolating the memory-edge case.
-    old = result.placements[edge.src]
-    for extra in range(result.ii):
-        placements = dict(result.placements)
-        placements[edge.src] = Placement(
-            time=old.time + slack + 1 + extra, cluster=old.cluster
-        )
-        mutant = dataclasses.replace(result, placements=placements)
-        problems = check_schedule(mutant).problems
-        if problems and all("dependence violated" in p for p in problems):
-            return compiled, mutant, edge
-    pytest.fail("could not isolate a mem-edge-only violation")
 
 
 class TestOrderingEdgeRegression:
