@@ -99,7 +99,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".scheduling.mii": ("choose_unroll_factor",),
     ".api": (
-        "BatchCompiler",
         "CompilationCache",
         "CompilationReport",
         "CompilationRequest",

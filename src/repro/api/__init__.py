@@ -11,13 +11,14 @@ Single entry point for every compilation in the repository::
 
 Layers:
 
-* :mod:`repro.api.passes`    — the pass registry and the paper's five
-  builtin passes (``unroll``, ``single_use``, ``schedule``, ``allocate``,
-  ``codegen``);
-* :mod:`repro.api.toolchain` — ordered pass pipelines;
+* :mod:`repro.api.passes`    — the pass registry and the paper's four
+  builtin passes (``unroll``, ``single_use``, ``schedule``, ``allocate``);
+* :mod:`repro.api.toolchain` — ordered pass pipelines, and the default
+  one every cached, batched or served compile runs;
 * :mod:`repro.api.request`   — request/report value types;
 * :mod:`repro.api.cache`     — content hashing and the on-disk store;
-* :mod:`repro.api.batch`     — multiprocessing fan-out with memoisation.
+* :mod:`repro.api.batch`     — ``compile_many``: multiprocessing fan-out
+  with memoisation.
 
 Each name loads its module on first use, so a single compile never
 imports the batch layer's process-pool machinery.
@@ -26,7 +27,7 @@ imports the batch layer's process-pool machinery.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".batch": ("BatchCompiler", "DEFAULT_WORKERS", "compile_many"),
+    ".batch": ("DEFAULT_WORKERS", "compile_many"),
     ".cache": (
         "CacheStats",
         "CompilationCache",
@@ -39,7 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".passes": (
         "AllocatePass",
-        "CodegenPass",
         "PASS_REGISTRY",
         "Pass",
         "PassContext",

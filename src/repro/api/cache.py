@@ -13,8 +13,8 @@ An entry is an :class:`EncodedReport`: the pickled
 of it, the form both cache tiers and the compilation service hold.  On
 disk it is one file (a check line, the summary as a JSON line, then the
 pickle), written atomically (tmp file + rename), so a cache directory
-can be shared by the worker processes of a
-:class:`~repro.api.batch.BatchCompiler`.
+can be shared by concurrent :func:`~repro.api.batch.compile_many` runs,
+daemons and sweep workers.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from .request import CompilationReport, CompilationRequest
 #: v7: the summary's ``report`` is the full compile record (the fields a
 #: :class:`~repro.experiments.metrics.LoopRun` reads), and the pickled
 #: ``CompiledLoop`` lives in :mod:`repro.api.request`.
-CACHE_SCHEMA_VERSION = 7
+#: v8: the pickled report loses a field (the codegen pass's output map).
+CACHE_SCHEMA_VERSION = 8
 
 
 # ----------------------------------------------------------------------
@@ -111,17 +112,12 @@ def machine_signature(machine: MachineSpec) -> Tuple:
     )
 
 
-def content_hash(
-    request: CompilationRequest, pipeline: Optional[Tuple[str, ...]] = None
-) -> str:
+def content_hash(request: CompilationRequest) -> str:
     """SHA-256 content hash identifying *request*'s compilation result.
 
-    *pipeline* is the pass-name tuple of the toolchain that will run the
-    request (``None`` = the default pipeline): two toolchains with
-    different pipelines must never share a cache entry, or a baseline
-    sweep could silently read its competitor's schedules.  Pass names
-    are the identity here because the registry enforces one pass per
-    name.
+    The payload names :data:`~repro.api.toolchain.DEFAULT_PASSES`, the
+    one pipeline a cached, batched or served compile runs, so changing
+    the default flow invalidates every entry.
     """
     from .toolchain import DEFAULT_PASSES
 
@@ -130,7 +126,7 @@ def content_hash(
     config = request.config
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "pipeline": list(pipeline if pipeline is not None else DEFAULT_PASSES),
+        "pipeline": list(DEFAULT_PASSES),
         "loop": {
             "name": loop.name,
             "trip_count": loop.trip_count,

@@ -1,11 +1,12 @@
-"""Named, composable compilation passes.
+"""Named compilation passes.
 
 The paper's flow — unroll, single-use copy insertion, DMS/IMS scheduling,
-queue allocation, code generation — is expressed here as five registered
-passes.  A :class:`~repro.api.toolchain.Toolchain` strings passes together
-by name; a variant swaps a single pass instead of re-implementing the
-whole driver.  Which scheduler the ``schedule`` pass runs (IMS, DMS or
-the two-phase baseline) is the request's ``scheduler`` field.
+queue allocation — is expressed here as four registered passes, which
+:data:`~repro.api.toolchain.DEFAULT_PASSES` names in order.  A
+:class:`~repro.api.toolchain.Toolchain` strings passes together by name.
+Which scheduler the ``schedule`` pass runs (IMS, DMS or the two-phase
+baseline) is the request's ``scheduler`` field.  Assembly is not a pass:
+:func:`repro.codegen.assembly_for` emits it from a compiled schedule.
 
 Passes communicate through a mutable :class:`PassContext`.  Every pass is
 stateless (all per-compilation state lives on the context), so one pass
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..codegen import assembly_for
 from ..config import SchedulerConfig
 from ..errors import SchedulingError, ToolchainError
 from ..ir.ddg import DDG
@@ -40,8 +40,8 @@ class PassContext:
     """Mutable state threaded through a toolchain run.
 
     ``ddg`` starts as the request's loop body and is rewritten by the
-    transform passes; ``result``/``allocation``/``artifacts`` are filled
-    in by the later passes.  ``diagnostics`` collects one-line notes from
+    transform passes; ``result``/``allocation`` are filled in by the
+    later passes.  ``diagnostics`` collects one-line notes from
     every pass for the final report.
     """
 
@@ -51,7 +51,6 @@ class PassContext:
     result: Optional[ScheduleResult] = None
     allocation: Optional[QueueAllocation] = None
     diagnostics: List[str] = field(default_factory=list)
-    artifacts: Dict[str, object] = field(default_factory=dict)
 
     @property
     def loop(self) -> Loop:
@@ -226,23 +225,10 @@ class AllocatePass(Pass):
         ctx.note(f"allocate: {len(ctx.allocation.files)} queue files in use")
 
 
-class CodegenPass(Pass):
-    """Emit VLIW assembly into ``ctx.artifacts['assembly']``."""
-
-    name = "codegen"
-
-    def run(self, ctx: PassContext) -> None:
-        if ctx.result is None:
-            raise ToolchainError("codegen: no schedule yet (run 'schedule' first)")
-        ctx.artifacts["assembly"] = assembly_for(ctx.result, ctx.allocation)
-        ctx.note("codegen: assembly emitted")
-
-
 for _builtin in (
     UnrollPass(),
     SingleUsePass(),
     SchedulePass(),
     AllocatePass(),
-    CodegenPass(),
 ):
     register_pass(_builtin)

@@ -17,8 +17,8 @@ cache entry's summary read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Union
 
 from ..config import DEFAULT_CONFIG, SchedulerConfig
 from ..errors import ToolchainError
@@ -159,7 +159,6 @@ class CompilationReport:
     timings: Tuple[PassTiming, ...] = ()
     ii_trajectory: Tuple[int, ...] = ()
     diagnostics: Tuple[str, ...] = ()
-    artifacts: Dict[str, object] = field(default_factory=dict)
     cache_hit: bool = False
     cache_key: Optional[str] = None
 

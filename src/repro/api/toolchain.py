@@ -1,14 +1,16 @@
 """The :class:`Toolchain`: an ordered pass pipeline with one entry point.
 
-``Toolchain.default()`` is the paper's flow, and the one way the
-library compiles a loop; variants swap, drop or insert passes::
+``Toolchain.default()`` is the paper's flow, and the one pipeline the
+cache, :func:`~repro.api.batch.compile_many`, the daemon and the sweep
+workers run.  A caller that wants another pipeline builds one from
+passes and compiles through it directly, outside any cache::
 
     class NotedSchedule(SchedulePass):
         def run(self, ctx):
             super().run(ctx)
             ctx.note(f"trajectory {ctx.result.ii_trajectory}")
 
-    noted = Toolchain.default().with_pass("schedule", NotedSchedule())
+    noted = Toolchain(["unroll", "single_use", NotedSchedule(), "allocate"])
     report = noted.compile(CompilationRequest(loop, machine))
 
 The scheduler itself is a request field, not a pass: the two-phase
@@ -63,15 +65,6 @@ class Toolchain:
         """The paper's flow: unroll -> single_use -> schedule -> allocate."""
         return cls(DEFAULT_PASSES, name="default")
 
-    @classmethod
-    def full(cls) -> "Toolchain":
-        """The default flow plus assembly emission."""
-        return cls(DEFAULT_PASSES + ("codegen",), name="full")
-
-    # ------------------------------------------------------------------
-    # Composition
-    # ------------------------------------------------------------------
-
     @property
     def passes(self) -> Tuple[Pass, ...]:
         return self._passes
@@ -79,40 +72,6 @@ class Toolchain:
     @property
     def pass_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self._passes)
-
-    def _index_of(self, name: str) -> int:
-        for index, pass_ in enumerate(self._passes):
-            if pass_.name == name:
-                return index
-        raise ToolchainError(
-            f"toolchain {self.name!r} has no pass {name!r} "
-            f"(pipeline: {self.pass_names})"
-        )
-
-    def with_pass(self, name: str, replacement: PassLike) -> "Toolchain":
-        """Return a copy with the pass named *name* swapped out."""
-        index = self._index_of(name)
-        passes = list(self._passes)
-        passes[index] = replacement
-        return Toolchain(passes, name=self.name)
-
-    def without_pass(self, name: str) -> "Toolchain":
-        """Return a copy with the pass named *name* removed."""
-        index = self._index_of(name)
-        passes = list(self._passes)
-        del passes[index]
-        return Toolchain(passes, name=self.name)
-
-    def insert_after(self, name: str, new_pass: PassLike) -> "Toolchain":
-        """Return a copy with *new_pass* inserted right after *name*."""
-        index = self._index_of(name)
-        passes = list(self._passes)
-        passes.insert(index + 1, new_pass)
-        return Toolchain(passes, name=self.name)
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
 
     def compile(self, request: CompilationRequest) -> CompilationReport:
         """Run every pass over *request* and return the report."""
@@ -144,7 +103,6 @@ class Toolchain:
             timings=tuple(timings),
             ii_trajectory=ctx.result.ii_trajectory,
             diagnostics=tuple(ctx.diagnostics),
-            artifacts=ctx.artifacts,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -778,7 +778,8 @@ def _changed_files(root) -> list:
 
 
 def _batch_command(args: argparse.Namespace) -> int:
-    from .api.batch import BatchCompiler
+    from .api.batch import compile_many
+    from .api.cache import CompilationCache
     from .api.request import CompilationRequest
     from .machine.machine import clustered_vliw
     from .workloads.kernels import make_kernel
@@ -824,17 +825,17 @@ def _batch_command(args: argparse.Namespace) -> int:
             for k in cluster_counts
         ]
         shape = f"{len(names)} kernels x {len(cluster_counts)} cluster counts"
-    compiler = BatchCompiler(
-        cache=args.cache,
-        workers=args.workers,
-        coordinator=args.coordinator,
-    )
-    if args.clear_cache and compiler.cache is not None:
-        removed = compiler.cache.clear()
+    cache = CompilationCache(args.cache) if args.cache is not None else None
+    if args.clear_cache and cache is not None:
+        removed = cache.clear()
         print(f"# cleared {removed} cache entries", file=sys.stderr)
     started = time.time()
-    reports = compiler.compile_many(
-        requests, progress=lambda msg: print(f"  {msg}", file=sys.stderr)
+    reports = compile_many(
+        requests,
+        cache=cache,
+        workers=args.workers,
+        progress=lambda msg: print(f"  {msg}", file=sys.stderr),
+        coordinator=args.coordinator,
     )
     elapsed = time.time() - started
     for report in reports:
@@ -845,8 +846,8 @@ def _batch_command(args: argparse.Namespace) -> int:
         f"{hits} cache hits",
         file=sys.stderr,
     )
-    if compiler.cache is not None:
-        print(f"# {compiler.cache.stats.summary()}", file=sys.stderr)
+    if cache is not None:
+        print(f"# {cache.stats.summary()}", file=sys.stderr)
     if args.timings:
         cold = [r for r in reports if not r.cache_hit]
         if cold:
@@ -982,7 +983,6 @@ def _emit_figure(figure, csv_dir: Optional[str]) -> None:
 def _verify_command(args: argparse.Namespace) -> int:
     from .api.batch import compile_many
     from .api.request import CompilationRequest
-    from .api.toolchain import Toolchain
     from .machine.machine import clustered_vliw, unclustered_vliw
     from .machine.topology import topology_kinds
     from .validate.oracle import verify_many
@@ -1007,9 +1007,9 @@ def _verify_command(args: argparse.Namespace) -> int:
         machines.extend(unclustered_vliw(k) for k in cluster_counts)
 
     started = time.time()
-    # One toolchain and one batch over the whole (kernel, machine) matrix
-    # instead of a fresh Toolchain per program: the compile phase shares
-    # every per-session cache and, with --workers, fans across processes;
+    # One batch over the whole (kernel, machine) matrix instead of a
+    # compile per program: the compile phase shares every per-session
+    # cache and, with --workers, fans across processes;
     # each run depth below then re-verifies its already-compiled loop.
     loops = {name: make_kernel(name) for name in names}
     jobs = [(name, machine) for name in names for machine in machines]
@@ -1021,7 +1021,6 @@ def _verify_command(args: argparse.Namespace) -> int:
     ]
     compiled_reports = compile_many(
         requests,
-        toolchain=Toolchain.default(),
         workers=args.workers,
         coordinator=args.coordinator,
         progress=(

@@ -98,8 +98,7 @@ class ServiceUnavailable(ServiceError):
     """Raised when the service stays unreachable/busy past a deadline.
 
     The retrying client converts an exhausted
-    :class:`~repro.service.client.RetryPolicy` ``total_deadline`` into
-    this error, so callers (the pull-worker loop, batch drivers) can
+    :data:`~repro.service.client.TOTAL_DEADLINE` into this error, so callers (the pull-worker loop, batch drivers) can
     distinguish "gave up waiting" from a single failed exchange.
     """
 

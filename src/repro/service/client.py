@@ -25,7 +25,12 @@ Transient failures are retried under a :class:`RetryPolicy`:
   project determinism rule: two clients built with the same
   ``jitter_seed`` back off identically);
 * **backpressure** — a 429/503 carrying a ``Retry-After`` header — is
-  retried after the server-suggested delay.
+  retried after the server-suggested delay (except on ``/healthz`` and
+  heartbeats, where a busy answer is the answer).
+
+One exchange's retries and sleeps together never outlast
+:data:`TOTAL_DEADLINE`: past it the client raises
+:class:`~repro.errors.ServiceUnavailable` instead of sleeping again.
 
 Re-submission is safe because every compile is keyed on its content
 hash server-side: a retried POST either attaches to the live ledger
@@ -53,6 +58,19 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 #: queued job behind a deep backlog.
 DEFAULT_READ_TIMEOUT = 300.0
 
+#: Backoff before retry attempt *n* (2-based) is
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR**(n-2)) * (1 + JITTER * u)``
+#: with *u* drawn from the client's seeded RNG.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+JITTER = 0.5
+
+#: Bound on one exchange's total wall clock (monotonic), retries and
+#: backoff sleeps included: a daemon that keeps answering 503 +
+#: ``Retry-After`` cannot pin a caller forever.
+TOTAL_DEADLINE = 600.0
+
 
 class TransportError(ServiceError):
     """Connection-level failure (refused, reset, timed out, truncated).
@@ -68,41 +86,23 @@ class TransportError(ServiceError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """When and how a :class:`ServiceClient` retries.
+    """How often a :class:`ServiceClient` tries, and how long it waits.
 
-    ``max_attempts=1`` disables retrying entirely.  Backoff before
-    attempt *n* (2-based) is
-    ``min(cap, base * factor**(n-2)) * (1 + jitter * u)`` with *u*
-    drawn from a :class:`random.Random` seeded with ``jitter_seed`` —
-    deterministic per client, decorrelated across differently-seeded
-    clients.  ``retry_busy`` gates honoring ``Retry-After`` on 429/503.
-
-    ``total_deadline`` bounds one exchange's *total* wall clock
-    (monotonic), retries and backoff sleeps included: a daemon that
-    keeps answering 503 + ``Retry-After`` cannot pin a caller forever —
-    once the next sleep would overrun the deadline the client raises
-    :class:`~repro.errors.ServiceUnavailable` instead of sleeping.
-    ``None`` restores the old unbounded behavior.
+    ``max_attempts=1`` disables retrying entirely.  ``jitter_seed``
+    seeds the client's backoff jitter: deterministic per client,
+    decorrelated across differently-seeded clients.
     """
 
     max_attempts: int = 4
     connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
     read_timeout: float = DEFAULT_READ_TIMEOUT
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    jitter: float = 0.5
     jitter_seed: int = 0
-    retry_busy: bool = True
-    total_deadline: Optional[float] = 600.0
 
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Sleep before *attempt* (the first retry is attempt 2)."""
-        step = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_factor ** max(0, attempt - 2),
-        )
-        return step * (1.0 + self.jitter * rng.random())
+
+def _backoff(attempt: int, rng: random.Random) -> float:
+    """Sleep before *attempt* (the first retry is attempt 2)."""
+    step = min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempt - 2))
+    return step * (1.0 + JITTER * rng.random())
 
 
 #: A policy that never retries (probing exact admission behavior).
@@ -253,14 +253,11 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Optional[object] = None,
-        retry_busy: Optional[bool] = None,
+        retry_busy: bool = True,
     ) -> Tuple[int, Dict[str, str], object]:
         """The retrying exchange (see the module doc for the policy)."""
         policy = self.policy
-        busy_ok = policy.retry_busy if retry_busy is None else retry_busy
-        deadline = None
-        if policy.total_deadline is not None:
-            deadline = time.monotonic() + policy.total_deadline
+        deadline = time.monotonic() + TOTAL_DEADLINE
         attempt = 0
         while True:
             attempt += 1
@@ -272,12 +269,10 @@ class ServiceClient:
                 if attempt >= policy.max_attempts:
                     raise
                 self.retries["transport"] += 1
-                self._backoff_sleep(
-                    policy.backoff(attempt + 1, self._rng), deadline, path
-                )
+                self._backoff_sleep(_backoff(attempt + 1, self._rng), deadline, path)
                 continue
             if (
-                busy_ok
+                retry_busy
                 and status in (429, 503)
                 and "retry-after" in headers
                 and attempt < policy.max_attempts
@@ -286,19 +281,17 @@ class ServiceClient:
                 try:
                     delay = float(headers["retry-after"])
                 except ValueError:
-                    delay = policy.backoff(attempt + 1, self._rng)
+                    delay = _backoff(attempt + 1, self._rng)
                 self._backoff_sleep(delay, deadline, path)
                 continue
             return status, headers, document
 
-    def _backoff_sleep(
-        self, delay: float, deadline: Optional[float], path: str
-    ) -> None:
+    def _backoff_sleep(self, delay: float, deadline: float, path: str) -> None:
         """Sleep before a retry — unless that would bust the deadline."""
-        if deadline is not None and time.monotonic() + delay > deadline:
+        if time.monotonic() + delay > deadline:
             raise ServiceUnavailable(
                 f"service at {self.host}:{self.port} still unavailable for "
-                f"{path} after {self.policy.total_deadline:g}s; giving up"
+                f"{path} after {TOTAL_DEADLINE:g}s; giving up"
             )
         time.sleep(delay)
 
@@ -322,7 +315,7 @@ class ServiceClient:
             )
         return document
 
-    def _request(self, method: str, path: str, payload=None, retry_busy=None):
+    def _request(self, method: str, path: str, payload=None, retry_busy: bool = True):
         """:meth:`_roundtrip`, raising :class:`ServiceError` on 4xx/5xx."""
         status, headers, document = self._roundtrip(
             method, path, payload, retry_busy
@@ -379,12 +372,9 @@ class ServiceClient:
         """Submit one sweep spec; idempotent on the spec's content hash."""
         return self._request("POST", "/sweeps", spec)
 
-    def sweep(self, sweep_id: str, jobs: bool = False) -> Dict[str, object]:
-        """One sweep's status (``jobs=True`` adds the per-job detail)."""
-        path = f"/sweeps/{sweep_id}"
-        if jobs:
-            path += "?jobs=1"
-        return self._request("GET", path)
+    def sweep(self, sweep_id: str) -> Dict[str, object]:
+        """One sweep's status; :meth:`sweep_results` has the per-job rows."""
+        return self._request("GET", f"/sweeps/{sweep_id}")
 
     def sweep_results(
         self,

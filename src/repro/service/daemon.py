@@ -48,7 +48,7 @@ POST     ``/compile``                compile payload
 GET      ``/jobs/<id>``              job status / result
 GET      ``/sweeps``                 list sweeps
 POST     ``/sweeps``                 submit a sweep spec (idempotent)
-GET      ``/sweeps/<id>``            sweep status (``?jobs=1`` for detail)
+GET      ``/sweeps/<id>``            sweep status
 GET      ``/sweeps/<id>/results``    per-job results page
 POST     ``/sweeps/<id>/claim``      worker: claim a chunk under a lease
 POST     ``/sweeps/<id>/heartbeat``  worker: extend a chunk lease
@@ -72,7 +72,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .. import faults
 from ..api import CompilationReport, CompilationRequest, Toolchain, content_hash
 from ..api.cache import CompilationCache, EncodedReport, MemoryCache, TieredCache
-from ..errors import ReproError, ServiceError
+from ..errors import JournalError, ReproError, ServiceError
 from . import http as h
 from . import ledger as lg
 from . import sweep as sw
@@ -242,19 +242,21 @@ class CompileService:
     """The resident compile daemon (see module docstring)."""
 
     def __init__(
-        self, toolchain: Optional[Toolchain] = None, workers: Optional[int] = None,
-        lru_capacity: int = 256, disk_cache: Optional[object] = None,
-        max_queue_depth: int = 64, executor: Optional[Executor] = None,
-        compile_fn=None, journal: Optional[object] = None,
+        self, workers: Optional[int] = None, lru_capacity: int = 256,
+        disk_cache: Optional[object] = None, max_queue_depth: int = 64,
+        executor: Optional[Executor] = None, compile_fn=None,
+        journal: Optional[object] = None,
     ):
         """*workers* is the pool width (``0``: a small in-process thread
         pool for tests; ``None``: cores - 1); the first local compile
         builds the pool.  An injected *executor* is never shut down or
         respawned, so a ``BrokenExecutor`` drains the daemon.
         *compile_fn* replaces the executor-side compile callable (a test
-        hook); *journal* is a :class:`JobJournal` or a path.
+        hook, called as ``compile_fn(toolchain, request)`` with
+        :attr:`toolchain`, the default pipeline); *journal* is a
+        :class:`JobJournal` or a path.
         """
-        self.toolchain = toolchain or Toolchain.default()
+        self.toolchain = Toolchain.default()
         if disk_cache is not None and not hasattr(disk_cache, "get"):
             disk_cache = CompilationCache(disk_cache)
         self.cache = TieredCache(MemoryCache(lru_capacity), disk_cache)
@@ -288,6 +290,7 @@ class CompileService:
         if journal is not None:
             self._journal_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-journal")
         self._recovered_jobs = 0
+        self._failed_requeue_appends = 0
         self._replay_stats = None
         self.ledger = Ledger()
         self._jobs: Dict[int, CompileJob] = {}  # id -> job (bounded history)
@@ -423,7 +426,7 @@ class CompileService:
                     continue
                 if immediate is not None:  # the result is durable already
                     await self._journal([("finished", group.key, {"done": [group.key]})])
-                elif job.key != group.key:  # e.g. a different toolchain
+                elif job.key != group.key:  # e.g. hashed under another schema
                     await self._close(group.key, f"re-keyed on replay to {job.key}")
                 else:
                     self._recovered_jobs += 1
@@ -463,7 +466,8 @@ class CompileService:
         plan = faults.active()
         journal = None
         if self.journal is not None:
-            journal = dict(self.journal.counters(), recovered_jobs=self._recovered_jobs)
+            journal = dict(self.journal.counters(), recovered_jobs=self._recovered_jobs,
+                           failed_requeue_appends=self._failed_requeue_appends)
             if self._replay_stats is not None:
                 journal["replay"] = self._replay_stats.to_dict()
         return self.metrics.snapshot(
@@ -502,7 +506,7 @@ class CompileService:
         parsed = parse_compile_payload(payload)
         self.metrics.record_request(parsed.priority)
         started = time.perf_counter()
-        key = content_hash(parsed.request, pipeline=self.toolchain.pass_names)
+        key = content_hash(parsed.request)
         stored, tier = self.cache.get_tiered(key)
         if stored is not None:
             self.metrics.latency.observe(time.perf_counter() - started)
@@ -663,7 +667,7 @@ class CompileService:
 
     def _plan(self, spec: object) -> sw.SweepPlan:
         """Enumerate + validate *spec* (blocking; run in an executor)."""
-        return sw.enumerate_sweep(spec, self.toolchain, self.cache.disk)
+        return sw.enumerate_sweep(spec, self.cache.disk)
 
     def _sweep(self, sweep_id: str) -> sw.Sweep:
         sweep = self.sweeps.get(str(sweep_id))
@@ -696,10 +700,19 @@ class CompileService:
         return sweep.status(self.ledger)
 
     async def _expire_leases(self) -> None:
-        """Periodic lease scan; owned as a task by the daemon."""
+        """Periodic lease scan; owned as a task by the daemon.
+
+        A failed ``requeued`` append is counted (``/metrics`` ->
+        ``journal.failed_requeue_appends``), not raised: the in-memory
+        requeue stands, and the next scan must still run.
+        """
         while True:
             await asyncio.sleep(LEASE_CHECK_SECONDS)
-            await self._journal(sw.expire(self.ledger, self.sweeps))
+            records = sw.expire(self.ledger, self.sweeps)
+            try:
+                await self._journal(records)
+            except JournalError:
+                self._failed_requeue_appends += 1
             self._requeued()
 
     def _requeued(self) -> None:
@@ -790,8 +803,7 @@ class CompileService:
         return 200, await self.submit_sweep(request.json())
 
     async def _get_sweep(self, request, sweep_id):
-        include_jobs = request.query.get("jobs") not in (None, "0")
-        return 200, self._sweep(sweep_id).status(self.ledger, include_jobs)
+        return 200, self._sweep(sweep_id).status(self.ledger)
 
     async def _get_results(self, request, sweep_id):
         sweep = self._sweep(sweep_id)
@@ -821,7 +833,7 @@ class CompileService:
         worker, _ = _worker_and_count(body, need_count=False)
         chunk = _chunk_id(body)
         decoded = await asyncio.get_running_loop().run_in_executor(
-            None, sw.decode_worker_results, body.get("results"), self.toolchain.pass_names
+            None, sw.decode_worker_results, body.get("results")
         )
         sweep = self._sweep(sweep_id)
         ack, records, finishes = sw.merge(self.ledger, self.cache, sweep, worker, chunk, decoded)

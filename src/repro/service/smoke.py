@@ -77,10 +77,11 @@ RECOVERY_PAYLOADS = [
 #: The dist sweep: short leases requeue a killed worker's chunk within
 #: seconds; the requeue budget outlasts the two injected kills.
 DIST_SPEC = {
-    "kernels": ["fir_filter", "daxpy", "vector_add", "dot_product"],
-    "clusters": [2, 4],
-    "topologies": ["ring"],
-    "config": LADDER,
+    "jobs": [
+        {"kernel": kernel, "clusters": clusters, "topology": "ring", "config": LADDER}
+        for kernel in ("fir_filter", "daxpy", "vector_add", "dot_product")
+        for clusters in (2, 4)
+    ],
     "lease": 1.5,
     "max_requeues": 8,
     "label": "dist-smoke",
@@ -370,13 +371,12 @@ def dist_story(story: Story) -> None:
                 final["state"] == "done" and final["done"] == final["total"],
                 f"state={final['state']} done={final['done']}/{final['total']}")
     story.artifact["sweep_metrics"] = client.metrics()["sweep"]
-    from ..api import Toolchain
-    from .sweep import enumerate_sweep
-
-    by_index = {job["index"]: job for job in client.sweep(sweep_id, jobs=True)["jobs"]}
-    for index, payload in enumerate(enumerate_sweep(spec, Toolchain.default()).payloads):
-        story.check(f"dist-bit-identical:{index}",
-                    by_index[index]["fingerprint"] == _local_fingerprint(payload),
+    rows = client.sweep_results(sweep_id)["results"]
+    story.check("dist-results", len(rows) == len(spec["jobs"]),
+                f"{len(rows)} result rows for {len(spec['jobs'])} jobs")
+    for row, payload in zip(rows, spec["jobs"]):
+        story.check(f"dist-bit-identical:{row['index']}",
+                    row["fingerprint"] == _local_fingerprint(payload),
                     f"{payload['kernel']}/ring{payload['clusters']} matches a local compile")
     survivor.send_signal(signal.SIGTERM)
     survivor.communicate(timeout=story.args.timeout)

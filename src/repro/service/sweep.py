@@ -1,7 +1,7 @@
 """Distributed sweeps: many-entry ledger groups claimed in chunks.
 
-A **sweep** is one enumerated job space — explicit compile payloads or a
-(kernel, cluster-count, topology) cross product — submitted as one
+A **sweep** is a list of compile payloads (:mod:`repro.service.jobs`),
+each compiled by the default toolchain, submitted as one
 :class:`Sweep` group of the work ledger (:mod:`repro.service.ledger`)
 and run by pull-based workers (:mod:`repro.service.worker`) under
 distributed chunk-calculation self-scheduling: the daemon only
@@ -160,7 +160,7 @@ class Sweep(Group):
             info["error"] = entry.error
         return info
 
-    def status(self, ledger: Ledger, include_jobs: bool = False) -> Dict[str, object]:
+    def status(self, ledger: Ledger) -> Dict[str, object]:
         states = self.job_states()
         doc: Dict[str, object] = {
             "sweep": self.id,
@@ -178,8 +178,6 @@ class Sweep(Group):
             doc["label"] = self.label
         if self.recovered:
             doc["recovered"] = True
-        if include_jobs:
-            doc["jobs"] = [self.describe_job(i) for i in range(len(self.entries))]
         return doc
 
 
@@ -188,18 +186,24 @@ class Sweep(Group):
 # ----------------------------------------------------------------------
 
 
-def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
+def enumerate_sweep(spec: object, disk_cache=None) -> SweepPlan:
     """Validate a sweep spec into a :class:`SweepPlan`.
 
-    The sweep id is a content hash of the normalized spec, so
-    re-submitting an identical spec returns the existing sweep.  Keys
+    A spec is ``{"jobs": [payload, ...]}`` plus the optional ``lease``,
+    ``max_requeues``, ``seed`` and ``label``.  The sweep id is a content
+    hash of the normalized spec, so re-submitting an identical spec
+    returns the existing sweep.  Keys
     already durable in *disk_cache* come back prefilled, so a re-run
     starts (partially) done without unpickling anything; the memory LRU
     belongs to the event loop and is not probed here.
     """
     if not isinstance(spec, dict):
         raise ServiceError("sweep spec must be a JSON object", status=400)
-    payloads = _enumerate_payloads(spec)
+    jobs = spec.get("jobs")
+    if not isinstance(jobs, list) or not all(isinstance(job, dict) for job in jobs):
+        raise ServiceError("sweep spec needs 'jobs': a list of compile payload objects",
+                           status=400)
+    payloads = [dict(job) for job in jobs]
     if not payloads or len(payloads) > MAX_SWEEP_JOBS:
         raise ServiceError(
             f"sweep enumerates {len(payloads)} jobs; 1..{MAX_SWEEP_JOBS} allowed",
@@ -216,10 +220,7 @@ def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
         raise ServiceError("'lease' must be > 0 seconds and 'max_requeues' >= 0", status=400)
     label = spec.get("label")
     label = str(label) if label is not None else None
-    keys = [
-        content_hash(parse_compile_payload(payload).request, pipeline=toolchain.pass_names)
-        for payload in payloads
-    ]
+    keys = [content_hash(parse_compile_payload(payload).request) for payload in payloads]
     normalized = {"jobs": payloads, "lease": lease_seconds, "max_requeues": max_requeues,
                   "seed": seed, "label": label}
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
@@ -238,45 +239,6 @@ def enumerate_sweep(spec: object, toolchain, disk_cache=None) -> SweepPlan:
     )
 
 
-def _split(value: object, name: str) -> list:
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part]
-    if not isinstance(value, list):
-        raise ServiceError(f"'{name}' must be a list or comma string", status=400)
-    return value
-
-
-def _enumerate_payloads(spec: Dict[str, object]) -> List[Dict[str, object]]:
-    """The explicit job list of a spec (either form)."""
-    jobs = spec.get("jobs")
-    if jobs is not None:
-        if not isinstance(jobs, list) or not all(isinstance(job, dict) for job in jobs):
-            raise ServiceError("'jobs' must be a list of compile payload objects", status=400)
-        return [dict(job) for job in jobs]
-    if spec.get("kernels") is None:
-        raise ServiceError(
-            "sweep spec needs 'jobs' (explicit payloads) or 'kernels' (cross-product form)",
-            status=400,
-        )
-    kernels = _split(spec["kernels"], "kernels")
-    topologies = _split(spec.get("topologies", ["ring"]), "topologies")
-    clusters = spec.get("clusters", [4])
-    clusters = clusters if isinstance(clusters, list) else [clusters]
-    try:
-        clusters = [int(count) for count in clusters]
-    except (TypeError, ValueError):
-        raise ServiceError(f"bad cluster count in sweep spec: {clusters!r}", status=400)
-    shared = {
-        name: spec[name]
-        for name in ("config", "unroll", "scheduler", "kernel_args")
-        if spec.get(name) is not None
-    }
-    return [
-        {"kernel": str(kernel), "clusters": count, "topology": str(topology), **shared}
-        for kernel in kernels for topology in topologies for count in clusters
-    ]
-
-
 def encode_report(report: CompilationReport) -> str:
     """The wire form of one worker-shipped report (base64 pickle)."""
     return encode_blob(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
@@ -288,12 +250,12 @@ def encode_blob(blob: bytes) -> str:
     return base64.b64encode(blob).decode("ascii")
 
 
-def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Dict[str, object]]:
+def decode_worker_results(results: object) -> List[Dict[str, object]]:
     """Validate and decode one completion's result list.
 
     Each item carries either ``stored`` (the unpickled report encoded
-    afresh, with its request's content hash under *pipeline* recomputed
-    as ``request_key``), or ``error`` (a deterministic compile failure),
+    afresh, with its request's content hash recomputed as
+    ``request_key``), or ``error`` (a deterministic compile failure),
     or ``invalid`` when it cannot be used.
     """
     if not isinstance(results, list) or len(results) > MAX_SWEEP_JOBS:
@@ -320,7 +282,7 @@ def decode_worker_results(results: object, pipeline: Tuple[str, ...]) -> List[Di
                     raise ServiceError("decoded object is not a CompilationReport")
                 item.update(
                     stored=EncodedReport.encode(report),
-                    request_key=content_hash(report.request, pipeline=pipeline),
+                    request_key=content_hash(report.request),
                 )
             except Exception as err:  # repro: lint-ignore[exception-discipline]: untrusted-bytes boundary - unpickling a worker-shipped report can raise nearly anything; a bad entry must requeue that one job, not fail the whole completion
                 item["invalid"] = f"undecodable report: {type(err).__name__}: {err}"

@@ -5,7 +5,8 @@ story in :mod:`repro.service.sweep`: it polls the coordinator for open
 sweeps, computes its own decreasing chunk size locally from the
 advertised remaining count (:func:`~repro.service.sweep.chunk_size` —
 the coordinator never plans chunks), claims that many jobs under a
-lease, compiles them, and ships the results back.
+lease, compiles them through ``Toolchain.default()`` (the pipeline the
+coordinator keys every job by), and ships the results back.
 
 The loop is software-pipelined, like the modulo schedules it computes:
 once chunk N is compiled the worker *claims chunk N+1 first*, then
@@ -52,7 +53,7 @@ from .. import faults
 from ..api import Toolchain
 from ..api.cache import CompilationCache
 from ..errors import ReproError, ServiceError, ServiceUnavailable
-from .client import RetryPolicy, ServiceClient, TransportError
+from .client import NO_RETRY, RetryPolicy, ServiceClient, TransportError
 from .http import ProtocolError
 from .jobs import parse_compile_payload
 from .sweep import chunk_size, encode_blob, encode_report
@@ -85,7 +86,6 @@ class SweepWorker:
         self,
         coordinator: str,
         name: Optional[str] = None,
-        toolchain: Optional[Toolchain] = None,
         cache: Union[CompilationCache, str, os.PathLike, None] = None,
         policy: Optional[RetryPolicy] = None,
         max_chunk: int = 32,
@@ -96,8 +96,6 @@ class SweepWorker:
         Args:
             coordinator: the daemon's ``host:port``.
             name: worker name for leases/metrics (default ``w<pid>``).
-            toolchain: pass pipeline (must match the coordinator's for
-                content-hash keys to agree; default pipeline does).
             cache: optional :class:`CompilationCache` or directory — a
                 local content-hash cache consulted before compiling and
                 updated after (sharing the coordinator's cache directory
@@ -111,7 +109,7 @@ class SweepWorker:
         """
         self.coordinator = coordinator
         self.name = name or f"w{os.getpid()}"
-        self.toolchain = toolchain or Toolchain.default()
+        self.toolchain = Toolchain.default()
         if cache is not None and not isinstance(cache, CompilationCache):
             cache = CompilationCache(cache)
         self.cache = cache
@@ -335,10 +333,7 @@ class SweepWorker:
         land *now* is not worth retrying — the next beat comes soon.
         Sets *lost* when the lease is gone.
         """
-        client = ServiceClient(
-            self.coordinator,
-            policy=RetryPolicy(max_attempts=1, total_deadline=None),
-        )
+        client = ServiceClient(self.coordinator, policy=NO_RETRY)
         interval = max(0.05, lease_seconds / HEARTBEATS_PER_LEASE)
         try:
             while not stop.wait(interval):

@@ -26,5 +26,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "save_target",
         "target_to_toml",
     ),
-    ".spec": ("TargetSpec", "machine_as_target", "target_from_dict"),
+    ".spec": ("TargetSpec", "target_from_dict"),
 })

@@ -228,14 +228,3 @@ def target_from_dict(data: Mapping[str, object]) -> TargetSpec:
     except MachineError as err:
         raise TargetError(f"invalid target {name!r}: {err}") from err
 
-
-def machine_as_target(
-    machine: MachineSpec,
-    latencies: LatencyModel = DEFAULT_LATENCIES,
-    description: str = "",
-) -> TargetSpec:
-    """Lift a plain :class:`MachineSpec` into a serialisable target."""
-    if isinstance(machine, TargetSpec):
-        return machine
-    fields = {f.name: getattr(machine, f.name) for f in dataclasses.fields(machine)}
-    return TargetSpec(latencies=latencies, description=description, **fields)

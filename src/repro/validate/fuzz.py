@@ -38,6 +38,7 @@ import numpy as np
 from ..api import CompilationRequest, CompiledLoop, Toolchain
 from ..errors import ReproError
 from ..ir.ddg import DDG
+from ..ir.edges import DepKind
 from ..ir.loop import Loop
 from ..ir.opcodes import OpCode
 from ..machine.cqrf import CQRFId, QueueFileSpec
@@ -253,14 +254,18 @@ def mutate_tighten_edge(rng: np.random.Generator, result: ScheduleResult):
     so this targeted mutation is what keeps the checker's and the
     oracle's per-edge-kind coverage honest (it is how the fuzzer showed
     that the oracle's value comparison cannot see memory ordering edges).
+    The edge is drawn among the placed explicit (memory, anti, output)
+    edges when the schedule has one: flow edges far outnumber them, and
+    a uniform draw would leave the oracle's ordering check almost idle.
     """
     from ..scheduling.timing import dependence_slack
 
-    edges = [
+    placed = [
         edge
         for edge in result.ddg.edges()
         if edge.src in result.placements and edge.dst in result.placements
     ]
+    edges = [edge for edge in placed if edge.kind is not DepKind.FLOW] or placed
     if not edges:
         return None
     edge = edges[int(rng.integers(0, len(edges)))]

@@ -5,10 +5,10 @@ import pickle
 import pytest
 
 from repro.api import (
-    BatchCompiler,
     CompilationCache,
     CompilationRequest,
     Toolchain,
+    compile_many,
     content_hash,
 )
 from repro.api.cache import MemoryCache, TieredCache, ddg_signature
@@ -62,17 +62,18 @@ class TestContentHash:
         assert base != content_hash(_request(allocate=True))
         assert base != content_hash(_request(scheduler="dms"))
 
-    def test_sensitive_to_pipeline(self):
-        # A default-toolchain entry must never answer for a different
-        # pipeline (e.g. the full one, with codegen).
+    def test_sensitive_to_pipeline(self, monkeypatch):
+        # The key names the default flow: changing it must invalidate
+        # every entry.
+        import repro.api.toolchain as toolchain
+
         base = content_hash(_request())
-        assert base == content_hash(
-            _request(), pipeline=("unroll", "single_use", "schedule", "allocate")
+        monkeypatch.setattr(
+            toolchain, "DEFAULT_PASSES", ("unroll", "schedule", "allocate")
         )
-        assert base != content_hash(
-            _request(),
-            pipeline=("unroll", "single_use", "schedule", "allocate", "codegen"),
-        )
+        assert base != content_hash(_request())
+        monkeypatch.undo()
+        assert base == content_hash(_request())
 
     def test_sensitive_to_loop_content(self):
         assert content_hash(_request()) != content_hash(
@@ -223,41 +224,34 @@ class TestCompilationCache:
         assert len(cache) == 0
 
 
-class TestBatchCompilerCaching:
+class TestCompileManyCaching:
     def test_second_run_is_all_hits_and_identical(self, tmp_path):
         requests = [
             _request(loop=make_kernel(name), machine=clustered_vliw(k), equivalent_k=k)
             for name in ("daxpy", "fir_filter", "dot_product")
             for k in (2, 4)
         ]
-        cold = BatchCompiler(cache=tmp_path).compile_many(requests)
+        cold = compile_many(requests, cache=tmp_path)
         assert not any(r.cache_hit for r in cold)
-        warm_compiler = BatchCompiler(cache=tmp_path)
-        warm = warm_compiler.compile_many(requests)
+        warm_cache = CompilationCache(tmp_path)
+        warm = compile_many(requests, cache=warm_cache)
         assert all(r.cache_hit for r in warm)
-        assert warm_compiler.cache.stats.hits == len(requests)
+        assert warm_cache.stats.hits == len(requests)
         for before, after in zip(cold, warm):
             assert schedule_fingerprint(before.result) == schedule_fingerprint(
                 after.result
             )
 
-    def test_different_toolchains_never_share_entries(self, tmp_path):
-        request = _request()
-        BatchCompiler(cache=tmp_path).compile_many([request])
-        full = BatchCompiler(toolchain=Toolchain.full(), cache=tmp_path)
-        report = full.compile_many([request])[0]
-        assert not report.cache_hit
-        assert "assembly" in report.artifacts
-        assert len(full.cache) == 2
-
     def test_cache_takes_a_compilation_cache_or_a_directory(self, tmp_path):
         cache = CompilationCache(tmp_path / "given")
-        assert BatchCompiler(cache=cache).cache is cache
-        assert BatchCompiler(cache=tmp_path / "dir").cache.root == tmp_path / "dir"
+        compile_many([_request()], cache=cache)
+        assert (len(cache), cache.stats.writes) == (1, 1)
+        compile_many([_request()], cache=tmp_path / "dir")
+        assert len(CompilationCache(tmp_path / "dir")) == 1
         # The service tiers hand back encoded entries, not reports.
         for tier in (MemoryCache(), TieredCache()):
             with pytest.raises(TypeError, match=type(tier).__name__):
-                BatchCompiler(cache=tier)
+                compile_many([_request()], cache=tier)
 
     def test_cache_root_expands_user(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -265,11 +259,11 @@ class TestBatchCompilerCaching:
         assert cache.root == tmp_path / "cache" / "repro"
         assert cache.root.is_dir()
 
-    def test_cache_shared_across_toolchain_but_keyed_on_request(self, tmp_path):
-        compiler = BatchCompiler(cache=tmp_path)
-        first = compiler.compile_many([_request()])
-        second = compiler.compile_many([_request(scheduler="dms")])
+    def test_cache_keyed_on_request(self, tmp_path):
+        cache = CompilationCache(tmp_path)
+        first = compile_many([_request()], cache=cache)
+        second = compile_many([_request(scheduler="dms")], cache=cache)
         # Different knobs -> different keys -> no false sharing.
         assert not first[0].cache_hit
         assert not second[0].cache_hit
-        assert len(compiler.cache) == 2
+        assert len(cache) == 2

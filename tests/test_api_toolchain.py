@@ -1,4 +1,4 @@
-"""Tests for the pass registry, toolchain composition and reports."""
+"""Tests for the pass registry, toolchain pipelines and reports."""
 
 import pytest
 
@@ -16,17 +16,17 @@ from repro.errors import SchedulingError, ToolchainError
 from repro.ir.transforms import unroll_loop
 from repro.machine import clustered_vliw, unclustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
-from repro.workloads import make_kernel
 
 from .conftest import build_reduction_loop, build_stream_loop
 
 
 class TestRegistry:
     def test_builtin_passes_registered(self):
-        for name in ("unroll", "single_use", "schedule", "allocate", "codegen"):
+        for name in ("unroll", "single_use", "schedule", "allocate"):
             assert get_pass(name).name == name
-        # The scheduler is a request field, not a pass to swap in.
-        assert sorted(PASS_REGISTRY) == sorted(DEFAULT_PASSES + ("codegen",))
+        # The scheduler is a request field and assembly is
+        # codegen.assembly_for: the registry holds the paper's flow only.
+        assert sorted(PASS_REGISTRY) == sorted(DEFAULT_PASSES)
 
     def test_scheduler_choices_are_the_schedule_pass_table(self):
         from repro.api import SCHEDULER_CHOICES
@@ -78,9 +78,8 @@ class TestRegistry:
 class TestComposition:
     def test_default_order_matches_paper_flow(self):
         assert Toolchain.default().pass_names == DEFAULT_PASSES
-        assert Toolchain.full().pass_names == DEFAULT_PASSES + ("codegen",)
 
-    def test_with_pass_swaps_in_place(self):
+    def test_custom_pass_in_a_pipeline(self):
         class NotedSchedule(SchedulePass):
             name = "noted_schedule"
 
@@ -88,7 +87,7 @@ class TestComposition:
                 super().run(ctx)
                 ctx.note(f"noted: {ctx.result.ii_trajectory}")
 
-        chain = Toolchain.default().with_pass("schedule", NotedSchedule())
+        chain = Toolchain(["unroll", "single_use", NotedSchedule(), "allocate"])
         assert chain.pass_names == (
             "unroll",
             "single_use",
@@ -100,19 +99,11 @@ class TestComposition:
         )
         assert report.diagnostics[-2] == f"noted: {report.ii_trajectory}"
 
-    def test_without_pass_removes(self):
-        chain = Toolchain.default().without_pass("allocate")
-        assert "allocate" not in chain.pass_names
-
-    def test_unknown_slot_rejected(self):
-        with pytest.raises(ToolchainError, match="no pass"):
-            Toolchain.default().with_pass("nope", "schedule")
-
     def test_duplicate_pipeline_names_rejected(self):
         with pytest.raises(ToolchainError, match="duplicate"):
             Toolchain(["unroll", "unroll", "schedule"])
 
-    def test_insert_runs_custom_pass_in_order(self):
+    def test_pipeline_runs_passes_in_order(self):
         calls = []
 
         class Probe(Pass):
@@ -124,7 +115,7 @@ class TestComposition:
             def run(self, ctx):
                 self._log.append((self.name, ctx.result is not None))
 
-        chain = Toolchain.default().insert_after("schedule", Probe(calls))
+        chain = Toolchain(["unroll", "single_use", "schedule", Probe(calls), "allocate"])
         request = CompilationRequest(
             loop=build_stream_loop(), machine=unclustered_vliw(2)
         )
@@ -230,14 +221,6 @@ class TestCompile:
             )
         )
         assert report.result.scheduler == "two-phase"
-
-    def test_codegen_pass_emits_assembly(self):
-        report = Toolchain.full().compile(
-            CompilationRequest(
-                loop=make_kernel("daxpy"), machine=clustered_vliw(2), equivalent_k=2
-            )
-        )
-        assert "II=" in report.artifacts["assembly"]
 
     def test_invalid_request_knobs_rejected(self):
         loop = build_stream_loop()

@@ -20,6 +20,8 @@ from repro.validate.fuzz import (
 from repro.workloads import make_kernel
 from repro.workloads.synthetic import SyntheticSpec, synthetic_loop
 
+from .conftest import build_mem_edge_loop
+
 
 def compile_on(loop, machine):
     return Toolchain.default().compile(
@@ -60,6 +62,28 @@ class TestMutations:
             pytest.skip("victim edge too close to cycle 0")
         mutant, _ = produced
         assert not check_schedule(mutant).ok
+
+    def test_tighten_edge_tightens_an_explicit_edge_when_there_is_one(self):
+        # Unrolled twice, the mem-edge loop has two explicit edges among
+        # a dozen flow edges; every tightened mutant still breaks a mem
+        # edge, which the checker and the oracle both name.
+        compiled = Toolchain.default().compile(CompilationRequest(
+            loop=build_mem_edge_loop(), machine=clustered_vliw(2), unroll=2,
+            validate=False,
+        )).compiled
+        mutants = [
+            MUTATIONS["tighten_edge"](np.random.default_rng(seed), compiled.result)
+            for seed in range(8)
+        ]
+        mutants = [produced for produced in mutants if produced is not None]
+        assert mutants
+        for mutant, detail in mutants:
+            edge = detail.split(":")[0]
+            assert edge.startswith("<mem ")
+            problems = check_schedule(mutant).problems
+            assert problems and all(f"dependence violated: {edge}" in p for p in problems)
+            verdicts = evaluate(compiled.loop, compiled.unroll_factor, mutant)
+            assert any(f"ordering violated on {edge}" in p for p in verdicts.oracle_problems)
 
     def test_shrink_queue_keeps_checker_quiet(self, compiled):
         rng = np.random.default_rng(5)

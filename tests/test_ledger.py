@@ -57,7 +57,7 @@ def reports():
         for payload in PAYLOADS:
             request = parse_compile_payload(payload).request
             report = toolchain.compile(request)
-            key = content_hash(request, pipeline=toolchain.pass_names)
+            key = content_hash(request)
             _REPORTS[key] = (payload, report, schedule_fingerprint(report.result))
     return _REPORTS
 

@@ -8,8 +8,8 @@ socket.  Admission/coalescing/drain tests inject a gated ``compile_fn``
 and a one-wide executor so queue states are deterministic.
 
 Also covers the cache tiers the daemon composes (``MemoryCache`` /
-``TieredCache``), the ``BatchCompiler`` shared-pool injection and the
-parallel oracle fan-out (:func:`repro.validate.verify_many`).
+``TieredCache``) and the parallel oracle fan-out
+(:func:`repro.validate.verify_many`).
 """
 
 import asyncio
@@ -729,7 +729,7 @@ def test_verify_many_parallel_matches_serial():
 
 
 def test_smoke_write_creates_missing_directories(tmp_path):
-    """A smoke run's artifacts land even when --out names a new dir."""
+    """A smoke run's output files land even when --out names a new dir."""
     from repro.service.smoke import _write
 
     out = tmp_path / "runs" / "today" / "smoke.json"

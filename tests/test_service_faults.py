@@ -184,7 +184,7 @@ def test_corrupt_cache_entry_is_read_repaired(tmp_path):
     )
     toolchain = Toolchain.default()
     report = toolchain.compile(request)
-    key = content_hash(request, pipeline=toolchain.pass_names)
+    key = content_hash(request)
     cache = CompilationCache(tmp_path / "cache")
     cache.put(key, report)
     assert cache.get(key) is not None

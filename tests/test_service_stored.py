@@ -57,18 +57,18 @@ def canned():
         toolchain = Toolchain.default()
         for payload in PAYLOADS:
             request = parse_compile_payload(payload).request
-            key = content_hash(request, pipeline=toolchain.pass_names)
+            key = content_hash(request)
             _CANNED[key] = pickle.dumps(toolchain.compile(request))
     return _CANNED
 
 
 def key_of(payload):
     request = parse_compile_payload(payload).request
-    return content_hash(request, pipeline=Toolchain.default().pass_names)
+    return content_hash(request)
 
 
 def canned_compile(toolchain, request):
-    return pickle.loads(canned()[content_hash(request, pipeline=toolchain.pass_names)])
+    return pickle.loads(canned()[content_hash(request)])
 
 
 def old_reply(key, served_from, job=None):
@@ -210,7 +210,11 @@ def test_assembly_is_rendered_on_hits_too(tmp_path):
     assert all(reply["assembly"] == expected for reply in replies)
 
 
-SPEC = {"kernels": ["fir_filter", "daxpy"], "clusters": [2, 3], "config": LADDER}
+SPEC = {"jobs": [
+    {"kernel": kernel, "clusters": clusters, "topology": "ring", "config": LADDER}
+    for kernel in ("fir_filter", "daxpy")
+    for clusters in (2, 3)
+]}
 
 
 def _pickled_rows(client, sweep_id):

@@ -3,12 +3,13 @@
 Three layers of coverage:
 
 * pure units — the worker-side :func:`chunk_size` math and the sweep
-  spec enumeration (idempotent ids, validation);
+  spec validation (a list of compile payloads, idempotent ids);
 * coordinator semantics against an in-process daemon (the
   ``running_service`` idiom from ``test_service.py``): claim/heartbeat/
   complete, lease expiry requeue, poison quarantine, duplicate and
   orphan completions resolving idempotently, journal replay of an open
-  sweep across a coordinator restart, the ``/metrics`` sweep section,
+  sweep across a coordinator restart, lease expiry outliving a failed
+  journal append, the ``/metrics`` sweep section,
   and the :class:`~repro.service.worker.SweepWorker` pull loop with the
   ``worker-vanish``/``slow-worker`` fault points;
 * the worker's pipelined loop (the next claim before the last chunk's
@@ -20,7 +21,7 @@ Three layers of coverage:
   mid-sweep *and* the coordinator SIGKILL-and-restarted mid-sweep — the
   sweep must finish with results bit-identical to a local run.
 
-Also covered here: the retry policy's ``total_deadline`` conversion to
+Also covered here: the client's ``TOTAL_DEADLINE`` conversion to
 :class:`ServiceUnavailable`.
 """
 
@@ -38,12 +39,14 @@ import pytest
 from repro import faults
 from repro.api import CompilationRequest, Toolchain, content_hash
 from repro.config import DEFAULT_CONFIG
-from repro.errors import ServiceError, ServiceUnavailable
+from repro.errors import JournalError, ServiceError, ServiceUnavailable
 from repro.machine.machine import clustered_vliw
 from repro.scheduling.fingerprint import schedule_fingerprint
 from repro.service import RetryPolicy, ServiceClient, TransportError
+from repro.service import client as client_module
 from repro.service import worker as worker_module
 from repro.service.jobs import parse_compile_payload
+from repro.service.journal import JobJournal
 from repro.service.sweep import (
     DEFAULT_LEASE_SECONDS,
     MAX_SWEEP_JOBS,
@@ -59,10 +62,11 @@ from .test_service import jsonable, running_service, wait_until
 LADDER = {"search": "ladder"}
 
 SPEC = {
-    "kernels": ["fir_filter", "iir_biquad"],
-    "clusters": [2, 4],
-    "topologies": ["ring"],
-    "config": LADDER,
+    "jobs": [
+        {"kernel": kernel, "clusters": clusters, "topology": "ring", "config": LADDER}
+        for kernel in ("fir_filter", "iir_biquad")
+        for clusters in (2, 4)
+    ]
 }
 
 
@@ -79,15 +83,21 @@ def worker_for(client, **kwargs):
     return SweepWorker(f"{client.host}:{client.port}", **kwargs)
 
 
-def local_reports(spec):
-    """The same job space compiled through a local toolchain."""
+def local_fingerprints(spec):
+    """The spec's jobs compiled through a local toolchain, as a client
+    reads their fingerprints off the wire."""
     toolchain = Toolchain.default()
-    plan = enumerate_sweep(spec, toolchain)
-    reports = []
-    for payload in plan.payloads:
-        parsed = parse_compile_payload(payload)
-        reports.append(toolchain.compile(parsed.request))
-    return plan, reports
+    return [
+        jsonable(schedule_fingerprint(
+            toolchain.compile(parse_compile_payload(payload).request).result
+        ))
+        for payload in spec["jobs"]
+    ]
+
+
+def job_rows(client, sweep_id):
+    """Every per-job row of a sweep, in job order."""
+    return client.sweep_results(sweep_id)["results"]
 
 
 # ----------------------------------------------------------------------
@@ -120,44 +130,52 @@ def test_chunk_size_scales_inversely_with_workers():
 # ----------------------------------------------------------------------
 
 
-def test_enumerate_cross_product_and_idempotent_id():
-    toolchain = Toolchain.default()
-    plan = enumerate_sweep(SPEC, toolchain)
-    assert len(plan.payloads) == 4  # 2 kernels x 2 cluster counts x 1 topo
+def test_enumerate_jobs_and_idempotent_id():
+    plan = enumerate_sweep(SPEC)
+    assert plan.payloads == SPEC["jobs"]
     assert plan.id.startswith("sw-")
     assert plan.lease_seconds == DEFAULT_LEASE_SECONDS
-    # Comma-string forms normalize to the same id (idempotent re-POST).
-    same = enumerate_sweep(
-        dict(SPEC, kernels="fir_filter,iir_biquad", topologies="ring"),
-        toolchain,
-    )
-    assert same.id == plan.id
-    different = enumerate_sweep(dict(SPEC, clusters=[2, 8]), toolchain)
+    # The same job list is the same sweep (idempotent re-POST).
+    assert enumerate_sweep(json.loads(json.dumps(SPEC))).id == plan.id
+    different = enumerate_sweep({"jobs": SPEC["jobs"][:3]})
     assert different.id != plan.id
-    # Keys are the batch-cache content hashes of the enumerated jobs.
+    # Keys are the batch-cache content hashes of the jobs.
     parsed = parse_compile_payload(plan.payloads[0])
-    assert plan.keys[0] == content_hash(
-        parsed.request, pipeline=toolchain.pass_names
-    )
+    assert plan.keys[0] == content_hash(parsed.request)
 
 
 def test_enumerate_rejects_bad_specs():
-    toolchain = Toolchain.default()
+    fir = [{"kernel": "fir_filter"}]
     for bad in (
         [],  # not an object
-        {},  # neither jobs nor kernels
+        {},  # no jobs
         {"jobs": "nope"},
         {"jobs": []},
-        {"kernels": ["fir_filter"], "lease": 0},
-        {"kernels": ["fir_filter"], "lease": "soon"},
-        {"kernels": ["fir_filter"], "max_requeues": -1},
-        {"kernels": ["no_such_kernel"]},
+        {"jobs": ["fir_filter"]},
+        {"jobs": fir, "lease": 0},
+        {"jobs": fir, "lease": "soon"},
+        {"jobs": fir, "max_requeues": -1},
+        {"jobs": [{"kernel": "no_such_kernel"}]},
     ):
         with pytest.raises(ServiceError):
-            enumerate_sweep(bad, toolchain)
+            enumerate_sweep(bad)
     too_many = {"jobs": [{"kernel": "daxpy"}] * (MAX_SWEEP_JOBS + 1)}
     with pytest.raises(ServiceError):
-        enumerate_sweep(too_many, toolchain)
+        enumerate_sweep(too_many)
+
+
+def test_a_spec_without_jobs_is_a_400_naming_jobs():
+    # The cross-product form (kernels x clusters x topologies) is gone:
+    # a sweep spec is a list of compile payloads.
+    cross = {"kernels": ["fir_filter"], "clusters": [2, 4], "topologies": ["ring"]}
+    with pytest.raises(ServiceError, match="'jobs'") as err:
+        enumerate_sweep(cross)
+    assert err.value.status == 400
+    with running_service() as (service, client, _loop):
+        with pytest.raises(ServiceError, match="'jobs'") as err:
+            client.submit_sweep(cross)
+        assert err.value.status == 400
+        assert client.sweeps()["sweeps"] == []
 
 
 # ----------------------------------------------------------------------
@@ -175,17 +193,14 @@ def test_sweep_submit_claim_complete_happy_path():
         stats = worker_for(client, name="wA").run()
         assert stats["jobs"] == 4 and stats["errors"] == 0
 
-        final = client.sweep(sweep_id, jobs=True)
+        final = client.sweep(sweep_id)
         assert final["state"] == "done"
         assert final["done"] == 4 and final["failed"] == 0
         # Per-job results carry the recomputed schedule fingerprints,
         # identical to a local toolchain run of the same payloads.
-        _, reports = local_reports(SPEC)
-        by_index = {job["index"]: job for job in final["jobs"]}
-        for index, report in enumerate(reports):
-            assert by_index[index]["fingerprint"] == jsonable(
-                schedule_fingerprint(report.result)
-            )
+        rows = job_rows(client, sweep_id)
+        assert [row["index"] for row in rows] == [0, 1, 2, 3]
+        assert [row["fingerprint"] for row in rows] == local_fingerprints(SPEC)
 
 
 def test_sweep_heartbeat_extends_and_reports_lost_leases():
@@ -244,11 +259,11 @@ def test_error_results_fail_jobs_without_failing_the_sweep():
                      "report": encode_report(report)}
                 )
         client.sweep_complete(sweep_id, "wA", grant["chunk"], results)
-        final = client.sweep(sweep_id, jobs=True)
+        final = client.sweep(sweep_id)
         # Deterministic per-job failures do not block sweep completion.
         assert final["state"] == "done"
         assert final["done"] == 3 and final["failed"] == 1
-        failed = [j for j in final["jobs"] if j["state"] == "failed"]
+        failed = [j for j in job_rows(client, sweep_id) if j["state"] == "failed"]
         assert failed[0]["index"] == 0 and "II overflow" in failed[0]["error"]
 
 
@@ -314,9 +329,8 @@ def test_report_for_another_request_is_invalid_and_requeued():
               "report": encode_report(wrong)}],
         )
         assert ack["accepted"] == 0 and ack["invalid"] == 1
-        status = client.sweep(sweep_id, jobs=True)
-        assert status["pending"] == 1
-        assert status["jobs"][0]["requeues"] == 1
+        assert client.sweep(sweep_id)["pending"] == 1
+        assert job_rows(client, sweep_id)[0]["requeues"] == 1
         served = client.compile(fir)
     assert served["served_from"] == "compile"
     assert served["fingerprint"] == jsonable(schedule_fingerprint(
@@ -346,10 +360,35 @@ def test_lease_expiry_requeues_and_eventually_quarantines():
             lambda: client.sweep(sweep_id)["state"] == "failed",
             what="quarantine closing the sweep",
         )
-        final = client.sweep(sweep_id, jobs=True)
-        assert "quarantined" in final["jobs"][0]["error"]
+        assert "quarantined" in job_rows(client, sweep_id)[0]["error"]
         chunks = client.metrics()["sweep"]["chunks"]
         assert chunks["lease_expiries"] == 2 and chunks["requeued"] == 2
+
+
+def test_a_failed_requeue_append_keeps_lease_expiry_running(tmp_path):
+    # A journal whose 'requeued' appends fail (a full disk, a failed
+    # fsync): each expiry still requeues in memory, the scan goes on,
+    # the failures are counted, and close() still shuts everything down.
+    class FailingRequeues(JobJournal):
+        def append(self, event, key, **fields):
+            if event == "requeued":
+                raise JournalError("journal append failed: disk full")
+            return super().append(event, key, **fields)
+
+    journal = FailingRequeues(tmp_path / "journal.jsonl")
+    spec = {"jobs": [{"kernel": "daxpy", "clusters": 2, "config": LADDER}],
+            "lease": 0.05, "max_requeues": 10}
+    with running_service(journal=journal) as (service, client, _loop):
+        sweep_id = client.submit_sweep(spec)["sweep"]
+        for expiry in (1, 2):
+            assert client.sweep_claim(sweep_id, "ghost", 1)["chunk"]
+            wait_until(lambda: client.sweep(sweep_id)["pending"] == 1, timeout=5.0,
+                       what=f"lease expiry {expiry} to requeue")
+        assert client.metrics()["journal"]["failed_requeue_appends"] == 2
+    # close() ran to the end: the journal thread is shut down.
+    with pytest.raises(RuntimeError, match="shutdown"):
+        service._journal_pool.submit(int)
+    journal.close()
 
 
 @pytest.mark.parametrize("loss", ["expiry", "partial"])
@@ -738,8 +777,8 @@ def test_a_malformed_coordinator_reply_is_counted_and_polled_past(
     assert (stats["jobs"], stub.completions) == (0, [])
 
 
-def test_batch_compiler_coordinator_merge_path(tmp_path):
-    from repro.api.batch import BatchCompiler
+def test_compile_many_coordinator_merge_path(tmp_path):
+    from repro.api.batch import compile_many
 
     requests = [
         CompilationRequest(
@@ -752,15 +791,12 @@ def test_batch_compiler_coordinator_merge_path(tmp_path):
     local = [Toolchain.default().compile(request) for request in requests]
     with running_service() as (service, client, _loop):
         address = f"{client.host}:{client.port}"
-        compiler = BatchCompiler(
-            cache=str(tmp_path / "cache"), coordinator=address
-        )
         worker = worker_for(client, name="wA")
-        import threading
-
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
-        reports = compiler.compile_many(requests)
+        reports = compile_many(
+            requests, cache=str(tmp_path / "cache"), coordinator=address
+        )
         thread.join(timeout=30)
     assert [r.result.ii for r in reports] == [r.result.ii for r in local]
     for remote, reference in zip(reports, local):
@@ -769,7 +805,7 @@ def test_batch_compiler_coordinator_merge_path(tmp_path):
         )
     # The merge path also populated the local cache: a second batch run
     # without any coordinator is served entirely from disk.
-    again = BatchCompiler(cache=str(tmp_path / "cache")).compile_many(requests)
+    again = compile_many(requests, cache=str(tmp_path / "cache"))
     assert all(r.cache_hit for r in again)
 
 
@@ -778,18 +814,14 @@ def test_batch_compiler_coordinator_merge_path(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_total_deadline_converts_to_service_unavailable():
+def test_total_deadline_converts_to_service_unavailable(monkeypatch):
     # Nothing listens on port 1: every attempt is connection-refused,
     # and the tight deadline trips before the backoff sleep.
+    monkeypatch.setattr(client_module, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(client_module, "JITTER", 0.0)
+    monkeypatch.setattr(client_module, "TOTAL_DEADLINE", 0.4)
     client = ServiceClient(
-        "127.0.0.1:1",
-        policy=RetryPolicy(
-            max_attempts=50,
-            connect_timeout=0.2,
-            backoff_base=0.5,
-            jitter=0.0,
-            total_deadline=0.4,
-        ),
+        "127.0.0.1:1", policy=RetryPolicy(max_attempts=50, connect_timeout=0.2)
     )
     started = time.monotonic()
     with pytest.raises(ServiceUnavailable):
@@ -797,29 +829,16 @@ def test_total_deadline_converts_to_service_unavailable():
     assert time.monotonic() - started < 5.0
 
 
-def test_total_deadline_none_keeps_old_unbounded_behavior():
-    client = ServiceClient(
-        "127.0.0.1:1",
-        policy=RetryPolicy(
-            max_attempts=2,
-            connect_timeout=0.2,
-            backoff_base=0.01,
-            total_deadline=None,
-        ),
-    )
-    with pytest.raises(TransportError):
-        client.healthz()
-
-
 # ----------------------------------------------------------------------
 # The acceptance e2e: real processes, real SIGKILLs
 # ----------------------------------------------------------------------
 
 E2E_SPEC = {
-    "kernels": ["fir_filter", "daxpy", "vector_add", "dot_product"],
-    "clusters": [2, 4],
-    "topologies": ["ring"],
-    "config": LADDER,
+    "jobs": [
+        {"kernel": kernel, "clusters": clusters, "topology": "ring", "config": LADDER}
+        for kernel in ("fir_filter", "daxpy", "vector_add", "dot_product")
+        for clusters in (2, 4)
+    ],
     "lease": 1.5,
     "max_requeues": 5,
 }
@@ -945,16 +964,12 @@ def test_distributed_sweep_survives_kills(tmp_path):
                 time.sleep(0.25)
             assert status["state"] == "done", status
             assert status.get("recovered") is True
-            final = client.sweep(sweep_id, jobs=True)
-            section = client.metrics()["sweep"]
+            rows = job_rows(client, sweep_id)
 
         # Bit-identity: every job's fingerprint equals the local one.
-        _, reports = local_reports(E2E_SPEC)
-        by_index = {job["index"]: job for job in final["jobs"]}
-        for index, report in enumerate(reports):
-            assert by_index[index]["fingerprint"] == jsonable(
-                schedule_fingerprint(report.result)
-            ), f"fingerprint mismatch on job {index}"
+        assert [row["index"] for row in rows] == list(range(len(E2E_SPEC["jobs"])))
+        for row, expected in zip(rows, local_fingerprints(E2E_SPEC)):
+            assert row["fingerprint"] == expected, f"fingerprint mismatch on job {row['index']}"
     finally:
         for proc in procs:
             if proc.poll() is None:

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.api import BatchCompiler, CompilationRequest
+from repro.api import CompilationRequest, compile_many
 from repro.api.cache import content_hash
 from repro.errors import TargetError
 from repro.ir.opcodes import DEFAULT_LATENCIES, LatencyModel
@@ -250,19 +250,19 @@ class TestCacheInvalidation:
         path = tmp_path / "t.toml"
         target = get_target("paper-ring-2")
         save_target(target, path)
-        compiler = BatchCompiler(cache=tmp_path / "cache")
+        cache = tmp_path / "cache"
         request = CompilationRequest(loop=stream_loop, machine=str(path))
-        (first,) = compiler.compile_many([request])
+        (first,) = compile_many([request], cache=cache)
         assert not first.cache_hit
-        (warm,) = compiler.compile_many([request])
+        (warm,) = compile_many([request], cache=cache)
         assert warm.cache_hit
         # Edit the file: slower multiplier.
         edited = target_from_dict(
             {**target.to_dict(), "latencies": {"mul": 6}}
         )
         save_target(edited, path)
-        (cold,) = compiler.compile_many(
-            [CompilationRequest(loop=stream_loop, machine=str(path))]
+        (cold,) = compile_many(
+            [CompilationRequest(loop=stream_loop, machine=str(path))], cache=cache
         )
         assert not cold.cache_hit
 
@@ -285,8 +285,7 @@ class TestAcceptance:
             )
             for name in sorted(KERNELS)
         ]
-        compiler = BatchCompiler(workers=max(1, (os.cpu_count() or 2) - 1))
-        reports = compiler.compile_many(requests)
+        reports = compile_many(requests, workers=max(1, (os.cpu_count() or 2) - 1))
         assert len(reports) == len(KERNELS)
         for report in reports:
             assert check_schedule(report.result).ok
