@@ -99,6 +99,25 @@ class TestComposition:
         )
         assert report.diagnostics[-2] == f"noted: {report.ii_trajectory}"
 
+    def test_without_pass_removes(self):
+        # A pipeline built without the allocate pass schedules but
+        # leaves the queues unallocated.
+        request = CompilationRequest(
+            loop=build_stream_loop(), machine=clustered_vliw(2)
+        )
+        chain = Toolchain(["unroll", "single_use", "schedule"])
+        assert "allocate" not in chain.pass_names
+        report = chain.compile(request)
+        assert report.compiled.allocation is None
+        assert [t.pass_name for t in report.timings] == list(chain.pass_names)
+        assert Toolchain.default().compile(request).compiled.allocation is not None
+
+    def test_unknown_slot_rejected(self):
+        with pytest.raises(ToolchainError, match="unknown pass 'nope'"):
+            Toolchain(["unroll", "nope", "schedule"])
+        with pytest.raises(ToolchainError, match="not a pass"):
+            Toolchain(["unroll", 42, "schedule"])
+
     def test_duplicate_pipeline_names_rejected(self):
         with pytest.raises(ToolchainError, match="duplicate"):
             Toolchain(["unroll", "unroll", "schedule"])
