@@ -38,10 +38,7 @@ DEFAULT_CACHE_GUARDS: Tuple[CacheGuard, ...] = (
         file="src/repro/ir/ddg.py",
         classes=("DDG",),
         guarded=("_ops", "_out", "_in"),
-        caches=(
-            "_out_cache", "_in_cache", "_refs_cache", "_ref_edges_cache",
-            "_op_ids_cache", "_adj_version",
-        ),
+        caches=("_refs_cache", "_ref_edges_cache", "_op_ids_cache", "_adj_version"),
         invalidators=("_touch_endpoints", "_insert_edge", "_remove_edge",
                       "_derive_flow_in_edges"),
     ),

@@ -57,7 +57,10 @@ from .request import CompilationReport, CompilationRequest
 #: :class:`~repro.experiments.metrics.LoopRun` reads), and the pickled
 #: ``CompiledLoop`` lives in :mod:`repro.api.request`.
 #: v8: the pickled report loses a field (the codegen pass's output map).
-CACHE_SCHEMA_VERSION = 8
+#: v9: operations, operands, edges, placements and allocation records
+#: pickle as their constructor arguments, and a graph's adjacency is one
+#: edge tuple per op, so a v8 report no longer loads.
+CACHE_SCHEMA_VERSION = 9
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 from typing import List, Sequence
 
 from ..errors import ReproError
@@ -16,7 +17,9 @@ from .metrics import LoopRun
 
 
 def dump_runs(runs: Sequence[LoopRun], path: str) -> None:
-    """Write runs as JSON lines (one record per line)."""
+    """Write runs as JSON lines (one record per line), creating the
+    file's directory when it does not exist yet."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         for run in runs:
             handle.write(json.dumps(dataclasses.asdict(run), sort_keys=True))

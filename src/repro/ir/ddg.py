@@ -10,9 +10,12 @@ scheduler itself rewrite it (copy and move insertion, chain dismantling).
 Mutation goes through a small API that keeps operands and edges in sync.
 
 Adjacency queries (``in_edges``/``out_edges``/``op_ids``/
-``flow_succ_refs``) are on the scheduler's innermost loops, so they return
-pre-sorted tuples cached per operation and invalidated only by mutation:
-a read between mutations costs one dict lookup instead of a sort.  Every
+``flow_succ_refs``) are on the scheduler's innermost loops.  The graph
+stores its edges as one tuple per operation and direction, kept in the
+order ``in_edges``/``out_edges`` return and rebuilt by the edge insert or
+remove that changes it, so a read is one dict lookup and :meth:`DDG.copy`
+shares the tuples.  ``op_ids`` and the per-reference views are read
+caches built on first read and dropped on mutation.  Every
 edge insert/remove also bumps a per-endpoint *adjacency version*
 (:meth:`DDG.adj_version`), which lets schedulers key their own incremental
 state (e.g. communication-compatibility sets) off graph changes without
@@ -31,6 +34,33 @@ from .operations import Operation, ValueUse
 
 #: ``(src, dst, DepKind.code, omega)``: see :attr:`DepEdge.key`.
 EdgeKey = Tuple[int, int, int, int]
+
+
+def _out_order(edge: DepEdge) -> Tuple[int, str, int]:
+    return (edge.dst, edge.kind.value, edge.omega)
+
+
+def _in_order(edge: DepEdge) -> Tuple[int, str, int]:
+    return (edge.src, edge.kind.value, edge.omega)
+
+
+def _with_edge(edges: Tuple[DepEdge, ...], edge: DepEdge, order) -> Tuple[DepEdge, ...]:
+    """*edges* plus *edge* in *order*, replacing any edge with its key."""
+    key = edge.key
+    kept = [e for e in edges if e.key != key]
+    kept.append(edge)
+    kept.sort(key=order)
+    return tuple(kept)
+
+
+def _without_key(adjacency: Dict[int, Tuple[DepEdge, ...]], op_id: int, key: EdgeKey) -> None:
+    """Drop the edge with *key* from *op_id*'s tuple, and the entry
+    itself when no edge is left."""
+    edges = tuple(e for e in adjacency.get(op_id, ()) if e.key != key)
+    if edges:
+        adjacency[op_id] = edges
+    else:
+        adjacency.pop(op_id, None)
 
 
 def _tarjan_sccs(adj: Dict[int, List[int]]) -> List[List[int]]:
@@ -94,17 +124,16 @@ class DDG:
     def __init__(self, name: str = "loop"):
         self.name = name
         self._ops: Dict[int, Operation] = {}
-        # All edges (flow derived + explicit), indexed both ways.
-        self._out: Dict[int, Dict[EdgeKey, DepEdge]] = {}
-        self._in: Dict[int, Dict[EdgeKey, DepEdge]] = {}
+        # All edges (flow derived + explicit), indexed both ways: one
+        # sorted tuple per op, no entry for an op without such edges.
+        self._out: Dict[int, Tuple[DepEdge, ...]] = {}
+        self._in: Dict[int, Tuple[DepEdge, ...]] = {}
         self._next_id = 0
-        # Read caches: pre-sorted adjacency tuples per op, the sorted id
-        # tuple, per-op flow consumer references and those references
-        # joined with their flow edges.  Values are
-        # immutable, built on first read and dropped on mutation (see
-        # _invalidate_*), so repeated reads between mutations are O(1).
-        self._out_cache: Dict[int, Tuple[DepEdge, ...]] = {}
-        self._in_cache: Dict[int, Tuple[DepEdge, ...]] = {}
+        # Read caches: the sorted id tuple, per-op flow consumer
+        # references and those references joined with their flow edges.
+        # Values are immutable, built on first read and dropped on
+        # mutation (see _touch_endpoints), so repeated reads between
+        # mutations are O(1).
         self._refs_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         self._ref_edges_cache: Dict[int, Tuple[Tuple[Tuple[int, int, int], DepEdge], ...]] = {}
         self._op_ids_cache: Optional[Tuple[int, ...]] = None
@@ -146,8 +175,6 @@ class DDG:
             if op.op_id in ddg._ops:
                 raise DDGError(f"duplicate op id {op.op_id} in DDG {name!r}")
             ddg._ops[op.op_id] = op
-            ddg._out.setdefault(op.op_id, {})
-            ddg._in.setdefault(op.op_id, {})
             ddg._next_id = max(ddg._next_id, op.op_id + 1)
         for op in ddg._ops.values():
             ddg._derive_flow_in_edges(op)
@@ -169,8 +196,6 @@ class DDG:
         if op.op_id in self._ops:
             raise DDGError(f"duplicate op id {op.op_id} in DDG {self.name!r}")
         self._ops[op.op_id] = op
-        self._out.setdefault(op.op_id, {})
-        self._in.setdefault(op.op_id, {})
         self._next_id = max(self._next_id, op.op_id + 1)
         self._op_ids_cache = None
         self._derive_flow_in_edges(op)
@@ -213,11 +238,7 @@ class DDG:
         for edge in list(self.out_edges(op_id)) + list(self.in_edges(op_id)):
             self._remove_edge(edge)
         del self._ops[op_id]
-        self._out.pop(op_id, None)
-        self._in.pop(op_id, None)
         self._op_ids_cache = None
-        self._out_cache.pop(op_id, None)
-        self._in_cache.pop(op_id, None)
         self._refs_cache.pop(op_id, None)
         self._ref_edges_cache.pop(op_id, None)
         self._adj_version.pop(op_id, None)
@@ -238,10 +259,9 @@ class DDG:
         srcs = list(op.srcs)
         srcs[index] = new_src
         self._ops[op_id] = op.with_srcs(tuple(srcs))
-        in_edges = self._in[op_id]
         if not old_src.is_external:
             producer, omega = old_src.producer, old_src.omega
-            edge = in_edges.get((producer, op_id, FLOW_CODE, omega))
+            edge = self._in_edge(op_id, (producer, op_id, FLOW_CODE, omega))
             if edge is not None:
                 if any(
                     src.producer == producer and src.omega == omega for src in srcs
@@ -254,7 +274,7 @@ class DDG:
             if producer not in self._ops:
                 self._forward.setdefault(producer, []).append(op_id)
                 return
-            edge = in_edges.get((producer, op_id, FLOW_CODE, new_src.omega))
+            edge = self._in_edge(op_id, (producer, op_id, FLOW_CODE, new_src.omega))
             if edge is None:
                 self._insert_edge(DepEdge(producer, op_id, DepKind.FLOW, new_src.omega))
             else:
@@ -293,19 +313,24 @@ class DDG:
                 self._forward.setdefault(src.producer, []).append(op.op_id)
 
     def _insert_edge(self, edge: DepEdge) -> None:
-        self._out.setdefault(edge.src, {})[edge.key] = edge
-        self._in.setdefault(edge.dst, {})[edge.key] = edge
+        self._out[edge.src] = _with_edge(self._out.get(edge.src, ()), edge, _out_order)
+        self._in[edge.dst] = _with_edge(self._in.get(edge.dst, ()), edge, _in_order)
         self._touch_endpoints(edge)
 
     def _remove_edge(self, edge: DepEdge) -> None:
-        self._out.get(edge.src, {}).pop(edge.key, None)
-        self._in.get(edge.dst, {}).pop(edge.key, None)
+        _without_key(self._out, edge.src, edge.key)
+        _without_key(self._in, edge.dst, edge.key)
         self._touch_endpoints(edge)
+
+    def _in_edge(self, op_id: int, key: EdgeKey) -> Optional[DepEdge]:
+        """The edge entering *op_id* with *key*, or None."""
+        for edge in self._in.get(op_id, ()):
+            if edge.key == key:
+                return edge
+        return None
 
     def _touch_endpoints(self, edge: DepEdge) -> None:
         """Drop read caches and bump versions after an edge change."""
-        self._out_cache.pop(edge.src, None)
-        self._in_cache.pop(edge.dst, None)
         # Consumer references depend on the producer's out edges *and* the
         # consumer's operand list; both endpoints' refs may shift.
         self._refs_cache.pop(edge.src, None)
@@ -351,30 +376,12 @@ class DDG:
             yield self._ops[op_id]
 
     def out_edges(self, op_id: int) -> Tuple[DepEdge, ...]:
-        """Edges leaving *op_id* (deterministic order, cached)."""
-        edges = self._out_cache.get(op_id)
-        if edges is None:
-            edges = tuple(
-                sorted(
-                    self._out.get(op_id, {}).values(),
-                    key=lambda e: (e.dst, e.kind.value, e.omega),
-                )
-            )
-            self._out_cache[op_id] = edges
-        return edges
+        """Edges leaving *op_id*, ordered by (dst, kind name, omega)."""
+        return self._out.get(op_id, ())
 
     def in_edges(self, op_id: int) -> Tuple[DepEdge, ...]:
-        """Edges entering *op_id* (deterministic order, cached)."""
-        edges = self._in_cache.get(op_id)
-        if edges is None:
-            edges = tuple(
-                sorted(
-                    self._in.get(op_id, {}).values(),
-                    key=lambda e: (e.src, e.kind.value, e.omega),
-                )
-            )
-            self._in_cache[op_id] = edges
-        return edges
+        """Edges entering *op_id*, ordered by (src, kind name, omega)."""
+        return self._in.get(op_id, ())
 
     def edges(self) -> Iterator[DepEdge]:
         """Iterate all edges, deterministically."""
@@ -382,19 +389,12 @@ class DDG:
             yield from self.out_edges(op_id)
 
     def explicit_edges(self) -> List[DepEdge]:
-        """The explicit (non-flow) edges in :meth:`edges` order, read
-        straight from the adjacency dicts: unlike :meth:`edges`, this
-        builds no per-op read cache (content hashing reads a graph once)."""
-        explicit = [
-            edge for out in self._out.values() for key, edge in out.items()
-            if key[2] != FLOW_CODE
-        ]
-        explicit.sort(key=lambda e: (e.src, e.dst, e.kind.value, e.omega))
-        return explicit
+        """The explicit (non-flow) edges in :meth:`edges` order."""
+        return [edge for edge in self.edges() if not edge.is_flow]
 
     @property
     def n_edges(self) -> int:
-        return sum(len(d) for d in self._out.values())
+        return sum(len(edges) for edges in self._out.values())
 
     def flow_succ_refs(self, op_id: int) -> Tuple[Tuple[int, int, int], ...]:
         """Consumer references of op *op_id*'s value.
@@ -579,8 +579,7 @@ class DDG:
         makes a stored report smaller and quicker to load."""
         state = dict(self.__dict__)
         state.update(
-            _out_cache={}, _in_cache={}, _refs_cache={}, _ref_edges_cache={},
-            _op_ids_cache=None, _adj_version={},
+            _refs_cache={}, _ref_edges_cache={}, _op_ids_cache=None, _adj_version={},
         )
         return state
 
@@ -588,16 +587,14 @@ class DDG:
         """Deep-copy the graph (operations are immutable, so shared)."""
         clone = DDG(name or self.name)
         clone._ops = dict(self._ops)
-        clone._out = {k: dict(v) for k, v in self._out.items()}
-        clone._in = {k: dict(v) for k, v in self._in.items()}
+        # Adjacency and cache values are immutable tuples; sharing them is
+        # safe because each graph replaces its own entries on mutation.
+        # Adjacency versions are *not* carried over: consumers of the
+        # clone rebuild their keyed state lazily (starting from version
+        # 0), which keeps the per-restart copy as cheap as possible.
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
         clone._next_id = self._next_id
-        # Cache values are immutable tuples; sharing them is safe because
-        # each graph drops its own entries on mutation.  Adjacency
-        # versions are *not* carried over: consumers of the clone rebuild
-        # their keyed state lazily (starting from version 0), which keeps
-        # the per-restart copy as cheap as possible.
-        clone._out_cache = dict(self._out_cache)
-        clone._in_cache = dict(self._in_cache)
         clone._refs_cache = dict(self._refs_cache)
         clone._ref_edges_cache = dict(self._ref_edges_cache)
         clone._op_ids_cache = self._op_ids_cache
@@ -619,7 +616,7 @@ class DDG:
                         f"({producer.opcode.value}) which produces no value"
                     )
                 key = (src.producer, op.op_id, FLOW_CODE, src.omega)
-                if key not in self._in.get(op.op_id, {}):
+                if self._in_edge(op.op_id, key) is None:
                     raise DDGError(f"missing derived flow edge for {key}")
         for edge in self.edges():
             if edge.src not in self._ops or edge.dst not in self._ops:

@@ -15,7 +15,7 @@ Edges come in two families:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
@@ -48,8 +48,10 @@ FLOW_CODE = DepKind.FLOW.code
 
 _COMMUNICATING_CODES = frozenset(kind.code for kind in COMMUNICATING_KINDS)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DepEdge:
     """A dependence edge ``src -> dst``.
 
@@ -59,6 +61,10 @@ class DepEdge:
 
     where ``latency`` is the explicit edge latency for non-flow edges and
     the producer latency for flow edges (``latency is None`` then).
+
+    An edge pickles as its constructor arguments: the derived key and
+    the per-model latency cache (:meth:`DDG.edge_latency`) are rebuilt,
+    never shipped.
     """
 
     src: int
@@ -66,21 +72,29 @@ class DepEdge:
     kind: DepKind = DepKind.FLOW
     omega: int = 0
     latency: Optional[int] = None
+    _key: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _communicates: bool = field(init=False, repr=False, compare=False)
+    _lat_cache: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        code = self.kind.code
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.kind == DepKind.FLOW and self.latency is not None:
-            raise ValueError("flow edges derive latency from the producer opcode")
-        if self.kind != DepKind.FLOW and self.latency is None:
+        if code == FLOW_CODE:
+            if self.latency is not None:
+                raise ValueError("flow edges derive latency from the producer opcode")
+        elif self.latency is None:
             raise ValueError(f"{self.kind.value} edges need an explicit latency")
-        if self.kind != DepKind.FLOW and self.latency < 0:
+        elif self.latency < 0:
             raise ValueError(f"edge latency must be >= 0, got {self.latency}")
-        # Derived once here: every edge put in a graph is keyed, and the
-        # schedulers test ``communicates`` on every adjacency walk.
-        code = self.kind.code
-        object.__setattr__(self, "_key", (self.src, self.dst, code, self.omega))
-        object.__setattr__(self, "_communicates", code in _COMMUNICATING_CODES)
+        # Derived once here (and again on unpickling): every edge put in
+        # a graph is keyed, and the schedulers test ``communicates`` on
+        # every adjacency walk.
+        _set(self, "_key", (self.src, self.dst, code, self.omega))
+        _set(self, "_communicates", code in _COMMUNICATING_CODES)
+
+    def __reduce__(self):
+        return type(self), (self.src, self.dst, self.kind, self.omega, self.latency)
 
     @property
     def key(self) -> Tuple[int, int, int, int]:

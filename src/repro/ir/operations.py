@@ -5,6 +5,9 @@ produces at most one value, identified by the operation id.  Operands are
 :class:`ValueUse` records: either a reference to another operation's value
 (with an iteration distance ``omega`` for loop-carried uses) or an external
 symbol (loop invariant / live-in), which imposes no scheduling constraint.
+
+Both classes are slotted and pickle as their constructor arguments, so
+unpickling re-runs validation and re-derives the cached attributes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from typing import Optional, Tuple
 
 from .opcodes import OpCode, fu_kind_of, FUKind
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ValueUse:
     """A single operand reference.
 
@@ -42,6 +47,9 @@ class ValueUse:
         if self.producer is None and self.omega != 0:
             raise ValueError("external symbols cannot be loop-carried")
 
+    def __reduce__(self):
+        return type(self), (self.producer, self.omega, self.symbol)
+
     @property
     def is_external(self) -> bool:
         """True for live-in / loop-invariant operands."""
@@ -65,7 +73,7 @@ def use(producer: int, omega: int = 0) -> ValueUse:
     return ValueUse(producer=producer, omega=omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """A single machine operation (a DDG node).
 
@@ -81,12 +89,18 @@ class Operation:
     opcode: OpCode
     srcs: Tuple[ValueUse, ...] = field(default_factory=tuple)
     tag: str = ""
+    _fu_kind: FUKind = field(init=False, repr=False, compare=False)
+    _internal_srcs: Tuple[ValueUse, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op_id < 0:
             raise ValueError(f"op_id must be >= 0, got {self.op_id}")
-        object.__setattr__(self, "srcs", tuple(self.srcs))
-        object.__setattr__(self, "_fu_kind", fu_kind_of(self.opcode))
+        if type(self.srcs) is not tuple:
+            _set(self, "srcs", tuple(self.srcs))
+        _set(self, "_fu_kind", fu_kind_of(self.opcode))
+
+    def __reduce__(self):
+        return type(self), (self.op_id, self.opcode, self.srcs, self.tag)
 
     @property
     def fu_kind(self) -> FUKind:
@@ -104,7 +118,7 @@ class Operation:
             return self._internal_srcs
         except AttributeError:
             value = tuple(s for s in self.srcs if not s.is_external)
-            object.__setattr__(self, "_internal_srcs", value)
+            _set(self, "_internal_srcs", value)
             return value
 
     def with_srcs(self, srcs: Tuple[ValueUse, ...]) -> "Operation":

@@ -22,7 +22,7 @@ from ..machine.cqrf import QueueFileId, queue_file_for
 from ..scheduling.result import ScheduleResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lifetime:
     """One value stream: producer -> (consumer, operand index)."""
 
@@ -35,6 +35,12 @@ class Lifetime:
     birth: int  # cycle the value is written (producer issue + latency)
     death: int  # cycle the value is read (consumer issue + omega * II)
     ii: int
+
+    def __reduce__(self):
+        return type(self), (
+            self.producer, self.consumer, self.operand_index, self.omega,
+            self.src_cluster, self.dst_cluster, self.birth, self.death, self.ii,
+        )
 
     @property
     def duration(self) -> int:

@@ -24,7 +24,7 @@ from ..scheduling.result import ScheduleResult
 from .lifetimes import Lifetime, extract_lifetimes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueAssignment:
     """One lifetime bound to a queue of a file."""
 
@@ -32,12 +32,15 @@ class QueueAssignment:
     file_id: QueueFileId
     queue_index: int
 
+    def __reduce__(self):
+        return type(self), (self.lifetime, self.file_id, self.queue_index)
+
     @property
     def label(self) -> str:
         return f"{self.file_id}:q{self.queue_index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileUsage:
     """Aggregate demand on one queue file."""
 
@@ -45,6 +48,11 @@ class FileUsage:
     queues_used: int
     max_depth: int
     total_values: int  # sum of per-queue depths (total storage demand)
+
+    def __reduce__(self):
+        return type(self), (
+            self.file_id, self.queues_used, self.max_depth, self.total_values,
+        )
 
 
 @dataclass

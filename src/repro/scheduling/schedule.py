@@ -33,7 +33,7 @@ from ..machine.machine import MachineSpec
 from .mrt import ModuloReservationTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """Issue time and cluster of one scheduled operation."""
 
@@ -43,6 +43,9 @@ class Placement:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise SchedulingError(f"issue time must be >= 0, got {self.time}")
+
+    def __reduce__(self):
+        return type(self), (self.time, self.cluster)
 
 
 class PartialSchedule:

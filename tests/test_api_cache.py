@@ -130,8 +130,9 @@ def reference_ddg_signature(ddg):
 
 
 class TestSignatureEdges:
-    """``ddg_signature`` reads explicit edges without building the DDG's
-    per-op read caches, and keys stay what they were."""
+    """``ddg_signature`` reads explicit edges off the stored adjacency
+    without changing it or building a per-op read cache, and keys stay
+    what they were."""
 
     def test_sweep_requests_match_the_reference(self):
         from repro.experiments.runner import SweepConfig, sweep_requests
@@ -156,7 +157,7 @@ class TestSignatureEdges:
             request = parse_compile_payload(payload).request
             key = content_hash(request)
             ddg = request.loop.ddg
-            assert not ddg._out_cache and not ddg._in_cache  # no read cache built
+            assert not ddg._refs_cache and not ddg._ref_edges_cache  # no view built
             assert ddg_signature(ddg) == reference_ddg_signature(ddg)
             assert content_hash(request) == key
 
@@ -171,9 +172,12 @@ class TestSignatureEdges:
             (ops[1], ops[4], DepKind.MEM, 0), (ops[0], ops[4], DepKind.MEM, 0),
         ):
             ddg.add_dep(src, dst, kind, omega, 1)
-        cached = dict(ddg._out_cache)
+        stored = dict(ddg._out), dict(ddg._in)
         signature = ddg_signature(ddg)
-        assert ddg._out_cache == cached  # no read cache built
+        for before, after in zip(stored, (ddg._out, ddg._in)):
+            assert before.keys() == after.keys()
+            assert all(after[op_id] is edges for op_id, edges in before.items())
+        assert not ddg._refs_cache and not ddg._ref_edges_cache  # no view built
         assert len(signature[2]) == 6
         assert signature == reference_ddg_signature(ddg)
 

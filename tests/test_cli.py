@@ -147,7 +147,8 @@ class TestFigures:
         assert "Backtracking" in out
 
     def test_runs_out_jsonl(self, capsys, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
+        # Like --csv DIR, --runs-out makes its file's directory.
+        path = str(tmp_path / "new" / "runs.jsonl")
         assert (
             main(
                 [

@@ -1,6 +1,7 @@
 """DDG adjacency-cache invalidation tests.
 
-The DDG caches pre-sorted adjacency tuples, the sorted id tuple and flow
+The DDG stores one pre-sorted adjacency tuple per op, replaced by the
+mutation that changes it, and caches the sorted id tuple and flow
 consumer references, invalidated only by mutation.  These tests exercise
 the invalidation paths the DMS scheduler actually takes — move insertion
 (``new_operation`` + ``replace_operand``) and chain dismantling
@@ -174,11 +175,15 @@ class TestAdjacencyCaches:
 
         ddg = chain_ddg()
         views = [(ddg.in_edges(i), ddg.out_edges(i), ddg.flow_succ_refs(i)) for i in ddg.op_ids]
+        ddg.edge_latency(ddg.out_edges(0)[0], DEFAULT_LATENCIES)
         loaded = pickle.loads(pickle.dumps(ddg))
-        assert not loaded._in_cache and not loaded._out_cache and not loaded._refs_cache
+        assert not loaded._refs_cache and not loaded._ref_edges_cache
+        assert loaded._op_ids_cache is None and not loaded._adj_version
+        assert all(not hasattr(e, "_lat_cache") for e in loaded.edges())
         assert [(loaded.in_edges(i), loaded.out_edges(i), loaded.flow_succ_refs(i))
                 for i in loaded.op_ids] == views
-        assert ddg.out_edges(0) is views[0][1]  # the original keeps its caches
+        assert ddg.out_edges(0) is views[0][1]  # the original keeps its adjacency
+        assert ddg._refs_cache  # ... and its read caches
         loaded.validate()
         move = loaded.new_operation(OpCode.MOVE, (use(0),))
         loaded.replace_operand(1, 0, use(move.op_id))

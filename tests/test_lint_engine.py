@@ -203,6 +203,25 @@ class TestConfig:
         for guard in config.cache_guards:
             assert (REPO_ROOT / guard.file).is_file()
 
+    def test_ddg_guard_flags_a_mutator_that_skips_touch_endpoints(self, tmp_path):
+        # The DDG as it stands is clean under its guard; the same class
+        # with one more method that stores an edge tuple without
+        # _touch_endpoints is not.
+        rel = "src/repro/ir/ddg.py"
+        config = LintConfig(root=REPO_ROOT)
+        rules = [get_rule("cache-discipline")]
+        findings, _ = lint_file(REPO_ROOT / rel, rel, rules, config)
+        assert findings == []
+        sneaky = tmp_path / "ddg.py"
+        sneaky.write_text(
+            (REPO_ROOT / rel).read_text()
+            + "\n    def _sneak_edge(self, edge):\n"
+            + "        self._out[edge.src] = (edge,)\n"
+        )
+        findings, _ = lint_file(sneaky, rel, rules, config)
+        assert [finding.rule for finding in findings] == ["cache-discipline"]
+        assert "DDG._sneak_edge" in findings[0].message
+
 
 # ----------------------------------------------------------------------
 # Runner + reporters

@@ -64,6 +64,8 @@ def running_service(**kwargs):
 
     Yields ``(service, client, loop)``; the loop handle lets tests call
     loop-affine methods (``request_drain``) via ``call_soon_threadsafe``.
+    An exception from ``service.close()`` is re-raised in the test thread
+    once the service thread has joined.
     """
     kwargs.setdefault("workers", 0)
     loop = asyncio.new_event_loop()
@@ -83,7 +85,10 @@ def running_service(**kwargs):
         box["address"] = f"{host}:{port}"
         ready.set()
         await box["stop"].wait()
-        await service.close()
+        try:
+            await service.close()
+        except BaseException as err:  # re-raised in the test thread below
+            box["close_error"] = err
 
     thread = threading.Thread(
         target=lambda: (asyncio.set_event_loop(loop), loop.run_until_complete(_main())),
@@ -99,6 +104,8 @@ def running_service(**kwargs):
         loop.call_soon_threadsafe(box["stop"].set)
         thread.join(timeout=30)
         loop.close()
+    if "close_error" in box:
+        raise box["close_error"]
 
 
 # ----------------------------------------------------------------------
